@@ -10,6 +10,8 @@ pipelines and ``clone``.
 from __future__ import annotations
 
 import inspect
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -71,6 +73,23 @@ def check_count(value, name: str, minimum: int = 1) -> int:
             f"{name} must be an integer >= {minimum}, got {value}", code="bad_param"
         )
     return count
+
+
+def read_json_object(path, code: str, required=()) -> dict:
+    """Parse a JSON file whose top level is an object holding ``required`` keys.
+
+    Any malformation raises :class:`ValidationError` with ``code``.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValidationError(f"{path}: invalid JSON: {exc}", code=code) from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: top level must be a JSON object", code=code)
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise ValidationError(f"{path}: missing keys {missing}", code=code)
+    return payload
 
 
 class ParamsMixin:

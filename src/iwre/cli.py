@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
+from ._validation import read_json_object
 from .analysis import (
     emit_report,
     task_bin_counts,
@@ -30,7 +31,6 @@ from .dataset import (
     save_metadata,
 )
 from .errors import NumericalError, ValidationError
-from .kde import BandwidthSpec, fit_kde
 from .retrieval import (
     cotrain_weights,
     load_manifest,
@@ -41,21 +41,12 @@ from .retrieval import (
     select_by_threshold,
 )
 from .scoring import (
-    PriorBatchSpec,
+    FINGERPRINT_SCHEME,
     ScoreMethod,
-    default_batch_spec,
-    fit_prior_batched,
-    iwr_fingerprint,
-    kde_target_fingerprint,
+    ScoreVector,
+    ScoringConfig,
     load_scores,
-    lse_fingerprint,
-    nn_fingerprint,
     save_scores,
-    score_importance_weight,
-    score_kde_target,
-    score_lse,
-    score_nn_l2,
-    scott_bandwidth_for,
 )
 from .synthbench import (
     SCENARIO_IDS,
@@ -72,32 +63,8 @@ _METHOD_ALIASES = {
     "iwr": ScoreMethod.IWR,
 }
 
-_DEFAULTS = {
-    "method": "iwr",
-    "bandwidth_scale": 4.0,
-    "lse_temp": None,
-    "batch_size": None,
-    "num_batches": 8,
-    "seed": None,
-    "fraction": None,
-    "threshold": None,
-    "alpha": 0.5,
-    "bins": 10,
-    "threads": None,
-    "target": None,
-    "prior": None,
-    "meta": None,
-    "labels": None,
-    "scores": None,
-    "manifest": None,
-    "out": None,
-    "fractions": None,
-    "bandwidth_scales": None,
-    "scenario": None,
-    "n_target": None,
-    "n_prior": None,
-    "leave_self_out": None,
-}
+# RunConfig names of the ScoringConfig fields that are named differently.
+_RUN_NAMES = {"scale_c": "bandwidth_scale", "temperature": "lse_temp"}
 
 
 @dataclass
@@ -127,12 +94,13 @@ class RunConfig:
     scenario: Optional[str] = None
     n_target: Optional[int] = None
     n_prior: Optional[int] = None
-    leave_self_out: Optional[bool] = None
+    leave_self_out: bool = False
     explicit: frozenset = frozenset()
 
     @classmethod
     def resolve(cls, args: argparse.Namespace) -> "RunConfig":
-        file_values = {}
+        names = {f.name for f in fields(cls)} - {"explicit"}
+        values = {}
         config_path = getattr(args, "config", None)
         if config_path:
             path = Path(config_path)
@@ -140,21 +108,17 @@ class RunConfig:
                 raise ValidationError(
                     f"config file {path} does not exist", code="missing_input"
                 )
-            file_values = json.loads(path.read_text())
-            unknown = set(file_values) - set(_DEFAULTS)
+            values = read_json_object(path, "bad_config")
+            unknown = set(values) - names
             if unknown:
                 raise ValidationError(
                     f"unknown config file keys: {sorted(unknown)}", code="bad_config"
                 )
-        merged = dict(_DEFAULTS)
-        merged.update(file_values)
-        explicit = set(file_values)
-        for key in _DEFAULTS:
+        for key in names:
             flag_value = getattr(args, key, None)
             if flag_value is not None:
-                merged[key] = flag_value
-                explicit.add(key)
-        return cls(**merged, explicit=frozenset(explicit))
+                values[key] = flag_value
+        return cls(**values, explicit=frozenset(values))
 
     def require_paths(self, *names: str) -> None:
         for name in names:
@@ -177,14 +141,23 @@ class RunConfig:
             return "fraction", float(self.fraction)
         return "threshold", float(self.threshold)
 
-    def score_method(self) -> ScoreMethod:
+    def scoring(self, stored: Optional[ScoringConfig] = None) -> ScoringConfig:
+        """The scoring configuration; over ``stored``, only explicit values apply."""
         if self.method not in _METHOD_ALIASES:
             raise ValidationError(
                 f"unknown method {self.method!r}; expected one of "
                 f"{sorted(_METHOD_ALIASES)}",
                 code="bad_method",
             )
-        return _METHOD_ALIASES[self.method]
+        names = {f.name: _RUN_NAMES.get(f.name, f.name) for f in fields(ScoringConfig)}
+        values = {
+            field: getattr(self, name)
+            for field, name in names.items()
+            if stored is None or name in self.explicit
+        }
+        if "method" in values:
+            values["method"] = _METHOD_ALIASES[self.method]
+        return replace(stored, **values) if stored else ScoringConfig(**values)
 
     def out_dir(self) -> Path:
         if self.out is None:
@@ -209,92 +182,36 @@ def _float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-@dataclass
-class ScorePlan:
-    """Everything needed to score (or to fingerprint without scoring)."""
-
-    method: ScoreMethod
-    fingerprint: str
-    params: dict
-    run: object  # zero-arg callable returning a ScoreVector
-
-
-def _build_plan(
-    cfg: RunConfig,
-    target: EmbeddingDataset,
-    prior: EmbeddingDataset,
-    scale: Optional[float] = None,
-) -> ScorePlan:
-    method = cfg.score_method()
-    scale = float(scale if scale is not None else cfg.bandwidth_scale)
-    threads = cfg.threads
+def _score_and_save(scoring, target, prior, threads, path) -> ScoreVector:
+    """Score and write the scores with the resolved config as sidecar params."""
+    resolved = scoring.resolve(target, prior)
+    scores = resolved.score(target, prior, threads)
     params = {
-        "method": cfg.method,
-        "bandwidth_scale": scale,
+        **asdict(resolved),
+        "method": resolved.method.value,
+        "fingerprint_scheme": FINGERPRINT_SCHEME,
         "target_source_id": target.source_id,
         "prior_source_id": prior.source_id,
     }
-    if method is ScoreMethod.NN_L2:
-        return ScorePlan(
-            method,
-            nn_fingerprint(target, prior),
-            params,
-            lambda: score_nn_l2(target, prior, threads=threads),
-        )
-    if method is ScoreMethod.LSE:
-        temperature = (
-            float(cfg.lse_temp)
-            if cfg.lse_temp is not None
-            else scott_bandwidth_for(target, BandwidthSpec(scale))
-        )
-        params["lse_temperature"] = temperature
-        return ScorePlan(
-            method,
-            lse_fingerprint(target, prior, temperature),
-            params,
-            lambda: score_lse(target, prior, temperature, threads=threads),
-        )
-    target_kde = fit_kde(target, BandwidthSpec(scale))
-    if method is ScoreMethod.KDE_TARGET:
-        return ScorePlan(
-            method,
-            kde_target_fingerprint(target_kde, prior),
-            params,
-            lambda: score_kde_target(target_kde, prior, threads=threads),
-        )
-    if cfg.seed is None:
+    save_scores(scores, path, params)
+    return scores
+
+
+def _stored_scoring(sidecar: dict, path) -> ScoringConfig:
+    """Rebuild the scoring configuration recorded in a score sidecar."""
+    params = sidecar["params"]
+    scheme = params.get("fingerprint_scheme") if isinstance(params, dict) else None
+    if scheme != FINGERPRINT_SCHEME:
         raise ValidationError(
-            "--seed is required for method iwr (prior batching)",
-            code="seed_required",
+            f"{path} was written under another fingerprint scheme; "
+            "rescore it with `iwre score`",
+            code="bad_sidecar",
         )
-    spec = (
-        PriorBatchSpec(int(cfg.batch_size), cfg.num_batches, rng_seed=int(cfg.seed))
-        if cfg.batch_size is not None
-        else PriorBatchSpec(
-            default_batch_spec(prior.rows, int(cfg.seed)).batch_size,
-            cfg.num_batches,
-            rng_seed=int(cfg.seed),
-        )
-    )
-    leave_self_out = bool(cfg.leave_self_out)
-    prior_kdes = fit_prior_batched(prior, spec, BandwidthSpec(scale))
-    params.update(
-        {
-            "batch_size": spec.batch_size,
-            "num_batches": spec.num_batches,
-            "seed": spec.rng_seed,
-            "leave_self_out": leave_self_out,
-        }
-    )
-    return ScorePlan(
-        method,
-        iwr_fingerprint(target_kde, prior_kdes, prior, leave_self_out),
-        params,
-        lambda: score_importance_weight(
-            target_kde, prior_kdes, prior, leave_self_out=leave_self_out,
-            threads=threads,
-        ),
-    )
+    names = [f.name for f in fields(ScoringConfig)]
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise ValidationError(f"{path}: params lack {missing}", code="bad_sidecar")
+    return ScoringConfig(**{name: params[name] for name in names})
 
 
 # -- commands -----------------------------------------------------------------
@@ -305,31 +222,12 @@ def cmd_score(cfg: RunConfig) -> int:
     out = cfg.out_dir()
     target = _load_dataset(cfg.target)
     prior = _load_dataset(cfg.prior)
-    plan = _build_plan(cfg, target, prior)
-    scores = plan.run()
-    save_scores(scores, out / "scores.bin", plan.params)
+    scores = _score_and_save(
+        cfg.scoring(), target, prior, cfg.threads, out / "scores.bin"
+    )
     print(f"fingerprint: {scores.config_fingerprint}")
     print(f"wrote {out / 'scores.bin'}")
     return 0
-
-
-def _resolve_retrieve_config(cfg: RunConfig, sidecar: dict) -> RunConfig:
-    """Fill scoring parameters from the score sidecar unless set explicitly."""
-    params = sidecar.get("params", {})
-    merged = replace(cfg)
-    mapping = {
-        "method": "method",
-        "bandwidth_scale": "bandwidth_scale",
-        "lse_temp": "lse_temperature",
-        "batch_size": "batch_size",
-        "num_batches": "num_batches",
-        "seed": "seed",
-        "leave_self_out": "leave_self_out",
-    }
-    for attr, key in mapping.items():
-        if attr not in cfg.explicit and key in params:
-            merged = replace(merged, **{attr: params[key]})
-    return merged
 
 
 def cmd_retrieve(cfg: RunConfig) -> int:
@@ -344,12 +242,12 @@ def cmd_retrieve(cfg: RunConfig) -> int:
             f"score file has {len(scores)} rows but prior has {prior.rows}",
             code="row_count_mismatch",
         )
-    resolved = _resolve_retrieve_config(cfg, sidecar)
-    plan = _build_plan(resolved, target, prior)
-    if plan.fingerprint != scores.config_fingerprint:
+    scoring = cfg.scoring(_stored_scoring(sidecar, cfg.scores))
+    fingerprint = scoring.fingerprint(target, prior)
+    if fingerprint != scores.config_fingerprint:
         raise ValidationError(
             "stale scores: configuration fingerprint "
-            f"{plan.fingerprint} does not match score file fingerprint "
+            f"{fingerprint} does not match score file fingerprint "
             f"{scores.config_fingerprint}",
             code="fingerprint_mismatch",
         )
@@ -393,9 +291,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
         relevance = row_relevance(meta, labels)
     summary = []
     for scale in scales:
-        plan = _build_plan(cfg, target, prior, scale=scale)
-        scores = plan.run()
-        save_scores(scores, out / f"scores_c{scale:g}.bin", plan.params)
+        scoring = replace(cfg.scoring(), scale_c=scale)
+        path = out / f"scores_c{scale:g}.bin"
+        scores = _score_and_save(scoring, target, prior, cfg.threads, path)
         for frac in fractions:
             manifest = select_by_fraction(scores, frac)
             save_manifest(manifest, out / f"manifest_c{scale:g}_f{frac:g}.json")

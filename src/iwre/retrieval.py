@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._validation import check_count
+from ._validation import check_count, read_json_object
 from .dataset import EmbeddingDataset, RowMetadata, pair_metadata
 from .errors import ValidationError
 from .scoring import ScoreVector
@@ -236,7 +236,12 @@ def save_manifest(manifest: RetrievalManifest, path) -> None:
 
 
 def load_manifest(path) -> RetrievalManifest:
-    payload = json.loads(Path(path).read_text())
+    payload = read_json_object(
+        path,
+        "bad_manifest",
+        ("selected_indices", "scores_at_selection", "rule", "rule_param",
+         "config_fingerprint"),
+    )
     return RetrievalManifest(
         np.asarray(payload["selected_indices"], dtype=np.int64),
         np.asarray(payload["scores_at_selection"], dtype=np.float64),

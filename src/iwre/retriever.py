@@ -4,29 +4,21 @@
 ``fit`` on the target embedding matrix, ``score_samples`` on a prior
 matrix, ``transform`` to get back the selected prior rows. The functional
 modules (:mod:`iwre.scoring`, :mod:`iwre.retrieval`) remain the primitive
-API; this class just wires them behind fit/transform semantics.
+API; this class wraps a :class:`~iwre.scoring.ScoringConfig` behind
+fit/transform semantics.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 
 from ._validation import ParamsMixin
 from .dataset import EmbeddingDataset
 from .errors import ValidationError
-from .kde import BandwidthSpec, fit_kde
 from .retrieval import select_by_fraction
-from .scoring import (
-    PriorBatchSpec,
-    ScoreMethod,
-    ScoreVector,
-    default_batch_spec,
-    fit_prior_batched,
-    score_importance_weight,
-    score_kde_target,
-    score_lse,
-    score_nn_l2,
-)
+from .scoring import ScoreVector, ScoringConfig
 
 
 class EmbeddingRetriever(ParamsMixin):
@@ -76,53 +68,21 @@ class EmbeddingRetriever(ParamsMixin):
         self.threads = threads
 
     def fit(self, X, y=None) -> "EmbeddingRetriever":
-        """Store the target data and fit the target KDE when needed."""
-        method = ScoreMethod(self.method)
+        """Store the target data and the scoring configuration."""
+        params = self.get_params()
+        self.config_ = ScoringConfig(
+            **{f.name: params[f.name] for f in fields(ScoringConfig)}
+        )
         self.target_ = X if isinstance(X, EmbeddingDataset) else EmbeddingDataset(
             np.asarray(X)
         )
-        self.target_kde_ = None
-        if method in (ScoreMethod.KDE_TARGET, ScoreMethod.IWR):
-            self.target_kde_ = fit_kde(self.target_, BandwidthSpec(self.scale_c))
         return self
-
-    def _check_fitted(self):
-        if not hasattr(self, "target_"):
-            raise ValidationError("retriever is not fitted", code="not_fitted")
 
     def score_vector(self, X) -> ScoreVector:
         """Full :class:`ScoreVector` (with provenance) for a prior matrix."""
-        self._check_fitted()
-        method = ScoreMethod(self.method)
-        prior = X if isinstance(X, EmbeddingDataset) else EmbeddingDataset(
-            np.asarray(X)
-        )
-        if method is ScoreMethod.NN_L2:
-            return score_nn_l2(self.target_, prior, threads=self.threads)
-        if method is ScoreMethod.LSE:
-            return score_lse(
-                self.target_,
-                prior,
-                self.temperature,
-                bandwidth=BandwidthSpec(self.scale_c),
-                threads=self.threads,
-            )
-        if method is ScoreMethod.KDE_TARGET:
-            return score_kde_target(self.target_kde_, prior, threads=self.threads)
-        batch = (
-            self.batch_size
-            if self.batch_size is not None
-            else default_batch_spec(prior.rows, self.seed).batch_size
-        )
-        spec = PriorBatchSpec(batch, self.num_batches, rng_seed=self.seed)
-        prior_kdes = fit_prior_batched(prior, spec, BandwidthSpec(self.scale_c))
-        return score_importance_weight(
-            self.target_kde_,
-            prior_kdes,
-            prior,
-            leave_self_out=self.leave_self_out,
-            threads=self.threads,
-        )
+        if not hasattr(self, "target_"):
+            raise ValidationError("retriever is not fitted", code="not_fitted")
+        return self.config_.score(self.target_, X, self.threads)
 
     def score_samples(self, X) -> np.ndarray:
         """Per-row retrieval scores (higher = more retrievable)."""

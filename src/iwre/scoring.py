@@ -16,6 +16,11 @@ retrievable.
     Log importance weight: target KDE log-density minus the log of the
     averaged density over a set of KDEs fit on random prior batches.
 
+:class:`ScoringConfig` (a rule plus its parameters) is the one entry point:
+it fits what the rule needs, scores, and stamps a fingerprint of the config
+and source ids. The ``score_*`` functions take fitted models instead, so
+their results carry an empty fingerprint.
+
 Scoring is embarrassingly parallel across prior rows; worker threads only
 split the fixed row chunks, so results are identical for any thread count.
 """
@@ -26,17 +31,17 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._validation import check_count, check_positive, check_vector
-from .dataset import EmbeddingDataset, content_id, read_vector_file, write_vector_file
+from ._validation import check_count, check_positive, check_vector, read_json_object
+from .dataset import EmbeddingDataset, read_vector_file, write_vector_file
 from .errors import ValidationError
-from .kde import BandwidthSpec, GaussianKde, log_mean_exp, scott_bandwidth
+from .kde import BandwidthSpec, GaussianKde, fit_kde, log_mean_exp, scott_bandwidth
 from ._version import __version__
 
 # Rows handed to each scoring job; fixed so outputs never depend on the
@@ -106,67 +111,10 @@ def default_batch_spec(n_prior: int, rng_seed: int) -> PriorBatchSpec:
     return PriorBatchSpec(min(4096, int(n_prior)), rng_seed=rng_seed)
 
 
-def scott_bandwidth_for(dataset, bandwidth: BandwidthSpec | None = None) -> float:
-    """Scott-rule bandwidth a dataset would get under ``bandwidth``."""
-    ds = _as_dataset(dataset)
-    spec = bandwidth or BandwidthSpec()
-    return scott_bandwidth(spec.scale_c, ds.rows, ds.dim)
-
-
 def config_fingerprint(**payload) -> str:
     """Deterministic 16-hex-digit hash of a configuration payload."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _kde_identity(kde: GaussianKde) -> dict:
-    return {
-        "support": content_id(kde.support_),
-        "bandwidth": kde.bandwidth_,
-        "scale_c": kde.scale_c,
-    }
-
-
-def nn_fingerprint(target: EmbeddingDataset, prior: EmbeddingDataset) -> str:
-    return config_fingerprint(
-        method=ScoreMethod.NN_L2.value,
-        target=target.source_id,
-        prior=prior.source_id,
-    )
-
-
-def lse_fingerprint(
-    target: EmbeddingDataset, prior: EmbeddingDataset, temperature: float
-) -> str:
-    return config_fingerprint(
-        method=ScoreMethod.LSE.value,
-        temperature=temperature,
-        target=target.source_id,
-        prior=prior.source_id,
-    )
-
-
-def kde_target_fingerprint(target_kde: GaussianKde, prior: EmbeddingDataset) -> str:
-    return config_fingerprint(
-        method=ScoreMethod.KDE_TARGET.value,
-        target=_kde_identity(target_kde),
-        prior=prior.source_id,
-    )
-
-
-def iwr_fingerprint(
-    target_kde: GaussianKde,
-    prior_kdes: Sequence[GaussianKde],
-    prior: EmbeddingDataset,
-    leave_self_out: bool = False,
-) -> str:
-    return config_fingerprint(
-        method=ScoreMethod.IWR.value,
-        target=_kde_identity(target_kde),
-        prior=prior.source_id,
-        prior_batches=[_kde_identity(k) for k in prior_kdes],
-        leave_self_out=leave_self_out,
-    )
 
 
 def _as_dataset(x) -> EmbeddingDataset:
@@ -227,13 +175,8 @@ def score_nn_l2(target, prior, *, threads: int | None = 1) -> ScoreVector:
         return out
 
     values = -_map_row_chunks(prior.rows, job, threads)
-    fingerprint = nn_fingerprint(target, prior)
     return ScoreVector(
-        values,
-        ScoreMethod.NN_L2,
-        fingerprint,
-        prior_source_id=prior.source_id,
-        target_source_id=target.source_id,
+        values, ScoreMethod.NN_L2, "", prior.source_id, target.source_id
     )
 
 
@@ -276,14 +219,7 @@ def score_lse(
         return out
 
     values = _map_row_chunks(prior.rows, job, threads)
-    fingerprint = lse_fingerprint(target, prior, temperature_h)
-    return ScoreVector(
-        values,
-        ScoreMethod.LSE,
-        fingerprint,
-        prior_source_id=prior.source_id,
-        target_source_id=target.source_id,
-    )
+    return ScoreVector(values, ScoreMethod.LSE, "", prior.source_id, target.source_id)
 
 
 def score_kde_target(
@@ -296,12 +232,8 @@ def score_kde_target(
     values = _map_row_chunks(
         prior.rows, lambda sl: target_kde.score_samples(prior.data[sl]), threads
     )
-    fingerprint = kde_target_fingerprint(target_kde, prior)
     return ScoreVector(
-        values,
-        ScoreMethod.KDE_TARGET,
-        fingerprint,
-        prior_source_id=prior.source_id,
+        values, ScoreMethod.KDE_TARGET, "", prior_source_id=prior.source_id
     )
 
 
@@ -404,13 +336,118 @@ def score_importance_weight(
         return log_t - log_mean_exp(log_p, axis=0)
 
     values = _map_row_chunks(prior.rows, job, threads)
-    fingerprint = iwr_fingerprint(target_kde, prior_kdes, prior, leave_self_out)
-    return ScoreVector(
-        values,
-        ScoreMethod.IWR,
-        fingerprint,
-        prior_source_id=prior.source_id,
-    )
+    return ScoreVector(values, ScoreMethod.IWR, "", prior_source_id=prior.source_id)
+
+
+# -- scoring configuration ----------------------------------------------------
+
+# Version of the fingerprint payload. Score files written under another
+# scheme are refused instead of compared.
+FINGERPRINT_SCHEME = 2
+
+# Resolved fields each method reads; only these enter its fingerprint.
+_METHOD_FIELDS = {
+    ScoreMethod.NN_L2: (),
+    ScoreMethod.LSE: ("temperature",),
+    ScoreMethod.KDE_TARGET: ("scale_c",),
+    ScoreMethod.IWR: ("scale_c", "batch_size", "num_batches", "seed", "leave_self_out"),
+}
+
+# Types of the fields that default to None; the others take their default's.
+_OPTIONAL_TYPES = {"temperature": float, "batch_size": int, "seed": int}
+
+
+@dataclass(frozen=True)
+class ScoringConfig:
+    """A scoring rule and its parameters; the one way to score and fingerprint.
+
+    ``temperature`` (lse) and ``batch_size`` (iwr) may stay ``None``; they
+    are filled in from the data by :meth:`resolve`. Fields a method does
+    not read are kept but ignored.
+    """
+
+    method: ScoreMethod = ScoreMethod.IWR
+    scale_c: float = 4.0
+    temperature: float | None = None
+    batch_size: int | None = None
+    num_batches: int = 8
+    seed: int | None = None
+    leave_self_out: bool = False
+
+    def __post_init__(self):
+        # Fixed types keep the fingerprint independent of how a value was given.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            try:
+                converted = _OPTIONAL_TYPES.get(f.name, type(f.default))(value)
+                if converted != value:
+                    raise ValueError(value)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(
+                    f"bad scoring parameter {f.name}={value!r}", code="bad_param"
+                ) from exc
+            object.__setattr__(self, f.name, converted)
+
+    def resolve(self, target, prior) -> "ScoringConfig":
+        """Default the lse temperature to the target's Scott bandwidth and the
+        iwr batch size to ``min(4096, N)``; iwr needs a seed."""
+        target, prior = _as_dataset(target), _as_dataset(prior)
+        if self.method is ScoreMethod.LSE and self.temperature is None:
+            h = scott_bandwidth(self.scale_c, target.rows, target.dim)
+            return replace(self, temperature=h)
+        if self.method is ScoreMethod.IWR:
+            if self.seed is None:
+                raise ValidationError(
+                    "a seed is required for method iwr (prior batching)",
+                    code="seed_required",
+                )
+            if self.batch_size is None:
+                spec = default_batch_spec(prior.rows, self.seed)
+                return replace(self, batch_size=spec.batch_size)
+        return self
+
+    def fingerprint(self, target, prior) -> str:
+        """Hash of the resolved fields the method reads and both source ids.
+
+        Batch membership is fixed by the seed, so no model is fitted.
+        """
+        target, prior = _as_dataset(target), _as_dataset(prior)
+        cfg = self.resolve(target, prior)
+        return config_fingerprint(
+            fingerprint_scheme=FINGERPRINT_SCHEME,
+            method=cfg.method.value,
+            **{name: getattr(cfg, name) for name in _METHOD_FIELDS[cfg.method]},
+            target=target.source_id,
+            prior=prior.source_id,
+        )
+
+    def score(self, target, prior, threads: int | None = 1) -> ScoreVector:
+        """Fit what the method needs; stamp the fingerprint and source ids."""
+        target, prior = _as_dataset(target), _as_dataset(prior)
+        cfg = self.resolve(target, prior)
+        if cfg.method is ScoreMethod.NN_L2:
+            scores = score_nn_l2(target, prior, threads=threads)
+        elif cfg.method is ScoreMethod.LSE:
+            scores = score_lse(target, prior, cfg.temperature, threads=threads)
+        elif cfg.method is ScoreMethod.KDE_TARGET:
+            target_kde = fit_kde(target, BandwidthSpec(cfg.scale_c))
+            scores = score_kde_target(target_kde, prior, threads=threads)
+        else:
+            bandwidth = BandwidthSpec(cfg.scale_c)
+            spec = PriorBatchSpec(cfg.batch_size, cfg.num_batches, rng_seed=cfg.seed)
+            scores = score_importance_weight(
+                fit_kde(target, bandwidth),
+                fit_prior_batched(prior, spec, bandwidth),
+                prior,
+                leave_self_out=cfg.leave_self_out,
+                threads=threads,
+            )
+        fingerprint = cfg.fingerprint(target, prior)
+        return ScoreVector(
+            scores.values, cfg.method, fingerprint, prior.source_id, target.source_id
+        )
 
 
 # -- persistence --------------------------------------------------------------
@@ -442,7 +479,11 @@ def load_scores(path) -> tuple[ScoreVector, dict]:
         raise ValidationError(
             f"missing score sidecar {meta_path}", code="missing_sidecar"
         )
-    sidecar = json.loads(meta_path.read_text())
+    sidecar = read_json_object(
+        meta_path, "bad_sidecar", ("method", "config_fingerprint", "params")
+    )
+    if sidecar["method"] not in {m.value for m in ScoreMethod}:
+        raise ValidationError(f"{meta_path}: unknown method", code="bad_sidecar")
     values = read_vector_file(path)
     if values.shape[1] != 1:
         raise ValidationError(

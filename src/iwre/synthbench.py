@@ -35,18 +35,8 @@ from scipy.stats import multivariate_normal
 from ._validation import check_count, check_matrix
 from .dataset import EmbeddingDataset, RowMetadata
 from .errors import ValidationError
-from .kde import BandwidthSpec, fit_kde
 from .retrieval import RetrievalManifest
-from .scoring import (
-    PriorBatchSpec,
-    ScoreMethod,
-    ScoreVector,
-    fit_prior_batched,
-    score_importance_weight,
-    score_kde_target,
-    score_lse,
-    score_nn_l2,
-)
+from .scoring import ScoreMethod, ScoreVector, ScoringConfig
 
 SCENARIO_IDS = ("fig2_toy", "gaussian_ratio", "cluster_bias")
 
@@ -212,17 +202,15 @@ def _fig2_geometry():
 def _fig2_reversal_holds(target: np.ndarray, probes: np.ndarray) -> bool:
     target_ds = EmbeddingDataset(target, source_id="fig2:target")
     probes_ds = EmbeddingDataset(probes, source_id="fig2:probes")
-    nn = score_nn_l2(target_ds, probes_ds).values
-    if not nn[1] > nn[0]:  # isolated probe must win under nearest neighbor
-        return False
-    kde = fit_kde(target_ds, BandwidthSpec())
-    dens = score_kde_target(kde, probes_ds).values
-    smooth = score_lse(target_ds, probes_ds).values
-    prior_kdes = fit_prior_batched(
-        probes_ds, PriorBatchSpec(2, 1, rng_seed=0), BandwidthSpec()
+    # ScoreMethod lists nn_l2 first: the isolated probe (1) must win under
+    # nearest neighbor, the central probe (0) under every smoothed score.
+    nn, *smoothed = (
+        ScoringConfig(method, batch_size=2, num_batches=1, seed=0)
+        .score(target_ds, probes_ds)
+        .values
+        for method in ScoreMethod
     )
-    ratio = score_importance_weight(kde, prior_kdes, probes_ds).values
-    return dens[0] > dens[1] and smooth[0] > smooth[1] and ratio[0] > ratio[1]
+    return nn[1] > nn[0] and all(s[0] > s[1] for s in smoothed)
 
 
 def fig2_probe_indices() -> tuple[int, int]:

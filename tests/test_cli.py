@@ -9,7 +9,8 @@ from iwre.cli import main
 from iwre.dataset import EmbeddingDataset, load_embeddings, save_embeddings
 from iwre.errors import NumericalError
 from iwre.retrieval import load_manifest
-from iwre.scoring import load_scores
+from iwre.kde import GaussianKde, scott_bandwidth
+from iwre.scoring import ScoringConfig, load_scores
 
 
 def run(*argv):
@@ -81,6 +82,9 @@ class TestScoreRetrieve:
         scores, sidecar = load_scores(out / "scores.bin")
         assert scores.config_fingerprint in printed
         assert sidecar["params"]["method"] == "iwr"
+        assert sidecar["params"]["fingerprint_scheme"] == 2
+        target_id = load_embeddings(fixtures / "target.bin").source_id
+        assert sidecar["target_source_id"] == target_id
         assert len(scores) == 1200
 
         assert run(
@@ -90,6 +94,7 @@ class TestScoreRetrieve:
         ) == 0
         manifest = load_manifest(out / "manifest.json")
         assert manifest.size == 360
+        assert manifest.target_source_id == target_id
         retrieved = load_embeddings(out / "retrieved.bin")
         assert retrieved.rows == 360
         assert (out / "retrieved_meta.csv").exists()
@@ -144,6 +149,45 @@ class TestScoreRetrieve:
         )
         assert code == 2
         assert "fingerprint" in capsys.readouterr().err
+
+    def test_fingerprint_ignores_fields_the_method_does_not_read(
+        self, fixtures, tmp_path
+    ):
+        out = tmp_path / "run"
+        run("score", "--method", "nn", "--target", fixtures / "target.bin",
+            "--prior", fixtures / "prior.bin", "--out", out)
+        assert run(
+            "retrieve", "--scores", out / "scores.bin",
+            "--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin",
+            "--bandwidth-scale", 2.0, "--fraction", 0.3, "--out", out,
+        ) == 0
+
+    @pytest.mark.parametrize("method", ["lse", "iwr"])
+    def test_round_trip_with_data_dependent_defaults(self, fixtures, tmp_path, method):
+        out = tmp_path / "run"
+        data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
+        assert run("score", "--method", method, "--seed", 5, *data,
+                   "--out", out) == 0
+        params = load_scores(out / "scores.bin")[1]["params"]
+        if method == "lse":
+            assert params["temperature"] == scott_bandwidth(4.0, 400, 1)
+        else:
+            assert params["batch_size"] == 1200
+        assert run("retrieve", "--scores", out / "scores.bin", *data,
+                   "--fraction", 0.3, "--out", out) == 0
+
+    def test_retrieve_fits_no_kde(self, fixtures, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
+        assert run("score", "--method", "iwr", "--seed", 5, *data,
+                   "--out", out) == 0
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("retrieve fitted a KDE")
+
+        monkeypatch.setattr(GaussianKde, "fit", no_fit)
+        assert run("retrieve", "--scores", out / "scores.bin", *data,
+                   "--fraction", 0.3, "--out", out) == 0
 
     def test_stale_after_input_change(self, fixtures, tmp_path):
         out = tmp_path / "run"
@@ -214,15 +258,83 @@ class TestScoreRetrieve:
         assert check.mean_abs_error <= 0.3
 
     def test_numerical_error_maps_to_exit_3(self, fixtures, tmp_path, monkeypatch):
-        import iwre.cli as cli_module
-
         def boom(*args, **kwargs):
             raise NumericalError("synthetic failure", code="cholesky_exhausted")
 
-        monkeypatch.setattr(cli_module, "_build_plan", boom)
+        monkeypatch.setattr(ScoringConfig, "score", boom)
         code = run("score", "--method", "nn", "--target", fixtures / "target.bin",
                    "--prior", fixtures / "prior.bin", "--out", tmp_path)
         assert code == 3
+
+
+def _edit_json(edit):
+    def write(path):
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+
+    return write
+
+
+# (case, file, how it is broken, expected error code)
+MALFORMED = [
+    ("config_invalid_json", "config.json",
+     lambda path: path.write_text("{bad"), "bad_config"),
+    ("config_not_object", "config.json",
+     lambda path: path.write_text("[1, 2]"), "bad_config"),
+    ("sidecar_invalid_json", "scores.json",
+     lambda path: path.write_text("{bad"), "bad_sidecar"),
+    ("sidecar_missing_method", "scores.json",
+     _edit_json(lambda d: d.pop("method")), "bad_sidecar"),
+    ("sidecar_params_missing_field", "scores.json",
+     _edit_json(lambda d: d["params"].pop("seed")), "bad_sidecar"),
+    ("sidecar_old_scheme", "scores.json",
+     _edit_json(lambda d: d["params"].pop("fingerprint_scheme")), "bad_sidecar"),
+    ("manifest_invalid_json", "manifest.json",
+     lambda path: path.write_text("{bad"), "bad_manifest"),
+    ("manifest_missing_indices", "manifest.json",
+     _edit_json(lambda d: d.pop("selected_indices")), "bad_manifest"),
+]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "name,break_file,code", [case[1:] for case in MALFORMED],
+        ids=[case[0] for case in MALFORMED],
+    )
+    def test_exit_2_with_error_code(self, fixtures, tmp_path, capsys, name,
+                                    break_file, code):
+        out = tmp_path / "run"
+        data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
+        assert run("score", "--method", "nn", *data, "--out", out) == 0
+        assert run("retrieve", "--scores", out / "scores.bin", *data,
+                   "--fraction", 0.3, "--out", out) == 0
+        (out / "config.json").write_text("{}")
+        break_file(out / name)
+        capsys.readouterr()
+        argv = {
+            "config.json": ["score", "--config", out / "config.json", *data,
+                            "--out", out],
+            "scores.json": ["retrieve", "--scores", out / "scores.bin", *data,
+                            "--fraction", 0.3, "--out", out],
+            "manifest.json": ["analyze", "--manifest", out / "manifest.json",
+                              "--meta", fixtures / "prior_meta.csv", "--out", out],
+        }[name]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"error[{code}]" in err
+        assert "Traceback" not in err
+
+    def test_old_sidecar_asks_for_rescore(self, fixtures, tmp_path, capsys):
+        out = tmp_path / "run"
+        data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
+        assert run("score", "--method", "nn", *data, "--out", out) == 0
+        _edit_json(lambda d: d["params"].update(fingerprint_scheme=1))(
+            out / "scores.json"
+        )
+        assert run("retrieve", "--scores", out / "scores.bin", *data,
+                   "--fraction", 0.3, "--out", out) == 2
+        assert "rescore" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -1,16 +1,19 @@
 """Scoring rules: nearest neighbor, soft max, target density, importance weight."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from helpers import brute_force_min_sq_dists, naive_log_density, ranking
 from iwre.dataset import EmbeddingDataset
 from iwre.errors import ValidationError
-from iwre.kde import BandwidthSpec, fit_kde, scott_bandwidth
+from iwre.kde import BandwidthSpec, GaussianKde, fit_kde, scott_bandwidth
 from iwre.scoring import (
     PriorBatchSpec,
     ScoreMethod,
     ScoreVector,
+    ScoringConfig,
     default_batch_spec,
     fit_prior_batched,
     load_scores,
@@ -19,7 +22,6 @@ from iwre.scoring import (
     score_kde_target,
     score_lse,
     score_nn_l2,
-    scott_bandwidth_for,
 )
 
 
@@ -133,8 +135,10 @@ class TestLogSumExp:
         explicit = score_lse(target, prior, scott_bandwidth(4.0, 50, 4))
         implicit = score_lse(target, prior)
         assert np.array_equal(explicit.values, implicit.values)
-        assert explicit.config_fingerprint == implicit.config_fingerprint
-        assert scott_bandwidth_for(EmbeddingDataset(target)) == scott_bandwidth(
+        config = ScoringConfig(ScoreMethod.LSE)
+        pinned = ScoringConfig(ScoreMethod.LSE, temperature=scott_bandwidth(4.0, 50, 4))
+        assert config.fingerprint(target, prior) == pinned.fingerprint(target, prior)
+        assert config.resolve(target, prior).temperature == scott_bandwidth(
             4.0, 50, 4
         )
 
@@ -342,14 +346,14 @@ class TestFingerprints:
         rng = np.random.default_rng(overrides.pop("data_seed", 0))
         target = EmbeddingDataset(rng.standard_normal((30, 2)))
         prior = EmbeddingDataset(rng.standard_normal((50, 2)))
-        scale = overrides.pop("scale", 4.0)
-        seed = overrides.pop("seed", 0)
-        batch = overrides.pop("batch", 25)
-        tk = fit_kde(target, BandwidthSpec(scale))
-        pk = fit_prior_batched(
-            prior, PriorBatchSpec(batch, 2, rng_seed=seed), BandwidthSpec(scale)
+        config = ScoringConfig(
+            ScoreMethod.IWR,
+            scale_c=overrides.pop("scale", 4.0),
+            batch_size=overrides.pop("batch", 25),
+            num_batches=2,
+            seed=overrides.pop("seed", 0),
         )
-        return score_importance_weight(tk, pk, prior).config_fingerprint
+        return config.fingerprint(target, prior)
 
     def test_any_config_change_changes_fingerprint(self):
         base = self.build()
@@ -367,11 +371,70 @@ class TestFingerprints:
         rng = np.random.default_rng(0)
         target = EmbeddingDataset(rng.standard_normal((10, 2)))
         prior = EmbeddingDataset(rng.standard_normal((20, 2)))
-        fp_nn = score_nn_l2(target, prior).config_fingerprint
-        fp_lse = score_lse(target, prior).config_fingerprint
-        tk = fit_kde(target)
-        fp_kde = score_kde_target(tk, prior).config_fingerprint
-        assert len({fp_nn, fp_lse, fp_kde}) == 3
+        fingerprints = {
+            ScoringConfig(method, seed=0).fingerprint(target, prior)
+            for method in ScoreMethod
+        }
+        assert len(fingerprints) == 4
+
+    @pytest.mark.parametrize("method", list(ScoreMethod))
+    def test_fingerprint_covers_exactly_the_fields_read(self, method):
+        rng = np.random.default_rng(0)
+        target = EmbeddingDataset(rng.standard_normal((10, 2)))
+        prior = EmbeddingDataset(rng.standard_normal((20, 2)))
+        base = ScoringConfig(method, temperature=0.5, batch_size=8, seed=0)
+        changed = {
+            "scale_c": 2.0,
+            "temperature": 0.25,
+            "batch_size": 9,
+            "num_batches": 3,
+            "seed": 1,
+            "leave_self_out": True,
+        }
+        reads = {
+            ScoreMethod.NN_L2: set(),
+            ScoreMethod.LSE: {"temperature"},
+            ScoreMethod.KDE_TARGET: {"scale_c"},
+            ScoreMethod.IWR: {
+                "scale_c", "batch_size", "num_batches", "seed", "leave_self_out"
+            },
+        }[method]
+        fp = base.fingerprint(target, prior)
+        for name, value in changed.items():
+            other = replace(base, **{name: value}).fingerprint(target, prior)
+            assert (other != fp) == (name in reads), name
+
+    def test_fingerprint_fits_no_model(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fingerprint fitted a KDE")
+
+        monkeypatch.setattr(GaussianKde, "fit", no_fit)
+        rng = np.random.default_rng(0)
+        target, prior = rng.standard_normal((10, 2)), rng.standard_normal((20, 2))
+        for method in ScoreMethod:
+            ScoringConfig(method, seed=0).fingerprint(target, prior)
+
+    def test_score_stamps_fingerprint_and_source_ids(self):
+        rng = np.random.default_rng(0)
+        target = EmbeddingDataset(rng.standard_normal((10, 2)), source_id="t")
+        prior = EmbeddingDataset(rng.standard_normal((20, 2)), source_id="p")
+        for method in ScoreMethod:
+            config = ScoringConfig(method, seed=0)
+            scores = config.score(target, prior)
+            assert scores.config_fingerprint == config.fingerprint(target, prior)
+            assert (scores.target_source_id, scores.prior_source_id) == ("t", "p")
+
+    def test_score_functions_leave_fingerprint_empty(self):
+        rng = np.random.default_rng(0)
+        target = EmbeddingDataset(rng.standard_normal((10, 2)))
+        prior = EmbeddingDataset(rng.standard_normal((20, 2)))
+        assert score_nn_l2(target, prior).config_fingerprint == ""
+        assert score_kde_target(fit_kde(target), prior).config_fingerprint == ""
+
+    def test_bad_parameter_is_validation_error(self):
+        with pytest.raises(ValidationError) as exc:
+            ScoringConfig(ScoreMethod.IWR, batch_size=2.5)
+        assert exc.value.code == "bad_param"
 
 
 class TestScoreIO:
