@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._validation import check_count
+from ._validation import check_count, read_json_object
 from .dataset import RowMetadata
 from .errors import ValidationError
 from .retrieval import RetrievalManifest
@@ -26,6 +26,22 @@ logger = logging.getLogger(__name__)
 
 RELEVANCE_LEVELS = ("relevant", "mixed", "harmful")
 UNLABELED_TASK = "(unlabeled)"
+
+
+def _check_relevance(labels: Mapping[str, str]) -> None:
+    for task, level in labels.items():
+        if level not in RELEVANCE_LEVELS:
+            raise ValidationError(
+                f"unknown relevance {level!r} for task {task!r}",
+                code="bad_relevance",
+            )
+
+
+def load_labels(path) -> dict:
+    """Read a JSON object mapping task labels to relevance levels."""
+    labels = read_json_object(path, "bad_labels")
+    _check_relevance(labels)
+    return labels
 
 
 @dataclass(frozen=True)
@@ -68,12 +84,7 @@ def task_breakdown(
     empty breakdown.
     """
     _check_pairing(manifest, meta)
-    for task, level in labels.items():
-        if level not in RELEVANCE_LEVELS:
-            raise ValidationError(
-                f"unknown relevance {level!r} for task {task!r}",
-                code="bad_relevance",
-            )
+    _check_relevance(labels)
     counts: dict[str, int] = {}
     any_labeled = False
     for i in manifest.selected_indices:

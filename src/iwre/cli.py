@@ -18,6 +18,7 @@ from typing import Optional
 from ._validation import read_json_object
 from .analysis import (
     emit_report,
+    load_labels,
     task_bin_counts,
     task_breakdown,
     timestep_histogram,
@@ -286,9 +287,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     prior = _load_dataset(cfg.prior)
     relevance = None
     if cfg.meta and cfg.labels:
+        cfg.require_paths("labels")
         meta = pair_metadata(prior, load_metadata(cfg.meta))
-        labels = json.loads(Path(cfg.labels).read_text())
-        relevance = row_relevance(meta, labels)
+        relevance = row_relevance(meta, load_labels(cfg.labels))
     summary = []
     for scale in scales:
         scoring = replace(cfg.scoring(), scale_c=scale)
@@ -330,7 +331,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     labels = {}
     if cfg.labels:
         cfg.require_paths("labels")
-        labels = json.loads(Path(cfg.labels).read_text())
+        labels = load_labels(cfg.labels)
     breakdown = task_breakdown(manifest, meta, labels)
     histogram = timestep_histogram(manifest, meta, cfg.bins)
     crossed = task_bin_counts(manifest, meta, cfg.bins)

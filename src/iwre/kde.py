@@ -1,16 +1,19 @@
-"""Multivariate Gaussian kernel density estimation.
+"""Multivariate Gaussian kernel density estimation and the kernel engine.
 
 A fitted model places one Gaussian kernel, with covariance ``h^2 * Sigma``,
 at every support row. ``h`` comes from a scaled Scott rule and ``Sigma`` is
-the (ridge-regularized) sample covariance of the support. All density
-arithmetic stays in log space: queries are whitened through the Cholesky
-factor of ``h^2 * Sigma`` so kernel exponents reduce to squared Euclidean
-norms, and the kernel sum is a log-sum-exp.
+the (ridge-regularized) sample covariance of the support. Queries are
+centred on the support mean and whitened through the Cholesky factor of
+``h^2 * Sigma``, so each kernel exponent is ``-|w - s|^2 / 2``; one chunked
+engine (:func:`_kernel_exponents`, one GEMM per chunk) forms them and a
+log-sum-exp reduces them. nn_l2 is its zero-bandwidth limit
+(:func:`nearest_sq_dists`), reduced by maximum and recomputed exactly.
 
-Determinism contract: per-query kernel sums always reduce over the full
-support in ascending index order with a fixed chunking scheme, so identical
-inputs produce bit-identical log-densities no matter how callers chunk or
-parallelize across queries.
+Determinism contract: the query chunking is fixed and each query's kernel
+sum reduces over the full support in ascending index order, so identical
+inputs give bit-identical log-densities for any number of worker threads.
+Splitting the queries differently may change the last bits, because BLAS
+orders a dot product differently for other block shapes.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 RIDGE_EPS_INITIAL = 1e-9
 RIDGE_EPS_MAX = 1e-3
 
-# Query chunks are sized so the (rows x support) kernel matrix stays near
-# this element count; the value only bounds memory, never results.
-_CHUNK_TARGET_ELEMS = 1 << 21
-_CHUNK_MAX_ROWS = 4096
+# Query chunks are sized so the exponent matrix and the query operand hold
+# about this many elements. It bounds memory; other values change results
+# only in the last bits (see the determinism contract above).
+_CHUNK_ELEMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -158,16 +161,10 @@ class GaussianKde(ParamsMixin):
         # exponents are computed in well-conditioned local coordinates and
         # jointly translated inputs whiten to identical values.
         self._center = support.mean(axis=0)
-        white = solve_triangular(chol, (support - self._center).T, lower=True).T
-        self._white_support = np.ascontiguousarray(white)
-        self._white_sq = np.einsum("ij,ij->i", white, white)
+        self._support_aug = _augmented_support(self._whiten(support))
         return self
 
     # -- queries -----------------------------------------------------------
-
-    @property
-    def _chunk_rows(self) -> int:
-        return max(1, min(_CHUNK_MAX_ROWS, _CHUNK_TARGET_ELEMS // max(self.count_, 1)))
 
     def _check_queries(self, X) -> np.ndarray:
         X = check_matrix(X, "queries")
@@ -181,37 +178,39 @@ class GaussianKde(ParamsMixin):
     def _whiten(self, q: np.ndarray) -> np.ndarray:
         return solve_triangular(self.chol_lower_, (q - self._center).T, lower=True).T
 
-    def _sq_mahalanobis_chunk(self, q: np.ndarray) -> np.ndarray:
-        """Squared Mahalanobis distances (rows of q) x (support)."""
-        w = self._whiten(q)
-        sq = -2.0 * (w @ self._white_support.T)
-        sq += np.einsum("ij,ij->i", w, w)[:, None]
-        sq += self._white_sq[None, :]
-        np.maximum(sq, 0.0, out=sq)
-        return sq
-
-    def _log_density_chunk(self, q: np.ndarray) -> np.ndarray:
-        expo = self._sq_mahalanobis_chunk(q)
-        expo *= -0.5
-        peak = expo.max(axis=1)
-        np.subtract(expo, peak[:, None], out=expo)
-        np.exp(expo, out=expo)
-        return self.log_norm_ + peak + np.log(expo.sum(axis=1)) - np.log(self.count_)
-
-    def score_samples(self, X) -> np.ndarray:
+    def score_samples(self, X, *, exclude=None) -> np.ndarray:
         """Log-density of the kernel mixture at each query row.
 
-        Computed with the log-sum-exp trick; finite for all finite queries
-        (the largest kernel exponent always survives).
+        ``exclude`` optionally holds, per query row, one support index whose
+        kernel is left out, or ``-1`` to keep all; rows with an exclusion
+        average over ``M - 1`` kernels (leave-self-out). Computed with the
+        log-sum-exp trick; finite for all finite queries (the largest kernel
+        exponent always survives).
         """
         X = self._check_queries(X)
         n = X.shape[0]
+        log_count = np.full(n, np.log(self.count_))
+        if exclude is not None:
+            exclude = np.asarray(exclude)
+            if exclude.shape != (n,) or exclude.dtype.kind not in "iu" or np.any(
+                (exclude < -1) | (exclude >= self.count_)
+            ):
+                raise ValidationError(
+                    f"exclude needs one index in [-1, {self.count_}) per query row",
+                    code="index_out_of_range",
+                )
+            if np.any(exclude >= 0):
+                if self.count_ < 2:
+                    raise ValidationError(
+                        "leaving a kernel out needs at least 2 kernels",
+                        code="bad_batch_spec",
+                    )
+                log_count[exclude >= 0] = np.log(self.count_ - 1)
         out = np.empty(n)
-        step = self._chunk_rows
-        for start in range(0, n, step):
-            sl = slice(start, min(start + step, n))
-            out[sl] = self._log_density_chunk(X[sl])
-        return out
+        chunks = _kernel_exponents(X, self._whiten, self._support_aug, exclude)
+        for rows, _, expo in chunks:
+            out[rows] = _logsumexp(expo, axis=1)
+        return self.log_norm_ + out - log_count
 
     def mahalanobis_sq(self, x, center_index: int) -> float:
         """Squared Mahalanobis distance from ``x`` to one kernel center.
@@ -224,12 +223,7 @@ class GaussianKde(ParamsMixin):
                 f"center_index {center_index} outside [0, {self.count_})",
                 code="index_out_of_range",
             )
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if x.shape[0] != self.dim_:
-            raise ValidationError(
-                f"query dim {x.shape[0]} does not match model dim {self.dim_}",
-                code="dim_mismatch",
-            )
+        x = self._check_queries(np.reshape(x, (1, -1)))[0]
         delta = x - self.support_[center_index]
         y = solve_triangular(self.chol_lower_, delta, lower=True)
         return float(max(y @ y, 0.0))
@@ -248,10 +242,89 @@ def log_mean_exp(values: np.ndarray, axis: int = 0) -> np.ndarray:
     Exact identity when the axis has length one, which keeps single-batch
     density averages bit-identical to the underlying log-density.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = np.array(values, dtype=np.float64)
     k = values.shape[axis]
-    peak = values.max(axis=axis)
     if k == 1:
-        return peak
-    shifted = values - np.expand_dims(peak, axis)
-    return peak + np.log(np.exp(shifted).sum(axis=axis)) - np.log(k)
+        return values.max(axis=axis)
+    return _logsumexp(values, axis) - np.log(k)
+
+
+def nearest_sq_dists(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from each query row to its nearest support
+    row, bit-identical to a direct-difference brute force.
+
+    Identity-kernel exponents on data centred at the support mean keep, per
+    query, every support row within the GEMM rounding bound
+    ``4 (d+2) eps (|w|^2 + max |s|^2)`` of the largest exponent; only these
+    candidates are measured by direct differences of the raw rows.
+    """
+    center = support.mean(axis=0)
+    centered = support - center
+    slack = 4 * (support.shape[1] + 2) * np.finfo(np.float64).eps
+    support_sq_max = np.einsum("ij,ij->i", centered, centered).max()
+    out = np.full(queries.shape[0], np.inf)
+    chunks = _kernel_exponents(
+        queries, lambda q: q - center, _augmented_support(centered)
+    )
+    for rows, w, expo in chunks:
+        w_sq = np.einsum("ij,ij->i", w, w)
+        cut = expo.max(axis=1) - slack * (w_sq + support_sq_max)
+        r, c = np.nonzero(expo >= cut[:, None])
+        diff = queries[rows][r]
+        diff -= support[c]
+        np.square(diff, out=diff)
+        np.minimum.at(out[rows], r, diff.sum(axis=1))
+    return out
+
+
+# -- kernel engine --------------------------------------------------------------
+
+# The support operand is padded to whole blocks of this many rows: BLAS
+# kernels accumulate a trailing partial block of output columns in another
+# order, which would make a query's exponents depend on its row position.
+_SUPPORT_BLOCK = 8
+
+
+def _augmented_support(s: np.ndarray) -> np.ndarray:
+    """Rows ``[s, 1, -|s|^2/2]``, then ``[0, ..., 0, -inf]`` to a whole block."""
+    m, d = s.shape
+    aug = np.zeros((-(-m // _SUPPORT_BLOCK) * _SUPPORT_BLOCK, d + 2))
+    aug[:m, :d] = s
+    aug[:m, d] = 1.0
+    aug[:, d + 1] = -np.inf
+    aug[:m, d + 1] = -0.5 * np.einsum("ij,ij->i", s, s)
+    return aug
+
+
+def _kernel_exponents(queries, prepare, support_aug, exclude=None):
+    """Yield ``(rows, w, expo)`` for consecutive chunks of query rows.
+
+    ``w = prepare(queries[rows])`` and ``expo[i, j] = -|w_i - s_j|^2 / 2``
+    comes from one GEMM of ``[w, -|w|^2/2, 1]`` against the augmented
+    support. Where ``exclude[i] >= 0``, entry ``(i, exclude[i])`` is ``-inf``.
+    ``w`` and ``expo`` are views of two buffers, about ``_CHUNK_ELEMS``
+    elements in all, that the next chunk overwrites.
+    """
+    n = queries.shape[0]
+    m, k = support_aug.shape
+    step = max(1, min(n, _CHUNK_ELEMS // (m + k)))
+    aug_buf, expo_buf = np.ones((step, k)), np.empty((step, m))
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        aug, expo = aug_buf[: rows.stop - start], expo_buf[: rows.stop - start]
+        w = aug[:, : k - 2]
+        w[:] = prepare(queries[rows])
+        aug[:, k - 2] = -0.5 * np.einsum("ij,ij->i", w, w)
+        np.matmul(aug, support_aug.T, out=expo)
+        if exclude is not None:
+            hit = np.flatnonzero(exclude[rows] >= 0)
+            expo[hit, exclude[rows][hit]] = -np.inf
+        yield rows, w, expo
+
+
+def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
+    """Stable ``log(sum(exp(values)))`` along ``axis``; overwrites ``values``."""
+    peak = values.max(axis=axis)
+    shifted = np.subtract(values, np.expand_dims(peak, axis), out=values)
+    np.exp(shifted, out=shifted)
+    return peak + np.log(shifted.sum(axis=axis))

@@ -41,13 +41,19 @@ import numpy as np
 from ._validation import check_count, check_positive, check_vector, read_json_object
 from .dataset import EmbeddingDataset, read_vector_file, write_vector_file
 from .errors import ValidationError
-from .kde import BandwidthSpec, GaussianKde, fit_kde, log_mean_exp, scott_bandwidth
+from .kde import (
+    BandwidthSpec,
+    GaussianKde,
+    fit_kde,
+    log_mean_exp,
+    nearest_sq_dists,
+    scott_bandwidth,
+)
 from ._version import __version__
 
 # Rows handed to each scoring job; fixed so outputs never depend on the
-# thread count. Inner kernel-matrix chunking is handled by GaussianKde.
+# thread count. Inner exponent-matrix chunking is handled by the kde engine.
 _OUTER_CHUNK_ROWS = 8192
-_PAIR_CHUNK_ELEMS = 1 << 21
 
 
 class ScoreMethod(str, Enum):
@@ -144,17 +150,6 @@ def _map_row_chunks(n_rows: int, job, threads: Optional[int]) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _pairwise_sq_dists(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Exact squared distances via direct differences (no cross-term trick)."""
-    diff = queries[:, None, :] - targets[None, :, :]
-    np.square(diff, out=diff)
-    return diff.sum(axis=2)
-
-
-def _pair_chunk_rows(n_targets: int, dim: int) -> int:
-    return max(1, _PAIR_CHUNK_ELEMS // max(n_targets * dim, 1))
-
-
 # -- scoring rules ----------------------------------------------------------
 
 
@@ -163,18 +158,9 @@ def score_nn_l2(target, prior, *, threads: int | None = 1) -> ScoreVector:
     target = _as_dataset(target)
     prior = _as_dataset(prior)
     _check_dims(target.dim, prior)
-    t = target.data
-    step = _pair_chunk_rows(t.shape[0], t.shape[1])
-
-    def job(sl):
-        q = prior.data[sl]
-        out = np.empty(q.shape[0])
-        for s in range(0, q.shape[0], step):
-            block = slice(s, min(s + step, q.shape[0]))
-            out[block] = _pairwise_sq_dists(q[block], t).min(axis=1)
-        return out
-
-    values = -_map_row_chunks(prior.rows, job, threads)
+    values = -_map_row_chunks(
+        prior.rows, lambda sl: nearest_sq_dists(prior.data[sl], target.data), threads
+    )
     return ScoreVector(
         values, ScoreMethod.NN_L2, "", prior.source_id, target.source_id
     )
@@ -202,21 +188,15 @@ def score_lse(
         temperature_h = scott_bandwidth(spec.scale_c, target.rows, target.dim)
     temperature_h = check_positive(temperature_h, "temperature_h")
     inv_h2 = 1.0 / (temperature_h * temperature_h)
-    t = target.data
-    step = _pair_chunk_rows(t.shape[0], t.shape[1])
+    # The log-density of the isotropic KDE with kernel covariance (h^2/2) I
+    # is log_norm - log M + log sum_j exp(-||p - t_j||^2 / h^2).
+    kde = GaussianKde.from_parameters(
+        target.data, temperature_h / np.sqrt(2.0), np.eye(target.dim)
+    )
+    offset = np.log(kde.count_) - kde.log_norm_
 
     def job(sl):
-        q = prior.data[sl]
-        out = np.empty(q.shape[0])
-        for s in range(0, q.shape[0], step):
-            block = slice(s, min(s + step, q.shape[0]))
-            expo = _pairwise_sq_dists(q[block], t)
-            expo *= -inv_h2
-            peak = expo.max(axis=1)
-            np.subtract(expo, peak[:, None], out=expo)
-            np.exp(expo, out=expo)
-            out[block] = inv_h2 * (peak + np.log(expo.sum(axis=1)))
-        return out
+        return inv_h2 * (kde.score_samples(prior.data[sl]) + offset)
 
     values = _map_row_chunks(prior.rows, job, threads)
     return ScoreVector(values, ScoreMethod.LSE, "", prior.source_id, target.source_id)
@@ -264,30 +244,6 @@ def fit_prior_batched(
     return kdes
 
 
-def _loo_log_density(
-    kde: GaussianKde, queries: np.ndarray, self_cols: np.ndarray
-) -> np.ndarray:
-    """Log-density excluding each query's own kernel (mean over M-1 kernels)."""
-    if kde.count_ < 2:
-        raise ValidationError(
-            "leave-self-out needs at least 2 kernels per batch", code="bad_batch_spec"
-        )
-    n = queries.shape[0]
-    out = np.empty(n)
-    step = max(1, _PAIR_CHUNK_ELEMS // kde.count_)
-    for s in range(0, n, step):
-        block = slice(s, min(s + step, n))
-        expo = kde._sq_mahalanobis_chunk(queries[block])
-        expo *= -0.5
-        expo += kde.log_norm_
-        expo[np.arange(expo.shape[0]), self_cols[block]] = -np.inf
-        peak = expo.max(axis=1)
-        np.subtract(expo, peak[:, None], out=expo)
-        np.exp(expo, out=expo)
-        out[block] = peak + np.log(expo.sum(axis=1)) - np.log(kde.count_ - 1)
-    return out
-
-
 def score_importance_weight(
     target_kde: GaussianKde,
     prior_kdes: Sequence[GaussianKde],
@@ -324,15 +280,14 @@ def score_importance_weight(
         log_t = target_kde.score_samples(q)
         log_p = np.empty((len(prior_kdes), q.shape[0]))
         for k, kde in enumerate(prior_kdes):
-            log_p[k] = kde.score_samples(q)
+            exclude = None
             if leave_self_out:
+                # Each batch member leaves out its own kernel, in the same pass.
                 ids = kde.support_row_ids_
                 lo, hi = np.searchsorted(ids, [sl.start, sl.stop])
-                if hi > lo:
-                    local = ids[lo:hi] - sl.start
-                    log_p[k, local] = _loo_log_density(
-                        kde, q[local], np.arange(lo, hi)
-                    )
+                exclude = np.full(q.shape[0], -1)
+                exclude[ids[lo:hi] - sl.start] = np.arange(lo, hi)
+            log_p[k] = kde.score_samples(q, exclude=exclude)
         return log_t - log_mean_exp(log_p, axis=0)
 
     values = _map_row_chunks(prior.rows, job, threads)

@@ -276,50 +276,65 @@ def _edit_json(edit):
     return write
 
 
-# (case, file, how it is broken, expected error code)
+def _write(text):
+    return lambda path: path.write_text(text)
+
+
+# (case, command reading the file, file, how it is broken, expected error code)
 MALFORMED = [
-    ("config_invalid_json", "config.json",
-     lambda path: path.write_text("{bad"), "bad_config"),
-    ("config_not_object", "config.json",
-     lambda path: path.write_text("[1, 2]"), "bad_config"),
-    ("sidecar_invalid_json", "scores.json",
-     lambda path: path.write_text("{bad"), "bad_sidecar"),
-    ("sidecar_missing_method", "scores.json",
+    ("config_invalid_json", "score", "config.json", _write("{bad"), "bad_config"),
+    ("config_not_object", "score", "config.json", _write("[1, 2]"), "bad_config"),
+    ("sidecar_invalid_json", "retrieve", "scores.json", _write("{bad"),
+     "bad_sidecar"),
+    ("sidecar_missing_method", "retrieve", "scores.json",
      _edit_json(lambda d: d.pop("method")), "bad_sidecar"),
-    ("sidecar_params_missing_field", "scores.json",
+    ("sidecar_params_missing_field", "retrieve", "scores.json",
      _edit_json(lambda d: d["params"].pop("seed")), "bad_sidecar"),
-    ("sidecar_old_scheme", "scores.json",
+    ("sidecar_old_scheme", "retrieve", "scores.json",
      _edit_json(lambda d: d["params"].pop("fingerprint_scheme")), "bad_sidecar"),
-    ("manifest_invalid_json", "manifest.json",
-     lambda path: path.write_text("{bad"), "bad_manifest"),
-    ("manifest_missing_indices", "manifest.json",
+    ("manifest_invalid_json", "analyze", "manifest.json", _write("{bad"),
+     "bad_manifest"),
+    ("manifest_missing_indices", "analyze", "manifest.json",
      _edit_json(lambda d: d.pop("selected_indices")), "bad_manifest"),
+] + [
+    (f"labels_{case}_{command}", command, "labels.json", breaker, code)
+    for command in ("analyze", "sweep")
+    for case, breaker, code in [
+        ("invalid_json", _write("{bad"), "bad_labels"),
+        ("not_object", _write("[1, 2]"), "bad_labels"),
+        ("unknown_level", _write('{"core_task": "relevent"}'), "bad_relevance"),
+        ("missing", lambda path: path.unlink(), "missing_input"),
+    ]
 ]
 
 
 class TestMalformedInputs:
     @pytest.mark.parametrize(
-        "name,break_file,code", [case[1:] for case in MALFORMED],
+        "command,name,break_file,code", [case[1:] for case in MALFORMED],
         ids=[case[0] for case in MALFORMED],
     )
-    def test_exit_2_with_error_code(self, fixtures, tmp_path, capsys, name,
-                                    break_file, code):
+    def test_exit_2_with_error_code(self, fixtures, tmp_path, capsys, command,
+                                    name, break_file, code):
         out = tmp_path / "run"
         data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
         assert run("score", "--method", "nn", *data, "--out", out) == 0
         assert run("retrieve", "--scores", out / "scores.bin", *data,
                    "--fraction", 0.3, "--out", out) == 0
         (out / "config.json").write_text("{}")
+        (out / "labels.json").write_text((fixtures / "labels.json").read_text())
         break_file(out / name)
         capsys.readouterr()
+        labelled = ["--meta", fixtures / "prior_meta.csv",
+                    "--labels", out / "labels.json", "--out", out]
         argv = {
-            "config.json": ["score", "--config", out / "config.json", *data,
-                            "--out", out],
-            "scores.json": ["retrieve", "--scores", out / "scores.bin", *data,
-                            "--fraction", 0.3, "--out", out],
-            "manifest.json": ["analyze", "--manifest", out / "manifest.json",
-                              "--meta", fixtures / "prior_meta.csv", "--out", out],
-        }[name]
+            "score": ["score", "--config", out / "config.json", *data,
+                      "--out", out],
+            "retrieve": ["retrieve", "--scores", out / "scores.bin", *data,
+                         "--fraction", 0.3, "--out", out],
+            "analyze": ["analyze", "--manifest", out / "manifest.json", *labelled],
+            "sweep": ["sweep", "--method", "nn", *data, "--fractions", 0.3,
+                      *labelled],
+        }[command]
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert f"error[{code}]" in err

@@ -1,0 +1,182 @@
+"""Property tests of the kernel engine behind all four scoring rules."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import brute_force_min_sq_dists, naive_log_density, ranking
+from iwre import kde as kde_module
+from iwre.errors import ValidationError
+from iwre.kde import BandwidthSpec, GaussianKde, fit_kde
+from iwre.scoring import (
+    PriorBatchSpec,
+    fit_prior_batched,
+    score_importance_weight,
+    score_kde_target,
+    score_lse,
+    score_nn_l2,
+)
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+@st.composite
+def grid_problem(draw):
+    """Target and prior rows on a quarter grid, so distances tie exactly.
+
+    Targets are duplicated, prior rows may copy a target or sit a hair off
+    a grid point (near-ties), and everything shares a common offset.
+    """
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 40))
+    target = rng.integers(-6, 7, (m, d)) / 4.0
+    target = np.vstack([target, target[rng.integers(0, m, draw(st.integers(0, 4)))]])
+    prior = rng.integers(-6, 7, (n, d)) / 4.0
+    copies = rng.random(n) < 0.3
+    prior[copies] = target[rng.integers(0, len(target), copies.sum())]
+    nudged = rng.random(n) < 0.3
+    prior[nudged] += rng.choice([-1.0, 1.0], (nudged.sum(), d)) * 2.0**-40
+    offset = draw(st.sampled_from([0.0, 1024.0, -3.0e6, 2.0**40]))
+    return target + offset, prior + offset
+
+
+@st.composite
+def far_tie_problem(draw):
+    """Prior rows far out on the bisector of two targets, nudged off it by
+    far less than the GEMM rounding of their exponents."""
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    target = rng.standard_normal((draw(st.integers(2, 12)), d))
+    i, j = rng.integers(0, len(target), (2, 30))
+    gap = target[i] - target[j]
+    away = rng.standard_normal((30, d))
+    away -= (away * gap).sum(1, keepdims=True) / np.maximum(
+        (gap * gap).sum(1, keepdims=True), 1e-300
+    ) * gap
+    away /= np.linalg.norm(away, axis=1, keepdims=True)
+    far = draw(st.sampled_from([1e4, 1e6, 1e8]))
+    nudge = 1e-9 * rng.standard_normal((30, 1)) * gap
+    return target, (target[i] + target[j]) / 2 + far * away + nudge
+
+
+@st.composite
+def kde_problem(draw):
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = rng.standard_normal((draw(st.integers(2, 120)), d))
+    queries = 1.5 * rng.standard_normal((draw(st.integers(1, 80)), d))
+    scale = draw(st.sampled_from([0.5, 1.0, 4.0]))
+    return fit_kde(support, BandwidthSpec(scale)), queries, rng
+
+
+class TestNearestNeighbor:
+    @PROPERTY
+    @given(grid_problem())
+    def test_equals_brute_force(self, problem):
+        target, prior = problem
+        got = score_nn_l2(target, prior).values
+        assert np.array_equal(got, -brute_force_min_sq_dists(prior, target))
+
+    @PROPERTY
+    @given(far_tie_problem())
+    def test_equals_brute_force_at_far_near_ties(self, problem):
+        target, prior = problem
+        got = score_nn_l2(target, prior).values
+        assert np.array_equal(got, -brute_force_min_sq_dists(prior, target))
+
+    @PROPERTY
+    @given(grid_problem(), st.integers(0, 2**32 - 1))
+    def test_translation_and_permutation_invariance(self, problem, seed):
+        target, prior = problem
+        rng = np.random.default_rng(seed)
+        base = score_nn_l2(target, prior).values
+        shift = rng.integers(-64, 65, target.shape[1]).astype(float)  # exact
+        assert np.array_equal(score_nn_l2(target + shift, prior + shift).values, base)
+        rows = rng.permutation(len(prior))
+        shuffled = score_nn_l2(target[rng.permutation(len(target))], prior[rows])
+        assert np.array_equal(shuffled.values, base[rows])
+
+
+class TestScoreSamples:
+    @PROPERTY
+    @given(kde_problem(), st.integers(1, 90))
+    def test_chunk_split_and_permutation(self, problem, chunk_rows):
+        kde, queries, rng = problem
+        whole = kde.score_samples(queries)
+        rows = rng.permutation(len(queries))
+        assert np.array_equal(kde.score_samples(queries[rows]), whole[rows])
+        # Other chunk shapes may reorder BLAS dot products: last bits only.
+        elems = chunk_rows * sum(kde._support_aug.shape)
+        with mock.patch.object(kde_module, "_CHUNK_ELEMS", elems):
+            split = kde.score_samples(queries)
+        np.testing.assert_allclose(split, whole, rtol=1e-12, atol=1e-12)
+
+    @PROPERTY
+    @given(kde_problem())
+    def test_exclude_leaves_one_kernel_out(self, problem):
+        kde, queries, rng = problem
+        exclude = rng.integers(-1, kde.count_, len(queries))
+        got = kde.score_samples(queries, exclude=exclude)
+        kept = exclude == -1
+        assert np.array_equal(got[kept], kde.score_samples(queries)[kept])
+        for i in np.flatnonzero(~kept)[:5]:
+            rest = np.delete(kde.support_, exclude[i], axis=0)
+            smaller = GaussianKde.from_parameters(rest, kde.bandwidth_, kde.covariance_)
+            with np.errstate(divide="ignore"):  # the oracle's plain exp underflows
+                want = naive_log_density(smaller, queries[i : i + 1])[0]
+            assert np.isfinite(got[i])
+            if np.isfinite(want):
+                assert abs(got[i] - want) <= 1e-10 * max(abs(want), 1.0)
+
+    def test_exclude_validation(self):
+        kde = fit_kde(np.arange(6.0).reshape(3, 2))
+        queries = np.zeros((2, 2))
+        for bad in ([0], [0, 3], [-2, 0], [0.0, 1.0]):
+            with pytest.raises(ValidationError) as exc:
+                kde.score_samples(queries, exclude=np.array(bad))
+            assert exc.value.code == "index_out_of_range"
+        single = fit_kde(np.zeros((1, 2)))
+        assert np.isfinite(single.score_samples(queries, exclude=[-1, -1])).all()
+        with pytest.raises(ValidationError) as exc:
+            single.score_samples(queries, exclude=[0, -1])
+        assert exc.value.code == "bad_batch_spec"
+
+
+class TestScoringThreads:
+    @settings(PROPERTY, max_examples=8)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_threads_do_not_change_results(self, seed, d):
+        rng = np.random.default_rng(seed)
+        target = rng.standard_normal((int(rng.integers(2, 60)), d))
+        prior = rng.standard_normal((int(rng.integers(8193, 9000)), d))
+        kdes = fit_prior_batched(prior, PriorBatchSpec(300, 2, rng_seed=seed))
+        tk = fit_kde(target)
+        for score in (
+            lambda t: score_nn_l2(target, prior, threads=t),
+            lambda t: score_lse(target, prior, threads=t),
+            lambda t: score_kde_target(tk, prior, threads=t),
+            lambda t: score_importance_weight(
+                tk, kdes, prior, leave_self_out=True, threads=t
+            ),
+        ):
+            assert np.array_equal(score(1).values, score(4).values)
+
+
+class TestSoftMaxLimit:
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_small_temperature_ranks_like_nn(self, seed, d):
+        # Integer coordinates put distinct squared distances at least 1 apart,
+        # far beyond the log(M) / h^2 a soft maximum adds at h = 0.1.
+        rng = np.random.default_rng(seed)
+        target = rng.integers(-5, 6, (int(rng.integers(1, 20)), d)).astype(float)
+        prior = rng.integers(-8, 9, (200, d)).astype(float)
+        nn = score_nn_l2(target, prior).values
+        _, first = np.unique(nn, return_index=True)
+        prior, nn = prior[first], nn[first]  # rankings of ties are index order
+        lse = score_lse(target, prior, 0.1).values
+        assert np.array_equal(ranking(nn), ranking(lse))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_min_sq_dists, naive_log_density, ranking
+from iwre import kde as kde_module
 from iwre.dataset import EmbeddingDataset
 from iwre.errors import ValidationError
 from iwre.kde import BandwidthSpec, GaussianKde, fit_kde, scott_bandwidth
@@ -321,6 +322,28 @@ class TestImportanceWeight:
             member[kde.support_row_ids_] = True
         assert np.all(loo[member] > base[member])
         assert np.array_equal(loo[~member], base[~member])
+
+    def test_leave_self_out_is_a_single_pass(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        data = EmbeddingDataset(rng.standard_normal((120, 3)))
+        tk = fit_kde(data)
+        pk = fit_prior_batched(data, PriorBatchSpec(60, 3, rng_seed=7))
+        evals = []
+        engine = kde_module._kernel_exponents
+
+        def counted(queries, *args, **kwargs):
+            for rows, w, expo in engine(queries, *args, **kwargs):
+                evals.append(expo.size)
+                yield rows, w, expo
+
+        monkeypatch.setattr(kde_module, "_kernel_exponents", counted)
+        once = 120 * sum(k._support_aug.shape[0] for k in [tk, *pk])  # padded
+        plain = score_importance_weight(tk, pk, data).values
+        assert sum(evals) == once
+        evals.clear()
+        loo = score_importance_weight(tk, pk, data, leave_self_out=True).values
+        assert sum(evals) == once
+        assert not np.array_equal(plain, loo)
 
     def test_leave_self_out_requires_row_ids(self):
         rng = np.random.default_rng(0)
