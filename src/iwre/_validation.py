@@ -67,12 +67,21 @@ def check_positive(value, name: str) -> float:
 
 
 def check_count(value, name: str, minimum: int = 1) -> int:
-    count = int(value)
-    if count != value or count < minimum:
+    try:
+        count = int(value)
+        valid = count == value and count >= minimum
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
         raise ValidationError(
-            f"{name} must be an integer >= {minimum}, got {value}", code="bad_param"
+            f"{name} must be an integer >= {minimum}, got {value!r}", code="bad_param"
         )
     return count
+
+
+def check_threads(value) -> int | None:
+    """A worker-thread count: a positive integer, or ``None`` for the default."""
+    return None if value is None else check_count(value, "threads")
 
 
 def read_json_object(path, code: str, required=()) -> dict:

@@ -14,6 +14,11 @@ sum reduces over the full support in ascending index order, so identical
 inputs give bit-identical log-densities for any number of worker threads.
 Splitting the queries differently may change the last bits, because BLAS
 orders a dot product differently for other block shapes.
+
+Threading: the row-chunk pool in :mod:`iwre.scoring` is the only source of
+parallelism. Scoring pins every loaded OpenBLAS to one thread
+(:mod:`iwre._blas`), so each GEMM and triangular solve here runs on the
+calling worker alone.
 """
 
 from __future__ import annotations

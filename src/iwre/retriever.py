@@ -14,7 +14,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from ._validation import ParamsMixin
+from ._validation import ParamsMixin, check_threads
 from .dataset import EmbeddingDataset
 from .errors import ValidationError
 from .retrieval import select_by_fraction
@@ -42,7 +42,8 @@ class EmbeddingRetriever(ParamsMixin):
     leave_self_out : bool
         Exclude a prior row's own kernel from its batch density.
     threads : int or None
-        Worker threads for scoring; ``None`` uses all cores.
+        Worker threads for scoring, a positive integer; ``None`` uses the
+        CPUs this process may run on (its affinity set).
     """
 
     def __init__(
@@ -69,6 +70,7 @@ class EmbeddingRetriever(ParamsMixin):
 
     def fit(self, X, y=None) -> "EmbeddingRetriever":
         """Store the target data and the scoring configuration."""
+        check_threads(self.threads)
         params = self.get_params()
         self.config_ = ScoringConfig(
             **{f.name: params[f.name] for f in fields(ScoringConfig)}

@@ -9,7 +9,8 @@ retrievable.
 ``lse``
     Temperature-smoothed soft maximum of the negated squared distances,
     ``(1/h^2) * log(sum_j exp(-||p - t_j||^2 / h^2))``. As the temperature
-    shrinks this ranking collapses onto ``nn_l2``.
+    shrinks its *ranking* collapses onto ``nn_l2``; the value does not,
+    since it grows like ``-d^2 / h^4``.
 ``kde_target``
     Log-density of the prior row under a Gaussian KDE of the target data.
 ``iwr``
@@ -23,6 +24,8 @@ their results carry an empty fingerprint.
 
 Scoring is embarrassingly parallel across prior rows; worker threads only
 split the fixed row chunks, so results are identical for any thread count.
+That row-chunk pool is the only source of parallelism: while scoring runs,
+every loaded OpenBLAS is pinned to one thread (:mod:`iwre._blas`).
 """
 
 from __future__ import annotations
@@ -38,7 +41,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._validation import check_count, check_positive, check_vector, read_json_object
+from ._blas import single_threaded_blas
+from ._validation import (
+    check_count,
+    check_positive,
+    check_threads,
+    check_vector,
+    read_json_object,
+)
 from .dataset import EmbeddingDataset, read_vector_file, write_vector_file
 from .errors import ValidationError
 from .kde import (
@@ -135,18 +145,28 @@ def _check_dims(target_dim: int, prior: EmbeddingDataset) -> None:
         )
 
 
+def _default_threads() -> int:
+    """CPUs this process may run on (its affinity set), else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_row_chunks(n_rows: int, job, threads: Optional[int]) -> np.ndarray:
+    """Run ``job`` on each fixed row chunk, ``threads`` at a time, BLAS pinned."""
+    threads = check_threads(threads)
+    if threads is None:
+        threads = _default_threads()
     slices = [
         slice(s, min(s + _OUTER_CHUNK_ROWS, n_rows))
         for s in range(0, n_rows, _OUTER_CHUNK_ROWS)
     ]
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(slices) == 1:
-        parts = [job(sl) for sl in slices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(job, slices))
+    with single_threaded_blas():
+        if threads == 1 or len(slices) == 1:
+            parts = [job(sl) for sl in slices]
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as ex:
+                parts = list(ex.map(job, slices))
     return np.concatenate(parts)
 
 
@@ -175,6 +195,10 @@ def score_lse(
     threads: int | None = 1,
 ) -> ScoreVector:
     """Soft-maximum score ``(1/h^2) * log(sum_j exp(-||p - t_j||^2 / h^2))``.
+
+    As ``h -> 0`` the ranking converges to :func:`score_nn_l2`'s, but the
+    value grows like ``-d^2 / h^4`` (``d^2`` the nearest squared distance),
+    so a threshold on it means something different at each temperature.
 
     When ``temperature_h`` is omitted it defaults to the Scott-rule
     bandwidth of the target dataset (using ``bandwidth``, default scale 4),
@@ -379,26 +403,32 @@ class ScoringConfig:
         )
 
     def score(self, target, prior, threads: int | None = 1) -> ScoreVector:
-        """Fit what the method needs; stamp the fingerprint and source ids."""
+        """Fit what the method needs; stamp the fingerprint and source ids.
+
+        The fits run with BLAS pinned to one thread, like the scoring.
+        """
         target, prior = _as_dataset(target), _as_dataset(prior)
         cfg = self.resolve(target, prior)
-        if cfg.method is ScoreMethod.NN_L2:
-            scores = score_nn_l2(target, prior, threads=threads)
-        elif cfg.method is ScoreMethod.LSE:
-            scores = score_lse(target, prior, cfg.temperature, threads=threads)
-        elif cfg.method is ScoreMethod.KDE_TARGET:
-            target_kde = fit_kde(target, BandwidthSpec(cfg.scale_c))
-            scores = score_kde_target(target_kde, prior, threads=threads)
-        else:
-            bandwidth = BandwidthSpec(cfg.scale_c)
-            spec = PriorBatchSpec(cfg.batch_size, cfg.num_batches, rng_seed=cfg.seed)
-            scores = score_importance_weight(
-                fit_kde(target, bandwidth),
-                fit_prior_batched(prior, spec, bandwidth),
-                prior,
-                leave_self_out=cfg.leave_self_out,
-                threads=threads,
-            )
+        with single_threaded_blas():
+            if cfg.method is ScoreMethod.NN_L2:
+                scores = score_nn_l2(target, prior, threads=threads)
+            elif cfg.method is ScoreMethod.LSE:
+                scores = score_lse(target, prior, cfg.temperature, threads=threads)
+            elif cfg.method is ScoreMethod.KDE_TARGET:
+                target_kde = fit_kde(target, BandwidthSpec(cfg.scale_c))
+                scores = score_kde_target(target_kde, prior, threads=threads)
+            else:
+                bandwidth = BandwidthSpec(cfg.scale_c)
+                spec = PriorBatchSpec(
+                    cfg.batch_size, cfg.num_batches, rng_seed=cfg.seed
+                )
+                scores = score_importance_weight(
+                    fit_kde(target, bandwidth),
+                    fit_prior_batched(prior, spec, bandwidth),
+                    prior,
+                    leave_self_out=cfg.leave_self_out,
+                    threads=threads,
+                )
         fingerprint = cfg.fingerprint(target, prior)
         return ScoreVector(
             scores.values, cfg.method, fingerprint, prior.source_id, target.source_id

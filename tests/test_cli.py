@@ -284,6 +284,12 @@ def _write(text):
 MALFORMED = [
     ("config_invalid_json", "score", "config.json", _write("{bad"), "bad_config"),
     ("config_not_object", "score", "config.json", _write("[1, 2]"), "bad_config"),
+] + [
+    (f"config_threads_{case}", "score", "config.json",
+     _write(json.dumps({"method": "nn", "threads": value})), "bad_param")
+    for case, value in [("string", "4"), ("zero", 0), ("negative", -3),
+                        ("float", 2.5)]
+] + [
     ("sidecar_invalid_json", "retrieve", "scores.json", _write("{bad"),
      "bad_sidecar"),
     ("sidecar_missing_method", "retrieve", "scores.json",
@@ -338,6 +344,15 @@ class TestMalformedInputs:
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert f"error[{code}]" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_bad_threads_flag(self, fixtures, tmp_path, capsys, threads):
+        assert run("score", "--method", "nn", "--threads", threads,
+                   "--target", fixtures / "target.bin",
+                   "--prior", fixtures / "prior.bin", "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "error[bad_param]" in err and "threads" in err
         assert "Traceback" not in err
 
     def test_old_sidecar_asks_for_rescore(self, fixtures, tmp_path, capsys):

@@ -50,6 +50,13 @@ class TestEstimatorProtocol:
         with pytest.raises(ValueError):
             EmbeddingRetriever(method="cosine").fit(target)
 
+    @pytest.mark.parametrize("threads", ["4", 0, -3, 2.5])
+    def test_bad_threads_rejected_at_fit(self, data, threads):
+        target, _ = data
+        with pytest.raises(ValidationError) as exc:
+            EmbeddingRetriever(threads=threads).fit(target)
+        assert exc.value.code == "bad_param"
+
 
 class TestAgainstFunctionalApi:
     def test_nn_matches(self, data):

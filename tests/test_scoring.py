@@ -1,14 +1,22 @@
 """Scoring rules: nearest neighbor, soft max, target density, importance weight."""
 
+import os
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import brute_force_min_sq_dists, naive_log_density, ranking
+from iwre import _blas
 from iwre import kde as kde_module
-from iwre.dataset import EmbeddingDataset
-from iwre.errors import ValidationError
+from iwre import scoring as scoring_module
+from iwre.dataset import EmbeddingDataset, save_embeddings
+from iwre.errors import NumericalError, ValidationError
 from iwre.kde import BandwidthSpec, GaussianKde, fit_kde, scott_bandwidth
 from iwre.scoring import (
     PriorBatchSpec,
@@ -496,3 +504,143 @@ class TestScoreIO:
         save_scores(sv, b, {"x": 1})
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS at two threads for the test, then as before."""
+    controls = _blas._controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process")
+    before = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(2)
+        counts = [get() for get, _ in controls]
+        if 1 in counts:
+            pytest.skip("OpenBLAS cannot run more than one thread here")
+        yield counts
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)
+
+
+class TestBlasPin:
+    def data(self, rows=20000):
+        rng = np.random.default_rng(8)
+        return rng.standard_normal((30, 3)), rng.standard_normal((rows, 3))
+
+    def test_one_thread_inside_scoring_jobs(self, two_blas_threads, monkeypatch):
+        seen = []
+        nearest = scoring_module.nearest_sq_dists
+
+        def spy(*args):
+            seen.append(_blas.thread_counts())
+            return nearest(*args)
+
+        monkeypatch.setattr(scoring_module, "nearest_sq_dists", spy)
+        score_nn_l2(*self.data(), threads=2)  # three chunks on two workers
+        assert len(seen) == 3
+        assert all(counts == [1] * len(two_blas_threads) for counts in seen)
+
+    def test_config_fits_pinned_then_restored(self, two_blas_threads, monkeypatch):
+        seen = []
+        fit = GaussianKde.fit
+
+        def spy(self, *args):
+            seen.append(_blas.thread_counts())
+            return fit(self, *args)
+
+        monkeypatch.setattr(GaussianKde, "fit", spy)
+        ScoringConfig(ScoreMethod.IWR, seed=0).score(*self.data(3000))
+        assert seen == [[1] * len(two_blas_threads)] * 9  # target + 8 batches
+        assert _blas.thread_counts() == two_blas_threads  # restored on return
+
+    def test_restored_after_job_raises(self, two_blas_threads, monkeypatch):
+        def boom(*args):
+            raise NumericalError("synthetic failure", code="synthetic")
+
+        monkeypatch.setattr(scoring_module, "nearest_sq_dists", boom)
+        with pytest.raises(NumericalError):
+            ScoringConfig(ScoreMethod.NN_L2).score(*self.data())
+        assert _blas.thread_counts() == two_blas_threads
+
+    def test_no_openblas_found_is_a_no_op(self, two_blas_threads, monkeypatch):
+        controls = _blas._controls()
+        monkeypatch.setattr(_blas, "_loaded_openblas", lambda: [])
+        with _blas.single_threaded_blas():
+            assert _blas.thread_counts() == []
+            assert [get() for get, _ in controls] == two_blas_threads
+
+    def test_nested_and_concurrent_pins_restore_once(self, monkeypatch):
+        state = {"count": 3}
+
+        # Slow accessors widen the windows in which a missing lock loses a save.
+        def get():
+            time.sleep(1e-3)
+            return state["count"]
+
+        def set_(n):
+            time.sleep(1e-3)
+            state["count"] = n
+
+        monkeypatch.setattr(_blas, "_controls", lambda: [(get, set_)])
+        wrong = []
+        workers, rounds = 8, 400
+        # The first rounds start together with no pin held, so every worker
+        # races to save; the rest run free, so entries overlap exits.
+        start = threading.Barrier(workers, timeout=30)
+
+        def worker():
+            for i in range(rounds):
+                if i < rounds // 4:
+                    start.wait()
+                with _blas.single_threaded_blas():
+                    with _blas.single_threaded_blas():
+                        if state["count"] != 1:
+                            wrong.append(state["count"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert state["count"] == 3
+
+    def test_scores_do_not_depend_on_openblas_threads(self, tmp_path):
+        rng = np.random.default_rng(4)
+        save_embeddings(
+            EmbeddingDataset(rng.standard_normal((200, 32))), tmp_path / "t.bin"
+        )
+        save_embeddings(
+            EmbeddingDataset(rng.standard_normal((3000, 32))), tmp_path / "p.bin"
+        )
+        src = str(Path(scoring_module.__file__).resolve().parents[1])
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        }
+        env["PYTHONPATH"] = src
+        outputs = []
+        for blas_threads in (None, "1", "2"):
+            run_env = dict(env)
+            if blas_threads is not None:
+                run_env["OPENBLAS_NUM_THREADS"] = blas_threads
+            out = tmp_path / f"blas_{blas_threads}"
+            subprocess.run(
+                [sys.executable, "-m", "iwre.cli", "score", "--method", "iwr",
+                 "--seed", "1", "--batch-size", "1024", "--num-batches", "2",
+                 "--target", tmp_path / "t.bin", "--prior", tmp_path / "p.bin",
+                 "--out", out],
+                env=run_env, check=True, capture_output=True, timeout=300,
+            )
+            outputs.append((out / "scores.bin").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
