@@ -4,9 +4,9 @@ Scoring parallelises over fixed row chunks in a thread pool
 (:func:`iwre.scoring._map_row_chunks`); that pool is the only source of
 parallelism. An OpenBLAS left at its default thread count would start its
 own threads inside every pool worker, and on a small host they spin instead
-of computing. numpy and scipy each ship their own OpenBLAS (numpy's runs
-the kernel GEMMs, scipy's the whitening ``solve_triangular``), so every
-copy mapped into the process is pinned.
+of computing. iwre's own BLAS work runs on numpy's OpenBLAS alone; every
+copy mapped into the process is pinned, so a second OpenBLAS (scipy's,
+when the caller has imported scipy) is held at one thread too.
 
 The libraries are found in ``/proc/self/maps`` and driven through
 ``ctypes``; on other platforms, or with no OpenBLAS loaded, the pin does

@@ -115,8 +115,8 @@ def pair_metadata(
     return metadata
 
 
-def _read_binary(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+def _parse_binary(raw: bytes, path) -> np.ndarray:
+    """Parse the bytes of a binary container read from ``path``."""
     if len(raw) < _HEADER.size:
         raise ValidationError(
             f"{path}: file shorter than the {_HEADER.size}-byte header",
@@ -143,17 +143,17 @@ def _read_binary(path) -> np.ndarray:
         )
     dtype = _DTYPE_CODES[dtype_code]
     expected = rows * dim * dtype.itemsize
-    payload = raw[_HEADER.size :]
-    if len(payload) != expected:
-        found_rows = len(payload) // (dim * dtype.itemsize)
+    found = len(raw) - _HEADER.size
+    if found != expected:
+        found_rows = found // (dim * dtype.itemsize)
         raise ValidationError(
             f"{path}: payload length mismatch: header declares {rows} rows "
-            f"({expected} bytes) but found {len(payload)} bytes "
+            f"({expected} bytes) but found {found} bytes "
             f"({found_rows} complete rows)",
             code="payload_mismatch",
         )
-    data = np.frombuffer(payload, dtype=dtype).reshape(rows, dim)
-    return data.astype(np.float64)
+    data = np.frombuffer(raw, dtype=dtype, count=rows * dim, offset=_HEADER.size)
+    return data.reshape(rows, dim).astype(np.float64)
 
 
 def _read_csv_matrix(path) -> np.ndarray:
@@ -186,12 +186,15 @@ def load_embeddings(path, format: str = "binary") -> EmbeddingDataset:
     """Load an embedding dataset, validating shape and finiteness.
 
     ``format`` is ``"binary"`` or ``"csv"``. The returned dataset's
-    ``source_id`` is a hash of the raw file bytes.
+    ``source_id`` is a hash of the raw file bytes; a binary file is read
+    once, and the same buffer is parsed and hashed.
     """
     if format == "binary":
-        data = _read_binary(path)
+        raw = Path(path).read_bytes()
+        data = _parse_binary(raw, path)
     elif format == "csv":
         data = _read_csv_matrix(path)
+        raw = Path(path).read_bytes()
     else:
         raise ValidationError(f"unknown format {format!r}", code="bad_format")
     finite_rows = np.isfinite(data).all(axis=1)
@@ -200,7 +203,10 @@ def load_embeddings(path, format: str = "binary") -> EmbeddingDataset:
         raise ValidationError(
             f"{path}: non-finite value at row {row}", code="non_finite"
         )
-    return EmbeddingDataset(data, source_id=content_id(Path(path).read_bytes()))
+    # ``data`` is a fresh array nobody else holds, so the dataset may keep it
+    # read-only instead of copying it.
+    data.flags.writeable = False
+    return EmbeddingDataset(data, source_id=content_id(raw))
 
 
 def save_embeddings(dataset: EmbeddingDataset, path) -> None:
@@ -221,7 +227,7 @@ def write_vector_file(array: np.ndarray, path) -> None:
 
 def read_vector_file(path) -> np.ndarray:
     """Read a binary container back as a float64 matrix (no finiteness check)."""
-    return _read_binary(path)
+    return _parse_binary(Path(path).read_bytes(), path)
 
 
 def load_metadata(path) -> list[RowMetadata]:

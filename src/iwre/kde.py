@@ -3,11 +3,12 @@
 A fitted model places one Gaussian kernel, with covariance ``h^2 * Sigma``,
 at every support row. ``h`` comes from a scaled Scott rule and ``Sigma`` is
 the (ridge-regularized) sample covariance of the support. Queries are
-centred on the support mean and whitened through the Cholesky factor of
-``h^2 * Sigma``, so each kernel exponent is ``-|w - s|^2 / 2``; one chunked
-engine (:func:`_kernel_exponents`, one GEMM per chunk) forms them and a
-log-sum-exp reduces them. nn_l2 is its zero-bandwidth limit
-(:func:`nearest_sq_dists`), reduced by maximum and recomputed exactly.
+centred on the support mean and whitened by the inverse of the Cholesky
+factor of ``h^2 * Sigma`` (stored once at fit, so whitening is one GEMM),
+so each kernel exponent is ``-|w - s|^2 / 2``; one chunked engine
+(:func:`_kernel_exponents`, one GEMM per chunk) forms them and a log-sum-exp
+reduces them. nn_l2 is its zero-bandwidth limit (:func:`nearest_sq_dists`),
+reduced by maximum and recomputed exactly.
 
 Determinism contract: the query chunking is fixed and each query's kernel
 sum reduces over the full support in ascending index order, so identical
@@ -17,8 +18,7 @@ orders a dot product differently for other block shapes.
 
 Threading: the row-chunk pool in :mod:`iwre.scoring` is the only source of
 parallelism. Scoring pins every loaded OpenBLAS to one thread
-(:mod:`iwre._blas`), so each GEMM and triangular solve here runs on the
-calling worker alone.
+(:mod:`iwre._blas`), so each GEMM here runs on the calling worker alone.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from ._validation import ParamsMixin, check_count, check_matrix, check_positive
 from .errors import NumericalError, ValidationError
@@ -162,6 +161,9 @@ class GaussianKde(ParamsMixin):
         self.log_norm_ = float(-np.sum(np.log(np.diag(chol))) - 0.5 * d * LOG_2PI)
         self.count_ = support.shape[0]
         self.dim_ = d
+        # Transposed inverse Cholesky factor: whitening a row block is then
+        # one GEMM, ``(q - center) @ inv(L).T``.
+        self._whitener = np.linalg.inv(chol).T
         # Whitened support, centered on the support mean so that kernel
         # exponents are computed in well-conditioned local coordinates and
         # jointly translated inputs whiten to identical values.
@@ -181,7 +183,7 @@ class GaussianKde(ParamsMixin):
         return X
 
     def _whiten(self, q: np.ndarray) -> np.ndarray:
-        return solve_triangular(self.chol_lower_, (q - self._center).T, lower=True).T
+        return (q - self._center) @ self._whitener
 
     def score_samples(self, X, *, exclude=None) -> np.ndarray:
         """Log-density of the kernel mixture at each query row.
@@ -220,8 +222,9 @@ class GaussianKde(ParamsMixin):
     def mahalanobis_sq(self, x, center_index: int) -> float:
         """Squared Mahalanobis distance from ``x`` to one kernel center.
 
-        Measured under the kernel covariance ``h^2 * Sigma`` via a
-        triangular solve against the stored Cholesky factor.
+        Measured under the kernel covariance ``h^2 * Sigma`` as ``|y|^2``
+        with ``y = inv(L) (x - support_[center_index])``: one mat-vec with
+        the inverse Cholesky factor stored at fit.
         """
         if not 0 <= center_index < self.count_:
             raise ValidationError(
@@ -230,7 +233,7 @@ class GaussianKde(ParamsMixin):
             )
         x = self._check_queries(np.reshape(x, (1, -1)))[0]
         delta = x - self.support_[center_index]
-        y = solve_triangular(self.chol_lower_, delta, lower=True)
+        y = delta @ self._whitener
         return float(max(y @ y, 0.0))
 
 

@@ -29,12 +29,11 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import multivariate_normal
 
 from ._validation import check_count, check_matrix
 from .dataset import EmbeddingDataset, RowMetadata
 from .errors import ValidationError
+from .kde import LOG_2PI, _logsumexp
 from .retrieval import RetrievalManifest
 from .scoring import ScoreMethod, ScoreVector, ScoringConfig
 
@@ -98,19 +97,22 @@ class GaussianMixture:
         return pts, comps
 
     def log_pdf(self, x) -> np.ndarray:
-        """Exact mixture log-density (componentwise scipy logpdf)."""
+        """Exact mixture log-density; a 1-D ``x`` is one point.
+
+        Each component's Gaussian log-density comes from its stored Cholesky
+        factor ``L``: ``-|inv(L) (x - mean)|^2 / 2 - sum(log(diag(L)))
+        - (d/2) log(2 pi)``; the components are combined by log-sum-exp.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
             x = x[None, :]
-        parts = np.stack(
-            [
-                np.log(w) + multivariate_normal(mean=m, cov=c).logpdf(x)
-                for w, m, c in zip(self.weights, self.means, self.covariances)
-            ]
-        )
-        if parts.ndim == 1:
-            parts = parts[:, None]
-        return logsumexp(parts, axis=0)
+        parts = np.empty((self.n_components, x.shape[0]))
+        for k, (w, m, chol) in enumerate(zip(self.weights, self.means, self._chols)):
+            z = np.linalg.solve(chol, (x - m).T)
+            log_norm = np.log(w) - np.log(np.diag(chol)).sum()
+            parts[k] = log_norm - 0.5 * np.einsum("ij,ij->j", z, z)
+        parts -= 0.5 * self.dim * LOG_2PI
+        return _logsumexp(parts, axis=0)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 """End-to-end CLI pipeline: synth, score, retrieve, sweep, analyze."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iwre
 from iwre.cli import main
 from iwre.dataset import EmbeddingDataset, load_embeddings, save_embeddings
 from iwre.errors import NumericalError
@@ -477,3 +482,18 @@ class TestAnalyzeAndDeterminism:
         for name in ("scores.bin", "scores.json", "manifest.json", "retrieved.bin",
                      "retrieved_meta.csv", "weights.csv", "report.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test dependency only; importing it costs about a second of
+    start-up in every CLI process."""
+    probe = (
+        "import importlib, pkgutil, sys, iwre, iwre.cli\n"
+        "for mod in pkgutil.iter_modules(iwre.__path__, 'iwre.'):\n"
+        "    importlib.import_module(mod.name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(iwre.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.strip() == "[]"

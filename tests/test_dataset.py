@@ -1,5 +1,8 @@
 """Dataset container, binary/CSV formats, and metadata sidecar."""
 
+import builtins
+import io
+import os
 import struct
 
 import numpy as np
@@ -10,6 +13,7 @@ from iwre.dataset import (
     MAGIC,
     EmbeddingDataset,
     RowMetadata,
+    content_id,
     load_embeddings,
     load_metadata,
     pair_metadata,
@@ -250,6 +254,32 @@ class TestRowMetadata:
         with pytest.raises(ValidationError) as exc:
             pair_metadata(ds, good[:1])
         assert exc.value.code == "row_count_mismatch"
+
+
+class TestLoadReadsOnce:
+    @pytest.mark.parametrize("dtype_code, dtype", [(0, "<f4"), (1, "<f8")])
+    def test_source_id_is_hash_of_file_bytes(self, tmp_path, dtype_code, dtype):
+        values = np.random.default_rng(3).standard_normal(12).astype(dtype)
+        path = tmp_path / "e.bin"
+        write_raw(path, dtype_code=dtype_code, rows=4, dim=3,
+                  payload=values.tobytes())
+        assert load_embeddings(path).source_id == content_id(path.read_bytes())
+
+    def test_binary_file_opened_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "e.bin"
+        save_embeddings(EmbeddingDataset(np.ones((5, 2))), path)
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        load_embeddings(path)
+        assert len(opened) == 1
 
 
 class TestRoundTripProperty:

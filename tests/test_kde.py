@@ -4,6 +4,8 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.special import logsumexp
 from scipy.stats import qmc
 
 from helpers import naive_log_density
@@ -229,6 +231,56 @@ class TestMahalanobis:
         with pytest.raises(ValidationError) as exc:
             kde.mahalanobis_sq(np.zeros(2), 2)
         assert exc.value.code == "index_out_of_range"
+
+
+def _anisotropic_support(rng, n):
+    """Rotated rows whose sample covariance has condition number about 1e8."""
+    rotation, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    return (rng.standard_normal((n, 8)) * np.logspace(0, -4, 8)) @ rotation.T
+
+
+class TestTriangularSolveReference:
+    """The stored inverse Cholesky factor against whitening by triangular
+    solves with the Cholesky factor itself, and direct differences."""
+
+    CASES = {
+        "well_conditioned": lambda rng: (
+            rng.standard_normal((300, 8)), rng.standard_normal((200, 8)) * 1.5
+        ),
+        "ridge_20x64": lambda rng: (
+            rng.standard_normal((20, 64)), rng.standard_normal((200, 64))
+        ),
+        "condition_1e8": lambda rng: (
+            _anisotropic_support(rng, 300), _anisotropic_support(rng, 200) * 1.5
+        ),
+    }
+
+    @staticmethod
+    def _whiten(kde, x):
+        center = kde.support_.mean(axis=0)
+        return solve_triangular(kde.chol_lower_, (x - center).T, lower=True).T
+
+    @staticmethod
+    def _close(got, want):
+        return np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_score_samples(self, case):
+        support, queries = self.CASES[case](np.random.default_rng(21))
+        kde = fit_kde(support)
+        w, s = self._whiten(kde, queries), self._whiten(kde, kde.support_)
+        sq = np.square(w[:, None, :] - s[None, :, :]).sum(axis=2)
+        want = kde.log_norm_ + logsumexp(-0.5 * sq, axis=1) - np.log(kde.count_)
+        assert self._close(kde.score_samples(queries), want)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_mahalanobis_sq(self, case):
+        support, queries = self.CASES[case](np.random.default_rng(22))
+        kde = fit_kde(support)
+        for i, q in enumerate(queries[:50]):
+            j = i % kde.count_
+            y = solve_triangular(kde.chol_lower_, q - kde.support_[j], lower=True)
+            assert self._close(kde.mahalanobis_sq(q, j), float(y @ y))
 
 
 class TestLogMeanExp:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
+from scipy.stats import multivariate_normal
 
 from iwre.dataset import EmbeddingDataset
 from iwre.errors import ValidationError
@@ -17,6 +19,7 @@ from iwre.scoring import (
     score_nn_l2,
 )
 from iwre.synthbench import (
+    SCENARIO_IDS,
     GaussianMixture,
     OracleDensities,
     evaluate_retrieval,
@@ -65,6 +68,29 @@ class TestGaussianMixture:
         got = mix.log_pdf(np.array([[0.0], [1.0]]))
         want = -0.5 * np.log(2 * np.pi) - np.array([0.0, 0.5])
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+    def test_log_pdf_matches_scipy_reference(self, scenario_id):
+        scenario = make_scenario(scenario_id)
+        rng = np.random.default_rng(8)
+        for mixture in (scenario.target_mixture, scenario.prior_mixture):
+            x, _ = mixture.sample(rng, 200)
+            x = np.vstack([x, mixture.means + 6.0])  # far tails too
+            want = logsumexp(
+                [
+                    np.log(w) + multivariate_normal(mean=m, cov=c).logpdf(x)
+                    for w, m, c in zip(
+                        mixture.weights, mixture.means, mixture.covariances
+                    )
+                ],
+                axis=0,
+            )
+            got = mixture.log_pdf(x)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            one = mixture.log_pdf(x[0])  # a 1-D query is one point
+            assert one.shape == (1,)
+            np.testing.assert_allclose(one, want[:1], rtol=1e-12, atol=1e-12)
 
     def test_sampling_component_proportions(self):
         mix = GaussianMixture(
