@@ -10,10 +10,10 @@ Binary layout (little-endian throughout)::
     payload rows * dim values, row-major
 
 Single-precision payloads are widened to float64 on load; all in-memory
-arithmetic in this package is double precision. The CSV format is one
-embedding per line, comma-separated, no header. Row metadata lives in a
-separate CSV sidecar with header ``episode_id,step_index,episode_length,
-task_label`` (empty ``task_label`` means unlabeled).
+arithmetic in this package is double precision. The CSV format is UTF-8
+text, one embedding per line, comma-separated, no header. Row metadata
+lives in a separate CSV sidecar with header ``episode_id,step_index,
+episode_length,task_label`` (empty ``task_label`` means unlabeled).
 """
 
 from __future__ import annotations
@@ -156,27 +156,31 @@ def _parse_binary(raw: bytes, path) -> np.ndarray:
     return data.reshape(rows, dim).astype(np.float64)
 
 
-def _read_csv_matrix(path) -> np.ndarray:
+def _parse_csv(raw: bytes, path) -> np.ndarray:
+    """Parse the bytes of a UTF-8 CSV embedding file read from ``path``."""
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}", code="malformed_value") from exc
     rows: list[list[float]] = []
-    with open(path, "r", newline="") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            try:
-                values = [float(f) for f in fields]
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}: row {lineno}: {exc}", code="malformed_value"
-                ) from exc
-            if rows and len(values) != len(rows[0]):
-                raise ValidationError(
-                    f"{path}: row {lineno} has {len(values)} columns, "
-                    f"expected {len(rows[0])}",
-                    code="dim_mismatch",
-                )
-            rows.append(values)
+    for lineno, line in enumerate(io.StringIO(text, newline="")):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        try:
+            values = [float(f) for f in fields]
+        except ValueError as exc:
+            raise ValidationError(
+                f"{path}: row {lineno}: {exc}", code="malformed_value"
+            ) from exc
+        if rows and len(values) != len(rows[0]):
+            raise ValidationError(
+                f"{path}: row {lineno} has {len(values)} columns, "
+                f"expected {len(rows[0])}",
+                code="dim_mismatch",
+            )
+        rows.append(values)
     if not rows:
         raise ValidationError(f"{path}: no data rows", code="empty_dataset")
     return np.asarray(rows, dtype=np.float64)
@@ -186,27 +190,23 @@ def load_embeddings(path, format: str = "binary") -> EmbeddingDataset:
     """Load an embedding dataset, validating shape and finiteness.
 
     ``format`` is ``"binary"`` or ``"csv"``. The returned dataset's
-    ``source_id`` is a hash of the raw file bytes; a binary file is read
-    once, and the same buffer is parsed and hashed.
+    ``source_id`` is a hash of the raw file bytes; the file is read once,
+    and the same buffer is parsed and hashed.
     """
-    if format == "binary":
-        raw = Path(path).read_bytes()
-        data = _parse_binary(raw, path)
-    elif format == "csv":
-        data = _read_csv_matrix(path)
-        raw = Path(path).read_bytes()
-    else:
+    if format not in ("binary", "csv"):
         raise ValidationError(f"unknown format {format!r}", code="bad_format")
-    finite_rows = np.isfinite(data).all(axis=1)
-    if not finite_rows.all():
-        row = int(np.flatnonzero(~finite_rows)[0])
-        raise ValidationError(
-            f"{path}: non-finite value at row {row}", code="non_finite"
-        )
+    raw = Path(path).read_bytes()
+    if format == "binary":
+        data = _parse_binary(raw, path)
+    else:
+        data = _parse_csv(raw, path)
     # ``data`` is a fresh array nobody else holds, so the dataset may keep it
     # read-only instead of copying it.
     data.flags.writeable = False
-    return EmbeddingDataset(data, source_id=content_id(raw))
+    try:
+        return EmbeddingDataset(data, source_id=content_id(raw))
+    except ValidationError as exc:  # e.g. non_finite, naming the row
+        raise ValidationError(f"{path}: {exc}", code=exc.code) from exc
 
 
 def save_embeddings(dataset: EmbeddingDataset, path) -> None:

@@ -10,11 +10,20 @@ so each kernel exponent is ``-|w - s|^2 / 2``; one chunked engine
 reduces them. nn_l2 is its zero-bandwidth limit (:func:`nearest_sq_dists`),
 reduced by maximum and recomputed exactly.
 
+Every exponent is at most 0, so the log-sum-exp's max shift only guards
+against underflow. A chunk skips the shift when two O(rows) checks prove it
+unneeded: a probe of about 64 evenly spaced support columns finds an
+exponent of at least ``_SHIFT_FREE_FLOOR`` (-600) in every row, and the
+GEMM rounding bound ``4 (d+2) eps (max |w|^2 + max |s|^2)`` is below 1, so
+no exponent can overflow. Other chunks are bit-identical to the shifted
+reduction; shift-free rows move only in the last bits.
+
 Determinism contract: the query chunking is fixed and each query's kernel
 sum reduces over the full support in ascending index order, so identical
 inputs give bit-identical log-densities for any number of worker threads.
 Splitting the queries differently may change the last bits, because BLAS
-orders a dot product differently for other block shapes.
+orders a dot product differently for other block shapes and the shift-free
+check looks at a whole chunk.
 
 Threading: the row-chunk pool in :mod:`iwre.scoring` is the only source of
 parallelism. Scoring pins every loaded OpenBLAS to one thread
@@ -40,6 +49,13 @@ RIDGE_EPS_MAX = 1e-3
 # about this many elements. It bounds memory; other values change results
 # only in the last bits (see the determinism contract above).
 _CHUNK_ELEMS = 1 << 20
+
+# A chunk whose every row has an exponent at or above this floor is summed
+# without the max shift. Each row's sum is then at least e^-600, so a term
+# that can move its rounding is at least e^-636 (eps is e^-36), still normal
+# (above e^-708): subnormal or zero terms cost no precision.
+_SHIFT_FREE_FLOOR = -600.0
+_PROBE_COLUMNS = 64  # support columns the floor probe reads, evenly spaced
 
 
 @dataclass(frozen=True)
@@ -169,6 +185,7 @@ class GaussianKde(ParamsMixin):
         # jointly translated inputs whiten to identical values.
         self._center = support.mean(axis=0)
         self._support_aug = _augmented_support(self._whiten(support))
+        self._support_sq_max = -2.0 * self._support_aug[: self.count_, -1].min()
         return self
 
     # -- queries -----------------------------------------------------------
@@ -190,9 +207,11 @@ class GaussianKde(ParamsMixin):
 
         ``exclude`` optionally holds, per query row, one support index whose
         kernel is left out, or ``-1`` to keep all; rows with an exclusion
-        average over ``M - 1`` kernels (leave-self-out). Computed with the
-        log-sum-exp trick; finite for all finite queries (the largest kernel
-        exponent always survives).
+        average over ``M - 1`` kernels (leave-self-out). Finite for all
+        finite queries: a chunk is summed without the log-sum-exp max shift
+        only when every row has a kernel exponent of at least -600 and no
+        exponent can reach 1; otherwise the largest exponent always survives
+        the shift.
         """
         X = self._check_queries(X)
         n = X.shape[0]
@@ -214,9 +233,18 @@ class GaussianKde(ParamsMixin):
                     )
                 log_count[exclude >= 0] = np.log(self.count_ - 1)
         out = np.empty(n)
+        slack = _rounding_slack(self.dim_)
+        probe = slice(0, self.count_, -(-self.count_ // _PROBE_COLUMNS))
         chunks = _kernel_exponents(X, self._whiten, self._support_aug, exclude)
-        for rows, _, expo in chunks:
-            out[rows] = _logsumexp(expo, axis=1)
+        for rows, aug, expo in chunks:
+            w_sq_max = -2.0 * aug[:, -2].min()
+            if (
+                slack * (w_sq_max + self._support_sq_max) < 1.0
+                and expo[:, probe].max(axis=1).min() >= _SHIFT_FREE_FLOOR
+            ):
+                out[rows] = np.log(np.exp(expo, out=expo).sum(axis=1))
+            else:
+                out[rows] = _logsumexp(expo, axis=1)
         return self.log_norm_ + out - log_count
 
     def mahalanobis_sq(self, x, center_index: int) -> float:
@@ -268,14 +296,14 @@ def nearest_sq_dists(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
     """
     center = support.mean(axis=0)
     centered = support - center
-    slack = 4 * (support.shape[1] + 2) * np.finfo(np.float64).eps
+    slack = _rounding_slack(support.shape[1])
     support_sq_max = np.einsum("ij,ij->i", centered, centered).max()
     out = np.full(queries.shape[0], np.inf)
     chunks = _kernel_exponents(
         queries, lambda q: q - center, _augmented_support(centered)
     )
-    for rows, w, expo in chunks:
-        w_sq = np.einsum("ij,ij->i", w, w)
+    for rows, aug, expo in chunks:
+        w_sq = -2.0 * aug[:, -2]
         cut = expo.max(axis=1) - slack * (w_sq + support_sq_max)
         r, c = np.nonzero(expo >= cut[:, None])
         diff = queries[rows][r]
@@ -304,14 +332,20 @@ def _augmented_support(s: np.ndarray) -> np.ndarray:
     return aug
 
 
-def _kernel_exponents(queries, prepare, support_aug, exclude=None):
-    """Yield ``(rows, w, expo)`` for consecutive chunks of query rows.
+def _rounding_slack(dim: int) -> float:
+    """GEMM rounding bound of a kernel exponent per unit of ``|w|^2 + |s|^2``."""
+    return 4 * (dim + 2) * np.finfo(np.float64).eps
 
-    ``w = prepare(queries[rows])`` and ``expo[i, j] = -|w_i - s_j|^2 / 2``
-    comes from one GEMM of ``[w, -|w|^2/2, 1]`` against the augmented
-    support. Where ``exclude[i] >= 0``, entry ``(i, exclude[i])`` is ``-inf``.
-    ``w`` and ``expo`` are views of two buffers, about ``_CHUNK_ELEMS``
-    elements in all, that the next chunk overwrites.
+
+def _kernel_exponents(queries, prepare, support_aug, exclude=None):
+    """Yield ``(rows, aug, expo)`` for consecutive chunks of query rows.
+
+    ``aug`` holds the rows ``[w, -|w|^2/2, 1]``, ``w = prepare(queries[rows])``,
+    and ``expo[i, j] = -|w_i - s_j|^2 / 2`` comes from one GEMM of ``aug``
+    against the augmented support. Where ``exclude[i] >= 0``, entry
+    ``(i, exclude[i])`` is ``-inf``. ``aug`` and ``expo`` are views of two
+    buffers, about ``_CHUNK_ELEMS`` elements in all, that the next chunk
+    overwrites.
     """
     n = queries.shape[0]
     m, k = support_aug.shape
@@ -327,7 +361,7 @@ def _kernel_exponents(queries, prepare, support_aug, exclude=None):
         if exclude is not None:
             hit = np.flatnonzero(exclude[rows] >= 0)
             expo[hit, exclude[rows][hit]] = -np.inf
-        yield rows, w, expo
+        yield rows, aug, expo
 
 
 def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:

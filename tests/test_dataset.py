@@ -156,6 +156,19 @@ class TestBinaryFormat:
         assert exc.value.code == "non_finite"
         assert "row 2" in str(exc.value)
 
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    def test_nan_names_path_and_row(self, tmp_path, fmt):
+        path = tmp_path / f"nan.{fmt}"
+        if fmt == "binary":
+            write_raw(path, rows=3, dim=2,
+                      payload=np.array([0, 1, 2, np.nan, 4, 5], "<f8").tobytes())
+        else:
+            path.write_text("0,1\n\n2,nan\n4,5\n")  # the blank line is no row
+        with pytest.raises(ValidationError) as exc:
+            load_embeddings(path, format=fmt)
+        assert exc.value.code == "non_finite"
+        assert str(path) in str(exc.value) and "row 1" in str(exc.value)
+
 
 class TestCsvFormat:
     def test_direct_parse(self, tmp_path):
@@ -185,6 +198,13 @@ class TestCsvFormat:
         with pytest.raises(ValidationError) as exc:
             load_embeddings(path, format="csv")
         assert exc.value.code == "empty_dataset"
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_bytes(b"0,1\n2,\xe93\n")
+        with pytest.raises(ValidationError) as exc:
+            load_embeddings(path, format="csv")
+        assert exc.value.code == "malformed_value" and str(path) in str(exc.value)
 
     def test_nan_token_rejected(self, tmp_path):
         path = tmp_path / "n.csv"
@@ -265,21 +285,37 @@ class TestLoadReadsOnce:
                   payload=values.tobytes())
         assert load_embeddings(path).source_id == content_id(path.read_bytes())
 
-    def test_binary_file_opened_once(self, tmp_path, monkeypatch):
-        path = tmp_path / "e.bin"
-        save_embeddings(EmbeddingDataset(np.ones((5, 2))), path)
+    def test_csv_source_id_is_hash_of_file_bytes(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("0.5,1\r\n\n-2,3e4\n")
+        ds = load_embeddings(path, format="csv")
+        assert ds.source_id == content_id(path.read_bytes())
+        np.testing.assert_array_equal(ds.data, [[0.5, 1.0], [-2.0, 3e4]])
+
+    @staticmethod
+    def _opens(path, monkeypatch, **kwargs):
         opened = []
         real_open = io.open
 
-        def counting_open(file, *args, **kwargs):
+        def counting_open(file, *args, **kw):
             if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
                 opened.append(file)
-            return real_open(file, *args, **kwargs)
+            return real_open(file, *args, **kw)
 
         monkeypatch.setattr(io, "open", counting_open)
         monkeypatch.setattr(builtins, "open", counting_open)
-        load_embeddings(path)
-        assert len(opened) == 1
+        load_embeddings(path, **kwargs)
+        return len(opened)
+
+    def test_binary_file_opened_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "e.bin"
+        save_embeddings(EmbeddingDataset(np.ones((5, 2))), path)
+        assert self._opens(path, monkeypatch) == 1
+
+    def test_csv_file_opened_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "e.csv"
+        path.write_text("1,1\n1,1\n")
+        assert self._opens(path, monkeypatch, format="csv") == 1
 
 
 class TestRoundTripProperty:

@@ -146,6 +146,123 @@ class TestScoreSamples:
         assert exc.value.code == "bad_batch_spec"
 
 
+def shifted_reference(kde, queries, exclude=None):
+    """``score_samples`` with every chunk reduced by the max-shifted
+    ``_logsumexp`` over the same ``_kernel_exponents``."""
+    queries = np.asarray(queries, dtype=np.float64)
+    log_count = np.full(len(queries), np.log(kde.count_))
+    if exclude is not None:
+        log_count[exclude >= 0] = np.log(kde.count_ - 1)
+    out = np.empty(len(queries))
+    for rows, _, expo in kde_module._kernel_exponents(
+        queries, kde._whiten, kde._support_aug, exclude
+    ):
+        out[rows] = kde_module._logsumexp(expo, axis=1)
+    return kde.log_norm_ + out - log_count
+
+
+@st.composite
+def shift_problem(draw):
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = rng.standard_normal((draw(st.integers(2, 150)), d))
+    queries = 1.5 * rng.standard_normal((draw(st.integers(1, 80)), d))
+    queries += draw(st.sampled_from([0.0, 3.0, 30.0, 1e3])) * rng.standard_normal(d)
+    kde = fit_kde(support, BandwidthSpec(draw(st.floats(0.05, 8.0))))
+    return kde, queries, rng.integers(-1, kde.count_, len(queries))
+
+
+class TestShiftFree:
+    """Chunks summed without the log-sum-exp max shift, and the chunks that
+    fall back to it."""
+
+    @PROPERTY
+    @given(shift_problem())
+    def test_matches_shifted_reference(self, problem):
+        kde, queries, exclude = problem
+        for ex in (None, exclude):
+            got = kde.score_samples(queries, exclude=ex)
+            want = shifted_reference(kde, queries, ex)
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1))
+
+    @staticmethod
+    def _assert_fallback_exact(kde, queries, exclude=None):
+        got = kde.score_samples(queries, exclude=exclude)
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, shifted_reference(kde, queries, exclude))
+
+    @pytest.mark.parametrize("shape", [(50, 768), (20, 64)])
+    def test_rank_deficient_target(self, shape):
+        rng = np.random.default_rng(31)
+        kde = fit_kde(rng.standard_normal(shape))
+        self._assert_fallback_exact(kde, rng.standard_normal((300, shape[1])))
+
+    def test_far_queries_and_one_far_row(self):
+        rng = np.random.default_rng(32)
+        kde = fit_kde(rng.standard_normal((200, 4)))
+        queries = rng.standard_normal((60, 4))
+        self._assert_fallback_exact(kde, queries + 1e3)
+        queries[17] += 1e3
+        exclude = rng.integers(-1, kde.count_, len(queries))
+        for ex in (None, exclude):
+            self._assert_fallback_exact(kde, queries, ex)
+
+    def test_rounding_guard_at_tiny_bandwidth(self):
+        # At scale_c 1e-9 the exponents of a query on a support row cancel
+        # terms of about 1e19, so they come out thousands off zero. Keep the
+        # rows whose largest exponent is >= -600: every support column is
+        # probed (40 <= 64), so only the rounding guard stops the shift-free
+        # sum, which would overflow on rows whose exponent exceeds 709.
+        support = np.random.default_rng(33).standard_normal((40, 8))
+        kde = fit_kde(support, BandwidthSpec(1e-9))
+
+        def row_max(queries):
+            (_, _, expo), = kde_module._kernel_exponents(
+                queries, kde._whiten, kde._support_aug
+            )
+            return expo.max(axis=1)
+
+        queries = support[row_max(support) >= kde_module._SHIFT_FREE_FLOOR]
+        peaks = row_max(queries)
+        assert peaks.min() >= kde_module._SHIFT_FREE_FLOOR and peaks.max() > 710
+        self._assert_fallback_exact(kde, queries)
+
+    def test_which_chunks_shift(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        prior = rng.standard_normal((16384, 32))
+        target_kde = fit_kde(rng.standard_normal((500, 32)))
+        batch_kdes = fit_prior_batched(prior, PriorBatchSpec(4096, 8, rng_seed=34))
+        queries = prior[:1200]
+        shifted, chunks = [], []
+        lse, engine = kde_module._logsumexp, kde_module._kernel_exponents
+
+        def counted_lse(values, axis):
+            shifted.append(values.shape)
+            return lse(values, axis)
+
+        def counted_engine(*args, **kwargs):
+            for chunk in engine(*args, **kwargs):
+                chunks.append(chunk[2].shape)
+                yield chunk
+
+        monkeypatch.setattr(kde_module, "_logsumexp", counted_lse)
+        monkeypatch.setattr(kde_module, "_kernel_exponents", counted_engine)
+        # An iwr job's calls at criterion-12 shapes, plain and leaving self out.
+        target_kde.score_samples(queries)
+        for kde in batch_kdes:
+            ids = kde.support_row_ids_
+            inside = np.flatnonzero(ids < len(queries))
+            exclude = np.full(len(queries), -1)
+            exclude[ids[inside]] = inside
+            kde.score_samples(queries)
+            kde.score_samples(queries, exclude=exclude)
+        assert len(chunks) > 17 and shifted == []
+        chunks.clear()
+        wide = fit_kde(rng.standard_normal((50, 768)))
+        wide.score_samples(rng.standard_normal((3000, 768)))
+        assert len(chunks) > 1 and shifted == chunks
+
+
 class TestScoringThreads:
     @settings(PROPERTY, max_examples=8)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
