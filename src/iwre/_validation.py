@@ -18,13 +18,35 @@ import numpy as np
 from .errors import ValidationError
 
 
-def check_matrix(x, name: str = "data", *, min_rows: int = 1) -> np.ndarray:
+# Elements per block of the finiteness check: it forms no array-sized mask.
+_FINITE_BLOCK_ELEMS = 1 << 16
+
+
+def first_non_finite_row(arr: np.ndarray) -> int | None:
+    """Index of the first row of a 2-D array that holds NaN or Inf, or None."""
+    step = max(1, _FINITE_BLOCK_ELEMS // max(1, arr.shape[1]))
+    for start in range(0, arr.shape[0], step):
+        finite = np.isfinite(arr[start : start + step]).all(axis=1)
+        if not finite.all():
+            return start + int(np.argmin(finite))
+    return None
+
+
+def check_matrix(
+    x, name: str = "data", *, min_rows: int = 1, keep_float32: bool = False
+) -> np.ndarray:
     """Coerce ``x`` to a finite, C-contiguous float64 matrix.
 
-    Raises :class:`ValidationError` with a stable ``code`` naming the first
-    offending row when the input is empty, not 2-D, or contains NaN/Inf.
+    With ``keep_float32`` a float32 array keeps its dtype, so a block of
+    rows read from a float32 file is not widened as a whole; the caller
+    widens it where it enters arithmetic. Raises :class:`ValidationError`
+    with a stable ``code`` naming the first offending row when the input is
+    empty, not 2-D, or contains NaN/Inf.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    if keep_float32 and getattr(x, "dtype", None) == np.float32:
+        arr = np.asarray(x)
+    else:
+        arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(
             f"{name} must be a 2-D matrix, got ndim={arr.ndim}", code="bad_shape"
@@ -35,9 +57,8 @@ def check_matrix(x, name: str = "data", *, min_rows: int = 1) -> np.ndarray:
             f"got shape {arr.shape}",
             code="empty_dataset",
         )
-    finite_rows = np.isfinite(arr).all(axis=1)
-    if not finite_rows.all():
-        row = int(np.flatnonzero(~finite_rows)[0])
+    row = first_non_finite_row(arr)
+    if row is not None:
         raise ValidationError(
             f"{name} contains a non-finite value at row {row}", code="non_finite"
         )

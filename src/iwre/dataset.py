@@ -9,11 +9,17 @@ Binary layout (little-endian throughout)::
     dim     u32      embedding dimension d
     payload rows * dim values, row-major
 
-Single-precision payloads are widened to float64 on load; all in-memory
-arithmetic in this package is double precision. The CSV format is UTF-8
-text, one embedding per line, comma-separated, no header. Row metadata
-lives in a separate CSV sidecar with header ``episode_id,step_index,
-episode_length,task_label`` (empty ``task_label`` means unlabeled).
+A binary file is read once, in fixed blocks, straight into one array of the
+dtype its payload stores, and each block is hashed as it arrives. A float32
+payload thus stays float32 in memory, half the size of a float64 copy.
+Arithmetic in this package is double precision, so scoring widens float32
+rows to float64, exactly, where they enter it: per chunk of queries, per
+gathered batch or selected row, and once for the small target. Scores are
+therefore the same bits whether a prior is stored as float32 or as the same
+values in float64. The CSV format is UTF-8 text, one embedding per line,
+comma-separated, no header; it loads as float64. Row metadata lives in a
+separate CSV sidecar with header ``episode_id,step_index,episode_length,
+task_label`` (empty ``task_label`` means unlabeled).
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,33 +35,44 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._validation import check_matrix
+from ._validation import check_matrix, first_non_finite_row
 from .errors import ValidationError
 
 MAGIC = b"IWRE"
 FORMAT_VERSION = 1
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _HEADER = struct.Struct("<4sHBQI")  # magic, version, dtype code, rows, dim
+_READ_BLOCK = 1 << 20  # bytes per read of a binary payload, or per gathered block
 
 METADATA_FIELDS = ("episode_id", "step_index", "episode_length", "task_label")
 
 
 def content_id(data: bytes | np.ndarray) -> str:
-    """Short content hash used as the default identity of loaded data."""
+    """Short content hash used as the default identity of loaded data.
+
+    An array is hashed as its C-contiguous buffer, the bytes ``tobytes``
+    would give, without copying a contiguous array.
+    """
     if isinstance(data, np.ndarray):
-        data = np.ascontiguousarray(data).tobytes()
-    return "sha256:" + hashlib.sha256(data).hexdigest()[:16]
+        data = np.ascontiguousarray(data)
+    return _short_id(hashlib.sha256(data))
+
+
+def _short_id(digest) -> str:
+    return "sha256:" + digest.hexdigest()[:16]
 
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingDataset:
     """An immutable N x d matrix of embedding vectors.
 
-    ``data`` is always float64 and marked read-only; fitted models and
-    scorers may therefore share a dataset across worker threads freely.
-    ``source_id`` is an opaque identity string; when omitted it defaults to
-    a hash of the array contents so that configuration fingerprints track
-    the underlying data.
+    ``data`` is marked read-only; fitted models and scorers may therefore
+    share a dataset across worker threads freely. An array passed in is
+    coerced to float64. :func:`load_embeddings` instead keeps a binary
+    file's payload dtype, so ``data`` may be float32; scoring widens its
+    rows to float64 where they enter arithmetic. ``source_id`` is an opaque
+    identity string; when omitted it defaults to a hash of the array
+    contents so that configuration fingerprints track the underlying data.
     """
 
     data: np.ndarray
@@ -68,6 +86,16 @@ class EmbeddingDataset:
         object.__setattr__(self, "data", arr)
         if not self.source_id:
             object.__setattr__(self, "source_id", content_id(arr))
+
+    @classmethod
+    def _wrap(cls, data: np.ndarray, source_id: str) -> "EmbeddingDataset":
+        """A dataset holding ``data`` as it is: a fresh, finite 2-D array of
+        float32 or float64 that no caller holds, such as a file just read."""
+        data.flags.writeable = False
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "data", data)
+        object.__setattr__(dataset, "source_id", source_id)
+        return dataset
 
     @property
     def rows(self) -> int:
@@ -103,6 +131,16 @@ class RowMetadata:
             )
 
 
+def gather_rows(data: np.ndarray, idx) -> np.ndarray:
+    """``data[idx]`` as a new float64 array, gathered in blocks, so rows of a
+    float32 array are widened without a float32 copy of the selection."""
+    out = np.empty((len(idx), data.shape[1]))
+    step = max(1, _READ_BLOCK // (8 * data.shape[1]))
+    for start in range(0, len(idx), step):
+        out[start : start + step] = data[idx[start : start + step]]
+    return out
+
+
 def pair_metadata(
     dataset: EmbeddingDataset, metadata: Sequence[RowMetadata]
 ) -> Sequence[RowMetadata]:
@@ -115,14 +153,14 @@ def pair_metadata(
     return metadata
 
 
-def _parse_binary(raw: bytes, path) -> np.ndarray:
-    """Parse the bytes of a binary container read from ``path``."""
-    if len(raw) < _HEADER.size:
+def _parse_header(header: bytes, file_size: int, path):
+    """Validate a binary container's header; return (dtype, rows, dim)."""
+    if len(header) < _HEADER.size:
         raise ValidationError(
             f"{path}: file shorter than the {_HEADER.size}-byte header",
             code="malformed_header",
         )
-    magic, version, dtype_code, rows, dim = _HEADER.unpack_from(raw)
+    magic, version, dtype_code, rows, dim = _HEADER.unpack(header)
     if magic != MAGIC:
         raise ValidationError(
             f"{path}: bad magic bytes {magic!r} in field 'magic'",
@@ -143,7 +181,7 @@ def _parse_binary(raw: bytes, path) -> np.ndarray:
         )
     dtype = _DTYPE_CODES[dtype_code]
     expected = rows * dim * dtype.itemsize
-    found = len(raw) - _HEADER.size
+    found = file_size - _HEADER.size
     if found != expected:
         found_rows = found // (dim * dtype.itemsize)
         raise ValidationError(
@@ -152,18 +190,47 @@ def _parse_binary(raw: bytes, path) -> np.ndarray:
             f"({found_rows} complete rows)",
             code="payload_mismatch",
         )
-    data = np.frombuffer(raw, dtype=dtype, count=rows * dim, offset=_HEADER.size)
-    return data.reshape(rows, dim).astype(np.float64)
+    return dtype, rows, dim
 
 
-def _parse_csv(raw: bytes, path) -> np.ndarray:
-    """Parse the bytes of a UTF-8 CSV embedding file read from ``path``."""
+def read_vector_file(path) -> tuple[np.ndarray, str]:
+    """Read a binary container; return its payload and the file's content id.
+
+    The payload lands, block by block, in one native-order array of the
+    dtype the file stores, and each block is hashed as it arrives, so the
+    id equals :func:`content_id` of the file bytes. No finiteness check.
+    """
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        dtype, rows, dim = _parse_header(header, os.fstat(fh.fileno()).st_size, path)
+        digest = hashlib.sha256(header)
+        data = np.empty((rows, dim), dtype.newbyteorder("="))
+        payload = memoryview(data).cast("B")
+        for start in range(0, len(payload), _READ_BLOCK):
+            block = payload[start : start + _READ_BLOCK]
+            if fh.readinto(block) != len(block):
+                raise ValidationError(
+                    f"{path}: file shrank while being read", code="payload_mismatch"
+                )
+            digest.update(block)
+    if not dtype.isnative:
+        data.byteswap(inplace=True)
+    return data, _short_id(digest)
+
+
+def _parse_csv(raw: bytes, path) -> tuple[np.ndarray, list[int]]:
+    """Parse the bytes of a UTF-8 CSV embedding file read from ``path``.
+
+    Returns the float64 matrix and, per row, its 1-based line in the file.
+    Errors name both, as ``line L (row i)``; blank lines hold no row.
+    """
     try:
         text = raw.decode()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: {exc}", code="malformed_value") from exc
     rows: list[list[float]] = []
-    for lineno, line in enumerate(io.StringIO(text, newline="")):
+    lines: list[int] = []
+    for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):
         line = line.strip()
         if not line:
             continue
@@ -172,41 +239,46 @@ def _parse_csv(raw: bytes, path) -> np.ndarray:
             values = [float(f) for f in fields]
         except ValueError as exc:
             raise ValidationError(
-                f"{path}: row {lineno}: {exc}", code="malformed_value"
+                f"{path}: line {lineno} (row {len(rows)}): {exc}",
+                code="malformed_value",
             ) from exc
         if rows and len(values) != len(rows[0]):
             raise ValidationError(
-                f"{path}: row {lineno} has {len(values)} columns, "
-                f"expected {len(rows[0])}",
+                f"{path}: line {lineno} (row {len(rows)}) has {len(values)} "
+                f"columns, expected {len(rows[0])}",
                 code="dim_mismatch",
             )
         rows.append(values)
+        lines.append(lineno)
     if not rows:
         raise ValidationError(f"{path}: no data rows", code="empty_dataset")
-    return np.asarray(rows, dtype=np.float64)
+    return np.asarray(rows, dtype=np.float64), lines
 
 
 def load_embeddings(path, format: str = "binary") -> EmbeddingDataset:
     """Load an embedding dataset, validating shape and finiteness.
 
-    ``format`` is ``"binary"`` or ``"csv"``. The returned dataset's
-    ``source_id`` is a hash of the raw file bytes; the file is read once,
-    and the same buffer is parsed and hashed.
+    ``format`` is ``"binary"`` or ``"csv"``. The file is read once and its
+    bytes hashed as they are read: the returned dataset's ``source_id`` is
+    :func:`content_id` of the file bytes. A binary file keeps its payload
+    dtype (float32 or float64); CSV loads as float64.
     """
     if format not in ("binary", "csv"):
         raise ValidationError(f"unknown format {format!r}", code="bad_format")
-    raw = Path(path).read_bytes()
     if format == "binary":
-        data = _parse_binary(raw, path)
+        data, source_id = read_vector_file(path)
+        lines = None
     else:
-        data = _parse_csv(raw, path)
-    # ``data`` is a fresh array nobody else holds, so the dataset may keep it
-    # read-only instead of copying it.
-    data.flags.writeable = False
-    try:
-        return EmbeddingDataset(data, source_id=content_id(raw))
-    except ValidationError as exc:  # e.g. non_finite, naming the row
-        raise ValidationError(f"{path}: {exc}", code=exc.code) from exc
+        raw = Path(path).read_bytes()
+        data, lines = _parse_csv(raw, path)
+        source_id = content_id(raw)
+    row = first_non_finite_row(data)
+    if row is not None:
+        at = f"row {row}" if lines is None else f"line {lines[row]} (row {row})"
+        raise ValidationError(
+            f"{path}: data contains a non-finite value at {at}", code="non_finite"
+        )
+    return EmbeddingDataset._wrap(data, source_id)
 
 
 def save_embeddings(dataset: EmbeddingDataset, path) -> None:
@@ -222,12 +294,7 @@ def write_vector_file(array: np.ndarray, path) -> None:
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, 1, arr.shape[0], arr.shape[1])
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(arr.tobytes())
-
-
-def read_vector_file(path) -> np.ndarray:
-    """Read a binary container back as a float64 matrix (no finiteness check)."""
-    return _parse_binary(Path(path).read_bytes(), path)
+        fh.write(memoryview(arr).cast("B"))
 
 
 def load_metadata(path) -> list[RowMetadata]:

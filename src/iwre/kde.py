@@ -8,7 +8,10 @@ factor of ``h^2 * Sigma`` (stored once at fit, so whitening is one GEMM),
 so each kernel exponent is ``-|w - s|^2 / 2``; one chunked engine
 (:func:`_kernel_exponents`, one GEMM per chunk) forms them and a log-sum-exp
 reduces them. nn_l2 is its zero-bandwidth limit (:func:`nearest_sq_dists`),
-reduced by maximum and recomputed exactly.
+reduced by maximum and recomputed exactly. Float32 queries are widened to
+float64 a chunk at a time, as they are centred, so every chunk's
+temporaries stay within ``_CHUNK_ELEMS`` and results equal those of the
+widened queries.
 
 Every exponent is at most 0, so the log-sum-exp's max shift only guards
 against underflow. A chunk skips the shift when two O(rows) checks prove it
@@ -45,9 +48,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 RIDGE_EPS_INITIAL = 1e-9
 RIDGE_EPS_MAX = 1e-3
 
-# Query chunks are sized so the exponent matrix and the query operand hold
-# about this many elements. It bounds memory; other values change results
-# only in the last bits (see the determinism contract above).
+# Query chunks are sized so that all of a chunk's temporaries (the exponent
+# matrix, the query operand, and nn_l2's candidate mask and gathers) hold
+# about this many float64 elements. It bounds memory; other values change
+# results only in the last bits (see the determinism contract above).
 _CHUNK_ELEMS = 1 << 20
 
 # A chunk whose every row has an exponent at or above this floor is summed
@@ -184,14 +188,16 @@ class GaussianKde(ParamsMixin):
         # exponents are computed in well-conditioned local coordinates and
         # jointly translated inputs whiten to identical values.
         self._center = support.mean(axis=0)
-        self._support_aug = _augmented_support(self._whiten(support))
+        self._support_aug = _augmented_support(
+            (support - self._center) @ self._whitener
+        )
         self._support_sq_max = -2.0 * self._support_aug[: self.count_, -1].min()
         return self
 
     # -- queries -----------------------------------------------------------
 
     def _check_queries(self, X) -> np.ndarray:
-        X = check_matrix(X, "queries")
+        X = check_matrix(X, "queries", keep_float32=True)
         if X.shape[1] != self.dim_:
             raise ValidationError(
                 f"query dim {X.shape[1]} does not match model dim {self.dim_}",
@@ -199,15 +205,14 @@ class GaussianKde(ParamsMixin):
             )
         return X
 
-    def _whiten(self, q: np.ndarray) -> np.ndarray:
-        return (q - self._center) @ self._whitener
-
     def score_samples(self, X, *, exclude=None) -> np.ndarray:
         """Log-density of the kernel mixture at each query row.
 
         ``exclude`` optionally holds, per query row, one support index whose
         kernel is left out, or ``-1`` to keep all; rows with an exclusion
-        average over ``M - 1`` kernels (leave-self-out). Finite for all
+        average over ``M - 1`` kernels (leave-self-out). ``X`` may be
+        float32; its rows are widened to float64 a chunk at a time, exactly,
+        so the result equals that of the widened queries. Finite for all
         finite queries: a chunk is summed without the log-sum-exp max shift
         only when every row has a kernel exponent of at least -600 and no
         exponent can reach 1; otherwise the largest exponent always survives
@@ -235,7 +240,9 @@ class GaussianKde(ParamsMixin):
         out = np.empty(n)
         slack = _rounding_slack(self.dim_)
         probe = slice(0, self.count_, -(-self.count_ // _PROBE_COLUMNS))
-        chunks = _kernel_exponents(X, self._whiten, self._support_aug, exclude)
+        chunks = _kernel_exponents(
+            X, self._center, self._support_aug, self._whitener, exclude
+        )
         for rows, aug, expo in chunks:
             w_sq_max = -2.0 * aug[:, -2].min()
             if (
@@ -246,23 +253,6 @@ class GaussianKde(ParamsMixin):
             else:
                 out[rows] = _logsumexp(expo, axis=1)
         return self.log_norm_ + out - log_count
-
-    def mahalanobis_sq(self, x, center_index: int) -> float:
-        """Squared Mahalanobis distance from ``x`` to one kernel center.
-
-        Measured under the kernel covariance ``h^2 * Sigma`` as ``|y|^2``
-        with ``y = inv(L) (x - support_[center_index])``: one mat-vec with
-        the inverse Cholesky factor stored at fit.
-        """
-        if not 0 <= center_index < self.count_:
-            raise ValidationError(
-                f"center_index {center_index} outside [0, {self.count_})",
-                code="index_out_of_range",
-            )
-        x = self._check_queries(np.reshape(x, (1, -1)))[0]
-        delta = x - self.support_[center_index]
-        y = delta @ self._whitener
-        return float(max(y @ y, 0.0))
 
 
 def fit_kde(dataset, spec: BandwidthSpec | None = None) -> GaussianKde:
@@ -292,24 +282,33 @@ def nearest_sq_dists(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
     Identity-kernel exponents on data centred at the support mean keep, per
     query, every support row within the GEMM rounding bound
     ``4 (d+2) eps (|w|^2 + max |s|^2)`` of the largest exponent; only these
-    candidates are measured by direct differences of the raw rows.
+    candidates are measured by direct differences of the raw rows. Query
+    rows may be float32 and are widened as they are read; ``support`` is
+    float64.
     """
+    m, d = support.shape
     center = support.mean(axis=0)
     centered = support - center
-    slack = _rounding_slack(support.shape[1])
+    slack = _rounding_slack(d)
     support_sq_max = np.einsum("ij,ij->i", centered, centered).max()
     out = np.full(queries.shape[0], np.inf)
+    # Per row beyond the engine's buffers: the candidate mask (m bytes), the
+    # query and support rows gathered for a candidate (2d), a few scalars.
     chunks = _kernel_exponents(
-        queries, lambda q: q - center, _augmented_support(centered)
+        queries, center, _augmented_support(centered), extra=2 * d + m // 8 + 4
     )
     for rows, aug, expo in chunks:
         w_sq = -2.0 * aug[:, -2]
         cut = expo.max(axis=1) - slack * (w_sq + support_sq_max)
         r, c = np.nonzero(expo >= cut[:, None])
-        diff = queries[rows][r]
-        diff -= support[c]
-        np.square(diff, out=diff)
-        np.minimum.at(out[rows], r, diff.sum(axis=1))
+        # Candidates, a chunk's worth at a time, are differenced in ``aug``,
+        # which is free once the exponents are formed.
+        for start in range(0, r.size, len(aug)):
+            rb, cb = r[start : start + len(aug)], c[start : start + len(aug)]
+            diff = aug[: rb.size, :d]
+            np.subtract(queries[rows][rb], support[cb], out=diff)
+            np.square(diff, out=diff)
+            np.minimum.at(out[rows], rb, diff.sum(axis=1))
     return out
 
 
@@ -337,26 +336,42 @@ def _rounding_slack(dim: int) -> float:
     return 4 * (dim + 2) * np.finfo(np.float64).eps
 
 
-def _kernel_exponents(queries, prepare, support_aug, exclude=None):
+def _kernel_exponents(
+    queries, center, support_aug, whitener=None, exclude=None, *, extra=0
+):
     """Yield ``(rows, aug, expo)`` for consecutive chunks of query rows.
 
-    ``aug`` holds the rows ``[w, -|w|^2/2, 1]``, ``w = prepare(queries[rows])``,
-    and ``expo[i, j] = -|w_i - s_j|^2 / 2`` comes from one GEMM of ``aug``
+    ``aug`` holds the rows ``[w, -|w|^2/2, 1]``, where ``w`` is
+    ``queries[rows] - center``, times ``whitener`` if one is given, and
+    ``expo[i, j] = -|w_i - s_j|^2 / 2`` comes from one GEMM of ``aug``
     against the augmented support. Where ``exclude[i] >= 0``, entry
-    ``(i, exclude[i])`` is ``-inf``. ``aug`` and ``expo`` are views of two
-    buffers, about ``_CHUNK_ELEMS`` elements in all, that the next chunk
-    overwrites.
+    ``(i, exclude[i])`` is ``-inf``. Float32 query rows are widened as they
+    are centred, straight into float64 buffers, so no temporary the size of
+    ``queries`` is formed. ``aug`` and ``expo`` are views of two buffers
+    that the next chunk overwrites; the caller may use them as scratch
+    until then. Chunks hold ``_CHUNK_ELEMS // (m + k + extra)`` rows:
+    ``extra`` counts the caller's own temporaries per row. Whitening centres
+    the rows in the exponent buffer, which grows to ``d`` columns when the
+    support has fewer rows (``m < d``).
     """
     n = queries.shape[0]
     m, k = support_aug.shape
-    step = max(1, min(n, _CHUNK_ELEMS // (m + k)))
-    aug_buf, expo_buf = np.ones((step, k)), np.empty((step, m))
+    d = k - 2
+    step = max(1, min(n, _CHUNK_ELEMS // (m + k + extra)))
+    aug_buf = np.ones((step, k))
+    expo_buf = np.empty(step * (m if whitener is None else max(m, d)))
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
-        aug, expo = aug_buf[: rows.stop - start], expo_buf[: rows.stop - start]
-        w = aug[:, : k - 2]
-        w[:] = prepare(queries[rows])
-        aug[:, k - 2] = -0.5 * np.einsum("ij,ij->i", w, w)
+        count = rows.stop - start
+        aug, expo = aug_buf[:count], expo_buf[: count * m].reshape(count, m)
+        w = aug[:, :d]
+        if whitener is None:
+            np.subtract(queries[rows], center, out=w)
+        else:
+            centred = expo_buf[: count * d].reshape(count, d)
+            np.subtract(queries[rows], center, out=centred)
+            np.matmul(centred, whitener, out=w)
+        aug[:, d] = -0.5 * np.einsum("ij,ij->i", w, w)
         np.matmul(aug, support_aug.T, out=expo)
         if exclude is not None:
             hit = np.flatnonzero(exclude[rows] >= 0)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._validation import check_count, read_json_object
-from .dataset import EmbeddingDataset, RowMetadata, pair_metadata
+from .dataset import EmbeddingDataset, RowMetadata, gather_rows, pair_metadata
 from .errors import ValidationError
 from .scoring import ScoreVector
 from ._version import __version__
@@ -206,7 +206,9 @@ def materialize(
             f"selected index {int(idx[-1])} outside prior with {prior.rows} rows",
             code="index_out_of_range",
         )
-    retrieved = EmbeddingDataset(prior.data[idx])
+    rows = gather_rows(prior.data, idx)
+    rows.flags.writeable = False  # a fresh array: the dataset need not copy it
+    retrieved = EmbeddingDataset(rows)
     if prior_meta is None:
         return retrieved, None
     pair_metadata(prior, prior_meta)
@@ -232,7 +234,10 @@ def save_manifest(manifest: RetrievalManifest, path) -> None:
             else [int(m) for m in manifest.multiplicities]
         ),
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # Streamed: ``dumps`` would hold every encoded chunk of the index list.
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def load_manifest(path) -> RetrievalManifest:
@@ -262,9 +267,11 @@ def save_cotrain_weights(
     path, weights: CotrainWeights, target_count: int, manifest: RetrievalManifest
 ) -> None:
     """Write the per-sample weight table (role, index, weight) as CSV."""
-    lines = ["role,index,weight"]
-    for i in range(target_count):
-        lines.append(f"target,{i},{weights.target_weight_per_sample!r}")
-    for g in manifest.selected_indices:
-        lines.append(f"retrieved,{int(g)},{weights.retrieved_weight_per_sample!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    target_w = repr(weights.target_weight_per_sample)
+    retrieved_w = repr(weights.retrieved_weight_per_sample)
+    with open(path, "w") as fh:
+        fh.write("role,index,weight\n")
+        fh.writelines(f"target,{i},{target_w}\n" for i in range(target_count))
+        fh.writelines(
+            f"retrieved,{g},{retrieved_w}\n" for g in manifest.selected_indices.tolist()
+        )

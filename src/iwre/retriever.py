@@ -15,7 +15,7 @@ from dataclasses import fields
 import numpy as np
 
 from ._validation import ParamsMixin, check_threads
-from .dataset import EmbeddingDataset
+from .dataset import EmbeddingDataset, gather_rows
 from .errors import ValidationError
 from .retrieval import select_by_fraction
 from .scoring import ScoreVector, ScoringConfig
@@ -97,5 +97,7 @@ class EmbeddingRetriever(ParamsMixin):
         """
         scores = self.score_vector(X)
         self.manifest_ = select_by_fraction(scores, self.fraction)
-        data = X.data if isinstance(X, EmbeddingDataset) else np.asarray(X)
-        return data[self.manifest_.selected_indices]
+        idx = self.manifest_.selected_indices
+        if isinstance(X, EmbeddingDataset):
+            return gather_rows(X.data, idx)
+        return np.asarray(X)[idx]

@@ -49,7 +49,12 @@ from ._validation import (
     check_vector,
     read_json_object,
 )
-from .dataset import EmbeddingDataset, read_vector_file, write_vector_file
+from .dataset import (
+    EmbeddingDataset,
+    gather_rows,
+    read_vector_file,
+    write_vector_file,
+)
 from .errors import ValidationError
 from .kde import (
     BandwidthSpec,
@@ -178,8 +183,9 @@ def score_nn_l2(target, prior, *, threads: int | None = 1) -> ScoreVector:
     target = _as_dataset(target)
     prior = _as_dataset(prior)
     _check_dims(target.dim, prior)
+    support = np.asarray(target.data, dtype=np.float64)
     values = -_map_row_chunks(
-        prior.rows, lambda sl: nearest_sq_dists(prior.data[sl], target.data), threads
+        prior.rows, lambda sl: nearest_sq_dists(prior.data[sl], support), threads
     )
     return ScoreVector(
         values, ScoreMethod.NN_L2, "", prior.source_id, target.source_id
@@ -262,7 +268,8 @@ def fit_prior_batched(
     kdes = []
     for _ in range(spec.num_batches):
         idx = np.sort(rng.choice(prior.rows, size=spec.batch_size, replace=False))
-        kde = GaussianKde(scale_c=bandwidth.scale_c).fit(prior.data[idx])
+        batch = gather_rows(prior.data, idx)
+        kde = GaussianKde(scale_c=bandwidth.scale_c).fit(batch)
         kde.support_row_ids_ = idx
         kdes.append(kde)
     return kdes
@@ -469,7 +476,7 @@ def load_scores(path) -> tuple[ScoreVector, dict]:
     )
     if sidecar["method"] not in {m.value for m in ScoreMethod}:
         raise ValidationError(f"{meta_path}: unknown method", code="bad_sidecar")
-    values = read_vector_file(path)
+    values, _ = read_vector_file(path)
     if values.shape[1] != 1:
         raise ValidationError(
             f"{path}: score files must have dim 1, got {values.shape[1]}",

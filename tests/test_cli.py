@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -497,3 +498,108 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
     assert done.stdout.strip() == "[]"
+
+
+def write_container(path, values, dtype):
+    """A version-1 binary container holding ``values`` as ``dtype``."""
+    code = {"<f4": 0, "<f8": 1}[dtype]
+    header = struct.pack("<4sHBQI", b"IWRE", 1, code, *values.shape)
+    path.write_bytes(header + np.asarray(values, dtype).tobytes())
+
+
+class TestFloat32Files:
+    """A float32 file scores to the bytes of the same values in float64."""
+
+    METHODS = {
+        "nn": ["--method", "nn"],
+        "lse": ["--method", "lse"],
+        "kde": ["--method", "kde"],
+        "iwr": ["--method", "iwr", "--seed", 4, "--batch-size", 1024,
+                "--num-batches", 3],
+        "iwr_loo": ["--method", "iwr", "--seed", 4, "--batch-size", 1024,
+                    "--num-batches", 3, "--config", "loo.json"],
+    }
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_scores_match_float64_file(self, tmp_path, method):
+        rng = np.random.default_rng(17)
+        target = rng.standard_normal((150, 6)).astype(np.float32)
+        prior = (1.5 * rng.standard_normal((9000, 6))).astype(np.float32)
+        (tmp_path / "loo.json").write_text('{"leave_self_out": true}')
+        args = [tmp_path / a if a == "loo.json" else a for a in self.METHODS[method]]
+        outputs = []
+        for dtype, threads in (("<f4", 1), ("<f4", 4), ("<f8", 1), ("<f8", 4)):
+            files = tmp_path / f"in{dtype[1:]}"
+            files.mkdir(exist_ok=True)
+            write_container(files / "t.bin", target, dtype)
+            write_container(files / "p.bin", prior, dtype)
+            out = tmp_path / f"out{dtype[1:]}_{threads}"
+            assert run("score", *args, "--threads", threads, "--target",
+                       files / "t.bin", "--prior", files / "p.bin", "--out", out) == 0
+            outputs.append((out / "scores.bin").read_bytes())
+        assert len(set(outputs)) == 1
+
+    def test_retrieved_rows_are_widened(self, tmp_path):
+        rng = np.random.default_rng(18)
+        target = rng.standard_normal((40, 5)).astype(np.float32)
+        prior = rng.standard_normal((500, 5)).astype(np.float32)
+        for dtype in ("<f4", "<f8"):
+            out = tmp_path / dtype[1:]
+            out.mkdir()
+            write_container(out / "t.bin", target, dtype)
+            write_container(out / "p.bin", prior, dtype)
+            data = ["--target", out / "t.bin", "--prior", out / "p.bin"]
+            assert run("score", "--method", "nn", *data, "--out", out) == 0
+            assert run("retrieve", "--scores", out / "scores.bin", *data,
+                       "--fraction", 0.2, "--out", out) == 0
+        for name in ("scores.bin", "retrieved.bin", "weights.csv"):
+            assert (tmp_path / "f4" / name).read_bytes() == (
+                tmp_path / "f8" / name
+            ).read_bytes(), name
+        retrieved = load_embeddings(tmp_path / "f4" / "retrieved.bin")
+        assert retrieved.data.dtype == np.float64
+
+
+# VmHWM is the kernel's exact high-water mark of this process image's RSS;
+# ``ru_maxrss`` would also count the forking test process.
+_PEAK_RSS_MIB = (
+    "int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]) / 1024"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_peak_memory_is_the_prior_plus_chunks(tmp_path):
+    """``score --method nn`` and ``retrieve`` on a float32 prior peak below the
+    import baseline plus 1.3x the file: the prior as stored, O(chunk) per
+    worker, then score, selection and retrieved-row vectors."""
+    rows, dim = 400_000, 128
+    rng = np.random.default_rng(29)
+    prior = tmp_path / "prior.bin"
+    with open(prior, "wb") as fh:  # written in blocks to keep this process small
+        fh.write(struct.pack("<4sHBQI", b"IWRE", 1, 0, rows, dim))
+        for start in range(0, rows, 16384):
+            block = rng.standard_normal((min(16384, rows - start), dim))
+            fh.write(block.astype("<f4").tobytes())
+    write_container(tmp_path / "target.bin", rng.standard_normal((200, dim)), "<f4")
+    env = dict(os.environ, PYTHONPATH=str(Path(iwre.__file__).resolve().parents[1]))
+
+    def peak_mib(code, *args):
+        done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                              check=True, capture_output=True, text=True, timeout=300)
+        return float(done.stdout.split()[-1])
+
+    baseline = peak_mib(f"import iwre.cli; print({_PEAK_RSS_MIB})")
+    bound = baseline + 1.3 * prior.stat().st_size / 2**20
+    cli = (
+        "import sys, iwre.cli\n"
+        "rc = iwre.cli.main(sys.argv[1:])\n"
+        f"print({_PEAK_RSS_MIB})\n"
+        "sys.exit(rc)\n"
+    )
+    data = ["--target", tmp_path / "target.bin", "--prior", prior]
+    out = tmp_path / "out"
+    score = peak_mib(cli, "score", "--method", "nn", "--threads", 2, *data,
+                     "--out", out)
+    retrieve = peak_mib(cli, "retrieve", "--scores", out / "scores.bin", *data,
+                        "--fraction", 0.1, "--out", out)
+    assert score < bound and retrieve < bound, (baseline, bound, score, retrieve)

@@ -1,6 +1,7 @@
 """Dataset container, binary/CSV formats, and metadata sidecar."""
 
 import builtins
+import hashlib
 import io
 import os
 import struct
@@ -8,6 +9,7 @@ import struct
 import numpy as np
 import pytest
 
+from iwre import _validation, dataset
 from iwre.dataset import (
     FORMAT_VERSION,
     MAGIC,
@@ -19,6 +21,7 @@ from iwre.dataset import (
     pair_metadata,
     save_embeddings,
     save_metadata,
+    write_vector_file,
 )
 from iwre.errors import ValidationError
 
@@ -98,13 +101,25 @@ class TestBinaryFormat:
         save_embeddings(load_embeddings(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_float32_payload_widened(self, tmp_path):
-        values = np.arange(6, dtype="<f4")
+    def test_float32_payload_kept(self, tmp_path):
+        values = np.array([0.1, -2.5, 3e-7, 1e30, -0.0, 6], dtype="<f4")
         path = tmp_path / "f32.bin"
         write_raw(path, dtype_code=0, rows=2, dim=3, payload=values.tobytes())
         ds = load_embeddings(path)
-        assert ds.data.dtype == np.float64
-        np.testing.assert_array_equal(ds.data, values.astype(np.float64).reshape(2, 3))
+        assert ds.data.dtype == np.float32 and not ds.data.flags.writeable
+        assert ds.data.flags.c_contiguous and ds.data.flags.aligned
+        np.testing.assert_array_equal(
+            ds.data.astype(np.float64), values.astype(np.float64).reshape(2, 3)
+        )
+
+    def test_payload_read_in_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataset, "_READ_BLOCK", 40)  # blocks split rows
+        values = np.random.default_rng(5).standard_normal((7, 3))
+        path = tmp_path / "blocks.bin"
+        write_raw(path, rows=7, dim=3, payload=values.astype("<f8").tobytes())
+        ds = load_embeddings(path)
+        assert ds.data.tobytes() == values.tobytes()
+        assert ds.source_id == content_id(path.read_bytes())
 
     def test_payload_length_mismatch(self, tmp_path):
         payload = np.zeros(9, dtype="<f8").tobytes()  # 3 rows of d=3
@@ -169,6 +184,16 @@ class TestBinaryFormat:
         assert exc.value.code == "non_finite"
         assert str(path) in str(exc.value) and "row 1" in str(exc.value)
 
+    def test_non_finite_float32_payload(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_validation, "_FINITE_BLOCK_ELEMS", 4)  # 2-row blocks
+        values = np.zeros((5, 2), dtype="<f4")
+        values[3, 0] = -np.inf
+        path = tmp_path / "inf32.bin"
+        write_raw(path, dtype_code=0, rows=5, dim=2, payload=values.tobytes())
+        with pytest.raises(ValidationError) as exc:
+            load_embeddings(path)
+        assert exc.value.code == "non_finite" and "row 3" in str(exc.value)
+
 
 class TestCsvFormat:
     def test_direct_parse(self, tmp_path):
@@ -205,6 +230,19 @@ class TestCsvFormat:
         with pytest.raises(ValidationError) as exc:
             load_embeddings(path, format="csv")
         assert exc.value.code == "malformed_value" and str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("bad, code", [
+        ("2,nan", "non_finite"),
+        ("2,abc", "malformed_value"),
+        ("2,3,4", "dim_mismatch"),
+    ])
+    def test_errors_name_the_same_line(self, tmp_path, bad, code):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,1\n\n{bad}\n")
+        with pytest.raises(ValidationError) as exc:
+            load_embeddings(path, format="csv")
+        assert exc.value.code == code
+        assert str(path) in str(exc.value) and "line 3 (row 1)" in str(exc.value)
 
     def test_nan_token_rejected(self, tmp_path):
         path = tmp_path / "n.csv"
@@ -316,6 +354,31 @@ class TestLoadReadsOnce:
         path = tmp_path / "e.csv"
         path.write_text("1,1\n1,1\n")
         assert self._opens(path, monkeypatch, format="csv") == 1
+
+
+class TestCopyFreeBytes:
+    """Hashing and writing use an array's buffer; bytes are unchanged."""
+
+    ARRAYS = {
+        "contiguous": lambda rng: rng.standard_normal((6, 4)),
+        "transposed": lambda rng: rng.standard_normal((4, 6)).T,
+        "strided": lambda rng: rng.standard_normal((12, 8))[::2, 1:5],
+        "float32": lambda rng: rng.standard_normal((6, 4)).astype(np.float32),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ARRAYS))
+    def test_content_id_hashes_tobytes(self, case):
+        arr = self.ARRAYS[case](np.random.default_rng(8))
+        want = "sha256:" + hashlib.sha256(arr.tobytes()).hexdigest()[:16]
+        assert content_id(arr) == want
+
+    @pytest.mark.parametrize("case", sorted(ARRAYS))
+    def test_written_bytes(self, tmp_path, case):
+        arr = self.ARRAYS[case](np.random.default_rng(9))
+        path = tmp_path / "w.bin"
+        write_vector_file(arr, path)
+        want = HEADER.pack(MAGIC, FORMAT_VERSION, 1, *arr.shape)
+        assert path.read_bytes() == want + arr.astype("<f8").tobytes()
 
 
 class TestRoundTripProperty:

@@ -1,5 +1,7 @@
 """Property tests of the kernel engine behind all four scoring rules."""
 
+import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -155,7 +157,7 @@ def shifted_reference(kde, queries, exclude=None):
         log_count[exclude >= 0] = np.log(kde.count_ - 1)
     out = np.empty(len(queries))
     for rows, _, expo in kde_module._kernel_exponents(
-        queries, kde._whiten, kde._support_aug, exclude
+        queries, kde._center, kde._support_aug, kde._whitener, exclude
     ):
         out[rows] = kde_module._logsumexp(expo, axis=1)
     return kde.log_norm_ + out - log_count
@@ -218,7 +220,7 @@ class TestShiftFree:
 
         def row_max(queries):
             (_, _, expo), = kde_module._kernel_exponents(
-                queries, kde._whiten, kde._support_aug
+                queries, kde._center, kde._support_aug, kde._whitener
             )
             return expo.max(axis=1)
 
@@ -261,6 +263,50 @@ class TestShiftFree:
         wide = fit_kde(rng.standard_normal((50, 768)))
         wide.score_samples(rng.standard_normal((3000, 768)))
         assert len(chunks) > 1 and shifted == chunks
+
+
+class TestFloat32Queries:
+    """Float32 rows are widened exactly, chunk by chunk: the results are the
+    bits of the widened float64 rows."""
+
+    @PROPERTY
+    @given(grid_problem())
+    def test_nearest_sq_dists(self, problem):
+        target, prior = problem
+        prior32 = prior.astype(np.float32)
+        want = kde_module.nearest_sq_dists(prior32.astype(np.float64), target)
+        assert np.array_equal(kde_module.nearest_sq_dists(prior32, target), want)
+
+    @PROPERTY
+    @given(kde_problem())
+    def test_score_samples(self, problem):
+        kde, queries, rng = problem
+        q32 = queries.astype(np.float32)
+        exclude = rng.integers(-1, kde.count_, len(queries))
+        for ex in (None, exclude):
+            want = kde.score_samples(q32.astype(np.float64), exclude=ex)
+            assert np.array_equal(kde.score_samples(q32, exclude=ex), want)
+
+    @pytest.mark.parametrize("method", ["nn", "kde"])
+    def test_job_memory_is_one_chunk(self, method):
+        # One 8192-row scoring job of a float32 prior at d=256 (nn: the
+        # nn_wide shape): every temporary, query widening included, fits the
+        # engine's budget.
+        rng = np.random.default_rng(0)
+        prior = rng.standard_normal((8192, 256)).astype(np.float32)
+        if method == "nn":
+            target = rng.standard_normal((128, 256))
+            job = partial(kde_module.nearest_sq_dists, prior, target)
+        else:
+            kde = fit_kde(rng.standard_normal((512, 256)))
+            job = partial(kde.score_samples, prior)
+        tracemalloc.start()
+        try:
+            job()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * kde_module._CHUNK_ELEMS * 8
 
 
 class TestScoringThreads:
