@@ -9,8 +9,11 @@ pipelines and ``clone``.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +106,44 @@ def check_count(value, name: str, minimum: int = 1) -> int:
 def check_threads(value) -> int | None:
     """A worker-thread count: a positive integer, or ``None`` for the default."""
     return None if value is None else check_count(value, "threads")
+
+
+@functools.cache
+def field_types(cls) -> dict:
+    """``{name: (type, admits None)}`` of a dataclass's fields, resolved once."""
+    hints = typing.get_type_hints(cls)
+    types = {}
+    for f in fields(cls):
+        args = typing.get_args(hints[f.name])
+        kinds = [a for a in args if a is not type(None)]
+        types[f.name] = (kinds[0] if kinds else hints[f.name], len(kinds) < len(args))
+    return types
+
+
+def coerce_fields(obj, what: str) -> None:
+    """Convert each field of the dataclass ``obj`` to its annotated type.
+
+    A value is refused with ``bad_param`` when conversion fails or would
+    change it (``1.5`` or ``"4"`` for an int, ``7`` for a str), when it is
+    a bool given for a number, or when it is ``None`` for a field that does
+    not admit ``None``. Fixed types keep fingerprints and outputs
+    independent of how a value was given.
+    """
+    for name, (kind, nullable) in field_types(type(obj)).items():
+        value = getattr(obj, name)
+        if value is None and nullable:
+            continue
+        try:
+            converted = kind(value)
+            valid = converted == value and (kind is bool or not isinstance(value, bool))
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise ValidationError(
+                f"bad {what} {name}={value!r}: expected {kind.__name__}",
+                code="bad_param",
+            )
+        object.__setattr__(obj, name, converted)
 
 
 def read_json_object(path, code: str, required=()) -> dict:

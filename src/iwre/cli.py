@@ -1,9 +1,14 @@
 """Command-line pipeline: score, retrieve, sweep, analyze, synth.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O
-failure. Options may also come from a JSON config file (``--config``);
-explicit flags override file values. All outputs are deterministic
-functions of the inputs and configuration, so reruns are byte-identical.
+Every option is declared once, as a :class:`RunConfig` field: the field
+gives the flag (``--bandwidth-scale``), the config-file key
+(``bandwidth_scale``) and the type both are converted to. Options may come
+from a JSON config file (``--config``); flags override file values, and a
+JSON ``null`` means "not given". Scoring defaults are
+:class:`~iwre.scoring.ScoringConfig`'s. File formats are written by the
+modules that own them. Exit codes: 0 success, 2 validation error, 3
+numerical failure, 4 I/O failure. All outputs are deterministic functions
+of the inputs and configuration, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -11,11 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
-from ._validation import read_json_object
+from ._validation import coerce_fields, field_types, read_json_object
 from .analysis import (
     emit_report,
     load_labels,
@@ -41,20 +46,14 @@ from .retrieval import (
     select_by_fraction,
     select_by_threshold,
 )
-from .scoring import (
-    FINGERPRINT_SCHEME,
-    ScoreMethod,
-    ScoreVector,
-    ScoringConfig,
-    load_scores,
-    save_scores,
-)
+from .scoring import ScoreMethod, ScoreVector, ScoringConfig, load_scores, save_scores
 from .synthbench import (
     SCENARIO_IDS,
     evaluate_retrieval,
     generate,
     make_scenario,
     row_relevance,
+    save_oracle,
 )
 
 _METHOD_ALIASES = {
@@ -68,43 +67,58 @@ _METHOD_ALIASES = {
 _RUN_NAMES = {"scale_c": "bandwidth_scale", "temperature": "lse_temp"}
 
 
+def _flag(**options):
+    """A field that is not given by default, with extra ``add_argument`` options."""
+    return field(default=None, metadata=options)
+
+
 @dataclass
 class RunConfig:
-    """Resolved command configuration (flags over config file over defaults)."""
+    """Command configuration: flags over config file over defaults.
 
-    method: str = "iwr"
-    bandwidth_scale: float = 4.0
+    Each field is one option, ``--name-with-dashes`` on the command line and
+    ``name`` in a config file, converted to the field's type either way.
+    ``None`` means "not given". The scoring fields (``method`` to
+    ``leave_self_out``) then take :class:`ScoringConfig`'s defaults, or the
+    values stored in a score sidecar. ``leave_self_out`` is config-only.
+    """
+
+    method: Optional[str] = _flag(choices=sorted(_METHOD_ALIASES))
+    bandwidth_scale: Optional[float] = None
     lse_temp: Optional[float] = None
     batch_size: Optional[int] = None
-    num_batches: int = 8
+    num_batches: Optional[int] = None
     seed: Optional[int] = None
+    leave_self_out: Optional[bool] = None
+    threads: Optional[int] = None
+    out: Optional[str] = None
+    target: Optional[str] = _flag(help="target embeddings (.bin or .csv)")
+    prior: Optional[str] = _flag(help="prior embeddings (.bin or .csv)")
+    scores: Optional[str] = _flag(help="score file written by the score command")
+    meta: Optional[str] = _flag(help="prior metadata sidecar CSV")
+    labels: Optional[str] = _flag(help="JSON task->relevance map")
+    manifest: Optional[str] = None
     fraction: Optional[float] = None
     threshold: Optional[float] = None
     alpha: float = 0.5
     bins: int = 10
-    threads: Optional[int] = None
-    target: Optional[str] = None
-    prior: Optional[str] = None
-    meta: Optional[str] = None
-    labels: Optional[str] = None
-    scores: Optional[str] = None
-    manifest: Optional[str] = None
-    out: Optional[str] = None
-    fractions: Optional[str] = None
-    bandwidth_scales: Optional[str] = None
-    scenario: Optional[str] = None
+    fractions: Optional[str] = _flag(help="comma-separated fractions")
+    bandwidth_scales: Optional[str] = _flag(
+        help="comma-separated bandwidth scales (scores computed per scale)"
+    )
+    scenario: Optional[str] = _flag(choices=SCENARIO_IDS)
     n_target: Optional[int] = None
     n_prior: Optional[int] = None
-    leave_self_out: bool = False
-    explicit: frozenset = frozenset()
+
+    def __post_init__(self):
+        coerce_fields(self, "option")
 
     @classmethod
     def resolve(cls, args: argparse.Namespace) -> "RunConfig":
-        names = {f.name for f in fields(cls)} - {"explicit"}
+        names = {f.name for f in fields(cls)}
         values = {}
-        config_path = getattr(args, "config", None)
-        if config_path:
-            path = Path(config_path)
+        if args.config:
+            path = Path(args.config)
             if not path.exists():
                 raise ValidationError(
                     f"config file {path} does not exist", code="missing_input"
@@ -115,11 +129,8 @@ class RunConfig:
                 raise ValidationError(
                     f"unknown config file keys: {sorted(unknown)}", code="bad_config"
                 )
-        for key in names:
-            flag_value = getattr(args, key, None)
-            if flag_value is not None:
-                values[key] = flag_value
-        return cls(**values, explicit=frozenset(values))
+        values.update((k, v) for k, v in vars(args).items() if v is not None)
+        return cls(**{k: v for k, v in values.items() if k in names and v is not None})
 
     def require_paths(self, *names: str) -> None:
         for name in names:
@@ -132,33 +143,31 @@ class RunConfig:
                     code="missing_input",
                 )
 
-    def selection_rule(self) -> tuple[str, float]:
+    def selection_rule(self):
+        """The selection of ``--fraction`` or ``--threshold``, applied to scores."""
         if (self.fraction is None) == (self.threshold is None):
             raise ValidationError(
                 "exactly one of --fraction or --threshold must be set",
                 code="bad_selection_rule",
             )
         if self.fraction is not None:
-            return "fraction", float(self.fraction)
-        return "threshold", float(self.threshold)
+            return lambda scores: select_by_fraction(scores, self.fraction)
+        return lambda scores: select_by_threshold(scores, self.threshold)
 
     def scoring(self, stored: Optional[ScoringConfig] = None) -> ScoringConfig:
-        """The scoring configuration; over ``stored``, only explicit values apply."""
-        if self.method not in _METHOD_ALIASES:
-            raise ValidationError(
-                f"unknown method {self.method!r}; expected one of "
-                f"{sorted(_METHOD_ALIASES)}",
-                code="bad_method",
-            )
+        """The given scoring values over ``stored``, else over the defaults."""
         names = {f.name: _RUN_NAMES.get(f.name, f.name) for f in fields(ScoringConfig)}
-        values = {
-            field: getattr(self, name)
-            for field, name in names.items()
-            if stored is None or name in self.explicit
-        }
-        if "method" in values:
-            values["method"] = _METHOD_ALIASES[self.method]
-        return replace(stored, **values) if stored else ScoringConfig(**values)
+        given = {f: getattr(self, n) for f, n in names.items()}
+        given = {f: v for f, v in given.items() if v is not None}
+        if "method" in given:
+            if self.method not in _METHOD_ALIASES:
+                raise ValidationError(
+                    f"unknown method {self.method!r}; expected one of "
+                    f"{sorted(_METHOD_ALIASES)}",
+                    code="bad_method",
+                )
+            given["method"] = _METHOD_ALIASES[self.method]
+        return replace(stored or ScoringConfig(), **given)
 
     def out_dir(self) -> Path:
         if self.out is None:
@@ -175,7 +184,7 @@ def _load_dataset(path: str) -> EmbeddingDataset:
 
 def _float_list(text: str, flag: str) -> list[float]:
     try:
-        values = [float(part) for part in str(text).split(",") if part.strip() != ""]
+        values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise ValidationError(f"bad value in {flag}: {exc}", code="bad_param") from exc
     if not values:
@@ -185,34 +194,9 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 def _score_and_save(scoring, target, prior, threads, path) -> ScoreVector:
     """Score and write the scores with the resolved config as sidecar params."""
-    resolved = scoring.resolve(target, prior)
-    scores = resolved.score(target, prior, threads)
-    params = {
-        **asdict(resolved),
-        "method": resolved.method.value,
-        "fingerprint_scheme": FINGERPRINT_SCHEME,
-        "target_source_id": target.source_id,
-        "prior_source_id": prior.source_id,
-    }
-    save_scores(scores, path, params)
+    scores = scoring.score(target, prior, threads)
+    save_scores(scores, path, scoring.sidecar_params(target, prior))
     return scores
-
-
-def _stored_scoring(sidecar: dict, path) -> ScoringConfig:
-    """Rebuild the scoring configuration recorded in a score sidecar."""
-    params = sidecar["params"]
-    scheme = params.get("fingerprint_scheme") if isinstance(params, dict) else None
-    if scheme != FINGERPRINT_SCHEME:
-        raise ValidationError(
-            f"{path} was written under another fingerprint scheme; "
-            "rescore it with `iwre score`",
-            code="bad_sidecar",
-        )
-    names = [f.name for f in fields(ScoringConfig)]
-    missing = [name for name in names if name not in params]
-    if missing:
-        raise ValidationError(f"{path}: params lack {missing}", code="bad_sidecar")
-    return ScoringConfig(**{name: params[name] for name in names})
 
 
 # -- commands -----------------------------------------------------------------
@@ -233,7 +217,7 @@ def cmd_score(cfg: RunConfig) -> int:
 
 def cmd_retrieve(cfg: RunConfig) -> int:
     cfg.require_paths("target", "prior", "scores")
-    rule, param = cfg.selection_rule()
+    select = cfg.selection_rule()
     out = cfg.out_dir()
     scores, sidecar = load_scores(cfg.scores)
     target = _load_dataset(cfg.target)
@@ -243,7 +227,7 @@ def cmd_retrieve(cfg: RunConfig) -> int:
             f"score file has {len(scores)} rows but prior has {prior.rows}",
             code="row_count_mismatch",
         )
-    scoring = cfg.scoring(_stored_scoring(sidecar, cfg.scores))
+    scoring = cfg.scoring(ScoringConfig.from_sidecar(sidecar, cfg.scores))
     fingerprint = scoring.fingerprint(target, prior)
     if fingerprint != scores.config_fingerprint:
         raise ValidationError(
@@ -252,11 +236,7 @@ def cmd_retrieve(cfg: RunConfig) -> int:
             f"{scores.config_fingerprint}",
             code="fingerprint_mismatch",
         )
-    manifest = (
-        select_by_fraction(scores, param)
-        if rule == "fraction"
-        else select_by_threshold(scores, param)
-    )
+    manifest = select(scores)
     meta = None
     if cfg.meta:
         meta = pair_metadata(prior, load_metadata(cfg.meta))
@@ -277,10 +257,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.fractions is None:
         raise ValidationError("--fractions is required for sweep", code="bad_param")
     fractions = _float_list(cfg.fractions, "--fractions")
+    base = cfg.scoring()
     scales = (
         _float_list(cfg.bandwidth_scales, "--bandwidth-scales")
         if cfg.bandwidth_scales is not None
-        else [float(cfg.bandwidth_scale)]
+        else [base.scale_c]
     )
     out = cfg.out_dir()
     target = _load_dataset(cfg.target)
@@ -292,8 +273,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         relevance = row_relevance(meta, load_labels(cfg.labels))
     summary = []
     for scale in scales:
-        scoring = replace(cfg.scoring(), scale_c=scale)
         path = out / f"scores_c{scale:g}.bin"
+        scoring = replace(base, scale_c=scale)
         scores = _score_and_save(scoring, target, prior, cfg.threads, path)
         for frac in fractions:
             manifest = select_by_fraction(scores, frac)
@@ -349,7 +330,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         histogram,
         out / "report.json",
         fingerprint=manifest.config_fingerprint,
-        method=cfg.method if "method" in cfg.explicit else "",
+        method=cfg.method or "",
         evaluation=evaluation,
         task_bins=crossed if any(m.task_label is not None for m in meta) else None,
     )
@@ -361,7 +342,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     if cfg.scenario is None:
         raise ValidationError("--scenario is required", code="missing_input")
     out = cfg.out_dir()
-    scenario = make_scenario(cfg.scenario, rng_seed=int(cfg.seed or 0))
+    scenario = make_scenario(cfg.scenario, rng_seed=cfg.seed or 0)
     data = generate(scenario, cfg.n_target, cfg.n_prior)
     save_embeddings(data.target, out / "target.bin")
     save_embeddings(data.prior, out / "prior.bin")
@@ -369,47 +350,25 @@ def cmd_synth(cfg: RunConfig) -> int:
     (out / "labels.json").write_text(
         json.dumps(data.task_relevance, sort_keys=True, indent=2) + "\n"
     )
-    oracle_payload = {
-        "scenario_id": scenario.scenario_id,
-        "dim": scenario.dim,
-        "rng_seed": scenario.rng_seed,
-        "n_target": data.target.rows,
-        "n_prior": data.prior.rows,
-        "component_names": list(scenario.prior_component_names),
-        "component_relevance": list(scenario.prior_component_relevance),
-        "target_mixture": _mixture_payload(scenario.target_mixture),
-        "prior_mixture": _mixture_payload(scenario.prior_mixture),
-    }
-    (out / "oracle.json").write_text(
-        json.dumps(oracle_payload, sort_keys=True, indent=2) + "\n"
-    )
+    save_oracle(scenario, data, out / "oracle.json")
     print(f"wrote fixtures for {scenario.scenario_id} to {out}")
     return 0
 
 
-def _mixture_payload(mixture) -> dict:
-    return {
-        "weights": [float(w) for w in mixture.weights],
-        "means": [[float(v) for v in row] for row in mixture.means],
-        "covariances": [
-            [[float(v) for v in row] for row in cov] for cov in mixture.covariances
-        ],
-    }
-
-
 # -- argument parsing -----------------------------------------------------------
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--method", choices=sorted(_METHOD_ALIASES))
-    parser.add_argument("--bandwidth-scale", dest="bandwidth_scale", type=float)
-    parser.add_argument("--lse-temp", dest="lse_temp", type=float)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--num-batches", dest="num_batches", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--threads", type=int)
-    parser.add_argument("--out")
+# The RunConfig fields every subcommand takes as flags, then each
+# subcommand's help and own fields, in --help order.
+_COMMON = "method bandwidth_scale lse_temp batch_size num_batches seed threads out"
+_COMMANDS = {
+    "score": ("score every prior row", "target prior"),
+    "retrieve": ("select rows from scored prior",
+                 "target prior scores meta fraction threshold alpha"),
+    "sweep": ("score once, select many fractions",
+              "target prior meta labels fractions bandwidth_scales"),
+    "analyze": ("task/timestep report for a manifest", "manifest meta labels bins"),
+    "synth": ("write synthetic benchmark fixtures", "scenario n_target n_prior"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,53 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Score, retrieve and analyze embedding datasets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_score = sub.add_parser("score", help="score every prior row")
-    _add_common(p_score)
-    p_score.add_argument("--target", help="target embeddings (.bin or .csv)")
-    p_score.add_argument("--prior", help="prior embeddings (.bin or .csv)")
-    p_score.set_defaults(func=cmd_score)
-
-    p_ret = sub.add_parser("retrieve", help="select rows from scored prior")
-    _add_common(p_ret)
-    p_ret.add_argument("--target")
-    p_ret.add_argument("--prior")
-    p_ret.add_argument("--scores", help="score file written by the score command")
-    p_ret.add_argument("--meta", help="prior metadata sidecar CSV")
-    p_ret.add_argument("--fraction", type=float)
-    p_ret.add_argument("--threshold", type=float)
-    p_ret.add_argument("--alpha", type=float)
-    p_ret.set_defaults(func=cmd_retrieve)
-
-    p_sweep = sub.add_parser("sweep", help="score once, select many fractions")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--target")
-    p_sweep.add_argument("--prior")
-    p_sweep.add_argument("--meta")
-    p_sweep.add_argument("--labels", help="JSON task->relevance map")
-    p_sweep.add_argument("--fractions", help="comma-separated fractions")
-    p_sweep.add_argument(
-        "--bandwidth-scales",
-        dest="bandwidth_scales",
-        help="comma-separated bandwidth scales (scores computed per scale)",
-    )
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_an = sub.add_parser("analyze", help="task/timestep report for a manifest")
-    _add_common(p_an)
-    p_an.add_argument("--manifest")
-    p_an.add_argument("--meta")
-    p_an.add_argument("--labels")
-    p_an.add_argument("--bins", type=int)
-    p_an.set_defaults(func=cmd_analyze)
-
-    p_synth = sub.add_parser("synth", help="write synthetic benchmark fixtures")
-    _add_common(p_synth)
-    p_synth.add_argument("--scenario", choices=SCENARIO_IDS)
-    p_synth.add_argument("--n-target", dest="n_target", type=int)
-    p_synth.add_argument("--n-prior", dest="n_prior", type=int)
-    p_synth.set_defaults(func=cmd_synth)
-
+    options = {f.name: f.metadata for f in fields(RunConfig)}
+    types = field_types(RunConfig)
+    for command, (help_text, own) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for name in f"{_COMMON} {own}".split():
+            flag = "--" + name.replace("_", "-")
+            p.add_argument(flag, dest=name, type=types[name][0], **options[name])
+        # Looked up here, not at import, so a wrapped cmd_* is the one run.
+        p.set_defaults(func=globals()[f"cmd_{command}"])
     return parser
 
 

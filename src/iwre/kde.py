@@ -349,17 +349,18 @@ def _kernel_exponents(
     are centred, straight into float64 buffers, so no temporary the size of
     ``queries`` is formed. ``aug`` and ``expo`` are views of two buffers
     that the next chunk overwrites; the caller may use them as scratch
-    until then. Chunks hold ``_CHUNK_ELEMS // (m + k + extra)`` rows:
-    ``extra`` counts the caller's own temporaries per row. Whitening centres
-    the rows in the exponent buffer, which grows to ``d`` columns when the
-    support has fewer rows (``m < d``).
+    until then. Chunks hold ``_CHUNK_ELEMS // (cols + k + extra)`` rows:
+    ``extra`` counts the caller's own temporaries per row. The exponent
+    buffer has ``cols = m`` columns, or ``max(m, d)`` when whitening, which
+    centres the rows in it.
     """
     n = queries.shape[0]
     m, k = support_aug.shape
     d = k - 2
-    step = max(1, min(n, _CHUNK_ELEMS // (m + k + extra)))
+    cols = m if whitener is None else max(m, d)
+    step = max(1, min(n, _CHUNK_ELEMS // (cols + k + extra)))
     aug_buf = np.ones((step, k))
-    expo_buf = np.empty(step * (m if whitener is None else max(m, d)))
+    expo_buf = np.empty(step * cols)
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
         count = rows.stop - start

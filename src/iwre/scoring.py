@@ -34,7 +34,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
@@ -47,6 +47,7 @@ from ._validation import (
     check_positive,
     check_threads,
     check_vector,
+    coerce_fields,
     read_json_object,
 )
 from .dataset import (
@@ -197,7 +198,6 @@ def score_lse(
     prior,
     temperature_h: float | None = None,
     *,
-    bandwidth: BandwidthSpec | None = None,
     threads: int | None = 1,
 ) -> ScoreVector:
     """Soft-maximum score ``(1/h^2) * log(sum_j exp(-||p - t_j||^2 / h^2))``.
@@ -207,15 +207,15 @@ def score_lse(
     so a threshold on it means something different at each temperature.
 
     When ``temperature_h`` is omitted it defaults to the Scott-rule
-    bandwidth of the target dataset (using ``bandwidth``, default scale 4),
-    which keeps the smoothing comparable to the target KDE.
+    bandwidth of the target dataset at the default scale (4), which keeps
+    the smoothing comparable to the target KDE.
     """
     target = _as_dataset(target)
     prior = _as_dataset(prior)
     _check_dims(target.dim, prior)
     if temperature_h is None:
-        spec = bandwidth or BandwidthSpec()
-        temperature_h = scott_bandwidth(spec.scale_c, target.rows, target.dim)
+        scale_c = BandwidthSpec().scale_c
+        temperature_h = scott_bandwidth(scale_c, target.rows, target.dim)
     temperature_h = check_positive(temperature_h, "temperature_h")
     inv_h2 = 1.0 / (temperature_h * temperature_h)
     # The log-density of the isotropic KDE with kernel covariance (h^2/2) I
@@ -339,9 +339,6 @@ _METHOD_FIELDS = {
     ScoreMethod.IWR: ("scale_c", "batch_size", "num_batches", "seed", "leave_self_out"),
 }
 
-# Types of the fields that default to None; the others take their default's.
-_OPTIONAL_TYPES = {"temperature": float, "batch_size": int, "seed": int}
-
 
 @dataclass(frozen=True)
 class ScoringConfig:
@@ -349,7 +346,8 @@ class ScoringConfig:
 
     ``temperature`` (lse) and ``batch_size`` (iwr) may stay ``None``; they
     are filled in from the data by :meth:`resolve`. Fields a method does
-    not read are kept but ignored.
+    not read are kept but ignored. A score file's sidecar records the
+    resolved configuration (:meth:`sidecar_params`, :meth:`from_sidecar`).
     """
 
     method: ScoreMethod = ScoreMethod.IWR
@@ -361,20 +359,7 @@ class ScoringConfig:
     leave_self_out: bool = False
 
     def __post_init__(self):
-        # Fixed types keep the fingerprint independent of how a value was given.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.default is None:
-                continue
-            try:
-                converted = _OPTIONAL_TYPES.get(f.name, type(f.default))(value)
-                if converted != value:
-                    raise ValueError(value)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(
-                    f"bad scoring parameter {f.name}={value!r}", code="bad_param"
-                ) from exc
-            object.__setattr__(self, f.name, converted)
+        coerce_fields(self, "scoring parameter")
 
     def resolve(self, target, prior) -> "ScoringConfig":
         """Default the lse temperature to the target's Scott bandwidth and the
@@ -440,6 +425,37 @@ class ScoringConfig:
         return ScoreVector(
             scores.values, cfg.method, fingerprint, prior.source_id, target.source_id
         )
+
+    def sidecar_params(self, target, prior) -> dict:
+        """A score sidecar's ``params``: the resolved fields, the fingerprint
+        scheme and both source ids."""
+        target, prior = _as_dataset(target), _as_dataset(prior)
+        cfg = self.resolve(target, prior)
+        return {
+            **asdict(cfg),
+            "method": cfg.method.value,
+            "fingerprint_scheme": FINGERPRINT_SCHEME,
+            "target_source_id": target.source_id,
+            "prior_source_id": prior.source_id,
+        }
+
+    @classmethod
+    def from_sidecar(cls, sidecar: dict, path) -> "ScoringConfig":
+        """The configuration a score sidecar records; ``path`` names it in
+        errors. A sidecar of another fingerprint scheme is refused."""
+        params = sidecar["params"]
+        scheme = params.get("fingerprint_scheme") if isinstance(params, dict) else None
+        if scheme != FINGERPRINT_SCHEME:
+            raise ValidationError(
+                f"{path} was written under another fingerprint scheme; "
+                "rescore it with `iwre score`",
+                code="bad_sidecar",
+            )
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in params]
+        if missing:
+            raise ValidationError(f"{path}: params lack {missing}", code="bad_sidecar")
+        return cls(**{name: params[name] for name in names})
 
 
 # -- persistence --------------------------------------------------------------

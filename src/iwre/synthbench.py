@@ -8,12 +8,9 @@ quantitatively without real robot data:
     1-D narrow target inside a broad prior; the analytic density ratio is
     available in closed form (exactly 2 at the origin).
 ``fig2_toy``
-    A deterministic two-probe geometry where nearest-neighbor and
-    density-based rankings provably disagree: one probe sits centrally
-    among a tight arc of target points, the other hugs a single outlying
-    target. The constructor searches a small parameter family and freezes
-    the first configuration where the rank reversal holds under the actual
-    scorers.
+    A fixed two-probe geometry where nearest-neighbor and density-based
+    rankings disagree: one probe sits centrally among a tight arc of
+    target points, the other hugs a single outlying target.
 ``cluster_bias``
     A prior dominated by a dense distractor cluster on the target fringe;
     importance weighting must discount it while nearest-neighbor retrieval
@@ -22,7 +19,6 @@ quantitatively without real robot data:
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +31,7 @@ from .dataset import EmbeddingDataset, RowMetadata
 from .errors import ValidationError
 from .kde import LOG_2PI, _logsumexp
 from .retrieval import RetrievalManifest
-from .scoring import ScoreMethod, ScoreVector, ScoringConfig
+from .scoring import ScoreMethod, ScoreVector
 
 SCENARIO_IDS = ("fig2_toy", "gaussian_ratio", "cluster_bias")
 
@@ -175,44 +171,20 @@ class SyntheticData:
 # -- fig2_toy geometry --------------------------------------------------------
 
 
-@functools.cache
 def _fig2_geometry():
-    """Search a small family for the frozen rank-reversal fixture.
+    """The rank-reversal fixture: (target points, probe points).
 
-    Returns (target points, probe points) where probe 0 sits centrally
-    among an 11-point target arc and probe 1 sits next to a single outlying
-    target. The first grid configuration for which nearest-neighbor
-    scoring prefers the isolated probe while KDE, soft-max and importance
-    weight scoring all prefer the central probe is frozen.
+    Probe 0 sits at the centre of an 11-point unit-radius target arc; probe
+    1 sits 0.35 beyond a single outlying target at distance 6. Nearest
+    neighbor scoring prefers probe 1, while KDE, soft-max and importance
+    weight scoring prefer probe 0 (acceptance criteria 03 and 04).
     """
-    n_arc = 11
+    n_arc, outlier_dist = 11, 6.0
     angles = np.linspace(0.0, 2.0 * np.pi * (n_arc / (n_arc + 1)), n_arc)
-    for outlier_dist in (6.0, 8.0, 10.0):
-        for radius in (1.0, 0.75, 1.25, 1.5):
-            for probe_offset in (0.35, 0.25, 0.5, 0.15):
-                offset = probe_offset * radius
-                arc = radius * np.column_stack([np.cos(angles), np.sin(angles)])
-                target = np.vstack([arc, [[outlier_dist, 0.0]]])
-                probes = np.array(
-                    [[0.0, 0.0], [outlier_dist + offset, 0.0]], dtype=np.float64
-                )
-                if _fig2_reversal_holds(target, probes):
-                    return target, probes
-    raise AssertionError("no fig2_toy configuration satisfied the rank reversal")
-
-
-def _fig2_reversal_holds(target: np.ndarray, probes: np.ndarray) -> bool:
-    target_ds = EmbeddingDataset(target, source_id="fig2:target")
-    probes_ds = EmbeddingDataset(probes, source_id="fig2:probes")
-    # ScoreMethod lists nn_l2 first: the isolated probe (1) must win under
-    # nearest neighbor, the central probe (0) under every smoothed score.
-    nn, *smoothed = (
-        ScoringConfig(method, batch_size=2, num_batches=1, seed=0)
-        .score(target_ds, probes_ds)
-        .values
-        for method in ScoreMethod
-    )
-    return nn[1] > nn[0] and all(s[0] > s[1] for s in smoothed)
+    arc = np.column_stack([np.cos(angles), np.sin(angles)])
+    target = np.vstack([arc, [[outlier_dist, 0.0]]])
+    probes = np.array([[0.0, 0.0], [outlier_dist + 0.35, 0.0]])
+    return target, probes
 
 
 def fig2_probe_indices() -> tuple[int, int]:
@@ -346,6 +318,30 @@ def generate(
     )
     oracle = OracleDensities(scenario.target_mixture, scenario.prior_mixture)
     return SyntheticData(target, prior, metadata, relevance, oracle)
+
+
+def save_oracle(scenario: SyntheticScenario, data: SyntheticData, path) -> None:
+    """Write the scenario's exact mixtures and counts for :func:`load_oracle`."""
+
+    def mixture(m: GaussianMixture) -> dict:
+        return {
+            "weights": m.weights.tolist(),
+            "means": m.means.tolist(),
+            "covariances": m.covariances.tolist(),
+        }
+
+    payload = {
+        "scenario_id": scenario.scenario_id,
+        "dim": scenario.dim,
+        "rng_seed": scenario.rng_seed,
+        "n_target": data.target.rows,
+        "n_prior": data.prior.rows,
+        "component_names": list(scenario.prior_component_names),
+        "component_relevance": list(scenario.prior_component_relevance),
+        "target_mixture": mixture(data.oracle.target),
+        "prior_mixture": mixture(data.oracle.prior),
+    }
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def load_oracle(path) -> OracleDensities:

@@ -1,7 +1,10 @@
 """End-to-end CLI pipeline: synth, score, retrieve, sweep, analyze."""
 
+import argparse
 import json
 import os
+import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -11,7 +14,7 @@ import numpy as np
 import pytest
 
 import iwre
-from iwre.cli import main
+from iwre.cli import build_parser, main
 from iwre.dataset import EmbeddingDataset, load_embeddings, save_embeddings
 from iwre.errors import NumericalError
 from iwre.retrieval import load_manifest
@@ -296,6 +299,20 @@ MALFORMED = [
     for case, value in [("string", "4"), ("zero", 0), ("negative", -3),
                         ("float", 2.5)]
 ] + [
+] + [
+    # A config value that its option's type would change is refused.
+    (f"config_{case}", command, "config.json", _write(json.dumps(values)),
+     "bad_param")
+    for case, command, values in [
+        ("fraction_string", "retrieve", {"fraction": "abc"}),
+        ("alpha_string", "retrieve", {"fraction": 0.3, "alpha": "x"}),
+        ("threshold_list", "retrieve", {"threshold": [1]}),
+        ("meta_int", "retrieve", {"fraction": 0.3, "meta": 7}),
+        ("fraction_bool", "retrieve", {"fraction": True}),
+        ("seed_string", "synth", {"seed": "x"}),
+        ("seed_float", "synth", {"seed": 1.5}),
+    ]
+] + [
     ("sidecar_invalid_json", "retrieve", "scores.json", _write("{bad"),
      "bad_sidecar"),
     ("sidecar_missing_method", "retrieve", "scores.json",
@@ -332,20 +349,22 @@ class TestMalformedInputs:
         assert run("score", "--method", "nn", *data, "--out", out) == 0
         assert run("retrieve", "--scores", out / "scores.bin", *data,
                    "--fraction", 0.3, "--out", out) == 0
-        (out / "config.json").write_text("{}")
+        (out / "config.json").write_text('{"fraction": 0.3}')
         (out / "labels.json").write_text((fixtures / "labels.json").read_text())
         break_file(out / name)
         capsys.readouterr()
         labelled = ["--meta", fixtures / "prior_meta.csv",
                     "--labels", out / "labels.json", "--out", out]
+        config = ["--config", out / "config.json"]
         argv = {
-            "score": ["score", "--config", out / "config.json", *data,
-                      "--out", out],
-            "retrieve": ["retrieve", "--scores", out / "scores.bin", *data,
-                         "--fraction", 0.3, "--out", out],
+            "score": ["score", *config, *data, "--out", out],
+            "retrieve": ["retrieve", *config, "--scores", out / "scores.bin", *data,
+                         "--out", out],
             "analyze": ["analyze", "--manifest", out / "manifest.json", *labelled],
             "sweep": ["sweep", "--method", "nn", *data, "--fractions", 0.3,
                       *labelled],
+            "synth": ["synth", *config, "--scenario", "cluster_bias",
+                      "--n-target", 20, "--n-prior", 40, "--out", out / "synth"],
         }[command]
         assert run(*argv) == 2
         err = capsys.readouterr().err
@@ -390,6 +409,24 @@ class TestConfigFile:
         assert load_manifest(out / "manifest.json").size == 600
         assert run("retrieve", "--config", config, "--fraction", 0.1) == 0
         assert load_manifest(out / "manifest.json").size == 120
+
+    def test_null_means_not_given(self, fixtures, tmp_path):
+        out = tmp_path / "run"
+        data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
+        assert run("score", "--method", "iwr", "--seed", 5, *data, "--out", out) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": None, "alpha": None, "fraction": 0.3}))
+        # The stored seed and the default alpha apply.
+        assert run("retrieve", "--config", config, "--scores", out / "scores.bin",
+                   *data, "--out", out) == 0
+
+    def test_comma_list_key_must_be_a_string(self, fixtures, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fractions": 0.3}))
+        assert run("sweep", "--config", config, "--method", "nn",
+                   "--target", fixtures / "target.bin",
+                   "--prior", fixtures / "prior.bin", "--out", tmp_path) == 2
+        assert "error[bad_param]" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "config.json"
@@ -483,6 +520,88 @@ class TestAnalyzeAndDeterminism:
         for name in ("scores.bin", "scores.json", "manifest.json", "retrieved.bin",
                      "retrieved_meta.csv", "weights.csv", "report.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+_COMMON_OPTIONS = ["-h", "--help", "--config", "--method", "--bandwidth-scale",
+                   "--lse-temp", "--batch-size", "--num-batches", "--seed",
+                   "--threads", "--out"]
+
+
+def test_subcommand_option_strings():
+    """Each subcommand's option strings, in --help order."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: [s for action in parser._actions for s in action.option_strings]
+        for name, parser in sub.choices.items()
+    }
+    assert options == {
+        "score": [*_COMMON_OPTIONS, "--target", "--prior"],
+        "retrieve": [*_COMMON_OPTIONS, "--target", "--prior", "--scores", "--meta",
+                     "--fraction", "--threshold", "--alpha"],
+        "sweep": [*_COMMON_OPTIONS, "--target", "--prior", "--meta", "--labels",
+                  "--fractions", "--bandwidth-scales"],
+        "analyze": [*_COMMON_OPTIONS, "--manifest", "--meta", "--labels", "--bins"],
+        "synth": [*_COMMON_OPTIONS, "--scenario", "--n-target", "--n-prior"],
+    }
+
+
+def test_readme_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```bash\n(.*?)```", readme, re.S)
+    commands = [
+        shlex.split(line)[1:]
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("iwre ")
+    ]
+    assert len(commands) >= 5
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_outputs_match_golden_bytes(tmp_path):
+    """A small cluster_bias pipeline writes exactly the committed files, so a
+    change to any written format (score sidecar, manifest, weights, report,
+    sweep summary, oracle) shows here. The score bytes come from one GEMM
+    per chunk and were written with numpy's bundled OpenBLAS on x86-64."""
+    inputs = tmp_path / "in"
+    data = ["--target", inputs / "target.bin", "--prior", inputs / "prior.bin"]
+    labelled = ["--meta", inputs / "prior_meta.csv", "--labels", inputs / "labels.json"]
+    commands = [
+        ["synth", "--scenario", "cluster_bias", "--seed", 1, "--n-target", 20,
+         "--n-prior", 40, "--out", inputs],
+        ["score", "--method", "nn", *data, "--out", tmp_path / "nn"],
+        ["score", "--method", "iwr", "--seed", 2, "--batch-size", 16,
+         "--num-batches", 2, *data, "--out", tmp_path / "iwr"],
+        ["retrieve", "--scores", tmp_path / "iwr" / "scores.bin", *data,
+         "--meta", inputs / "prior_meta.csv", "--fraction", 0.25,
+         "--out", tmp_path / "ret"],
+        ["analyze", "--manifest", tmp_path / "ret" / "manifest.json", *labelled,
+         "--bins", 4, "--out", tmp_path / "an"],
+        ["sweep", "--method", "nn", *data, *labelled, "--fractions", "0.25,0.5",
+         "--out", tmp_path / "sw"],
+    ]
+    for argv in commands:
+        assert run(*argv) == 0, argv
+    written = {
+        "nn_scores.bin": tmp_path / "nn" / "scores.bin",
+        "nn_scores.json": tmp_path / "nn" / "scores.json",
+        "iwr_scores.bin": tmp_path / "iwr" / "scores.bin",
+        "iwr_scores.json": tmp_path / "iwr" / "scores.json",
+        "manifest.json": tmp_path / "ret" / "manifest.json",
+        "weights.csv": tmp_path / "ret" / "weights.csv",
+        "report.json": tmp_path / "an" / "report.json",
+        "summary.json": tmp_path / "sw" / "summary.json",
+        "oracle.json": inputs / "oracle.json",
+    }
+    assert sorted(written) == sorted(p.name for p in GOLDEN.iterdir())
+    for name, path in written.items():
+        assert path.read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_cli_import_loads_no_scipy():

@@ -287,18 +287,21 @@ class TestFloat32Queries:
             want = kde.score_samples(q32.astype(np.float64), exclude=ex)
             assert np.array_equal(kde.score_samples(q32, exclude=ex), want)
 
-    @pytest.mark.parametrize("method", ["nn", "kde"])
-    def test_job_memory_is_one_chunk(self, method):
+    @pytest.mark.parametrize("method,target_rows", [("nn", 128), ("kde", 512),
+                                                    ("kde", 128)],
+                             ids=["nn", "kde", "kde_fewer_rows_than_dims"])
+    def test_job_memory_is_one_chunk(self, method, target_rows):
         # One 8192-row scoring job of a float32 prior at d=256 (nn: the
         # nn_wide shape): every temporary, query widening included, fits the
-        # engine's budget.
+        # engine's budget, also for a whitened support with fewer rows than
+        # dimensions.
         rng = np.random.default_rng(0)
         prior = rng.standard_normal((8192, 256)).astype(np.float32)
         if method == "nn":
-            target = rng.standard_normal((128, 256))
+            target = rng.standard_normal((target_rows, 256))
             job = partial(kde_module.nearest_sq_dists, prior, target)
         else:
-            kde = fit_kde(rng.standard_normal((512, 256)))
+            kde = fit_kde(rng.standard_normal((target_rows, 256)))
             job = partial(kde.score_samples, prior)
         tracemalloc.start()
         try:
