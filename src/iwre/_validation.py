@@ -35,9 +35,7 @@ def first_non_finite_row(arr: np.ndarray) -> int | None:
     return None
 
 
-def check_matrix(
-    x, name: str = "data", *, min_rows: int = 1, keep_float32: bool = False
-) -> np.ndarray:
+def check_matrix(x, name: str = "data", *, keep_float32: bool = False) -> np.ndarray:
     """Coerce ``x`` to a finite, C-contiguous float64 matrix.
 
     With ``keep_float32`` a float32 array keeps its dtype, so a block of
@@ -54,10 +52,9 @@ def check_matrix(
         raise ValidationError(
             f"{name} must be a 2-D matrix, got ndim={arr.ndim}", code="bad_shape"
         )
-    if arr.shape[0] < min_rows or arr.shape[1] < 1:
+    if arr.size == 0:
         raise ValidationError(
-            f"{name} must have at least {min_rows} row(s) and 1 column, "
-            f"got shape {arr.shape}",
+            f"{name} must have at least 1 row and 1 column, got shape {arr.shape}",
             code="empty_dataset",
         )
     row = first_non_finite_row(arr)
@@ -144,6 +141,14 @@ def coerce_fields(obj, what: str) -> None:
                 code="bad_param",
             )
         object.__setattr__(obj, name, converted)
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as JSON with sorted keys, a 2-space indent and a
+    final newline. Streamed: ``dumps`` would hold every encoded chunk."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def read_json_object(path, code: str, required=()) -> dict:

@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._validation import check_count, read_json_object
+from ._validation import check_count, read_json_object, write_json
 from .dataset import RowMetadata
 from .errors import ValidationError
 from .retrieval import RetrievalManifest
@@ -62,15 +62,6 @@ class TimestepHistogram:
     normalized: np.ndarray
 
 
-def _check_pairing(manifest: RetrievalManifest, meta: Sequence[RowMetadata]) -> None:
-    if manifest.selected_indices[-1] >= len(meta):
-        raise ValidationError(
-            f"manifest selects row {int(manifest.selected_indices[-1])} but "
-            f"metadata has only {len(meta)} rows",
-            code="metadata_mismatch",
-        )
-
-
 def task_breakdown(
     manifest: RetrievalManifest,
     meta: Sequence[RowMetadata],
@@ -83,29 +74,18 @@ def task_breakdown(
     ``"(unlabeled)"``; a selection with no labeled rows at all yields an
     empty breakdown.
     """
-    _check_pairing(manifest, meta)
     _check_relevance(labels)
-    counts: dict[str, int] = {}
-    any_labeled = False
-    for i in manifest.selected_indices:
-        task = meta[i].task_label
-        if task is not None:
-            any_labeled = True
-        key = task if task is not None else UNLABELED_TASK
-        counts[key] = counts.get(key, 0) + 1
-    if not any_labeled:
+    counts = {task: row[0] for task, row in task_bin_counts(manifest, meta, 1).items()}
+    if all(meta[i].task_label is None for i in manifest.selected_indices):
         return TaskBreakdown({}, {}, {})
     total = manifest.size
     fractions = {task: c / total for task, c in counts.items()}
-    relevance = {}
     for task in counts:
-        if task in labels:
-            relevance[task] = labels[task]
-        else:
+        if task not in labels:
             logger.warning(
                 "task %r has no relevance label; defaulting to 'harmful'", task
             )
-            relevance[task] = "harmful"
+    relevance = {task: labels.get(task, "harmful") for task in counts}
     return TaskBreakdown(counts, fractions, relevance)
 
 
@@ -119,14 +99,9 @@ def timestep_histogram(
     Bin assignment is ``floor(step_index * bin_count / episode_length)``,
     always in ``[0, bin_count)``.
     """
-    bin_count = check_count(bin_count, "bin_count")
-    _check_pairing(manifest, meta)
-    bins = np.empty(manifest.size, dtype=np.int64)
-    for pos, i in enumerate(manifest.selected_indices):
-        rec = meta[i]
-        bins[pos] = (rec.step_index * bin_count) // rec.episode_length
-    counts = np.bincount(bins, minlength=bin_count)
-    return TimestepHistogram(bin_count, counts, counts / manifest.size)
+    table = task_bin_counts(manifest, meta, bin_count)
+    counts = np.sum(list(table.values()), axis=0, dtype=np.int64)
+    return TimestepHistogram(counts.size, counts, counts / manifest.size)
 
 
 def task_bin_counts(
@@ -138,12 +113,18 @@ def task_bin_counts(
 
     Lets external tooling apply segment-level relevance rules (e.g. "only
     the early portion of this task is useful") that neither marginal table
-    can express.
+    can express. :func:`task_breakdown` and :func:`timestep_histogram` are
+    its marginals.
     """
     bin_count = check_count(bin_count, "bin_count")
-    _check_pairing(manifest, meta)
+    if manifest.selected_indices[-1] >= len(meta):
+        raise ValidationError(
+            f"manifest selects row {int(manifest.selected_indices[-1])} but "
+            f"metadata has only {len(meta)} rows",
+            code="metadata_mismatch",
+        )
     table: dict[str, list] = {}
-    for i in manifest.selected_indices:
+    for i in manifest.selected_indices.tolist():
         rec = meta[i]
         key = rec.task_label if rec.task_label is not None else UNLABELED_TASK
         row = table.setdefault(key, [0] * bin_count)
@@ -192,7 +173,7 @@ def emit_report(
         ),
         "evaluation": evaluation,
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(path, payload)
 
 
 def load_report(path) -> dict:

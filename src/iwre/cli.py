@@ -14,13 +14,12 @@ of the inputs and configuration, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
-from ._validation import coerce_fields, field_types, read_json_object
+from ._validation import coerce_fields, field_types, read_json_object, write_json
 from .analysis import (
     emit_report,
     load_labels,
@@ -112,6 +111,12 @@ class RunConfig:
 
     def __post_init__(self):
         coerce_fields(self, "option")
+        if self.method is not None and self.method not in _METHOD_ALIASES:
+            raise ValidationError(
+                f"unknown method {self.method!r}; expected one of "
+                f"{sorted(_METHOD_ALIASES)}",
+                code="bad_method",
+            )
 
     @classmethod
     def resolve(cls, args: argparse.Namespace) -> "RunConfig":
@@ -160,12 +165,6 @@ class RunConfig:
         given = {f: getattr(self, n) for f, n in names.items()}
         given = {f: v for f, v in given.items() if v is not None}
         if "method" in given:
-            if self.method not in _METHOD_ALIASES:
-                raise ValidationError(
-                    f"unknown method {self.method!r}; expected one of "
-                    f"{sorted(_METHOD_ALIASES)}",
-                    code="bad_method",
-                )
             given["method"] = _METHOD_ALIASES[self.method]
         return replace(stored or ScoringConfig(), **given)
 
@@ -254,6 +253,14 @@ def cmd_retrieve(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     cfg.require_paths("target", "prior")
+    graded = cfg.labels is not None
+    if graded != (cfg.meta is not None):
+        raise ValidationError(
+            "--meta and --labels grade a sweep together; give both or neither",
+            code="missing_input",
+        )
+    if graded:
+        cfg.require_paths("meta", "labels")
     if cfg.fractions is None:
         raise ValidationError("--fractions is required for sweep", code="bad_param")
     fractions = _float_list(cfg.fractions, "--fractions")
@@ -267,8 +274,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     target = _load_dataset(cfg.target)
     prior = _load_dataset(cfg.prior)
     relevance = None
-    if cfg.meta and cfg.labels:
-        cfg.require_paths("labels")
+    if graded:
         meta = pair_metadata(prior, load_metadata(cfg.meta))
         relevance = row_relevance(meta, load_labels(cfg.labels))
     summary = []
@@ -288,9 +294,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             if relevance is not None:
                 entry["precision"] = evaluate_retrieval(manifest, relevance).precision
             summary.append(entry)
-    (out / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    )
+    write_json(out / "summary.json", summary)
     header = f"{'scale':>8} {'fraction':>9} {'selected':>9}"
     print(header + ("  precision" if relevance is not None else ""))
     for entry in summary:
@@ -347,9 +351,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     save_embeddings(data.target, out / "target.bin")
     save_embeddings(data.prior, out / "prior.bin")
     save_metadata(data.prior_metadata, out / "prior_meta.csv")
-    (out / "labels.json").write_text(
-        json.dumps(data.task_relevance, sort_keys=True, indent=2) + "\n"
-    )
+    write_json(out / "labels.json", data.task_relevance)
     save_oracle(scenario, data, out / "oracle.json")
     print(f"wrote fixtures for {scenario.scenario_id} to {out}")
     return 0

@@ -116,7 +116,7 @@ class GaussianKde(ParamsMixin):
         Number of kernels M.
     """
 
-    def __init__(self, scale_c: float | None = 4.0):
+    def __init__(self, scale_c: float | None = BandwidthSpec.scale_c):
         self.scale_c = scale_c
 
     # -- fitting -----------------------------------------------------------

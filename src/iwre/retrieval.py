@@ -7,15 +7,13 @@ reruns with identical inputs are byte-identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._validation import check_count, read_json_object
+from ._validation import check_count, read_json_object, write_json
 from .dataset import EmbeddingDataset, RowMetadata, gather_rows, pair_metadata
 from .errors import ValidationError
 from .scoring import ScoreVector
@@ -150,6 +148,7 @@ def resample_by_weight(
             code="non_log_space",
         )
     sample_count = check_count(sample_count, "sample_count")
+    check_count(rng_seed, "rng_seed", minimum=0)
     n = len(scores)
     if not with_replacement and sample_count > n:
         raise ValidationError(
@@ -234,10 +233,7 @@ def save_manifest(manifest: RetrievalManifest, path) -> None:
             else [int(m) for m in manifest.multiplicities]
         ),
     }
-    # Streamed: ``dumps`` would hold every encoded chunk of the index list.
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_manifest(path) -> RetrievalManifest:

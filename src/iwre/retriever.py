@@ -26,21 +26,13 @@ class EmbeddingRetriever(ParamsMixin):
 
     Parameters
     ----------
-    method : {"nn_l2", "lse", "kde_target", "iwr"}
-        Scoring rule.
+    method, scale_c, temperature, batch_size, num_batches, seed, leave_self_out
+        The :class:`~iwre.scoring.ScoringConfig` fields, with its defaults
+        and checks (run by :meth:`fit`), except that ``seed`` defaults to 0
+        so ``iwr`` runs without one. For ``iwr``, prior batch KDEs are fit
+        on the matrix passed to :meth:`score_samples` / :meth:`transform`.
     fraction : float
         Fraction of prior rows kept by :meth:`transform`.
-    scale_c : float
-        Scott-rule bandwidth multiplier for density-based methods.
-    temperature : float or None
-        Soft-max temperature for ``lse``; defaults to the target's Scott
-        bandwidth.
-    batch_size, num_batches, seed : int
-        Prior batching for ``iwr``; ``batch_size=None`` means
-        ``min(4096, n_prior)``. For ``iwr``, prior batch KDEs are fit on
-        the matrix passed to :meth:`score_samples` / :meth:`transform`.
-    leave_self_out : bool
-        Exclude a prior row's own kernel from its batch density.
     threads : int or None
         Worker threads for scoring, a positive integer; ``None`` uses the
         CPUs this process may run on (its affinity set).
@@ -50,10 +42,10 @@ class EmbeddingRetriever(ParamsMixin):
         self,
         method: str = "iwr",
         fraction: float = 0.3,
-        scale_c: float = 4.0,
+        scale_c: float = ScoringConfig.scale_c,
         temperature: float | None = None,
         batch_size: int | None = None,
-        num_batches: int = 8,
+        num_batches: int = ScoringConfig.num_batches,
         seed: int = 0,
         leave_self_out: bool = False,
         threads: int | None = 1,

@@ -49,6 +49,7 @@ from ._validation import (
     check_vector,
     coerce_fields,
     read_json_object,
+    write_json,
 )
 from .dataset import (
     EmbeddingDataset,
@@ -125,12 +126,7 @@ class PriorBatchSpec:
     def __post_init__(self):
         check_count(self.batch_size, "batch_size", minimum=2)
         check_count(self.num_batches, "num_batches", minimum=1)
-        int(self.rng_seed)
-
-
-def default_batch_spec(n_prior: int, rng_seed: int) -> PriorBatchSpec:
-    """Default batching: up to 4096 rows per batch, 8 batches."""
-    return PriorBatchSpec(min(4096, int(n_prior)), rng_seed=rng_seed)
+        check_count(self.rng_seed, "rng_seed", minimum=0)
 
 
 def config_fingerprint(**payload) -> str:
@@ -206,16 +202,15 @@ def score_lse(
     value grows like ``-d^2 / h^4`` (``d^2`` the nearest squared distance),
     so a threshold on it means something different at each temperature.
 
-    When ``temperature_h`` is omitted it defaults to the Scott-rule
-    bandwidth of the target dataset at the default scale (4), which keeps
-    the smoothing comparable to the target KDE.
+    When ``temperature_h`` is omitted it is the one a default lse
+    :class:`ScoringConfig` resolves: the target's Scott bandwidth.
     """
     target = _as_dataset(target)
     prior = _as_dataset(prior)
     _check_dims(target.dim, prior)
     if temperature_h is None:
-        scale_c = BandwidthSpec().scale_c
-        temperature_h = scott_bandwidth(scale_c, target.rows, target.dim)
+        default = ScoringConfig(ScoreMethod.LSE).resolve(target, prior)
+        temperature_h = default.temperature
     temperature_h = check_positive(temperature_h, "temperature_h")
     inv_h2 = 1.0 / (temperature_h * temperature_h)
     # The log-density of the isotropic KDE with kernel covariance (h^2/2) I
@@ -344,26 +339,39 @@ _METHOD_FIELDS = {
 class ScoringConfig:
     """A scoring rule and its parameters; the one way to score and fingerprint.
 
-    ``temperature`` (lse) and ``batch_size`` (iwr) may stay ``None``; they
-    are filled in from the data by :meth:`resolve`. Fields a method does
-    not read are kept but ignored. A score file's sidecar records the
-    resolved configuration (:meth:`sidecar_params`, :meth:`from_sidecar`).
+    Every field is checked when the config is built, whichever method reads
+    it: ``scale_c`` and ``temperature`` must be positive, ``batch_size`` at
+    least 2, ``num_batches`` at least 1 and ``seed`` at least 0. The
+    bandwidth and batching defaults are :class:`BandwidthSpec`'s and
+    :class:`PriorBatchSpec`'s. ``temperature`` (lse) and ``batch_size``
+    (iwr) may stay ``None``; they are filled in from the data by
+    :meth:`resolve`. Fields a method does not read are kept but ignored. A
+    score file's sidecar records the resolved configuration
+    (:meth:`sidecar_params`, :meth:`from_sidecar`).
     """
 
     method: ScoreMethod = ScoreMethod.IWR
-    scale_c: float = 4.0
+    scale_c: float = BandwidthSpec.scale_c
     temperature: float | None = None
     batch_size: int | None = None
-    num_batches: int = 8
+    num_batches: int = PriorBatchSpec.num_batches
     seed: int | None = None
     leave_self_out: bool = False
 
     def __post_init__(self):
         coerce_fields(self, "scoring parameter")
+        check_positive(self.scale_c, "scale_c")
+        if self.temperature is not None:
+            check_positive(self.temperature, "temperature")
+        if self.batch_size is not None:
+            check_count(self.batch_size, "batch_size", minimum=2)
+        check_count(self.num_batches, "num_batches", minimum=1)
+        if self.seed is not None:
+            check_count(self.seed, "seed", minimum=0)
 
     def resolve(self, target, prior) -> "ScoringConfig":
-        """Default the lse temperature to the target's Scott bandwidth and the
-        iwr batch size to ``min(4096, N)``; iwr needs a seed."""
+        """Fill in the lse temperature (the target's Scott bandwidth) and the
+        iwr batch size (the prior's row count, capped); iwr needs a seed."""
         target, prior = _as_dataset(target), _as_dataset(prior)
         if self.method is ScoreMethod.LSE and self.temperature is None:
             h = scott_bandwidth(self.scale_c, target.rows, target.dim)
@@ -375,8 +383,7 @@ class ScoringConfig:
                     code="seed_required",
                 )
             if self.batch_size is None:
-                spec = default_batch_spec(prior.rows, self.seed)
-                return replace(self, batch_size=spec.batch_size)
+                return replace(self, batch_size=min(4096, prior.rows))
         return self
 
     def fingerprint(self, target, prior) -> str:
@@ -477,7 +484,7 @@ def save_scores(scores: ScoreVector, path, params: dict | None = None) -> None:
         "target_source_id": scores.target_source_id,
         "params": params or {},
     }
-    sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    write_json(sidecar_path(path), sidecar)
 
 
 def load_scores(path) -> tuple[ScoreVector, dict]:

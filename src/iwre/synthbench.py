@@ -19,14 +19,12 @@ quantitatively without real robot data:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ._validation import check_count, check_matrix
+from ._validation import check_count, check_matrix, read_json_object, write_json
 from .dataset import EmbeddingDataset, RowMetadata
 from .errors import ValidationError
 from .kde import LOG_2PI, _logsumexp
@@ -147,6 +145,7 @@ class SyntheticScenario:
             raise ValidationError(
                 f"unknown scenario {self.scenario_id!r}", code="unknown_scenario"
             )
+        check_count(self.rng_seed, "rng_seed", minimum=0)
         k = self.prior_mixture.n_components
         if len(self.prior_component_names) != k or len(
             self.prior_component_relevance
@@ -341,23 +340,33 @@ def save_oracle(scenario: SyntheticScenario, data: SyntheticData, path) -> None:
         "target_mixture": mixture(data.oracle.target),
         "prior_mixture": mixture(data.oracle.prior),
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(path, payload)
 
 
 def load_oracle(path) -> OracleDensities:
-    """Rebuild exact oracle densities from a written oracle parameter file."""
-    payload = json.loads(Path(path).read_text())
+    """Rebuild exact oracle densities from a written oracle parameter file.
 
-    def mixture(section: dict) -> GaussianMixture:
-        return GaussianMixture(
-            np.asarray(section["weights"], dtype=np.float64),
-            np.asarray(section["means"], dtype=np.float64),
-            np.asarray(section["covariances"], dtype=np.float64),
-        )
+    Any malformation raises :class:`ValidationError`: ``bad_oracle`` for
+    the file's structure, :class:`GaussianMixture`'s codes for arrays that
+    form no valid mixture.
+    """
+    sections = ("target_mixture", "prior_mixture")
+    payload = read_json_object(path, "bad_oracle", sections)
 
-    return OracleDensities(
-        mixture(payload["target_mixture"]), mixture(payload["prior_mixture"])
-    )
+    def mixture(name: str) -> GaussianMixture:
+        section = payload[name]
+        try:
+            arrays = [
+                np.asarray(section[key], dtype=np.float64)
+                for key in ("weights", "means", "covariances")
+            ]
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ValidationError(
+                f"{path}: bad {name}: {exc!r}", code="bad_oracle"
+            ) from exc
+        return GaussianMixture(*arrays)
+
+    return OracleDensities(*map(mixture, sections))
 
 
 def row_relevance(metadata: Sequence[RowMetadata], labels: dict) -> list[str]:

@@ -311,7 +311,19 @@ MALFORMED = [
         ("fraction_bool", "retrieve", {"fraction": True}),
         ("seed_string", "synth", {"seed": "x"}),
         ("seed_float", "synth", {"seed": 1.5}),
+        # Scoring values are range-checked whether or not the method reads them.
+        ("seed_negative", "synth", {"seed": -1}),
+        ("iwr_seed_negative", "score", {"method": "iwr", "seed": -1}),
+        ("nn_scale_and_batches", "score",
+         {"method": "nn", "bandwidth_scale": -1, "num_batches": 0}),
+        ("bandwidth_scale_negative", "retrieve",
+         {"fraction": 0.3, "bandwidth_scale": -1}),
     ]
+] + [
+    ("config_method_unknown", "analyze", "config.json",
+     _write(json.dumps({"method": "bogus"})), "bad_method"),
+    ("sidecar_params_negative_scale", "retrieve", "scores.json",
+     _edit_json(lambda d: d["params"].update(scale_c=-1.0)), "bad_param"),
 ] + [
     ("sidecar_invalid_json", "retrieve", "scores.json", _write("{bad"),
      "bad_sidecar"),
@@ -360,13 +372,35 @@ class TestMalformedInputs:
             "score": ["score", *config, *data, "--out", out],
             "retrieve": ["retrieve", *config, "--scores", out / "scores.bin", *data,
                          "--out", out],
-            "analyze": ["analyze", "--manifest", out / "manifest.json", *labelled],
+            "analyze": ["analyze", *config, "--manifest", out / "manifest.json",
+                        *labelled],
             "sweep": ["sweep", "--method", "nn", *data, "--fractions", 0.3,
                       *labelled],
             "synth": ["synth", *config, "--scenario", "cluster_bias",
                       "--n-target", 20, "--n-prior", 40, "--out", out / "synth"],
         }[command]
         assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"error[{code}]" in err
+        assert "Traceback" not in err
+
+    # Flag cases MALFORMED's nn scores and fixed argv cannot express.
+    @pytest.mark.parametrize("argv,code", [
+        # iwr fingerprints read scale_c: the range check must come first.
+        (["retrieve", "--scores", "{out}/scores.bin", "--fraction", 0.3,
+          "--bandwidth-scale", -1], "bad_param"),
+        (["sweep", "--method", "nn", "--fractions", 0.3,
+          "--labels", "{fixtures}/labels.json"], "missing_input"),
+        (["sweep", "--method", "nn", "--fractions", 0.3,
+          "--meta", "{fixtures}/prior_meta.csv"], "missing_input"),
+    ], ids=["retrieve_iwr_negative_scale", "sweep_labels_only", "sweep_meta_only"])
+    def test_bad_flag(self, fixtures, tmp_path, capsys, argv, code):
+        out = tmp_path / "run"
+        data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
+        assert run("score", "--method", "iwr", "--seed", 5, *data, "--out", out) == 0
+        argv = [str(a).format(out=out, fixtures=fixtures) for a in argv]
+        capsys.readouterr()
+        assert run(*argv, *data, "--out", out / argv[0]) == 2
         err = capsys.readouterr().err
         assert f"error[{code}]" in err
         assert "Traceback" not in err

@@ -137,6 +137,11 @@ class TestResample:
             resample_by_weight(make_scores(np.zeros(3)), 4, 0, with_replacement=False)
         assert exc.value.code == "bad_sample_count"
 
+    def test_negative_seed(self):
+        with pytest.raises(ValidationError) as exc:
+            resample_by_weight(make_scores(np.zeros(3)), 2, rng_seed=-1)
+        assert exc.value.code == "bad_param"
+
     def test_same_seed_identical_manifest(self):
         scores = make_scores(np.linspace(-1, 1, 50))
         a = resample_by_weight(scores, 30, rng_seed=11)

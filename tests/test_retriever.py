@@ -10,6 +10,7 @@ from iwre.retriever import EmbeddingRetriever
 from iwre.retrieval import select_by_fraction
 from iwre.scoring import (
     PriorBatchSpec,
+    ScoringConfig,
     fit_prior_batched,
     score_importance_weight,
     score_lse,
@@ -56,6 +57,23 @@ class TestEstimatorProtocol:
         with pytest.raises(ValidationError) as exc:
             EmbeddingRetriever(threads=threads).fit(target)
         assert exc.value.code == "bad_param"
+
+    @pytest.mark.parametrize("param,value", [
+        ("seed", -1), ("scale_c", -1.0), ("num_batches", 0), ("batch_size", 1),
+    ])
+    def test_bad_scoring_param_rejected_at_fit(self, data, param, value):
+        target, _ = data
+        with pytest.raises(ValidationError) as exc:
+            EmbeddingRetriever(method="nn_l2", **{param: value}).fit(target)
+        assert exc.value.code == "bad_param"
+
+    def test_defaults_are_scoring_config_defaults(self):
+        params = EmbeddingRetriever().get_params()
+        defaults = ScoringConfig(seed=0)
+        for name in ("scale_c", "temperature", "batch_size", "num_batches",
+                     "seed", "leave_self_out"):
+            assert params[name] == getattr(defaults, name), name
+        assert params["method"] == defaults.method
 
 
 class TestAgainstFunctionalApi:

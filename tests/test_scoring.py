@@ -23,7 +23,6 @@ from iwre.scoring import (
     ScoreMethod,
     ScoreVector,
     ScoringConfig,
-    default_batch_spec,
     fit_prior_batched,
     load_scores,
     save_scores,
@@ -250,9 +249,14 @@ class TestPriorBatches:
             PriorBatchSpec(1, 1, rng_seed=0)
         with pytest.raises(ValidationError):
             PriorBatchSpec(4, 0, rng_seed=0)
-        assert default_batch_spec(100, 1).batch_size == 100
-        assert default_batch_spec(10_000, 1).batch_size == 4096
-        assert default_batch_spec(10_000, 1).num_batches == 8
+        with pytest.raises(ValidationError):
+            PriorBatchSpec(4, 1, rng_seed=-1)
+        target = EmbeddingDataset(np.zeros((3, 1)))
+        for rows, batch_size in [(100, 100), (10_000, 4096)]:
+            prior = EmbeddingDataset(np.zeros((rows, 1)))
+            resolved = ScoringConfig(seed=1).resolve(target, prior)
+            assert resolved.batch_size == batch_size
+            assert resolved.num_batches == 8
 
 
 class TestImportanceWeight:
@@ -466,6 +470,18 @@ class TestFingerprints:
         with pytest.raises(ValidationError) as exc:
             ScoringConfig(ScoreMethod.IWR, batch_size=2.5)
         assert exc.value.code == "bad_param"
+
+    @pytest.mark.parametrize("field,value", [
+        ("scale_c", -1.0), ("scale_c", 0.0), ("temperature", 0.0),
+        ("batch_size", 1), ("num_batches", 0), ("seed", -1),
+    ])
+    def test_out_of_range_parameter_refused_for_every_method(self, field, value):
+        # Checked when the config is built, also for a method that never
+        # reads the field.
+        with pytest.raises(ValidationError) as exc:
+            ScoringConfig(ScoreMethod.NN_L2, **{field: value})
+        assert exc.value.code == "bad_param"
+        assert field in str(exc.value)
 
 
 class TestScoreIO:

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from iwre.dataset import EmbeddingDataset
+from iwre.dataset import EmbeddingDataset, RowMetadata
 from iwre.errors import ValidationError
 from iwre.kde import BandwidthSpec, fit_kde
 from iwre.retrieval import select_by_fraction
@@ -25,9 +25,11 @@ from iwre.synthbench import (
     evaluate_retrieval,
     fig2_probe_indices,
     generate,
+    load_oracle,
     make_scenario,
     oracle_weight_check,
     row_relevance,
+    save_oracle,
 )
 
 
@@ -150,6 +152,40 @@ class TestGenerate:
             make_scenario("mystery")
         assert exc.value.code == "unknown_scenario"
 
+    def test_negative_seed(self):
+        with pytest.raises(ValidationError) as exc:
+            make_scenario("cluster_bias", rng_seed=-1)
+        assert exc.value.code == "bad_param"
+
+
+class TestOracleFile:
+    def test_round_trip(self, tmp_path):
+        scenario = make_scenario("cluster_bias", rng_seed=2)
+        data = generate(scenario, 20, 40)
+        save_oracle(scenario, data, tmp_path / "oracle.json")
+        oracle = load_oracle(tmp_path / "oracle.json")
+        q = data.prior.data
+        assert np.array_equal(oracle.log_ratio(q), data.oracle.log_ratio(q))
+
+    @pytest.mark.parametrize("text,code", [
+        ("{bad", "bad_oracle"),
+        ("[1, 2]", "bad_oracle"),
+        ('{"target_mixture": {}}', "bad_oracle"),
+        ('{"target_mixture": [], "prior_mixture": []}', "bad_oracle"),
+        ('{"target_mixture": {"weights": [1]}, "prior_mixture": {}}', "bad_oracle"),
+        ('{"target_mixture": {"weights": [1], "means": [[0], [0, 1]], '
+         '"covariances": [[[1]]]}, "prior_mixture": {}}', "bad_oracle"),
+        ('{"target_mixture": {"weights": [1], "means": [[0]], '
+         '"covariances": [[[-1]]]}, "prior_mixture": {}}', "bad_mixture"),
+    ], ids=["invalid_json", "not_object", "missing_section", "section_not_object",
+            "missing_key", "ragged_means", "covariance_not_pd"])
+    def test_malformed_file(self, tmp_path, text, code):
+        path = tmp_path / "oracle.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as exc:
+            load_oracle(path)
+        assert exc.value.code == code
+
 
 class TestFig2Fixture:
     def test_rank_reversal(self):
@@ -235,6 +271,15 @@ class TestEvaluateRetrieval:
         assert len(relevance) == 60
         for rec, rel in zip(data.prior_metadata, relevance):
             assert rel == data.task_relevance[rec.task_label]
+
+    def test_row_relevance_defaults_to_harmful(self):
+        meta = [
+            RowMetadata(0, 0, 3, "core_task"),
+            RowMetadata(0, 1, 3, "unknown_task"),
+            RowMetadata(0, 2, 3, None),
+        ]
+        labels = {"core_task": "relevant"}
+        assert row_relevance(meta, labels) == ["relevant", "harmful", "harmful"]
 
 
 class TestClusterBias:
