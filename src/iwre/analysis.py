@@ -65,27 +65,37 @@ class TimestepHistogram:
 def task_breakdown(
     manifest: RetrievalManifest,
     meta: Sequence[RowMetadata],
-    labels: Mapping[str, str],
+    labels: Optional[Mapping[str, str]] = None,
+    *,
+    table: Optional[dict] = None,
 ) -> TaskBreakdown:
     """Count selected rows per task and attach relevance labels.
 
     Tasks selected but missing from ``labels`` default to ``harmful`` with a
-    logged warning. Rows without a task label group under
+    logged warning; ``labels=None`` means none were given, and every task is
+    ``harmful`` without one. Rows without a task label group under
     ``"(unlabeled)"``; a selection with no labeled rows at all yields an
-    empty breakdown.
+    empty breakdown. ``table`` is the crossed table of
+    :func:`task_bin_counts` for the same manifest and metadata, if already
+    built; its per-task sums are the counts.
     """
-    _check_relevance(labels)
-    counts = {task: row[0] for task, row in task_bin_counts(manifest, meta, 1).items()}
-    if all(meta[i].task_label is None for i in manifest.selected_indices):
+    if labels is not None:
+        _check_relevance(labels)
+    if table is None:
+        table = task_bin_counts(manifest, meta, 1)
+    counts = {task: sum(row) for task, row in table.items()}
+    if set(counts) == {UNLABELED_TASK} and all(
+        meta[i].task_label is None for i in manifest.selected_indices.tolist()
+    ):
         return TaskBreakdown({}, {}, {})
     total = manifest.size
     fractions = {task: c / total for task, c in counts.items()}
-    for task in counts:
+    for task in counts if labels is not None else ():
         if task not in labels:
             logger.warning(
                 "task %r has no relevance label; defaulting to 'harmful'", task
             )
-    relevance = {task: labels.get(task, "harmful") for task in counts}
+    relevance = {task: (labels or {}).get(task, "harmful") for task in counts}
     return TaskBreakdown(counts, fractions, relevance)
 
 
@@ -93,13 +103,18 @@ def timestep_histogram(
     manifest: RetrievalManifest,
     meta: Sequence[RowMetadata],
     bin_count: int = 10,
+    *,
+    table: Optional[dict] = None,
 ) -> TimestepHistogram:
     """Histogram selected rows by proportional position within their episode.
 
     Bin assignment is ``floor(step_index * bin_count / episode_length)``,
-    always in ``[0, bin_count)``.
+    always in ``[0, bin_count)``. ``table`` is the crossed table of
+    :func:`task_bin_counts` with ``bin_count`` bins for the same manifest
+    and metadata, if already built; its per-bin sums are the counts.
     """
-    table = task_bin_counts(manifest, meta, bin_count)
+    if table is None:
+        table = task_bin_counts(manifest, meta, bin_count)
     counts = np.sum(list(table.values()), axis=0, dtype=np.int64)
     return TimestepHistogram(counts.size, counts, counts / manifest.size)
 
@@ -114,7 +129,7 @@ def task_bin_counts(
     Lets external tooling apply segment-level relevance rules (e.g. "only
     the early portion of this task is useful") that neither marginal table
     can express. :func:`task_breakdown` and :func:`timestep_histogram` are
-    its marginals.
+    its marginals, and take it as ``table`` to skip building it again.
     """
     bin_count = check_count(bin_count, "bin_count")
     if manifest.selected_indices[-1] >= len(meta):

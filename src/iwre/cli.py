@@ -79,7 +79,8 @@ class RunConfig:
     ``name`` in a config file, converted to the field's type either way.
     ``None`` means "not given". The scoring fields (``method`` to
     ``leave_self_out``) then take :class:`ScoringConfig`'s defaults, or the
-    values stored in a score sidecar. ``leave_self_out`` is config-only.
+    values stored in a score sidecar; the given ones are range-checked here,
+    for every subcommand. ``leave_self_out`` is config-only.
     """
 
     method: Optional[str] = _flag(choices=sorted(_METHOD_ALIASES))
@@ -117,6 +118,7 @@ class RunConfig:
                 f"{sorted(_METHOD_ALIASES)}",
                 code="bad_method",
             )
+        self.scoring()
 
     @classmethod
     def resolve(cls, args: argparse.Namespace) -> "RunConfig":
@@ -313,13 +315,13 @@ def cmd_analyze(cfg: RunConfig) -> int:
     out = cfg.out_dir()
     manifest = load_manifest(cfg.manifest)
     meta = load_metadata(cfg.meta)
-    labels = {}
+    labels = None
     if cfg.labels:
         cfg.require_paths("labels")
         labels = load_labels(cfg.labels)
-    breakdown = task_breakdown(manifest, meta, labels)
-    histogram = timestep_histogram(manifest, meta, cfg.bins)
     crossed = task_bin_counts(manifest, meta, cfg.bins)
+    breakdown = task_breakdown(manifest, meta, labels, table=crossed)
+    histogram = timestep_histogram(manifest, meta, cfg.bins, table=crossed)
     evaluation = None
     if labels:
         quality = evaluate_retrieval(manifest, row_relevance(meta, labels))

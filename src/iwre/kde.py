@@ -5,28 +5,44 @@ at every support row. ``h`` comes from a scaled Scott rule and ``Sigma`` is
 the (ridge-regularized) sample covariance of the support. Queries are
 centred on the support mean and whitened by the inverse of the Cholesky
 factor of ``h^2 * Sigma`` (stored once at fit, so whitening is one GEMM),
-so each kernel exponent is ``-|w - s|^2 / 2``; one chunked engine
-(:func:`_kernel_exponents`, one GEMM per chunk) forms them and a log-sum-exp
-reduces them. nn_l2 is its zero-bandwidth limit (:func:`nearest_sq_dists`),
-reduced by maximum and recomputed exactly. Float32 queries are widened to
-float64 a chunk at a time, as they are centred, so every chunk's
-temporaries stay within ``_CHUNK_ELEMS`` and results equal those of the
-widened queries.
+so each kernel exponent is ``-|w - s|^2 / 2``. One engine
+(:func:`_kernel_exponents`) forms them a tile at a time: a block of query
+rows is centred and whitened once, then one GEMM per tile gives its
+exponents against at most ``_TILE_COLS`` (256) support columns, in
+ascending column order. :meth:`GaussianKde.score_samples` sums each row
+over its tiles while each tile is in cache. nn_l2 is the zero-bandwidth
+limit (:func:`nearest_sq_dists`): its tiles span the whole support,
+because its candidate cut needs each row's maximum over every target;
+they are reduced by maximum and recomputed exactly. Float32 queries are
+widened to float64 a block at a time, as they are centred, and results
+equal those of the widened queries.
 
 Every exponent is at most 0, so the log-sum-exp's max shift only guards
-against underflow. A chunk skips the shift when two O(rows) checks prove it
-unneeded: a probe of about 64 evenly spaced support columns finds an
-exponent of at least ``_SHIFT_FREE_FLOOR`` (-600) in every row, and the
-GEMM rounding bound ``4 (d+2) eps (max |w|^2 + max |s|^2)`` is below 1, so
-no exponent can overflow. Other chunks are bit-identical to the shifted
-reduction; shift-free rows move only in the last bits.
+against underflow. A row block skips the shift when two O(rows) checks,
+made before any of its tiles is exponentiated, prove it unneeded: about 64
+evenly spaced support columns give an exponent of at least
+``_SHIFT_FREE_FLOOR`` (-600) in every row, and the GEMM rounding bound
+``4 (d+2) eps (max |w|^2 + max |s|^2)`` is below 1, so no exponent can
+overflow. A support that fits one tile is probed in that tile; a wider
+one by one small GEMM of the block against the probe columns. Other
+blocks take a running-max log-sum-exp over the tiles, which for a support
+of one tile is bit-identical to the max-shifted reduction of
+:func:`_logsumexp`; shift-free rows move only in the last bits.
 
-Determinism contract: the query chunking is fixed and each query's kernel
-sum reduces over the full support in ascending index order, so identical
-inputs give bit-identical log-densities for any number of worker threads.
-Splitting the queries differently may change the last bits, because BLAS
-orders a dot product differently for other block shapes and the shift-free
-check looks at a whole chunk.
+Determinism contract: row blocks and column tiles are fixed by the shapes
+of the queries and the support alone, and each query's kernel sum reduces
+its tiles in ascending column order, so identical inputs give
+bit-identical log-densities for any number of worker threads. Splitting
+the queries differently may change the last bits, because BLAS orders a
+dot product differently for other block shapes and the shift-free check
+looks at a whole row block.
+
+Memory: a KDE row block holds ``_TILE_ELEMS // max(cols, d + 2)`` rows
+(512 up to d = 254), so the exponent tile, the whitening scratch and the
+query operand each fit ``_TILE_ELEMS`` float64 elements (1 MiB), whatever
+the support size: a scoring worker's scratch is O(tile). All temporaries
+of an nn_l2 chunk, its candidate mask and gathers included, fit
+``_CHUNK_ELEMS`` (8 MiB).
 
 Threading: the row-chunk pool in :mod:`iwre.scoring` is the only source of
 parallelism. Scoring pins every loaded OpenBLAS to one thread
@@ -48,13 +64,13 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 RIDGE_EPS_INITIAL = 1e-9
 RIDGE_EPS_MAX = 1e-3
 
-# Query chunks are sized so that all of a chunk's temporaries (the exponent
-# matrix, the query operand, and nn_l2's candidate mask and gathers) hold
-# about this many float64 elements. It bounds memory; other values change
-# results only in the last bits (see the determinism contract above).
+# Tile width and buffer budgets in float64 elements (see "Memory" above).
+# Other values change results only in the last bits.
+_TILE_COLS = 256
+_TILE_ELEMS = 1 << 17
 _CHUNK_ELEMS = 1 << 20
 
-# A chunk whose every row has an exponent at or above this floor is summed
+# A row block whose every row has an exponent at or above this floor is summed
 # without the max shift. Each row's sum is then at least e^-600, so a term
 # that can move its rounding is at least e^-636 (eps is e^-36), still normal
 # (above e^-708): subnormal or zero terms cost no precision.
@@ -211,12 +227,12 @@ class GaussianKde(ParamsMixin):
         ``exclude`` optionally holds, per query row, one support index whose
         kernel is left out, or ``-1`` to keep all; rows with an exclusion
         average over ``M - 1`` kernels (leave-self-out). ``X`` may be
-        float32; its rows are widened to float64 a chunk at a time, exactly,
+        float32; its rows are widened to float64 a block at a time, exactly,
         so the result equals that of the widened queries. Finite for all
-        finite queries: a chunk is summed without the log-sum-exp max shift
-        only when every row has a kernel exponent of at least -600 and no
-        exponent can reach 1; otherwise the largest exponent always survives
-        the shift.
+        finite queries: a row block is summed without the log-sum-exp max
+        shift only when every row has a kernel exponent of at least -600
+        and no exponent can reach 1; otherwise a running maximum over the
+        tiles shifts the sum, and the largest exponent always survives it.
         """
         X = self._check_queries(X)
         n = X.shape[0]
@@ -237,22 +253,45 @@ class GaussianKde(ParamsMixin):
                         code="bad_batch_spec",
                     )
                 log_count[exclude >= 0] = np.log(self.count_ - 1)
-        out = np.empty(n)
-        slack = _rounding_slack(self.dim_)
-        probe = slice(0, self.count_, -(-self.count_ // _PROBE_COLUMNS))
-        chunks = _kernel_exponents(
+        # Per row: the sum of exp(exponent - peak) so far, and the peak: 0
+        # in shift-free blocks, else the running maximum, from -inf.
+        total, peak = np.zeros(n), np.zeros(n)
+        block = None
+        tiles = _kernel_exponents(
             X, self._center, self._support_aug, self._whitener, exclude
         )
-        for rows, aug, expo in chunks:
-            w_sq_max = -2.0 * aug[:, -2].min()
-            if (
-                slack * (w_sq_max + self._support_sq_max) < 1.0
-                and expo[:, probe].max(axis=1).min() >= _SHIFT_FREE_FLOOR
-            ):
-                out[rows] = np.log(np.exp(expo, out=expo).sum(axis=1))
-            else:
-                out[rows] = _logsumexp(expo, axis=1)
-        return self.log_norm_ + out - log_count
+        for rows, aug, expo in tiles:
+            if rows.start != block:
+                block = rows.start
+                shift_free = self._shift_free(
+                    aug, expo, None if exclude is None else exclude[rows]
+                )
+                if not shift_free:
+                    peak[rows] = -np.inf
+            if not shift_free:
+                raised = np.maximum(peak[rows], expo.max(axis=1))
+                total[rows] *= np.exp(peak[rows] - raised)
+                peak[rows] = raised
+                np.subtract(expo, raised[:, None], out=expo)
+            total[rows] += np.exp(expo, out=expo).sum(axis=1)
+        return self.log_norm_ + (peak + np.log(total)) - log_count
+
+    def _shift_free(self, aug, expo, exclude) -> bool:
+        """Whether the row block ``aug``, whose first tile is ``expo``, may
+        skip the max shift (see the module docstring); the probe leaves out
+        each row's ``exclude`` column, as the tiles do."""
+        w_sq_max = -2.0 * aug[:, -2].min()
+        if _rounding_slack(self.dim_) * (w_sq_max + self._support_sq_max) >= 1.0:
+            return False
+        stride = -(-self.count_ // _PROBE_COLUMNS)
+        if expo.shape[1] == len(self._support_aug):
+            probed = expo[:, : self.count_ : stride]
+        else:
+            probed = aug @ self._support_aug[: self.count_ : stride].T
+            if exclude is not None:
+                hit = np.flatnonzero((exclude >= 0) & (exclude % stride == 0))
+                probed[hit, exclude[hit] // stride] = -np.inf
+        return probed.max(axis=1).min() >= _SHIFT_FREE_FLOOR
 
 
 def fit_kde(dataset, spec: BandwidthSpec | None = None) -> GaussianKde:
@@ -292,10 +331,13 @@ def nearest_sq_dists(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
     slack = _rounding_slack(d)
     support_sq_max = np.einsum("ij,ij->i", centered, centered).max()
     out = np.full(queries.shape[0], np.inf)
-    # Per row beyond the engine's buffers: the candidate mask (m bytes), the
-    # query and support rows gathered for a candidate (2d), a few scalars.
+    # One tile spans the support. Per row beyond the engine's two buffers:
+    # the candidate mask (m bytes), the query and support rows gathered for
+    # a candidate (2d), a few scalars.
+    support_aug = _augmented_support(centered)
+    step = _CHUNK_ELEMS // (sum(support_aug.shape) + 2 * d + m // 8 + 4)
     chunks = _kernel_exponents(
-        queries, center, _augmented_support(centered), extra=2 * d + m // 8 + 4
+        queries, center, support_aug, rows=step, cols=len(support_aug)
     )
     for rows, aug, expo in chunks:
         w_sq = -2.0 * aug[:, -2]
@@ -337,47 +379,59 @@ def _rounding_slack(dim: int) -> float:
 
 
 def _kernel_exponents(
-    queries, center, support_aug, whitener=None, exclude=None, *, extra=0
+    queries, center, support_aug, whitener=None, exclude=None, *, rows=None, cols=None
 ):
-    """Yield ``(rows, aug, expo)`` for consecutive chunks of query rows.
+    """Yield ``(rows, aug, expo)`` for each tile of kernel exponents: row
+    blocks in order and, within one, column tiles in ascending order.
 
-    ``aug`` holds the rows ``[w, -|w|^2/2, 1]``, where ``w`` is
+    ``aug`` holds the block's rows ``[w, -|w|^2/2, 1]``, where ``w`` is
     ``queries[rows] - center``, times ``whitener`` if one is given, and
-    ``expo[i, j] = -|w_i - s_j|^2 / 2`` comes from one GEMM of ``aug``
-    against the augmented support. Where ``exclude[i] >= 0``, entry
-    ``(i, exclude[i])`` is ``-inf``. Float32 query rows are widened as they
-    are centred, straight into float64 buffers, so no temporary the size of
-    ``queries`` is formed. ``aug`` and ``expo`` are views of two buffers
-    that the next chunk overwrites; the caller may use them as scratch
-    until then. Chunks hold ``_CHUNK_ELEMS // (cols + k + extra)`` rows:
-    ``extra`` counts the caller's own temporaries per row. The exponent
-    buffer has ``cols = m`` columns, or ``max(m, d)`` when whitening, which
-    centres the rows in it.
+    ``expo[i, j] = -|w_i - s_j|^2 / 2`` for the tile's support columns comes
+    from one GEMM of ``aug`` against those rows of the augmented support.
+    Where ``exclude[i] >= 0``, that column is ``-inf`` in the tile that
+    holds it. Float32 query rows are widened as they are centred, straight
+    into float64 buffers, so no temporary the size of ``queries`` is
+    formed. ``aug`` and ``expo`` are views of two buffers that the next
+    block or tile overwrites; the caller may use them as scratch until
+    then. Tiles are ``cols`` support columns wide (default ``_TILE_COLS``)
+    and blocks hold ``rows`` query rows (default: as many as let each
+    buffer, the whitening scratch included, fit ``_TILE_ELEMS``). Both are
+    multiples of 8 or the whole support, so every tile has whole blocks of
+    ``_SUPPORT_BLOCK`` columns.
     """
     n = queries.shape[0]
     m, k = support_aug.shape
     d = k - 2
-    cols = m if whitener is None else max(m, d)
-    step = max(1, min(n, _CHUNK_ELEMS // (cols + k + extra)))
-    aug_buf = np.ones((step, k))
-    expo_buf = np.empty(step * cols)
-    for start in range(0, n, step):
-        rows = slice(start, min(start + step, n))
-        count = rows.stop - start
-        aug, expo = aug_buf[:count], expo_buf[: count * m].reshape(count, m)
+    cols = min(m, _TILE_COLS if cols is None else cols)
+    width = cols if whitener is None else max(cols, d)
+    if rows is None:
+        rows = _TILE_ELEMS // max(width, k)
+    rows = max(1, min(n, rows))
+    aug_buf = np.ones((rows, k))
+    tile_buf = np.empty(rows * width)
+    for start in range(0, n, rows):
+        block = slice(start, min(start + rows, n))
+        count = block.stop - start
+        aug = aug_buf[:count]
         w = aug[:, :d]
         if whitener is None:
-            np.subtract(queries[rows], center, out=w)
+            np.subtract(queries[block], center, out=w)
         else:
-            centred = expo_buf[: count * d].reshape(count, d)
-            np.subtract(queries[rows], center, out=centred)
+            centred = tile_buf[: count * d].reshape(count, d)
+            np.subtract(queries[block], center, out=centred)
             np.matmul(centred, whitener, out=w)
         aug[:, d] = -0.5 * np.einsum("ij,ij->i", w, w)
-        np.matmul(aug, support_aug.T, out=expo)
         if exclude is not None:
-            hit = np.flatnonzero(exclude[rows] >= 0)
-            expo[hit, exclude[rows][hit]] = -np.inf
-        yield rows, aug, expo
+            hit = np.flatnonzero(exclude[block] >= 0)
+            hit_col = exclude[block][hit]
+        for c0 in range(0, m, cols):
+            c1 = min(c0 + cols, m)
+            expo = tile_buf[: count * (c1 - c0)].reshape(count, c1 - c0)
+            np.matmul(aug, support_aug[c0:c1].T, out=expo)
+            if exclude is not None:
+                inside = (hit_col >= c0) & (hit_col < c1)
+                expo[hit[inside], hit_col[inside] - c0] = -np.inf
+            yield block, aug, expo
 
 
 def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import logging
 import os
 import re
 import shlex
@@ -318,6 +319,12 @@ MALFORMED = [
          {"method": "nn", "bandwidth_scale": -1, "num_batches": 0}),
         ("bandwidth_scale_negative", "retrieve",
          {"fraction": 0.3, "bandwidth_scale": -1}),
+        # ... also by the subcommands that do not score.
+        ("analyze_scale_and_batches", "analyze",
+         {"bandwidth_scale": -1, "num_batches": 0}),
+        ("analyze_lse_temp_zero", "analyze", {"lse_temp": 0}),
+        ("synth_scale_negative", "synth", {"bandwidth_scale": -1}),
+        ("synth_batch_size_one", "synth", {"batch_size": 1}),
     ]
 ] + [
     ("config_method_unknown", "analyze", "config.json",
@@ -546,6 +553,18 @@ class TestAnalyzeAndDeterminism:
                    "--out", out) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["timesteps"]["counts"] == [300]
+
+    def test_analyze_without_labels_does_not_warn(self, fixtures, tmp_path, caplog):
+        # No --labels means no labels were given: every task is 'harmful'
+        # in the report, without a warning per task.
+        out = tmp_path / "run"
+        self.pipeline(fixtures, out)
+        with caplog.at_level(logging.WARNING, logger="iwre.analysis"):
+            assert run("analyze", "--manifest", out / "manifest.json",
+                       "--meta", fixtures / "prior_meta.csv", "--out", out) == 0
+        assert caplog.records == []
+        report = json.loads((out / "report.json").read_text())
+        assert set(report["tasks"]["relevance"].values()) == {"harmful"}
 
     def test_pipeline_byte_identical(self, fixtures, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

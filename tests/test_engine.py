@@ -111,9 +111,9 @@ class TestScoreSamples:
         whole = kde.score_samples(queries)
         rows = rng.permutation(len(queries))
         assert np.array_equal(kde.score_samples(queries[rows]), whole[rows])
-        # Other chunk shapes may reorder BLAS dot products: last bits only.
-        elems = chunk_rows * sum(kde._support_aug.shape)
-        with mock.patch.object(kde_module, "_CHUNK_ELEMS", elems):
+        # Other row blocks may reorder BLAS dot products: last bits only.
+        elems = chunk_rows * max(kde._support_aug.shape)
+        with mock.patch.object(kde_module, "_TILE_ELEMS", elems):
             split = kde.score_samples(queries)
         np.testing.assert_allclose(split, whole, rtol=1e-12, atol=1e-12)
 
@@ -148,19 +148,41 @@ class TestScoreSamples:
         assert exc.value.code == "bad_batch_spec"
 
 
-def shifted_reference(kde, queries, exclude=None):
-    """``score_samples`` with every chunk reduced by the max-shifted
-    ``_logsumexp`` over the same ``_kernel_exponents``."""
-    queries = np.asarray(queries, dtype=np.float64)
-    log_count = np.full(len(queries), np.log(kde.count_))
+def _log_count(kde, n, exclude):
+    log_count = np.full(n, np.log(kde.count_))
     if exclude is not None:
         log_count[exclude >= 0] = np.log(kde.count_ - 1)
-    out = np.empty(len(queries))
+    return log_count
+
+
+def shifted_reference(kde, queries, exclude=None):
+    """``score_samples`` with every row reduced by the max-shifted
+    ``_logsumexp`` over its block's tiles from ``_kernel_exponents``, joined
+    in column order."""
+    queries = np.asarray(queries, dtype=np.float64)
+    blocks = {}
     for rows, _, expo in kde_module._kernel_exponents(
         queries, kde._center, kde._support_aug, kde._whitener, exclude
     ):
-        out[rows] = kde_module._logsumexp(expo, axis=1)
-    return kde.log_norm_ + out - log_count
+        blocks.setdefault(rows.start, (rows, []))[1].append(expo.copy())
+    out = np.empty(len(queries))
+    for rows, tiles in blocks.values():
+        out[rows] = kde_module._logsumexp(np.hstack(tiles), axis=1)
+    return kde.log_norm_ + out - _log_count(kde, len(queries), exclude)
+
+
+def full_width_oracle(kde, queries, exclude=None):
+    """The max-shifted ``_logsumexp`` over one GEMM of the whole augmented
+    support, with no blocks or tiles."""
+    w = (np.asarray(queries, dtype=np.float64) - kde._center) @ kde._whitener
+    ones = np.ones((len(w), 1))
+    aug = np.hstack([w, -0.5 * np.einsum("ij,ij->i", w, w)[:, None], ones])
+    expo = aug @ kde._support_aug.T
+    if exclude is not None:
+        hit = np.flatnonzero(exclude >= 0)
+        expo[hit, exclude[hit]] = -np.inf
+    out = kde_module._logsumexp(expo, axis=1)
+    return kde.log_norm_ + out - _log_count(kde, len(queries), exclude)
 
 
 @st.composite
@@ -175,8 +197,8 @@ def shift_problem(draw):
 
 
 class TestShiftFree:
-    """Chunks summed without the log-sum-exp max shift, and the chunks that
-    fall back to it."""
+    """Row blocks summed without the log-sum-exp max shift, and the blocks
+    that fall back to it."""
 
     @PROPERTY
     @given(shift_problem())
@@ -235,21 +257,16 @@ class TestShiftFree:
         target_kde = fit_kde(rng.standard_normal((500, 32)))
         batch_kdes = fit_prior_batched(prior, PriorBatchSpec(4096, 8, rng_seed=34))
         queries = prior[:1200]
-        shifted, chunks = [], []
-        lse, engine = kde_module._logsumexp, kde_module._kernel_exponents
+        decisions = []
+        check = GaussianKde._shift_free
 
-        def counted_lse(values, axis):
-            shifted.append(values.shape)
-            return lse(values, axis)
+        def counted(self, aug, expo, exclude):
+            decisions.append(check(self, aug, expo, exclude))
+            return decisions[-1]
 
-        def counted_engine(*args, **kwargs):
-            for chunk in engine(*args, **kwargs):
-                chunks.append(chunk[2].shape)
-                yield chunk
-
-        monkeypatch.setattr(kde_module, "_logsumexp", counted_lse)
-        monkeypatch.setattr(kde_module, "_kernel_exponents", counted_engine)
-        # An iwr job's calls at criterion-12 shapes, plain and leaving self out.
+        monkeypatch.setattr(GaussianKde, "_shift_free", counted)
+        # An iwr job's calls at criterion-12 shapes, plain and leaving self
+        # out: every support spans several tiles, and no row block shifts.
         target_kde.score_samples(queries)
         for kde in batch_kdes:
             ids = kde.support_row_ids_
@@ -258,11 +275,66 @@ class TestShiftFree:
             exclude[ids[inside]] = inside
             kde.score_samples(queries)
             kde.score_samples(queries, exclude=exclude)
-        assert len(chunks) > 17 and shifted == []
-        chunks.clear()
+        assert len(decisions) > 17 and all(decisions)
+        decisions.clear()
         wide = fit_kde(rng.standard_normal((50, 768)))
         wide.score_samples(rng.standard_normal((3000, 768)))
-        assert len(chunks) > 1 and shifted == chunks
+        assert len(decisions) > 1 and not any(decisions)
+
+    def test_probe_leaves_excluded_column_out(self):
+        # Kernels 1 apart with variance 1e-4: a support row's exponents are
+        # 0 at itself and at most -5000 elsewhere. Leaving itself out, a row
+        # at a probe column must fall back: a shift-free sum would be 0.
+        support = np.arange(600.0)[:, None]
+        kde = GaussianKde.from_parameters(support, 1.0, [[1e-4]])
+        assert len(kde._support_aug) > kde_module._TILE_COLS
+        exclude = np.arange(0, 600, -(-600 // kde_module._PROBE_COLUMNS))
+        got = kde.score_samples(support[exclude], exclude=exclude)
+        assert np.isfinite(got).all()
+        want = full_width_oracle(kde, support[exclude], exclude)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1))
+
+
+@st.composite
+def tiled_problem(draw):
+    """Supports of one to four tiles, queries some of which sit far enough
+    out to make their row block fall back, and exclusions on the first and
+    last column of a tile and on a lone real column of the last tile."""
+    cols = kde_module._TILE_COLS
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.one_of(
+        st.integers(cols - 1, 3 * cols + 1),
+        st.sampled_from([cols, cols + 1, 2 * cols - 8, 2 * cols, 2 * cols + 1,
+                         3 * cols, 3 * cols + 1, 3 * cols - 8]),
+    ))
+    support = rng.standard_normal((m, d))
+    n = draw(st.integers(1, 60))
+    queries = 1.5 * rng.standard_normal((n, d))
+    far = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 1.0]))
+    queries[far] += draw(st.sampled_from([30.0, 1e3])) * rng.standard_normal(d)
+    kde = fit_kde(support, BandwidthSpec(draw(st.floats(0.05, 8.0))))
+    edges = [c + e for c in range(0, m, cols) for e in (0, cols - 1)]
+    choices = np.array([-1, m - 1, *[e for e in edges if e < m]])
+    exclude = rng.choice(choices, n)
+    return kde, queries, exclude, draw(st.integers(1, 60))
+
+
+class TestTiles:
+    """The tiled kernel sum against one full-width GEMM."""
+
+    @PROPERTY
+    @given(tiled_problem())
+    def test_matches_full_width_oracle(self, problem):
+        kde, queries, exclude, block_rows = problem
+        elems = block_rows * max(kde_module._TILE_COLS, kde._support_aug.shape[1])
+        with mock.patch.object(kde_module, "_TILE_ELEMS", elems):
+            for ex in (None, exclude):
+                got = kde.score_samples(queries, exclude=ex)
+                want = full_width_oracle(kde, queries, ex)
+                assert np.all(
+                    np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1)
+                )
 
 
 class TestFloat32Queries:
@@ -311,6 +383,21 @@ class TestFloat32Queries:
             tracemalloc.stop()
         assert peak <= 1.25 * kde_module._CHUNK_ELEMS * 8
 
+    def test_kde_job_memory_is_tiles(self):
+        # One 8192-row scoring job against a 4096-kernel support at d=32,
+        # the criterion-12 shape: the engine's scratch is a few tiles, not
+        # the job's rows times the support.
+        rng = np.random.default_rng(1)
+        kde = fit_kde(rng.standard_normal((4096, 32)))
+        prior = rng.standard_normal((8192, 32))
+        tracemalloc.start()
+        try:
+            kde.score_samples(prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
 
 class TestScoringThreads:
     @settings(PROPERTY, max_examples=8)
@@ -323,6 +410,23 @@ class TestScoringThreads:
         tk = fit_kde(target)
         for score in (
             lambda t: score_nn_l2(target, prior, threads=t),
+            lambda t: score_lse(target, prior, threads=t),
+            lambda t: score_kde_target(tk, prior, threads=t),
+            lambda t: score_importance_weight(
+                tk, kdes, prior, leave_self_out=True, threads=t
+            ),
+        ):
+            assert np.array_equal(score(1).values, score(4).values)
+
+    def test_threads_do_not_change_multi_tile_results(self):
+        # Target and batches of three tiles each, two scoring jobs.
+        rng = np.random.default_rng(36)
+        target = rng.standard_normal((600, 3))
+        prior = rng.standard_normal((9000, 3))
+        kdes = fit_prior_batched(prior, PriorBatchSpec(700, 2, rng_seed=36))
+        tk = fit_kde(target)
+        assert min(len(k._support_aug) for k in [tk, *kdes]) > 2 * kde_module._TILE_COLS
+        for score in (
             lambda t: score_lse(target, prior, threads=t),
             lambda t: score_kde_target(tk, prior, threads=t),
             lambda t: score_importance_weight(
