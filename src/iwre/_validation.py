@@ -36,13 +36,14 @@ def first_non_finite_row(arr: np.ndarray) -> int | None:
 
 
 def check_matrix(x, name: str = "data", *, keep_float32: bool = False) -> np.ndarray:
-    """Coerce ``x`` to a finite, C-contiguous float64 matrix.
+    """Coerce ``x`` to a finite, C-contiguous, aligned float64 matrix.
 
-    With ``keep_float32`` a float32 array keeps its dtype, so a block of
-    rows read from a float32 file is not widened as a whole; the caller
-    widens it where it enters arithmetic. Raises :class:`ValidationError`
-    with a stable ``code`` naming the first offending row when the input is
-    empty, not 2-D, or contains NaN/Inf.
+    With ``keep_float32`` query rows are kept as they are, float32 or
+    unaligned (a mapped file's), and the caller widens them elementwise.
+    Otherwise the matrix is aligned, copied if needed: numpy sums a long
+    unaligned axis in other blocks, which can move a mean's last bit. Raises
+    :class:`ValidationError` with a stable ``code`` naming the first
+    offending row when the input is empty, not 2-D, or contains NaN/Inf.
     """
     if keep_float32 and getattr(x, "dtype", None) == np.float32:
         arr = np.asarray(x)
@@ -62,7 +63,7 @@ def check_matrix(x, name: str = "data", *, keep_float32: bool = False) -> np.nda
         raise ValidationError(
             f"{name} contains a non-finite value at row {row}", code="non_finite"
         )
-    return np.ascontiguousarray(arr)
+    return np.require(arr, requirements="C" if keep_float32 else "CA")
 
 
 def check_vector(x, name: str = "values") -> np.ndarray:

@@ -194,8 +194,11 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 
 def _score_and_save(scoring, target, prior, threads, path) -> ScoreVector:
-    """Score and write the scores with the resolved config as sidecar params."""
+    """Score and write the scores with the resolved config as sidecar params,
+    unless an input file changed while it was read."""
     scores = scoring.score(target, prior, threads)
+    target.check_unchanged()
+    prior.check_unchanged()
     save_scores(scores, path, scoring.sidecar_params(target, prior))
     return scores
 
@@ -242,6 +245,7 @@ def cmd_retrieve(cfg: RunConfig) -> int:
     if cfg.meta:
         meta = pair_metadata(prior, load_metadata(cfg.meta))
     retrieved, retrieved_meta = materialize(manifest, prior, meta)
+    prior.check_unchanged()
     save_manifest(manifest, out / "manifest.json")
     save_embeddings(retrieved, out / "retrieved.bin")
     if retrieved_meta is not None:
@@ -314,6 +318,13 @@ def cmd_analyze(cfg: RunConfig) -> int:
     cfg.require_paths("manifest", "meta")
     out = cfg.out_dir()
     manifest = load_manifest(cfg.manifest)
+    method = manifest.method.value if manifest.method is not None else ""
+    if cfg.method is not None and _METHOD_ALIASES[cfg.method] is not manifest.method:
+        raise ValidationError(
+            f"--method {cfg.method} does not match the method of the scores "
+            f"behind {cfg.manifest} ({method or 'not recorded'})",
+            code="method_mismatch",
+        )
     meta = load_metadata(cfg.meta)
     labels = None
     if cfg.labels:
@@ -336,7 +347,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         histogram,
         out / "report.json",
         fingerprint=manifest.config_fingerprint,
-        method=cfg.method or "",
+        method=method,
         evaluation=evaluation,
         task_bins=crossed if any(m.task_label is not None for m in meta) else None,
     )

@@ -9,17 +9,19 @@ Binary layout (little-endian throughout)::
     dim     u32      embedding dimension d
     payload rows * dim values, row-major
 
-A binary file is read once, in fixed blocks, straight into one array of the
-dtype its payload stores, and each block is hashed as it arrives. A float32
-payload thus stays float32 in memory, half the size of a float64 copy.
-Arithmetic in this package is double precision, so scoring widens float32
-rows to float64, exactly, where they enter it: per chunk of queries, per
-gathered batch or selected row, and once for the small target. Scores are
-therefore the same bits whether a prior is stored as float32 or as the same
-values in float64. The CSV format is UTF-8 text, one embedding per line,
-comma-separated, no header; it loads as float64. Row metadata lives in a
-separate CSV sidecar with header ``episode_id,step_index,episode_length,
-task_label`` (empty ``task_label`` means unlabeled).
+A binary file is read once, in blocks that are hashed and checked for NaN
+and Inf, then its payload is mapped read-only in the dtype it stores, not
+copied. Scoring and retrieval hand each job's or block's rows back to the
+page cache when done (:func:`release_rows`), so a command holds O(job) of
+a prior, not the file. Arithmetic in this package is double precision, so
+scoring widens float32 rows to float64, exactly, where they enter it: per
+chunk of queries, per gathered batch or selected row, and once for the
+small target. Scores are therefore the same bits whether a prior is stored
+as float32 or float64, mapped or held in memory. The CSV format is UTF-8
+text, one embedding per line, comma-separated, no header; it loads as
+float64. Row metadata lives in a separate CSV sidecar with header
+``episode_id,step_index,episode_length,task_label`` (empty ``task_label``
+means unlabeled).
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import mmap
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,6 +46,8 @@ FORMAT_VERSION = 1
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _HEADER = struct.Struct("<4sHBQI")  # magic, version, dtype code, rows, dim
 _READ_BLOCK = 1 << 20  # bytes per read of a binary payload, or per gathered block
+# Largest region one page fault maps of a file (a 2 MiB huge page on x86-64).
+_RELEASE_SPAN = 2 << 20
 
 METADATA_FIELDS = ("episode_id", "step_index", "episode_length", "task_label")
 
@@ -68,15 +73,18 @@ class EmbeddingDataset:
 
     ``data`` is marked read-only; fitted models and scorers may therefore
     share a dataset across worker threads freely. An array passed in is
-    coerced to float64. :func:`load_embeddings` instead keeps a binary
-    file's payload dtype, so ``data`` may be float32; scoring widens its
-    rows to float64 where they enter arithmetic. ``source_id`` is an opaque
-    identity string; when omitted it defaults to a hash of the array
-    contents so that configuration fingerprints track the underlying data.
+    coerced to float64. :func:`load_embeddings` instead maps a binary
+    file's payload in its dtype, so ``data`` may be float32 and is read
+    from the file as it is used; scoring widens rows to float64 where they
+    enter arithmetic. ``source_id`` is an opaque identity string; when
+    omitted it defaults to a hash of the array contents so that
+    configuration fingerprints track the underlying data.
     """
 
     data: np.ndarray
     source_id: str = ""
+    # (path, (st_size, st_mtime_ns, st_ino)) of a mapped file, as loaded.
+    _origin: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         arr = check_matrix(self.data, "data")
@@ -88,14 +96,26 @@ class EmbeddingDataset:
             object.__setattr__(self, "source_id", content_id(arr))
 
     @classmethod
-    def _wrap(cls, data: np.ndarray, source_id: str) -> "EmbeddingDataset":
+    def _wrap(cls, data: np.ndarray, source_id: str, origin=None) -> "EmbeddingDataset":
         """A dataset holding ``data`` as it is: a fresh, finite 2-D array of
-        float32 or float64 that no caller holds, such as a file just read."""
+        float32 or float64 that no caller holds, such as a file just read
+        (``origin``: its path and stat stamp when mapped)."""
         data.flags.writeable = False
         dataset = object.__new__(cls)
         object.__setattr__(dataset, "data", data)
         object.__setattr__(dataset, "source_id", source_id)
+        object.__setattr__(dataset, "_origin", origin)
         return dataset
+
+    def check_unchanged(self) -> None:
+        """Raise :class:`OSError` if the file this dataset maps changed size,
+        modification time or inode since it was hashed at load."""
+        if self._origin is None:
+            return
+        path, stamp = self._origin
+        stat = os.stat(path)
+        if (stat.st_size, stat.st_mtime_ns, stat.st_ino) != stamp:
+            raise OSError(f"{path} changed while in use; rerun the command")
 
     @property
     def rows(self) -> int:
@@ -133,11 +153,14 @@ class RowMetadata:
 
 def gather_rows(data: np.ndarray, idx) -> np.ndarray:
     """``data[idx]`` as a new float64 array, gathered in blocks, so rows of a
-    float32 array are widened without a float32 copy of the selection."""
+    float32 array are widened without a float32 copy of the selection; a
+    mapped array's rows are released block by block (``idx`` ascending)."""
     out = np.empty((len(idx), data.shape[1]))
     step = max(1, _READ_BLOCK // (8 * data.shape[1]))
     for start in range(0, len(idx), step):
-        out[start : start + step] = data[idx[start : start + step]]
+        block = idx[start : start + step]
+        out[start : start + step] = data[block]
+        release_rows(data, block[0], block[-1] + 1)
     return out
 
 
@@ -193,29 +216,61 @@ def _parse_header(header: bytes, file_size: int, path):
     return dtype, rows, dim
 
 
-def read_vector_file(path) -> tuple[np.ndarray, str]:
-    """Read a binary container; return its payload and the file's content id.
+def read_vector_file(path) -> tuple[np.ndarray, str, tuple]:
+    """Validate a binary container in one pass, then map its payload.
 
-    The payload lands, block by block, in one native-order array of the
-    dtype the file stores, and each block is hashed as it arrives, so the
-    id equals :func:`content_id` of the file bytes. No finiteness check.
+    The file is read once, in ``_READ_BLOCK`` pieces through one reused
+    buffer; each is hashed (the id is :func:`content_id` of the file bytes)
+    and checked for NaN and Inf. Returns a read-only array of the stored
+    dtype over the mapped payload, the id, and the file's ``(st_size,
+    st_mtime_ns, st_ino)``.
     """
     with open(path, "rb") as fh:
+        stat = os.fstat(fh.fileno())
         header = fh.read(_HEADER.size)
-        dtype, rows, dim = _parse_header(header, os.fstat(fh.fileno()).st_size, path)
+        dtype, rows, dim = _parse_header(header, stat.st_size, path)
         digest = hashlib.sha256(header)
-        data = np.empty((rows, dim), dtype.newbyteorder("="))
-        payload = memoryview(data).cast("B")
-        for start in range(0, len(payload), _READ_BLOCK):
-            block = payload[start : start + _READ_BLOCK]
+        payload = stat.st_size - _HEADER.size
+        buf = memoryview(bytearray(min(_READ_BLOCK, payload)))
+        for start in range(0, payload, len(buf)):
+            block = buf[: min(len(buf), payload - start)]
             if fh.readinto(block) != len(block):
                 raise ValidationError(
                     f"{path}: file shrank while being read", code="payload_mismatch"
                 )
             digest.update(block)
-    if not dtype.isnative:
-        data.byteswap(inplace=True)
-    return data, _short_id(digest)
+            finite = np.isfinite(np.frombuffer(block, dtype))
+            if not finite.all():
+                row = (start // dtype.itemsize + int(np.argmin(finite))) // dim
+                raise ValidationError(
+                    f"{path}: data contains a non-finite value at row {row}",
+                    code="non_finite",
+                )
+        mapped = mmap.mmap(fh.fileno(), stat.st_size, access=mmap.ACCESS_READ)
+    data = np.frombuffer(mapped, np.uint8)[_HEADER.size :].view(dtype)
+    stamp = (stat.st_size, stat.st_mtime_ns, stat.st_ino)
+    return data.reshape(rows, dim), _short_id(digest), stamp
+
+
+def release_rows(data: np.ndarray, start: int, stop: int) -> None:
+    """Hand the pages of rows ``start:stop`` of an array
+    :func:`read_vector_file` returned back to the page cache.
+
+    A fault may map the whole ``_RELEASE_SPAN`` region around a page, so
+    the range is widened to whole regions; a worker reading rows there
+    pages them in again. Does nothing for an in-memory array or where
+    ``madvise`` is missing.
+    """
+    whole = data
+    while isinstance(whole.base, np.ndarray):
+        whole = whole.base
+    mapped = getattr(whole.base, "obj", None)
+    if not isinstance(mapped, mmap.mmap) or not hasattr(mmap, "MADV_DONTNEED"):
+        return
+    offset = data.__array_interface__["data"][0] - whole.__array_interface__["data"][0]
+    lo = (offset + start * data.strides[0]) // _RELEASE_SPAN * _RELEASE_SPAN
+    hi = -(-(offset + stop * data.strides[0]) // _RELEASE_SPAN) * _RELEASE_SPAN
+    mapped.madvise(mmap.MADV_DONTNEED, lo, hi - lo)  # clipped to the mapping
 
 
 def _parse_csv(raw: bytes, path) -> tuple[np.ndarray, list[int]]:
@@ -260,25 +315,23 @@ def load_embeddings(path, format: str = "binary") -> EmbeddingDataset:
 
     ``format`` is ``"binary"`` or ``"csv"``. The file is read once and its
     bytes hashed as they are read: the returned dataset's ``source_id`` is
-    :func:`content_id` of the file bytes. A binary file keeps its payload
-    dtype (float32 or float64); CSV loads as float64.
+    :func:`content_id` of the file bytes. A binary file's payload is then
+    mapped read-only in its stored dtype (float32 or float64), not copied
+    (:func:`read_vector_file`); CSV loads into memory as float64.
     """
     if format not in ("binary", "csv"):
         raise ValidationError(f"unknown format {format!r}", code="bad_format")
     if format == "binary":
-        data, source_id = read_vector_file(path)
-        lines = None
-    else:
-        raw = Path(path).read_bytes()
-        data, lines = _parse_csv(raw, path)
-        source_id = content_id(raw)
+        data, source_id, stamp = read_vector_file(path)
+        return EmbeddingDataset._wrap(data, source_id, (os.fspath(path), stamp))
+    raw = Path(path).read_bytes()
+    data, lines = _parse_csv(raw, path)
     row = first_non_finite_row(data)
     if row is not None:
-        at = f"row {row}" if lines is None else f"line {lines[row]} (row {row})"
-        raise ValidationError(
-            f"{path}: data contains a non-finite value at {at}", code="non_finite"
-        )
-    return EmbeddingDataset._wrap(data, source_id)
+        at = f"line {lines[row]} (row {row})"
+        raise ValidationError(f"{path}: data contains a non-finite value at {at}",
+                              code="non_finite")
+    return EmbeddingDataset._wrap(data, content_id(raw))
 
 
 def save_embeddings(dataset: EmbeddingDataset, path) -> None:
@@ -298,7 +351,8 @@ def write_vector_file(array: np.ndarray, path) -> None:
 
 
 def load_metadata(path) -> list[RowMetadata]:
-    """Load the metadata sidecar, preserving file order."""
+    """Load the metadata sidecar, preserving file order. Errors name the
+    file line and the data row, ``line L (row i)``; blank lines hold no row."""
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -312,12 +366,13 @@ def load_metadata(path) -> list[RowMetadata]:
                 code="malformed_header",
             )
         records = []
-        for lineno, row in enumerate(reader):
+        for row in reader:
             if not row:
                 continue
+            at = f"line {reader.line_num} (row {len(records)})"
             if len(row) != len(METADATA_FIELDS):
                 raise ValidationError(
-                    f"{path}: row {lineno} has {len(row)} fields, expected "
+                    f"{path}: {at} has {len(row)} fields, expected "
                     f"{len(METADATA_FIELDS)}",
                     code="dim_mismatch",
                 )
@@ -329,7 +384,7 @@ def load_metadata(path) -> list[RowMetadata]:
                 )
             except ValueError as exc:
                 raise ValidationError(
-                    f"{path}: row {lineno}: {exc}", code="malformed_value"
+                    f"{path}: {at}: {exc}", code="malformed_value"
                 ) from exc
             task_label = row[3] if row[3] != "" else None
             try:
@@ -337,9 +392,7 @@ def load_metadata(path) -> list[RowMetadata]:
                     RowMetadata(episode_id, step_index, episode_length, task_label)
                 )
             except ValidationError as exc:
-                raise ValidationError(
-                    f"{path}: row {lineno}: {exc}", code=exc.code
-                ) from exc
+                raise ValidationError(f"{path}: {at}: {exc}", code=exc.code) from exc
     if not records:
         raise ValidationError(f"{path}: no metadata rows", code="empty_dataset")
     return records

@@ -37,12 +37,12 @@ the queries differently may change the last bits, because BLAS orders a
 dot product differently for other block shapes and the shift-free check
 looks at a whole row block.
 
-Memory: a KDE row block holds ``_TILE_ELEMS // max(cols, d + 2)`` rows
-(512 up to d = 254), so the exponent tile, the whitening scratch and the
-query operand each fit ``_TILE_ELEMS`` float64 elements (1 MiB), whatever
-the support size: a scoring worker's scratch is O(tile). All temporaries
-of an nn_l2 chunk, its candidate mask and gathers included, fit
-``_CHUNK_ELEMS`` (8 MiB).
+Memory: one budget, ``_TILE_ELEMS`` float64 elements (1 MiB). A KDE row
+block holds ``_TILE_ELEMS // max(cols, d + 2)`` rows (512 up to d = 254),
+so the exponent tile, the whitening scratch and the query operand each fit
+it, whatever the support size; an nn_l2 chunk holds as many rows as let all
+its temporaries, candidate mask and gathers included, fit it. A scoring
+worker's scratch is O(tile).
 
 Threading: the row-chunk pool in :mod:`iwre.scoring` is the only source of
 parallelism. Scoring pins every loaded OpenBLAS to one thread
@@ -64,11 +64,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 RIDGE_EPS_INITIAL = 1e-9
 RIDGE_EPS_MAX = 1e-3
 
-# Tile width and buffer budgets in float64 elements (see "Memory" above).
-# Other values change results only in the last bits.
+# Tile width and buffer budget in float64 elements (see "Memory" above).
+# Other values change KDE results only in the last bits.
 _TILE_COLS = 256
 _TILE_ELEMS = 1 << 17
-_CHUNK_ELEMS = 1 << 20
 
 # A row block whose every row has an exponent at or above this floor is summed
 # without the max shift. Each row's sum is then at least e^-600, so a term
@@ -335,7 +334,7 @@ def nearest_sq_dists(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
     # the candidate mask (m bytes), the query and support rows gathered for
     # a candidate (2d), a few scalars.
     support_aug = _augmented_support(centered)
-    step = _CHUNK_ELEMS // (sum(support_aug.shape) + 2 * d + m // 8 + 4)
+    step = _TILE_ELEMS // (sum(support_aug.shape) + 2 * d + m // 8 + 4)
     chunks = _kernel_exponents(
         queries, center, support_aug, rows=step, cols=len(support_aug)
     )

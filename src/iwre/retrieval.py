@@ -16,7 +16,7 @@ import numpy as np
 from ._validation import check_count, read_json_object, write_json
 from .dataset import EmbeddingDataset, RowMetadata, gather_rows, pair_metadata
 from .errors import ValidationError
-from .scoring import ScoreVector
+from .scoring import ScoreMethod, ScoreVector
 from ._version import __version__
 
 
@@ -32,7 +32,8 @@ class RetrievalManifest:
 
     ``selected_indices`` is strictly increasing. ``multiplicities`` is only
     present for resampling with replacement and counts how often each unique
-    index was drawn.
+    index was drawn. ``method`` is the scoring method of the scores selected
+    from; the ``select_*`` functions copy it from the score vector.
     """
 
     selected_indices: np.ndarray
@@ -43,6 +44,7 @@ class RetrievalManifest:
     prior_source_id: str = ""
     target_source_id: str = ""
     multiplicities: Optional[np.ndarray] = None
+    method: Optional[ScoreMethod] = None
 
     def __post_init__(self):
         idx = np.asarray(self.selected_indices, dtype=np.int64)
@@ -66,6 +68,8 @@ class RetrievalManifest:
         object.__setattr__(self, "selected_indices", idx)
         object.__setattr__(self, "scores_at_selection", scores)
         object.__setattr__(self, "rule", SelectionRule(self.rule))
+        if self.method is not None:
+            object.__setattr__(self, "method", ScoreMethod(self.method))
         if self.multiplicities is not None:
             mult = np.asarray(self.multiplicities, dtype=np.int64)
             if mult.shape != idx.shape or (mult < 1).any():
@@ -92,6 +96,7 @@ def _manifest_from_indices(scores: ScoreVector, idx, rule, param, mult=None):
         prior_source_id=scores.prior_source_id,
         target_source_id=scores.target_source_id,
         multiplicities=mult,
+        method=scores.method,
     )
 
 
@@ -221,6 +226,7 @@ def save_manifest(manifest: RetrievalManifest, path) -> None:
     payload = {
         "engine_version": __version__,
         "rule": manifest.rule.value,
+        "method": None if manifest.method is None else manifest.method.value,
         "rule_param": manifest.rule_param,
         "config_fingerprint": manifest.config_fingerprint,
         "prior_source_id": manifest.prior_source_id,
@@ -237,12 +243,20 @@ def save_manifest(manifest: RetrievalManifest, path) -> None:
 
 
 def load_manifest(path) -> RetrievalManifest:
+    """Read a manifest back; one without a ``method`` key (older than the
+    key) is refused, while ``null`` reads as no method."""
     payload = read_json_object(
         path,
         "bad_manifest",
         ("selected_indices", "scores_at_selection", "rule", "rule_param",
          "config_fingerprint"),
     )
+    method = payload.get("method", "")
+    if method is not None and method not in {m.value for m in ScoreMethod}:
+        raise ValidationError(
+            f"{path} does not record a known scoring method; rerun `iwre retrieve`",
+            code="bad_manifest",
+        )
     return RetrievalManifest(
         np.asarray(payload["selected_indices"], dtype=np.int64),
         np.asarray(payload["scores_at_selection"], dtype=np.float64),
@@ -256,6 +270,7 @@ def load_manifest(path) -> RetrievalManifest:
             if payload.get("multiplicities") is None
             else np.asarray(payload["multiplicities"], dtype=np.int64)
         ),
+        method=method,
     )
 
 

@@ -55,6 +55,7 @@ from .dataset import (
     EmbeddingDataset,
     gather_rows,
     read_vector_file,
+    release_rows,
     write_vector_file,
 )
 from .errors import ValidationError
@@ -154,21 +155,28 @@ def _default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _map_row_chunks(n_rows: int, job, threads: Optional[int]) -> np.ndarray:
-    """Run ``job`` on each fixed row chunk, ``threads`` at a time, BLAS pinned."""
+def _map_row_chunks(prior: EmbeddingDataset, job, threads: Optional[int]) -> np.ndarray:
+    """Run ``job`` on each fixed row chunk of ``prior``, ``threads`` at a
+    time, BLAS pinned; a mapped prior's chunk rows are released after it."""
     threads = check_threads(threads)
     if threads is None:
         threads = _default_threads()
     slices = [
-        slice(s, min(s + _OUTER_CHUNK_ROWS, n_rows))
-        for s in range(0, n_rows, _OUTER_CHUNK_ROWS)
+        slice(s, min(s + _OUTER_CHUNK_ROWS, prior.rows))
+        for s in range(0, prior.rows, _OUTER_CHUNK_ROWS)
     ]
+
+    def run(sl):
+        part = job(sl)
+        release_rows(prior.data, sl.start, sl.stop)
+        return part
+
     with single_threaded_blas():
         if threads == 1 or len(slices) == 1:
-            parts = [job(sl) for sl in slices]
+            parts = [run(sl) for sl in slices]
         else:
             with ThreadPoolExecutor(max_workers=threads) as ex:
-                parts = list(ex.map(job, slices))
+                parts = list(ex.map(run, slices))
     return np.concatenate(parts)
 
 
@@ -182,7 +190,7 @@ def score_nn_l2(target, prior, *, threads: int | None = 1) -> ScoreVector:
     _check_dims(target.dim, prior)
     support = np.asarray(target.data, dtype=np.float64)
     values = -_map_row_chunks(
-        prior.rows, lambda sl: nearest_sq_dists(prior.data[sl], support), threads
+        prior, lambda sl: nearest_sq_dists(prior.data[sl], support), threads
     )
     return ScoreVector(
         values, ScoreMethod.NN_L2, "", prior.source_id, target.source_id
@@ -223,7 +231,7 @@ def score_lse(
     def job(sl):
         return inv_h2 * (kde.score_samples(prior.data[sl]) + offset)
 
-    values = _map_row_chunks(prior.rows, job, threads)
+    values = _map_row_chunks(prior, job, threads)
     return ScoreVector(values, ScoreMethod.LSE, "", prior.source_id, target.source_id)
 
 
@@ -235,7 +243,7 @@ def score_kde_target(
     _check_dims(target_kde.dim_, prior)
 
     values = _map_row_chunks(
-        prior.rows, lambda sl: target_kde.score_samples(prior.data[sl]), threads
+        prior, lambda sl: target_kde.score_samples(prior.data[sl]), threads
     )
     return ScoreVector(
         values, ScoreMethod.KDE_TARGET, "", prior_source_id=prior.source_id
@@ -316,7 +324,7 @@ def score_importance_weight(
             log_p[k] = kde.score_samples(q, exclude=exclude)
         return log_t - log_mean_exp(log_p, axis=0)
 
-    values = _map_row_chunks(prior.rows, job, threads)
+    values = _map_row_chunks(prior, job, threads)
     return ScoreVector(values, ScoreMethod.IWR, "", prior_source_id=prior.source_id)
 
 
@@ -499,7 +507,7 @@ def load_scores(path) -> tuple[ScoreVector, dict]:
     )
     if sidecar["method"] not in {m.value for m in ScoreMethod}:
         raise ValidationError(f"{meta_path}: unknown method", code="bad_sidecar")
-    values, _ = read_vector_file(path)
+    values, _, _ = read_vector_file(path)
     if values.shape[1] != 1:
         raise ValidationError(
             f"{path}: score files must have dim 1, got {values.shape[1]}",

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import iwre
+from iwre import cli
 from iwre.cli import build_parser, main
 from iwre.dataset import EmbeddingDataset, load_embeddings, save_embeddings
 from iwre.errors import NumericalError
@@ -344,6 +345,14 @@ MALFORMED = [
      "bad_manifest"),
     ("manifest_missing_indices", "analyze", "manifest.json",
      _edit_json(lambda d: d.pop("selected_indices")), "bad_manifest"),
+    # A manifest from before manifests recorded the scoring method.
+    ("manifest_missing_method", "analyze", "manifest.json",
+     _edit_json(lambda d: d.pop("method")), "bad_manifest"),
+    ("manifest_unknown_method", "analyze", "manifest.json",
+     _edit_json(lambda d: d.update(method="bogus")), "bad_manifest"),
+    # The manifest was selected from nn scores.
+    ("analyze_method_mismatch", "analyze", "config.json",
+     _write(json.dumps({"method": "kde"})), "method_mismatch"),
 ] + [
     (f"labels_{case}_{command}", command, "labels.json", breaker, code)
     for command in ("analyze", "sweep")
@@ -566,6 +575,32 @@ class TestAnalyzeAndDeterminism:
         report = json.loads((out / "report.json").read_text())
         assert set(report["tasks"]["relevance"].values()) == {"harmful"}
 
+    def test_report_states_the_manifest_method(self, fixtures, tmp_path, capsys):
+        out = tmp_path / "run"
+        self.pipeline(fixtures, out)
+        assert load_manifest(out / "manifest.json").method.value == "iwr"
+        assert json.loads((out / "report.json").read_text())["method"] == "iwr"
+        analyze = ["analyze", "--manifest", out / "manifest.json",
+                   "--meta", fixtures / "prior_meta.csv", "--out", out]
+        assert run(*analyze, "--method", "iwr") == 0
+        capsys.readouterr()
+        assert run(*analyze, "--method", "nn") == 2
+        err = capsys.readouterr().err
+        assert "error[method_mismatch]" in err and "iwr" in err
+
+    def test_manifest_without_method_asks_for_retrieve(self, fixtures, tmp_path,
+                                                       capsys):
+        out = tmp_path / "run"
+        self.pipeline(fixtures, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["method"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run("analyze", "--manifest", out / "manifest.json",
+                   "--meta", fixtures / "prior_meta.csv", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "error[bad_manifest]" in err and "iwre retrieve" in err
+
     def test_pipeline_byte_identical(self, fixtures, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         self.pipeline(fixtures, a)
@@ -739,39 +774,137 @@ _PEAK_RSS_MIB = (
 )
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
-def test_peak_memory_is_the_prior_plus_chunks(tmp_path):
-    """``score --method nn`` and ``retrieve`` on a float32 prior peak below the
-    import baseline plus 1.3x the file: the prior as stored, O(chunk) per
-    worker, then score, selection and retrieved-row vectors."""
-    rows, dim = 400_000, 128
-    rng = np.random.default_rng(29)
-    prior = tmp_path / "prior.bin"
-    with open(prior, "wb") as fh:  # written in blocks to keep this process small
-        fh.write(struct.pack("<4sHBQI", b"IWRE", 1, 0, rows, dim))
+def _seeded_prior(path, rows, dim, dtype, seed):
+    """A version-1 container of seeded normal rows, written in blocks so the
+    writing process stays small."""
+    rng = np.random.default_rng(seed)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sHBQI", b"IWRE", 1, {"<f4": 0, "<f8": 1}[dtype],
+                             rows, dim))
         for start in range(0, rows, 16384):
             block = rng.standard_normal((min(16384, rows - start), dim))
-            fh.write(block.astype("<f4").tobytes())
-    write_container(tmp_path / "target.bin", rng.standard_normal((200, dim)), "<f4")
+            fh.write(block.astype(dtype).tobytes())
+    return rng
+
+
+def _peak_mib(code, *args):
     env = dict(os.environ, PYTHONPATH=str(Path(iwre.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          check=True, capture_output=True, text=True, timeout=300)
+    return float(done.stdout.split()[-1])
 
-    def peak_mib(code, *args):
-        done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
-                              check=True, capture_output=True, text=True, timeout=300)
-        return float(done.stdout.split()[-1])
 
-    baseline = peak_mib(f"import iwre.cli; print({_PEAK_RSS_MIB})")
-    bound = baseline + 1.3 * prior.stat().st_size / 2**20
-    cli = (
-        "import sys, iwre.cli\n"
-        "rc = iwre.cli.main(sys.argv[1:])\n"
-        f"print({_PEAK_RSS_MIB})\n"
-        "sys.exit(rc)\n"
-    )
+# Runs the CLI in a fresh process and prints that process's VmHWM.
+_PEAK_CLI = (
+    "import sys, iwre.cli\n"
+    "rc = iwre.cli.main(sys.argv[1:])\n"
+    f"print({_PEAK_RSS_MIB})\n"
+    "sys.exit(rc)\n"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_peak_memory_is_the_prior_plus_chunks(tmp_path):
+    """``score --method nn`` and ``retrieve`` on a 195 MiB float32 prior hold
+    O(job) of it, not the file: a mapped prior's rows are released after each
+    scoring job and gathered block. Bounds, fixed before measuring: ``score``
+    under the import baseline plus 32 MiB, whatever the file size;
+    ``retrieve`` under the baseline plus 32 MiB plus 1.2x the selected rows
+    as float64."""
+    rows, dim = 400_000, 128
+    prior = tmp_path / "prior.bin"
+    rng = _seeded_prior(prior, rows, dim, "<f4", 29)
+    write_container(tmp_path / "target.bin", rng.standard_normal((200, dim)), "<f4")
+    baseline = _peak_mib(f"import iwre.cli; print({_PEAK_RSS_MIB})")
     data = ["--target", tmp_path / "target.bin", "--prior", prior]
     out = tmp_path / "out"
-    score = peak_mib(cli, "score", "--method", "nn", "--threads", 2, *data,
-                     "--out", out)
-    retrieve = peak_mib(cli, "retrieve", "--scores", out / "scores.bin", *data,
-                        "--fraction", 0.1, "--out", out)
-    assert score < bound and retrieve < bound, (baseline, bound, score, retrieve)
+    try:
+        score = _peak_mib(_PEAK_CLI, "score", "--method", "nn", "--threads", 2,
+                          *data, "--out", out)
+        retrieve = _peak_mib(_PEAK_CLI, "retrieve", "--scores", out / "scores.bin",
+                             *data, "--fraction", 0.1, "--out", out)
+    finally:
+        prior.unlink()
+    selection_mib = 0.1 * rows * dim * 8 / 2**20
+    assert score < baseline + 32, (baseline, score)
+    assert retrieve < baseline + 32 + 1.2 * selection_mib, (baseline, retrieve)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_million_row_prior_scores_in_bounded_memory(tmp_path):
+    """``score --method nn --threads 2`` on a seeded 1M x 64 float64 prior
+    (a 488 MiB file) peaks under 80 MiB: the prior is mapped and each job's
+    rows are released, so only the scores grow with the row count."""
+    prior = tmp_path / "prior.bin"
+    rng = _seeded_prior(prior, 1_000_000, 64, "<f8", 31)
+    write_container(tmp_path / "target.bin", rng.standard_normal((64, 64)), "<f8")
+    try:
+        score = _peak_mib(_PEAK_CLI, "score", "--method", "nn", "--threads", 2,
+                          "--target", tmp_path / "target.bin", "--prior", prior,
+                          "--out", tmp_path / "out")
+    finally:
+        prior.unlink()
+    assert score < 80, score
+
+
+class TestChangedInput:
+    """A prior is mapped, so its file could change after it was hashed: a
+    command that notices exits 4 naming the file, and writes no output."""
+
+    @staticmethod
+    def rewrite(path, how, rng):
+        # Same size, new values. Timestamps may be coarser than the time
+        # this takes, so each case pins the one field it expects to change.
+        before = os.stat(path)
+        rows, dim = struct.unpack("<QI", path.read_bytes()[7:19])
+        if how == "in_place":
+            with open(path, "r+b") as fh:
+                fh.seek(19)
+                fh.write(rng.standard_normal((rows, dim)).tobytes())
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 1))
+        else:
+            new = path.with_suffix(".new")
+            write_container(new, rng.standard_normal((rows, dim)), "<f8")
+            os.utime(new, ns=(before.st_atime_ns, before.st_mtime_ns))
+            os.replace(new, path)
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        rng = np.random.default_rng(41)
+        write_container(tmp_path / "t.bin", rng.standard_normal((30, 3)), "<f8")
+        write_container(tmp_path / "p.bin", rng.standard_normal((300, 3)), "<f8")
+        return ["--target", tmp_path / "t.bin", "--prior", tmp_path / "p.bin"]
+
+    @pytest.mark.parametrize("how", ["in_place", "replaced"])
+    def test_score(self, tmp_path, inputs, capsys, monkeypatch, how):
+        real = ScoringConfig.score
+
+        def rewriting_score(self, target, prior, threads=1):
+            TestChangedInput.rewrite(tmp_path / "p.bin", how,
+                                     np.random.default_rng(42))
+            return real(self, target, prior, threads)
+
+        monkeypatch.setattr(ScoringConfig, "score", rewriting_score)
+        out = tmp_path / "out"
+        assert run("score", "--method", "nn", *inputs, "--out", out) == 4
+        err = capsys.readouterr().err
+        assert "error[io]" in err and str(tmp_path / "p.bin") in err
+        assert not (out / "scores.bin").exists()
+
+    def test_retrieve(self, tmp_path, inputs, capsys, monkeypatch):
+        out = tmp_path / "out"
+        assert run("score", "--method", "nn", *inputs, "--out", out) == 0
+        real = cli.materialize
+
+        def rewriting_materialize(manifest, prior, meta=None):
+            TestChangedInput.rewrite(tmp_path / "p.bin", "in_place",
+                                     np.random.default_rng(43))
+            return real(manifest, prior, meta)
+
+        monkeypatch.setattr(cli, "materialize", rewriting_materialize)
+        capsys.readouterr()
+        assert run("retrieve", "--scores", out / "scores.bin", *inputs,
+                   "--fraction", 0.5, "--out", out) == 4
+        err = capsys.readouterr().err
+        assert "error[io]" in err and str(tmp_path / "p.bin") in err
+        assert not (out / "retrieved.bin").exists()

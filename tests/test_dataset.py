@@ -3,11 +3,15 @@
 import builtins
 import hashlib
 import io
+import mmap
 import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from iwre import _validation, dataset
 from iwre.dataset import (
@@ -19,11 +23,14 @@ from iwre.dataset import (
     load_embeddings,
     load_metadata,
     pair_metadata,
+    release_rows,
     save_embeddings,
     save_metadata,
     write_vector_file,
 )
 from iwre.errors import ValidationError
+from iwre.retrieval import materialize, select_by_fraction
+from iwre.scoring import ScoreMethod, ScoringConfig
 
 HEADER = struct.Struct("<4sHBQI")
 
@@ -107,7 +114,7 @@ class TestBinaryFormat:
         write_raw(path, dtype_code=0, rows=2, dim=3, payload=values.tobytes())
         ds = load_embeddings(path)
         assert ds.data.dtype == np.float32 and not ds.data.flags.writeable
-        assert ds.data.flags.c_contiguous and ds.data.flags.aligned
+        assert ds.data.flags.c_contiguous
         np.testing.assert_array_equal(
             ds.data.astype(np.float64), values.astype(np.float64).reshape(2, 3)
         )
@@ -298,6 +305,23 @@ class TestRowMetadata:
         assert exc.value.code == "bad_step_index"
         assert "row 0" in str(exc.value)
 
+    @pytest.mark.parametrize("bad,code", [
+        ("0,5,3,", "bad_step_index"),
+        ("0,x,3,", "malformed_value"),
+        ("0,1,3", "dim_mismatch"),
+    ])
+    def test_error_names_line_and_row(self, tmp_path, bad, code):
+        # The bad record is on line 5, after a blank line: data row 2.
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "episode_id,step_index,episode_length,task_label\n"
+            f"0,0,3,\n0,1,3,\n\n{bad}\n"
+        )
+        with pytest.raises(ValidationError) as exc:
+            load_metadata(path)
+        assert exc.value.code == code
+        assert f"{path}: line 5 (row 2)" in str(exc.value)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,0,3,\n")
@@ -391,3 +415,103 @@ class TestRoundTripProperty:
             path = tmp_path / f"t{trial}.bin"
             save_embeddings(EmbeddingDataset(data), path)
             assert load_embeddings(path).data.tobytes() == data.tobytes()
+
+
+def _present_pages(array: np.ndarray) -> np.ndarray:
+    """Whether each page under ``array`` is mapped into this process."""
+    start = array.__array_interface__["data"][0] // mmap.PAGESIZE
+    stop = -(-(array.__array_interface__["data"][0] + array.nbytes) // mmap.PAGESIZE)
+    with open("/proc/self/pagemap", "rb") as fh:
+        fh.seek(start * 8)
+        entries = np.frombuffer(fh.read((stop - start) * 8), "<u8")
+    return (entries >> np.uint64(63)).astype(bool)
+
+
+class TestMappedPayload:
+    """A binary payload is mapped read-only, not copied, and each row range
+    can be handed back to the page cache."""
+
+    @pytest.mark.parametrize("dtype_code, dtype", [(0, "<f4"), (1, "<f8")])
+    def test_payload_is_mapped(self, tmp_path, dtype_code, dtype):
+        values = np.random.default_rng(4).standard_normal((6, 3)).astype(dtype)
+        path = tmp_path / "m.bin"
+        write_raw(path, dtype_code=dtype_code, rows=6, dim=3,
+                  payload=values.tobytes())
+        ds = load_embeddings(path)
+        assert ds.data.dtype == np.dtype(dtype) and not ds.data.flags.owndata
+        assert not ds.data.flags.writeable
+        assert ds.data.tobytes() == values.tobytes()
+        ds.check_unchanged()
+
+    @pytest.mark.skipif(not Path("/proc/self/pagemap").exists(),
+                        reason="needs /proc/self/pagemap")
+    def test_release_rows_drops_their_pages(self, tmp_path):
+        rows, dim = 4096, 512  # 16 MiB of float64, 4 KiB a row
+        path = tmp_path / "big.bin"
+        values = np.random.default_rng(6).standard_normal((rows, dim))
+        write_vector_file(values, path)
+        ds = load_embeddings(path)
+        assert np.array_equal(ds.data, values)  # every page is now mapped
+        assert _present_pages(ds.data).all()
+        release_rows(ds.data, 1000, 1500)
+        present = _present_pages(ds.data)
+        assert not present[1001:1500].any() and present[:512].all()
+        assert ds.data.tobytes() == values.tobytes()  # paged in again
+        release_rows(ds.data, 0, rows)
+        assert not _present_pages(ds.data).any()
+
+    def test_release_rows_ignores_memory(self):
+        values = np.arange(12.0).reshape(4, 3)
+        release_rows(values, 0, 4)
+        release_rows(EmbeddingDataset(values).data, 1, 3)
+        assert values.tobytes() == np.arange(12.0).tobytes()
+
+    CONFIGS = [
+        ScoringConfig(ScoreMethod.NN_L2),
+        ScoringConfig(ScoreMethod.LSE),
+        ScoringConfig(ScoreMethod.KDE_TARGET),
+        ScoringConfig(ScoreMethod.IWR, batch_size=64, num_batches=2, seed=3),
+        ScoringConfig(ScoreMethod.IWR, batch_size=64, num_batches=2, seed=3,
+                      leave_self_out=True),
+    ]
+
+    @settings(derandomize=True, deadline=None, max_examples=8)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5),
+           st.sampled_from(["<f4", "<f8"]))
+    def test_scores_and_rows_match_memory(self, seed, dim, dtype):
+        # Two or three 8192-row scoring jobs in one 2 MiB region: each
+        # worker's release drops pages the other is reading.
+        rng = np.random.default_rng(seed)
+        target = rng.standard_normal((int(rng.integers(2, 40)), dim)).astype(dtype)
+        prior = rng.standard_normal((int(rng.integers(8193, 20000)), dim)).astype(dtype)
+        with tempfile.TemporaryDirectory() as tmp:
+            mapped = []
+            for name, values in (("t.bin", target), ("p.bin", prior)):
+                path = Path(tmp) / name
+                write_raw(path, dtype_code=int(dtype == "<f8"), rows=len(values),
+                          dim=dim, payload=values.tobytes())
+                mapped.append(load_embeddings(path))
+            held = [EmbeddingDataset(np.array(ds.data)) for ds in mapped]
+            for config in self.CONFIGS:
+                for threads in (1, 2):
+                    got = config.score(*mapped, threads)
+                    want = config.score(*held, threads)
+                    assert got.values.tobytes() == want.values.tobytes(), config
+            manifest = select_by_fraction(got, 0.3)
+            rows = materialize(manifest, mapped[1])[0].data
+            assert rows.tobytes() == materialize(manifest, held[1])[0].data.tobytes()
+
+    def test_long_one_dimensional_target(self, tmp_path):
+        # A version-1 payload is not 8-byte aligned, and numpy sums a long
+        # unaligned axis in other blocks than an aligned one: a mapped target
+        # must still fit to the bits of an in-memory one.
+        rng = np.random.default_rng(35)  # a seed whose two sums round apart
+        target = 3 * rng.standard_normal((9000, 1)) + 1.7
+        prior = rng.standard_normal((50, 1))
+        for name, values in (("t.bin", target), ("p.bin", prior)):
+            write_vector_file(values, tmp_path / name)
+        mapped = [load_embeddings(tmp_path / n) for n in ("t.bin", "p.bin")]
+        held = [EmbeddingDataset(v) for v in (target, prior)]
+        for config in self.CONFIGS[:3]:
+            got, want = config.score(*mapped), config.score(*held)
+            assert got.values.tobytes() == want.values.tobytes(), config

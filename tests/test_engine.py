@@ -364,9 +364,10 @@ class TestFloat32Queries:
                              ids=["nn", "kde", "kde_fewer_rows_than_dims"])
     def test_job_memory_is_one_chunk(self, method, target_rows):
         # One 8192-row scoring job of a float32 prior at d=256 (nn: the
-        # nn_wide shape): every temporary, query widening included, fits the
-        # engine's budget, also for a whitened support with fewer rows than
-        # dimensions.
+        # nn_wide shape): every temporary, query widening included, fits two
+        # of the engine's 1 MiB budgets (a KDE block's two buffers) plus
+        # eight float64 vectors of the job's rows, also for a whitened
+        # support with fewer rows than dimensions.
         rng = np.random.default_rng(0)
         prior = rng.standard_normal((8192, 256)).astype(np.float32)
         if method == "nn":
@@ -381,7 +382,7 @@ class TestFloat32Queries:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * kde_module._CHUNK_ELEMS * 8
+        assert peak <= 2 * kde_module._TILE_ELEMS * 8 + 8 * len(prior) * 8
 
     def test_kde_job_memory_is_tiles(self):
         # One 8192-row scoring job against a 4096-kernel support at d=32,

@@ -1,5 +1,7 @@
 """Selection rules, resampling, co-training weights, manifests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,23 @@ class TestManifest:
         assert back.rule is manifest.rule
         assert back.rule_param == manifest.rule_param
         assert back.config_fingerprint == manifest.config_fingerprint
+        assert back.method is manifest.method is ScoreMethod.IWR
+
+    @pytest.mark.parametrize("method", list(ScoreMethod))
+    def test_selection_records_method(self, method):
+        scores = make_scores(-np.linspace(0, 2, 10), method)
+        assert select_by_fraction(scores, 0.3).method is method
+        assert select_by_threshold(scores, -1.0).method is method
+
+    def test_manifest_without_method_is_refused(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        save_manifest(select_by_fraction(make_scores(np.arange(5.0)), 0.4), path)
+        payload = json.loads(path.read_text())
+        del payload["method"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError) as exc:
+            load_manifest(path)
+        assert exc.value.code == "bad_manifest" and "iwre retrieve" in str(exc.value)
 
     def test_round_trip_with_multiplicities(self, tmp_path):
         manifest = resample_by_weight(make_scores(np.linspace(0, 1, 10)), 40, 3)
