@@ -12,12 +12,12 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 from ._validation import check_count, read_json_object, write_json
-from .dataset import RowMetadata
+from .dataset import as_metadata_table
 from .errors import ValidationError
 from .retrieval import RetrievalManifest
 from ._version import __version__
@@ -64,29 +64,29 @@ class TimestepHistogram:
 
 def task_breakdown(
     manifest: RetrievalManifest,
-    meta: Sequence[RowMetadata],
+    meta,
     labels: Optional[Mapping[str, str]] = None,
     *,
     table: Optional[dict] = None,
 ) -> TaskBreakdown:
     """Count selected rows per task and attach relevance labels.
 
-    Tasks selected but missing from ``labels`` default to ``harmful`` with a
-    logged warning; ``labels=None`` means none were given, and every task is
-    ``harmful`` without one. Rows without a task label group under
-    ``"(unlabeled)"``; a selection with no labeled rows at all yields an
-    empty breakdown. ``table`` is the crossed table of
+    ``meta`` is a :class:`~iwre.dataset.MetadataTable` or a sequence of
+    ``RowMetadata``. Tasks selected but missing from ``labels`` default to
+    ``harmful`` with a logged warning; ``labels=None`` means none were
+    given, and every task is ``harmful`` without one. Rows without a task
+    label group under ``"(unlabeled)"``; a selection with no labeled rows at
+    all yields an empty breakdown. ``table`` is the crossed table of
     :func:`task_bin_counts` for the same manifest and metadata, if already
     built; its per-task sums are the counts.
     """
     if labels is not None:
         _check_relevance(labels)
+    meta = as_metadata_table(meta)
     if table is None:
         table = task_bin_counts(manifest, meta, 1)
     counts = {task: sum(row) for task, row in table.items()}
-    if set(counts) == {UNLABELED_TASK} and all(
-        meta[i].task_label is None for i in manifest.selected_indices.tolist()
-    ):
+    if (meta.task_code[manifest.selected_indices] < 0).all():
         return TaskBreakdown({}, {}, {})
     total = manifest.size
     fractions = {task: c / total for task, c in counts.items()}
@@ -101,7 +101,7 @@ def task_breakdown(
 
 def timestep_histogram(
     manifest: RetrievalManifest,
-    meta: Sequence[RowMetadata],
+    meta,
     bin_count: int = 10,
     *,
     table: Optional[dict] = None,
@@ -119,31 +119,35 @@ def timestep_histogram(
     return TimestepHistogram(counts.size, counts, counts / manifest.size)
 
 
-def task_bin_counts(
-    manifest: RetrievalManifest,
-    meta: Sequence[RowMetadata],
-    bin_count: int = 10,
-) -> dict:
+def task_bin_counts(manifest: RetrievalManifest, meta, bin_count: int = 10) -> dict:
     """Crossed per-task, per-bin selected counts.
 
     Lets external tooling apply segment-level relevance rules (e.g. "only
     the early portion of this task is useful") that neither marginal table
     can express. :func:`task_breakdown` and :func:`timestep_histogram` are
-    its marginals, and take it as ``table`` to skip building it again.
+    its marginals, and take it as ``table`` to skip building it again. The
+    counts are one ``bincount`` over task code x bin of the selected rows.
     """
     bin_count = check_count(bin_count, "bin_count")
-    if manifest.selected_indices[-1] >= len(meta):
+    meta = as_metadata_table(meta)
+    idx = manifest.selected_indices
+    if idx[-1] >= len(meta):
         raise ValidationError(
-            f"manifest selects row {int(manifest.selected_indices[-1])} but "
+            f"manifest selects row {int(idx[-1])} but "
             f"metadata has only {len(meta)} rows",
             code="metadata_mismatch",
         )
+    steps, lengths = meta.step_index[idx], meta.episode_length[idx]
+    if bin_count > np.iinfo(np.int64).max // int(lengths.max()):
+        steps = steps.astype(object)  # step * bin_count would overflow int64
+    bins = (steps * bin_count // lengths).astype(np.int64)
+    names = (UNLABELED_TASK,) + meta.task_labels
+    cells = (meta.task_code[idx] + 1) * bin_count + bins
+    counts = np.bincount(cells, minlength=len(names) * bin_count)
     table: dict[str, list] = {}
-    for i in manifest.selected_indices.tolist():
-        rec = meta[i]
-        key = rec.task_label if rec.task_label is not None else UNLABELED_TASK
-        row = table.setdefault(key, [0] * bin_count)
-        row[(rec.step_index * bin_count) // rec.episode_length] += 1
+    for name, row in zip(names, counts.reshape(len(names), bin_count).tolist()):
+        if any(row):  # a task labelled "(unlabeled)" shares the unlabeled row
+            table[name] = [a + b for a, b in zip(table.get(name, [0] * bin_count), row)]
     return table
 
 

@@ -349,7 +349,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         fingerprint=manifest.config_fingerprint,
         method=method,
         evaluation=evaluation,
-        task_bins=crossed if any(m.task_label is not None for m in meta) else None,
+        task_bins=crossed if (meta.task_code >= 0).any() else None,
     )
     print(f"wrote {out / 'report.json'}")
     return 0

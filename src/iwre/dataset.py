@@ -21,7 +21,9 @@ as float32 or float64, mapped or held in memory. The CSV format is UTF-8
 text, one embedding per line, comma-separated, no header; it loads as
 float64. Row metadata lives in a separate CSV sidecar with header
 ``episode_id,step_index,episode_length,task_label`` (empty ``task_label``
-means unlabeled).
+means unlabeled). It loads as a :class:`MetadataTable`: int64 columns and
+a task code per row into a table of the distinct labels, parsed in
+vectorised windows of whole records, with no per-row Python objects.
 """
 
 from __future__ import annotations
@@ -50,6 +52,10 @@ _READ_BLOCK = 1 << 20  # bytes per read of a binary payload, or per gathered blo
 _RELEASE_SPAN = 2 << 20
 
 METADATA_FIELDS = ("episode_id", "step_index", "episode_length", "task_label")
+_QUOTE, _COMMA, _LF, _CR = b'",\n\r'
+_INT_DIGITS = 18  # most digits of a metadata integer: any such value fits int64
+_WRITE_ROWS = 1 << 12  # metadata rows formatted per write
+_META_WINDOW = 1 << 16  # bytes of metadata records parsed per window
 
 
 def content_id(data: bytes | np.ndarray) -> str:
@@ -129,6 +135,26 @@ class EmbeddingDataset:
         return self.rows
 
 
+def _episode_error(step_index, episode_length) -> Optional[ValidationError]:
+    """The error a row with these fields is refused with, or None."""
+    if episode_length < 1:
+        return ValidationError(
+            f"episode_length must be >= 1, got {episode_length}",
+            code="bad_episode_length",
+        )
+    if not 0 <= step_index < episode_length:
+        return ValidationError(
+            f"step_index {step_index} outside [0, {episode_length})",
+            code="bad_step_index",
+        )
+    return None
+
+
+def _bad_episode_rows(step_index: np.ndarray, episode_length: np.ndarray) -> np.ndarray:
+    """Mask of the rows :func:`_episode_error` refuses."""
+    return (episode_length < 1) | (step_index < 0) | (step_index >= episode_length)
+
+
 @dataclass(frozen=True)
 class RowMetadata:
     """Per-row episode bookkeeping for an embedding dataset."""
@@ -139,16 +165,118 @@ class RowMetadata:
     task_label: Optional[str] = None
 
     def __post_init__(self):
-        if self.episode_length < 1:
+        error = _episode_error(self.step_index, self.episode_length)
+        if error is not None:
+            raise error
+
+
+_INT_COLUMNS = METADATA_FIELDS[:3]
+
+
+def _owned(value, dtype) -> np.ndarray:
+    """``value`` as an array of ``dtype``, copied if it is a writeable array
+    that its caller holds."""
+    arr = np.asarray(value, dtype=dtype)
+    return arr.copy() if arr is value and arr.flags.writeable else arr
+
+
+@dataclass(frozen=True, eq=False)
+class MetadataTable:
+    """Row metadata as read-only columns, one entry per embedding row.
+
+    ``episode_id``, ``step_index`` and ``episode_length`` are int64;
+    ``task_code`` (int32) indexes ``task_labels``, and -1 means unlabeled.
+    An integer array passed in is copied unless it is read-only; every row
+    is checked as :class:`RowMetadata` checks one (errors name ``row i``).
+    The label table is kept sorted, distinct and used by some row, so equal
+    tables compare equal with ``==``. ``table[i]`` and iteration give
+    :class:`RowMetadata`; :meth:`from_records` builds a table from them.
+    """
+
+    episode_id: np.ndarray
+    step_index: np.ndarray
+    episode_length: np.ndarray
+    task_code: np.ndarray
+    task_labels: tuple = ()
+
+    def __post_init__(self):
+        columns = [_owned(getattr(self, name), np.int64) for name in _INT_COLUMNS]
+        codes = np.asarray(self.task_code)
+        codes = codes if codes.dtype.kind in "iu" else codes.astype(np.int64)
+        labels = tuple(self.task_labels)
+        if any(c.ndim != 1 or c.shape != codes.shape for c in columns) or codes.ndim != 1:
             raise ValidationError(
-                f"episode_length must be >= 1, got {self.episode_length}",
-                code="bad_episode_length",
+                "metadata columns must be 1-D and of one length", code="bad_shape"
             )
-        if not 0 <= self.step_index < self.episode_length:
+        if codes.size and (codes.min() < -1 or codes.max() >= len(labels)):
             raise ValidationError(
-                f"step_index {self.step_index} outside [0, {self.episode_length})",
-                code="bad_step_index",
+                f"task_code outside [-1, {len(labels)})", code="bad_task_code"
             )
+        if not all(isinstance(label, str) for label in labels):
+            raise ValidationError("task labels must be strings", code="bad_task_label")
+        bad = _bad_episode_rows(columns[1], columns[2])
+        if bad.any():
+            row = int(np.argmax(bad))
+            error = _episode_error(int(columns[1][row]), int(columns[2][row]))
+            raise ValidationError(f"row {row}: {error}", code=error.code)
+        used = np.zeros(len(labels) + 1, bool)
+        used[codes] = True  # code -1 marks the last entry
+        names = sorted({labels[k] for k in np.flatnonzero(used[:-1])})
+        rank = {name: k for k, name in enumerate(names)}
+        remap = np.array([rank.get(label, -1) for label in labels] + [-1], np.int32)
+        for name, column in zip(_INT_COLUMNS + ("task_code",), columns + [remap[codes]]):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "task_labels", tuple(names))
+
+    @classmethod
+    def from_records(cls, records) -> "MetadataTable":
+        """A table of :class:`RowMetadata` rows, in order."""
+        records = list(records)
+        labels: dict = {}
+        codes = [
+            -1 if r.task_label is None else labels.setdefault(r.task_label, len(labels))
+            for r in records
+        ]
+        columns = ([getattr(r, name) for r in records] for name in _INT_COLUMNS)
+        return cls(*columns, codes, tuple(labels))
+
+    def take(self, idx) -> "MetadataTable":
+        """The rows ``idx``, in that order."""
+        columns = (getattr(self, name)[idx] for name in _INT_COLUMNS)
+        return MetadataTable(*columns, self.task_code[idx], self.task_labels)
+
+    def __len__(self) -> int:
+        return self.task_code.shape[0]
+
+    def __getitem__(self, i) -> RowMetadata:
+        code = int(self.task_code[i])
+        return RowMetadata(
+            *(int(getattr(self, name)[i]) for name in _INT_COLUMNS),
+            self.task_labels[code] if code >= 0 else None,
+        )
+
+    def __iter__(self):
+        labels = self.task_labels + (None,)  # code -1 picks None
+        columns = [getattr(self, name).tolist() for name in _INT_COLUMNS]
+        for *ints, code in zip(*columns, self.task_code.tolist()):
+            yield RowMetadata(*ints, labels[code])
+
+    def __eq__(self, other):
+        if not isinstance(other, MetadataTable):
+            return NotImplemented
+        return self.task_labels == other.task_labels and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _INT_COLUMNS + ("task_code",)
+        )
+
+
+def as_metadata_table(metadata) -> MetadataTable:
+    """``metadata`` as a :class:`MetadataTable`: a table as it is, a sequence
+    of :class:`RowMetadata` converted once."""
+    if isinstance(metadata, MetadataTable):
+        return metadata
+    return MetadataTable.from_records(metadata)
 
 
 def gather_rows(data: np.ndarray, idx) -> np.ndarray:
@@ -164,16 +292,16 @@ def gather_rows(data: np.ndarray, idx) -> np.ndarray:
     return out
 
 
-def pair_metadata(
-    dataset: EmbeddingDataset, metadata: Sequence[RowMetadata]
-) -> Sequence[RowMetadata]:
-    """Check that ``metadata`` rows line up one-to-one with ``dataset`` rows."""
-    if len(metadata) != dataset.rows:
+def pair_metadata(dataset: EmbeddingDataset, metadata) -> MetadataTable:
+    """``metadata`` as a table, checked to line up one-to-one with ``dataset``
+    rows."""
+    table = as_metadata_table(metadata)
+    if len(table) != dataset.rows:
         raise ValidationError(
-            f"metadata has {len(metadata)} rows but dataset has {dataset.rows}",
+            f"metadata has {len(table)} rows but dataset has {dataset.rows}",
             code="row_count_mismatch",
         )
-    return metadata
+    return table
 
 
 def _parse_header(header: bytes, file_size: int, path):
@@ -350,66 +478,236 @@ def write_vector_file(array: np.ndarray, path) -> None:
         fh.write(memoryview(arr).cast("B"))
 
 
-def load_metadata(path) -> list[RowMetadata]:
-    """Load the metadata sidecar, preserving file order. Errors name the
-    file line and the data row, ``line L (row i)``; blank lines hold no row."""
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
+def _records(buf: np.ndarray, eof: bool) -> tuple:
+    """The whole records at the start of the CSV bytes ``buf``, and at
+    ``eof`` the rest of them too.
+
+    A record ends at a line end ("\\n", "\\r\\n" or a lone "\\r") outside
+    double quotes: an even number of quotes precede it in ``buf`` (``""`` in
+    a quoted field counts twice). Returns each record's content start and
+    stop (line end excluded), the line ends up to the end of each (its
+    ``csv.reader.line_num`` less the lines before ``buf``; line ends in
+    quotes count), and the bytes and line ends the records took.
+    """
+    lf = buf == _LF
+    cr = buf == _CR
+    cr[:-1] &= ~lf[1:]
+    if not eof and cr.size:
+        cr[-1] = False  # it may start a "\\r\\n"
+    ends = np.flatnonzero(lf | cr)
+    quotes = np.flatnonzero(buf == _QUOTE)
+    outside = np.searchsorted(quotes, ends) % 2 == 0
+    if not eof:  # up to the last line end outside quotes
+        last = np.flatnonzero(outside)
+        if not last.size:
+            return (np.empty(0, np.int64),) * 3 + (0, 0)
+        ends, outside = ends[: last[-1] + 1], outside[: last[-1] + 1]
+    term = ends[outside]
+    crlf = (term > 0) & lf[term] & (buf[term - 1] == _CR)
+    start = np.concatenate(([0], term + 1))
+    stop = np.concatenate((term - crlf, [buf.size]))
+    tail_line = ends.size + (ends.size == 0 or ends[-1] != buf.size - 1)
+    line = np.concatenate((np.flatnonzero(outside) + 1, [tail_line]))
+    if not eof or start[-1] == buf.size:  # no record after the last end
+        start, stop, line = start[:-1], stop[:-1], line[:-1]
+    used = buf.size if eof else int(ends[-1]) + 1
+    return start, stop, line, used, ends.size
+
+
+def _int_fields(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> tuple:
+    """Parse the integer field ``buf[start:stop]`` of each row: an optional
+    sign and 1 to ``_INT_DIGITS`` ASCII digits, the whole optionally in
+    double quotes. Returns the int64 values and a mask of the rows that
+    parsed; a digit position is one vector step over all rows."""
+    quoted = (stop - start >= 2) & (buf[start] == _QUOTE) & (buf[stop - 1] == _QUOTE)
+    start, stop = start + quoted, stop - quoted
+    sign = (stop > start) & ((buf[start] == ord("-")) | (buf[start] == ord("+")))
+    negative = sign & (buf[start] == ord("-"))
+    start = start + sign
+    digits = stop - start
+    ok = (digits >= 1) & (digits <= _INT_DIGITS)
+    value = np.zeros(start.size, np.int64)
+    for j in range(min(int(digits.max(initial=0)), _INT_DIGITS)):
+        more = digits > j
+        digit = buf[np.where(more, start + j, 0)].astype(np.int64) - ord("0")
+        ok &= ~more | ((digit >= 0) & (digit <= 9))
+        value = np.where(more, value * 10 + digit, value)
+    return np.where(negative, -value, value), ok
+
+
+def _label_codes(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> tuple:
+    """Code the label field ``buf[start:stop]`` of each row.
+
+    Each row's bytes and length form a fixed-width key; a row whose key
+    equals the row before it (as in an episode) shares its code, and the
+    distinct keys of the other rows are decoded once each, quoted ones
+    through ``csv``. Returns the codes (-1 for an empty label), the label
+    table, and a mask of the rows whose label is not UTF-8.
+    """
+    size = stop - start
+    width = int(size.max(initial=0))
+    keys = np.zeros((start.size, width + 4), np.uint8)
+    keys[:, width:] = size.astype("<u4").view(np.uint8).reshape(-1, 4)
+    for j in range(width):
+        inside = size > j
+        keys[:, j] = np.where(inside, buf[np.where(inside, start + j, 0)], 0)
+    new = np.ones(start.size, bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    run = np.cumsum(new) - 1
+    distinct, key_of_run = np.unique(
+        keys[new].view(f"V{width + 4}").ravel(), return_inverse=True
+    )
+    labels: dict = {}
+    code_of_key = []
+    for key in distinct.tolist():
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty metadata file", code="empty_dataset")
-        if tuple(header) != METADATA_FIELDS:
+            label = key[: int.from_bytes(key[width:], "little")].decode()
+        except UnicodeDecodeError:
+            code_of_key.append(-2)
+            continue
+        if label.startswith('"'):
+            label = next(csv.reader([label]))[0]
+        code_of_key.append(labels.setdefault(label, len(labels)) if label else -1)
+    codes = np.array(code_of_key, np.int64)[key_of_run.ravel()][run]
+    return np.maximum(codes, -1), tuple(labels), codes == -2
+
+
+def _parse_rows(buf, start, stop, line, row0, columns, labels, path) -> int:
+    """Parse the non-blank records ``buf[start:stop]``, which end on lines
+    ``line``, into ``columns`` from row ``row0`` on; ``labels`` maps each
+    label met so far to its code. Returns the rows parsed, or raises the
+    error of the first bad row."""
+    text = buf[start[0] : stop[-1]]
+    commas = np.flatnonzero(text == _COMMA)
+    quotes = np.flatnonzero(text == _QUOTE)
+    if quotes.size:
+        commas = commas[np.searchsorted(quotes, commas) % 2 == 0]
+    commas += start[0]
+    row_of = np.searchsorted(start, commas, "right") - 1
+    fields = np.bincount(row_of, minlength=start.size) + 1
+    wrong = np.flatnonzero(fields != len(METADATA_FIELDS))
+    n = int(wrong[0]) if wrong.size else start.size  # rows before the first
+    # Field k of those rows spans bounds[:, k] (+1 past a comma) to bounds[:, k + 1].
+    bounds = np.column_stack((start[:n], commas[row_of < n].reshape(n, 3), stop[:n]))
+    ints = [_int_fields(buf, bounds[:, k] + (k > 0), bounds[:, k + 1]) for k in range(3)]
+    (episode_id, id_ok), (step, step_ok), (length, length_ok) = ints
+    codes, new_labels, undecodable = _label_codes(buf, bounds[:, 3] + 1, bounds[:, 4])
+    problems = [~id_ok, ~step_ok, ~length_ok, _bad_episode_rows(step, length), undecodable]
+    row = min((int(np.argmax(p)) for p in problems if p.any()), default=n)
+    if row < start.size:
+        at = f"{path}: line {line[row]} (row {row0 + row})"
+        if row == n:
             raise ValidationError(
-                f"{path}: expected header {','.join(METADATA_FIELDS)}, "
-                f"got {','.join(header)}",
-                code="malformed_header",
+                f"{at} has {fields[n]} fields, expected {len(METADATA_FIELDS)}",
+                code="dim_mismatch",
             )
-        records = []
-        for row in reader:
-            if not row:
-                continue
-            at = f"line {reader.line_num} (row {len(records)})"
-            if len(row) != len(METADATA_FIELDS):
-                raise ValidationError(
-                    f"{path}: {at} has {len(row)} fields, expected "
-                    f"{len(METADATA_FIELDS)}",
-                    code="dim_mismatch",
-                )
-            try:
-                episode_id, step_index, episode_length = (
-                    int(row[0]),
-                    int(row[1]),
-                    int(row[2]),
-                )
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}: {at}: {exc}", code="malformed_value"
-                ) from exc
-            task_label = row[3] if row[3] != "" else None
-            try:
-                records.append(
-                    RowMetadata(episode_id, step_index, episode_length, task_label)
-                )
-            except ValidationError as exc:
-                raise ValidationError(f"{path}: {at}: {exc}", code=exc.code) from exc
-    if not records:
-        raise ValidationError(f"{path}: no metadata rows", code="empty_dataset")
-    return records
+        kind = next(k for k, p in enumerate(problems) if p[row])
+        if kind < 3:
+            value = buf[bounds[row, kind] + (kind > 0) : bounds[row, kind + 1]]
+            raise ValidationError(
+                f"{at}: {METADATA_FIELDS[kind]} is not an integer: "
+                f"{value.tobytes().decode(errors='replace')!r}",
+                code="malformed_value",
+            )
+        error = _episode_error(int(step[row]), int(length[row]))
+        if error is not None:
+            raise ValidationError(f"{at}: {error}", code=error.code)
+        raise ValidationError(f"{at}: task_label is not UTF-8", code="malformed_value")
+    rows = slice(row0, row0 + n)
+    for column, values in zip(columns, (episode_id, step, length)):
+        column[rows] = values
+    known = [labels.setdefault(label, len(labels)) for label in new_labels]
+    columns[3][rows] = np.array(known + [-1], np.int32)[codes]  # -1 picks -1
+    return n
 
 
-def save_metadata(records: Sequence[RowMetadata], path) -> None:
-    """Write the metadata sidecar CSV."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(METADATA_FIELDS)
-    for rec in records:
-        writer.writerow(
-            [
-                rec.episode_id,
-                rec.step_index,
-                rec.episode_length,
-                rec.task_label if rec.task_label is not None else "",
-            ]
+def load_metadata(path) -> MetadataTable:
+    """Load the metadata sidecar, preserving file order, as a table.
+
+    The file is read in windows of whole records of about ``_META_WINDOW``
+    bytes, each parsed in vector steps over all its rows into columns sized
+    by a first count of its line ends: no per-row Python objects, and
+    O(window) beyond the columns. Rows and quoting are read as
+    ``csv.reader`` reads RFC 4180 CSV. An integer field is an optional sign
+    and 1 to 18 ASCII digits, optionally quoted; spaces, underscores and
+    other digits are refused. Errors name the file line and the data row,
+    ``line L (row i)``, of the first bad row; blank lines hold no row.
+    """
+    with open(path, "rb") as fh:
+        capacity = 1 + sum(  # at least the rows
+            block.count(b"\n") + block.count(b"\r")
+            for block in iter(lambda: fh.read(_READ_BLOCK), b"")
         )
-    Path(path).write_text(buf.getvalue())
+        fh.seek(0)
+        columns = [np.empty(capacity, np.int64) for _ in _INT_COLUMNS]
+        columns.append(np.empty(capacity, np.int32))
+        labels: dict = {}
+        lines = rows = 0
+        header = None
+        data = b""
+        while True:
+            chunk = fh.read(max(_META_WINDOW, len(data)))  # a long record doubles it
+            data += chunk
+            if not data:
+                break
+            buf = np.frombuffer(data, np.uint8)
+            start, stop, line, used, used_lines = _records(buf, eof=not chunk)
+            data = data[used:]
+            line += lines
+            lines += used_lines
+            if header is None and start.size:
+                text = buf[start[0] : stop[0]].tobytes().decode(errors="replace")
+                header = next(csv.reader([text]), [])
+                if tuple(header) != METADATA_FIELDS:
+                    raise ValidationError(
+                        f"{path}: expected header {','.join(METADATA_FIELDS)}, "
+                        f"got {','.join(header)}",
+                        code="malformed_header",
+                    )
+                start, stop, line = start[1:], stop[1:], line[1:]
+            keep = stop > start  # blank records hold no row
+            if keep.any():
+                rows += _parse_rows(buf, start[keep], stop[keep], line[keep], rows,
+                                    columns, labels, path)
+            if not chunk:
+                break
+    if header is None:
+        raise ValidationError(f"{path}: empty metadata file", code="empty_dataset")
+    if rows == 0:
+        raise ValidationError(f"{path}: no metadata rows", code="empty_dataset")
+    columns = [column[:rows] for column in columns]
+    for column in columns:
+        column.flags.writeable = False  # the table holds them as they are
+    return MetadataTable(*columns, tuple(labels))
+
+
+def _csv_label(label: str) -> bytes:
+    """A label as one CSV field, quoted by ``csv`` where needed and always
+    when it holds a line break (``csv`` leaves a lone "\\r" bare)."""
+    if not label:
+        return b""
+    quoting = csv.QUOTE_ALL if "\r" in label or "\n" in label else csv.QUOTE_MINIMAL
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n", quoting=quoting).writerow([label])
+    return out.getvalue()[:-1].encode()
+
+
+def save_metadata(metadata, path) -> None:
+    """Write the metadata sidecar CSV: a :class:`MetadataTable`, or a
+    sequence of :class:`RowMetadata` converted once. Integers are formatted
+    in bulk, ``_WRITE_ROWS`` rows per write, and each distinct label is
+    quoted once."""
+    table = as_metadata_table(metadata)
+    # Each label's field and line end; code -1 (unlabeled) picks the last.
+    ends = np.array([_csv_label(label) + b"\n" for label in table.task_labels] + [b"\n"])
+    with open(path, "wb") as fh:
+        fh.write(",".join(METADATA_FIELDS).encode() + b"\n")
+        for lo in range(0, len(table), _WRITE_ROWS):
+            rows = slice(lo, lo + _WRITE_ROWS)
+            line = ends[table.task_code[rows]]
+            for name in reversed(_INT_COLUMNS):
+                field = getattr(table, name)[rows].astype("S")
+                line = np.char.add(np.char.add(field, b","), line)
+            width = line.dtype.itemsize
+            keep = np.arange(width) < np.char.str_len(line)[:, None]
+            fh.write(line.view(np.uint8).reshape(-1, width)[keep].tobytes())

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ._validation import check_count, read_json_object, write_json
-from .dataset import EmbeddingDataset, RowMetadata, gather_rows, pair_metadata
+from .dataset import EmbeddingDataset, gather_rows, pair_metadata
 from .errors import ValidationError
 from .scoring import ScoreMethod, ScoreVector
 from ._version import __version__
@@ -117,9 +117,17 @@ def select_by_fraction(scores: ScoreVector, fraction: float) -> RetrievalManifes
             f"fraction {fraction} of {n} rows rounds to an empty selection",
             code="empty_selection",
         )
-    order = np.lexsort((np.arange(n), -scores.values))
-    chosen = np.sort(order[:k])
-    return _manifest_from_indices(scores, chosen, SelectionRule.FRACTION, fraction)
+    # The k-th largest score; every higher one is chosen, and of the rows
+    # tied at it, the lowest-indexed that fill the selection. One partition
+    # copy of the scores, not three N-length arrays of a full sort.
+    values = scores.values
+    kth = np.partition(values, n - k)[n - k]
+    chosen = values > kth
+    tied = np.flatnonzero(values == kth)
+    chosen[tied[: k - np.count_nonzero(chosen)]] = True
+    return _manifest_from_indices(
+        scores, np.flatnonzero(chosen), SelectionRule.FRACTION, fraction
+    )
 
 
 def select_by_threshold(scores: ScoreVector, threshold: float) -> RetrievalManifest:
@@ -198,12 +206,9 @@ def cotrain_weights(
     return CotrainWeights(alpha / target_count, (1.0 - alpha) / retrieved_count, alpha)
 
 
-def materialize(
-    manifest: RetrievalManifest,
-    prior: EmbeddingDataset,
-    prior_meta: Optional[Sequence[RowMetadata]] = None,
-):
-    """Extract the selected rows (and paired metadata) in index order."""
+def materialize(manifest: RetrievalManifest, prior: EmbeddingDataset, prior_meta=None):
+    """Extract the selected rows (and paired metadata, a ``MetadataTable`` or
+    a sequence of ``RowMetadata``, as a table) in index order."""
     idx = manifest.selected_indices
     if idx[-1] >= prior.rows:
         raise ValidationError(
@@ -215,8 +220,7 @@ def materialize(
     retrieved = EmbeddingDataset(rows)
     if prior_meta is None:
         return retrieved, None
-    pair_metadata(prior, prior_meta)
-    return retrieved, [prior_meta[i] for i in idx]
+    return retrieved, pair_metadata(prior, prior_meta).take(idx)
 
 
 # -- persistence --------------------------------------------------------------

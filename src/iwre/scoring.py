@@ -86,7 +86,12 @@ _LOG_SPACE_METHODS = frozenset({ScoreMethod.KDE_TARGET, ScoreMethod.IWR})
 
 @dataclass(frozen=True, eq=False)
 class ScoreVector:
-    """Per-prior-row scores plus the provenance needed to reproduce them."""
+    """Per-prior-row scores plus the provenance needed to reproduce them.
+
+    ``values`` is read-only. An array passed in is copied unless it is
+    already a read-only float64 vector, such as a result of the scoring
+    rules, which is then held as it is.
+    """
 
     values: np.ndarray
     method: ScoreMethod
@@ -102,7 +107,8 @@ class ScoreVector:
                 "nn_l2 scores are negated squared distances and must be <= 0",
                 code="bad_scores",
             )
-        values = values.copy()
+        if values is self.values and values.flags.writeable:
+            values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "method", method)
@@ -157,7 +163,8 @@ def _default_threads() -> int:
 
 def _map_row_chunks(prior: EmbeddingDataset, job, threads: Optional[int]) -> np.ndarray:
     """Run ``job`` on each fixed row chunk of ``prior``, ``threads`` at a
-    time, BLAS pinned; a mapped prior's chunk rows are released after it."""
+    time, BLAS pinned; a mapped prior's chunk rows are released after it.
+    Each chunk's result is written into one read-only output vector."""
     threads = check_threads(threads)
     if threads is None:
         threads = _default_threads()
@@ -166,18 +173,21 @@ def _map_row_chunks(prior: EmbeddingDataset, job, threads: Optional[int]) -> np.
         for s in range(0, prior.rows, _OUTER_CHUNK_ROWS)
     ]
 
+    out = np.empty(prior.rows)
+
     def run(sl):
-        part = job(sl)
+        out[sl] = job(sl)
         release_rows(prior.data, sl.start, sl.stop)
-        return part
 
     with single_threaded_blas():
         if threads == 1 or len(slices) == 1:
-            parts = [run(sl) for sl in slices]
+            for sl in slices:
+                run(sl)
         else:
             with ThreadPoolExecutor(max_workers=threads) as ex:
-                parts = list(ex.map(run, slices))
-    return np.concatenate(parts)
+                list(ex.map(run, slices))
+    out.flags.writeable = False
+    return out
 
 
 # -- scoring rules ----------------------------------------------------------
@@ -189,8 +199,8 @@ def score_nn_l2(target, prior, *, threads: int | None = 1) -> ScoreVector:
     prior = _as_dataset(prior)
     _check_dims(target.dim, prior)
     support = np.asarray(target.data, dtype=np.float64)
-    values = -_map_row_chunks(
-        prior, lambda sl: nearest_sq_dists(prior.data[sl], support), threads
+    values = _map_row_chunks(
+        prior, lambda sl: -nearest_sq_dists(prior.data[sl], support), threads
     )
     return ScoreVector(
         values, ScoreMethod.NN_L2, "", prior.source_id, target.source_id
@@ -513,8 +523,10 @@ def load_scores(path) -> tuple[ScoreVector, dict]:
             f"{path}: score files must have dim 1, got {values.shape[1]}",
             code="dim_mismatch",
         )
+    column = values[:, 0].copy()  # the scores, not the mapped file
+    column.flags.writeable = False
     scores = ScoreVector(
-        values[:, 0],
+        column,
         ScoreMethod(sidecar["method"]),
         sidecar["config_fingerprint"],
         prior_source_id=sidecar.get("prior_source_id", ""),

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from ._validation import check_count, check_matrix, read_json_object, write_json
-from .dataset import EmbeddingDataset, RowMetadata
+from .dataset import EmbeddingDataset, MetadataTable, as_metadata_table
 from .errors import ValidationError
 from .kde import LOG_2PI, _logsumexp
 from .retrieval import RetrievalManifest
@@ -162,7 +162,7 @@ class SyntheticData:
 
     target: EmbeddingDataset
     prior: EmbeddingDataset
-    prior_metadata: list
+    prior_metadata: MetadataTable
     task_relevance: dict
     oracle: OracleDensities
 
@@ -260,14 +260,13 @@ def make_scenario(scenario_id: str, rng_seed: int = 0) -> SyntheticScenario:
     raise ValidationError(f"unknown scenario {scenario_id!r}", code="unknown_scenario")
 
 
-def _episode_metadata(n: int, tasks: Sequence[str]) -> list:
-    records = []
-    for start in range(0, n, _EPISODE_LEN):
-        length = min(_EPISODE_LEN, n - start)
-        episode = start // _EPISODE_LEN
-        for step in range(length):
-            records.append(RowMetadata(episode, step, length, tasks[start + step]))
-    return records
+def _episode_metadata(components: np.ndarray, names: Sequence[str]) -> MetadataTable:
+    """Rows in episodes of ``_EPISODE_LEN`` (the last may be shorter), each
+    labelled with the name of the component that generated it."""
+    n = len(components)
+    episode, step = np.divmod(np.arange(n), _EPISODE_LEN)
+    length = np.minimum(_EPISODE_LEN, n - episode * _EPISODE_LEN)
+    return MetadataTable(episode, step, length, components, tuple(names))
 
 
 def generate(
@@ -310,8 +309,7 @@ def generate(
     sid = scenario.scenario_id
     target = EmbeddingDataset(target_pts, source_id=f"synth:{sid}:{seed}:target")
     prior = EmbeddingDataset(prior_pts, source_id=f"synth:{sid}:{seed}:prior")
-    tasks = [scenario.prior_component_names[c] for c in comps]
-    metadata = _episode_metadata(prior.rows, tasks)
+    metadata = _episode_metadata(comps, scenario.prior_component_names)
     relevance = dict(
         zip(scenario.prior_component_names, scenario.prior_component_relevance)
     )
@@ -369,15 +367,13 @@ def load_oracle(path) -> OracleDensities:
     return OracleDensities(*map(mixture, sections))
 
 
-def row_relevance(metadata: Sequence[RowMetadata], labels: dict) -> list[str]:
-    """Expand a task->relevance map to one label per prior row."""
-    out = []
-    for rec in metadata:
-        if rec.task_label is None or rec.task_label not in labels:
-            out.append("harmful")
-        else:
-            out.append(labels[rec.task_label])
-    return out
+def row_relevance(metadata, labels: dict) -> np.ndarray:
+    """Expand a task->relevance map to one label per prior row, as an array
+    of strings; unlabeled rows and tasks missing from ``labels`` are
+    ``harmful``. ``metadata`` is a table or a sequence of ``RowMetadata``."""
+    table = as_metadata_table(metadata)
+    levels = [labels.get(task, "harmful") for task in table.task_labels]
+    return np.array(levels + ["harmful"])[table.task_code]  # code -1: the last
 
 
 # -- grading -------------------------------------------------------------------
@@ -402,7 +398,7 @@ def evaluate_retrieval(
             f"{int(manifest.selected_indices[-1])}",
             code="label_mismatch",
         )
-    relevant = np.fromiter((r == "relevant" for r in relevance), dtype=bool, count=n)
+    relevant = np.asarray(relevance) == "relevant"
     hits = int(relevant[manifest.selected_indices].sum())
     total_relevant = int(relevant.sum())
     recall = hits / total_relevant if total_relevant else float("nan")

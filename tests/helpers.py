@@ -2,10 +2,16 @@
 
 These deliberately avoid the library's whitened/log-sum-exp code paths:
 densities come from a dense matrix inverse and a plain sum of exponentials
-in extended precision, distances from an explicit double loop.
+in extended precision, distances from an explicit double loop. Metadata
+files are read record by record through ``csv.reader``.
 """
 
+import csv
+
 import numpy as np
+
+from iwre.dataset import METADATA_FIELDS, RowMetadata
+from iwre.errors import ValidationError
 
 
 def naive_log_density(kde, queries: np.ndarray) -> np.ndarray:
@@ -38,3 +44,45 @@ def brute_force_min_sq_dists(prior: np.ndarray, target: np.ndarray) -> np.ndarra
 def ranking(values: np.ndarray) -> np.ndarray:
     """Indices ordered by descending value, ties broken by ascending index."""
     return np.lexsort((np.arange(len(values)), -np.asarray(values)))
+
+
+def reference_load_metadata(path) -> list:
+    """A metadata sidecar as a list of :class:`RowMetadata`, read record by
+    record through ``csv.reader`` and ``int()``, with the same error codes
+    and ``line L (row i)`` locations the columnar loader must give."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{path}: empty metadata file", code="empty_dataset")
+        if tuple(header) != METADATA_FIELDS:
+            raise ValidationError(
+                f"{path}: expected header {','.join(METADATA_FIELDS)}, "
+                f"got {','.join(header)}",
+                code="malformed_header",
+            )
+        records = []
+        for row in reader:
+            if not row:
+                continue
+            at = f"line {reader.line_num} (row {len(records)})"
+            if len(row) != len(METADATA_FIELDS):
+                raise ValidationError(
+                    f"{path}: {at} has {len(row)} fields, expected "
+                    f"{len(METADATA_FIELDS)}",
+                    code="dim_mismatch",
+                )
+            try:
+                ints = [int(field) for field in row[:3]]
+            except ValueError as exc:
+                raise ValidationError(
+                    f"{path}: {at}: {exc}", code="malformed_value"
+                ) from exc
+            try:
+                records.append(RowMetadata(*ints, row[3] if row[3] != "" else None))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: {at}: {exc}", code=exc.code) from exc
+    if not records:
+        raise ValidationError(f"{path}: no metadata rows", code="empty_dataset")
+    return records

@@ -4,6 +4,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from iwre.analysis import (
@@ -14,7 +15,7 @@ from iwre.analysis import (
     task_breakdown,
     timestep_histogram,
 )
-from iwre.dataset import RowMetadata
+from iwre.dataset import MetadataTable, RowMetadata
 from iwre.errors import ValidationError
 from iwre.retrieval import RetrievalManifest, SelectionRule
 
@@ -172,6 +173,35 @@ class TestTaskBinCounts:
         per_bin = np.sum([row for row in crossed.values()], axis=0)
         np.testing.assert_array_equal(per_bin, hist.counts)
         assert {t: sum(r) for t, r in crossed.items()} == breakdown.per_task_counts
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(1, 40), st.integers(0, 39),
+                      st.sampled_from([None, "a", "b", UNLABELED_TASK])),
+            min_size=1, max_size=40),
+        bins=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_matches_row_loop(self, rows, bins, data):
+        # One bincount over task code x bin gives the per-row loop's counts; a
+        # task labelled "(unlabeled)" shares the unlabeled rows' entry.
+        meta = [RowMetadata(0, step % length, length, task) for length, step, task in rows]
+        selected = data.draw(st.sets(st.integers(0, len(meta) - 1), min_size=1))
+        expected: dict = {}
+        for i in sorted(selected):
+            rec = meta[i]
+            row = expected.setdefault(rec.task_label or UNLABELED_TASK, [0] * bins)
+            row[rec.step_index * bins // rec.episode_length] += 1
+        table = MetadataTable.from_records(meta)
+        assert task_bin_counts(manifest_of(selected), table, bins) == expected
+        assert task_bin_counts(manifest_of(selected), meta, bins) == expected
+
+    def test_huge_episode_lengths_bin_exactly(self):
+        # step * bins would overflow int64; the bin is still exact.
+        length = 10**18
+        meta = [RowMetadata(0, length - 1, length, "a")]
+        assert task_bin_counts(manifest_of([0]), meta, 100) == {"a": [0] * 99 + [1]}
 
     def test_known_placement(self):
         meta = [RowMetadata(0, s, 100, "a" if s < 50 else "b") for s in range(100)]

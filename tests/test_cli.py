@@ -9,6 +9,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,12 @@ import pytest
 import iwre
 from iwre import cli
 from iwre.cli import build_parser, main
-from iwre.dataset import EmbeddingDataset, load_embeddings, save_embeddings
+from iwre.dataset import (
+    EmbeddingDataset,
+    load_embeddings,
+    load_metadata,
+    save_embeddings,
+)
 from iwre.errors import NumericalError
 from iwre.retrieval import load_manifest
 from iwre.kde import GaussianKde, scott_bandwidth
@@ -655,8 +661,9 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_outputs_match_golden_bytes(tmp_path):
     """A small cluster_bias pipeline writes exactly the committed files, so a
     change to any written format (score sidecar, manifest, weights, report,
-    sweep summary, oracle) shows here. The score bytes come from one GEMM
-    per chunk and were written with numpy's bundled OpenBLAS on x86-64."""
+    sweep summary, oracle, row metadata) shows here. The score bytes come
+    from one GEMM per chunk and were written with numpy's bundled OpenBLAS
+    on x86-64."""
     inputs = tmp_path / "in"
     data = ["--target", inputs / "target.bin", "--prior", inputs / "prior.bin"]
     labelled = ["--meta", inputs / "prior_meta.csv", "--labels", inputs / "labels.json"]
@@ -683,6 +690,8 @@ def test_outputs_match_golden_bytes(tmp_path):
         "iwr_scores.json": tmp_path / "iwr" / "scores.json",
         "manifest.json": tmp_path / "ret" / "manifest.json",
         "weights.csv": tmp_path / "ret" / "weights.csv",
+        "retrieved_meta.csv": tmp_path / "ret" / "retrieved_meta.csv",
+        "prior_meta.csv": inputs / "prior_meta.csv",
         "report.json": tmp_path / "an" / "report.json",
         "summary.json": tmp_path / "sw" / "summary.json",
         "oracle.json": inputs / "oracle.json",
@@ -845,6 +854,99 @@ def test_million_row_prior_scores_in_bounded_memory(tmp_path):
     finally:
         prior.unlink()
     assert score < 80, score
+
+
+MILLION = 1_000_000
+_TASKS = (b"pick", b'"place, then stack"', b"push", b"")  # CSV fields; "" unlabeled
+# Runs the CLI in a fresh process and prints its CPU seconds and VmHWM.
+_CPU_AND_PEAK_CLI = (
+    "import os, sys, iwre.cli\n"
+    "rc = iwre.cli.main(sys.argv[1:])\n"
+    "t = os.times()\n"
+    f"print(t.user + t.system, {_PEAK_RSS_MIB})\n"
+    "sys.exit(rc)\n"
+)
+
+
+def _bulk_metadata_csv(path, rows, seed):
+    """A seeded metadata sidecar of 25-row episodes, each with one task
+    label or none, formatted in bulk by numpy."""
+    rng = np.random.default_rng(seed)
+    episode, step = np.divmod(np.arange(rows), 25)
+    length = np.minimum(25, rows - 25 * episode)
+    task = np.array(_TASKS)[rng.integers(len(_TASKS), size=episode[-1] + 1)][episode]
+    line = task
+    for column in (length, step, episode):
+        line = np.char.add(np.char.add(column.astype("S"), b","), line)
+    path.write_bytes(b"episode_id,step_index,episode_length,task_label\n"
+                     + b"\n".join(line.tolist()) + b"\n")
+
+
+@pytest.fixture(scope="module")
+def million(tmp_path_factory):
+    """A 1M x 4 float32 prior, its nn scores, a 1M-row metadata CSV (15 MiB)
+    and task labels."""
+    root = tmp_path_factory.mktemp("million")
+    rng = _seeded_prior(root / "prior.bin", MILLION, 4, "<f4", 37)
+    write_container(root / "target.bin", rng.standard_normal((64, 4)), "<f4")
+    _bulk_metadata_csv(root / "meta.csv", MILLION, 38)
+    (root / "labels.json").write_text(json.dumps(
+        {"pick": "relevant", "place, then stack": "mixed", "push": "harmful"}))
+    data = ["--target", root / "target.bin", "--prior", root / "prior.bin"]
+    assert run("score", "--method", "nn", "--threads", 2, *data, "--out", root) == 0
+    yield root, data
+    (root / "prior.bin").unlink()
+
+
+def test_million_row_metadata_loads_in_bounded_cpu(million):
+    """``load_metadata`` of 1M rows takes under 2 s of CPU (a record-wise
+    ``csv.reader`` loop took 4 to 8 s), and holds the CSV's bytes, its
+    columns (28 bytes a row) and under 8 MiB of scratch."""
+    root, _ = million
+    start = time.process_time()
+    load_metadata(root / "meta.csv")
+    cpu = time.process_time() - start
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        table = load_metadata(root / "meta.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == MILLION
+    assert cpu < 2.0, cpu
+    bound = (root / "meta.csv").stat().st_size + 28 * MILLION + 8 * 2**20
+    assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_million_row_retrieve_and_analyze_bounded(million, tmp_path):
+    """Bounds fixed before measuring, on a 1M-row prior and metadata CSV:
+    ``retrieve --meta`` stays under the O(job) bound without metadata (the
+    import baseline plus 32 MiB plus 1.2x the selected rows as float64)
+    plus the metadata columns (28 bytes a row); ``analyze`` takes under 3 s
+    of CPU and stays under the baseline plus twice the CSV plus 64 bytes a
+    row (it took 6.6 s and 249 MiB when each row was a Python object)."""
+    root, data = million
+    meta = root / "meta.csv"
+    baseline = _peak_mib(f"import iwre.cli; print({_PEAK_RSS_MIB})")
+    retrieve = _peak_mib(_PEAK_CLI, "retrieve", "--scores", root / "scores.bin",
+                         *data, "--meta", meta, "--fraction", 0.1, "--out", tmp_path)
+    analyze_cpu, analyze = map(float, subprocess.run(
+        [sys.executable, "-c", _CPU_AND_PEAK_CLI, "analyze", "--manifest",
+         str(tmp_path / "manifest.json"), "--meta", str(meta), "--labels",
+         str(root / "labels.json"), "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(Path(iwre.__file__).resolve().parents[1])),
+        check=True, capture_output=True, text=True, timeout=300,
+    ).stdout.split()[-2:])
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert sum(report["timesteps"]["counts"]) == MILLION // 10
+    columns_mib = 28 * MILLION / 2**20
+    selection_mib = 0.1 * MILLION * 4 * 8 / 2**20
+    csv_mib = meta.stat().st_size / 2**20
+    assert retrieve < baseline + 32 + 1.2 * selection_mib + columns_mib, (baseline, retrieve)
+    assert analyze_cpu < 3.0, analyze_cpu
+    assert analyze < baseline + 2 * csv_mib + 64 * MILLION / 2**20, (baseline, analyze)
 
 
 class TestChangedInput:

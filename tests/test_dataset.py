@@ -1,10 +1,12 @@
 """Dataset container, binary/CSV formats, and metadata sidecar."""
 
 import builtins
+import csv
 import hashlib
 import io
 import mmap
 import os
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -13,11 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import reference_load_metadata
 from iwre import _validation, dataset
 from iwre.dataset import (
     FORMAT_VERSION,
     MAGIC,
     EmbeddingDataset,
+    MetadataTable,
     RowMetadata,
     content_id,
     load_embeddings,
@@ -33,6 +37,7 @@ from iwre.retrieval import materialize, select_by_fraction
 from iwre.scoring import ScoreMethod, ScoringConfig
 
 HEADER = struct.Struct("<4sHBQI")
+METADATA_FIELDS_ROW = list(dataset.METADATA_FIELDS)
 
 
 def write_raw(path, magic=MAGIC, version=FORMAT_VERSION, dtype_code=1, rows=0,
@@ -272,7 +277,7 @@ class TestRowMetadata:
         path = tmp_path / "m.csv"
         save_metadata(records, path)
         back = load_metadata(path)
-        assert back == records
+        assert list(back) == records
         assert [(r.episode_id, r.step_index, r.episode_length) for r in back] == [
             (0, 0, 3), (0, 1, 3), (0, 2, 3)
         ]
@@ -293,7 +298,7 @@ class TestRowMetadata:
         ]
         path = tmp_path / "m.csv"
         save_metadata(records, path)
-        assert load_metadata(path) == records
+        assert list(load_metadata(path)) == records
 
     def test_bad_step_in_file_names_row(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -332,10 +337,203 @@ class TestRowMetadata:
     def test_pairing_law(self):
         ds = EmbeddingDataset(np.zeros((2, 2)))
         good = [RowMetadata(0, 0, 2), RowMetadata(0, 1, 2)]
-        assert pair_metadata(ds, good) is good
+        assert list(pair_metadata(ds, good)) == good
         with pytest.raises(ValidationError) as exc:
             pair_metadata(ds, good[:1])
         assert exc.value.code == "row_count_mismatch"
+
+
+HEADER_LINE = "episode_id,step_index,episode_length,task_label"
+# Labels built from the characters CSV quoting and line splitting care about;
+# "" reads back as unlabeled.
+LABELS = st.text(alphabet=st.sampled_from(list(',"\n\r# aZé任')), max_size=6)
+
+
+def outcome(load, path):
+    """What a loader makes of a file: ("ok", rows), or the error code and
+    its ``line L (row i)`` location."""
+    try:
+        return "ok", list(load(path))
+    except ValidationError as exc:
+        where = re.search(r"line \d+ \(row \d+\)", str(exc))
+        return exc.code, where and where.group()
+
+
+@st.composite
+def metadata_records(draw):
+    records = []
+    for _ in range(draw(st.integers(1, 25))):
+        length = draw(st.integers(1, 10**6))
+        records.append(RowMetadata(
+            draw(st.integers(-10**12, 10**12)), draw(st.integers(0, length - 1)),
+            length, draw(st.none() | LABELS),
+        ))
+    return records
+
+
+class TestColumnarMetadata:
+    """``load_metadata`` parses the whole file into columns; a record-wise
+    ``csv.reader`` loop (``helpers.reference_load_metadata``) is its oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=metadata_records())
+    def test_round_trip(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            save_metadata(records, path)
+            expected = [RowMetadata(r.episode_id, r.step_index, r.episode_length,
+                                    r.task_label or None) for r in records]
+            assert list(load_metadata(path)) == expected
+            assert reference_load_metadata(path) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(-3, 40), st.integers(-2, 30),
+                                st.integers(-1, 30), LABELS), max_size=12),
+        quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+        terminator=st.sampled_from(["\n", "\r\n", "\r"]),
+        blanks=st.lists(st.integers(0, 12), max_size=3),
+        final_terminator=st.booleans(),
+    )
+    def test_matches_reference(self, rows, quoting, terminator, blanks,
+                               final_terminator):
+        # Files as other CSV writers produce them, some with bad rows or
+        # with labels whose unquoted line breaks split a record.
+        lines = []
+        for row in [METADATA_FIELDS_ROW, *rows]:
+            out = io.StringIO()
+            csv.writer(out, lineterminator=terminator, quoting=quoting).writerow(row)
+            lines.append(out.getvalue())
+        for at in sorted(blanks, reverse=True):
+            lines.insert(min(at, len(lines)), terminator)
+        text = "".join(lines)
+        if not final_terminator:
+            text = text[: -len(terminator)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csv"
+            path.write_bytes(text.encode())
+            assert outcome(load_metadata, path) == outcome(reference_load_metadata, path)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "\n",
+        "episode_id,step,episode_length,task_label\n0,0,1,\n",
+        "\n" + HEADER_LINE + "\n0,0,1,\n",
+        HEADER_LINE + "\n",
+        HEADER_LINE + "\n\n\r\n",
+        HEADER_LINE + "\n0,0,3\n",
+        HEADER_LINE + "\n0,0,3,a,b\n",
+        HEADER_LINE + "\n0,0,3,\n  \n",
+        HEADER_LINE + "\n0,x,3,\n",
+        HEADER_LINE + "\n0,1.5,3,\n",
+        HEADER_LINE + "\n0,,3,\n",
+        HEADER_LINE + "\n0,0,0,\n",
+        HEADER_LINE + "\n0,3,3,\n",
+        HEADER_LINE + "\n0,-1,3,\n",
+        HEADER_LINE + "\n0,0,3,\n\n\r\n0,9,3,\n",
+        HEADER_LINE + "\n0,0,3,\n0,5,3,\n0,0\n",
+        HEADER_LINE + "\n0,0,3,\n0,x,3,\n0,9,3,\n",
+        HEADER_LINE + '\n0,0,3,"two\nlines"\n0,1,3,"a\r\nb"\n\n0,7,3,\n',
+        HEADER_LINE + '\n0,0,3,"a,b"\n"0","1","3",""\n0,2,3,"a,b"',
+        HEADER_LINE + '\n0,0,3,\n0,9,3,"open\n',
+    ])
+    def test_same_error_as_reference(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        assert outcome(load_metadata, path) == outcome(reference_load_metadata, path)
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", " 1", "+-1", "1" * 19])
+    def test_integer_syntax(self, tmp_path, value):
+        # An optional sign and 1 to 18 ASCII digits; int() would accept some
+        # of these (underscores, other digits, spaces), the loader does not.
+        path = tmp_path / "m.csv"
+        path.write_text(f"{HEADER_LINE}\n0,0,3,\n{value},0,3,\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as exc:
+            load_metadata(path)
+        assert exc.value.code == "malformed_value"
+        assert "line 3 (row 1)" in str(exc.value)
+
+    def test_non_utf8_label_names_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(f"{HEADER_LINE}\n0,0,2,ok\n0,1,2,\xff\n".encode("latin-1"))
+        with pytest.raises(ValidationError) as exc:
+            load_metadata(path)
+        assert exc.value.code == "malformed_value"
+        assert "line 3 (row 1)" in str(exc.value)
+
+    def test_carriage_return_label_round_trips(self, tmp_path):
+        # csv.writer with lineterminator "\n" leaves a lone "\r" unquoted, so
+        # a label holding one must be quoted by save_metadata itself.
+        src = tmp_path / "in.csv"
+        src.write_bytes(f'{HEADER_LINE}\n0,0,2,"a\rb"\n0,1,2,"c\nd"\n'.encode())
+        table = load_metadata(src)
+        assert [r.task_label for r in table] == ["a\rb", "c\nd"]
+        out = tmp_path / "out.csv"
+        save_metadata(table, out)
+        assert out.read_bytes() == src.read_bytes()
+        assert load_metadata(out) == table
+
+    def test_windows_of_records(self, tmp_path, monkeypatch):
+        # Records, quoted line breaks and label codes carry across windows.
+        monkeypatch.setattr(dataset, "_META_WINDOW", 16)
+        records = [RowMetadata(e, s, 3, ["x", "a,\nb", None][(e + s) % 3])
+                   for e in range(7) for s in range(3)]
+        path = tmp_path / "m.csv"
+        save_metadata(records, path)
+        assert list(load_metadata(path)) == records
+        text = path.read_text().replace("\n4,", "\n4,x", 1)
+        path.write_text(text)
+        assert outcome(load_metadata, path) == outcome(reference_load_metadata, path)
+
+    def test_columns(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{HEADER_LINE}\n0,0,2,b\n0,1,2,\n1,0,1,a\n")
+        table = load_metadata(path)
+        assert isinstance(table, MetadataTable) and len(table) == 3
+        for name, dtype in [("episode_id", np.int64), ("step_index", np.int64),
+                            ("episode_length", np.int64), ("task_code", np.int32)]:
+            column = getattr(table, name)
+            assert column.dtype == dtype and not column.flags.writeable
+        assert table.task_labels == ("a", "b")
+        assert table.task_code.tolist() == [1, -1, 0]
+        assert table[2] == RowMetadata(1, 0, 1, "a") and table[-2].task_label is None
+
+
+class TestMetadataTable:
+    def test_labels_sorted_distinct_and_used(self):
+        table = MetadataTable([0, 0, 0], [0, 1, 2], [3, 3, 3], [2, 0, 2],
+                              ("b", "unused", "a"))
+        assert table.task_labels == ("a", "b")
+        assert [r.task_label for r in table] == ["a", "b", "a"]
+
+    def test_equality_and_records(self):
+        records = [RowMetadata(0, 0, 2, "p"), RowMetadata(0, 1, 2), RowMetadata(1, 0, 1, "q")]
+        table = MetadataTable.from_records(records)
+        assert list(table) == records
+        assert table == MetadataTable.from_records(list(table))
+        assert table != MetadataTable.from_records(records[:2] + [RowMetadata(1, 0, 1, "r")])
+        assert list(table.take([2, 0])) == [records[2], records[0]]
+
+    def test_copies_caller_arrays(self):
+        steps = np.array([0, 1])
+        table = MetadataTable([0, 0], steps, [2, 2], [-1, -1])
+        steps[1] = 5
+        assert table.step_index.tolist() == [0, 1]
+        with pytest.raises(ValueError):
+            table.step_index[0] = 1
+
+    @pytest.mark.parametrize("columns, code", [
+        (([0], [0, 1], [2, 2], [-1, -1]), "bad_shape"),
+        (([0], [0], [1], [1]), "bad_task_code"),
+        (([0, 0], [0, 2], [2, 2], [-1, -1]), "bad_step_index"),
+        (([0, 0], [0, 0], [1, 0], [-1, -1]), "bad_episode_length"),
+    ])
+    def test_rejects(self, columns, code):
+        with pytest.raises(ValidationError) as exc:
+            MetadataTable(*columns)
+        assert exc.value.code == code
+        if code in ("bad_step_index", "bad_episode_length"):
+            assert str(exc.value).startswith("row 1: ")
 
 
 class TestLoadReadsOnce:

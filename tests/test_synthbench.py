@@ -279,7 +279,7 @@ class TestEvaluateRetrieval:
             RowMetadata(0, 2, 3, None),
         ]
         labels = {"core_task": "relevant"}
-        assert row_relevance(meta, labels) == ["relevant", "harmful", "harmful"]
+        assert row_relevance(meta, labels).tolist() == ["relevant", "harmful", "harmful"]
 
 
 class TestClusterBias:
