@@ -81,6 +81,18 @@ def check_vector(x, name: str = "values") -> np.ndarray:
     return arr
 
 
+def read_only(arr: np.ndarray, given) -> np.ndarray:
+    """``arr``, the coerced form of a caller's ``given`` (``None`` when no
+    caller holds it), made read-only to be held: copied first if it is
+    writeable and shares memory with ``given``, so the caller's array is
+    neither frozen nor aliased; else adopted."""
+    shared = isinstance(given, np.ndarray) and np.may_share_memory(arr, given)
+    if shared and arr.flags.writeable:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 def check_positive(value, name: str) -> float:
     value = float(value)
     if not np.isfinite(value) or value <= 0.0:

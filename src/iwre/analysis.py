@@ -63,11 +63,7 @@ class TimestepHistogram:
 
 
 def task_breakdown(
-    manifest: RetrievalManifest,
-    meta,
-    labels: Optional[Mapping[str, str]] = None,
-    *,
-    table: Optional[dict] = None,
+    manifest: RetrievalManifest, meta, labels: Optional[Mapping[str, str]] = None
 ) -> TaskBreakdown:
     """Count selected rows per task and attach relevance labels.
 
@@ -76,16 +72,13 @@ def task_breakdown(
     ``harmful`` with a logged warning; ``labels=None`` means none were
     given, and every task is ``harmful`` without one. Rows without a task
     label group under ``"(unlabeled)"``; a selection with no labeled rows at
-    all yields an empty breakdown. ``table`` is the crossed table of
-    :func:`task_bin_counts` for the same manifest and metadata, if already
-    built; its per-task sums are the counts.
+    all yields an empty breakdown.
     """
     if labels is not None:
         _check_relevance(labels)
     meta = as_metadata_table(meta)
-    if table is None:
-        table = task_bin_counts(manifest, meta, 1)
-    counts = {task: sum(row) for task, row in table.items()}
+    table = task_bin_counts(manifest, meta, 1)
+    counts = {task: row[0] for task, row in table.items()}
     if (meta.task_code[manifest.selected_indices] < 0).all():
         return TaskBreakdown({}, {}, {})
     total = manifest.size
@@ -100,21 +93,14 @@ def task_breakdown(
 
 
 def timestep_histogram(
-    manifest: RetrievalManifest,
-    meta,
-    bin_count: int = 10,
-    *,
-    table: Optional[dict] = None,
+    manifest: RetrievalManifest, meta, bin_count: int = 10
 ) -> TimestepHistogram:
     """Histogram selected rows by proportional position within their episode.
 
     Bin assignment is ``floor(step_index * bin_count / episode_length)``,
-    always in ``[0, bin_count)``. ``table`` is the crossed table of
-    :func:`task_bin_counts` with ``bin_count`` bins for the same manifest
-    and metadata, if already built; its per-bin sums are the counts.
+    always in ``[0, bin_count)``.
     """
-    if table is None:
-        table = task_bin_counts(manifest, meta, bin_count)
+    table = task_bin_counts(manifest, meta, bin_count)
     counts = np.sum(list(table.values()), axis=0, dtype=np.int64)
     return TimestepHistogram(counts.size, counts, counts / manifest.size)
 
@@ -125,8 +111,8 @@ def task_bin_counts(manifest: RetrievalManifest, meta, bin_count: int = 10) -> d
     Lets external tooling apply segment-level relevance rules (e.g. "only
     the early portion of this task is useful") that neither marginal table
     can express. :func:`task_breakdown` and :func:`timestep_histogram` are
-    its marginals, and take it as ``table`` to skip building it again. The
-    counts are one ``bincount`` over task code x bin of the selected rows.
+    its marginals. The counts are one ``bincount`` over task code x bin of
+    the selected rows.
     """
     bin_count = check_count(bin_count, "bin_count")
     meta = as_metadata_table(meta)
@@ -173,9 +159,9 @@ def emit_report(
     tasks_section = None
     if breakdown.per_task_counts:
         tasks_section = {
-            "counts": dict(sorted(breakdown.per_task_counts.items())),
-            "fractions": dict(sorted(breakdown.per_task_fractions.items())),
-            "relevance": dict(sorted(breakdown.relevance_labels.items())),
+            "counts": breakdown.per_task_counts,
+            "fractions": breakdown.per_task_fractions,
+            "relevance": breakdown.relevance_labels,
         }
     payload = {
         "engine_version": __version__,
@@ -187,9 +173,7 @@ def emit_report(
             "counts": [int(c) for c in histogram.counts],
             "normalized": [float(f) for f in histogram.normalized],
         },
-        "task_timesteps": (
-            None if task_bins is None else dict(sorted(task_bins.items()))
-        ),
+        "task_timesteps": task_bins,
         "evaluation": evaluation,
     }
     write_json(path, payload)

@@ -2,20 +2,21 @@
 
 Every option is declared once, as a :class:`RunConfig` field: the field
 gives the flag (``--bandwidth-scale``), the config-file key
-(``bandwidth_scale``) and the type both are converted to. Options may come
-from a JSON config file (``--config``); flags override file values, and a
-JSON ``null`` means "not given". Scoring defaults are
+(``bandwidth_scale``) and the type both are converted to. A subcommand
+takes as flags only the fields it reads; a config file (``--config``) may
+set any field, so one file serves a whole pipeline. Flags override file
+values, and a JSON ``null`` means "not given". Scoring defaults are
 :class:`~iwre.scoring.ScoringConfig`'s. File formats are written by the
-modules that own them. Exit codes: 0 success, 2 validation error, 3
-numerical failure, 4 I/O failure. All outputs are deterministic functions
-of the inputs and configuration, so reruns are byte-identical.
+modules that own them. Exit codes: 0 success, 2 validation or usage error,
+3 numerical failure, 4 I/O failure. All outputs are deterministic
+functions of the inputs and configuration, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -38,6 +39,7 @@ from .dataset import (
 from .errors import NumericalError, ValidationError
 from .retrieval import (
     cotrain_weights,
+    fraction_count,
     load_manifest,
     materialize,
     save_cotrain_weights,
@@ -75,8 +77,8 @@ def _flag(**options):
 class RunConfig:
     """Command configuration: flags over config file over defaults.
 
-    Each field is one option, ``--name-with-dashes`` on the command line and
-    ``name`` in a config file, converted to the field's type either way.
+    Each field is one option, ``name`` in a config file and a flag of the
+    subcommands that read it, converted to the field's type either way.
     ``None`` means "not given". The scoring fields (``method`` to
     ``leave_self_out``) then take :class:`ScoringConfig`'s defaults, or the
     values stored in a score sidecar; the given ones are range-checked here,
@@ -183,9 +185,9 @@ def _load_dataset(path: str) -> EmbeddingDataset:
     return load_embeddings(path, format=fmt)
 
 
-def _float_list(text: str, flag: str) -> list[float]:
+def _float_list(text: Optional[str], flag: str) -> list[float]:
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [float(p) for p in (text or "").split(",") if p.strip() != ""]
     except ValueError as exc:
         raise ValidationError(f"bad value in {flag}: {exc}", code="bad_param") from exc
     if not values:
@@ -267,26 +269,26 @@ def cmd_sweep(cfg: RunConfig) -> int:
         )
     if graded:
         cfg.require_paths("meta", "labels")
-    if cfg.fractions is None:
-        raise ValidationError("--fractions is required for sweep", code="bad_param")
     fractions = _float_list(cfg.fractions, "--fractions")
     base = cfg.scoring()
-    scales = (
-        _float_list(cfg.bandwidth_scales, "--bandwidth-scales")
-        if cfg.bandwidth_scales is not None
-        else [base.scale_c]
-    )
+    scales = [base.scale_c]
+    if cfg.bandwidth_scales is not None:
+        scales = _float_list(cfg.bandwidth_scales, "--bandwidth-scales")
+    # Every value is checked before the first scoring pass writes a file.
+    scorings = [replace(base, scale_c=scale) for scale in scales]
     out = cfg.out_dir()
     target = _load_dataset(cfg.target)
     prior = _load_dataset(cfg.prior)
+    for frac in fractions:
+        fraction_count(frac, prior.rows)
     relevance = None
     if graded:
         meta = pair_metadata(prior, load_metadata(cfg.meta))
         relevance = row_relevance(meta, load_labels(cfg.labels))
     summary = []
-    for scale in scales:
+    for scoring in scorings:
+        scale = scoring.scale_c
         path = out / f"scores_c{scale:g}.bin"
-        scoring = replace(base, scale_c=scale)
         scores = _score_and_save(scoring, target, prior, cfg.threads, path)
         for frac in fractions:
             manifest = select_by_fraction(scores, frac)
@@ -331,20 +333,12 @@ def cmd_analyze(cfg: RunConfig) -> int:
         cfg.require_paths("labels")
         labels = load_labels(cfg.labels)
     crossed = task_bin_counts(manifest, meta, cfg.bins)
-    breakdown = task_breakdown(manifest, meta, labels, table=crossed)
-    histogram = timestep_histogram(manifest, meta, cfg.bins, table=crossed)
     evaluation = None
     if labels:
-        quality = evaluate_retrieval(manifest, row_relevance(meta, labels))
-        evaluation = {
-            "precision": quality.precision,
-            "recall": quality.recall,
-            "selected_count": quality.selected_count,
-            "relevant_count": quality.relevant_count,
-        }
+        evaluation = asdict(evaluate_retrieval(manifest, row_relevance(meta, labels)))
     emit_report(
-        breakdown,
-        histogram,
+        task_breakdown(manifest, meta, labels),
+        timestep_histogram(manifest, meta, cfg.bins),
         out / "report.json",
         fingerprint=manifest.config_fingerprint,
         method=method,
@@ -372,32 +366,43 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 # -- argument parsing -----------------------------------------------------------
 
-# The RunConfig fields every subcommand takes as flags, then each
-# subcommand's help and own fields, in --help order.
-_COMMON = "method bandwidth_scale lse_temp batch_size num_batches seed threads out"
+# Each subcommand's help and the RunConfig fields it reads, which are its
+# flags, in --help order. retrieve reads the scoring fields to rebuild the
+# fingerprint; analyze reads method to check it against the manifest's.
+_SCORING = "method bandwidth_scale lse_temp batch_size num_batches seed"
 _COMMANDS = {
-    "score": ("score every prior row", "target prior"),
+    "score": ("score every prior row", f"{_SCORING} threads out target prior"),
     "retrieve": ("select rows from scored prior",
-                 "target prior scores meta fraction threshold alpha"),
+                 f"{_SCORING} out target prior scores meta fraction threshold alpha"),
     "sweep": ("score once, select many fractions",
-              "target prior meta labels fractions bandwidth_scales"),
-    "analyze": ("task/timestep report for a manifest", "manifest meta labels bins"),
-    "synth": ("write synthetic benchmark fixtures", "scenario n_target n_prior"),
+              f"{_SCORING} threads out target prior meta labels fractions "
+              "bandwidth_scales"),
+    "analyze": ("task/timestep report for a manifest",
+                "method out manifest meta labels bins"),
+    "synth": ("write synthetic benchmark fixtures",
+              "seed out scenario n_target n_prior"),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ``error[bad_flag]`` lines (exit 2)."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}", code="bad_flag")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iwre",
         description="Score, retrieve and analyze embedding datasets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     options = {f.name: f.metadata for f in fields(RunConfig)}
     types = field_types(RunConfig)
-    for command, (help_text, own) in _COMMANDS.items():
+    for command, (help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
-        for name in f"{_COMMON} {own}".split():
+        for name in flags.split():
             flag = "--" + name.replace("_", "-")
             p.add_argument(flag, dest=name, type=types[name][0], **options[name])
         # Looked up here, not at import, so a wrapped cmd_* is the one run.
@@ -406,9 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = RunConfig.resolve(args)
         return args.func(cfg)
     except ValidationError as exc:

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._validation import check_matrix, first_non_finite_row
+from ._validation import check_matrix, first_non_finite_row, read_only
 from .errors import ValidationError
 
 MAGIC = b"IWRE"
@@ -93,10 +93,7 @@ class EmbeddingDataset:
     _origin: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        arr = check_matrix(self.data, "data")
-        if arr is self.data and arr.flags.writeable:
-            arr = arr.copy()
-        arr.flags.writeable = False
+        arr = read_only(check_matrix(self.data, "data"), self.data)
         object.__setattr__(self, "data", arr)
         if not self.source_id:
             object.__setattr__(self, "source_id", content_id(arr))
@@ -173,13 +170,6 @@ class RowMetadata:
 _INT_COLUMNS = METADATA_FIELDS[:3]
 
 
-def _owned(value, dtype) -> np.ndarray:
-    """``value`` as an array of ``dtype``, copied if it is a writeable array
-    that its caller holds."""
-    arr = np.asarray(value, dtype=dtype)
-    return arr.copy() if arr is value and arr.flags.writeable else arr
-
-
 @dataclass(frozen=True, eq=False)
 class MetadataTable:
     """Row metadata as read-only columns, one entry per embedding row.
@@ -200,7 +190,8 @@ class MetadataTable:
     task_labels: tuple = ()
 
     def __post_init__(self):
-        columns = [_owned(getattr(self, name), np.int64) for name in _INT_COLUMNS]
+        given = [getattr(self, name) for name in _INT_COLUMNS]
+        columns = [read_only(np.asarray(v, np.int64), v) for v in given]
         codes = np.asarray(self.task_code)
         codes = codes if codes.dtype.kind in "iu" else codes.astype(np.int64)
         labels = tuple(self.task_labels)

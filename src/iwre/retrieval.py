@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._validation import check_count, read_json_object, write_json
+from ._validation import check_count, read_json_object, read_only, write_json
 from .dataset import EmbeddingDataset, gather_rows, pair_metadata
 from .errors import ValidationError
 from .scoring import ScoreMethod, ScoreVector
@@ -33,7 +33,8 @@ class RetrievalManifest:
     ``selected_indices`` is strictly increasing. ``multiplicities`` is only
     present for resampling with replacement and counts how often each unique
     index was drawn. ``method`` is the scoring method of the scores selected
-    from; the ``select_*`` functions copy it from the score vector.
+    from; the ``select_*`` functions copy it from the score vector. The arrays
+    are read-only: a writeable array passed in is copied, a read-only one held.
     """
 
     selected_indices: np.ndarray
@@ -63,10 +64,8 @@ class RetrievalManifest:
                 "scores_at_selection must align with selected_indices",
                 code="bad_shape",
             )
-        idx.flags.writeable = False
-        scores.flags.writeable = False
-        object.__setattr__(self, "selected_indices", idx)
-        object.__setattr__(self, "scores_at_selection", scores)
+        for name, arr in (("selected_indices", idx), ("scores_at_selection", scores)):
+            object.__setattr__(self, name, read_only(arr, getattr(self, name)))
         object.__setattr__(self, "rule", SelectionRule(self.rule))
         if self.method is not None:
             object.__setattr__(self, "method", ScoreMethod(self.method))
@@ -77,7 +76,7 @@ class RetrievalManifest:
                     "multiplicities must align with selected_indices and be >= 1",
                     code="bad_shape",
                 )
-            mult.flags.writeable = False
+            mult = read_only(mult, self.multiplicities)
             object.__setattr__(self, "multiplicities", mult)
 
     @property
@@ -86,18 +85,35 @@ class RetrievalManifest:
 
 
 def _manifest_from_indices(scores: ScoreVector, idx, rule, param, mult=None):
-    idx = np.asarray(idx, dtype=np.int64)
+    """A manifest of the fresh int64 arrays ``idx`` and ``mult``, held as they
+    are: ``read_only(arr, None)`` freezes an array that no caller holds."""
     return RetrievalManifest(
-        idx,
-        scores.values[idx],
+        read_only(idx, None),
+        read_only(scores.values[idx], None),
         rule,
         float(param),
         scores.config_fingerprint,
         prior_source_id=scores.prior_source_id,
         target_source_id=scores.target_source_id,
-        multiplicities=mult,
+        multiplicities=None if mult is None else read_only(mult, None),
         method=scores.method,
     )
+
+
+def fraction_count(fraction: float, rows: int) -> int:
+    """``round(fraction * rows)``, half-up: the rows :func:`select_by_fraction`
+    selects. A fraction outside (0, 1], or one that selects none, is refused."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValidationError(
+            f"fraction must be in (0, 1], got {fraction}", code="bad_fraction"
+        )
+    k = int(np.floor(fraction * rows + 0.5))
+    if k == 0:
+        raise ValidationError(
+            f"fraction {fraction} of {rows} rows rounds to an empty selection",
+            code="empty_selection",
+        )
+    return k
 
 
 def select_by_fraction(scores: ScoreVector, fraction: float) -> RetrievalManifest:
@@ -106,17 +122,8 @@ def select_by_fraction(scores: ScoreVector, fraction: float) -> RetrievalManifes
     Rounding is half-up; ties in score break by ascending prior index.
     """
     fraction = float(fraction)
-    if not 0.0 < fraction <= 1.0:
-        raise ValidationError(
-            f"fraction must be in (0, 1], got {fraction}", code="bad_fraction"
-        )
     n = len(scores)
-    k = int(np.floor(fraction * n + 0.5))
-    if k == 0:
-        raise ValidationError(
-            f"fraction {fraction} of {n} rows rounds to an empty selection",
-            code="empty_selection",
-        )
+    k = fraction_count(fraction, n)
     # The k-th largest score; every higher one is chosen, and of the rows
     # tied at it, the lowest-indexed that fill the selection. One partition
     # copy of the scores, not three N-length arrays of a full sort.
@@ -262,8 +269,8 @@ def load_manifest(path) -> RetrievalManifest:
             code="bad_manifest",
         )
     return RetrievalManifest(
-        np.asarray(payload["selected_indices"], dtype=np.int64),
-        np.asarray(payload["scores_at_selection"], dtype=np.float64),
+        read_only(np.array(payload["selected_indices"], dtype=np.int64), None),
+        read_only(np.array(payload["scores_at_selection"], dtype=np.float64), None),
         SelectionRule(payload["rule"]),
         float(payload["rule_param"]),
         payload["config_fingerprint"],
@@ -272,7 +279,7 @@ def load_manifest(path) -> RetrievalManifest:
         multiplicities=(
             None
             if payload.get("multiplicities") is None
-            else np.asarray(payload["multiplicities"], dtype=np.int64)
+            else read_only(np.array(payload["multiplicities"], np.int64), None)
         ),
         method=method,
     )

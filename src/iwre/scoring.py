@@ -49,6 +49,7 @@ from ._validation import (
     check_vector,
     coerce_fields,
     read_json_object,
+    read_only,
     write_json,
 )
 from .dataset import (
@@ -100,16 +101,13 @@ class ScoreVector:
     target_source_id: str = ""
 
     def __post_init__(self):
-        values = check_vector(self.values, "scores")
+        values = read_only(check_vector(self.values, "scores"), self.values)
         method = ScoreMethod(self.method)
         if method is ScoreMethod.NN_L2 and values.size and values.max() > 0.0:
             raise ValidationError(
                 "nn_l2 scores are negated squared distances and must be <= 0",
                 code="bad_scores",
             )
-        if values is self.values and values.flags.writeable:
-            values = values.copy()
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "method", method)
 

@@ -69,10 +69,11 @@ class TestSynth:
                      "oracle.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_unknown_scenario_rejected_by_parser(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run("synth", "--scenario", "bogus", "--out", tmp_path)
-        assert exc.value.code == 2
+    def test_unknown_scenario_rejected_by_parser(self, tmp_path, capsys):
+        assert run("synth", "--scenario", "bogus", "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "error[bad_flag]" in err and "bogus" in err
+        assert not (tmp_path / "out").exists()
 
     def test_fig2_fixture_passes_reversal(self, tmp_path):
         out = tmp_path / "fig2"
@@ -297,6 +298,10 @@ def _write(text):
     return lambda path: path.write_text(text)
 
 
+def _write_scores(shape):
+    return lambda path: save_embeddings(EmbeddingDataset(np.zeros(shape)), path)
+
+
 # (case, command reading the file, file, how it is broken, expected error code)
 MALFORMED = [
     ("config_invalid_json", "score", "config.json", _write("{bad"), "bad_config"),
@@ -341,6 +346,13 @@ MALFORMED = [
 ] + [
     ("sidecar_invalid_json", "retrieve", "scores.json", _write("{bad"),
      "bad_sidecar"),
+    ("sidecar_unknown_method", "retrieve", "scores.json",
+     _edit_json(lambda d: d.update(method="bogus")), "bad_sidecar"),
+    # The fixture prior has 1200 rows.
+    ("scores_row_count", "retrieve", "scores.bin", _write_scores((1199, 1)),
+     "row_count_mismatch"),
+    ("scores_dim_2", "retrieve", "scores.bin", _write_scores((1200, 2)),
+     "dim_mismatch"),
     ("sidecar_missing_method", "retrieve", "scores.json",
      _edit_json(lambda d: d.pop("method")), "bad_sidecar"),
     ("sidecar_params_missing_field", "retrieve", "scores.json",
@@ -415,7 +427,11 @@ class TestMalformedInputs:
           "--labels", "{fixtures}/labels.json"], "missing_input"),
         (["sweep", "--method", "nn", "--fractions", 0.3,
           "--meta", "{fixtures}/prior_meta.csv"], "missing_input"),
-    ], ids=["retrieve_iwr_negative_scale", "sweep_labels_only", "sweep_meta_only"])
+        (["sweep", "--method", "nn"], "bad_param"),
+        (["sweep", "--method", "nn", "--fractions", ""], "bad_param"),
+        (["sweep", "--method", "nn", "--fractions", "0.1,x"], "bad_param"),
+    ], ids=["retrieve_iwr_negative_scale", "sweep_labels_only", "sweep_meta_only",
+            "sweep_no_fractions", "sweep_empty_fractions", "sweep_bad_fraction"])
     def test_bad_flag(self, fixtures, tmp_path, capsys, argv, code):
         out = tmp_path / "run"
         data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
@@ -426,6 +442,38 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"error[{code}]" in err
         assert "Traceback" not in err
+
+    # Refused before any input is read.
+    @pytest.mark.parametrize("argv", [
+        ["score", "--method", "nn", "--target", "{fixtures}/target.bin",
+         "--prior", "{fixtures}/prior.bin"],
+        ["score", "--config", "{tmp}/absent.json", "--out", "{tmp}/out"],
+        ["synth", "--out", "{tmp}/out"],
+    ], ids=["no_out", "missing_config", "synth_no_scenario"])
+    def test_missing_input(self, fixtures, tmp_path, capsys, argv):
+        argv = [a.format(fixtures=fixtures, tmp=tmp_path) for a in argv]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert "error[missing_input]" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    # sweep checks every fraction and scale before it scores one, and
+    # writes nothing when one is refused.
+    @pytest.mark.parametrize("values,code", [
+        (["--fractions", "0.2,0", "--bandwidth-scales", "4,2"], "bad_fraction"),
+        (["--fractions", "0.2", "--bandwidth-scales", "4,-1"], "bad_param"),
+        # 0.0001 of the fixture's 1200 prior rows rounds to none.
+        (["--fractions", "0.2,0.0001", "--bandwidth-scales", "4,2"],
+         "empty_selection"),
+    ], ids=["fraction_zero", "scale_negative", "fraction_selects_none"])
+    def test_sweep_checks_before_scoring(self, fixtures, tmp_path, capsys, values,
+                                         code):
+        out = tmp_path / "sweep"
+        assert run("sweep", "--method", "iwr", "--seed", 0, *values,
+                   "--target", fixtures / "target.bin",
+                   "--prior", fixtures / "prior.bin", "--out", out) == 2
+        assert f"error[{code}]" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_bad_threads_flag(self, fixtures, tmp_path, capsys, threads):
@@ -616,13 +664,12 @@ class TestAnalyzeAndDeterminism:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-_COMMON_OPTIONS = ["-h", "--help", "--config", "--method", "--bandwidth-scale",
-                   "--lse-temp", "--batch-size", "--num-batches", "--seed",
-                   "--threads", "--out"]
+_SCORING_OPTIONS = ["--method", "--bandwidth-scale", "--lse-temp", "--batch-size",
+                    "--num-batches", "--seed"]
 
 
 def test_subcommand_option_strings():
-    """Each subcommand's option strings, in --help order."""
+    """Each subcommand's option strings, in --help order: the flags it reads."""
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     options = {
@@ -630,14 +677,58 @@ def test_subcommand_option_strings():
         for name, parser in sub.choices.items()
     }
     assert options == {
-        "score": [*_COMMON_OPTIONS, "--target", "--prior"],
-        "retrieve": [*_COMMON_OPTIONS, "--target", "--prior", "--scores", "--meta",
-                     "--fraction", "--threshold", "--alpha"],
-        "sweep": [*_COMMON_OPTIONS, "--target", "--prior", "--meta", "--labels",
+        "score": ["-h", "--help", "--config", *_SCORING_OPTIONS, "--threads",
+                  "--out", "--target", "--prior"],
+        "retrieve": ["-h", "--help", "--config", *_SCORING_OPTIONS, "--out",
+                     "--target", "--prior", "--scores", "--meta", "--fraction",
+                     "--threshold", "--alpha"],
+        "sweep": ["-h", "--help", "--config", *_SCORING_OPTIONS, "--threads",
+                  "--out", "--target", "--prior", "--meta", "--labels",
                   "--fractions", "--bandwidth-scales"],
-        "analyze": [*_COMMON_OPTIONS, "--manifest", "--meta", "--labels", "--bins"],
-        "synth": [*_COMMON_OPTIONS, "--scenario", "--n-target", "--n-prior"],
+        "analyze": ["-h", "--help", "--config", "--method", "--out", "--manifest",
+                    "--meta", "--labels", "--bins"],
+        "synth": ["-h", "--help", "--config", "--seed", "--out", "--scenario",
+                  "--n-target", "--n-prior"],
     }
+    flags = [s for strings in options.values() for s in strings
+             if s not in ("-h", "--help", "--config")]
+    assert len(flags) == 49
+
+
+# Flags that a subcommand does not read, with a value of the flag's type.
+_REMOVED_FLAGS = [("retrieve", "--threads", 2)] + [
+    (command, flag, value)
+    for command in ("analyze", "synth")
+    for flag, value in [("--method", "kde"), ("--bandwidth-scale", 2),
+                        ("--lse-temp", 0.5), ("--batch-size", 64),
+                        ("--num-batches", 3), ("--seed", 7), ("--threads", 3)]
+    if (command, flag) not in {("analyze", "--method"), ("synth", "--seed")}
+]
+
+
+@pytest.mark.parametrize("command,flag,value", _REMOVED_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _ in _REMOVED_FLAGS])
+def test_unread_flag_is_refused(fixtures, tmp_path, capsys, command, flag, value):
+    run_dir = tmp_path / "run"
+    data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
+    assert run("score", "--method", "nn", *data, "--out", run_dir) == 0
+    assert run("retrieve", "--scores", run_dir / "scores.bin", *data,
+               "--fraction", 0.3, "--out", run_dir) == 0
+    argv = {
+        "retrieve": ["retrieve", "--scores", run_dir / "scores.bin", *data,
+                     "--fraction", 0.3],
+        "analyze": ["analyze", "--manifest", run_dir / "manifest.json",
+                    "--meta", fixtures / "prior_meta.csv"],
+        "synth": ["synth", "--scenario", "cluster_bias", "--n-target", 20,
+                  "--n-prior", 40],
+    }[command]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(*argv, flag, value, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "error[bad_flag]" in err and flag in err and "usage" not in err
+    assert not out.exists()
+    assert run(*argv, "--out", out) == 0  # the flag was the only fault
 
 
 def test_readme_examples_parse():

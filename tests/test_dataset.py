@@ -66,6 +66,11 @@ class TestEmbeddingDataset:
             EmbeddingDataset(np.zeros(3))
         assert exc.value.code == "bad_shape"
 
+    def test_rejects_no_rows(self):
+        with pytest.raises(ValidationError) as exc:
+            _validation.check_matrix(np.zeros((0, 3)))
+        assert exc.value.code == "empty_dataset"
+
     def test_rejects_non_finite(self):
         data = np.zeros((3, 2))
         data[1, 0] = np.nan
@@ -527,6 +532,7 @@ class TestMetadataTable:
         (([0], [0], [1], [1]), "bad_task_code"),
         (([0, 0], [0, 2], [2, 2], [-1, -1]), "bad_step_index"),
         (([0, 0], [0, 0], [1, 0], [-1, -1]), "bad_episode_length"),
+        (([0], [0], [1], [0], (7,)), "bad_task_label"),
     ])
     def test_rejects(self, columns, code):
         with pytest.raises(ValidationError) as exc:

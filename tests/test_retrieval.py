@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import ranking
+from iwre import retrieval
+from iwre._validation import read_only
 from iwre.dataset import EmbeddingDataset, RowMetadata
 from iwre.errors import ValidationError
 from iwre.retrieval import (
@@ -324,6 +326,54 @@ class TestManifest:
             RetrievalManifest(
                 np.array([-1, 2]), np.zeros(2), SelectionRule.FRACTION, 0.5, "fp"
             )
+
+    @pytest.mark.parametrize("scores, mult", [
+        (np.zeros(3), None),
+        (np.zeros(2), np.ones(3)),
+        (np.zeros(2), np.array([1, 0])),
+    ], ids=["misaligned_scores", "misaligned_multiplicities", "multiplicity_zero"])
+    def test_rejects_bad_shape(self, scores, mult):
+        with pytest.raises(ValidationError) as exc:
+            RetrievalManifest(np.array([1, 4]), scores, SelectionRule.RESAMPLE, 2,
+                              "fp", multiplicities=mult)
+        assert exc.value.code == "bad_shape"
+
+    def test_caller_arrays_stay_writeable_and_unshared(self):
+        idx, scores, mult = np.array([1, 4, 7]), np.array([.5, .2, .1]), np.ones(3, int)
+        m = RetrievalManifest(idx, scores, "fraction", .3, "fp", multiplicities=mult)
+        assert m.selected_indices is not idx
+        for given in (idx, scores, mult):
+            assert given.flags.writeable
+            given[0] = 0
+        assert m.selected_indices.tolist() == [1, 4, 7]
+        assert m.scores_at_selection.tolist() == [.5, .2, .1]
+        assert m.multiplicities.tolist() == [1, 1, 1]
+        for held in (m.selected_indices, m.scores_at_selection, m.multiplicities):
+            assert not held.flags.writeable
+
+    def test_read_only_arrays_are_held(self):
+        idx, scores = np.array([1, 4, 7]), np.array([.5, .2, .1])
+        idx.flags.writeable = scores.flags.writeable = False
+        m = RetrievalManifest(idx, scores, "fraction", .3, "fp")
+        assert m.selected_indices is idx and m.scores_at_selection is scores
+
+    def test_selections_and_loads_copy_no_array(self, tmp_path, monkeypatch):
+        copied = []
+
+        def spy(arr, given):
+            held = read_only(arr, given)
+            if given is not None:  # a manifest taking over its arguments
+                copied.append(held is not arr)
+            return held
+
+        monkeypatch.setattr(retrieval, "read_only", spy)
+        scores = make_scores(np.linspace(-2, 2, 25))
+        save_manifest(select_by_fraction(scores, 0.2), tmp_path / "a.json")
+        save_manifest(resample_by_weight(scores, 40, 3), tmp_path / "b.json")
+        select_by_threshold(scores, 0.0)
+        load_manifest(tmp_path / "a.json")
+        load_manifest(tmp_path / "b.json")
+        assert len(copied) == 12 and not any(copied)
 
     def test_round_trip(self, tmp_path):
         scores = make_scores(np.linspace(-2, 2, 25))

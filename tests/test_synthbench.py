@@ -1,5 +1,7 @@
 """Synthetic scenarios: oracles, the rank-reversal fixture, and grading."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -57,6 +59,23 @@ class TestGaussianMixture:
             GaussianMixture(
                 np.array([0.5, 0.4]), np.zeros((2, 1)), np.ones((2, 1, 1))
             )
+        assert exc.value.code == "bad_mixture"
+
+    @pytest.mark.parametrize("weights, covariances", [
+        ([1.5, -0.5], np.ones((2, 1, 1))),
+        ([0.5, 0.5], np.ones((2, 2, 2))),
+    ], ids=["negative_weight", "covariance_shape"])
+    def test_rejects_bad_components(self, weights, covariances):
+        with pytest.raises(ValidationError) as exc:
+            GaussianMixture(np.array(weights), np.zeros((2, 1)), covariances)
+        assert exc.value.code == "bad_mixture"
+
+    @pytest.mark.parametrize("field", ["prior_component_names",
+                                       "prior_component_relevance"])
+    def test_scenario_components_match_prior(self, field):
+        scenario = make_scenario("cluster_bias")
+        with pytest.raises(ValidationError) as exc:
+            dataclasses.replace(scenario, **{field: getattr(scenario, field)[:-1]})
         assert exc.value.code == "bad_mixture"
 
     def test_covariance_must_be_pd(self):
@@ -333,6 +352,13 @@ class TestOracleWeightCheck:
         with pytest.raises(ValidationError) as exc:
             oracle_weight_check(data.oracle, scores, data.prior)
         assert exc.value.code == "method_mismatch"
+
+    def test_length_mismatch(self):
+        data = generate(make_scenario("gaussian_ratio"), 10, 10)
+        scores = ScoreVector(np.zeros(9), ScoreMethod.IWR, "fp")
+        with pytest.raises(ValidationError) as exc:
+            oracle_weight_check(data.oracle, scores, data.prior)
+        assert exc.value.code == "label_mismatch"
 
     def test_identical_mixtures_near_zero(self):
         mix = make_scenario("gaussian_ratio").target_mixture
