@@ -4,142 +4,49 @@ Scores every row of a large prior embedding dataset against a small target
 dataset — by nearest-neighbor distance, a soft-max relaxation, target KDE
 density, or the full KDE importance weight — and selects the top-weighted
 subset for co-training.
+
+The namespace is lazy (PEP 562): ``import iwre`` loads no submodule and no
+numpy; a public name imports its defining module on first use.
 """
 
-from ._version import __version__
-from .analysis import (
-    TaskBreakdown,
-    TimestepHistogram,
-    emit_report,
-    load_report,
-    task_bin_counts,
-    task_breakdown,
-    timestep_histogram,
-)
-from .dataset import (
-    EmbeddingDataset,
-    MetadataTable,
-    RowMetadata,
-    load_embeddings,
-    load_metadata,
-    pair_metadata,
-    save_embeddings,
-    save_metadata,
-)
-from .errors import EngineError, NumericalError, ValidationError
-from .kde import (
-    BandwidthSpec,
-    GaussianKde,
-    fit_kde,
-    log_mean_exp,
-    sample_covariance,
-    scott_bandwidth,
-)
-from .retrieval import (
-    CotrainWeights,
-    RetrievalManifest,
-    SelectionRule,
-    cotrain_weights,
-    load_manifest,
-    materialize,
-    resample_by_weight,
-    save_cotrain_weights,
-    save_manifest,
-    select_by_fraction,
-    select_by_threshold,
-)
-from .retriever import EmbeddingRetriever
-from .scoring import (
-    PriorBatchSpec,
-    ScoreMethod,
-    ScoreVector,
-    ScoringConfig,
-    config_fingerprint,
-    fit_prior_batched,
-    load_scores,
-    save_scores,
-    score_importance_weight,
-    score_kde_target,
-    score_lse,
-    score_nn_l2,
-)
-from .synthbench import (
-    GaussianMixture,
-    OracleDensities,
-    RetrievalQuality,
-    SyntheticData,
-    SyntheticScenario,
-    WeightCheckResult,
-    evaluate_retrieval,
-    generate,
-    load_oracle,
-    make_scenario,
-    oracle_weight_check,
-    row_relevance,
-    save_oracle,
-)
+import importlib
 
-__all__ = [
-    "__version__",
-    "BandwidthSpec",
-    "CotrainWeights",
-    "EmbeddingDataset",
-    "EmbeddingRetriever",
-    "EngineError",
-    "GaussianKde",
-    "GaussianMixture",
-    "NumericalError",
-    "OracleDensities",
-    "PriorBatchSpec",
-    "RetrievalManifest",
-    "RetrievalQuality",
-    "MetadataTable",
-    "RowMetadata",
-    "ScoreMethod",
-    "ScoreVector",
-    "ScoringConfig",
-    "SelectionRule",
-    "SyntheticData",
-    "SyntheticScenario",
-    "TaskBreakdown",
-    "TimestepHistogram",
-    "ValidationError",
-    "WeightCheckResult",
-    "config_fingerprint",
-    "cotrain_weights",
-    "emit_report",
-    "evaluate_retrieval",
-    "fit_kde",
-    "fit_prior_batched",
-    "generate",
-    "load_embeddings",
-    "load_manifest",
-    "load_metadata",
-    "load_oracle",
-    "load_report",
-    "load_scores",
-    "log_mean_exp",
-    "make_scenario",
-    "materialize",
-    "oracle_weight_check",
-    "pair_metadata",
-    "resample_by_weight",
-    "row_relevance",
-    "sample_covariance",
-    "save_cotrain_weights",
-    "save_embeddings",
-    "save_manifest",
-    "save_metadata",
-    "save_oracle",
-    "save_scores",
-    "score_importance_weight",
-    "score_kde_target",
-    "score_lse",
-    "score_nn_l2",
-    "scott_bandwidth",
-    "select_by_fraction",
-    "select_by_threshold",
-    "task_bin_counts",
-    "task_breakdown",
-    "timestep_histogram",
-]
+# Each public name by its defining submodule.
+_EXPORTS = {
+    "_version": "__version__",
+    "analysis": "TaskBreakdown TimestepHistogram emit_report load_report "
+                "task_bin_counts task_breakdown timestep_histogram",
+    "dataset": "EmbeddingDataset MetadataTable RowMetadata load_embeddings "
+               "load_metadata pair_metadata save_embeddings save_metadata",
+    "errors": "EngineError NumericalError ValidationError",
+    "kde": "BandwidthSpec GaussianKde fit_kde log_mean_exp sample_covariance "
+           "scott_bandwidth",
+    "retrieval": "CotrainWeights RetrievalManifest SelectionRule cotrain_weights "
+                 "load_manifest materialize resample_by_weight "
+                 "save_cotrain_weights save_manifest select_by_fraction "
+                 "select_by_threshold",
+    "retriever": "EmbeddingRetriever",
+    "scoring": "PriorBatchSpec ScoreMethod ScoreVector ScoringConfig "
+               "config_fingerprint fit_prior_batched load_scores save_scores "
+               "score_importance_weight score_kde_target score_lse score_nn_l2",
+    "synthbench": "GaussianMixture OracleDensities RetrievalQuality SyntheticData "
+                  "SyntheticScenario WeightCheckResult evaluate_retrieval "
+                  "generate load_oracle make_scenario oracle_weight_check "
+                  "row_relevance save_oracle",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names.split()}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

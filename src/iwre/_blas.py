@@ -13,6 +13,12 @@ The libraries are found in ``/proc/self/maps`` and driven through
 nothing. BLAS thread counts are process-wide, so the pin is too: the first
 caller in saves each library's count and sets it to one, the last caller
 out restores it, and nested or concurrent scoring calls share one pin.
+
+The pin acts only while scoring runs, but OpenBLAS starts its worker
+threads when numpy is imported. So :mod:`iwre.cli` also sets
+``OPENBLAS_NUM_THREADS=1`` before it imports numpy, unless the caller set
+it or numpy is already imported, and a CLI process starts no BLAS worker
+threads. Library callers keep their own setting and get the pin alone.
 """
 
 from __future__ import annotations

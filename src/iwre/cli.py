@@ -10,15 +10,25 @@ values, and a JSON ``null`` means "not given". Scoring defaults are
 modules that own them. Exit codes: 0 success, 2 validation or usage error,
 3 numerical failure, 4 I/O failure. All outputs are deterministic
 functions of the inputs and configuration, so reruns are byte-identical.
+
+A CLI process starts numpy's OpenBLAS at one thread, unless the caller set
+``OPENBLAS_NUM_THREADS`` or imported numpy before this module: scoring's
+row-chunk pool is its only parallelism (see :mod:`iwre._blas`), and idle
+OpenBLAS workers would only spin at start-up.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
+
+# OpenBLAS reads its thread count once, when numpy first loads it.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from ._validation import coerce_fields, field_types, read_json_object, write_json
 from .analysis import (
@@ -38,6 +48,7 @@ from .dataset import (
 )
 from .errors import NumericalError, ValidationError
 from .retrieval import (
+    check_fraction,
     cotrain_weights,
     fraction_count,
     load_manifest,
@@ -160,6 +171,7 @@ class RunConfig:
                 code="bad_selection_rule",
             )
         if self.fraction is not None:
+            check_fraction(self.fraction)
             return lambda scores: select_by_fraction(scores, self.fraction)
         return lambda scores: select_by_threshold(scores, self.threshold)
 
@@ -223,6 +235,8 @@ def cmd_score(cfg: RunConfig) -> int:
 
 def cmd_retrieve(cfg: RunConfig) -> int:
     cfg.require_paths("target", "prior", "scores")
+    if cfg.meta:
+        cfg.require_paths("meta")
     select = cfg.selection_rule()
     out = cfg.out_dir()
     scores, sidecar = load_scores(cfg.scores)
@@ -243,6 +257,7 @@ def cmd_retrieve(cfg: RunConfig) -> int:
             code="fingerprint_mismatch",
         )
     manifest = select(scores)
+    weights = cotrain_weights(target.rows, manifest.size, cfg.alpha)
     meta = None
     if cfg.meta:
         meta = pair_metadata(prior, load_metadata(cfg.meta))
@@ -252,7 +267,6 @@ def cmd_retrieve(cfg: RunConfig) -> int:
     save_embeddings(retrieved, out / "retrieved.bin")
     if retrieved_meta is not None:
         save_metadata(retrieved_meta, out / "retrieved_meta.csv")
-    weights = cotrain_weights(target.rows, manifest.size, cfg.alpha)
     save_cotrain_weights(out / "weights.csv", weights, target.rows, manifest)
     print(f"fingerprint: {manifest.config_fingerprint}")
     print(f"selected {manifest.size} of {prior.rows} prior rows")
@@ -269,7 +283,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         )
     if graded:
         cfg.require_paths("meta", "labels")
-    fractions = _float_list(cfg.fractions, "--fractions")
+    fractions = [check_fraction(f) for f in _float_list(cfg.fractions, "--fractions")]
     base = cfg.scoring()
     scales = [base.scale_c]
     if cfg.bandwidth_scales is not None:
@@ -318,6 +332,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_analyze(cfg: RunConfig) -> int:
     cfg.require_paths("manifest", "meta")
+    if cfg.labels:
+        cfg.require_paths("labels")
     out = cfg.out_dir()
     manifest = load_manifest(cfg.manifest)
     method = manifest.method.value if manifest.method is not None else ""
@@ -328,10 +344,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
             code="method_mismatch",
         )
     meta = load_metadata(cfg.meta)
-    labels = None
-    if cfg.labels:
-        cfg.require_paths("labels")
-        labels = load_labels(cfg.labels)
+    labels = load_labels(cfg.labels) if cfg.labels else None
     crossed = task_bin_counts(manifest, meta, cfg.bins)
     evaluation = None
     if labels:
@@ -412,7 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            # argparse would report a subcommand's leftovers as the top level's.
+            raise ValidationError(
+                f"iwre {args.command}: unrecognized arguments: {' '.join(unknown)}"
+                f" (see iwre {args.command} --help)",
+                code="bad_flag",
+            )
         cfg = RunConfig.resolve(args)
         return args.func(cfg)
     except ValidationError as exc:

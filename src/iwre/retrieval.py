@@ -100,14 +100,19 @@ def _manifest_from_indices(scores: ScoreVector, idx, rule, param, mult=None):
     )
 
 
-def fraction_count(fraction: float, rows: int) -> int:
-    """``round(fraction * rows)``, half-up: the rows :func:`select_by_fraction`
-    selects. A fraction outside (0, 1], or one that selects none, is refused."""
+def check_fraction(fraction: float) -> float:
+    """``fraction``, refused unless it is in (0, 1]."""
     if not 0.0 < fraction <= 1.0:
         raise ValidationError(
             f"fraction must be in (0, 1], got {fraction}", code="bad_fraction"
         )
-    k = int(np.floor(fraction * rows + 0.5))
+    return fraction
+
+
+def fraction_count(fraction: float, rows: int) -> int:
+    """``round(fraction * rows)``, half-up: the rows :func:`select_by_fraction`
+    selects. A fraction outside (0, 1], or one that selects none, is refused."""
+    k = int(np.floor(check_fraction(fraction) * rows + 0.5))
     if k == 0:
         raise ValidationError(
             f"fraction {fraction} of {rows} rows rounds to an empty selection",

@@ -727,8 +727,60 @@ def test_unread_flag_is_refused(fixtures, tmp_path, capsys, command, flag, value
     assert run(*argv, flag, value, "--out", out) == 2
     err = capsys.readouterr().err
     assert "error[bad_flag]" in err and flag in err and "usage" not in err
+    assert f"iwre {command}: unrecognized arguments" in err
+    assert f"iwre {command} --help" in err
     assert not out.exists()
     assert run(*argv, "--out", out) == 0  # the flag was the only fault
+
+
+# retrieve refuses these before it makes --out or reads the score file.
+@pytest.mark.parametrize("extra,code", [
+    (["--fraction", 1.5], "bad_fraction"),
+    (["--fraction", 0], "bad_fraction"),
+    (["--fraction", 0.3, "--meta", "{tmp}/absent.csv"], "missing_input"),
+], ids=["fraction_above_one", "fraction_zero", "meta_missing"])
+def test_retrieve_checks_before_reading(fixtures, tmp_path, capsys, monkeypatch,
+                                        extra, code):
+    run_dir = tmp_path / "run"
+    data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
+    assert run("score", "--method", "nn", *data, "--out", run_dir) == 0
+
+    def unread(*args, **kwargs):
+        raise AssertionError("scores read before the flags were checked")
+
+    monkeypatch.setattr(cli, "load_scores", unread)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    extra = [str(a).format(tmp=tmp_path) for a in extra]
+    assert run("retrieve", "--scores", run_dir / "scores.bin", *data, *extra,
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"error[{code}]" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_retrieve_bad_alpha_writes_nothing(fixtures, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
+    assert run("score", "--method", "nn", *data, "--out", run_dir) == 0
+    out = tmp_path / "out"
+    assert run("retrieve", "--scores", run_dir / "scores.bin", *data,
+               "--fraction", 0.3, "--alpha", 2, "--out", out) == 2
+    assert "error[bad_alpha]" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,leftover", [
+    (["score", "--method", "nn", "--bogus", "1"], "--bogus 1"),
+    (["sweep", "--fractions", "0.3", "extra"], "extra"),
+    (["synth", "--scenario", "cluster_bias", "--alpha", "0.3"], "--alpha 0.3"),
+], ids=["score_unknown_flag", "sweep_positional", "synth_other_commands_flag"])
+def test_unknown_argument_names_subcommand(tmp_path, capsys, argv, leftover):
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    line = capsys.readouterr().err.strip()
+    assert line == (f"error[bad_flag]: iwre {argv[0]}: unrecognized arguments: "
+                    f"{leftover} (see iwre {argv[0]} --help)")
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_examples_parse():
@@ -805,6 +857,80 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
     assert done.stdout.strip() == "[]"
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh(code, **env):
+    """Run ``code`` in a fresh interpreter with no BLAS or OpenMP thread
+    setting but ``env``; return its standard output."""
+    base = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    base["PYTHONPATH"] = str(Path(iwre.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          check=True, capture_output=True, text=True, timeout=120)
+    return done.stdout.strip()
+
+
+_BLAS_PROBE = (
+    "import os, iwre.cli\n"
+    "from iwre._blas import thread_counts\n"
+    "print(thread_counts(), len(os.listdir('/proc/self/task')))\n"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").exists(), reason="needs /proc")
+class TestLeanStart:
+    """A CLI process starts numpy's OpenBLAS at one thread; a caller's
+    setting, a process that imported numpy first and ``import iwre`` alone
+    are left as they are."""
+
+    def test_cli_process_has_one_thread(self):
+        assert _fresh(_BLAS_PROBE) == "[1] 1"
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+    def test_caller_setting_wins(self):
+        assert _fresh(_BLAS_PROBE, OPENBLAS_NUM_THREADS="2").startswith("[2] ")
+
+    def test_numpy_imported_first_keeps_environment(self):
+        assert _fresh(
+            "import os, numpy\n"
+            "before = dict(os.environ)\n"
+            "import iwre.cli\n"
+            "print(dict(os.environ) == before)\n"
+        ) == "True"
+
+    def test_import_iwre_loads_no_numpy(self):
+        assert _fresh(
+            "import sys, iwre\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('numpy', 'iwre')))\n"
+        ) == "['iwre']"
+
+
+def test_public_names_resolve_lazily():
+    """Every exported name is its defining module's object, listed by
+    ``dir``; a name that is not exported raises ``AttributeError``."""
+    out = _fresh(
+        "import json, sys, iwre, iwre._version\n"
+        "listed = set(iwre.__all__) <= set(dir(iwre))\n"
+        "got = {n: getattr(iwre, n) for n in iwre.__all__}\n"
+        "version = got.pop('__version__') == iwre._version.__version__\n"
+        "homed = all(getattr(sys.modules[o.__module__], n) is o\n"
+        "            for n, o in got.items())\n"
+        "try:\n"
+        "    iwre.no_such_name\n"
+        "    missing = 'resolved'\n"
+        "except AttributeError:\n"
+        "    missing = 'AttributeError'\n"
+        "print(json.dumps({'names': iwre.__all__, 'version': version,\n"
+        "                  'homed': homed, 'dir': listed,\n"
+        "                  'missing': missing}))\n"
+    )
+    result = json.loads(out)
+    assert len(result["names"]) == len(set(result["names"])) == 62
+    assert result["version"] and result["homed"] and result["dir"]
+    assert result["missing"] == "AttributeError"
 
 
 def write_container(path, values, dtype):
