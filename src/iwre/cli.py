@@ -10,6 +10,9 @@ values, and a JSON ``null`` means "not given". Scoring defaults are
 modules that own them. Exit codes: 0 success, 2 validation or usage error,
 3 numerical failure, 4 I/O failure. All outputs are deterministic
 functions of the inputs and configuration, so reruns are byte-identical.
+Outputs go under ``--out``, which :meth:`RunConfig.output` makes at the
+first write: a refused command leaves no ``--out``, and a ``sweep`` that
+fails after its first scale keeps that scale's complete files.
 
 A CLI process starts numpy's OpenBLAS at one thread, unless the caller set
 ``OPENBLAS_NUM_THREADS`` or imported numpy before this module: scoring's
@@ -184,12 +187,12 @@ class RunConfig:
             given["method"] = _METHOD_ALIASES[self.method]
         return replace(stored or ScoringConfig(), **given)
 
-    def out_dir(self) -> Path:
-        if self.out is None:
-            raise ValidationError("--out is required", code="missing_input")
-        path = Path(self.out)
-        path.mkdir(parents=True, exist_ok=True)
-        return path
+    def output(self, name: str) -> Path:
+        """``--out/name``, making ``--out``: asked for at each write, so a
+        command refused before its first write leaves no ``--out``."""
+        out = Path(self.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return out / name
 
 
 def _load_dataset(path: str) -> EmbeddingDataset:
@@ -207,13 +210,13 @@ def _float_list(text: Optional[str], flag: str) -> list[float]:
     return values
 
 
-def _score_and_save(scoring, target, prior, threads, path) -> ScoreVector:
-    """Score and write the scores with the resolved config as sidecar params,
-    unless an input file changed while it was read."""
-    scores = scoring.score(target, prior, threads)
+def _score_and_save(cfg, scoring, target, prior, name) -> ScoreVector:
+    """Score and write the scores to ``--out/name`` with the resolved config
+    as sidecar params, unless an input file changed while it was read."""
+    scores = scoring.score(target, prior, cfg.threads)
     target.check_unchanged()
     prior.check_unchanged()
-    save_scores(scores, path, scoring.sidecar_params(target, prior))
+    save_scores(scores, cfg.output(name), scoring.sidecar_params(target, prior))
     return scores
 
 
@@ -222,23 +225,20 @@ def _score_and_save(scoring, target, prior, threads, path) -> ScoreVector:
 
 def cmd_score(cfg: RunConfig) -> int:
     cfg.require_paths("target", "prior")
-    out = cfg.out_dir()
     target = _load_dataset(cfg.target)
     prior = _load_dataset(cfg.prior)
-    scores = _score_and_save(
-        cfg.scoring(), target, prior, cfg.threads, out / "scores.bin"
-    )
+    scores = _score_and_save(cfg, cfg.scoring(), target, prior, "scores.bin")
     print(f"fingerprint: {scores.config_fingerprint}")
-    print(f"wrote {out / 'scores.bin'}")
+    print(f"wrote {cfg.output('scores.bin')}")
     return 0
 
 
 def cmd_retrieve(cfg: RunConfig) -> int:
+    # Flags are checked before any input is hashed, so a bad one fails fast.
     cfg.require_paths("target", "prior", "scores")
     if cfg.meta:
         cfg.require_paths("meta")
     select = cfg.selection_rule()
-    out = cfg.out_dir()
     scores, sidecar = load_scores(cfg.scores)
     target = _load_dataset(cfg.target)
     prior = _load_dataset(cfg.prior)
@@ -263,11 +263,11 @@ def cmd_retrieve(cfg: RunConfig) -> int:
         meta = pair_metadata(prior, load_metadata(cfg.meta))
     retrieved, retrieved_meta = materialize(manifest, prior, meta)
     prior.check_unchanged()
-    save_manifest(manifest, out / "manifest.json")
-    save_embeddings(retrieved, out / "retrieved.bin")
+    save_manifest(manifest, cfg.output("manifest.json"))
+    save_embeddings(retrieved, cfg.output("retrieved.bin"))
     if retrieved_meta is not None:
-        save_metadata(retrieved_meta, out / "retrieved_meta.csv")
-    save_cotrain_weights(out / "weights.csv", weights, target.rows, manifest)
+        save_metadata(retrieved_meta, cfg.output("retrieved_meta.csv"))
+    save_cotrain_weights(cfg.output("weights.csv"), weights, target.rows, manifest)
     print(f"fingerprint: {manifest.config_fingerprint}")
     print(f"selected {manifest.size} of {prior.rows} prior rows")
     return 0
@@ -288,9 +288,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     scales = [base.scale_c]
     if cfg.bandwidth_scales is not None:
         scales = _float_list(cfg.bandwidth_scales, "--bandwidth-scales")
-    # Every value is checked before the first scoring pass writes a file.
+    # Scales are checked here, fractions once the prior's rows are known: fail fast.
     scorings = [replace(base, scale_c=scale) for scale in scales]
-    out = cfg.out_dir()
     target = _load_dataset(cfg.target)
     prior = _load_dataset(cfg.prior)
     for frac in fractions:
@@ -302,11 +301,10 @@ def cmd_sweep(cfg: RunConfig) -> int:
     summary = []
     for scoring in scorings:
         scale = scoring.scale_c
-        path = out / f"scores_c{scale:g}.bin"
-        scores = _score_and_save(scoring, target, prior, cfg.threads, path)
+        scores = _score_and_save(cfg, scoring, target, prior, f"scores_c{scale:g}.bin")
         for frac in fractions:
             manifest = select_by_fraction(scores, frac)
-            save_manifest(manifest, out / f"manifest_c{scale:g}_f{frac:g}.json")
+            save_manifest(manifest, cfg.output(f"manifest_c{scale:g}_f{frac:g}.json"))
             entry = {
                 "bandwidth_scale": scale,
                 "fraction": frac,
@@ -316,7 +314,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             if relevance is not None:
                 entry["precision"] = evaluate_retrieval(manifest, relevance).precision
             summary.append(entry)
-    write_json(out / "summary.json", summary)
+    write_json(cfg.output("summary.json"), summary)
     header = f"{'scale':>8} {'fraction':>9} {'selected':>9}"
     print(header + ("  precision" if relevance is not None else ""))
     for entry in summary:
@@ -334,7 +332,6 @@ def cmd_analyze(cfg: RunConfig) -> int:
     cfg.require_paths("manifest", "meta")
     if cfg.labels:
         cfg.require_paths("labels")
-    out = cfg.out_dir()
     manifest = load_manifest(cfg.manifest)
     method = manifest.method.value if manifest.method is not None else ""
     if cfg.method is not None and _METHOD_ALIASES[cfg.method] is not manifest.method:
@@ -352,28 +349,27 @@ def cmd_analyze(cfg: RunConfig) -> int:
     emit_report(
         task_breakdown(manifest, meta, labels),
         timestep_histogram(manifest, meta, cfg.bins),
-        out / "report.json",
+        cfg.output("report.json"),
         fingerprint=manifest.config_fingerprint,
         method=method,
         evaluation=evaluation,
         task_bins=crossed if (meta.task_code >= 0).any() else None,
     )
-    print(f"wrote {out / 'report.json'}")
+    print(f"wrote {cfg.output('report.json')}")
     return 0
 
 
 def cmd_synth(cfg: RunConfig) -> int:
     if cfg.scenario is None:
         raise ValidationError("--scenario is required", code="missing_input")
-    out = cfg.out_dir()
     scenario = make_scenario(cfg.scenario, rng_seed=cfg.seed or 0)
     data = generate(scenario, cfg.n_target, cfg.n_prior)
-    save_embeddings(data.target, out / "target.bin")
-    save_embeddings(data.prior, out / "prior.bin")
-    save_metadata(data.prior_metadata, out / "prior_meta.csv")
-    write_json(out / "labels.json", data.task_relevance)
-    save_oracle(scenario, data, out / "oracle.json")
-    print(f"wrote fixtures for {scenario.scenario_id} to {out}")
+    save_embeddings(data.target, cfg.output("target.bin"))
+    save_embeddings(data.prior, cfg.output("prior.bin"))
+    save_metadata(data.prior_metadata, cfg.output("prior_meta.csv"))
+    write_json(cfg.output("labels.json"), data.task_relevance)
+    save_oracle(scenario, data, cfg.output("oracle.json"))
+    print(f"wrote fixtures for {scenario.scenario_id} to {Path(cfg.out)}")
     return 0
 
 
@@ -382,14 +378,15 @@ def cmd_synth(cfg: RunConfig) -> int:
 # Each subcommand's help and the RunConfig fields it reads, which are its
 # flags, in --help order. retrieve reads the scoring fields to rebuild the
 # fingerprint; analyze reads method to check it against the manifest's.
+# sweep's scales come from bandwidth_scales alone (or a config's default).
 _SCORING = "method bandwidth_scale lse_temp batch_size num_batches seed"
 _COMMANDS = {
     "score": ("score every prior row", f"{_SCORING} threads out target prior"),
     "retrieve": ("select rows from scored prior",
                  f"{_SCORING} out target prior scores meta fraction threshold alpha"),
     "sweep": ("score once, select many fractions",
-              f"{_SCORING} threads out target prior meta labels fractions "
-              "bandwidth_scales"),
+              "method lse_temp batch_size num_batches seed threads out target "
+              "prior meta labels fractions bandwidth_scales"),
     "analyze": ("task/timestep report for a manifest",
                 "method out manifest meta labels bins"),
     "synth": ("write synthetic benchmark fixtures",
@@ -413,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     options = {f.name: f.metadata for f in fields(RunConfig)}
     types = field_types(RunConfig)
     for command, (help_text, flags) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        # Whole flags only: --bandwidth-scale is no abbreviation of --bandwidth-scales.
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override it")
         for name in flags.split():
             flag = "--" + name.replace("_", "-")
@@ -434,6 +432,8 @@ def main(argv=None) -> int:
                 code="bad_flag",
             )
         cfg = RunConfig.resolve(args)
+        if cfg.out is None:
+            raise ValidationError("--out is required", code="missing_input")
         return args.func(cfg)
     except ValidationError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

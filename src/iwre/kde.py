@@ -2,7 +2,8 @@
 
 A fitted model places one Gaussian kernel, with covariance ``h^2 * Sigma``,
 at every support row. ``h`` comes from a scaled Scott rule and ``Sigma`` is
-the (ridge-regularized) sample covariance of the support. Queries are
+the sample covariance of the support plus a fixed ridge (``RIDGE_EPS``
+times the mean variance), factorized once or refused. Queries are
 centred on the support mean and whitened by the inverse of the Cholesky
 factor of ``h^2 * Sigma`` (stored once at fit, so whitening is one GEMM),
 so each kernel exponent is ``-|w - s|^2 / 2``. One engine
@@ -60,9 +61,8 @@ from .errors import NumericalError, ValidationError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Ridge schedule: eps starts tiny and doubles until the Cholesky succeeds.
-RIDGE_EPS_INITIAL = 1e-9
-RIDGE_EPS_MAX = 1e-3
+# The ridge fit adds to a sample covariance, relative to its mean variance.
+RIDGE_EPS = 1e-9
 
 # Tile width and buffer budget in float64 elements (see "Memory" above).
 # Other values change KDE results only in the last bits.
@@ -121,7 +121,7 @@ class GaussianKde(ParamsMixin):
     bandwidth_ : float
         Bandwidth multiplier ``h``.
     covariance_ : (d, d) ndarray
-        Regularized kernel covariance ``Sigma`` (before the ``h^2`` scaling).
+        Kernel covariance ``Sigma`` (before the ``h^2`` scaling), ridged by fit.
     chol_lower_ : (d, d) ndarray
         Lower Cholesky factor of ``h^2 * Sigma``.
     log_norm_ : float
@@ -139,16 +139,22 @@ class GaussianKde(ParamsMixin):
     def fit(self, X, y=None) -> "GaussianKde":
         """Fit bandwidth, covariance and Cholesky factor to the support X."""
         X = check_matrix(X, "X")
-        h = scott_bandwidth(self.scale_c, X.shape[0], X.shape[1])
-        self._finalize(X, h, sample_covariance(X), always_ridge=True)
-        return self
+        d = X.shape[1]
+        h = scott_bandwidth(self.scale_c, X.shape[0], d)
+        # _finalize refuses an overflowed covariance; numpy's warnings would repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = sample_covariance(X)
+            trace_scale = float(np.trace(cov)) / d or 1.0  # 1 for a zero covariance
+            cov = cov + (RIDGE_EPS * trace_scale) * np.eye(d)
+        return self._finalize(X, h, cov)
 
     @classmethod
     def from_parameters(cls, support, bandwidth_h, covariance) -> "GaussianKde":
         """Build a model directly from centers, bandwidth and covariance.
 
-        The covariance is used as given when it is positive definite; the
-        ridge schedule only kicks in if its Cholesky fails.
+        The covariance is used as given, with no ridge: one that is not
+        positive definite raises :class:`~iwre.errors.NumericalError`
+        ``cholesky_exhausted``.
         """
         support = check_matrix(support, "support")
         bandwidth_h = check_positive(bandwidth_h, "bandwidth_h")
@@ -159,46 +165,36 @@ class GaussianKde(ParamsMixin):
                 f"covariance shape {covariance.shape} does not match dim {d}",
                 code="dim_mismatch",
             )
-        model = cls(scale_c=None)
-        model._finalize(support, bandwidth_h, covariance, always_ridge=False)
-        return model
+        covariance = (covariance + covariance.T) / 2.0
+        return cls(scale_c=None)._finalize(support, bandwidth_h, covariance)
 
-    def _finalize(self, support, h, cov, *, always_ridge):
+    def _finalize(self, support, h, cov):
         d = support.shape[1]
-        cov = (cov + cov.T) / 2.0
-        trace_scale = float(np.trace(cov)) / d
-        if trace_scale <= 0.0:
-            trace_scale = 1.0
-        eye = np.eye(d)
-
-        eps = RIDGE_EPS_INITIAL if always_ridge else 0.0
-        while True:
-            regularized = cov + (eps * trace_scale) * eye if eps else cov
-            try:
-                chol = np.linalg.cholesky((h * h) * regularized)
-                break
-            except np.linalg.LinAlgError:
-                eps = RIDGE_EPS_INITIAL if eps == 0.0 else eps * 2.0
-                if eps > RIDGE_EPS_MAX:
-                    raise NumericalError(
-                        "Cholesky factorization failed after maximum ridge "
-                        f"regularization (eps > {RIDGE_EPS_MAX:g}); input scale "
-                        "is pathological",
-                        code="cholesky_exhausted",
-                    )
+        try:
+            chol = np.linalg.cholesky((h * h) * cov)
+            # Transposed inverse Cholesky factor: whitening a row block is
+            # then one GEMM, ``(q - center) @ inv(L).T``.
+            whitener = np.linalg.inv(chol).T
+            failed = not (np.isfinite(chol).all() and np.isfinite(whitener).all())
+        except np.linalg.LinAlgError:
+            failed = True
+        if failed:
+            raise NumericalError(
+                "the kernel covariance has no finite Cholesky factor and inverse: "
+                "it is not positive definite, or the input scale is pathological",
+                code="cholesky_exhausted",
+            )
 
         support = support.copy()
         support.flags.writeable = False
         self.support_ = support
         self.bandwidth_ = float(h)
-        self.covariance_ = regularized
+        self.covariance_ = cov
         self.chol_lower_ = chol
         self.log_norm_ = float(-np.sum(np.log(np.diag(chol))) - 0.5 * d * LOG_2PI)
         self.count_ = support.shape[0]
         self.dim_ = d
-        # Transposed inverse Cholesky factor: whitening a row block is then
-        # one GEMM, ``(q - center) @ inv(L).T``.
-        self._whitener = np.linalg.inv(chol).T
+        self._whitener = whitener
         # Whitened support, centered on the support mean so that kernel
         # exponents are computed in well-conditioned local coordinates and
         # jointly translated inputs whiten to identical values.

@@ -473,7 +473,7 @@ class TestMalformedInputs:
                    "--target", fixtures / "target.bin",
                    "--prior", fixtures / "prior.bin", "--out", out) == 2
         assert f"error[{code}]" in capsys.readouterr().err
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_bad_threads_flag(self, fixtures, tmp_path, capsys, threads):
@@ -682,9 +682,10 @@ def test_subcommand_option_strings():
         "retrieve": ["-h", "--help", "--config", *_SCORING_OPTIONS, "--out",
                      "--target", "--prior", "--scores", "--meta", "--fraction",
                      "--threshold", "--alpha"],
-        "sweep": ["-h", "--help", "--config", *_SCORING_OPTIONS, "--threads",
-                  "--out", "--target", "--prior", "--meta", "--labels",
-                  "--fractions", "--bandwidth-scales"],
+        "sweep": ["-h", "--help", "--config", "--method", "--lse-temp",
+                  "--batch-size", "--num-batches", "--seed", "--threads", "--out",
+                  "--target", "--prior", "--meta", "--labels", "--fractions",
+                  "--bandwidth-scales"],
         "analyze": ["-h", "--help", "--config", "--method", "--out", "--manifest",
                     "--meta", "--labels", "--bins"],
         "synth": ["-h", "--help", "--config", "--seed", "--out", "--scenario",
@@ -692,11 +693,14 @@ def test_subcommand_option_strings():
     }
     flags = [s for strings in options.values() for s in strings
              if s not in ("-h", "--help", "--config")]
-    assert len(flags) == 49
+    assert len(flags) == 48
 
 
 # Flags that a subcommand does not read, with a value of the flag's type.
-_REMOVED_FLAGS = [("retrieve", "--threads", 2)] + [
+# sweep's scales come from --bandwidth-scales alone.
+_REMOVED_FLAGS = [
+    ("retrieve", "--threads", 2), ("sweep", "--bandwidth-scale", 2)
+] + [
     (command, flag, value)
     for command in ("analyze", "synth")
     for flag, value in [("--method", "kde"), ("--bandwidth-scale", 2),
@@ -717,6 +721,7 @@ def test_unread_flag_is_refused(fixtures, tmp_path, capsys, command, flag, value
     argv = {
         "retrieve": ["retrieve", "--scores", run_dir / "scores.bin", *data,
                      "--fraction", 0.3],
+        "sweep": ["sweep", "--method", "nn", *data, "--fractions", 0.3],
         "analyze": ["analyze", "--manifest", run_dir / "manifest.json",
                     "--meta", fixtures / "prior_meta.csv"],
         "synth": ["synth", "--scenario", "cluster_bias", "--n-target", 20,
@@ -733,7 +738,7 @@ def test_unread_flag_is_refused(fixtures, tmp_path, capsys, command, flag, value
     assert run(*argv, "--out", out) == 0  # the flag was the only fault
 
 
-# retrieve refuses these before it makes --out or reads the score file.
+# retrieve refuses these before it reads the score file.
 @pytest.mark.parametrize("extra,code", [
     (["--fraction", 1.5], "bad_fraction"),
     (["--fraction", 0], "bad_fraction"),
@@ -767,7 +772,99 @@ def test_retrieve_bad_alpha_writes_nothing(fixtures, tmp_path, capsys):
     assert run("retrieve", "--scores", run_dir / "scores.bin", *data,
                "--fraction", 0.3, "--alpha", 2, "--out", out) == 2
     assert "error[bad_alpha]" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+def _score_fails(self, *args, **kwargs):
+    raise NumericalError("synthetic failure", code="cholesky_exhausted")
+
+
+_DATA = ["--target", "{fx}/target.bin", "--prior", "{fx}/prior.bin"]
+
+# Refused after --out is given, often after inputs are read: each exits
+# with one error line and leaves no --out. {run} holds nn scores and their
+# manifest, a 7-byte binary file, invalid JSON and rows of about 1e155.
+# (case, argv, exit code, error code, ScoringConfig.score replacement)
+REFUSED = [
+    ("score_short_target", ["score", "--method", "nn", "--target", "{run}/short.bin",
+                            "--prior", "{fx}/prior.bin"], 2, "malformed_header", None),
+    ("sweep_malformed_prior", ["sweep", "--method", "nn", "--fractions", 0.3,
+                               "--target", "{fx}/target.bin",
+                               "--prior", "{run}/short.bin"],
+     2, "malformed_header", None),
+    ("analyze_invalid_labels", ["analyze", "--manifest", "{run}/manifest.json",
+                                "--meta", "{fx}/prior_meta.csv",
+                                "--labels", "{run}/bad.json"], 2, "bad_labels", None),
+    ("analyze_not_a_manifest", ["analyze", "--manifest", "{fx}/labels.json",
+                                "--meta", "{fx}/prior_meta.csv"],
+     2, "bad_manifest", None),
+    ("retrieve_stale_scores", ["retrieve", "--method", "kde",
+                               "--scores", "{run}/scores.bin", *_DATA,
+                               "--fraction", 0.3], 2, "fingerprint_mismatch", None),
+    ("retrieve_not_scores", ["retrieve", "--scores", "{fx}/labels.json", *_DATA,
+                             "--fraction", 0.3], 2, "bad_sidecar", None),
+    ("retrieve_selects_nothing", ["retrieve", "--scores", "{run}/scores.bin", *_DATA,
+                                  "--threshold", 1e9], 2, "empty_selection", None),
+    ("synth_no_target_rows", ["synth", "--scenario", "cluster_bias",
+                              "--n-target", 0], 2, "bad_param", None),
+] + [
+    (f"score_{method}_covariance_overflows",
+     ["score", "--method", method, "--seed", 0, "--target", "{run}/huge_t.bin",
+      "--prior", "{run}/huge_p.bin"], 3, "cholesky_exhausted", None)
+    for method in ("iwr", "kde")
+] + [
+    ("score_numerical_error", ["score", "--method", "nn", *_DATA], 3,
+     "cholesky_exhausted", _score_fails),
+]
+
+
+@pytest.fixture
+def refusal_inputs(fixtures, tmp_path):
+    run_dir = tmp_path / "run"
+    data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
+    assert run("score", "--method", "nn", *data, "--out", run_dir) == 0
+    assert run("retrieve", "--scores", run_dir / "scores.bin", *data,
+               "--fraction", 0.3, "--out", run_dir) == 0
+    (run_dir / "short.bin").write_bytes(b"IWRE\x01\x00\x01")
+    (run_dir / "bad.json").write_text("{bad")
+    rng = np.random.default_rng(5)
+    for name, rows in (("huge_t.bin", 50), ("huge_p.bin", 400)):
+        huge = EmbeddingDataset(rng.standard_normal((rows, 3)) * 1e155)
+        save_embeddings(huge, run_dir / name)
+    return run_dir
+
+
+@pytest.mark.parametrize("argv,status,code,score", [c[1:] for c in REFUSED],
+                         ids=[c[0] for c in REFUSED])
+def test_refused_command_leaves_no_out(fixtures, refusal_inputs, tmp_path, capsys,
+                                       monkeypatch, argv, status, code, score):
+    if score is not None:
+        monkeypatch.setattr(ScoringConfig, "score", score)
+    argv = [str(a).format(run=refusal_inputs, fx=fixtures) for a in argv]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == status
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error[{code}]: "), lines
+    assert not out.exists()
+
+
+def test_sweep_failure_keeps_finished_scales(fixtures, tmp_path, monkeypatch):
+    real = ScoringConfig.score
+
+    def fails_at_scale_2(self, *args, **kwargs):
+        if self.scale_c == 2.0:
+            raise NumericalError("synthetic failure", code="cholesky_exhausted")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScoringConfig, "score", fails_at_scale_2)
+    out = tmp_path / "sweep"
+    assert run("sweep", "--method", "nn", "--fractions", 0.3,
+               "--bandwidth-scales", "4,2", "--target", fixtures / "target.bin",
+               "--prior", fixtures / "prior.bin", "--out", out) == 3
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest_c4_f0.3.json", "scores_c4.bin", "scores_c4.json"
+    ]
 
 
 @pytest.mark.parametrize("argv,leftover", [

@@ -1,5 +1,6 @@
 """Gaussian KDE: bandwidth rule, covariance, log-density, and invariants."""
 
+import warnings
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.stats import qmc
 from helpers import naive_log_density
 from iwre.errors import NumericalError, ValidationError
 from iwre.kde import (
+    RIDGE_EPS,
     BandwidthSpec,
     GaussianKde,
     fit_kde,
@@ -104,6 +106,39 @@ class TestFit:
         with pytest.raises(NumericalError) as exc:
             GaussianKde.from_parameters(np.zeros((2, 1)), 1.0, [[-1.0]])
         assert exc.value.code == "cholesky_exhausted"
+
+    # A covariance is factorized once; each failure is the same refusal.
+    @pytest.mark.parametrize("covariance", [
+        [[1.0, 1.0], [1.0, 1.0]],  # singular: no ridge is added to it
+        [[np.inf, 0.0], [0.0, 1.0]],  # a factor, but not a finite one
+    ], ids=["singular", "infinite"])
+    def test_given_covariance_without_finite_factor_refused(self, covariance):
+        with pytest.raises(NumericalError) as exc:
+            GaussianKde.from_parameters(np.zeros((2, 2)), 1.0, covariance)
+        assert exc.value.code == "cholesky_exhausted"
+
+    def test_overflowing_covariance_refused_without_warnings(self):
+        x = np.random.default_rng(8).standard_normal((40, 3)) * 1e155
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as exc:
+                fit_kde(x)
+        assert exc.value.code == "cholesky_exhausted"
+
+    def test_failed_inverse_refused(self, monkeypatch):
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(NumericalError) as exc:
+            fit_kde(np.eye(3))
+        assert exc.value.code == "cholesky_exhausted"
+
+    def test_fit_adds_one_fixed_ridge(self):
+        x = np.random.default_rng(9).standard_normal((6, 4))
+        cov = sample_covariance(x)
+        ridge = (RIDGE_EPS * (np.trace(cov) / 4)) * np.eye(4)
+        np.testing.assert_array_equal(fit_kde(x).covariance_, cov + ridge)
 
     def test_from_parameters_dim_mismatch(self):
         with pytest.raises(ValidationError):
