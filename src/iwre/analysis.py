@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from ._validation import check_count, read_json_object, write_json
-from .dataset import as_metadata_table
+from .dataset import MetadataTable
 from .errors import ValidationError
 from .retrieval import RetrievalManifest
 from ._version import __version__
@@ -63,20 +63,20 @@ class TimestepHistogram:
 
 
 def task_breakdown(
-    manifest: RetrievalManifest, meta, labels: Optional[Mapping[str, str]] = None
+    manifest: RetrievalManifest,
+    meta: MetadataTable,
+    labels: Optional[Mapping[str, str]] = None,
 ) -> TaskBreakdown:
     """Count selected rows per task and attach relevance labels.
 
-    ``meta`` is a :class:`~iwre.dataset.MetadataTable` or a sequence of
-    ``RowMetadata``. Tasks selected but missing from ``labels`` default to
-    ``harmful`` with a logged warning; ``labels=None`` means none were
-    given, and every task is ``harmful`` without one. Rows without a task
+    Tasks selected but missing from ``labels`` default to ``harmful`` with
+    a logged warning; ``labels=None`` means none were given, and every task
+    is ``harmful`` without one. Rows without a task
     label group under ``"(unlabeled)"``; a selection with no labeled rows at
     all yields an empty breakdown.
     """
     if labels is not None:
         _check_relevance(labels)
-    meta = as_metadata_table(meta)
     table = task_bin_counts(manifest, meta, 1)
     counts = {task: row[0] for task, row in table.items()}
     if (meta.task_code[manifest.selected_indices] < 0).all():
@@ -93,7 +93,7 @@ def task_breakdown(
 
 
 def timestep_histogram(
-    manifest: RetrievalManifest, meta, bin_count: int = 10
+    manifest: RetrievalManifest, meta: MetadataTable, bin_count: int = 10
 ) -> TimestepHistogram:
     """Histogram selected rows by proportional position within their episode.
 
@@ -105,7 +105,9 @@ def timestep_histogram(
     return TimestepHistogram(counts.size, counts, counts / manifest.size)
 
 
-def task_bin_counts(manifest: RetrievalManifest, meta, bin_count: int = 10) -> dict:
+def task_bin_counts(
+    manifest: RetrievalManifest, meta: MetadataTable, bin_count: int = 10
+) -> dict:
     """Crossed per-task, per-bin selected counts.
 
     Lets external tooling apply segment-level relevance rules (e.g. "only
@@ -115,7 +117,6 @@ def task_bin_counts(manifest: RetrievalManifest, meta, bin_count: int = 10) -> d
     the selected rows.
     """
     bin_count = check_count(bin_count, "bin_count")
-    meta = as_metadata_table(meta)
     idx = manifest.selected_indices
     if idx[-1] >= len(meta):
         raise ValidationError(

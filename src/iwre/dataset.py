@@ -262,14 +262,6 @@ class MetadataTable:
         )
 
 
-def as_metadata_table(metadata) -> MetadataTable:
-    """``metadata`` as a :class:`MetadataTable`: a table as it is, a sequence
-    of :class:`RowMetadata` converted once."""
-    if isinstance(metadata, MetadataTable):
-        return metadata
-    return MetadataTable.from_records(metadata)
-
-
 def gather_rows(data: np.ndarray, idx) -> np.ndarray:
     """``data[idx]`` as a new float64 array, gathered in blocks, so rows of a
     float32 array are widened without a float32 copy of the selection; a
@@ -283,16 +275,14 @@ def gather_rows(data: np.ndarray, idx) -> np.ndarray:
     return out
 
 
-def pair_metadata(dataset: EmbeddingDataset, metadata) -> MetadataTable:
-    """``metadata`` as a table, checked to line up one-to-one with ``dataset``
-    rows."""
-    table = as_metadata_table(metadata)
-    if len(table) != dataset.rows:
+def pair_metadata(dataset: EmbeddingDataset, metadata: MetadataTable) -> MetadataTable:
+    """``metadata``, checked to line up one-to-one with ``dataset`` rows."""
+    if len(metadata) != dataset.rows:
         raise ValidationError(
-            f"metadata has {len(table)} rows but dataset has {dataset.rows}",
+            f"metadata has {len(metadata)} rows but dataset has {dataset.rows}",
             code="row_count_mismatch",
         )
-    return table
+    return metadata
 
 
 def _parse_header(header: bytes, file_size: int, path):
@@ -683,12 +673,10 @@ def _csv_label(label: str) -> bytes:
     return out.getvalue()[:-1].encode()
 
 
-def save_metadata(metadata, path) -> None:
-    """Write the metadata sidecar CSV: a :class:`MetadataTable`, or a
-    sequence of :class:`RowMetadata` converted once. Integers are formatted
-    in bulk, ``_WRITE_ROWS`` rows per write, and each distinct label is
-    quoted once."""
-    table = as_metadata_table(metadata)
+def save_metadata(table: MetadataTable, path) -> None:
+    """Write a :class:`MetadataTable` as the metadata sidecar CSV. Integers
+    are formatted in bulk, ``_WRITE_ROWS`` rows per write, and each distinct
+    label is quoted once."""
     # Each label's field and line end; code -1 (unlabeled) picks the last.
     ends = np.array([_csv_label(label) + b"\n" for label in table.task_labels] + [b"\n"])
     with open(path, "wb") as fh:

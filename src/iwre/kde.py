@@ -337,7 +337,8 @@ def nearest_sq_dists(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
     for rows, aug, expo in chunks:
         w_sq = -2.0 * aug[:, -2]
         cut = expo.max(axis=1) - slack * (w_sq + support_sq_max)
-        r, c = np.nonzero(expo >= cut[:, None])
+        # Only real columns: if an exponent overflowed, the cut may be -inf.
+        r, c = np.nonzero(expo[:, :m] >= cut[:, None])
         # Candidates, a chunk's worth at a time, are differenced in ``aug``,
         # which is free once the exponents are formed.
         for start in range(0, r.size, len(aug)):

@@ -219,8 +219,8 @@ def cotrain_weights(
 
 
 def materialize(manifest: RetrievalManifest, prior: EmbeddingDataset, prior_meta=None):
-    """Extract the selected rows (and paired metadata, a ``MetadataTable`` or
-    a sequence of ``RowMetadata``, as a table) in index order."""
+    """Extract the selected rows (and their rows of the paired
+    ``MetadataTable``) in index order."""
     idx = manifest.selected_indices
     if idx[-1] >= prior.rows:
         raise ValidationError(

@@ -14,8 +14,14 @@ retrievable.
 ``kde_target``
     Log-density of the prior row under a Gaussian KDE of the target data.
 ``iwr``
-    Log importance weight: target KDE log-density minus the log of the
-    averaged density over a set of KDEs fit on random prior batches.
+    Log importance weight: the target term (kde_target) minus the prior
+    term, the log of the mean density of KDEs fit on random prior batches.
+    The prior term never reads the target; it depends only on the prior,
+    ``scale_c``, the batch size, ``num_batches``, the seed and
+    ``leave_self_out``.
+
+lse, kde_target and both iwr terms are one row job: per prior row, the log
+of the mean density of a list of fitted KDEs.
 
 :class:`ScoringConfig` (a rule plus its parameters) is the one entry point:
 it fits what the rule needs, scores, and stamps a fingerprint of the config
@@ -48,6 +54,7 @@ from ._validation import (
     check_threads,
     check_vector,
     coerce_fields,
+    first_non_finite_row,
     read_json_object,
     read_only,
     write_json,
@@ -59,7 +66,7 @@ from .dataset import (
     release_rows,
     write_vector_file,
 )
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .kde import (
     BandwidthSpec,
     GaussianKde,
@@ -152,20 +159,15 @@ def _check_dims(target_dim: int, prior: EmbeddingDataset) -> None:
         )
 
 
-def _default_threads() -> int:
-    """CPUs this process may run on (its affinity set), else all of them."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _map_row_chunks(prior: EmbeddingDataset, job, threads: Optional[int]) -> np.ndarray:
     """Run ``job`` on each fixed row chunk of ``prior``, ``threads`` at a
     time, BLAS pinned; a mapped prior's chunk rows are released after it.
-    Each chunk's result is written into one read-only output vector."""
+    Each chunk's result is written into one output vector, which the caller
+    owns. Overflow is not warned about; a non-finite result is refused."""
     threads = check_threads(threads)
-    if threads is None:
-        threads = _default_threads()
+    if threads is None:  # the CPUs this process may run on, else all of them
+        affinity = getattr(os, "sched_getaffinity", None)
+        threads = len(affinity(0)) if affinity else os.cpu_count() or 1
     slices = [
         slice(s, min(s + _OUTER_CHUNK_ROWS, prior.rows))
         for s in range(0, prior.rows, _OUTER_CHUNK_ROWS)
@@ -174,7 +176,8 @@ def _map_row_chunks(prior: EmbeddingDataset, job, threads: Optional[int]) -> np.
     out = np.empty(prior.rows)
 
     def run(sl):
-        out[sl] = job(sl)
+        with np.errstate(over="ignore", invalid="ignore"):  # per thread
+            out[sl] = job(sl)
         release_rows(prior.data, sl.start, sl.stop)
 
     with single_threaded_blas():
@@ -184,8 +187,51 @@ def _map_row_chunks(prior: EmbeddingDataset, job, threads: Optional[int]) -> np.
         else:
             with ThreadPoolExecutor(max_workers=threads) as ex:
                 list(ex.map(run, slices))
-    out.flags.writeable = False
+    row = first_non_finite_row(out[:, None])
+    if row is not None:
+        raise NumericalError(
+            f"scores overflowed: non-finite value at prior row {row}",
+            code="non_finite_scores",
+        )
     return out
+
+
+def _log_mean_density(kdes, prior, *, leave_self_out=False, threads=1) -> np.ndarray:
+    """Log of the mean density of ``kdes`` at each row of ``prior`` (a
+    log-mean-exp over their log-densities; one KDE's log-density exactly).
+    With ``leave_self_out`` a row in a KDE's support (``support_row_ids_``)
+    does not count its own kernel toward that KDE's density."""
+    if not kdes:
+        raise ValidationError("prior_kdes must be non-empty", code="empty_batch_list")
+    for kde in kdes:
+        _check_dims(kde.dim_, prior)
+        if leave_self_out and getattr(kde, "support_row_ids_", None) is None:
+            raise ValidationError(
+                "leave_self_out requires batch KDEs fitted by fit_prior_batched "
+                "(missing support row ids)",
+                code="missing_row_ids",
+            )
+
+    def job(sl):
+        q = prior.data[sl]
+        log_p = np.empty((len(kdes), q.shape[0]))
+        for k, kde in enumerate(kdes):
+            exclude = None
+            if leave_self_out:
+                # Each support member leaves out its own kernel, in the same pass.
+                ids = kde.support_row_ids_
+                lo, hi = np.searchsorted(ids, [sl.start, sl.stop])
+                exclude = np.full(q.shape[0], -1)
+                exclude[ids[lo:hi] - sl.start] = np.arange(lo, hi)
+            log_p[k] = kde.score_samples(q, exclude=exclude)
+        return log_mean_exp(log_p, axis=0)
+
+    return _map_row_chunks(prior, job, threads)
+
+
+def _scores(values, method, prior, target_source_id="") -> ScoreVector:
+    values.flags.writeable = False  # so the ScoreVector holds it, uncopied
+    return ScoreVector(values, method, "", prior.source_id, target_source_id)
 
 
 # -- scoring rules ----------------------------------------------------------
@@ -200,9 +246,7 @@ def score_nn_l2(target, prior, *, threads: int | None = 1) -> ScoreVector:
     values = _map_row_chunks(
         prior, lambda sl: -nearest_sq_dists(prior.data[sl], support), threads
     )
-    return ScoreVector(
-        values, ScoreMethod.NN_L2, "", prior.source_id, target.source_id
-    )
+    return _scores(values, ScoreMethod.NN_L2, prior, target.source_id)
 
 
 def score_lse(
@@ -223,24 +267,19 @@ def score_lse(
     """
     target = _as_dataset(target)
     prior = _as_dataset(prior)
-    _check_dims(target.dim, prior)
     if temperature_h is None:
         default = ScoringConfig(ScoreMethod.LSE).resolve(target, prior)
         temperature_h = default.temperature
     temperature_h = check_positive(temperature_h, "temperature_h")
-    inv_h2 = 1.0 / (temperature_h * temperature_h)
     # The log-density of the isotropic KDE with kernel covariance (h^2/2) I
     # is log_norm - log M + log sum_j exp(-||p - t_j||^2 / h^2).
     kde = GaussianKde.from_parameters(
         target.data, temperature_h / np.sqrt(2.0), np.eye(target.dim)
     )
-    offset = np.log(kde.count_) - kde.log_norm_
-
-    def job(sl):
-        return inv_h2 * (kde.score_samples(prior.data[sl]) + offset)
-
-    values = _map_row_chunks(prior, job, threads)
-    return ScoreVector(values, ScoreMethod.LSE, "", prior.source_id, target.source_id)
+    values = _log_mean_density([kde], prior, threads=threads)
+    values += np.log(kde.count_) - kde.log_norm_
+    values *= 1.0 / (temperature_h * temperature_h)
+    return _scores(values, ScoreMethod.LSE, prior, target.source_id)
 
 
 def score_kde_target(
@@ -248,14 +287,8 @@ def score_kde_target(
 ) -> ScoreVector:
     """Log-density of each prior row under the fitted target KDE."""
     prior = _as_dataset(prior)
-    _check_dims(target_kde.dim_, prior)
-
-    values = _map_row_chunks(
-        prior, lambda sl: target_kde.score_samples(prior.data[sl]), threads
-    )
-    return ScoreVector(
-        values, ScoreMethod.KDE_TARGET, "", prior_source_id=prior.source_id
-    )
+    values = _log_mean_density([target_kde], prior, threads=threads)
+    return _scores(values, ScoreMethod.KDE_TARGET, prior)
 
 
 def fit_prior_batched(
@@ -296,44 +329,21 @@ def score_importance_weight(
 ) -> ScoreVector:
     """Log importance weight of each prior row.
 
-    ``log p_target(z) - log p_prior(z)`` where the prior log-density is the
-    log of the arithmetic mean of the batch KDE densities (a log-mean-exp
-    over the per-batch log-densities). A monotone transform of the density
-    ratio, so thresholding on it is equivalent to thresholding the ratio.
-
-    With ``leave_self_out`` a prior row that belongs to a batch's support
-    does not count its own kernel toward that batch's density.
+    ``log p_target(z) - log p_prior(z)``: the target term, the log-density
+    under ``target_kde``, minus the prior term, the log of the mean density
+    of the batch KDEs. A monotone transform of the density ratio, so
+    thresholding on it is equivalent to thresholding the ratio. The prior
+    term never reads the target: it depends only on the prior, ``scale_c``,
+    the batch size, ``num_batches``, the seed and ``leave_self_out``, with
+    which a prior row in a batch's support does not count its own kernel
+    toward that batch's density.
     """
     prior = _as_dataset(prior)
-    if not prior_kdes:
-        raise ValidationError("prior_kdes must be non-empty", code="empty_batch_list")
-    _check_dims(target_kde.dim_, prior)
-    for kde in prior_kdes:
-        _check_dims(kde.dim_, prior)
-        if leave_self_out and getattr(kde, "support_row_ids_", None) is None:
-            raise ValidationError(
-                "leave_self_out requires batch KDEs fitted by fit_prior_batched "
-                "(missing support row ids)",
-                code="missing_row_ids",
-            )
-
-    def job(sl):
-        q = prior.data[sl]
-        log_t = target_kde.score_samples(q)
-        log_p = np.empty((len(prior_kdes), q.shape[0]))
-        for k, kde in enumerate(prior_kdes):
-            exclude = None
-            if leave_self_out:
-                # Each batch member leaves out its own kernel, in the same pass.
-                ids = kde.support_row_ids_
-                lo, hi = np.searchsorted(ids, [sl.start, sl.stop])
-                exclude = np.full(q.shape[0], -1)
-                exclude[ids[lo:hi] - sl.start] = np.arange(lo, hi)
-            log_p[k] = kde.score_samples(q, exclude=exclude)
-        return log_t - log_mean_exp(log_p, axis=0)
-
-    values = _map_row_chunks(prior, job, threads)
-    return ScoreVector(values, ScoreMethod.IWR, "", prior_source_id=prior.source_id)
+    values = _log_mean_density([target_kde], prior, threads=threads)
+    values -= _log_mean_density(
+        prior_kdes, prior, leave_self_out=leave_self_out, threads=threads
+    )
+    return _scores(values, ScoreMethod.IWR, prior)
 
 
 # -- scoring configuration ----------------------------------------------------

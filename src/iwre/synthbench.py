@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from ._validation import check_count, check_matrix, read_json_object, write_json
-from .dataset import EmbeddingDataset, MetadataTable, as_metadata_table
+from .dataset import EmbeddingDataset, MetadataTable
 from .errors import ValidationError
 from .kde import LOG_2PI, _logsumexp
 from .retrieval import RetrievalManifest
@@ -367,13 +367,12 @@ def load_oracle(path) -> OracleDensities:
     return OracleDensities(*map(mixture, sections))
 
 
-def row_relevance(metadata, labels: dict) -> np.ndarray:
+def row_relevance(metadata: MetadataTable, labels: dict) -> np.ndarray:
     """Expand a task->relevance map to one label per prior row, as an array
     of strings; unlabeled rows and tasks missing from ``labels`` are
-    ``harmful``. ``metadata`` is a table or a sequence of ``RowMetadata``."""
-    table = as_metadata_table(metadata)
-    levels = [labels.get(task, "harmful") for task in table.task_labels]
-    return np.array(levels + ["harmful"])[table.task_code]  # code -1: the last
+    ``harmful``."""
+    levels = [labels.get(task, "harmful") for task in metadata.task_labels]
+    return np.array(levels + ["harmful"])[metadata.task_code]  # code -1: the last
 
 
 # -- grading -------------------------------------------------------------------

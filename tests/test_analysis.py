@@ -28,10 +28,10 @@ def manifest_of(indices):
 
 
 def meta_rows(tasks, episode_length=10):
-    return [
+    return MetadataTable.from_records(
         RowMetadata(i // episode_length, i % episode_length, episode_length, task)
         for i, task in enumerate(tasks)
-    ]
+    )
 
 
 class TestTaskBreakdown:
@@ -103,12 +103,12 @@ class TestTaskBreakdown:
 
 class TestTimestepHistogram:
     def test_early_steps_in_bin_zero(self):
-        meta = [RowMetadata(0, i, 100) for i in range(100)]
+        meta = MetadataTable.from_records(RowMetadata(0, i, 100) for i in range(100))
         hist = timestep_histogram(manifest_of(range(10)), meta, 10)
         assert hist.counts[0] == 10 and hist.counts[1:].sum() == 0
 
     def test_three_known_bins(self):
-        meta = [RowMetadata(0, i, 100) for i in range(100)]
+        meta = MetadataTable.from_records(RowMetadata(0, i, 100) for i in range(100))
         hist = timestep_histogram(manifest_of([0, 50, 99]), meta, 10)
         want = np.zeros(10, dtype=np.int64)
         want[[0, 5, 9]] = 1
@@ -117,13 +117,15 @@ class TestTimestepHistogram:
     def test_boundaries(self):
         # step 0 -> first bin; final step -> final bin (episodes >= bin count)
         for length in (10, 11, 25, 100, 1000):
-            meta = [RowMetadata(0, s, length) for s in range(length)]
+            meta = MetadataTable.from_records(
+                RowMetadata(0, s, length) for s in range(length)
+            )
             hist = timestep_histogram(manifest_of([0, length - 1]), meta, 10)
             assert hist.counts[0] == 1
             assert hist.counts[9] == 1
 
     def test_single_bin(self):
-        meta = [RowMetadata(0, i, 5) for i in range(5)]
+        meta = MetadataTable.from_records(RowMetadata(0, i, 5) for i in range(5))
         hist = timestep_histogram(manifest_of(range(5)), meta, 1)
         assert hist.counts.tolist() == [5]
 
@@ -134,12 +136,12 @@ class TestTimestepHistogram:
             length = int(rng.integers(1, 40))
             meta.extend(RowMetadata(episode, s, length) for s in range(length))
         manifest = manifest_of(range(len(meta)))
-        hist = timestep_histogram(manifest, meta, 10)
+        hist = timestep_histogram(manifest, MetadataTable.from_records(meta), 10)
         assert hist.counts.sum() == manifest.size
         assert len(hist.counts) == 10
 
     def test_normalized_sums_to_one(self):
-        meta = [RowMetadata(0, i, 20) for i in range(20)]
+        meta = MetadataTable.from_records(RowMetadata(0, i, 20) for i in range(20))
         hist = timestep_histogram(manifest_of(range(20)), meta, 10)
         assert abs(hist.normalized.sum() - 1.0) <= 1e-12
 
@@ -147,16 +149,16 @@ class TestTimestepHistogram:
         rng = np.random.default_rng(123)
         length = 200
         episodes = 100
-        meta = [
+        meta = MetadataTable.from_records(
             RowMetadata(e, s, length) for e in range(episodes) for s in range(length)
-        ]
+        )
         selected = rng.choice(len(meta), 10_000, replace=False)
         hist = timestep_histogram(manifest_of(selected), meta, 10)
         _, pvalue = chisquare(hist.counts)
         assert pvalue >= 0.01
 
     def test_bin_count_validation(self):
-        meta = [RowMetadata(0, 0, 1)]
+        meta = MetadataTable.from_records([RowMetadata(0, 0, 1)])
         with pytest.raises(ValidationError):
             timestep_histogram(manifest_of([0]), meta, 0)
 
@@ -195,16 +197,17 @@ class TestTaskBinCounts:
             row[rec.step_index * bins // rec.episode_length] += 1
         table = MetadataTable.from_records(meta)
         assert task_bin_counts(manifest_of(selected), table, bins) == expected
-        assert task_bin_counts(manifest_of(selected), meta, bins) == expected
 
     def test_huge_episode_lengths_bin_exactly(self):
         # step * bins would overflow int64; the bin is still exact.
         length = 10**18
-        meta = [RowMetadata(0, length - 1, length, "a")]
+        meta = MetadataTable.from_records([RowMetadata(0, length - 1, length, "a")])
         assert task_bin_counts(manifest_of([0]), meta, 100) == {"a": [0] * 99 + [1]}
 
     def test_known_placement(self):
-        meta = [RowMetadata(0, s, 100, "a" if s < 50 else "b") for s in range(100)]
+        meta = MetadataTable.from_records(
+            RowMetadata(0, s, 100, "a" if s < 50 else "b") for s in range(100)
+        )
         crossed = task_bin_counts(manifest_of([0, 99]), meta, 10)
         assert crossed["a"][0] == 1 and crossed["b"][9] == 1
 

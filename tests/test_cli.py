@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -813,6 +814,11 @@ REFUSED = [
       "--prior", "{run}/huge_p.bin"], 3, "cholesky_exhausted", None)
     for method in ("iwr", "kde")
 ] + [
+    (f"score_{method}_distances_overflow",
+     ["score", "--method", method, "--target", "{run}/huge_t.bin",
+      "--prior", "{run}/huge_p.bin"], 3, "non_finite_scores", None)
+    for method in ("nn", "lse")
+] + [
     ("score_numerical_error", ["score", "--method", "nn", *_DATA], 3,
      "cholesky_exhausted", _score_fails),
 ]
@@ -843,7 +849,10 @@ def test_refused_command_leaves_no_out(fixtures, refusal_inputs, tmp_path, capsy
     argv = [str(a).format(run=refusal_inputs, fx=fixtures) for a in argv]
     out = tmp_path / "out"
     capsys.readouterr()
-    assert run(*argv, "--out", out) == status
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*argv, "--out", out) == status
+    assert [str(w.message) for w in caught] == []
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error[{code}]: "), lines
     assert not out.exists()
@@ -901,18 +910,24 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_outputs_match_golden_bytes(tmp_path):
     """A small cluster_bias pipeline writes exactly the committed files, so a
     change to any written format (score sidecar, manifest, weights, report,
-    sweep summary, oracle, row metadata) shows here. The score bytes come
+    sweep summary, oracle, row metadata) or to any rule's scores (nn, lse,
+    kde, iwr, leave-self-out iwr) shows here. The score bytes come
     from one GEMM per chunk and were written with numpy's bundled OpenBLAS
     on x86-64."""
     inputs = tmp_path / "in"
     data = ["--target", inputs / "target.bin", "--prior", inputs / "prior.bin"]
     labelled = ["--meta", inputs / "prior_meta.csv", "--labels", inputs / "labels.json"]
+    loo = tmp_path / "loo.json"
+    loo.write_text('{"leave_self_out": true}')
+    iwr = ["--method", "iwr", "--seed", 2, "--batch-size", 16, "--num-batches", 2]
     commands = [
         ["synth", "--scenario", "cluster_bias", "--seed", 1, "--n-target", 20,
          "--n-prior", 40, "--out", inputs],
         ["score", "--method", "nn", *data, "--out", tmp_path / "nn"],
-        ["score", "--method", "iwr", "--seed", 2, "--batch-size", 16,
-         "--num-batches", 2, *data, "--out", tmp_path / "iwr"],
+        ["score", "--method", "lse", *data, "--out", tmp_path / "lse"],
+        ["score", "--method", "kde", *data, "--out", tmp_path / "kde"],
+        ["score", *iwr, *data, "--out", tmp_path / "iwr"],
+        ["score", *iwr, "--config", loo, *data, "--out", tmp_path / "iwr_loo"],
         ["retrieve", "--scores", tmp_path / "iwr" / "scores.bin", *data,
          "--meta", inputs / "prior_meta.csv", "--fraction", 0.25,
          "--out", tmp_path / "ret"],
@@ -928,6 +943,12 @@ def test_outputs_match_golden_bytes(tmp_path):
         "nn_scores.json": tmp_path / "nn" / "scores.json",
         "iwr_scores.bin": tmp_path / "iwr" / "scores.bin",
         "iwr_scores.json": tmp_path / "iwr" / "scores.json",
+        "lse_scores.bin": tmp_path / "lse" / "scores.bin",
+        "lse_scores.json": tmp_path / "lse" / "scores.json",
+        "kde_scores.bin": tmp_path / "kde" / "scores.bin",
+        "kde_scores.json": tmp_path / "kde" / "scores.json",
+        "iwr_loo_scores.bin": tmp_path / "iwr_loo" / "scores.bin",
+        "iwr_loo_scores.json": tmp_path / "iwr_loo" / "scores.json",
         "manifest.json": tmp_path / "ret" / "manifest.json",
         "weights.csv": tmp_path / "ret" / "weights.csv",
         "retrieved_meta.csv": tmp_path / "ret" / "retrieved_meta.csv",

@@ -280,7 +280,7 @@ class TestRowMetadata:
     def test_single_episode_of_three(self, tmp_path):
         records = [RowMetadata(0, i, 3) for i in range(3)]
         path = tmp_path / "m.csv"
-        save_metadata(records, path)
+        save_metadata(MetadataTable.from_records(records), path)
         back = load_metadata(path)
         assert list(back) == records
         assert [(r.episode_id, r.step_index, r.episode_length) for r in back] == [
@@ -302,7 +302,7 @@ class TestRowMetadata:
             RowMetadata(0, 1, 2, None),
         ]
         path = tmp_path / "m.csv"
-        save_metadata(records, path)
+        save_metadata(MetadataTable.from_records(records), path)
         assert list(load_metadata(path)) == records
 
     def test_bad_step_in_file_names_row(self, tmp_path):
@@ -385,7 +385,7 @@ class TestColumnarMetadata:
     def test_round_trip(self, records):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.csv"
-            save_metadata(records, path)
+            save_metadata(MetadataTable.from_records(records), path)
             expected = [RowMetadata(r.episode_id, r.step_index, r.episode_length,
                                     r.task_label or None) for r in records]
             assert list(load_metadata(path)) == expected
@@ -484,7 +484,7 @@ class TestColumnarMetadata:
         records = [RowMetadata(e, s, 3, ["x", "a,\nb", None][(e + s) % 3])
                    for e in range(7) for s in range(3)]
         path = tmp_path / "m.csv"
-        save_metadata(records, path)
+        save_metadata(MetadataTable.from_records(records), path)
         assert list(load_metadata(path)) == records
         text = path.read_text().replace("\n4,", "\n4,x", 1)
         path.write_text(text)

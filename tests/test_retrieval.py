@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import ranking
 from iwre import retrieval
 from iwre._validation import read_only
-from iwre.dataset import EmbeddingDataset, RowMetadata
+from iwre.dataset import EmbeddingDataset, MetadataTable, RowMetadata
 from iwre.errors import ValidationError
 from iwre.retrieval import (
     RetrievalManifest,
@@ -276,7 +276,7 @@ class TestMaterialize:
 
     def test_metadata_subset(self):
         prior = EmbeddingDataset(np.arange(8.0).reshape(4, 2))
-        meta = [RowMetadata(0, i, 4, f"t{i}") for i in range(4)]
+        meta = MetadataTable.from_records(RowMetadata(0, i, 4, f"t{i}") for i in range(4))
         manifest = RetrievalManifest(
             np.array([0, 2]), np.zeros(2), SelectionRule.THRESHOLD, 0.0, "fp"
         )
@@ -298,7 +298,7 @@ class TestMaterialize:
             np.array([0]), np.zeros(1), SelectionRule.THRESHOLD, 0.0, "fp"
         )
         with pytest.raises(ValidationError) as exc:
-            materialize(manifest, prior, [RowMetadata(0, 0, 1)])
+            materialize(manifest, prior, MetadataTable.from_records([RowMetadata(0, 0, 1)]))
         assert exc.value.code == "row_count_mismatch"
 
 

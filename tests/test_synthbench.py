@@ -7,7 +7,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from iwre.dataset import EmbeddingDataset, RowMetadata
+from iwre.dataset import EmbeddingDataset, MetadataTable, RowMetadata
 from iwre.errors import ValidationError
 from iwre.kde import BandwidthSpec, fit_kde
 from iwre.retrieval import select_by_fraction
@@ -292,11 +292,11 @@ class TestEvaluateRetrieval:
             assert rel == data.task_relevance[rec.task_label]
 
     def test_row_relevance_defaults_to_harmful(self):
-        meta = [
+        meta = MetadataTable.from_records([
             RowMetadata(0, 0, 3, "core_task"),
             RowMetadata(0, 1, 3, "unknown_task"),
             RowMetadata(0, 2, 3, None),
-        ]
+        ])
         labels = {"core_task": "relevant"}
         assert row_relevance(meta, labels).tolist() == ["relevant", "harmful", "harmful"]
 
