@@ -16,7 +16,7 @@ _EXPORTS = {
     "_version": "__version__",
     "analysis": "TaskBreakdown TimestepHistogram emit_report load_report "
                 "task_bin_counts task_breakdown timestep_histogram",
-    "dataset": "EmbeddingDataset MetadataTable RowMetadata load_embeddings "
+    "dataset": "EmbeddingDataset MetadataTable load_embeddings "
                "load_metadata pair_metadata save_embeddings save_metadata",
     "errors": "EngineError NumericalError ValidationError",
     "kde": "BandwidthSpec GaussianKde fit_kde log_mean_exp sample_covariance "

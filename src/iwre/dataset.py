@@ -36,7 +36,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -132,39 +132,21 @@ class EmbeddingDataset:
         return self.rows
 
 
-def _episode_error(step_index, episode_length) -> Optional[ValidationError]:
-    """The error a row with these fields is refused with, or None."""
-    if episode_length < 1:
-        return ValidationError(
-            f"episode_length must be >= 1, got {episode_length}",
-            code="bad_episode_length",
-        )
-    if not 0 <= step_index < episode_length:
-        return ValidationError(
-            f"step_index {step_index} outside [0, {episode_length})",
-            code="bad_step_index",
-        )
-    return None
-
-
 def _bad_episode_rows(step_index: np.ndarray, episode_length: np.ndarray) -> np.ndarray:
-    """Mask of the rows :func:`_episode_error` refuses."""
+    """Mask of the rows the episode rule refuses: each needs ``episode_length
+    >= 1`` and ``0 <= step_index < episode_length``."""
     return (episode_length < 1) | (step_index < 0) | (step_index >= episode_length)
 
 
-@dataclass(frozen=True)
-class RowMetadata:
-    """Per-row episode bookkeeping for an embedding dataset."""
-
-    episode_id: int
-    step_index: int
-    episode_length: int
-    task_label: Optional[str] = None
-
-    def __post_init__(self):
-        error = _episode_error(self.step_index, self.episode_length)
-        if error is not None:
-            raise error
+def _episode_error(step_index, episode_length, row: int, at: str) -> ValidationError:
+    """The error of ``row``, one that :func:`_bad_episode_rows` refuses;
+    ``at`` names it."""
+    step, length = int(step_index[row]), int(episode_length[row])
+    if length < 1:
+        return ValidationError(f"{at}: episode_length must be >= 1, got {length}",
+                               code="bad_episode_length")
+    return ValidationError(f"{at}: step_index {step} outside [0, {length})",
+                           code="bad_step_index")
 
 
 _INT_COLUMNS = METADATA_FIELDS[:3]
@@ -177,10 +159,11 @@ class MetadataTable:
     ``episode_id``, ``step_index`` and ``episode_length`` are int64;
     ``task_code`` (int32) indexes ``task_labels``, and -1 means unlabeled.
     An integer array passed in is copied unless it is read-only; every row
-    is checked as :class:`RowMetadata` checks one (errors name ``row i``).
-    The label table is kept sorted, distinct and used by some row, so equal
-    tables compare equal with ``==``. ``table[i]`` and iteration give
-    :class:`RowMetadata`; :meth:`from_records` builds a table from them.
+    needs ``episode_length >= 1`` and ``0 <= step_index < episode_length``
+    (errors name ``row i``). The label table is kept sorted, distinct and
+    used by some row, so equal tables compare equal with ``==``. The columns
+    are the one form of the metadata: there is no row type, and a row's
+    fields are the columns at its index.
     """
 
     episode_id: np.ndarray
@@ -208,8 +191,7 @@ class MetadataTable:
         bad = _bad_episode_rows(columns[1], columns[2])
         if bad.any():
             row = int(np.argmax(bad))
-            error = _episode_error(int(columns[1][row]), int(columns[2][row]))
-            raise ValidationError(f"row {row}: {error}", code=error.code)
+            raise _episode_error(columns[1], columns[2], row, f"row {row}")
         used = np.zeros(len(labels) + 1, bool)
         used[codes] = True  # code -1 marks the last entry
         names = sorted({labels[k] for k in np.flatnonzero(used[:-1])})
@@ -220,18 +202,6 @@ class MetadataTable:
             object.__setattr__(self, name, column)
         object.__setattr__(self, "task_labels", tuple(names))
 
-    @classmethod
-    def from_records(cls, records) -> "MetadataTable":
-        """A table of :class:`RowMetadata` rows, in order."""
-        records = list(records)
-        labels: dict = {}
-        codes = [
-            -1 if r.task_label is None else labels.setdefault(r.task_label, len(labels))
-            for r in records
-        ]
-        columns = ([getattr(r, name) for r in records] for name in _INT_COLUMNS)
-        return cls(*columns, codes, tuple(labels))
-
     def take(self, idx) -> "MetadataTable":
         """The rows ``idx``, in that order."""
         columns = (getattr(self, name)[idx] for name in _INT_COLUMNS)
@@ -239,19 +209,6 @@ class MetadataTable:
 
     def __len__(self) -> int:
         return self.task_code.shape[0]
-
-    def __getitem__(self, i) -> RowMetadata:
-        code = int(self.task_code[i])
-        return RowMetadata(
-            *(int(getattr(self, name)[i]) for name in _INT_COLUMNS),
-            self.task_labels[code] if code >= 0 else None,
-        )
-
-    def __iter__(self):
-        labels = self.task_labels + (None,)  # code -1 picks None
-        columns = [getattr(self, name).tolist() for name in _INT_COLUMNS]
-        for *ints, code in zip(*columns, self.task_code.tolist()):
-            yield RowMetadata(*ints, labels[code])
 
     def __eq__(self, other):
         if not isinstance(other, MetadataTable):
@@ -590,9 +547,8 @@ def _parse_rows(buf, start, stop, line, row0, columns, labels, path) -> int:
                 f"{value.tobytes().decode(errors='replace')!r}",
                 code="malformed_value",
             )
-        error = _episode_error(int(step[row]), int(length[row]))
-        if error is not None:
-            raise ValidationError(f"{at}: {error}", code=error.code)
+        if kind == 3:
+            raise _episode_error(step, length, row, at)
         raise ValidationError(f"{at}: task_label is not UTF-8", code="malformed_value")
     rows = slice(row0, row0 + n)
     for column, values in zip(columns, (episode_id, step, length)):

@@ -116,8 +116,6 @@ class GaussianKde(ParamsMixin):
 
     Attributes (set by :meth:`fit` or :meth:`from_parameters`)
     ----------
-    support_ : (M, d) ndarray
-        Kernel centers.
     bandwidth_ : float
         Bandwidth multiplier ``h``.
     covariance_ : (d, d) ndarray
@@ -129,6 +127,12 @@ class GaussianKde(ParamsMixin):
         ``-sum(log(diag(chol_lower_))) - (d/2) * log(2*pi)``.
     count_ : int
         Number of kernels M.
+    dim_ : int
+        Dimension d.
+
+    The model keeps no copy of the array it was fitted on: the kernel
+    centres are held once, centred on their mean and whitened, in the form
+    scoring reads. A caller that needs the raw centres keeps its own array.
     """
 
     def __init__(self, scale_c: float | None = BandwidthSpec.scale_c):
@@ -185,9 +189,6 @@ class GaussianKde(ParamsMixin):
                 code="cholesky_exhausted",
             )
 
-        support = support.copy()
-        support.flags.writeable = False
-        self.support_ = support
         self.bandwidth_ = float(h)
         self.covariance_ = cov
         self.chol_lower_ = chol
@@ -316,9 +317,11 @@ def nearest_sq_dists(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
     Identity-kernel exponents on data centred at the support mean keep, per
     query, every support row within the GEMM rounding bound
     ``4 (d+2) eps (|w|^2 + max |s|^2)`` of the largest exponent; only these
-    candidates are measured by direct differences of the raw rows. Query
-    rows may be float32 and are widened as they are read; ``support`` is
-    float64.
+    candidates are measured by direct differences of the raw rows. A row
+    whose exponents overflow (values near 1e153 and beyond) takes every
+    support row as a candidate, so it is exact while its distances are
+    finite and infinite once they overflow. Query rows may be float32 and
+    are widened as they are read; ``support`` is float64.
     """
     m, d = support.shape
     center = support.mean(axis=0)
@@ -337,8 +340,10 @@ def nearest_sq_dists(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
     for rows, aug, expo in chunks:
         w_sq = -2.0 * aug[:, -2]
         cut = expo.max(axis=1) - slack * (w_sq + support_sq_max)
-        # Only real columns: if an exponent overflowed, the cut may be -inf.
-        r, c = np.nonzero(expo[:, :m] >= cut[:, None])
+        # A cut that overflowed or is NaN (inf - inf) keeps every real column.
+        cut[~np.isfinite(cut)] = -np.inf
+        mask = expo[:, :m] < cut[:, None]
+        r, c = np.nonzero(np.logical_not(mask, out=mask))
         # Candidates, a chunk's worth at a time, are differenced in ``aug``,
         # which is free once the exponents are formed.
         for start in range(0, r.size, len(aug)):

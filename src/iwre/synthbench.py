@@ -368,11 +368,12 @@ def load_oracle(path) -> OracleDensities:
 
 
 def row_relevance(metadata: MetadataTable, labels: dict) -> np.ndarray:
-    """Expand a task->relevance map to one label per prior row, as an array
-    of strings; unlabeled rows and tasks missing from ``labels`` are
-    ``harmful``."""
-    levels = [labels.get(task, "harmful") for task in metadata.task_labels]
-    return np.array(levels + ["harmful"])[metadata.task_code]  # code -1: the last
+    """Boolean mask of the prior rows whose task ``labels`` (a task ->
+    relevance map) calls ``relevant``: a per-label table indexed by
+    ``task_code``, one byte a row. Unlabeled rows and tasks missing from
+    ``labels`` are not relevant."""
+    relevant = [labels.get(task) == "relevant" for task in metadata.task_labels]
+    return np.array(relevant + [False])[metadata.task_code]  # code -1: the last
 
 
 # -- grading -------------------------------------------------------------------
@@ -386,18 +387,19 @@ class RetrievalQuality:
     relevant_count: int
 
 
-def evaluate_retrieval(
-    manifest: RetrievalManifest, relevance: Sequence[str]
-) -> RetrievalQuality:
-    """Precision/recall of a selection against per-row relevance labels."""
-    n = len(relevance)
+def evaluate_retrieval(manifest: RetrievalManifest, relevant) -> RetrievalQuality:
+    """Precision/recall of a selection against ``relevant``, a boolean mask
+    of the relevant prior rows such as :func:`row_relevance` returns."""
+    relevant = np.asarray(relevant)
+    if relevant.dtype != bool or relevant.ndim != 1:
+        raise ValidationError("relevance must be a 1-D boolean mask", code="bad_labels")
+    n = len(relevant)
     if manifest.selected_indices[-1] >= n:
         raise ValidationError(
             f"relevance labels cover {n} rows but manifest selects row "
             f"{int(manifest.selected_indices[-1])}",
             code="label_mismatch",
         )
-    relevant = np.asarray(relevance) == "relevant"
     hits = int(relevant[manifest.selected_indices].sum())
     total_relevant = int(relevant.sum())
     recall = hits / total_relevant if total_relevant else float("nan")

@@ -10,18 +10,20 @@ import csv
 
 import numpy as np
 
-from iwre.dataset import METADATA_FIELDS, RowMetadata
+from iwre.dataset import METADATA_FIELDS, MetadataTable
 from iwre.errors import ValidationError
 
 
-def naive_log_density(kde, queries: np.ndarray) -> np.ndarray:
-    """Direct sum of Gaussian pdfs in extended precision via a dense inverse."""
+def naive_log_density(kde, support: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Direct sum of Gaussian pdfs in extended precision via a dense inverse,
+    with kernels of ``kde``'s covariance at the rows of ``support``, the
+    array it was fitted on."""
     cov = kde.bandwidth_**2 * kde.covariance_
     inv = np.linalg.inv(cov).astype(np.longdouble)
     _, logdet = np.linalg.slogdet(cov)
-    d = kde.support_.shape[1]
+    d = support.shape[1]
     log_norm = -0.5 * (d * np.log(np.longdouble(2.0) * np.pi) + np.longdouble(logdet))
-    sup = kde.support_.astype(np.longdouble)
+    sup = np.asarray(support).astype(np.longdouble)
     q = np.asarray(queries, dtype=np.longdouble)
     delta = q[:, None, :] - sup[None, :, :]
     m = np.einsum("qmd,de,qme->qm", delta, inv, delta)
@@ -46,10 +48,21 @@ def ranking(values: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(values)), -np.asarray(values)))
 
 
+def metadata_table(rows) -> MetadataTable:
+    """A table of ``(episode_id, step_index, episode_length, task_label)``
+    rows, in order; a label of None is unlabeled."""
+    rows = list(rows)
+    labels = sorted({row[3] for row in rows if row[3] is not None})
+    codes = [-1 if row[3] is None else labels.index(row[3]) for row in rows]
+    return MetadataTable(*(np.array([row[k] for row in rows], np.int64) for k in range(3)),
+                         codes, tuple(labels))
+
+
 def reference_load_metadata(path) -> list:
-    """A metadata sidecar as a list of :class:`RowMetadata`, read record by
-    record through ``csv.reader`` and ``int()``, with the same error codes
-    and ``line L (row i)`` locations the columnar loader must give."""
+    """A metadata sidecar as a list of ``(episode_id, step_index,
+    episode_length, task_label)`` tuples, read record by record through
+    ``csv.reader`` and ``int()``, with the same error codes and ``line L
+    (row i)`` locations the columnar loader must give."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -79,10 +92,14 @@ def reference_load_metadata(path) -> list:
                 raise ValidationError(
                     f"{path}: {at}: {exc}", code="malformed_value"
                 ) from exc
-            try:
-                records.append(RowMetadata(*ints, row[3] if row[3] != "" else None))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}: {at}: {exc}", code=exc.code) from exc
+            step, length = ints[1], ints[2]
+            if length < 1:
+                raise ValidationError(f"{path}: {at}: episode_length must be >= 1, "
+                                      f"got {length}", code="bad_episode_length")
+            if not 0 <= step < length:
+                raise ValidationError(f"{path}: {at}: step_index {step} outside "
+                                      f"[0, {length})", code="bad_step_index")
+            records.append((*ints, row[3] if row[3] != "" else None))
     if not records:
         raise ValidationError(f"{path}: no metadata rows", code="empty_dataset")
     return records

@@ -60,7 +60,7 @@ def test_criterion_01_kde_oracle_equivalence():
         kde = fit_kde(x, BandwidthSpec(rng.uniform(0.5, 4.0)))
         q = rng.standard_normal((10, d)) * 1.5
         got = kde.score_samples(q)
-        want = naive_log_density(kde, q)
+        want = naive_log_density(kde, x, q)
         keep = np.abs(want) > 1e-3
         if keep.any():
             rel = np.max(np.abs(got[keep] - want[keep]) / np.abs(want[keep]))

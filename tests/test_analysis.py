@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
+from helpers import metadata_table
 from iwre.analysis import (
     UNLABELED_TASK,
     emit_report,
@@ -15,7 +16,6 @@ from iwre.analysis import (
     task_breakdown,
     timestep_histogram,
 )
-from iwre.dataset import MetadataTable, RowMetadata
 from iwre.errors import ValidationError
 from iwre.retrieval import RetrievalManifest, SelectionRule
 
@@ -28,8 +28,8 @@ def manifest_of(indices):
 
 
 def meta_rows(tasks, episode_length=10):
-    return MetadataTable.from_records(
-        RowMetadata(i // episode_length, i % episode_length, episode_length, task)
+    return metadata_table(
+        (i // episode_length, i % episode_length, episode_length, task)
         for i, task in enumerate(tasks)
     )
 
@@ -103,12 +103,12 @@ class TestTaskBreakdown:
 
 class TestTimestepHistogram:
     def test_early_steps_in_bin_zero(self):
-        meta = MetadataTable.from_records(RowMetadata(0, i, 100) for i in range(100))
+        meta = metadata_table((0, i, 100, None) for i in range(100))
         hist = timestep_histogram(manifest_of(range(10)), meta, 10)
         assert hist.counts[0] == 10 and hist.counts[1:].sum() == 0
 
     def test_three_known_bins(self):
-        meta = MetadataTable.from_records(RowMetadata(0, i, 100) for i in range(100))
+        meta = metadata_table((0, i, 100, None) for i in range(100))
         hist = timestep_histogram(manifest_of([0, 50, 99]), meta, 10)
         want = np.zeros(10, dtype=np.int64)
         want[[0, 5, 9]] = 1
@@ -117,15 +117,15 @@ class TestTimestepHistogram:
     def test_boundaries(self):
         # step 0 -> first bin; final step -> final bin (episodes >= bin count)
         for length in (10, 11, 25, 100, 1000):
-            meta = MetadataTable.from_records(
-                RowMetadata(0, s, length) for s in range(length)
+            meta = metadata_table(
+                (0, s, length, None) for s in range(length)
             )
             hist = timestep_histogram(manifest_of([0, length - 1]), meta, 10)
             assert hist.counts[0] == 1
             assert hist.counts[9] == 1
 
     def test_single_bin(self):
-        meta = MetadataTable.from_records(RowMetadata(0, i, 5) for i in range(5))
+        meta = metadata_table((0, i, 5, None) for i in range(5))
         hist = timestep_histogram(manifest_of(range(5)), meta, 1)
         assert hist.counts.tolist() == [5]
 
@@ -134,14 +134,14 @@ class TestTimestepHistogram:
         meta = []
         for episode in range(50):
             length = int(rng.integers(1, 40))
-            meta.extend(RowMetadata(episode, s, length) for s in range(length))
+            meta.extend((episode, s, length, None) for s in range(length))
         manifest = manifest_of(range(len(meta)))
-        hist = timestep_histogram(manifest, MetadataTable.from_records(meta), 10)
+        hist = timestep_histogram(manifest, metadata_table(meta), 10)
         assert hist.counts.sum() == manifest.size
         assert len(hist.counts) == 10
 
     def test_normalized_sums_to_one(self):
-        meta = MetadataTable.from_records(RowMetadata(0, i, 20) for i in range(20))
+        meta = metadata_table((0, i, 20, None) for i in range(20))
         hist = timestep_histogram(manifest_of(range(20)), meta, 10)
         assert abs(hist.normalized.sum() - 1.0) <= 1e-12
 
@@ -149,8 +149,8 @@ class TestTimestepHistogram:
         rng = np.random.default_rng(123)
         length = 200
         episodes = 100
-        meta = MetadataTable.from_records(
-            RowMetadata(e, s, length) for e in range(episodes) for s in range(length)
+        meta = metadata_table(
+            (e, s, length, None) for e in range(episodes) for s in range(length)
         )
         selected = rng.choice(len(meta), 10_000, replace=False)
         hist = timestep_histogram(manifest_of(selected), meta, 10)
@@ -158,7 +158,7 @@ class TestTimestepHistogram:
         assert pvalue >= 0.01
 
     def test_bin_count_validation(self):
-        meta = MetadataTable.from_records([RowMetadata(0, 0, 1)])
+        meta = metadata_table([(0, 0, 1, None)])
         with pytest.raises(ValidationError):
             timestep_histogram(manifest_of([0]), meta, 0)
 
@@ -188,25 +188,25 @@ class TestTaskBinCounts:
     def test_matches_row_loop(self, rows, bins, data):
         # One bincount over task code x bin gives the per-row loop's counts; a
         # task labelled "(unlabeled)" shares the unlabeled rows' entry.
-        meta = [RowMetadata(0, step % length, length, task) for length, step, task in rows]
+        meta = [(0, step % length, length, task) for length, step, task in rows]
         selected = data.draw(st.sets(st.integers(0, len(meta) - 1), min_size=1))
         expected: dict = {}
         for i in sorted(selected):
-            rec = meta[i]
-            row = expected.setdefault(rec.task_label or UNLABELED_TASK, [0] * bins)
-            row[rec.step_index * bins // rec.episode_length] += 1
-        table = MetadataTable.from_records(meta)
+            _, step, length, task = meta[i]
+            row = expected.setdefault(task or UNLABELED_TASK, [0] * bins)
+            row[step * bins // length] += 1
+        table = metadata_table(meta)
         assert task_bin_counts(manifest_of(selected), table, bins) == expected
 
     def test_huge_episode_lengths_bin_exactly(self):
         # step * bins would overflow int64; the bin is still exact.
         length = 10**18
-        meta = MetadataTable.from_records([RowMetadata(0, length - 1, length, "a")])
+        meta = metadata_table([(0, length - 1, length, "a")])
         assert task_bin_counts(manifest_of([0]), meta, 100) == {"a": [0] * 99 + [1]}
 
     def test_known_placement(self):
-        meta = MetadataTable.from_records(
-            RowMetadata(0, s, 100, "a" if s < 50 else "b") for s in range(100)
+        meta = metadata_table(
+            (0, s, 100, "a" if s < 50 else "b") for s in range(100)
         )
         crossed = task_bin_counts(manifest_of([0, 99]), meta, 10)
         assert crossed["a"][0] == 1 and crossed["b"][9] == 1

@@ -1046,7 +1046,8 @@ def test_public_names_resolve_lazily():
         "                  'missing': missing}))\n"
     )
     result = json.loads(out)
-    assert len(result["names"]) == len(set(result["names"])) == 62
+    assert len(result["names"]) == len(set(result["names"])) == 61
+    assert "RowMetadata" not in result["names"]  # metadata is its columns alone
     assert result["version"] and result["homed"] and result["dir"]
     assert result["missing"] == "AttributeError"
 
@@ -1260,7 +1261,7 @@ def test_million_row_retrieve_and_analyze_bounded(million, tmp_path):
     ``retrieve --meta`` stays under the O(job) bound without metadata (the
     import baseline plus 32 MiB plus 1.2x the selected rows as float64)
     plus the metadata columns (28 bytes a row); ``analyze`` takes under 3 s
-    of CPU and stays under the baseline plus twice the CSV plus 64 bytes a
+    of CPU and stays under the baseline plus twice the CSV plus 40 bytes a
     row (it took 6.6 s and 249 MiB when each row was a Python object)."""
     root, data = million
     meta = root / "meta.csv"
@@ -1281,7 +1282,7 @@ def test_million_row_retrieve_and_analyze_bounded(million, tmp_path):
     csv_mib = meta.stat().st_size / 2**20
     assert retrieve < baseline + 32 + 1.2 * selection_mib + columns_mib, (baseline, retrieve)
     assert analyze_cpu < 3.0, analyze_cpu
-    assert analyze < baseline + 2 * csv_mib + 64 * MILLION / 2**20, (baseline, analyze)
+    assert analyze < baseline + 2 * csv_mib + 40 * MILLION / 2**20, (baseline, analyze)
 
 
 class TestChangedInput:

@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_load_metadata
+from helpers import metadata_table, reference_load_metadata
 from iwre import _validation, dataset
 from iwre.dataset import (
     FORMAT_VERSION,
     MAGIC,
     EmbeddingDataset,
     MetadataTable,
-    RowMetadata,
     content_id,
     load_embeddings,
     load_metadata,
@@ -277,33 +276,35 @@ class TestCsvFormat:
 
 
 class TestRowMetadata:
+    """Rows of the metadata sidecar, as the columns of a table."""
+
     def test_single_episode_of_three(self, tmp_path):
-        records = [RowMetadata(0, i, 3) for i in range(3)]
+        records = [(0, i, 3, None) for i in range(3)]
         path = tmp_path / "m.csv"
-        save_metadata(MetadataTable.from_records(records), path)
+        save_metadata(metadata_table(records), path)
         back = load_metadata(path)
-        assert list(back) == records
-        assert [(r.episode_id, r.step_index, r.episode_length) for r in back] == [
-            (0, 0, 3), (0, 1, 3), (0, 2, 3)
-        ]
+        assert back == metadata_table(records)
+        assert back.episode_id.tolist() == [0, 0, 0]
+        assert back.step_index.tolist() == [0, 1, 2]
+        assert back.episode_length.tolist() == [3, 3, 3]
+        assert reference_load_metadata(path) == records
 
     def test_step_index_out_of_bounds(self):
         with pytest.raises(ValidationError) as exc:
-            RowMetadata(0, 5, 3)
+            MetadataTable([0], [5], [3], [-1])
         assert exc.value.code == "bad_step_index"
+        assert str(exc.value).startswith("row 0: ")
 
     def test_two_episodes(self):
-        records = [RowMetadata(0, 0, 2), RowMetadata(0, 1, 2), RowMetadata(1, 0, 1)]
-        assert [r.episode_id for r in records] == [0, 0, 1]
+        table = metadata_table([(0, 0, 2, None), (0, 1, 2, None), (1, 0, 1, None)])
+        assert table.episode_id.tolist() == [0, 0, 1]
 
     def test_task_label_round_trip(self, tmp_path):
-        records = [
-            RowMetadata(0, 0, 2, "pick, then place"),
-            RowMetadata(0, 1, 2, None),
-        ]
+        records = [(0, 0, 2, "pick, then place"), (0, 1, 2, None)]
         path = tmp_path / "m.csv"
-        save_metadata(MetadataTable.from_records(records), path)
-        assert list(load_metadata(path)) == records
+        save_metadata(metadata_table(records), path)
+        assert load_metadata(path) == metadata_table(records)
+        assert reference_load_metadata(path) == records
 
     def test_bad_step_in_file_names_row(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -341,10 +342,10 @@ class TestRowMetadata:
 
     def test_pairing_law(self):
         ds = EmbeddingDataset(np.zeros((2, 2)))
-        good = [RowMetadata(0, 0, 2), RowMetadata(0, 1, 2)]
-        assert list(pair_metadata(ds, good)) == good
+        good = metadata_table([(0, 0, 2, None), (0, 1, 2, None)])
+        assert pair_metadata(ds, good) is good
         with pytest.raises(ValidationError) as exc:
-            pair_metadata(ds, good[:1])
+            pair_metadata(ds, good.take([0]))
         assert exc.value.code == "row_count_mismatch"
 
 
@@ -355,10 +356,11 @@ LABELS = st.text(alphabet=st.sampled_from(list(',"\n\r# aZé任')), max_size=6)
 
 
 def outcome(load, path):
-    """What a loader makes of a file: ("ok", rows), or the error code and
-    its ``line L (row i)`` location."""
+    """What a loader makes of a file: ("ok", its table), or the error code
+    and its ``line L (row i)`` location."""
     try:
-        return "ok", list(load(path))
+        loaded = load(path)
+        return "ok", loaded if isinstance(loaded, MetadataTable) else metadata_table(loaded)
     except ValidationError as exc:
         where = re.search(r"line \d+ \(row \d+\)", str(exc))
         return exc.code, where and where.group()
@@ -369,7 +371,7 @@ def metadata_records(draw):
     records = []
     for _ in range(draw(st.integers(1, 25))):
         length = draw(st.integers(1, 10**6))
-        records.append(RowMetadata(
+        records.append((
             draw(st.integers(-10**12, 10**12)), draw(st.integers(0, length - 1)),
             length, draw(st.none() | LABELS),
         ))
@@ -385,10 +387,9 @@ class TestColumnarMetadata:
     def test_round_trip(self, records):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.csv"
-            save_metadata(MetadataTable.from_records(records), path)
-            expected = [RowMetadata(r.episode_id, r.step_index, r.episode_length,
-                                    r.task_label or None) for r in records]
-            assert list(load_metadata(path)) == expected
+            save_metadata(metadata_table(records), path)
+            expected = [(*r[:3], r[3] or None) for r in records]
+            assert load_metadata(path) == metadata_table(expected)
             assert reference_load_metadata(path) == expected
 
     @settings(max_examples=200, deadline=None)
@@ -472,7 +473,7 @@ class TestColumnarMetadata:
         src = tmp_path / "in.csv"
         src.write_bytes(f'{HEADER_LINE}\n0,0,2,"a\rb"\n0,1,2,"c\nd"\n'.encode())
         table = load_metadata(src)
-        assert [r.task_label for r in table] == ["a\rb", "c\nd"]
+        assert [table.task_labels[code] for code in table.task_code] == ["a\rb", "c\nd"]
         out = tmp_path / "out.csv"
         save_metadata(table, out)
         assert out.read_bytes() == src.read_bytes()
@@ -481,11 +482,12 @@ class TestColumnarMetadata:
     def test_windows_of_records(self, tmp_path, monkeypatch):
         # Records, quoted line breaks and label codes carry across windows.
         monkeypatch.setattr(dataset, "_META_WINDOW", 16)
-        records = [RowMetadata(e, s, 3, ["x", "a,\nb", None][(e + s) % 3])
+        records = [(e, s, 3, ["x", "a,\nb", None][(e + s) % 3])
                    for e in range(7) for s in range(3)]
         path = tmp_path / "m.csv"
-        save_metadata(MetadataTable.from_records(records), path)
-        assert list(load_metadata(path)) == records
+        save_metadata(metadata_table(records), path)
+        assert load_metadata(path) == metadata_table(records)
+        assert reference_load_metadata(path) == records
         text = path.read_text().replace("\n4,", "\n4,x", 1)
         path.write_text(text)
         assert outcome(load_metadata, path) == outcome(reference_load_metadata, path)
@@ -501,7 +503,8 @@ class TestColumnarMetadata:
             assert column.dtype == dtype and not column.flags.writeable
         assert table.task_labels == ("a", "b")
         assert table.task_code.tolist() == [1, -1, 0]
-        assert table[2] == RowMetadata(1, 0, 1, "a") and table[-2].task_label is None
+        assert table.take([2]) == metadata_table([(1, 0, 1, "a")])
+        assert reference_load_metadata(path)[1:] == [(0, 1, 2, None), (1, 0, 1, "a")]
 
 
 class TestMetadataTable:
@@ -509,15 +512,15 @@ class TestMetadataTable:
         table = MetadataTable([0, 0, 0], [0, 1, 2], [3, 3, 3], [2, 0, 2],
                               ("b", "unused", "a"))
         assert table.task_labels == ("a", "b")
-        assert [r.task_label for r in table] == ["a", "b", "a"]
+        assert [table.task_labels[code] for code in table.task_code] == ["a", "b", "a"]
 
     def test_equality_and_records(self):
-        records = [RowMetadata(0, 0, 2, "p"), RowMetadata(0, 1, 2), RowMetadata(1, 0, 1, "q")]
-        table = MetadataTable.from_records(records)
-        assert list(table) == records
-        assert table == MetadataTable.from_records(list(table))
-        assert table != MetadataTable.from_records(records[:2] + [RowMetadata(1, 0, 1, "r")])
-        assert list(table.take([2, 0])) == [records[2], records[0]]
+        records = [(0, 0, 2, "p"), (0, 1, 2, None), (1, 0, 1, "q")]
+        table = metadata_table(records)
+        assert table.task_labels == ("p", "q") and table.task_code.tolist() == [0, -1, 1]
+        assert table == metadata_table(records)
+        assert table != metadata_table(records[:2] + [(1, 0, 1, "r")])
+        assert table.take([2, 0]) == metadata_table([records[2], records[0]])
 
     def test_copies_caller_arrays(self):
         steps = np.array([0, 1])

@@ -72,7 +72,7 @@ def kde_problem(draw):
     support = rng.standard_normal((draw(st.integers(2, 120)), d))
     queries = 1.5 * rng.standard_normal((draw(st.integers(1, 80)), d))
     scale = draw(st.sampled_from([0.5, 1.0, 4.0]))
-    return fit_kde(support, BandwidthSpec(scale)), queries, rng
+    return fit_kde(support, BandwidthSpec(scale)), support, queries, rng
 
 
 class TestNearestNeighbor:
@@ -107,7 +107,7 @@ class TestScoreSamples:
     @PROPERTY
     @given(kde_problem(), st.integers(1, 90))
     def test_chunk_split_and_permutation(self, problem, chunk_rows):
-        kde, queries, rng = problem
+        kde, _, queries, rng = problem
         whole = kde.score_samples(queries)
         rows = rng.permutation(len(queries))
         assert np.array_equal(kde.score_samples(queries[rows]), whole[rows])
@@ -120,16 +120,16 @@ class TestScoreSamples:
     @PROPERTY
     @given(kde_problem())
     def test_exclude_leaves_one_kernel_out(self, problem):
-        kde, queries, rng = problem
+        kde, support, queries, rng = problem
         exclude = rng.integers(-1, kde.count_, len(queries))
         got = kde.score_samples(queries, exclude=exclude)
         kept = exclude == -1
         assert np.array_equal(got[kept], kde.score_samples(queries)[kept])
         for i in np.flatnonzero(~kept)[:5]:
-            rest = np.delete(kde.support_, exclude[i], axis=0)
+            rest = np.delete(support, exclude[i], axis=0)
             smaller = GaussianKde.from_parameters(rest, kde.bandwidth_, kde.covariance_)
             with np.errstate(divide="ignore"):  # the oracle's plain exp underflows
-                want = naive_log_density(smaller, queries[i : i + 1])[0]
+                want = naive_log_density(smaller, rest, queries[i : i + 1])[0]
             assert np.isfinite(got[i])
             if np.isfinite(want):
                 assert abs(got[i] - want) <= 1e-10 * max(abs(want), 1.0)
@@ -352,7 +352,7 @@ class TestFloat32Queries:
     @PROPERTY
     @given(kde_problem())
     def test_score_samples(self, problem):
-        kde, queries, rng = problem
+        kde, _, queries, rng = problem
         q32 = queries.astype(np.float32)
         exclude = rng.integers(-1, kde.count_, len(queries))
         for ex in (None, exclude):

@@ -170,7 +170,7 @@ class TestLogDensity:
             kde = fit_kde(x, BandwidthSpec(rng.uniform(0.5, 4.0)))
             q = rng.standard_normal((16, d)) * 1.5
             got = kde.score_samples(q)
-            want = naive_log_density(kde, q)
+            want = naive_log_density(kde, x, q)
             keep = np.abs(want) > 1e-3
             assert np.all(
                 np.abs(got[keep] - want[keep]) <= 1e-10 * np.abs(want[keep])
@@ -231,12 +231,12 @@ class TestLogDensity:
         assert 0.98 <= integral <= 1.02
 
 
-def mahalanobis_sq(kde, x, j):
-    """Squared Mahalanobis distance from ``x`` to kernel ``j`` of ``kde``, read
-    off a one-kernel model with that center and the same kernel covariance,
-    whose log-density is ``log_norm_ - mahalanobis^2 / 2``."""
+def mahalanobis_sq(kde, support, x, j):
+    """Squared Mahalanobis distance from ``x`` to kernel ``j`` of ``kde``, fit
+    on ``support``, read off a one-kernel model with that center and the same
+    kernel covariance, whose log-density is ``log_norm_ - mahalanobis^2 / 2``."""
     one = GaussianKde.from_parameters(
-        kde.support_[j : j + 1], kde.bandwidth_, kde.covariance_
+        support[j : j + 1], kde.bandwidth_, kde.covariance_
     )
     assert one.log_norm_ == kde.log_norm_
     return 2.0 * (one.log_norm_ - one.score_samples(np.reshape(x, (1, -1)))[0])
@@ -244,8 +244,9 @@ def mahalanobis_sq(kde, x, j):
 
 class TestMahalanobis:
     def test_zero_at_center(self):
-        kde = fit_kde(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert mahalanobis_sq(kde, np.array([1.0, 2.0]), 0) == 0.0
+        support = np.array([[1.0, 2.0], [3.0, 4.0]])
+        kde = fit_kde(support)
+        assert mahalanobis_sq(kde, support, np.array([1.0, 2.0]), 0) == 0.0
 
     def test_scalar_case(self):
         kde = GaussianKde.from_parameters([[1.0]], 2.0, [[1.0]])
@@ -261,17 +262,17 @@ class TestMahalanobis:
         for _ in range(20):
             q = rng.standard_normal(4) * 2
             i = int(rng.integers(30))
-            delta = q - kde.support_[i]
+            delta = q - x[i]
             want = float(delta @ inv @ delta)
-            got = mahalanobis_sq(kde, q, i)
+            got = mahalanobis_sq(kde, x, q, i)
             assert abs(got - want) <= 1e-10 * max(want, 1.0)
 
     def test_symmetry_in_arguments(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((10, 3))
         kde = fit_kde(x)
-        a = mahalanobis_sq(kde, x[3], 7)
-        b = mahalanobis_sq(kde, x[7], 3)
+        a = mahalanobis_sq(kde, x, x[3], 7)
+        b = mahalanobis_sq(kde, x, x[7], 3)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_index_out_of_range(self):
@@ -304,8 +305,8 @@ class TestTriangularSolveReference:
     }
 
     @staticmethod
-    def _whiten(kde, x):
-        center = kde.support_.mean(axis=0)
+    def _whiten(kde, support, x):
+        center = support.mean(axis=0)
         return solve_triangular(kde.chol_lower_, (x - center).T, lower=True).T
 
     @staticmethod
@@ -316,7 +317,7 @@ class TestTriangularSolveReference:
     def test_score_samples(self, case):
         support, queries = self.CASES[case](np.random.default_rng(21))
         kde = fit_kde(support)
-        w, s = self._whiten(kde, queries), self._whiten(kde, kde.support_)
+        w, s = self._whiten(kde, support, queries), self._whiten(kde, support, support)
         sq = np.square(w[:, None, :] - s[None, :, :]).sum(axis=2)
         want = kde.log_norm_ + logsumexp(-0.5 * sq, axis=1) - np.log(kde.count_)
         assert self._close(kde.score_samples(queries), want)
@@ -327,8 +328,8 @@ class TestTriangularSolveReference:
         kde = fit_kde(support)
         for i, q in enumerate(queries[:50]):
             j = i % kde.count_
-            y = solve_triangular(kde.chol_lower_, q - kde.support_[j], lower=True)
-            assert self._close(mahalanobis_sq(kde, q, j), float(y @ y))
+            y = solve_triangular(kde.chol_lower_, q - support[j], lower=True)
+            assert self._close(mahalanobis_sq(kde, support, q, j), float(y @ y))
 
 
 class TestLogMeanExp:

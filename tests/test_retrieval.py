@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import ranking
+from helpers import metadata_table, ranking
 from iwre import retrieval
 from iwre._validation import read_only
-from iwre.dataset import EmbeddingDataset, MetadataTable, RowMetadata
+from iwre.dataset import EmbeddingDataset
 from iwre.errors import ValidationError
 from iwre.retrieval import (
     RetrievalManifest,
@@ -276,12 +276,12 @@ class TestMaterialize:
 
     def test_metadata_subset(self):
         prior = EmbeddingDataset(np.arange(8.0).reshape(4, 2))
-        meta = MetadataTable.from_records(RowMetadata(0, i, 4, f"t{i}") for i in range(4))
+        meta = metadata_table((0, i, 4, f"t{i}") for i in range(4))
         manifest = RetrievalManifest(
             np.array([0, 2]), np.zeros(2), SelectionRule.THRESHOLD, 0.0, "fp"
         )
         _, sub = materialize(manifest, prior, meta)
-        assert [m.task_label for m in sub] == ["t0", "t2"]
+        assert [sub.task_labels[code] for code in sub.task_code] == ["t0", "t2"]
 
     def test_index_out_of_range(self):
         prior = EmbeddingDataset(np.zeros((2, 2)) + np.arange(2)[:, None])
@@ -298,7 +298,7 @@ class TestMaterialize:
             np.array([0]), np.zeros(1), SelectionRule.THRESHOLD, 0.0, "fp"
         )
         with pytest.raises(ValidationError) as exc:
-            materialize(manifest, prior, MetadataTable.from_records([RowMetadata(0, 0, 1)]))
+            materialize(manifest, prior, metadata_table([(0, 0, 1, None)]))
         assert exc.value.code == "row_count_mismatch"
 
 

@@ -139,23 +139,27 @@ class TestNearestNeighbor:
         want = -brute_force_min_sq_dists(prior, target)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("log_scale", [153.0, 153.5, 153.7, 154.0, 155.0])
+    @pytest.mark.parametrize("log_scale", [153.0, 153.5, 153.6, 153.65, 153.7, 154.0,
+                                           155.0])
     def test_huge_rows_are_exact_or_refused(self, log_scale):
-        # Past about 1e153 the exponents overflow to -inf or NaN: every real
-        # support row is then a candidate, or none is, so the score is the
-        # brute force's or refused (exit 3), with no warning.
+        # Past about 1e153 the exponents overflow to -inf or NaN, and every
+        # real support row is then a candidate: the score is the brute
+        # force's, or refused (exit 3) only where that is not finite, with
+        # no warning.
         rng = np.random.default_rng(5)
         target = rng.standard_normal((50, 3)) * 10**log_scale
         prior = rng.standard_normal((400, 3)) * 10**log_scale
+        with np.errstate(all="ignore"):
+            want = -brute_force_min_sq_dists(prior, target)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
                 got = score_nn_l2(target, prior).values
             except NumericalError as exc:
                 assert exc.code == "non_finite_scores"
+                assert not np.isfinite(want).all()
                 return
-        with np.errstate(all="ignore"):
-            assert np.array_equal(got, -brute_force_min_sq_dists(prior, target))
+        assert np.array_equal(got, want)
 
     def test_scale_by_power_of_two_is_exact(self):
         rng = np.random.default_rng(2)
@@ -253,7 +257,7 @@ class TestTargetDensity:
         kde = fit_kde(x, BandwidthSpec(2.0))
         q = rng.standard_normal((40, 4))
         got = score_kde_target(kde, q).values
-        want = naive_log_density(kde, q)
+        want = naive_log_density(kde, x, q)
         keep = np.abs(want) > 1e-3
         assert np.all(np.abs(got[keep] - want[keep]) <= 1e-10 * np.abs(want[keep]))
 
@@ -276,10 +280,24 @@ class TestPriorBatches:
             prior, PriorBatchSpec(200, 1, rng_seed=5), BandwidthSpec(4.0)
         )
         plain = fit_kde(prior, BandwidthSpec(4.0))
-        assert np.array_equal(batched.support_, plain.support_)
+        assert np.array_equal(batched.support_row_ids_, np.arange(200))
+        assert np.array_equal(batched._support_aug, plain._support_aug)
         assert batched.bandwidth_ == plain.bandwidth_
         q = rng.standard_normal((20, 3))
         assert np.array_equal(batched.score_samples(q), plain.score_samples(q))
+
+    def test_fitted_kdes_hold_only_their_whitened_support(self):
+        # The criterion-12 prior shape: each KDE keeps its whitened support
+        # and small per-fit arrays, no copy of the batch it was fitted on.
+        prior = EmbeddingDataset(np.random.default_rng(3).standard_normal((16384, 32)))
+        tracemalloc.start()
+        try:
+            kdes = fit_prior_batched(prior, PriorBatchSpec(4096, 8, rng_seed=0))
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        support = sum(kde._support_aug.nbytes for kde in kdes)
+        assert retained <= 1.15 * support, retained / support
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(0)

@@ -7,7 +7,8 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from iwre.dataset import EmbeddingDataset, MetadataTable, RowMetadata
+from helpers import metadata_table
+from iwre.dataset import EmbeddingDataset
 from iwre.errors import ValidationError
 from iwre.kde import BandwidthSpec, fit_kde
 from iwre.retrieval import select_by_fraction
@@ -158,8 +159,9 @@ class TestGenerate:
         data = generate(make_scenario("cluster_bias"), 40, 130)
         assert data.target.rows == 40 and data.prior.rows == 130
         assert len(data.prior_metadata) == 130
-        tasks = {m.task_label for m in data.prior_metadata}
-        assert tasks <= {"core_task", "fringe_distractor"}
+        meta = data.prior_metadata
+        assert (meta.task_code >= 0).all()
+        assert set(meta.task_labels) <= {"core_task", "fringe_distractor"}
         assert set(data.task_relevance) == {"core_task", "fringe_distractor"}
 
     def test_counts_validated(self):
@@ -269,36 +271,42 @@ class TestEvaluateRetrieval:
         )
 
     def test_perfect_selection(self):
-        relevance = ["relevant"] * 3 + ["harmful"] * 7
+        relevance = np.arange(10) < 3
         quality = evaluate_retrieval(self.manifest([0, 1, 2]), relevance)
         assert quality.precision == 1.0 and quality.recall == 1.0
 
     def test_select_all_gives_base_rate_precision(self):
-        relevance = ["relevant"] * 3 + ["harmful"] * 7
+        relevance = np.arange(10) < 3
         quality = evaluate_retrieval(self.manifest(range(10)), relevance)
         assert quality.recall == 1.0
         assert quality.precision == pytest.approx(0.3)
 
     def test_label_mismatch(self):
         with pytest.raises(ValidationError) as exc:
-            evaluate_retrieval(self.manifest([8, 9]), ["relevant"] * 5)
+            evaluate_retrieval(self.manifest([8, 9]), np.ones(5, bool))
         assert exc.value.code == "label_mismatch"
+
+    def test_relevance_is_a_mask(self):
+        with pytest.raises(ValidationError) as exc:
+            evaluate_retrieval(self.manifest([0]), ["relevant"] * 10)
+        assert exc.value.code == "bad_labels"
 
     def test_row_relevance_expansion(self):
         data = generate(make_scenario("cluster_bias"), 10, 60)
         relevance = row_relevance(data.prior_metadata, data.task_relevance)
-        assert len(relevance) == 60
-        for rec, rel in zip(data.prior_metadata, relevance):
-            assert rel == data.task_relevance[rec.task_label]
+        assert relevance.dtype == bool and len(relevance) == 60
+        meta = data.prior_metadata
+        for code, rel in zip(meta.task_code, relevance):
+            assert rel == (data.task_relevance[meta.task_labels[code]] == "relevant")
 
     def test_row_relevance_defaults_to_harmful(self):
-        meta = MetadataTable.from_records([
-            RowMetadata(0, 0, 3, "core_task"),
-            RowMetadata(0, 1, 3, "unknown_task"),
-            RowMetadata(0, 2, 3, None),
+        meta = metadata_table([
+            (0, 0, 3, "core_task"),
+            (0, 1, 3, "unknown_task"),
+            (0, 2, 3, None),
         ])
         labels = {"core_task": "relevant"}
-        assert row_relevance(meta, labels).tolist() == ["relevant", "harmful", "harmful"]
+        assert row_relevance(meta, labels).tolist() == [True, False, False]
 
 
 class TestClusterBias:
