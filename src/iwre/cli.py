@@ -78,9 +78,6 @@ _METHOD_ALIASES = {
     "iwr": ScoreMethod.IWR,
 }
 
-# RunConfig names of the ScoringConfig fields that are named differently.
-_RUN_NAMES = {"scale_c": "bandwidth_scale", "temperature": "lse_temp"}
-
 
 def _flag(**options):
     """A field that is not given by default, with extra ``add_argument`` options."""
@@ -101,7 +98,6 @@ class RunConfig:
 
     method: Optional[str] = _flag(choices=sorted(_METHOD_ALIASES))
     bandwidth_scale: Optional[float] = None
-    lse_temp: Optional[float] = None
     batch_size: Optional[int] = None
     num_batches: Optional[int] = None
     seed: Optional[int] = None
@@ -180,11 +176,10 @@ class RunConfig:
 
     def scoring(self, stored: Optional[ScoringConfig] = None) -> ScoringConfig:
         """The given scoring values over ``stored``, else over the defaults."""
-        names = {f.name: _RUN_NAMES.get(f.name, f.name) for f in fields(ScoringConfig)}
-        given = {f: getattr(self, n) for f, n in names.items()}
-        given = {f: v for f, v in given.items() if v is not None}
-        if "method" in given:
-            given["method"] = _METHOD_ALIASES[self.method]
+        given = {f.name: getattr(self, f.name, None) for f in fields(ScoringConfig)}
+        given["scale_c"] = self.bandwidth_scale  # the one field named otherwise
+        given["method"] = _METHOD_ALIASES.get(self.method)
+        given = {n: v for n, v in given.items() if v is not None}
         return replace(stored or ScoringConfig(), **given)
 
     def output(self, name: str) -> Path:
@@ -379,13 +374,13 @@ def cmd_synth(cfg: RunConfig) -> int:
 # flags, in --help order. retrieve reads the scoring fields to rebuild the
 # fingerprint; analyze reads method to check it against the manifest's.
 # sweep's scales come from bandwidth_scales alone (or a config's default).
-_SCORING = "method bandwidth_scale lse_temp batch_size num_batches seed"
+_SCORING = "method bandwidth_scale batch_size num_batches seed"
 _COMMANDS = {
     "score": ("score every prior row", f"{_SCORING} threads out target prior"),
     "retrieve": ("select rows from scored prior",
                  f"{_SCORING} out target prior scores meta fraction threshold alpha"),
     "sweep": ("score once, select many fractions",
-              "method lse_temp batch_size num_batches seed threads out target "
+              "method batch_size num_batches seed threads out target "
               "prior meta labels fractions bandwidth_scales"),
     "analyze": ("task/timestep report for a manifest",
                 "method out manifest meta labels bins"),

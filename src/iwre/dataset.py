@@ -23,7 +23,8 @@ float64. Row metadata lives in a separate CSV sidecar with header
 ``episode_id,step_index,episode_length,task_label`` (empty ``task_label``
 means unlabeled). It loads as a :class:`MetadataTable`: int64 columns and
 a task code per row into a table of the distinct labels, parsed in
-vectorised windows of whole records, with no per-row Python objects.
+vectorised windows of whole records, with Python objects only per run of
+equal labels, not per row.
 """
 
 from __future__ import annotations
@@ -158,12 +159,14 @@ class MetadataTable:
 
     ``episode_id``, ``step_index`` and ``episode_length`` are int64;
     ``task_code`` (int32) indexes ``task_labels``, and -1 means unlabeled.
-    An integer array passed in is copied unless it is read-only; every row
-    needs ``episode_length >= 1`` and ``0 <= step_index < episode_length``
-    (errors name ``row i``). The label table is kept sorted, distinct and
-    used by some row, so equal tables compare equal with ``==``. The columns
-    are the one form of the metadata: there is no row type, and a row's
-    fields are the columns at its index.
+    A column must be of an integer dtype with values that fit int64 (else
+    ``malformed_value``: no float is truncated), and is copied unless it is
+    a read-only int64 array. Every row needs ``episode_length >= 1`` and
+    ``0 <= step_index < episode_length`` (errors name ``row i``). The label
+    table is kept sorted, distinct and used by some row, so equal tables
+    compare equal with ``==``. The columns are the one form of the
+    metadata: there is no row type, and a row's fields are the columns at
+    its index.
     """
 
     episode_id: np.ndarray
@@ -173,10 +176,16 @@ class MetadataTable:
     task_labels: tuple = ()
 
     def __post_init__(self):
-        given = [getattr(self, name) for name in _INT_COLUMNS]
-        columns = [read_only(np.asarray(v, np.int64), v) for v in given]
-        codes = np.asarray(self.task_code)
-        codes = codes if codes.dtype.kind in "iu" else codes.astype(np.int64)
+        given = [getattr(self, name) for name in _INT_COLUMNS + ("task_code",)]
+        arrays = [np.asarray(v) for v in given]
+        for name, arr in zip(_INT_COLUMNS + ("task_code",), arrays):
+            kind = arr.dtype.kind if arr.size else "i"  # numpy makes [] float64
+            if kind not in "iu" or (kind == "u" and arr.max() > np.iinfo(np.int64).max):
+                raise ValidationError(f"{name} must be integers that fit int64, "
+                                      f"got dtype {arr.dtype}", code="malformed_value")
+        columns = [read_only(a.astype(np.int64, copy=False), v)
+                   for a, v in zip(arrays, given[:3])]
+        codes = arrays[3] if arrays[3].size else arrays[3].astype(np.int64)
         labels = tuple(self.task_labels)
         if any(c.ndim != 1 or c.shape != codes.shape for c in columns) or codes.ndim != 1:
             raise ValidationError(
@@ -473,41 +482,42 @@ def _int_fields(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> tuple:
     return np.where(negative, -value, value), ok
 
 
-def _label_codes(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> tuple:
-    """Code the label field ``buf[start:stop]`` of each row.
+def _label_codes(buf, start, stop, labels: dict) -> tuple:
+    """Code the label field ``buf[start:stop]`` of each row by ``labels``,
+    which maps each label met so far to its code and takes new ones.
 
-    Each row's bytes and length form a fixed-width key; a row whose key
-    equals the row before it (as in an episode) shares its code, and the
-    distinct keys of the other rows are decoded once each, quoted ones
-    through ``csv``. Returns the codes (-1 for an empty label), the label
-    table, and a mask of the rows whose label is not UTF-8.
+    A row whose bytes equal the row before it (as in an episode) shares its
+    code, found in O(label bytes); each distinct label is decoded once,
+    quoted ones through ``csv``. Returns the codes (-1 for an empty label)
+    and a mask of the rows whose label is not UTF-8.
     """
     size = stop - start
-    width = int(size.max(initial=0))
-    keys = np.zeros((start.size, width + 4), np.uint8)
-    keys[:, width:] = size.astype("<u4").view(np.uint8).reshape(-1, 4)
-    for j in range(width):
-        inside = size > j
-        keys[:, j] = np.where(inside, buf[np.where(inside, start + j, 0)], 0)
     new = np.ones(start.size, bool)
-    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    run = np.cumsum(new) - 1
-    distinct, key_of_run = np.unique(
-        keys[new].view(f"V{width + 4}").ravel(), return_inverse=True
-    )
-    labels: dict = {}
-    code_of_key = []
-    for key in distinct.tolist():
+    new[1:] = size[1:] != size[:-1]
+    # Rows as long as the row before them, by length: labels of length n are
+    # items of a view of ``buf`` with an n-byte item at every byte.
+    same = np.flatnonzero(~new & (size > 0))
+    same = same[np.argsort(size[same], kind="stable")]
+    for rows in np.split(same, np.flatnonzero(np.diff(size[same])) + 1):
+        if rows.size:
+            n = int(size[rows[0]])
+            text = np.ndarray(buf.size - n + 1, f"S{n}", buf, strides=(1,))
+            new[rows] = text[start[rows]] != text[start[rows - 1]]
+    heads = np.flatnonzero(new)
+    data = buf.tobytes()
+    keys = [data[s:e] for s, e in zip(start[heads].tolist(), stop[heads].tolist())]
+    code_of: dict = {}  # a label's bytes -> its code, -2 if not UTF-8
+    for key in dict.fromkeys(keys):
         try:
-            label = key[: int.from_bytes(key[width:], "little")].decode()
+            label = key.decode()
         except UnicodeDecodeError:
-            code_of_key.append(-2)
+            code_of[key] = -2
             continue
         if label.startswith('"'):
             label = next(csv.reader([label]))[0]
-        code_of_key.append(labels.setdefault(label, len(labels)) if label else -1)
-    codes = np.array(code_of_key, np.int64)[key_of_run.ravel()][run]
-    return np.maximum(codes, -1), tuple(labels), codes == -2
+        code_of[key] = labels.setdefault(label, len(labels)) if label else -1
+    codes = np.array([code_of[key] for key in keys], np.int64)[np.cumsum(new) - 1]
+    return np.maximum(codes, -1), codes == -2
 
 
 def _parse_rows(buf, start, stop, line, row0, columns, labels, path) -> int:
@@ -529,7 +539,7 @@ def _parse_rows(buf, start, stop, line, row0, columns, labels, path) -> int:
     bounds = np.column_stack((start[:n], commas[row_of < n].reshape(n, 3), stop[:n]))
     ints = [_int_fields(buf, bounds[:, k] + (k > 0), bounds[:, k + 1]) for k in range(3)]
     (episode_id, id_ok), (step, step_ok), (length, length_ok) = ints
-    codes, new_labels, undecodable = _label_codes(buf, bounds[:, 3] + 1, bounds[:, 4])
+    codes, undecodable = _label_codes(buf, bounds[:, 3] + 1, bounds[:, 4], labels)
     problems = [~id_ok, ~step_ok, ~length_ok, _bad_episode_rows(step, length), undecodable]
     row = min((int(np.argmax(p)) for p in problems if p.any()), default=n)
     if row < start.size:
@@ -553,8 +563,7 @@ def _parse_rows(buf, start, stop, line, row0, columns, labels, path) -> int:
     rows = slice(row0, row0 + n)
     for column, values in zip(columns, (episode_id, step, length)):
         column[rows] = values
-    known = [labels.setdefault(label, len(labels)) for label in new_labels]
-    columns[3][rows] = np.array(known + [-1], np.int32)[codes]  # -1 picks -1
+    columns[3][rows] = codes
     return n
 
 
@@ -563,8 +572,8 @@ def load_metadata(path) -> MetadataTable:
 
     The file is read in windows of whole records of about ``_META_WINDOW``
     bytes, each parsed in vector steps over all its rows into columns sized
-    by a first count of its line ends: no per-row Python objects, and
-    O(window) beyond the columns. Rows and quoting are read as
+    by a first count of its line ends: Python objects only per run of equal
+    labels, not per row, and O(window) beyond the columns. Rows and quoting are read as
     ``csv.reader`` reads RFC 4180 CSV. An integer field is an optional sign
     and 1 to 18 ASCII digits, optionally quoted; spaces, underscores and
     other digits are refused. Errors name the file line and the data row,

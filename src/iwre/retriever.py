@@ -26,7 +26,7 @@ class EmbeddingRetriever(ParamsMixin):
 
     Parameters
     ----------
-    method, scale_c, temperature, batch_size, num_batches, seed, leave_self_out
+    method, scale_c, batch_size, num_batches, seed, leave_self_out
         The :class:`~iwre.scoring.ScoringConfig` fields, with its defaults
         and checks (run by :meth:`fit`), except that ``seed`` defaults to 0
         so ``iwr`` runs without one. For ``iwr``, prior batch KDEs are fit
@@ -43,7 +43,6 @@ class EmbeddingRetriever(ParamsMixin):
         method: str = "iwr",
         fraction: float = 0.3,
         scale_c: float = ScoringConfig.scale_c,
-        temperature: float | None = None,
         batch_size: int | None = None,
         num_batches: int = ScoringConfig.num_batches,
         seed: int = 0,
@@ -53,7 +52,6 @@ class EmbeddingRetriever(ParamsMixin):
         self.method = method
         self.fraction = fraction
         self.scale_c = scale_c
-        self.temperature = temperature
         self.batch_size = batch_size
         self.num_batches = num_batches
         self.seed = seed

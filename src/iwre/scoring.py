@@ -8,9 +8,10 @@ retrievable.
     ``-zeta`` reproduces the classic "distance below zeta" selection.
 ``lse``
     Temperature-smoothed soft maximum of the negated squared distances,
-    ``(1/h^2) * log(sum_j exp(-||p - t_j||^2 / h^2))``. As the temperature
-    shrinks its *ranking* collapses onto ``nn_l2``; the value does not,
-    since it grows like ``-d^2 / h^4``.
+    ``(1/h^2) * log(sum_j exp(-||p - t_j||^2 / h^2))``, with ``h`` the
+    target's Scott bandwidth at ``scale_c``, as for the KDE rules. As the
+    temperature shrinks its *ranking* collapses onto ``nn_l2``; the value
+    does not, since it grows like ``-d^2 / h^4``.
 ``kde_target``
     Log-density of the prior row under a Gaussian KDE of the target data.
 ``iwr``
@@ -40,7 +41,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
@@ -249,6 +250,12 @@ def score_nn_l2(target, prior, *, threads: int | None = 1) -> ScoreVector:
     return _scores(values, ScoreMethod.NN_L2, prior, target.source_id)
 
 
+def _lse_temperature(scale_c: float, target: EmbeddingDataset) -> float:
+    """lse's temperature: the target's Scott bandwidth at ``scale_c``, so a
+    temperature ``T`` is the one at ``scale_c = T * M ** (1 / (d + 4))``."""
+    return scott_bandwidth(scale_c, target.rows, target.dim)
+
+
 def score_lse(
     target,
     prior,
@@ -262,14 +269,13 @@ def score_lse(
     value grows like ``-d^2 / h^4`` (``d^2`` the nearest squared distance),
     so a threshold on it means something different at each temperature.
 
-    When ``temperature_h`` is omitted it is the one a default lse
-    :class:`ScoringConfig` resolves: the target's Scott bandwidth.
+    When ``temperature_h`` is omitted it is the one lse scoring at the
+    default ``scale_c`` uses: the target's Scott bandwidth.
     """
     target = _as_dataset(target)
     prior = _as_dataset(prior)
     if temperature_h is None:
-        default = ScoringConfig(ScoreMethod.LSE).resolve(target, prior)
-        temperature_h = default.temperature
+        temperature_h = _lse_temperature(BandwidthSpec.scale_c, target)
     temperature_h = check_positive(temperature_h, "temperature_h")
     # The log-density of the isotropic KDE with kernel covariance (h^2/2) I
     # is log_norm - log M + log sum_j exp(-||p - t_j||^2 / h^2).
@@ -352,7 +358,7 @@ def score_importance_weight(
 # scheme are refused instead of compared.
 FINGERPRINT_SCHEME = 2
 
-# Resolved fields each method reads; only these enter its fingerprint.
+# Resolved values each method reads; only these enter its fingerprint.
 _METHOD_FIELDS = {
     ScoreMethod.NN_L2: (),
     ScoreMethod.LSE: ("temperature",),
@@ -366,19 +372,19 @@ class ScoringConfig:
     """A scoring rule and its parameters; the one way to score and fingerprint.
 
     Every field is checked when the config is built, whichever method reads
-    it: ``scale_c`` and ``temperature`` must be positive, ``batch_size`` at
-    least 2, ``num_batches`` at least 1 and ``seed`` at least 0. The
-    bandwidth and batching defaults are :class:`BandwidthSpec`'s and
-    :class:`PriorBatchSpec`'s. ``temperature`` (lse) and ``batch_size``
-    (iwr) may stay ``None``; they are filled in from the data by
-    :meth:`resolve`. Fields a method does not read are kept but ignored. A
-    score file's sidecar records the resolved configuration
+    it: ``scale_c`` must be positive, ``batch_size`` at least 2,
+    ``num_batches`` at least 1 and ``seed`` at least 0. The bandwidth and
+    batching defaults are :class:`BandwidthSpec`'s and
+    :class:`PriorBatchSpec`'s. ``scale_c`` is every method's one bandwidth
+    knob: lse's temperature is the target's Scott bandwidth at it. The iwr
+    ``batch_size`` may stay ``None``; it is then filled in from the prior.
+    Fields a method does not read are kept but ignored. A score file's
+    sidecar records the resolved configuration and lse's temperature
     (:meth:`sidecar_params`, :meth:`from_sidecar`).
     """
 
     method: ScoreMethod = ScoreMethod.IWR
     scale_c: float = BandwidthSpec.scale_c
-    temperature: float | None = None
     batch_size: int | None = None
     num_batches: int = PriorBatchSpec.num_batches
     seed: int | None = None
@@ -387,44 +393,47 @@ class ScoringConfig:
     def __post_init__(self):
         coerce_fields(self, "scoring parameter")
         check_positive(self.scale_c, "scale_c")
-        if self.temperature is not None:
-            check_positive(self.temperature, "temperature")
         if self.batch_size is not None:
             check_count(self.batch_size, "batch_size", minimum=2)
         check_count(self.num_batches, "num_batches", minimum=1)
         if self.seed is not None:
             check_count(self.seed, "seed", minimum=0)
 
-    def resolve(self, target, prior) -> "ScoringConfig":
-        """Fill in the lse temperature (the target's Scott bandwidth) and the
-        iwr batch size (the prior's row count, capped); iwr needs a seed."""
+    def sidecar_params(self, target, prior) -> dict:
+        """The resolved configuration a score sidecar records as ``params``:
+        the fields, with the iwr batch size filled in (the prior's row
+        count, capped; iwr needs a seed) and ``temperature`` (lse's, else
+        None), the fingerprint scheme and both source ids."""
         target, prior = _as_dataset(target), _as_dataset(prior)
-        if self.method is ScoreMethod.LSE and self.temperature is None:
-            h = scott_bandwidth(self.scale_c, target.rows, target.dim)
-            return replace(self, temperature=h)
+        params = {**asdict(self), "method": self.method.value, "temperature": None}
+        if self.method is ScoreMethod.LSE:
+            params["temperature"] = _lse_temperature(self.scale_c, target)
         if self.method is ScoreMethod.IWR:
             if self.seed is None:
                 raise ValidationError(
                     "a seed is required for method iwr (prior batching)",
                     code="seed_required",
                 )
-            if self.batch_size is None:
-                return replace(self, batch_size=min(4096, prior.rows))
-        return self
+            params["batch_size"] = self.batch_size or min(4096, prior.rows)
+        return {
+            **params,
+            "fingerprint_scheme": FINGERPRINT_SCHEME,
+            "target_source_id": target.source_id,
+            "prior_source_id": prior.source_id,
+        }
 
     def fingerprint(self, target, prior) -> str:
-        """Hash of the resolved fields the method reads and both source ids.
+        """Hash of the resolved values the method reads and both source ids.
 
         Batch membership is fixed by the seed, so no model is fitted.
         """
-        target, prior = _as_dataset(target), _as_dataset(prior)
-        cfg = self.resolve(target, prior)
+        params = self.sidecar_params(target, prior)
         return config_fingerprint(
             fingerprint_scheme=FINGERPRINT_SCHEME,
-            method=cfg.method.value,
-            **{name: getattr(cfg, name) for name in _METHOD_FIELDS[cfg.method]},
-            target=target.source_id,
-            prior=prior.source_id,
+            method=params["method"],
+            **{name: params[name] for name in _METHOD_FIELDS[self.method]},
+            target=params["target_source_id"],
+            prior=params["prior_source_id"],
         )
 
     def score(self, target, prior, threads: int | None = 1) -> ScoreVector:
@@ -433,44 +442,32 @@ class ScoringConfig:
         The fits run with BLAS pinned to one thread, like the scoring.
         """
         target, prior = _as_dataset(target), _as_dataset(prior)
-        cfg = self.resolve(target, prior)
+        params = self.sidecar_params(target, prior)
+        bandwidth = BandwidthSpec(self.scale_c)
         with single_threaded_blas():
-            if cfg.method is ScoreMethod.NN_L2:
+            if self.method is ScoreMethod.NN_L2:
                 scores = score_nn_l2(target, prior, threads=threads)
-            elif cfg.method is ScoreMethod.LSE:
-                scores = score_lse(target, prior, cfg.temperature, threads=threads)
-            elif cfg.method is ScoreMethod.KDE_TARGET:
-                target_kde = fit_kde(target, BandwidthSpec(cfg.scale_c))
+            elif self.method is ScoreMethod.LSE:
+                h = params["temperature"]
+                scores = score_lse(target, prior, h, threads=threads)
+            elif self.method is ScoreMethod.KDE_TARGET:
+                target_kde = fit_kde(target, bandwidth)
                 scores = score_kde_target(target_kde, prior, threads=threads)
             else:
-                bandwidth = BandwidthSpec(cfg.scale_c)
                 spec = PriorBatchSpec(
-                    cfg.batch_size, cfg.num_batches, rng_seed=cfg.seed
+                    params["batch_size"], self.num_batches, rng_seed=self.seed
                 )
                 scores = score_importance_weight(
                     fit_kde(target, bandwidth),
                     fit_prior_batched(prior, spec, bandwidth),
                     prior,
-                    leave_self_out=cfg.leave_self_out,
+                    leave_self_out=self.leave_self_out,
                     threads=threads,
                 )
-        fingerprint = cfg.fingerprint(target, prior)
+        fingerprint = self.fingerprint(target, prior)
         return ScoreVector(
-            scores.values, cfg.method, fingerprint, prior.source_id, target.source_id
+            scores.values, self.method, fingerprint, prior.source_id, target.source_id
         )
-
-    def sidecar_params(self, target, prior) -> dict:
-        """A score sidecar's ``params``: the resolved fields, the fingerprint
-        scheme and both source ids."""
-        target, prior = _as_dataset(target), _as_dataset(prior)
-        cfg = self.resolve(target, prior)
-        return {
-            **asdict(cfg),
-            "method": cfg.method.value,
-            "fingerprint_scheme": FINGERPRINT_SCHEME,
-            "target_source_id": target.source_id,
-            "prior_source_id": prior.source_id,
-        }
 
     @classmethod
     def from_sidecar(cls, sidecar: dict, path) -> "ScoringConfig":

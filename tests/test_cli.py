@@ -169,6 +169,21 @@ class TestScoreRetrieve:
         assert code == 2
         assert "fingerprint" in capsys.readouterr().err
 
+    def test_lse_scores_stale_at_another_scale(self, fixtures, tmp_path, capsys):
+        # lse's temperature comes from --bandwidth-scale, so scores made at
+        # scale 4 are stale at scale 1.
+        out = tmp_path / "run"
+        data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
+        assert run("score", "--method", "lse", *data, "--out", out) == 0
+        capsys.readouterr()
+        assert run("retrieve", "--scores", out / "scores.bin", *data,
+                   "--bandwidth-scale", 1, "--fraction", 0.3,
+                   "--out", tmp_path / "stale") == 2
+        assert "error[fingerprint_mismatch]" in capsys.readouterr().err
+        assert not (tmp_path / "stale").exists()
+        assert run("retrieve", "--scores", out / "scores.bin", *data,
+                   "--bandwidth-scale", 4, "--fraction", 0.3, "--out", out) == 0
+
     def test_fingerprint_ignores_fields_the_method_does_not_read(
         self, fixtures, tmp_path
     ):
@@ -335,13 +350,15 @@ MALFORMED = [
         # ... also by the subcommands that do not score.
         ("analyze_scale_and_batches", "analyze",
          {"bandwidth_scale": -1, "num_batches": 0}),
-        ("analyze_lse_temp_zero", "analyze", {"lse_temp": 0}),
         ("synth_scale_negative", "synth", {"bandwidth_scale": -1}),
         ("synth_batch_size_one", "synth", {"batch_size": 1}),
     ]
 ] + [
     ("config_method_unknown", "analyze", "config.json",
      _write(json.dumps({"method": "bogus"})), "bad_method"),
+    # lse's temperature is the target's Scott bandwidth at bandwidth_scale.
+    ("config_lse_temp_removed", "analyze", "config.json",
+     _write(json.dumps({"lse_temp": 0.5})), "bad_config"),
     ("sidecar_params_negative_scale", "retrieve", "scores.json",
      _edit_json(lambda d: d["params"].update(scale_c=-1.0)), "bad_param"),
 ] + [
@@ -587,6 +604,21 @@ class TestSweep:
         fingerprints = {e["fingerprint"] for e in summary}
         assert len(fingerprints) == 2
 
+    def test_lse_sweep_scores_each_scale(self, fixtures, tmp_path):
+        out = tmp_path / "sweep"
+        assert run(
+            "sweep", "--method", "lse",
+            "--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin",
+            "--fractions", "0.3", "--bandwidth-scales", "4,1", "--out", out,
+        ) == 0
+        a, b = (out / "scores_c4.bin").read_bytes(), (out / "scores_c1.bin").read_bytes()
+        assert a != b
+        summary = json.loads((out / "summary.json").read_text())
+        assert len({e["fingerprint"] for e in summary}) == 2
+        for scale in (4, 1):
+            params = load_scores(out / f"scores_c{scale}.bin")[1]["params"]
+            assert params["temperature"] == scott_bandwidth(scale, 400, 1)
+
 
 class TestAnalyzeAndDeterminism:
     def pipeline(self, fixtures, out):
@@ -665,25 +697,30 @@ class TestAnalyzeAndDeterminism:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-_SCORING_OPTIONS = ["--method", "--bandwidth-scale", "--lse-temp", "--batch-size",
+_SCORING_OPTIONS = ["--method", "--bandwidth-scale", "--batch-size",
                     "--num-batches", "--seed"]
+
+
+def _option_strings() -> dict:
+    """Each subcommand's option strings, in --help order."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [s for action in parser._actions for s in action.option_strings]
+        for name, parser in sub.choices.items()
+    }
 
 
 def test_subcommand_option_strings():
     """Each subcommand's option strings, in --help order: the flags it reads."""
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    options = {
-        name: [s for action in parser._actions for s in action.option_strings]
-        for name, parser in sub.choices.items()
-    }
+    options = _option_strings()
     assert options == {
         "score": ["-h", "--help", "--config", *_SCORING_OPTIONS, "--threads",
                   "--out", "--target", "--prior"],
         "retrieve": ["-h", "--help", "--config", *_SCORING_OPTIONS, "--out",
                      "--target", "--prior", "--scores", "--meta", "--fraction",
                      "--threshold", "--alpha"],
-        "sweep": ["-h", "--help", "--config", "--method", "--lse-temp",
+        "sweep": ["-h", "--help", "--config", "--method",
                   "--batch-size", "--num-batches", "--seed", "--threads", "--out",
                   "--target", "--prior", "--meta", "--labels", "--fractions",
                   "--bandwidth-scales"],
@@ -694,13 +731,34 @@ def test_subcommand_option_strings():
     }
     flags = [s for strings in options.values() for s in strings
              if s not in ("-h", "--help", "--config")]
-    assert len(flags) == 48
+    assert len(flags) == 45
+
+
+def test_readme_flag_table_matches_parser():
+    """README's table of each subcommand's flags, and their count, are the
+    parser's, in --help order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| subcommand | flags |"):].split("\n\n")[0]
+    documented = {
+        command: flags.split()
+        for command, flags in re.findall(r"^\| `(\w+)` \| `([^`]*)` \|$", table, re.M)
+    }
+    parsed = {
+        command: [s for s in strings if s not in ("-h", "--help", "--config")]
+        for command, strings in _option_strings().items()
+    }
+    assert documented == parsed
+    total = re.search(r"only the flags it reads \((\d+) in all\)", readme)
+    assert int(total.group(1)) == sum(map(len, parsed.values()))
 
 
 # Flags that a subcommand does not read, with a value of the flag's type.
-# sweep's scales come from --bandwidth-scales alone.
+# sweep's scales come from --bandwidth-scales alone, and no subcommand takes
+# --lse-temp: lse's temperature comes from the bandwidth scale.
 _REMOVED_FLAGS = [
     ("retrieve", "--threads", 2), ("sweep", "--bandwidth-scale", 2)
+] + [
+    (command, "--lse-temp", 0.5) for command in ("score", "retrieve", "sweep")
 ] + [
     (command, flag, value)
     for command in ("analyze", "synth")
@@ -720,6 +778,7 @@ def test_unread_flag_is_refused(fixtures, tmp_path, capsys, command, flag, value
     assert run("retrieve", "--scores", run_dir / "scores.bin", *data,
                "--fraction", 0.3, "--out", run_dir) == 0
     argv = {
+        "score": ["score", "--method", "lse", *data],
         "retrieve": ["retrieve", "--scores", run_dir / "scores.bin", *data,
                      "--fraction", 0.3],
         "sweep": ["sweep", "--method", "nn", *data, "--fractions", 0.3],

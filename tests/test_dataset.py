@@ -492,6 +492,27 @@ class TestColumnarMetadata:
         path.write_text(text)
         assert outcome(load_metadata, path) == outcome(reference_load_metadata, path)
 
+    def test_mixed_length_labels_in_one_window(self, tmp_path):
+        # Labels of 0 to 120 bytes, quoted and multibyte among them, in one
+        # parse window: episodes that repeat a label, and neighbours of one
+        # length that differ in a byte, equal the record-wise reader's.
+        rng = np.random.default_rng(4)
+        chars = list('abz,"\n é任')
+        labels = []
+        for limit in [0, 120, *rng.integers(0, 121, 28)]:
+            label = ""
+            while len(label.encode()) + 3 <= limit:
+                label += chars[rng.integers(len(chars))]
+            labels += [label, label[:-1] + "q" if label else "q"]
+        records = [(e, s, 3, label or None)
+                   for e, label in enumerate(labels) for s in range(3)]
+        path = tmp_path / "m.csv"
+        save_metadata(metadata_table(records), path)
+        assert path.stat().st_size < dataset._META_WINDOW
+        assert max(len(label.encode()) for label in labels) > 100
+        assert reference_load_metadata(path) == records
+        assert load_metadata(path) == metadata_table(records)
+
     def test_columns(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(f"{HEADER_LINE}\n0,0,2,b\n0,1,2,\n1,0,1,a\n")
@@ -522,6 +543,12 @@ class TestMetadataTable:
         assert table != metadata_table(records[:2] + [(1, 0, 1, "r")])
         assert table.take([2, 0]) == metadata_table([records[2], records[0]])
 
+    def test_integer_columns_of_any_width(self):
+        table = MetadataTable(np.array([7], np.uint8), np.array([0], np.int16),
+                              np.array([2], np.uint64), np.array([0], np.int8), ("a",))
+        assert table == metadata_table([(7, 0, 2, "a")])
+        assert len(MetadataTable([], [], [], [])) == 0
+
     def test_copies_caller_arrays(self):
         steps = np.array([0, 1])
         table = MetadataTable([0, 0], steps, [2, 2], [-1, -1])
@@ -536,6 +563,13 @@ class TestMetadataTable:
         (([0, 0], [0, 2], [2, 2], [-1, -1]), "bad_step_index"),
         (([0, 0], [0, 0], [1, 0], [-1, -1]), "bad_episode_length"),
         (([0], [0], [1], [0], (7,)), "bad_task_label"),
+        # Integer columns only: a float is not truncated, nor is a huge value
+        # left to raise OverflowError.
+        (([0.9], [0.5], [1.7], [-1]), "malformed_value"),
+        (([0], [0], [1], [0.7], ("a",)), "malformed_value"),
+        (([2**70], [0], [1], [-1]), "malformed_value"),
+        ((np.array([2**63], np.uint64), [0], [1], [-1]), "malformed_value"),
+        (([0], [0], [True], [-1]), "malformed_value"),
     ])
     def test_rejects(self, columns, code):
         with pytest.raises(ValidationError) as exc:

@@ -5,7 +5,7 @@ import pytest
 
 from iwre.dataset import EmbeddingDataset
 from iwre.errors import ValidationError
-from iwre.kde import BandwidthSpec, fit_kde
+from iwre.kde import BandwidthSpec, fit_kde, scott_bandwidth
 from iwre.retriever import EmbeddingRetriever
 from iwre.retrieval import select_by_fraction
 from iwre.scoring import (
@@ -34,9 +34,15 @@ class TestEstimatorProtocol:
         r.set_params(fraction=0.5)
         assert r.fraction == 0.5
 
+    def test_takes_no_temperature(self):
+        # lse's temperature comes from scale_c.
+        assert "temperature" not in EmbeddingRetriever().get_params()
+        with pytest.raises(TypeError):
+            EmbeddingRetriever(method="lse", temperature=0.7)
+
     def test_sklearn_clone(self):
         sklearn_base = pytest.importorskip("sklearn.base")
-        r = EmbeddingRetriever(method="lse", temperature=0.5)
+        r = EmbeddingRetriever(method="lse", scale_c=0.5)
         clone = sklearn_base.clone(r)
         assert clone.get_params() == r.get_params()
 
@@ -70,8 +76,8 @@ class TestEstimatorProtocol:
     def test_defaults_are_scoring_config_defaults(self):
         params = EmbeddingRetriever().get_params()
         defaults = ScoringConfig(seed=0)
-        for name in ("scale_c", "temperature", "batch_size", "num_batches",
-                     "seed", "leave_self_out"):
+        for name in ("scale_c", "batch_size", "num_batches", "seed",
+                     "leave_self_out"):
             assert params[name] == getattr(defaults, name), name
         assert params["method"] == defaults.method
 
@@ -84,13 +90,14 @@ class TestAgainstFunctionalApi:
         assert np.array_equal(got, want)
 
     def test_lse_matches(self, data):
+        # lse's temperature is the target's Scott bandwidth at scale_c.
         target, prior = data
         got = (
-            EmbeddingRetriever(method="lse", temperature=0.7)
+            EmbeddingRetriever(method="lse", scale_c=0.7)
             .fit(target)
             .score_samples(prior)
         )
-        want = score_lse(target, prior, 0.7).values
+        want = score_lse(target, prior, scott_bandwidth(0.7, 40, 3)).values
         assert np.array_equal(got, want)
 
     def test_kde_target_matches(self, data):

@@ -9,7 +9,7 @@ import threading
 import time
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -35,6 +35,7 @@ from iwre.scoring import (
     ScoreMethod,
     ScoreVector,
     ScoringConfig,
+    config_fingerprint,
     fit_prior_batched,
     load_scores,
     save_scores,
@@ -225,11 +226,28 @@ class TestLogSumExp:
         implicit = score_lse(target, prior)
         assert np.array_equal(explicit.values, implicit.values)
         config = ScoringConfig(ScoreMethod.LSE)
-        pinned = ScoringConfig(ScoreMethod.LSE, temperature=scott_bandwidth(4.0, 50, 4))
-        assert config.fingerprint(target, prior) == pinned.fingerprint(target, prior)
-        assert config.resolve(target, prior).temperature == scott_bandwidth(
-            4.0, 50, 4
+        assert np.array_equal(config.score(target, prior).values, explicit.values)
+        params = config.sidecar_params(target, prior)
+        assert params["temperature"] == scott_bandwidth(4.0, 50, 4)
+        assert config.fingerprint(target, prior) == config_fingerprint(
+            fingerprint_scheme=2, method="lse", temperature=params["temperature"],
+            target=params["target_source_id"], prior=params["prior_source_id"],
         )
+
+    @pytest.mark.parametrize("temperature", [0.05, 0.5, 3.0])
+    def test_scale_c_reaches_any_temperature(self, temperature):
+        # h = T at scale_c = T * M ** (1 / (d + 4)), up to rounding.
+        rng = np.random.default_rng(2)
+        target = rng.standard_normal((50, 4))
+        prior = rng.standard_normal((20, 4))
+        config = ScoringConfig(ScoreMethod.LSE, scale_c=temperature * 50 ** (1 / 8))
+        h = config.sidecar_params(target, prior)["temperature"]
+        np.testing.assert_allclose(h, temperature, rtol=1e-15)
+        assert np.array_equal(config.score(target, prior).values,
+                              score_lse(target, prior, h).values)
+        np.testing.assert_allclose(config.score(target, prior).values,
+                                   score_lse(target, prior, temperature).values,
+                                   rtol=1e-12)
 
     def test_nonpositive_temperature(self):
         with pytest.raises(ValidationError):
@@ -349,9 +367,9 @@ class TestPriorBatches:
         target = EmbeddingDataset(np.zeros((3, 1)))
         for rows, batch_size in [(100, 100), (10_000, 4096)]:
             prior = EmbeddingDataset(np.zeros((rows, 1)))
-            resolved = ScoringConfig(seed=1).resolve(target, prior)
-            assert resolved.batch_size == batch_size
-            assert resolved.num_batches == 8
+            params = ScoringConfig(seed=1).sidecar_params(target, prior)
+            assert params["batch_size"] == batch_size
+            assert params["num_batches"] == 8
 
 
 class TestImportanceWeight:
@@ -564,10 +582,9 @@ class TestFingerprints:
         rng = np.random.default_rng(0)
         target = EmbeddingDataset(rng.standard_normal((10, 2)))
         prior = EmbeddingDataset(rng.standard_normal((20, 2)))
-        base = ScoringConfig(method, temperature=0.5, batch_size=8, seed=0)
+        base = ScoringConfig(method, batch_size=8, seed=0)
         changed = {
             "scale_c": 2.0,
-            "temperature": 0.25,
             "batch_size": 9,
             "num_batches": 3,
             "seed": 1,
@@ -575,7 +592,7 @@ class TestFingerprints:
         }
         reads = {
             ScoreMethod.NN_L2: set(),
-            ScoreMethod.LSE: {"temperature"},
+            ScoreMethod.LSE: {"scale_c"},  # through its temperature
             ScoreMethod.KDE_TARGET: {"scale_c"},
             ScoreMethod.IWR: {
                 "scale_c", "batch_size", "num_batches", "seed", "leave_self_out"
@@ -613,13 +630,20 @@ class TestFingerprints:
         assert score_nn_l2(target, prior).config_fingerprint == ""
         assert score_kde_target(fit_kde(target), prior).config_fingerprint == ""
 
+    def test_scale_c_is_the_one_bandwidth_field(self):
+        assert [f.name for f in fields(ScoringConfig)] == [
+            "method", "scale_c", "batch_size", "num_batches", "seed", "leave_self_out"
+        ]
+        with pytest.raises(TypeError):
+            ScoringConfig(ScoreMethod.LSE, temperature=0.5)
+
     def test_bad_parameter_is_validation_error(self):
         with pytest.raises(ValidationError) as exc:
             ScoringConfig(ScoreMethod.IWR, batch_size=2.5)
         assert exc.value.code == "bad_param"
 
     @pytest.mark.parametrize("field,value", [
-        ("scale_c", -1.0), ("scale_c", 0.0), ("temperature", 0.0),
+        ("scale_c", -1.0), ("scale_c", 0.0), ("scale_c", float("inf")),
         ("batch_size", 1), ("num_batches", 0), ("seed", -1),
     ])
     def test_out_of_range_parameter_refused_for_every_method(self, field, value):
