@@ -6,17 +6,19 @@ the sample covariance of the support plus a fixed ridge (``RIDGE_EPS``
 times the mean variance), factorized once or refused. Queries are
 centred on the support mean and whitened by the inverse of the Cholesky
 factor of ``h^2 * Sigma`` (stored once at fit, so whitening is one GEMM),
-so each kernel exponent is ``-|w - s|^2 / 2``. One engine
-(:func:`_kernel_exponents`) forms them a tile at a time: a block of query
-rows is centred and whitened once, then one GEMM per tile gives its
-exponents against at most ``_TILE_COLS`` (256) support columns, in
-ascending column order. :meth:`GaussianKde.score_samples` sums each row
-over its tiles while each tile is in cache. nn_l2 is the zero-bandwidth
-limit (:func:`nearest_sq_dists`): its tiles span the whole support,
-because its candidate cut needs each row's maximum over every target;
-they are reduced by maximum and recomputed exactly. Float32 queries are
-widened to float64 a block at a time, as they are centred, and results
-equal those of the widened queries.
+so each kernel exponent is ``-|w - s|^2 / 2``. The model keeps its
+support once, as the C-contiguous ``(d + 2) x M`` GEMM operand of
+:func:`_augmented_support`. One engine (:func:`_kernel_exponents`) forms
+the exponents a tile at a time: a block of query rows is centred and
+whitened once, then one GEMM per tile gives its exponents against at most
+``_TILE_COLS`` (256) support columns, in ascending column order.
+:meth:`GaussianKde.score_samples` sums each row over its tiles while each
+tile is in cache, a shift-free tile (below) by one GEMV against a vector
+of ones. nn_l2 is the zero-bandwidth limit (:func:`nearest_sq_dists`):
+its tiles span the whole support, because its candidate cut needs each
+row's maximum over every target; they are reduced by maximum and
+recomputed exactly. Float32 queries are widened to float64 a block at a
+time, as they are centred, and results equal those of the widened queries.
 
 Every exponent is at most 0, so the log-sum-exp's max shift only guards
 against underflow. A row block skips the shift when two O(rows) checks,
@@ -33,21 +35,27 @@ of one tile is bit-identical to the max-shifted reduction of
 Determinism contract: row blocks and column tiles are fixed by the shapes
 of the queries and the support alone, and each query's kernel sum reduces
 its tiles in ascending column order, so identical inputs give
-bit-identical log-densities for any number of worker threads. Splitting
-the queries differently may change the last bits, because BLAS orders a
-dot product differently for other block shapes and the shift-free check
-looks at a whole row block.
+bit-identical log-densities for any number of worker threads. BLAS sums
+a trailing partial group of GEMM or GEMV outputs in another order, so
+support columns and block rows come in whole groups of ``_SUPPORT_BLOCK``
+(8), padded with ``-inf`` columns and zero queries: a query's bits do not
+depend on its position in its block. Splitting the queries into other
+blocks may change the last bits: the shift-free check looks at a whole
+block, and BLAS may pick other kernels for other block sizes (a row
+scored alone keeps its bits in the tests, at d = 2 and 8).
 
 Memory: one budget, ``_TILE_ELEMS`` float64 elements (1 MiB). A KDE row
-block holds ``_TILE_ELEMS // max(cols, d + 2)`` rows (512 up to d = 254),
-so the exponent tile, the whitening scratch and the query operand each fit
-it, whatever the support size; an nn_l2 chunk holds as many rows as let all
-its temporaries, candidate mask and gathers included, fit it. A scoring
-worker's scratch is O(tile).
+block holds the largest multiple of 8 rows that lets the exponent tile,
+the whitening scratch and the query operand each fit it (512 up to
+d = 254, 432 at d = 300), whatever the support size; the GEMV's row sums
+take one vector of the block's rows. An nn_l2 chunk holds as many rows as
+let all its temporaries, candidate mask and gathers included, fit it. A
+scoring worker's scratch is O(tile).
 
 Threading: the row-chunk pool in :mod:`iwre.scoring` is the only source of
 parallelism. Scoring pins every loaded OpenBLAS to one thread
-(:mod:`iwre._blas`), so each GEMM here runs on the calling worker alone.
+(:mod:`iwre._blas`), so each GEMM and GEMV here runs on the calling worker
+alone.
 """
 
 from __future__ import annotations
@@ -200,10 +208,8 @@ class GaussianKde(ParamsMixin):
         # exponents are computed in well-conditioned local coordinates and
         # jointly translated inputs whiten to identical values.
         self._center = support.mean(axis=0)
-        self._support_aug = _augmented_support(
-            (support - self._center) @ self._whitener
-        )
-        self._support_sq_max = -2.0 * self._support_aug[: self.count_, -1].min()
+        self._support = _augmented_support((support - self._center) @ self._whitener)
+        self._support_sq_max = -2.0 * self._support[-1, : self.count_].min()
         return self
 
     # -- queries -----------------------------------------------------------
@@ -232,7 +238,6 @@ class GaussianKde(ParamsMixin):
         """
         X = self._check_queries(X)
         n = X.shape[0]
-        log_count = np.full(n, np.log(self.count_))
         if exclude is not None:
             exclude = np.asarray(exclude)
             if exclude.shape != (n,) or exclude.dtype.kind not in "iu" or np.any(
@@ -242,34 +247,48 @@ class GaussianKde(ParamsMixin):
                     f"exclude needs one index in [-1, {self.count_}) per query row",
                     code="index_out_of_range",
                 )
-            if np.any(exclude >= 0):
-                if self.count_ < 2:
-                    raise ValidationError(
-                        "leaving a kernel out needs at least 2 kernels",
-                        code="bad_batch_spec",
-                    )
-                log_count[exclude >= 0] = np.log(self.count_ - 1)
+            if self.count_ < 2 and np.any(exclude >= 0):
+                raise ValidationError(
+                    "leaving a kernel out needs at least 2 kernels",
+                    code="bad_batch_spec",
+                )
         # Per row: the sum of exp(exponent - peak) so far, and the peak: 0
         # in shift-free blocks, else the running maximum, from -inf.
         total, peak = np.zeros(n), np.zeros(n)
+        ones = np.ones(_TILE_COLS)
         block = None
         tiles = _kernel_exponents(
-            X, self._center, self._support_aug, self._whitener, exclude
+            X, self._center, self._support, self._whitener, exclude
         )
         for rows, aug, expo in tiles:
+            count = rows.stop - rows.start
             if rows.start != block:
                 block = rows.start
                 shift_free = self._shift_free(
-                    aug, expo, None if exclude is None else exclude[rows]
+                    aug[:count],
+                    expo[:count],
+                    None if exclude is None else exclude[rows],
                 )
-                if not shift_free:
+                if shift_free:
+                    sums = np.empty(len(expo))
+                else:
                     peak[rows] = -np.inf
-            if not shift_free:
-                raised = np.maximum(peak[rows], expo.max(axis=1))
-                total[rows] *= np.exp(peak[rows] - raised)
-                peak[rows] = raised
-                np.subtract(expo, raised[:, None], out=expo)
+            if shift_free:
+                # Row sums of the whole padded tile by one GEMV.
+                np.exp(expo, out=expo)
+                np.matmul(expo, ones[: expo.shape[1]], out=sums)
+                total[rows] += sums[:count]
+                continue
+            expo = expo[:count]
+            raised = np.maximum(peak[rows], expo.max(axis=1))
+            total[rows] *= np.exp(peak[rows] - raised)
+            peak[rows] = raised
+            np.subtract(expo, raised[:, None], out=expo)
             total[rows] += np.exp(expo, out=expo).sum(axis=1)
+        # Made after the tiles' buffers are freed, so it adds nothing to the peak.
+        log_count = np.full(n, np.log(self.count_))
+        if exclude is not None and self.count_ > 1:  # else none is left out
+            log_count[exclude >= 0] = np.log(self.count_ - 1)
         return self.log_norm_ + (peak + np.log(total)) - log_count
 
     def _shift_free(self, aug, expo, exclude) -> bool:
@@ -280,10 +299,13 @@ class GaussianKde(ParamsMixin):
         if _rounding_slack(self.dim_) * (w_sq_max + self._support_sq_max) >= 1.0:
             return False
         stride = -(-self.count_ // _PROBE_COLUMNS)
-        if expo.shape[1] == len(self._support_aug):
+        if expo.shape[1] == self._support.shape[1]:
             probed = expo[:, : self.count_ : stride]
         else:
-            probed = aug @ self._support_aug[: self.count_ : stride].T
+            # BLAS needs unit-stride columns: copy the (d+2) x ~64 probe operand.
+            probed = aug @ np.ascontiguousarray(
+                self._support[:, : self.count_ : stride]
+            )
             if exclude is not None:
                 hit = np.flatnonzero((exclude >= 0) & (exclude % stride == 0))
                 probed[hit, exclude[hit] // stride] = -np.inf
@@ -335,9 +357,11 @@ def nearest_sq_dists(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
     support_aug = _augmented_support(centered)
     step = _TILE_ELEMS // (sum(support_aug.shape) + 2 * d + m // 8 + 4)
     chunks = _kernel_exponents(
-        queries, center, support_aug, rows=step, cols=len(support_aug)
+        queries, center, support_aug, rows=step, cols=support_aug.shape[1]
     )
     for rows, aug, expo in chunks:
+        count = rows.stop - rows.start
+        aug, expo = aug[:count], expo[:count]
         w_sq = -2.0 * aug[:, -2]
         cut = expo.max(axis=1) - slack * (w_sq + support_sq_max)
         # A cut that overflowed or is NaN (inf - inf) keeps every real column.
@@ -357,20 +381,26 @@ def nearest_sq_dists(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
 
 # -- kernel engine --------------------------------------------------------------
 
-# The support operand is padded to whole blocks of this many rows: BLAS
-# kernels accumulate a trailing partial block of output columns in another
-# order, which would make a query's exponents depend on its row position.
+# Support columns and query rows come in whole groups of this many: BLAS
+# kernels accumulate a trailing partial group of GEMM output columns, or of
+# GEMV output rows, in another order, which would make a query's result
+# depend on its position.
 _SUPPORT_BLOCK = 8
 
 
+def _round_up(count: int) -> int:
+    return -(-count // _SUPPORT_BLOCK) * _SUPPORT_BLOCK
+
+
 def _augmented_support(s: np.ndarray) -> np.ndarray:
-    """Rows ``[s, 1, -|s|^2/2]``, then ``[0, ..., 0, -inf]`` to a whole block."""
+    """The ``(d + 2) x M_pad`` operand with rows ``s^T``, ``1`` and
+    ``-|s|^2/2``; padding columns are ``[0, ..., 0, -inf]``, to whole blocks."""
     m, d = s.shape
-    aug = np.zeros((-(-m // _SUPPORT_BLOCK) * _SUPPORT_BLOCK, d + 2))
-    aug[:m, :d] = s
-    aug[:m, d] = 1.0
-    aug[:, d + 1] = -np.inf
-    aug[:m, d + 1] = -0.5 * np.einsum("ij,ij->i", s, s)
+    aug = np.zeros((d + 2, _round_up(m)))
+    aug[:d, :m] = s.T
+    aug[d, :m] = 1.0
+    aug[d + 1] = -np.inf
+    aug[d + 1, :m] = -0.5 * np.einsum("ij,ij->i", s, s)
     return aug
 
 
@@ -380,46 +410,49 @@ def _rounding_slack(dim: int) -> float:
 
 
 def _kernel_exponents(
-    queries, center, support_aug, whitener=None, exclude=None, *, rows=None, cols=None
+    queries, center, support, whitener=None, exclude=None, *, rows=None, cols=None
 ):
     """Yield ``(rows, aug, expo)`` for each tile of kernel exponents: row
     blocks in order and, within one, column tiles in ascending order.
 
-    ``aug`` holds the block's rows ``[w, -|w|^2/2, 1]``, where ``w`` is
-    ``queries[rows] - center``, times ``whitener`` if one is given, and
-    ``expo[i, j] = -|w_i - s_j|^2 / 2`` for the tile's support columns comes
-    from one GEMM of ``aug`` against those rows of the augmented support.
-    Where ``exclude[i] >= 0``, that column is ``-inf`` in the tile that
-    holds it. Float32 query rows are widened as they are centred, straight
-    into float64 buffers, so no temporary the size of ``queries`` is
-    formed. ``aug`` and ``expo`` are views of two buffers that the next
-    block or tile overwrites; the caller may use them as scratch until
-    then. Tiles are ``cols`` support columns wide (default ``_TILE_COLS``)
-    and blocks hold ``rows`` query rows (default: as many as let each
-    buffer, the whitening scratch included, fit ``_TILE_ELEMS``). Both are
-    multiples of 8 or the whole support, so every tile has whole blocks of
-    ``_SUPPORT_BLOCK`` columns.
+    ``support`` is an operand of :func:`_augmented_support`. ``aug`` holds
+    the block's rows ``[w, -|w|^2/2, 1]``, where ``w`` is ``queries[rows] -
+    center``, times ``whitener`` if one is given, and ``expo[i, j] = -|w_i
+    - s_j|^2 / 2`` for the tile's support columns comes from one GEMM of
+    ``aug`` against those columns of ``support``. Where ``exclude[i] >= 0``,
+    that column is ``-inf`` in the tile that holds it. Float32 query rows
+    are widened as they are centred, straight into float64 buffers, so no
+    temporary the size of ``queries`` is formed. ``aug`` and ``expo`` are
+    views of two buffers that the next block or tile overwrites; the caller
+    may use them as scratch until then.
+
+    Tiles are ``cols`` support columns wide (default ``_TILE_COLS``).
+    Blocks hold ``rows`` query rows (default: the largest multiple of
+    ``_SUPPORT_BLOCK`` that lets each buffer, the whitening scratch
+    included, fit ``_TILE_ELEMS``, or one group); a shorter last block is
+    padded with zero queries to whole groups, within the buffers, so
+    ``aug`` and ``expo`` may have rows past those ``rows`` selects.
     """
     n = queries.shape[0]
-    m, k = support_aug.shape
+    k, m = support.shape
     d = k - 2
     cols = min(m, _TILE_COLS if cols is None else cols)
     width = cols if whitener is None else max(cols, d)
     if rows is None:
-        rows = _TILE_ELEMS // max(width, k)
-    rows = max(1, min(n, rows))
+        rows = _TILE_ELEMS // max(width, k) // _SUPPORT_BLOCK * _SUPPORT_BLOCK
+        rows = max(_SUPPORT_BLOCK, rows)
+    rows = max(1, min(rows, _round_up(n)))
     aug_buf = np.ones((rows, k))
     tile_buf = np.empty(rows * width)
     for start in range(0, n, rows):
         block = slice(start, min(start + rows, n))
         count = block.stop - start
-        aug = aug_buf[:count]
+        aug = aug_buf[: min(rows, _round_up(count))]
         w = aug[:, :d]
-        if whitener is None:
-            np.subtract(queries[block], center, out=w)
-        else:
-            centred = tile_buf[: count * d].reshape(count, d)
-            np.subtract(queries[block], center, out=centred)
+        centred = w if whitener is None else tile_buf[: w.size].reshape(w.shape)
+        np.subtract(queries[block], center, out=centred[:count])
+        centred[count:] = 0.0  # padding: zero queries
+        if whitener is not None:
             np.matmul(centred, whitener, out=w)
         aug[:, d] = -0.5 * np.einsum("ij,ij->i", w, w)
         if exclude is not None:
@@ -427,8 +460,8 @@ def _kernel_exponents(
             hit_col = exclude[block][hit]
         for c0 in range(0, m, cols):
             c1 = min(c0 + cols, m)
-            expo = tile_buf[: count * (c1 - c0)].reshape(count, c1 - c0)
-            np.matmul(aug, support_aug[c0:c1].T, out=expo)
+            expo = tile_buf[: len(aug) * (c1 - c0)].reshape(len(aug), c1 - c0)
+            np.matmul(aug, support[:, c0:c1], out=expo)
             if exclude is not None:
                 inside = (hit_col >= c0) & (hit_col < c1)
                 expo[hit[inside], hit_col[inside] - c0] = -np.inf

@@ -112,7 +112,7 @@ class TestScoreSamples:
         rows = rng.permutation(len(queries))
         assert np.array_equal(kde.score_samples(queries[rows]), whole[rows])
         # Other row blocks may reorder BLAS dot products: last bits only.
-        elems = chunk_rows * max(kde._support_aug.shape)
+        elems = chunk_rows * max(kde._support.shape)
         with mock.patch.object(kde_module, "_TILE_ELEMS", elems):
             split = kde.score_samples(queries)
         np.testing.assert_allclose(split, whole, rtol=1e-12, atol=1e-12)
@@ -162,9 +162,10 @@ def shifted_reference(kde, queries, exclude=None):
     queries = np.asarray(queries, dtype=np.float64)
     blocks = {}
     for rows, _, expo in kde_module._kernel_exponents(
-        queries, kde._center, kde._support_aug, kde._whitener, exclude
+        queries, kde._center, kde._support, kde._whitener, exclude
     ):
-        blocks.setdefault(rows.start, (rows, []))[1].append(expo.copy())
+        real = expo[: rows.stop - rows.start]  # the rest is padding
+        blocks.setdefault(rows.start, (rows, []))[1].append(real.copy())
     out = np.empty(len(queries))
     for rows, tiles in blocks.values():
         out[rows] = kde_module._logsumexp(np.hstack(tiles), axis=1)
@@ -173,11 +174,14 @@ def shifted_reference(kde, queries, exclude=None):
 
 def full_width_oracle(kde, queries, exclude=None):
     """The max-shifted ``_logsumexp`` over one GEMM of the whole augmented
-    support, with no blocks or tiles."""
+    support, with no blocks or tiles. A zero query row is appended and
+    dropped, as the engine pads its blocks: numpy hands a lone row's product
+    to GEMV, which rounds differently."""
     w = (np.asarray(queries, dtype=np.float64) - kde._center) @ kde._whitener
+    w = np.vstack([w, np.zeros(w.shape[1])])
     ones = np.ones((len(w), 1))
     aug = np.hstack([w, -0.5 * np.einsum("ij,ij->i", w, w)[:, None], ones])
-    expo = aug @ kde._support_aug.T
+    expo = (aug @ kde._support)[:-1]
     if exclude is not None:
         hit = np.flatnonzero(exclude >= 0)
         expo[hit, exclude[hit]] = -np.inf
@@ -241,10 +245,10 @@ class TestShiftFree:
         kde = fit_kde(support, BandwidthSpec(1e-9))
 
         def row_max(queries):
-            (_, _, expo), = kde_module._kernel_exponents(
-                queries, kde._center, kde._support_aug, kde._whitener
+            (rows, _, expo), = kde_module._kernel_exponents(
+                queries, kde._center, kde._support, kde._whitener
             )
-            return expo.max(axis=1)
+            return expo[: rows.stop].max(axis=1)
 
         queries = support[row_max(support) >= kde_module._SHIFT_FREE_FLOOR]
         peaks = row_max(queries)
@@ -287,7 +291,7 @@ class TestShiftFree:
         # at a probe column must fall back: a shift-free sum would be 0.
         support = np.arange(600.0)[:, None]
         kde = GaussianKde.from_parameters(support, 1.0, [[1e-4]])
-        assert len(kde._support_aug) > kde_module._TILE_COLS
+        assert kde._support.shape[1] > kde_module._TILE_COLS
         exclude = np.arange(0, 600, -(-600 // kde_module._PROBE_COLUMNS))
         got = kde.score_samples(support[exclude], exclude=exclude)
         assert np.isfinite(got).all()
@@ -327,7 +331,7 @@ class TestTiles:
     @given(tiled_problem())
     def test_matches_full_width_oracle(self, problem):
         kde, queries, exclude, block_rows = problem
-        elems = block_rows * max(kde_module._TILE_COLS, kde._support_aug.shape[1])
+        elems = block_rows * max(kde_module._TILE_COLS, kde._support.shape[0])
         with mock.patch.object(kde_module, "_TILE_ELEMS", elems):
             for ex in (None, exclude):
                 got = kde.score_samples(queries, exclude=ex)
@@ -335,6 +339,74 @@ class TestTiles:
                 assert np.all(
                     np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1)
                 )
+
+
+@st.composite
+def remainder_problem(draw):
+    """A support of one tile or several, and 17 queries, some of which may
+    sit far enough out to make the block fall back to the max shift."""
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = rng.standard_normal((draw(st.sampled_from([2, 9, 120, 300, 700])), d))
+    queries = 1.5 * rng.standard_normal((17, d))
+    far = rng.random(17) < draw(st.sampled_from([0.0, 0.2]))
+    queries[far] += 1e3 * rng.standard_normal(d)
+    kde = fit_kde(support, BandwidthSpec(draw(st.floats(0.05, 8.0))))
+    return kde, queries, rng
+
+
+class TestRowBlocks:
+    """Row blocks are whole groups of ``_SUPPORT_BLOCK`` rows, padded with
+    zero queries, so a row's GEMM and GEMV bits do not depend on where in
+    its block it sits."""
+
+    @settings(PROPERTY, max_examples=20)
+    @given(remainder_problem())
+    def test_permutation_is_bit_exact_for_every_remainder(self, problem):
+        kde, queries, rng = problem
+        for n in range(1, 18):
+            q, rows = queries[:n], rng.permutation(n)
+            exclude = rng.integers(-1, kde.count_, n)
+            for ex in (None, exclude):
+                whole = kde.score_samples(q, exclude=ex)
+                moved = None if ex is None else ex[rows]
+                shuffled = kde.score_samples(q[rows], exclude=moved)
+                assert np.array_equal(shuffled, whole[rows])
+
+    @pytest.mark.parametrize("d,m", [(2, 4096), (8, 600)])
+    def test_a_row_alone_has_its_block_bits(self, d, m):
+        # Every block is shift-free, so a row scored alone, in a block of
+        # one row and seven zero queries, is whitened and reduced as in a
+        # full block. Not at every d: at d=32 OpenBLAS's AVX-512 kernels
+        # whiten an 8-row block with another kernel than a 300-row one.
+        rng = np.random.default_rng(37)
+        kde = fit_kde(rng.standard_normal((m, d)))
+        queries = rng.standard_normal((300, d))
+        whole = kde.score_samples(queries)
+        for i in range(0, len(queries), 7):
+            assert kde.score_samples(queries[i : i + 1])[0] == whole[i]
+
+    @pytest.mark.parametrize("d", [1, 2, 32, 254, 255, 300, 1024])
+    def test_blocks_are_whole_groups_within_the_budget(self, d):
+        rng = np.random.default_rng(d)
+        kde = fit_kde(rng.standard_normal((300, d)))  # two tiles
+        n, group = 1027, kde_module._SUPPORT_BLOCK
+        queries = rng.standard_normal((n, d))
+        blocks = {}
+        for rows, aug, expo in kde_module._kernel_exponents(
+            queries, kde._center, kde._support, kde._whitener
+        ):
+            count = rows.stop - rows.start
+            assert len(aug) == len(expo) and len(aug) % group == 0
+            assert count <= len(aug) < count + group
+            assert np.all(aug[count:, : d + 1] == 0) and np.all(aug[count:, -1] == 1)
+            for buf in (aug.base, expo.base):
+                assert buf.size <= kde_module._TILE_ELEMS
+            blocks[rows.start] = count
+        starts, counts = list(blocks), list(blocks.values())
+        assert starts == sorted(starts) and sum(counts) == n
+        assert len(counts) > 1 and counts[0] % group == 0
+        assert set(counts[:-1]) == {counts[0]} and counts[-1] <= counts[0]
 
 
 class TestFloat32Queries:
@@ -426,7 +498,7 @@ class TestScoringThreads:
         prior = rng.standard_normal((9000, 3))
         kdes = fit_prior_batched(prior, PriorBatchSpec(700, 2, rng_seed=36))
         tk = fit_kde(target)
-        assert min(len(k._support_aug) for k in [tk, *kdes]) > 2 * kde_module._TILE_COLS
+        assert min(k._support.shape[1] for k in [tk, *kdes]) > 2 * kde_module._TILE_COLS
         for score in (
             lambda t: score_lse(target, prior, threads=t),
             lambda t: score_kde_target(tk, prior, threads=t),

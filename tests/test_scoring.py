@@ -299,7 +299,7 @@ class TestPriorBatches:
         )
         plain = fit_kde(prior, BandwidthSpec(4.0))
         assert np.array_equal(batched.support_row_ids_, np.arange(200))
-        assert np.array_equal(batched._support_aug, plain._support_aug)
+        assert np.array_equal(batched._support, plain._support)
         assert batched.bandwidth_ == plain.bandwidth_
         q = rng.standard_normal((20, 3))
         assert np.array_equal(batched.score_samples(q), plain.score_samples(q))
@@ -314,7 +314,7 @@ class TestPriorBatches:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        support = sum(kde._support_aug.nbytes for kde in kdes)
+        support = sum(kde._support.nbytes for kde in kdes)
         assert retained <= 1.15 * support, retained / support
 
     def test_seed_determinism(self):
@@ -458,11 +458,11 @@ class TestImportanceWeight:
 
         def counted(queries, *args, **kwargs):
             for rows, w, expo in engine(queries, *args, **kwargs):
-                evals.append(expo.size)
+                evals.append((rows.stop - rows.start) * expo.shape[1])
                 yield rows, w, expo
 
         monkeypatch.setattr(kde_module, "_kernel_exponents", counted)
-        once = 120 * sum(k._support_aug.shape[0] for k in [tk, *pk])  # padded
+        once = 120 * sum(k._support.shape[1] for k in [tk, *pk])  # padded
         plain = score_importance_weight(tk, pk, data).values
         assert sum(evals) == once
         evals.clear()
