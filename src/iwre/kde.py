@@ -13,44 +13,44 @@ the exponents a tile at a time: a block of query rows is centred and
 whitened once, then one GEMM per tile gives its exponents against at most
 ``_TILE_COLS`` (256) support columns, in ascending column order.
 :meth:`GaussianKde.score_samples` sums each row over its tiles while each
-tile is in cache, a shift-free tile (below) by one GEMV against a vector
-of ones. nn_l2 is the zero-bandwidth limit (:func:`nearest_sq_dists`):
+tile is in cache, a tile's row sums by one GEMV against a vector of ones
+(below). nn_l2 is the zero-bandwidth limit (:func:`nearest_sq_dists`):
 its tiles span the whole support, because its candidate cut needs each
 row's maximum over every target; they are reduced by maximum and
 recomputed exactly. Float32 queries are widened to float64 a block at a
 time, as they are centred, and results equal those of the widened queries.
 
 Every exponent is at most 0, so the log-sum-exp's max shift only guards
-against underflow. A row block skips the shift when two O(rows) checks,
-made before any of its tiles is exponentiated, prove it unneeded: about 64
-evenly spaced support columns give an exponent of at least
-``_SHIFT_FREE_FLOOR`` (-600) in every row, and the GEMM rounding bound
-``4 (d+2) eps (max |w|^2 + max |s|^2)`` is below 1, so no exponent can
-overflow. A support that fits one tile is probed in that tile; a wider
-one by one small GEMM of the block against the probe columns. Other
-blocks take a running-max log-sum-exp over the tiles, which for a support
-of one tile is bit-identical to the max-shifted reduction of
-:func:`_logsumexp`; shift-free rows move only in the last bits.
+against underflow. Every row block is summed without it first, and only
+the rows whose plain sum falls outside ``[e^-600, inf)``
+(``_SHIFT_FREE_FLOOR``), because terms underflowed, an exponent
+overflowed or the sum is NaN, are summed again: their block's tiles are
+formed anew from its whitened rows, bit for bit, and reduced by a
+running-max log-sum-exp, which for a support of one tile is bit-identical
+to the max-shifted reduction of :func:`_logsumexp`. Plain sums differ from
+shifted ones only in the last bits.
 
 Determinism contract: row blocks and column tiles are fixed by the shapes
 of the queries and the support alone, and each query's kernel sum reduces
 its tiles in ascending column order, so identical inputs give
-bit-identical log-densities for any number of worker threads. BLAS sums
-a trailing partial group of GEMM or GEMV outputs in another order, so
-support columns and block rows come in whole groups of ``_SUPPORT_BLOCK``
-(8), padded with ``-inf`` columns and zero queries: a query's bits do not
-depend on its position in its block. Splitting the queries into other
-blocks may change the last bits: the shift-free check looks at a whole
-block, and BLAS may pick other kernels for other block sizes (a row
-scored alone keeps its bits in the tests, at d = 2 and 8).
+bit-identical log-densities for any number of worker threads. Whether a
+row is summed again depends on that row alone, so a far row leaves its
+neighbours' bits as they are. BLAS sums a trailing partial group of GEMM
+or GEMV outputs in another order, so support columns and block rows come
+in whole groups of ``_SUPPORT_BLOCK`` (8), padded with ``-inf`` columns
+and zero queries: a query's bits do not depend on its position in its
+block. Splitting the queries into other blocks may change the last bits:
+BLAS may pick other kernels for other block sizes (a row scored alone
+keeps its bits in the tests, at d = 2 and 8).
 
 Memory: one budget, ``_TILE_ELEMS`` float64 elements (1 MiB). A KDE row
 block holds the largest multiple of 8 rows that lets the exponent tile,
 the whitening scratch and the query operand each fit it (512 up to
 d = 254, 432 at d = 300), whatever the support size; the GEMV's row sums
-take one vector of the block's rows. An nn_l2 chunk holds as many rows as
-let all its temporaries, candidate mask and gathers included, fit it. A
-scoring worker's scratch is O(tile).
+and a second sum's running sum and maximum take a few vectors of the
+block's rows. An nn_l2 chunk holds as many rows as let all its
+temporaries, candidate mask and gathers included, fit it. A scoring
+worker's scratch is O(tile).
 
 Threading: the row-chunk pool in :mod:`iwre.scoring` is the only source of
 parallelism. Scoring pins every loaded OpenBLAS to one thread
@@ -61,6 +61,7 @@ alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -77,12 +78,11 @@ RIDGE_EPS = 1e-9
 _TILE_COLS = 256
 _TILE_ELEMS = 1 << 17
 
-# A row block whose every row has an exponent at or above this floor is summed
-# without the max shift. Each row's sum is then at least e^-600, so a term
-# that can move its rounding is at least e^-636 (eps is e^-36), still normal
-# (above e^-708): subnormal or zero terms cost no precision.
+# A row whose plain kernel sum is at least e^-600 keeps it: a term that can
+# move its rounding is then at least e^-636 (eps is e^-36), still normal
+# (above e^-708), so subnormal or zero terms cost no precision. Any other
+# row, an overflowed or NaN one too, is summed again with the max shift.
 _SHIFT_FREE_FLOOR = -600.0
-_PROBE_COLUMNS = 64  # support columns the floor probe reads, evenly spaced
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,6 @@ class GaussianKde(ParamsMixin):
         # jointly translated inputs whiten to identical values.
         self._center = support.mean(axis=0)
         self._support = _augmented_support((support - self._center) @ self._whitener)
-        self._support_sq_max = -2.0 * self._support[-1, : self.count_].min()
         return self
 
     # -- queries -----------------------------------------------------------
@@ -231,10 +230,10 @@ class GaussianKde(ParamsMixin):
         average over ``M - 1`` kernels (leave-self-out). ``X`` may be
         float32; its rows are widened to float64 a block at a time, exactly,
         so the result equals that of the widened queries. Finite for all
-        finite queries: a row block is summed without the log-sum-exp max
-        shift only when every row has a kernel exponent of at least -600
-        and no exponent can reach 1; otherwise a running maximum over the
-        tiles shifts the sum, and the largest exponent always survives it.
+        finite queries: each row is summed without the log-sum-exp max
+        shift, and a row whose sum is below e^-600, infinite or NaN is
+        summed again, shifted by a running maximum over its tiles, so its
+        largest exponent always survives.
         """
         X = self._check_queries(X)
         n = X.shape[0]
@@ -252,64 +251,32 @@ class GaussianKde(ParamsMixin):
                     "leaving a kernel out needs at least 2 kernels",
                     code="bad_batch_spec",
                 )
-        # Per row: the sum of exp(exponent - peak) so far, and the peak: 0
-        # in shift-free blocks, else the running maximum, from -inf.
+        # Per row: the sum of exp(exponent - peak), and the peak: 0 for a
+        # plain sum, else the running maximum of its second sum.
         total, peak = np.zeros(n), np.zeros(n)
         ones = np.ones(_TILE_COLS)
-        block = None
-        tiles = _kernel_exponents(
+        floor = np.exp(_SHIFT_FREE_FLOOR)
+        blocks = _kernel_exponents(
             X, self._center, self._support, self._whitener, exclude
         )
-        for rows, aug, expo in tiles:
-            count = rows.stop - rows.start
-            if rows.start != block:
-                block = rows.start
-                shift_free = self._shift_free(
-                    aug[:count],
-                    expo[:count],
-                    None if exclude is None else exclude[rows],
-                )
-                if shift_free:
-                    sums = np.empty(len(expo))
-                else:
-                    peak[rows] = -np.inf
-            if shift_free:
-                # Row sums of the whole padded tile by one GEMV.
-                np.exp(expo, out=expo)
-                np.matmul(expo, ones[: expo.shape[1]], out=sums)
-                total[rows] += sums[:count]
-                continue
-            expo = expo[:count]
-            raised = np.maximum(peak[rows], expo.max(axis=1))
-            total[rows] *= np.exp(peak[rows] - raised)
-            peak[rows] = raised
-            np.subtract(expo, raised[:, None], out=expo)
-            total[rows] += np.exp(expo, out=expo).sum(axis=1)
+        with np.errstate(over="ignore"):  # an overflowed row is summed again
+            for rows, aug, tiles in blocks:
+                count = rows.stop - rows.start
+                sums = np.empty(len(aug))
+                for expo in tiles():
+                    # Row sums of the whole padded tile by one GEMV.
+                    np.exp(expo, out=expo)
+                    np.matmul(expo, ones[: expo.shape[1]], out=sums)
+                    total[rows] += sums[:count]
+                plain = total[rows]
+                again = ~((plain >= floor) & (plain < np.inf))  # NaN too
+                if again.any():
+                    plain[again], peak[rows][again] = _shifted_sums(tiles(), again)
         # Made after the tiles' buffers are freed, so it adds nothing to the peak.
         log_count = np.full(n, np.log(self.count_))
         if exclude is not None and self.count_ > 1:  # else none is left out
             log_count[exclude >= 0] = np.log(self.count_ - 1)
         return self.log_norm_ + (peak + np.log(total)) - log_count
-
-    def _shift_free(self, aug, expo, exclude) -> bool:
-        """Whether the row block ``aug``, whose first tile is ``expo``, may
-        skip the max shift (see the module docstring); the probe leaves out
-        each row's ``exclude`` column, as the tiles do."""
-        w_sq_max = -2.0 * aug[:, -2].min()
-        if _rounding_slack(self.dim_) * (w_sq_max + self._support_sq_max) >= 1.0:
-            return False
-        stride = -(-self.count_ // _PROBE_COLUMNS)
-        if expo.shape[1] == self._support.shape[1]:
-            probed = expo[:, : self.count_ : stride]
-        else:
-            # BLAS needs unit-stride columns: copy the (d+2) x ~64 probe operand.
-            probed = aug @ np.ascontiguousarray(
-                self._support[:, : self.count_ : stride]
-            )
-            if exclude is not None:
-                hit = np.flatnonzero((exclude >= 0) & (exclude % stride == 0))
-                probed[hit, exclude[hit] // stride] = -np.inf
-        return probed.max(axis=1).min() >= _SHIFT_FREE_FLOOR
 
 
 def fit_kde(dataset, spec: BandwidthSpec | None = None) -> GaussianKde:
@@ -348,7 +315,7 @@ def nearest_sq_dists(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
     m, d = support.shape
     center = support.mean(axis=0)
     centered = support - center
-    slack = _rounding_slack(d)
+    slack = 4 * (d + 2) * np.finfo(np.float64).eps  # per unit of |w|^2 + |s|^2
     support_sq_max = np.einsum("ij,ij->i", centered, centered).max()
     out = np.full(queries.shape[0], np.inf)
     # One tile spans the support. Per row beyond the engine's two buffers:
@@ -359,8 +326,9 @@ def nearest_sq_dists(queries: np.ndarray, support: np.ndarray) -> np.ndarray:
     chunks = _kernel_exponents(
         queries, center, support_aug, rows=step, cols=support_aug.shape[1]
     )
-    for rows, aug, expo in chunks:
+    for rows, aug, tiles in chunks:
         count = rows.stop - rows.start
+        (expo,) = tiles()
         aug, expo = aug[:count], expo[:count]
         w_sq = -2.0 * aug[:, -2]
         cut = expo.max(axis=1) - slack * (w_sq + support_sq_max)
@@ -404,27 +372,25 @@ def _augmented_support(s: np.ndarray) -> np.ndarray:
     return aug
 
 
-def _rounding_slack(dim: int) -> float:
-    """GEMM rounding bound of a kernel exponent per unit of ``|w|^2 + |s|^2``."""
-    return 4 * (dim + 2) * np.finfo(np.float64).eps
-
-
 def _kernel_exponents(
     queries, center, support, whitener=None, exclude=None, *, rows=None, cols=None
 ):
-    """Yield ``(rows, aug, expo)`` for each tile of kernel exponents: row
-    blocks in order and, within one, column tiles in ascending order.
+    """Yield ``(rows, aug, tiles)`` for each row block, in order, where
+    ``tiles()`` yields the block's tiles of kernel exponents in ascending
+    column order; until the next block, it may be called again to form
+    them anew, bit for bit.
 
     ``support`` is an operand of :func:`_augmented_support`. ``aug`` holds
     the block's rows ``[w, -|w|^2/2, 1]``, where ``w`` is ``queries[rows] -
-    center``, times ``whitener`` if one is given, and ``expo[i, j] = -|w_i
-    - s_j|^2 / 2`` for the tile's support columns comes from one GEMM of
-    ``aug`` against those columns of ``support``. Where ``exclude[i] >= 0``,
-    that column is ``-inf`` in the tile that holds it. Float32 query rows
-    are widened as they are centred, straight into float64 buffers, so no
-    temporary the size of ``queries`` is formed. ``aug`` and ``expo`` are
-    views of two buffers that the next block or tile overwrites; the caller
-    may use them as scratch until then.
+    center``, times ``whitener`` if one is given, and each tile ``expo``,
+    ``expo[i, j] = -|w_i - s_j|^2 / 2`` for its support columns, comes from
+    one GEMM of ``aug`` against those columns of ``support``. Where
+    ``exclude[i] >= 0``, that column is ``-inf`` in the tile that holds it.
+    Float32 query rows are widened as they are centred, straight into
+    float64 buffers, so no temporary the size of ``queries`` is formed.
+    ``aug`` and ``expo`` are views of two buffers: the next block overwrites
+    ``aug``, and the next tile ``expo``, which the caller may use as scratch
+    until then.
 
     Tiles are ``cols`` support columns wide (default ``_TILE_COLS``).
     Blocks hold ``rows`` query rows (default: the largest multiple of
@@ -444,6 +410,17 @@ def _kernel_exponents(
     rows = max(1, min(rows, _round_up(n)))
     aug_buf = np.ones((rows, k))
     tile_buf = np.empty(rows * width)
+
+    def tiles(aug, hit, hit_col):
+        for c0 in range(0, m, cols):
+            c1 = min(c0 + cols, m)
+            expo = tile_buf[: len(aug) * (c1 - c0)].reshape(len(aug), c1 - c0)
+            np.matmul(aug, support[:, c0:c1], out=expo)
+            if hit is not None:
+                inside = (hit_col >= c0) & (hit_col < c1)
+                expo[hit[inside], hit_col[inside] - c0] = -np.inf
+            yield expo
+
     for start in range(0, n, rows):
         block = slice(start, min(start + rows, n))
         count = block.stop - start
@@ -455,17 +432,27 @@ def _kernel_exponents(
         if whitener is not None:
             np.matmul(centred, whitener, out=w)
         aug[:, d] = -0.5 * np.einsum("ij,ij->i", w, w)
+        hit = hit_col = None
         if exclude is not None:
             hit = np.flatnonzero(exclude[block] >= 0)
             hit_col = exclude[block][hit]
-        for c0 in range(0, m, cols):
-            c1 = min(c0 + cols, m)
-            expo = tile_buf[: len(aug) * (c1 - c0)].reshape(len(aug), c1 - c0)
-            np.matmul(aug, support[:, c0:c1], out=expo)
-            if exclude is not None:
-                inside = (hit_col >= c0) & (hit_col < c1)
-                expo[hit[inside], hit_col[inside] - c0] = -np.inf
-            yield block, aug, expo
+        yield block, aug, partial(tiles, aug, hit, hit_col)
+
+
+def _shifted_sums(tiles, again):
+    """The sums of ``exp(expo - peak)`` over a block's ``tiles``, with
+    ``peak`` each row's running maximum, and the peaks, of the rows where
+    ``again`` is set. Every row of the block is reduced, each on its own."""
+    count = len(again)
+    total, peak = np.zeros(count), np.full(count, -np.inf)
+    for expo in tiles:
+        expo = expo[:count]
+        raised = np.maximum(peak, expo.max(axis=1))
+        total *= np.exp(peak - raised)
+        peak = raised
+        np.subtract(expo, peak[:, None], out=expo)
+        total += np.exp(expo, out=expo).sum(axis=1)
+    return total[again], peak[again]
 
 
 def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:

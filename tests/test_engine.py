@@ -160,15 +160,12 @@ def shifted_reference(kde, queries, exclude=None):
     ``_logsumexp`` over its block's tiles from ``_kernel_exponents``, joined
     in column order."""
     queries = np.asarray(queries, dtype=np.float64)
-    blocks = {}
-    for rows, _, expo in kde_module._kernel_exponents(
+    out = np.empty(len(queries))
+    for rows, _, tiles in kde_module._kernel_exponents(
         queries, kde._center, kde._support, kde._whitener, exclude
     ):
-        real = expo[: rows.stop - rows.start]  # the rest is padding
-        blocks.setdefault(rows.start, (rows, []))[1].append(real.copy())
-    out = np.empty(len(queries))
-    for rows, tiles in blocks.values():
-        out[rows] = kde_module._logsumexp(np.hstack(tiles), axis=1)
+        real = [expo[: rows.stop - rows.start].copy() for expo in tiles()]
+        out[rows] = kde_module._logsumexp(np.hstack(real), axis=1)
     return kde.log_norm_ + out - _log_count(kde, len(queries), exclude)
 
 
@@ -201,8 +198,8 @@ def shift_problem(draw):
 
 
 class TestShiftFree:
-    """Row blocks summed without the log-sum-exp max shift, and the blocks
-    that fall back to it."""
+    """Rows summed without the log-sum-exp max shift, and the rows that are
+    summed again with it."""
 
     @PROPERTY
     @given(shift_problem())
@@ -212,6 +209,23 @@ class TestShiftFree:
             got = kde.score_samples(queries, exclude=ex)
             want = shifted_reference(kde, queries, ex)
             assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1))
+
+    @PROPERTY
+    @given(shift_problem(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_far_rows_leave_their_block_alone(self, problem, far, seed):
+        # Which sum a row takes depends on that row alone: rows moved 1e3
+        # out, and so summed again, leave the other rows of their block as
+        # they were, bit for bit.
+        kde, queries, exclude = problem
+        rng = np.random.default_rng(seed)
+        moved = queries.copy()
+        rows = rng.choice(len(queries), min(far, len(queries) - 1), replace=False)
+        moved[rows] += 1e3 * rng.standard_normal(queries.shape[1])
+        kept = np.setdiff1d(np.arange(len(queries)), rows)
+        for ex in (None, exclude):
+            got = kde.score_samples(moved, exclude=ex)
+            want = kde.score_samples(queries, exclude=ex)
+            assert np.array_equal(got[kept], want[kept])
 
     @staticmethod
     def _assert_fallback_exact(kde, queries, exclude=None):
@@ -230,29 +244,35 @@ class TestShiftFree:
         kde = fit_kde(rng.standard_normal((200, 4)))
         queries = rng.standard_normal((60, 4))
         self._assert_fallback_exact(kde, queries + 1e3)
-        queries[17] += 1e3
+        moved = queries.copy()
+        moved[17] += 1e3
+        near = np.arange(len(queries)) != 17
         exclude = rng.integers(-1, kde.count_, len(queries))
         for ex in (None, exclude):
-            self._assert_fallback_exact(kde, queries, ex)
+            got = kde.score_samples(moved, exclude=ex)
+            want = shifted_reference(kde, moved, ex)
+            assert np.isfinite(got).all() and got[17] == want[17]
+            alone = kde.score_samples(queries, exclude=ex)
+            assert np.array_equal(got[near], alone[near])
 
     def test_rounding_guard_at_tiny_bandwidth(self):
         # At scale_c 1e-9 the exponents of a query on a support row cancel
         # terms of about 1e19, so they come out thousands off zero. Keep the
-        # rows whose largest exponent is >= -600: every support column is
-        # probed (40 <= 64), so only the rounding guard stops the shift-free
-        # sum, which would overflow on rows whose exponent exceeds 709.
+        # rows whose largest exponent is >= -600: those above 709 overflow
+        # their plain sum, so they must be summed again with the shift.
         support = np.random.default_rng(33).standard_normal((40, 8))
         kde = fit_kde(support, BandwidthSpec(1e-9))
 
         def row_max(queries):
-            (rows, _, expo), = kde_module._kernel_exponents(
+            (rows, _, tiles), = kde_module._kernel_exponents(
                 queries, kde._center, kde._support, kde._whitener
             )
+            (expo,) = tiles()
             return expo[: rows.stop].max(axis=1)
 
-        queries = support[row_max(support) >= kde_module._SHIFT_FREE_FLOOR]
+        queries = support[row_max(support) >= -600]
         peaks = row_max(queries)
-        assert peaks.min() >= kde_module._SHIFT_FREE_FLOOR and peaks.max() > 710
+        assert peaks.min() >= -600 and peaks.max() > 710
         self._assert_fallback_exact(kde, queries)
 
     def test_which_chunks_shift(self, monkeypatch):
@@ -261,16 +281,16 @@ class TestShiftFree:
         target_kde = fit_kde(rng.standard_normal((500, 32)))
         batch_kdes = fit_prior_batched(prior, PriorBatchSpec(4096, 8, rng_seed=34))
         queries = prior[:1200]
-        decisions = []
-        check = GaussianKde._shift_free
+        again = []
+        resum = kde_module._shifted_sums
 
-        def counted(self, aug, expo, exclude):
-            decisions.append(check(self, aug, expo, exclude))
-            return decisions[-1]
+        def counted(tiles, mask):
+            again.append(int(mask.sum()))
+            return resum(tiles, mask)
 
-        monkeypatch.setattr(GaussianKde, "_shift_free", counted)
+        monkeypatch.setattr(kde_module, "_shifted_sums", counted)
         # An iwr job's calls at criterion-12 shapes, plain and leaving self
-        # out: every support spans several tiles, and no row block shifts.
+        # out: every support spans several tiles, and no row is summed again.
         target_kde.score_samples(queries)
         for kde in batch_kdes:
             ids = kde.support_row_ids_
@@ -279,20 +299,19 @@ class TestShiftFree:
             exclude[ids[inside]] = inside
             kde.score_samples(queries)
             kde.score_samples(queries, exclude=exclude)
-        assert len(decisions) > 17 and all(decisions)
-        decisions.clear()
+        assert sum(again) == 0
         wide = fit_kde(rng.standard_normal((50, 768)))
         wide.score_samples(rng.standard_normal((3000, 768)))
-        assert len(decisions) > 1 and not any(decisions)
+        assert len(again) > 1 and sum(again) == 3000
 
     def test_probe_leaves_excluded_column_out(self):
         # Kernels 1 apart with variance 1e-4: a support row's exponents are
         # 0 at itself and at most -5000 elsewhere. Leaving itself out, a row
-        # at a probe column must fall back: a shift-free sum would be 0.
+        # must be summed again: its plain sum would be 0.
         support = np.arange(600.0)[:, None]
         kde = GaussianKde.from_parameters(support, 1.0, [[1e-4]])
         assert kde._support.shape[1] > kde_module._TILE_COLS
-        exclude = np.arange(0, 600, -(-600 // kde_module._PROBE_COLUMNS))
+        exclude = np.arange(0, 600, -(-600 // 64))
         got = kde.score_samples(support[exclude], exclude=exclude)
         assert np.isfinite(got).all()
         want = full_width_oracle(kde, support[exclude], exclude)
@@ -302,8 +321,8 @@ class TestShiftFree:
 @st.composite
 def tiled_problem(draw):
     """Supports of one to four tiles, queries some of which sit far enough
-    out to make their row block fall back, and exclusions on the first and
-    last column of a tile and on a lone real column of the last tile."""
+    out to be summed again with the max shift, and exclusions on the first
+    and last column of a tile and on a lone real column of the last tile."""
     cols = kde_module._TILE_COLS
     d = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -344,7 +363,7 @@ class TestTiles:
 @st.composite
 def remainder_problem(draw):
     """A support of one tile or several, and 17 queries, some of which may
-    sit far enough out to make the block fall back to the max shift."""
+    sit far enough out to be summed again with the max shift."""
     d = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     support = rng.standard_normal((draw(st.sampled_from([2, 9, 120, 300, 700])), d))
@@ -375,9 +394,9 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("d,m", [(2, 4096), (8, 600)])
     def test_a_row_alone_has_its_block_bits(self, d, m):
-        # Every block is shift-free, so a row scored alone, in a block of
-        # one row and seven zero queries, is whitened and reduced as in a
-        # full block. Not at every d: at d=32 OpenBLAS's AVX-512 kernels
+        # No row is summed again, so a row scored alone, in a block of one
+        # row and seven zero queries, is whitened and reduced as in a full
+        # block. Not at every d: at d=32 OpenBLAS's AVX-512 kernels
         # whiten an 8-row block with another kernel than a 300-row one.
         rng = np.random.default_rng(37)
         kde = fit_kde(rng.standard_normal((m, d)))
@@ -393,15 +412,16 @@ class TestRowBlocks:
         n, group = 1027, kde_module._SUPPORT_BLOCK
         queries = rng.standard_normal((n, d))
         blocks = {}
-        for rows, aug, expo in kde_module._kernel_exponents(
+        for rows, aug, tiles in kde_module._kernel_exponents(
             queries, kde._center, kde._support, kde._whitener
         ):
             count = rows.stop - rows.start
-            assert len(aug) == len(expo) and len(aug) % group == 0
-            assert count <= len(aug) < count + group
+            assert len(aug) % group == 0 and count <= len(aug) < count + group
             assert np.all(aug[count:, : d + 1] == 0) and np.all(aug[count:, -1] == 1)
-            for buf in (aug.base, expo.base):
-                assert buf.size <= kde_module._TILE_ELEMS
+            for expo in tiles():
+                assert len(expo) == len(aug)
+                for buf in (aug.base, expo.base):
+                    assert buf.size <= kde_module._TILE_ELEMS
             blocks[rows.start] = count
         starts, counts = list(blocks), list(blocks.values())
         assert starts == sorted(starts) and sum(counts) == n

@@ -457,9 +457,14 @@ class TestImportanceWeight:
         engine = kde_module._kernel_exponents
 
         def counted(queries, *args, **kwargs):
-            for rows, w, expo in engine(queries, *args, **kwargs):
-                evals.append((rows.stop - rows.start) * expo.shape[1])
-                yield rows, w, expo
+            for rows, aug, tiles in engine(queries, *args, **kwargs):
+
+                def counted_tiles(tiles=tiles, count=rows.stop - rows.start):
+                    for expo in tiles():
+                        evals.append(count * expo.shape[1])
+                        yield expo
+
+                yield rows, aug, counted_tiles
 
         monkeypatch.setattr(kde_module, "_kernel_exponents", counted)
         once = 120 * sum(k._support.shape[1] for k in [tk, *pk])  # padded
