@@ -94,10 +94,15 @@ def read_only(arr: np.ndarray, given) -> np.ndarray:
 
 
 def check_positive(value, name: str) -> float:
-    value = float(value)
-    if not np.isfinite(value) or value <= 0.0:
-        raise ValidationError(f"{name} must be positive, got {value}", code="bad_param")
-    return value
+    try:
+        number = float(value)
+        valid = number == value and np.isfinite(number) and number > 0.0
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ValidationError(f"{name} must be a positive number, got {value!r}",
+                              code="bad_param")
+    return number
 
 
 def check_count(value, name: str, minimum: int = 1) -> int:

@@ -171,8 +171,8 @@ def emit_report(
         "tasks": tasks_section,
         "timesteps": {
             "bin_count": histogram.bin_count,
-            "counts": [int(c) for c in histogram.counts],
-            "normalized": [float(f) for f in histogram.normalized],
+            "counts": histogram.counts.tolist(),
+            "normalized": histogram.normalized.tolist(),
         },
         "task_timesteps": task_bins,
         "evaluation": evaluation,

@@ -628,30 +628,22 @@ def load_metadata(path) -> MetadataTable:
 
 
 def _csv_label(label: str) -> bytes:
-    """A label as one CSV field, quoted by ``csv`` where needed and always
-    when it holds a line break (``csv`` leaves a lone "\\r" bare)."""
-    if not label:
-        return b""
-    quoting = csv.QUOTE_ALL if "\r" in label or "\n" in label else csv.QUOTE_MINIMAL
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n", quoting=quoting).writerow([label])
-    return out.getvalue()[:-1].encode()
+    """A label as one CSV field: double-quoted, each ``"`` doubled, if and
+    only if it holds ``,``, ``"``, CR or LF; an empty label stays empty."""
+    if any(c in label for c in ',"\r\n'):
+        return b'"' + label.replace('"', '""').encode() + b'"'
+    return label.encode()
 
 
 def save_metadata(table: MetadataTable, path) -> None:
-    """Write a :class:`MetadataTable` as the metadata sidecar CSV. Integers
-    are formatted in bulk, ``_WRITE_ROWS`` rows per write, and each distinct
-    label is quoted once."""
-    # Each label's field and line end; code -1 (unlabeled) picks the last.
-    ends = np.array([_csv_label(label) + b"\n" for label in table.task_labels] + [b"\n"])
+    """Write a :class:`MetadataTable` as the metadata sidecar CSV,
+    ``_WRITE_ROWS`` rows per write; each distinct label is quoted once."""
+    # Each label's field; code -1 (unlabeled) picks the last, empty one.
+    labels = [_csv_label(label) for label in table.task_labels] + [b""]
     with open(path, "wb") as fh:
         fh.write(",".join(METADATA_FIELDS).encode() + b"\n")
         for lo in range(0, len(table), _WRITE_ROWS):
             rows = slice(lo, lo + _WRITE_ROWS)
-            line = ends[table.task_code[rows]]
-            for name in reversed(_INT_COLUMNS):
-                field = getattr(table, name)[rows].astype("S")
-                line = np.char.add(np.char.add(field, b","), line)
-            width = line.dtype.itemsize
-            keep = np.arange(width) < np.char.str_len(line)[:, None]
-            fh.write(line.view(np.uint8).reshape(-1, width)[keep].tobytes())
+            columns = [getattr(table, name)[rows].tolist() for name in _INT_COLUMNS]
+            columns.append([labels[code] for code in table.task_code[rows].tolist()])
+            fh.write(b"".join(b"%d,%d,%d,%s\n" % row for row in zip(*columns)))

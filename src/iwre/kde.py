@@ -213,15 +213,6 @@ class GaussianKde(ParamsMixin):
 
     # -- queries -----------------------------------------------------------
 
-    def _check_queries(self, X) -> np.ndarray:
-        X = check_matrix(X, "queries", keep_float32=True)
-        if X.shape[1] != self.dim_:
-            raise ValidationError(
-                f"query dim {X.shape[1]} does not match model dim {self.dim_}",
-                code="dim_mismatch",
-            )
-        return X
-
     def score_samples(self, X, *, exclude=None) -> np.ndarray:
         """Log-density of the kernel mixture at each query row.
 
@@ -235,7 +226,17 @@ class GaussianKde(ParamsMixin):
         summed again, shifted by a running maximum over its tiles, so its
         largest exponent always survives.
         """
-        X = self._check_queries(X)
+        X = check_matrix(X, "queries", keep_float32=True)
+        if X.shape[1] != self.dim_:
+            raise ValidationError(
+                f"query dim {X.shape[1]} does not match model dim {self.dim_}",
+                code="dim_mismatch",
+            )
+        return self._log_density(X, exclude)
+
+    def _log_density(self, X, exclude=None) -> np.ndarray:
+        """:meth:`score_samples` of queries it has checked, or that are rows
+        of an :class:`~iwre.dataset.EmbeddingDataset` of the model's dim."""
         n = X.shape[0]
         if exclude is not None:
             exclude = np.asarray(exclude)

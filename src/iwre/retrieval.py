@@ -247,12 +247,10 @@ def save_manifest(manifest: RetrievalManifest, path) -> None:
         "config_fingerprint": manifest.config_fingerprint,
         "prior_source_id": manifest.prior_source_id,
         "target_source_id": manifest.target_source_id,
-        "selected_indices": [int(i) for i in manifest.selected_indices],
-        "scores_at_selection": [float(s) for s in manifest.scores_at_selection],
+        "selected_indices": manifest.selected_indices.tolist(),
+        "scores_at_selection": manifest.scores_at_selection.tolist(),
         "multiplicities": (
-            None
-            if manifest.multiplicities is None
-            else [int(m) for m in manifest.multiplicities]
+            None if manifest.multiplicities is None else manifest.multiplicities.tolist()
         ),
     }
     write_json(path, payload)

@@ -217,6 +217,9 @@ def _log_mean_density(kdes, prior, *, leave_self_out=False, threads=1) -> np.nda
         q = prior.data[sl]
         log_p = np.empty((len(kdes), q.shape[0]))
         for k, kde in enumerate(kdes):
+            if k and kde is kdes[k - 1]:  # a repeated batch: scored once
+                log_p[k] = log_p[k - 1]
+                continue
             exclude = None
             if leave_self_out:
                 # Each support member leaves out its own kernel, in the same pass.
@@ -224,7 +227,7 @@ def _log_mean_density(kdes, prior, *, leave_self_out=False, threads=1) -> np.nda
                 lo, hi = np.searchsorted(ids, [sl.start, sl.stop])
                 exclude = np.full(q.shape[0], -1)
                 exclude[ids[lo:hi] - sl.start] = np.arange(lo, hi)
-            log_p[k] = kde.score_samples(q, exclude=exclude)
+            log_p[k] = kde._log_density(q, exclude)  # the dataset checked q
         return log_mean_exp(log_p, axis=0)
 
     return _map_row_chunks(prior, job, threads)
@@ -305,7 +308,9 @@ def fit_prior_batched(
     Batch index sets are drawn with a seeded generator and sorted ascending,
     so a batch covering the whole prior reproduces the plain full-prior fit
     exactly. Each fitted model carries its global row indices in
-    ``support_row_ids_`` for optional leave-self-out scoring.
+    ``support_row_ids_`` for optional leave-self-out scoring. A batch drawn
+    again right after itself, as every batch is when it spans the prior, is
+    the same fitted object, which scoring then scores once.
     """
     prior = _as_dataset(prior)
     bandwidth = bandwidth or BandwidthSpec()
@@ -318,6 +323,9 @@ def fit_prior_batched(
     kdes = []
     for _ in range(spec.num_batches):
         idx = np.sort(rng.choice(prior.rows, size=spec.batch_size, replace=False))
+        if kdes and np.array_equal(idx, kdes[-1].support_row_ids_):
+            kdes.append(kdes[-1])  # the same batch (every one, when it is the prior)
+            continue
         batch = gather_rows(prior.data, idx)
         kde = GaussianKde(scale_c=bandwidth.scale_c).fit(batch)
         kde.support_row_ids_ = idx

@@ -10,6 +10,7 @@ import re
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -367,13 +368,13 @@ def outcome(load, path):
 
 
 @st.composite
-def metadata_records(draw):
+def metadata_records(draw, labels=LABELS):
     records = []
     for _ in range(draw(st.integers(1, 25))):
         length = draw(st.integers(1, 10**6))
         records.append((
             draw(st.integers(-10**12, 10**12)), draw(st.integers(0, length - 1)),
-            length, draw(st.none() | LABELS),
+            length, draw(st.none() | labels),
         ))
     return records
 
@@ -391,6 +392,26 @@ class TestColumnarMetadata:
             expected = [(*r[:3], r[3] or None) for r in records]
             assert load_metadata(path) == metadata_table(expected)
             assert reference_load_metadata(path) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=metadata_records(labels=st.text(
+        alphabet=st.sampled_from(list(',"\r\n \taZé任')), max_size=8)))
+    def test_bytes_match_csv_writer(self, records):
+        # save_metadata's one quoting rule is csv's QUOTE_MINIMAL with CR
+        # forcing quotes too. A "\r\n" line terminator makes csv quote CR on
+        # every Python release (3.13 alone does so under "\n"); the
+        # sidecar's lines end in "\n". Blocks of 4 rows cross write edges.
+        lines = [HEADER_LINE + "\n"]
+        for *ints, label in records:
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\r\n").writerow([*ints, label or ""])
+            lines.append(out.getvalue()[:-2] + "\n")
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            dataset, "_WRITE_ROWS", 4
+        ):
+            path = Path(tmp) / "m.csv"
+            save_metadata(metadata_table(records), path)
+            assert path.read_bytes() == "".join(lines).encode()
 
     @settings(max_examples=200, deadline=None)
     @given(

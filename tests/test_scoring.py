@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import brute_force_min_sq_dists, naive_log_density, ranking
-from iwre import _blas
+from iwre import _blas, _validation
 from iwre import kde as kde_module
 from iwre import scoring as scoring_module
 from iwre.dataset import (
@@ -545,6 +545,58 @@ class TestOneRowJob:
             assert np.array_equal(kde, target_term)
             del prior  # the mapped file closes before its directory goes
 
+    @pytest.mark.parametrize("leave_self_out", [False, True])
+    def test_whole_prior_batches_fit_and_score_once(self, monkeypatch, leave_self_out):
+        # With N <= batch_size every batch is the whole prior: it is fitted
+        # once and scored once per job, and the prior term keeps the bits of
+        # eight separately fitted, separately scored copies.
+        rng = np.random.default_rng(21)
+        prior = EmbeddingDataset(rng.standard_normal((100, 3)))
+        copies = [fit_prior_batched(prior, PriorBatchSpec(100, 1, rng_seed=s))[0]
+                  for s in range(8)]
+        fits, scored = [], []
+        fit, log_density = GaussianKde.fit, GaussianKde._log_density
+
+        def fit_spy(self, *args):
+            fits.append(self)
+            return fit(self, *args)
+
+        def log_density_spy(self, X, *args):
+            scored.append(self)
+            return log_density(self, X, *args)
+
+        monkeypatch.setattr(GaussianKde, "fit", fit_spy)
+        monkeypatch.setattr(GaussianKde, "_log_density", log_density_spy)
+        monkeypatch.setattr(scoring_module, "_OUTER_CHUNK_ROWS", 32)  # 4 jobs
+        kdes = fit_prior_batched(prior, PriorBatchSpec(100, 8, rng_seed=4))
+        assert len(kdes) == 8 and fits == kdes[:1]
+        assert all(kde is kdes[0] for kde in kdes)
+        job = scoring_module._log_mean_density
+        got = job(kdes, prior, leave_self_out=leave_self_out)
+        assert scored == kdes[:1] * 4
+        assert np.array_equal(got, job(copies, prior, leave_self_out=leave_self_out))
+
+    def test_job_scans_its_rows_at_most_once(self, monkeypatch):
+        # A dataset's rows were checked when it was made; an iwr job scans
+        # them for NaN and Inf at most once more, not once per KDE.
+        rng = np.random.default_rng(22)
+        prior = EmbeddingDataset(rng.standard_normal((200, 3)))
+        tk = fit_kde(rng.standard_normal((30, 3)))
+        pk = fit_prior_batched(prior, PriorBatchSpec(50, 4, rng_seed=1))
+        base, row_bytes = prior.data.ctypes.data, prior.data.strides[0]
+        scans = []
+        scan = _validation.first_non_finite_row
+
+        def scan_spy(arr):
+            if np.shares_memory(arr, prior.data):
+                scans.append((arr.ctypes.data - base) // row_bytes)
+            return scan(arr)
+
+        monkeypatch.setattr(_validation, "first_non_finite_row", scan_spy)
+        monkeypatch.setattr(scoring_module, "_OUTER_CHUNK_ROWS", 64)  # 4 jobs
+        score_importance_weight(tk, pk, prior, threads=1)
+        assert all(scans.count(start) <= 1 for start in scans), scans
+
 
 class TestFingerprints:
     def build(self, **overrides):
@@ -647,6 +699,20 @@ class TestFingerprints:
             ScoringConfig(ScoreMethod.IWR, batch_size=2.5)
         assert exc.value.code == "bad_param"
 
+    @pytest.mark.parametrize("call", [
+        lambda: BandwidthSpec("x"),
+        lambda: BandwidthSpec(None),
+        lambda: BandwidthSpec("4"),
+        lambda: GaussianKde(scale_c=None).fit(np.eye(3)),
+        lambda: score_lse(np.eye(3), np.eye(3), "x"),
+    ], ids=["spec-str", "spec-none", "spec-digits", "kde-none", "lse-str"])
+    def test_non_number_is_bad_param(self, call):
+        # As for a count: a value float() refuses, or would change, is no
+        # positive number.
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert exc.value.code == "bad_param"
+
     @pytest.mark.parametrize("field,value", [
         ("scale_c", -1.0), ("scale_c", 0.0), ("scale_c", float("inf")),
         ("batch_size", 1), ("num_batches", 0), ("seed", -1),
@@ -745,7 +811,8 @@ class TestBlasPin:
 
         monkeypatch.setattr(GaussianKde, "fit", spy)
         ScoringConfig(ScoreMethod.IWR, seed=0).score(*self.data(3000))
-        assert seen == [[1] * len(two_blas_threads)] * 9  # target + 8 batches
+        # The target, and one batch: each of the 8 is the whole 3,000-row prior.
+        assert seen == [[1] * len(two_blas_threads)] * 2
         assert _blas.thread_counts() == two_blas_threads  # restored on return
 
     def test_restored_after_job_raises(self, two_blas_threads, monkeypatch):
