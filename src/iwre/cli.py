@@ -206,12 +206,12 @@ def _float_list(text: Optional[str], flag: str) -> list[float]:
 
 
 def _score_and_save(cfg, scoring, target, prior, name) -> ScoreVector:
-    """Score and write the scores to ``--out/name`` with the resolved config
-    as sidecar params, unless an input file changed while it was read."""
+    """Score and write the scores to ``--out/name``, unless an input file
+    changed while it was read."""
     scores = scoring.score(target, prior, cfg.threads)
     target.check_unchanged()
     prior.check_unchanged()
-    save_scores(scores, cfg.output(name), scoring.sidecar_params(target, prior))
+    save_scores(scores, cfg.output(name))
     return scores
 
 
@@ -234,7 +234,7 @@ def cmd_retrieve(cfg: RunConfig) -> int:
     if cfg.meta:
         cfg.require_paths("meta")
     select = cfg.selection_rule()
-    scores, sidecar = load_scores(cfg.scores)
+    scores = load_scores(cfg.scores)
     target = _load_dataset(cfg.target)
     prior = _load_dataset(cfg.prior)
     if len(scores) != prior.rows:
@@ -242,15 +242,8 @@ def cmd_retrieve(cfg: RunConfig) -> int:
             f"score file has {len(scores)} rows but prior has {prior.rows}",
             code="row_count_mismatch",
         )
-    scoring = cfg.scoring(ScoringConfig.from_sidecar(sidecar, cfg.scores))
-    fingerprint = scoring.fingerprint(target, prior)
-    if fingerprint != scores.config_fingerprint:
-        raise ValidationError(
-            "stale scores: configuration fingerprint "
-            f"{fingerprint} does not match score file fingerprint "
-            f"{scores.config_fingerprint}",
-            code="fingerprint_mismatch",
-        )
+    scoring = cfg.scoring(ScoringConfig.from_sidecar(scores, cfg.scores))
+    scoring.check_fresh(scores, target, prior)
     manifest = select(scores)
     weights = cotrain_weights(target.rows, manifest.size, cfg.alpha)
     meta = None
@@ -285,6 +278,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
         scales = _float_list(cfg.bandwidth_scales, "--bandwidth-scales")
     # Scales are checked here, fractions once the prior's rows are known: fail fast.
     scorings = [replace(base, scale_c=scale) for scale in scales]
+    for flag, values in (("--bandwidth-scales", scales), ("--fractions", fractions)):
+        names = [f"{value:g}" for value in values]
+        twice = sorted({name for name in names if names.count(name) > 1})
+        if twice:
+            raise ValidationError(
+                f"{flag} lists {', '.join(twice)} more than once, as output "
+                "file names write them", code="bad_param",
+            )
     target = _load_dataset(cfg.target)
     prior = _load_dataset(cfg.prior)
     for frac in fractions:

@@ -256,36 +256,68 @@ def save_manifest(manifest: RetrievalManifest, path) -> None:
     write_json(path, payload)
 
 
+def _json_numbers(payload: dict, name: str, path, dtype) -> np.ndarray:
+    """``payload[name]``, a JSON list of integers that fit int64 (``dtype``
+    int64) or of finite numbers (float64), as a fresh read-only array; a
+    bool is neither. Anything else is refused with ``bad_manifest``."""
+    values, kinds = payload[name], (int,) if dtype is np.int64 else (int, float)
+    arr = None
+    if isinstance(values, list) and all(type(v) in kinds for v in values):
+        try:
+            arr = np.array(values, dtype)
+        except OverflowError:  # an integer beyond int64, or beyond float64
+            pass
+    if arr is None or not np.isfinite(arr).all():
+        kind = "integers that fit int64" if dtype is np.int64 else "finite numbers"
+        raise ValidationError(f"{path}: {name} must be a list of {kind}",
+                              code="bad_manifest")
+    return read_only(arr, None)
+
+
+def _known(value, enum) -> bool:
+    return isinstance(value, str) and value in {m.value for m in enum}
+
+
 def load_manifest(path) -> RetrievalManifest:
-    """Read a manifest back; one without a ``method`` key (older than the
-    key) is refused, while ``null`` reads as no method."""
-    payload = read_json_object(
-        path,
-        "bad_manifest",
-        ("selected_indices", "scores_at_selection", "rule", "rule_param",
-         "config_fingerprint"),
-    )
+    """Read a manifest back, or refuse it with ``bad_manifest``: indices and
+    multiplicities must be JSON integers, scores and the rule parameter
+    finite numbers, the rule known, the ids strings, and the whole a valid
+    :class:`RetrievalManifest`. One without a ``method`` key (older than
+    the key) is refused, while ``null`` reads as no method."""
+    payload = read_json_object(path, "bad_manifest", (
+        "selected_indices", "scores_at_selection", "rule", "rule_param",
+        "config_fingerprint"))
     method = payload.get("method", "")
-    if method is not None and method not in {m.value for m in ScoreMethod}:
+    if method is not None and not _known(method, ScoreMethod):
         raise ValidationError(
             f"{path} does not record a known scoring method; rerun `iwre retrieve`",
             code="bad_manifest",
         )
-    return RetrievalManifest(
-        read_only(np.array(payload["selected_indices"], dtype=np.int64), None),
-        read_only(np.array(payload["scores_at_selection"], dtype=np.float64), None),
-        SelectionRule(payload["rule"]),
-        float(payload["rule_param"]),
-        payload["config_fingerprint"],
-        prior_source_id=payload.get("prior_source_id", ""),
-        target_source_id=payload.get("target_source_id", ""),
-        multiplicities=(
-            None
-            if payload.get("multiplicities") is None
-            else read_only(np.array(payload["multiplicities"], np.int64), None)
-        ),
-        method=method,
-    )
+    ids = [payload.get(key, "") for key in
+           ("config_fingerprint", "prior_source_id", "target_source_id")]
+    param = payload["rule_param"]
+    if (not _known(payload["rule"], SelectionRule)
+            or type(param) not in (int, float)
+            or not abs(param) <= np.finfo(np.float64).max  # NaN too
+            or not all(isinstance(i, str) for i in ids)):
+        raise ValidationError(
+            f"{path}: the rule must be one of {[r.value for r in SelectionRule]}, "
+            "rule_param a finite number, and the fingerprint and source ids strings",
+            code="bad_manifest",
+        )
+    indices = _json_numbers(payload, "selected_indices", path, np.int64)
+    scores = _json_numbers(payload, "scores_at_selection", path, np.float64)
+    mult = payload.get("multiplicities")
+    if mult is not None:
+        mult = _json_numbers(payload, "multiplicities", path, np.int64)
+    try:
+        return RetrievalManifest(
+            indices, scores, payload["rule"], float(param), ids[0],
+            prior_source_id=ids[1], target_source_id=ids[2],
+            multiplicities=mult, method=method,
+        )
+    except ValidationError as exc:  # an empty, unsorted or misaligned selection
+        raise ValidationError(f"{path}: {exc}", code="bad_manifest") from exc
 
 
 def save_cotrain_weights(

@@ -25,9 +25,10 @@ lse, kde_target and both iwr terms are one row job: per prior row, the log
 of the mean density of a list of fitted KDEs.
 
 :class:`ScoringConfig` (a rule plus its parameters) is the one entry point:
-it fits what the rule needs, scores, and stamps a fingerprint of the config
-and source ids. The ``score_*`` functions take fitted models instead, so
-their results carry an empty fingerprint.
+it fits what the rule needs, scores, and gives the result its record (the
+resolved configuration and source ids, which a score file's sidecar holds)
+and the fingerprint of that record. The ``score_*`` functions take fitted
+models instead, so their results carry an empty record and fingerprint.
 
 Scoring is embarrassingly parallel across prior rows; worker threads only
 split the fixed row chunks, so results are identical for any thread count.
@@ -41,10 +42,11 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -99,7 +101,9 @@ class ScoreVector:
 
     ``values`` is read-only. An array passed in is copied unless it is
     already a read-only float64 vector, such as a result of the scoring
-    rules, which is then held as it is.
+    rules, which is then held as it is. ``params``, read-only, records how
+    :meth:`ScoringConfig.score` made them (:meth:`~ScoringConfig.sidecar_params`);
+    it is empty for the ``score_*`` functions' results.
     """
 
     values: np.ndarray
@@ -107,6 +111,7 @@ class ScoreVector:
     config_fingerprint: str
     prior_source_id: str = ""
     target_source_id: str = ""
+    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         values = read_only(check_vector(self.values, "scores"), self.values)
@@ -118,6 +123,7 @@ class ScoreVector:
             )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "method", method)
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     @property
     def log_space(self) -> bool:
@@ -375,6 +381,17 @@ _METHOD_FIELDS = {
 }
 
 
+def _record_fingerprint(params) -> str:
+    """The fingerprint of a record (:meth:`ScoringConfig.sidecar_params`):
+    a hash of the values its method reads and both source ids."""
+    method = ScoreMethod(params["method"])
+    return config_fingerprint(
+        fingerprint_scheme=FINGERPRINT_SCHEME, method=method.value,
+        **{name: params[name] for name in _METHOD_FIELDS[method]},
+        target=params["target_source_id"], prior=params["prior_source_id"],
+    )
+
+
 @dataclass(frozen=True)
 class ScoringConfig:
     """A scoring rule and its parameters; the one way to score and fingerprint.
@@ -386,9 +403,9 @@ class ScoringConfig:
     :class:`PriorBatchSpec`'s. ``scale_c`` is every method's one bandwidth
     knob: lse's temperature is the target's Scott bandwidth at it. The iwr
     ``batch_size`` may stay ``None``; it is then filled in from the prior.
-    Fields a method does not read are kept but ignored. A score file's
-    sidecar records the resolved configuration and lse's temperature
-    (:meth:`sidecar_params`, :meth:`from_sidecar`).
+    Fields a method does not read are kept but ignored. :meth:`score`
+    gives its result the resolved configuration and lse's temperature as
+    its record (:meth:`sidecar_params`), which :meth:`from_sidecar` reads.
     """
 
     method: ScoreMethod = ScoreMethod.IWR
@@ -413,7 +430,10 @@ class ScoringConfig:
         count, capped; iwr needs a seed) and ``temperature`` (lse's, else
         None), the fingerprint scheme and both source ids."""
         target, prior = _as_dataset(target), _as_dataset(prior)
-        params = {**asdict(self), "method": self.method.value, "temperature": None}
+        params = {**asdict(self), "method": self.method.value, "temperature": None,
+                  "fingerprint_scheme": FINGERPRINT_SCHEME,
+                  "target_source_id": target.source_id,
+                  "prior_source_id": prior.source_id}
         if self.method is ScoreMethod.LSE:
             params["temperature"] = _lse_temperature(self.scale_c, target)
         if self.method is ScoreMethod.IWR:
@@ -423,32 +443,16 @@ class ScoringConfig:
                     code="seed_required",
                 )
             params["batch_size"] = self.batch_size or min(4096, prior.rows)
-        return {
-            **params,
-            "fingerprint_scheme": FINGERPRINT_SCHEME,
-            "target_source_id": target.source_id,
-            "prior_source_id": prior.source_id,
-        }
+        return params
 
     def fingerprint(self, target, prior) -> str:
-        """Hash of the resolved values the method reads and both source ids.
-
-        Batch membership is fixed by the seed, so no model is fitted.
-        """
-        params = self.sidecar_params(target, prior)
-        return config_fingerprint(
-            fingerprint_scheme=FINGERPRINT_SCHEME,
-            method=params["method"],
-            **{name: params[name] for name in _METHOD_FIELDS[self.method]},
-            target=params["target_source_id"],
-            prior=params["prior_source_id"],
-        )
+        """Hash of the resolved values the method reads and both source ids;
+        batch membership is fixed by the seed, so no model is fitted."""
+        return _record_fingerprint(self.sidecar_params(target, prior))
 
     def score(self, target, prior, threads: int | None = 1) -> ScoreVector:
-        """Fit what the method needs; stamp the fingerprint and source ids.
-
-        The fits run with BLAS pinned to one thread, like the scoring.
-        """
+        """Fit what the method needs and score; the result carries its record
+        and the record's fingerprint. Fits run with BLAS pinned to one thread."""
         target, prior = _as_dataset(target), _as_dataset(prior)
         params = self.sidecar_params(target, prior)
         bandwidth = BandwidthSpec(self.scale_c)
@@ -472,23 +476,38 @@ class ScoringConfig:
                     leave_self_out=self.leave_self_out,
                     threads=threads,
                 )
-        fingerprint = self.fingerprint(target, prior)
-        return ScoreVector(
-            scores.values, self.method, fingerprint, prior.source_id, target.source_id
+        return replace(scores, config_fingerprint=_record_fingerprint(params),
+                       target_source_id=target.source_id, params=params)
+
+    def check_fresh(self, scores: ScoreVector, target, prior) -> None:
+        """Refuse ``scores`` (``fingerprint_mismatch``) unless this config on
+        ``target`` and ``prior`` has their fingerprint, naming the first
+        hashed value that differs from their record. No model is fitted."""
+        params = self.sidecar_params(target, prior)
+        fingerprint = _record_fingerprint(params)
+        if fingerprint == scores.config_fingerprint:
+            return
+        ours = {**params, "config_fingerprint": fingerprint}
+        theirs = {**scores.params, "config_fingerprint": scores.config_fingerprint}
+        key = next(k for k in ("method", *_METHOD_FIELDS[self.method],
+                               "target_source_id", "prior_source_id",
+                               "config_fingerprint") if theirs.get(k) != ours[k])
+        raise ValidationError(
+            f"stale scores: {key} is {ours[key]!r} here but "
+            f"{theirs.get(key)!r} in the score file",
+            code="fingerprint_mismatch",
         )
 
     @classmethod
-    def from_sidecar(cls, sidecar: dict, path) -> "ScoringConfig":
-        """The configuration a score sidecar records; ``path`` names it in
-        errors. A sidecar of another fingerprint scheme is refused."""
-        params = sidecar["params"]
-        scheme = params.get("fingerprint_scheme") if isinstance(params, dict) else None
-        if scheme != FINGERPRINT_SCHEME:
-            raise ValidationError(
-                f"{path} was written under another fingerprint scheme; "
-                "rescore it with `iwre score`",
-                code="bad_sidecar",
-            )
+    def from_sidecar(cls, scores: ScoreVector, path) -> "ScoringConfig":
+        """The configuration recorded with ``scores``, read from the file
+        ``path``; scores with no record, or another scheme's, are refused."""
+        params = scores.params
+        if params.get("fingerprint_scheme") != FINGERPRINT_SCHEME:
+            problem = ("was written under another fingerprint scheme" if params
+                       else "records no scoring configuration")
+            raise ValidationError(f"{path} {problem}; rescore it with `iwre score`",
+                                  code="bad_sidecar")
         names = [f.name for f in fields(cls)]
         missing = [name for name in names if name not in params]
         if missing:
@@ -499,12 +518,9 @@ class ScoringConfig:
 # -- persistence --------------------------------------------------------------
 
 
-def sidecar_path(path) -> Path:
-    return Path(path).with_suffix(".json")
-
-
-def save_scores(scores: ScoreVector, path, params: dict | None = None) -> None:
-    """Write scores as a binary vector plus a JSON sidecar of provenance."""
+def save_scores(scores: ScoreVector, path) -> None:
+    """Write scores as a binary vector plus a JSON sidecar of provenance,
+    which holds their record as ``params``."""
     write_vector_file(scores.values[:, None], path)
     sidecar = {
         "engine_version": __version__,
@@ -513,23 +529,33 @@ def save_scores(scores: ScoreVector, path, params: dict | None = None) -> None:
         "log_space": scores.log_space,
         "prior_source_id": scores.prior_source_id,
         "target_source_id": scores.target_source_id,
-        "params": params or {},
+        "params": dict(scores.params),
     }
-    write_json(sidecar_path(path), sidecar)
+    write_json(Path(path).with_suffix(".json"), sidecar)
 
 
-def load_scores(path) -> tuple[ScoreVector, dict]:
-    """Read a score file and its sidecar back."""
-    meta_path = sidecar_path(path)
+def load_scores(path) -> ScoreVector:
+    """Read a score file back, with the record its sidecar holds. A sidecar
+    whose ``params`` is no object, or whose top-level method or source ids
+    disagree with that record, is refused."""
+    meta_path = Path(path).with_suffix(".json")
     if not meta_path.exists():
-        raise ValidationError(
-            f"missing score sidecar {meta_path}", code="missing_sidecar"
-        )
-    sidecar = read_json_object(
-        meta_path, "bad_sidecar", ("method", "config_fingerprint", "params")
-    )
-    if sidecar["method"] not in {m.value for m in ScoreMethod}:
-        raise ValidationError(f"{meta_path}: unknown method", code="bad_sidecar")
+        raise ValidationError(f"missing score sidecar {meta_path}",
+                              code="missing_sidecar")
+    sidecar = read_json_object(meta_path, "bad_sidecar",
+                               ("method", "config_fingerprint", "params"))
+    ids = ("method", "prior_source_id", "target_source_id")
+    top = {key: sidecar.get(key, "") for key in ("config_fingerprint", *ids)}
+    params = sidecar["params"]
+    if not isinstance(params, dict) or not all(isinstance(v, str) for v in top.values()):
+        problem = "params must be an object, the method, fingerprint and ids strings"
+    elif top["method"] not in {m.value for m in ScoreMethod}:
+        problem = "unknown method"
+    else:  # a record that is not empty must be of these scores
+        problem = next((f"{key} {top[key]!r} is not params' {params.get(key)!r}"
+                        for key in ids if params and params.get(key) != top[key]), None)
+    if problem:
+        raise ValidationError(f"{meta_path}: {problem}", code="bad_sidecar")
     values, _, _ = read_vector_file(path)
     if values.shape[1] != 1:
         raise ValidationError(
@@ -538,11 +564,4 @@ def load_scores(path) -> tuple[ScoreVector, dict]:
         )
     column = values[:, 0].copy()  # the scores, not the mapped file
     column.flags.writeable = False
-    scores = ScoreVector(
-        column,
-        ScoreMethod(sidecar["method"]),
-        sidecar["config_fingerprint"],
-        prior_source_id=sidecar.get("prior_source_id", ""),
-        target_source_id=sidecar.get("target_source_id", ""),
-    )
-    return scores, sidecar
+    return ScoreVector(column, **top, params=params)

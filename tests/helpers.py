@@ -9,6 +9,7 @@ files are read record by record through ``csv.reader``.
 import csv
 
 import numpy as np
+from hypothesis import strategies as st
 
 from iwre.dataset import METADATA_FIELDS, MetadataTable
 from iwre.errors import ValidationError
@@ -103,3 +104,14 @@ def reference_load_metadata(path) -> list:
     if not records:
         raise ValidationError(f"{path}: no metadata rows", code="empty_dataset")
     return records
+
+
+# Any JSON value, NaN and the infinities included (Python's json reads and
+# writes them), with strings the files hold among the leaves.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["iwr", "nn_l2", "lse", "kde_target", "fraction", "resample"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)

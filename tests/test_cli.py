@@ -9,12 +9,14 @@ import shlex
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import iwre
 from iwre import cli
@@ -25,10 +27,11 @@ from iwre.dataset import (
     load_metadata,
     save_embeddings,
 )
-from iwre.errors import NumericalError
+from helpers import JSON_VALUES
+from iwre.errors import NumericalError, ValidationError
 from iwre.retrieval import load_manifest
 from iwre.kde import GaussianKde, scott_bandwidth
-from iwre.scoring import ScoringConfig, load_scores
+from iwre.scoring import ScoreMethod, ScoringConfig, load_scores, save_scores
 
 
 def run(*argv):
@@ -98,12 +101,12 @@ class TestScoreRetrieve:
             "--out", out,
         ) == 0
         printed = capsys.readouterr().out
-        scores, sidecar = load_scores(out / "scores.bin")
+        scores = load_scores(out / "scores.bin")
         assert scores.config_fingerprint in printed
-        assert sidecar["params"]["method"] == "iwr"
-        assert sidecar["params"]["fingerprint_scheme"] == 2
+        assert scores.params["method"] == "iwr"
+        assert scores.params["fingerprint_scheme"] == 2
         target_id = load_embeddings(fixtures / "target.bin").source_id
-        assert sidecar["target_source_id"] == target_id
+        assert scores.target_source_id == target_id
         assert len(scores) == 1200
 
         assert run(
@@ -202,7 +205,7 @@ class TestScoreRetrieve:
         data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
         assert run("score", "--method", method, "--seed", 5, *data,
                    "--out", out) == 0
-        params = load_scores(out / "scores.bin")[1]["params"]
+        params = load_scores(out / "scores.bin").params
         if method == "lse":
             assert params["temperature"] == scott_bandwidth(4.0, 400, 1)
         else:
@@ -239,6 +242,38 @@ class TestScoreRetrieve:
         )
         assert code == 2
 
+    def test_stale_refusal_names_a_rewritten_prior(self, fixtures, tmp_path,
+                                                   capsys):
+        out = tmp_path / "run"
+        data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
+        assert run("score", "--method", "nn", *data, "--out", out) == 0
+        old_id = load_embeddings(fixtures / "prior.bin").source_id
+        rng = np.random.default_rng(11)
+        save_embeddings(EmbeddingDataset(rng.standard_normal((1200, 1))),
+                        fixtures / "prior.bin")
+        new_id = load_embeddings(fixtures / "prior.bin").source_id
+        capsys.readouterr()
+        assert run("retrieve", "--scores", out / "scores.bin", *data,
+                   "--fraction", 0.3, "--out", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[fingerprint_mismatch]: stale scores: "
+                              "prior_source_id ")
+        assert new_id in err and old_id in err
+        assert not (tmp_path / "r").exists()
+
+    def test_stale_refusal_names_the_scale(self, fixtures, tmp_path, capsys):
+        out = tmp_path / "run"
+        data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
+        assert run("score", "--method", "kde", "--bandwidth-scale", 4, *data,
+                   "--out", out) == 0
+        capsys.readouterr()
+        assert run("retrieve", "--scores", out / "scores.bin", *data,
+                   "--bandwidth-scale", 2, "--fraction", 0.3,
+                   "--out", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert "error[fingerprint_mismatch]: stale scores: scale_c is 2.0 here " \
+               "but 4.0 in the score file" in err
+
     def test_missing_input_is_validation_error(self, tmp_path, capsys):
         code = run("score", "--method", "nn", "--target", tmp_path / "nope.bin",
                    "--prior", tmp_path / "nope.bin", "--out", tmp_path)
@@ -259,7 +294,7 @@ class TestScoreRetrieve:
         out = tmp_path / "run"
         assert run("score", "--method", "nn", "--target", target, "--prior", prior,
                    "--out", out) == 0
-        scores, _ = load_scores(out / "scores.bin")
+        scores = load_scores(out / "scores.bin")
         np.testing.assert_allclose(scores.values[0], -0.16, atol=1e-12)
 
     def test_single_row_target_scores_are_negated_distances(self, tmp_path):
@@ -272,7 +307,7 @@ class TestScoreRetrieve:
         out = tmp_path / "run"
         assert run("score", "--method", "nn", "--target", t, "--prior", p,
                    "--out", out) == 0
-        scores, _ = load_scores(out / "scores.bin")
+        scores = load_scores(out / "scores.bin")
         want = -((prior_data - target.data[0]) ** 2).sum(axis=1)
         np.testing.assert_allclose(scores.values, want, rtol=1e-15)
 
@@ -285,7 +320,7 @@ class TestScoreRetrieve:
             "--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin",
             "--out", out,
         ) == 0
-        scores, _ = load_scores(out / "scores.bin")
+        scores = load_scores(out / "scores.bin")
         oracle = load_oracle(fixtures / "oracle.json")
         prior = load_embeddings(fixtures / "prior.bin")
         check = oracle_weight_check(oracle, scores, prior)
@@ -299,6 +334,83 @@ class TestScoreRetrieve:
         code = run("score", "--method", "nn", "--target", fixtures / "target.bin",
                    "--prior", fixtures / "prior.bin", "--out", tmp_path)
         assert code == 3
+
+
+# (CLI flags, the same configuration in the library)
+_LIBRARY_CONFIGS = {
+    "nn": (["--method", "nn"], ScoringConfig(ScoreMethod.NN_L2)),
+    "lse": (["--method", "lse"], ScoringConfig(ScoreMethod.LSE)),
+    "kde": (["--method", "kde", "--bandwidth-scale", 2.0],
+            ScoringConfig(ScoreMethod.KDE_TARGET, scale_c=2.0)),
+    "iwr": (["--method", "iwr", "--seed", 3, "--batch-size", 300],
+            ScoringConfig(ScoreMethod.IWR, seed=3, batch_size=300)),
+    "iwr_loo": (["--method", "iwr", "--seed", 3, "--batch-size", 300,
+                 "--config", "{tmp}/loo.json"],
+                ScoringConfig(ScoreMethod.IWR, seed=3, batch_size=300,
+                              leave_self_out=True)),
+}
+
+
+class TestLibraryScoreFiles:
+    """A score file's record travels with its ScoreVector: the library's
+    ScoringConfig.score and save_scores write what `iwre score` writes."""
+
+    @pytest.mark.parametrize("case", list(_LIBRARY_CONFIGS))
+    def test_library_scores_are_the_cli_files(self, fixtures, tmp_path, case):
+        flags, config = _LIBRARY_CONFIGS[case]
+        (tmp_path / "loo.json").write_text('{"leave_self_out": true}')
+        flags = [str(f).format(tmp=tmp_path) for f in flags]
+        data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
+        cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
+        assert run("score", *flags, *data, "--out", cli_dir) == 0
+        lib_dir.mkdir()
+        target = load_embeddings(fixtures / "target.bin")
+        prior = load_embeddings(fixtures / "prior.bin")
+        save_scores(config.score(target, prior), lib_dir / "scores.bin")
+        for directory in (cli_dir, lib_dir):
+            assert run("retrieve", "--scores", directory / "scores.bin", *data,
+                       "--fraction", 0.3, "--out", directory) == 0
+        for name in ("scores.bin", "scores.json", "manifest.json"):
+            assert (lib_dir / name).read_bytes() == (cli_dir / name).read_bytes(), name
+        # A load and save copies the file, record included.
+        save_scores(load_scores(cli_dir / "scores.bin"), tmp_path / "copy.bin")
+        for name in ("scores.bin", "scores.json"):
+            copy = (tmp_path / "copy.bin").with_suffix(Path(name).suffix)
+            assert copy.read_bytes() == (cli_dir / name).read_bytes(), name
+
+    @pytest.fixture(scope="class")
+    def scored(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("scored")
+        rng = np.random.default_rng(4)
+        for name, rows in (("t.bin", 20), ("p.bin", 60)):
+            save_embeddings(EmbeddingDataset(rng.standard_normal((rows, 2))),
+                            out / name)
+        assert run("score", "--method", "iwr", "--seed", 1, "--batch-size", 20,
+                   "--target", out / "t.bin", "--prior", out / "p.bin",
+                   "--out", out) == 0
+        sidecar = json.loads((out / "scores.json").read_text())
+        fields = [(key,) for key in sidecar] + [("params", k) for k in sidecar["params"]]
+        return out, sidecar, fields
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_sidecar_value_is_read_or_refused(self, scored, data):
+        out, sidecar, fields = scored
+        where = data.draw(st.sampled_from(fields))
+        edited = json.loads(json.dumps(sidecar))
+        parent = edited if len(where) == 1 else edited["params"]
+        parent[where[-1]] = data.draw(JSON_VALUES)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scores.bin"
+            path.write_bytes((out / "scores.bin").read_bytes())
+            path.with_suffix(".json").write_text(json.dumps(edited))
+            try:
+                scores = load_scores(path)
+                config = ScoringConfig.from_sidecar(scores, path)
+            except ValidationError:
+                return
+        assert isinstance(config, ScoringConfig) and len(scores) == 60
+        assert json.dumps(dict(scores.params)) == json.dumps(edited["params"])
 
 
 def _edit_json(edit):
@@ -377,6 +489,20 @@ MALFORMED = [
      _edit_json(lambda d: d["params"].pop("seed")), "bad_sidecar"),
     ("sidecar_old_scheme", "retrieve", "scores.json",
      _edit_json(lambda d: d["params"].pop("fingerprint_scheme")), "bad_sidecar"),
+    ("sidecar_params_not_object", "retrieve", "scores.json",
+     _edit_json(lambda d: d.update(params=[1])), "bad_sidecar"),
+    ("sidecar_params_empty", "retrieve", "scores.json",
+     _edit_json(lambda d: d.update(params={})), "bad_sidecar"),
+    ("sidecar_fingerprint_not_string", "retrieve", "scores.json",
+     _edit_json(lambda d: d.update(config_fingerprint=7)), "bad_sidecar"),
+    # The top level must agree with the record the fingerprint checks.
+    ("sidecar_prior_id_not_its_record", "retrieve", "scores.json",
+     _edit_json(lambda d: d.update(prior_source_id="sha256:0000000000000000")),
+     "bad_sidecar"),
+    ("sidecar_target_id_not_its_record", "retrieve", "scores.json",
+     _edit_json(lambda d: d.update(target_source_id=5)), "bad_sidecar"),
+    ("sidecar_method_not_its_record", "retrieve", "scores.json",
+     _edit_json(lambda d: d.update(method="lse")), "bad_sidecar"),
     ("manifest_invalid_json", "analyze", "manifest.json", _write("{bad"),
      "bad_manifest"),
     ("manifest_missing_indices", "analyze", "manifest.json",
@@ -386,6 +512,35 @@ MALFORMED = [
      _edit_json(lambda d: d.pop("method")), "bad_manifest"),
     ("manifest_unknown_method", "analyze", "manifest.json",
      _edit_json(lambda d: d.update(method="bogus")), "bad_manifest"),
+] + [
+    # Each read without truncation or traceback: indices and multiplicities
+    # are integers within int64, scores and the parameter numbers.
+    (f"manifest_{case}", "analyze", "manifest.json", _edit_json(edit),
+     "bad_manifest")
+    for case, edit in [
+        ("float_indices", lambda d: d.update(
+            selected_indices=[i + 0.7 for i in d["selected_indices"]])),
+        ("integral_float_indices", lambda d: d.update(
+            selected_indices=[float(i) for i in d["selected_indices"]])),
+        ("bool_indices", lambda d: d.update(selected_indices=[True, 2],
+                                            scores_at_selection=[-1.0, -1.0])),
+        ("null_indices", lambda d: d.update(selected_indices=None)),
+        ("nested_indices", lambda d: d.update(selected_indices=[[1], [2]],
+                                              scores_at_selection=[-1.0, -1.0])),
+        ("index_beyond_int64", lambda d: d.update(selected_indices=[2**70],
+                                                  scores_at_selection=[-1.0])),
+        ("empty_indices", lambda d: d.update(selected_indices=[],
+                                             scores_at_selection=[])),
+        ("unknown_rule", lambda d: d.update(rule="bogus")),
+        ("rule_param_string", lambda d: d.update(rule_param="x")),
+        ("rule_param_nan", lambda d: d.update(rule_param=float("nan"))),
+        ("string_scores", lambda d: d.update(
+            scores_at_selection=["a"] * len(d["scores_at_selection"]))),
+        ("multiplicities_string", lambda d: d.update(multiplicities="x")),
+        ("fingerprint_not_string", lambda d: d.update(config_fingerprint=7)),
+        ("method_list", lambda d: d.update(method=["nn_l2"])),
+    ]
+] + [
     # The manifest was selected from nn scores.
     ("analyze_method_mismatch", "analyze", "config.json",
      _write(json.dumps({"method": "kde"})), "method_mismatch"),
@@ -417,24 +572,25 @@ class TestMalformedInputs:
         (out / "labels.json").write_text((fixtures / "labels.json").read_text())
         break_file(out / name)
         capsys.readouterr()
+        refused = tmp_path / "refused"
         labelled = ["--meta", fixtures / "prior_meta.csv",
-                    "--labels", out / "labels.json", "--out", out]
+                    "--labels", out / "labels.json", "--out", refused]
         config = ["--config", out / "config.json"]
         argv = {
-            "score": ["score", *config, *data, "--out", out],
+            "score": ["score", *config, *data, "--out", refused],
             "retrieve": ["retrieve", *config, "--scores", out / "scores.bin", *data,
-                         "--out", out],
+                         "--out", refused],
             "analyze": ["analyze", *config, "--manifest", out / "manifest.json",
                         *labelled],
             "sweep": ["sweep", "--method", "nn", *data, "--fractions", 0.3,
                       *labelled],
             "synth": ["synth", *config, "--scenario", "cluster_bias",
-                      "--n-target", 20, "--n-prior", 40, "--out", out / "synth"],
+                      "--n-target", 20, "--n-prior", 40, "--out", refused],
         }[command]
         assert run(*argv) == 2
         err = capsys.readouterr().err
-        assert f"error[{code}]" in err
-        assert "Traceback" not in err
+        assert err.startswith(f"error[{code}]") and err.count("\n") == 1
+        assert not refused.exists()
 
     # Flag cases MALFORMED's nn scores and fixed argv cannot express.
     @pytest.mark.parametrize("argv,code", [
@@ -493,6 +649,29 @@ class TestMalformedInputs:
         assert f"error[{code}]" in capsys.readouterr().err
         assert not out.exists()
 
+    # Values that one output file name would write twice (`{value:g}`).
+    @pytest.mark.parametrize("values,named", [
+        (["--fractions", "0.3", "--bandwidth-scales", "4,4.0000001"],
+         "--bandwidth-scales lists 4 "),
+        (["--fractions", "0.3", "--bandwidth-scales", "4,4"],
+         "--bandwidth-scales lists 4 "),
+        (["--fractions", "0.3,0.30000001", "--bandwidth-scales", "4,2"],
+         "--fractions lists 0.3 "),
+    ], ids=["scales_close", "scales_equal", "fractions_close"])
+    def test_sweep_refuses_colliding_names(self, fixtures, tmp_path, capsys,
+                                           monkeypatch, values, named):
+        def unread(path):
+            raise AssertionError(f"{path} read before the flags were checked")
+
+        monkeypatch.setattr(cli, "_load_dataset", unread)
+        out = tmp_path / "sweep"
+        assert run("sweep", "--method", "nn", *values,
+                   "--target", fixtures / "target.bin",
+                   "--prior", fixtures / "prior.bin", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "error[bad_param]" in err and named in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_bad_threads_flag(self, fixtures, tmp_path, capsys, threads):
         assert run("score", "--method", "nn", "--threads", threads,
@@ -501,6 +680,20 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "error[bad_param]" in err and "threads" in err
         assert "Traceback" not in err
+
+    def test_scores_without_a_record_are_not_another_scheme(self, fixtures,
+                                                              tmp_path, capsys):
+        # What a score_* function's result, saved, holds as its record.
+        out = tmp_path / "run"
+        data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
+        assert run("score", "--method", "nn", *data, "--out", out) == 0
+        _edit_json(lambda d: d.update(params={}))(out / "scores.json")
+        capsys.readouterr()
+        assert run("retrieve", "--scores", out / "scores.bin", *data,
+                   "--fraction", 0.3, "--out", out / "r") == 2
+        err = capsys.readouterr().err
+        assert "records no scoring configuration" in err
+        assert "fingerprint scheme" not in err
 
     def test_old_sidecar_asks_for_rescore(self, fixtures, tmp_path, capsys):
         out = tmp_path / "run"
@@ -616,7 +809,7 @@ class TestSweep:
         summary = json.loads((out / "summary.json").read_text())
         assert len({e["fingerprint"] for e in summary}) == 2
         for scale in (4, 1):
-            params = load_scores(out / f"scores_c{scale}.bin")[1]["params"]
+            params = load_scores(out / f"scores_c{scale}.bin").params
             assert params["temperature"] == scott_bandwidth(scale, 400, 1)
 
 

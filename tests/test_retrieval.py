@@ -1,13 +1,15 @@
 """Selection rules, resampling, co-training weights, manifests."""
 
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import metadata_table, ranking
+from helpers import JSON_VALUES, metadata_table, ranking
 from iwre import retrieval
 from iwre._validation import read_only
 from iwre.dataset import EmbeddingDataset
@@ -403,6 +405,30 @@ class TestManifest:
         with pytest.raises(ValidationError) as exc:
             load_manifest(path)
         assert exc.value.code == "bad_manifest" and "iwre retrieve" in str(exc.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_manifest_value_is_read_or_refused(self, data):
+        scores = make_scores(np.linspace(0, 1, 10))
+        manifest = data.draw(st.sampled_from([
+            select_by_fraction(scores, 0.5), resample_by_weight(scores, 40, 3),
+        ]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "manifest.json"
+            save_manifest(manifest, path)
+            payload = json.loads(path.read_text())
+            key = data.draw(st.sampled_from(sorted(payload)))
+            payload[key] = data.draw(JSON_VALUES)
+            path.write_text(json.dumps(payload))
+            try:
+                back = load_manifest(path)
+            except ValidationError as exc:
+                assert exc.code == "bad_manifest"
+                return
+        assert isinstance(back, RetrievalManifest)
+        assert back.selected_indices.dtype == np.int64
+        assert np.isfinite(back.scores_at_selection).all()
+        assert back.multiplicities is None or back.multiplicities.dtype == np.int64
 
     def test_round_trip_with_multiplicities(self, tmp_path):
         manifest = resample_by_weight(make_scores(np.linspace(0, 1, 10)), 40, 3)

@@ -1,5 +1,6 @@
 """Scoring rules: nearest neighbor, soft max, target density, importance weight."""
 
+import json
 import os
 import struct
 import subprocess
@@ -680,12 +681,61 @@ class TestFingerprints:
             assert scores.config_fingerprint == config.fingerprint(target, prior)
             assert (scores.target_source_id, scores.prior_source_id) == ("t", "p")
 
+    @pytest.mark.parametrize("method", list(ScoreMethod))
+    def test_score_makes_its_record_once(self, method):
+        rng = np.random.default_rng(0)
+        target = EmbeddingDataset(rng.standard_normal((10, 2)), source_id="t")
+        prior = EmbeddingDataset(rng.standard_normal((20, 2)), source_id="p")
+        config = ScoringConfig(method, seed=0, leave_self_out=True)
+        real = ScoringConfig.sidecar_params
+        with mock.patch.object(ScoringConfig, "sidecar_params", autospec=True,
+                               side_effect=real) as made:
+            scores = config.score(target, prior)
+        assert made.call_count == 1
+        assert scores.params == config.sidecar_params(target, prior)
+        assert scores.params["method"] == method.value
+        with pytest.raises(TypeError):
+            scores.params["seed"] = 1  # the record is read-only
+
+    def test_config_is_rebuilt_from_the_record(self):
+        rng = np.random.default_rng(0)
+        target, prior = rng.standard_normal((10, 2)), rng.standard_normal((20, 2))
+        config = ScoringConfig(ScoreMethod.IWR, scale_c=2.0, seed=4,
+                               leave_self_out=True)
+        scores = config.score(target, prior)
+        back = ScoringConfig.from_sidecar(scores, "scores.bin")
+        assert back == replace(config, batch_size=20)  # resolved from the prior
+        back.check_fresh(scores, target, prior)
+        with pytest.raises(ValidationError) as exc:
+            ScoringConfig.from_sidecar(score_nn_l2(target, prior), "scores.bin")
+        assert exc.value.code == "bad_sidecar"
+        assert "records no scoring configuration" in str(exc.value)
+
+    def test_stale_refusal_names_the_first_difference(self):
+        rng = np.random.default_rng(0)
+        target, prior = rng.standard_normal((10, 2)), rng.standard_normal((20, 2))
+        config = ScoringConfig(ScoreMethod.IWR, seed=4)
+        scores = config.score(target, prior)
+        cases = [
+            (replace(config, method=ScoreMethod.NN_L2), scores, "method is 'nn_l2'"),
+            (replace(config, num_batches=3), scores, "num_batches is 3 here but 8"),
+            # A record unchanged under a fingerprint that is not its own.
+            (config, replace(scores, config_fingerprint="0" * 16),
+             f"config_fingerprint is '{scores.config_fingerprint}' here"),
+        ]
+        for other, given_scores, named in cases:
+            with pytest.raises(ValidationError) as exc:
+                other.check_fresh(given_scores, target, prior)
+            assert exc.value.code == "fingerprint_mismatch"
+            assert named in str(exc.value)
+
     def test_score_functions_leave_fingerprint_empty(self):
         rng = np.random.default_rng(0)
         target = EmbeddingDataset(rng.standard_normal((10, 2)))
         prior = EmbeddingDataset(rng.standard_normal((20, 2)))
-        assert score_nn_l2(target, prior).config_fingerprint == ""
-        assert score_kde_target(fit_kde(target), prior).config_fingerprint == ""
+        for scores in (score_nn_l2(target, prior),
+                       score_kde_target(fit_kde(target), prior)):
+            assert scores.config_fingerprint == "" and scores.params == {}
 
     def test_scale_c_is_the_one_bandwidth_field(self):
         assert [f.name for f in fields(ScoringConfig)] == [
@@ -729,21 +779,25 @@ class TestFingerprints:
 class TestScoreIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
+        record = {"method": "iwr", "prior_source_id": "p", "target_source_id": "t",
+                  "scale_c": 4.0}
         sv = ScoreVector(
             rng.standard_normal(40),
             ScoreMethod.IWR,
             "fingerprint123",
             prior_source_id="p",
             target_source_id="t",
+            params=record,
         )
         path = tmp_path / "scores.bin"
-        save_scores(sv, path, {"bandwidth_scale": 4.0})
-        back, sidecar = load_scores(path)
+        save_scores(sv, path)
+        back = load_scores(path)
         assert np.array_equal(back.values, sv.values)
         assert back.method is ScoreMethod.IWR
         assert back.config_fingerprint == "fingerprint123"
-        assert sidecar["params"]["bandwidth_scale"] == 4.0
-        assert sidecar["log_space"] is True
+        assert (back.prior_source_id, back.target_source_id) == ("p", "t")
+        assert back.params == record
+        assert json.loads((tmp_path / "scores.json").read_text())["log_space"] is True
 
     def test_missing_sidecar(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -756,10 +810,11 @@ class TestScoreIO:
         assert exc.value.code == "missing_sidecar"
 
     def test_save_twice_is_byte_identical(self, tmp_path):
-        sv = ScoreVector(np.array([1.5, -2.5]), ScoreMethod.KDE_TARGET, "fp")
+        sv = ScoreVector(np.array([1.5, -2.5]), ScoreMethod.KDE_TARGET, "fp",
+                         params={"x": 1})
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_scores(sv, a, {"x": 1})
-        save_scores(sv, b, {"x": 1})
+        save_scores(sv, a)
+        save_scores(sv, b)
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
 
