@@ -48,7 +48,7 @@ def check_matrix(x, name: str = "data", *, keep_float32: bool = False) -> np.nda
     if keep_float32 and getattr(x, "dtype", None) == np.float32:
         arr = np.asarray(x)
     else:
-        arr = np.asarray(x, dtype=np.float64)
+        arr = as_numbers(x, name)
     if arr.ndim != 2:
         raise ValidationError(
             f"{name} must be a 2-D matrix, got ndim={arr.ndim}", code="bad_shape"
@@ -66,9 +66,28 @@ def check_matrix(x, name: str = "data", *, keep_float32: bool = False) -> np.nda
     return np.require(arr, requirements="C" if keep_float32 else "CA")
 
 
-def check_vector(x, name: str = "values") -> np.ndarray:
-    """Coerce ``x`` to a finite float64 vector."""
-    arr = np.asarray(x, dtype=np.float64)
+def as_numbers(values, name: str, dtype=np.float64) -> np.ndarray:
+    """``values``, an array or nested lists of integers (and for float64,
+    floats), as an array of ``dtype``, int64 or float64, not copied when it is
+    one; anything else, a bool or a value beyond ``dtype`` is refused with
+    ``malformed_value``: nothing is truncated, wrapped or parsed."""
+    kinds = "iu" if np.dtype(dtype).kind == "i" else "iuf"
+    try:
+        lists = isinstance(values, (list, tuple))
+        arr = np.array(values, dtype=object) if lists else np.asarray(values)
+        types = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
+        fits = kinds == "iuf" or arr.dtype != np.uint64 or arr.max(initial=0) >> 63 == 0
+        if fits and all(np.dtype(t).kind in kinds for t in types):
+            return arr.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError):  # ragged, or beyond dtype
+        pass
+    kind = "integers that fit int64" if kinds == "iu" else "numbers"
+    raise ValidationError(f"{name} must be {kind}", code="malformed_value")
+
+
+def check_vector(x, name: str = "values", dtype=np.float64) -> np.ndarray:
+    """``x`` as a finite 1-D array of ``dtype`` (:func:`as_numbers`)."""
+    arr = as_numbers(x, name, dtype)
     if arr.ndim != 1:
         raise ValidationError(
             f"{name} must be 1-D, got ndim={arr.ndim}", code="bad_shape"
@@ -93,27 +112,36 @@ def read_only(arr: np.ndarray, given) -> np.ndarray:
     return arr
 
 
-def check_positive(value, name: str) -> float:
+def check_real(value, name: str, code: str = "bad_param", positive=False) -> float:
+    """``value`` as a finite float, positive if asked, refused with ``code``
+    when it is a bool or ``float()`` would change it or fail (``"0.5"``)."""
     try:
         number = float(value)
-        valid = number == value and np.isfinite(number) and number > 0.0
+        valid = (number == value and np.isfinite(number) and not isinstance(value, bool)
+                 and (number > 0.0 or not positive))
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
-        raise ValidationError(f"{name} must be a positive number, got {value!r}",
-                              code="bad_param")
+        kind = "positive" if positive else "finite"
+        raise ValidationError(f"{name} must be a {kind} number, got {value!r}",
+                              code=code)
     return number
 
 
-def check_count(value, name: str, minimum: int = 1) -> int:
+def check_positive(value, name: str) -> float:
+    return check_real(value, name, positive=True)
+
+
+def check_count(value, name: str, minimum: int = 1, maximum: float = np.inf) -> int:
     try:
         count = int(value)
-        valid = count == value and count >= minimum
+        valid = count == value and minimum <= count <= maximum
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
+        bound = f">= {minimum}" if maximum == np.inf else f"in [{minimum}, {maximum}]"
         raise ValidationError(
-            f"{name} must be an integer >= {minimum}, got {value!r}", code="bad_param"
+            f"{name} must be an integer {bound}, got {value!r}", code="bad_param"
         )
     return count
 
@@ -135,22 +163,24 @@ def field_types(cls) -> dict:
     return types
 
 
-def coerce_fields(obj, what: str) -> None:
-    """Convert each field of the dataclass ``obj`` to its annotated type.
+def coerce_fields(obj, what: str, names=None) -> None:
+    """Convert each field of the dataclass ``obj``, or each of ``names``, to
+    its annotated type.
 
     A value is refused with ``bad_param`` when conversion fails or would
-    change it (``1.5`` or ``"4"`` for an int, ``7`` for a str), when it is
-    a bool given for a number, or when it is ``None`` for a field that does
-    not admit ``None``. Fixed types keep fingerprints and outputs
-    independent of how a value was given.
+    change it (``1.5`` or ``"4"`` for an int, ``7`` for a str, ``"x"`` for
+    an enum), when it is a bool given for a number, a float that is not
+    finite, or ``None`` for a field that does not admit ``None``. Fixed
+    types keep fingerprints and outputs independent of how a value was given.
     """
     for name, (kind, nullable) in field_types(type(obj)).items():
         value = getattr(obj, name)
-        if value is None and nullable:
+        if (value is None and nullable) or (names is not None and name not in names):
             continue
         try:
             converted = kind(value)
             valid = converted == value and (kind is bool or not isinstance(value, bool))
+            valid = valid and (kind is not float or np.isfinite(converted))
         except (TypeError, ValueError, OverflowError):
             valid = False
         if not valid:

@@ -26,6 +26,9 @@ logger = logging.getLogger(__name__)
 
 RELEVANCE_LEVELS = ("relevant", "mixed", "harmful")
 UNLABELED_TASK = "(unlabeled)"
+# Most time bins a report takes: each task's row of counts has that many
+# cells, in memory and in report.json.
+MAX_BINS = 10_000
 
 
 def _check_relevance(labels: Mapping[str, str]) -> None:
@@ -116,7 +119,7 @@ def task_bin_counts(
     its marginals. The counts are one ``bincount`` over task code x bin of
     the selected rows.
     """
-    bin_count = check_count(bin_count, "bin_count")
+    bin_count = check_count(bin_count, "bin_count", maximum=MAX_BINS)
     idx = manifest.selected_indices
     if idx[-1] >= len(meta):
         raise ValidationError(
@@ -129,7 +132,7 @@ def task_bin_counts(
         steps = steps.astype(object)  # step * bin_count would overflow int64
     bins = (steps * bin_count // lengths).astype(np.int64)
     names = (UNLABELED_TASK,) + meta.task_labels
-    cells = (meta.task_code[idx] + 1) * bin_count + bins
+    cells = (meta.task_code[idx].astype(np.int64) + 1) * bin_count + bins
     counts = np.bincount(cells, minlength=len(names) * bin_count)
     table: dict[str, list] = {}
     for name, row in zip(names, counts.reshape(len(names), bin_count).tolist()):

@@ -33,8 +33,15 @@ from typing import Optional
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from ._validation import coerce_fields, field_types, read_json_object, write_json
+from ._validation import (
+    check_count,
+    coerce_fields,
+    field_types,
+    read_json_object,
+    write_json,
+)
 from .analysis import (
+    MAX_BINS,
     emit_report,
     load_labels,
     task_bin_counts,
@@ -93,7 +100,7 @@ class RunConfig:
     ``None`` means "not given". The scoring fields (``method`` to
     ``leave_self_out``) then take :class:`ScoringConfig`'s defaults, or the
     values stored in a score sidecar; the given ones are range-checked here,
-    for every subcommand. ``leave_self_out`` is config-only.
+    for every subcommand, as is ``bins``. ``leave_self_out`` is config-only.
     """
 
     method: Optional[str] = _flag(choices=sorted(_METHOD_ALIASES))
@@ -131,6 +138,7 @@ class RunConfig:
                 code="bad_method",
             )
         self.scoring()
+        check_count(self.bins, "bins", maximum=MAX_BINS)
 
     @classmethod
     def resolve(cls, args: argparse.Namespace) -> "RunConfig":

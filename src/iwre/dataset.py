@@ -41,7 +41,13 @@ from typing import Optional
 
 import numpy as np
 
-from ._validation import check_matrix, first_non_finite_row, read_only
+from ._validation import (
+    check_matrix,
+    check_vector,
+    coerce_fields,
+    first_non_finite_row,
+    read_only,
+)
 from .errors import ValidationError
 
 MAGIC = b"IWRE"
@@ -95,6 +101,7 @@ class EmbeddingDataset:
 
     def __post_init__(self):
         arr = read_only(check_matrix(self.data, "data"), self.data)
+        coerce_fields(self, "dataset field", ("source_id",))
         object.__setattr__(self, "data", arr)
         if not self.source_id:
             object.__setattr__(self, "source_id", content_id(arr))
@@ -158,15 +165,15 @@ class MetadataTable:
     """Row metadata as read-only columns, one entry per embedding row.
 
     ``episode_id``, ``step_index`` and ``episode_length`` are int64;
-    ``task_code`` (int32) indexes ``task_labels``, and -1 means unlabeled.
-    A column must be of an integer dtype with values that fit int64 (else
-    ``malformed_value``: no float is truncated), and is copied unless it is
-    a read-only int64 array. Every row needs ``episode_length >= 1`` and
-    ``0 <= step_index < episode_length`` (errors name ``row i``). The label
-    table is kept sorted, distinct and used by some row, so equal tables
-    compare equal with ``==``. The columns are the one form of the
-    metadata: there is no row type, and a row's fields are the columns at
-    its index.
+    ``task_code`` (int32) indexes ``task_labels``, a tuple or list of
+    strings, and -1 means unlabeled. A column must hold integers that fit
+    int64 (else ``malformed_value``: no float or bool is truncated), and is
+    copied unless it is a read-only int64 array. Every row needs
+    ``episode_length >= 1`` and ``0 <= step_index < episode_length`` (errors
+    name ``row i``). The label table is kept sorted, distinct and used by
+    some row, so equal tables compare equal with ``==``. The columns are the
+    one form of the metadata: there is no row type, and a row's fields are
+    the columns at its index.
     """
 
     episode_id: np.ndarray
@@ -177,26 +184,22 @@ class MetadataTable:
 
     def __post_init__(self):
         given = [getattr(self, name) for name in _INT_COLUMNS + ("task_code",)]
-        arrays = [np.asarray(v) for v in given]
-        for name, arr in zip(_INT_COLUMNS + ("task_code",), arrays):
-            kind = arr.dtype.kind if arr.size else "i"  # numpy makes [] float64
-            if kind not in "iu" or (kind == "u" and arr.max() > np.iinfo(np.int64).max):
-                raise ValidationError(f"{name} must be integers that fit int64, "
-                                      f"got dtype {arr.dtype}", code="malformed_value")
-        columns = [read_only(a.astype(np.int64, copy=False), v)
-                   for a, v in zip(arrays, given[:3])]
-        codes = arrays[3] if arrays[3].size else arrays[3].astype(np.int64)
-        labels = tuple(self.task_labels)
-        if any(c.ndim != 1 or c.shape != codes.shape for c in columns) or codes.ndim != 1:
+        *columns, codes = [check_vector(v, name, np.int64)
+                           for v, name in zip(given, _INT_COLUMNS + ("task_code",))]
+        columns = [read_only(c, v) for c, v in zip(columns, given)]
+        labels = self.task_labels
+        if any(c.shape != codes.shape for c in columns):
             raise ValidationError(
                 "metadata columns must be 1-D and of one length", code="bad_shape"
             )
+        if not isinstance(labels, (tuple, list)) or not all(
+                isinstance(label, str) for label in labels):
+            raise ValidationError("task labels must be a sequence of strings",
+                                  code="bad_task_label")
         if codes.size and (codes.min() < -1 or codes.max() >= len(labels)):
             raise ValidationError(
                 f"task_code outside [-1, {len(labels)})", code="bad_task_code"
             )
-        if not all(isinstance(label, str) for label in labels):
-            raise ValidationError("task labels must be strings", code="bad_task_label")
         bad = _bad_episode_rows(columns[1], columns[2])
         if bad.any():
             row = int(np.argmax(bad))

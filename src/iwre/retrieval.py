@@ -13,7 +13,15 @@ from typing import Optional
 
 import numpy as np
 
-from ._validation import check_count, read_json_object, read_only, write_json
+from ._validation import (
+    check_count,
+    check_real,
+    check_vector,
+    coerce_fields,
+    read_json_object,
+    read_only,
+    write_json,
+)
 from .dataset import EmbeddingDataset, gather_rows, pair_metadata
 from .errors import ValidationError
 from .scoring import ScoreMethod, ScoreVector
@@ -35,6 +43,8 @@ class RetrievalManifest:
     index was drawn. ``method`` is the scoring method of the scores selected
     from; the ``select_*`` functions copy it from the score vector. The arrays
     are read-only: a writeable array passed in is copied, a read-only one held.
+    Indices and multiplicities must be integers (no float or bool is
+    truncated), and the other fields are of their annotated types.
     """
 
     selected_indices: np.ndarray
@@ -48,8 +58,8 @@ class RetrievalManifest:
     method: Optional[ScoreMethod] = None
 
     def __post_init__(self):
-        idx = np.asarray(self.selected_indices, dtype=np.int64)
-        if idx.ndim != 1 or idx.size == 0:
+        idx = check_vector(self.selected_indices, "selected_indices", np.int64)
+        if idx.size == 0:
             raise ValidationError("selection must be non-empty", code="empty_selection")
         if idx[0] < 0:
             raise ValidationError("negative prior index", code="index_out_of_range")
@@ -58,19 +68,19 @@ class RetrievalManifest:
                 "selected indices must be strictly increasing",
                 code="unsorted_indices",
             )
-        scores = np.asarray(self.scores_at_selection, dtype=np.float64)
+        scores = check_vector(self.scores_at_selection, "scores_at_selection")
         if scores.shape != idx.shape:
             raise ValidationError(
                 "scores_at_selection must align with selected_indices",
                 code="bad_shape",
             )
+        coerce_fields(self, "manifest field", ("rule", "rule_param", "method",
+                                               "config_fingerprint", "prior_source_id",
+                                               "target_source_id"))
         for name, arr in (("selected_indices", idx), ("scores_at_selection", scores)):
             object.__setattr__(self, name, read_only(arr, getattr(self, name)))
-        object.__setattr__(self, "rule", SelectionRule(self.rule))
-        if self.method is not None:
-            object.__setattr__(self, "method", ScoreMethod(self.method))
         if self.multiplicities is not None:
-            mult = np.asarray(self.multiplicities, dtype=np.int64)
+            mult = check_vector(self.multiplicities, "multiplicities", np.int64)
             if mult.shape != idx.shape or (mult < 1).any():
                 raise ValidationError(
                     "multiplicities must align with selected_indices and be >= 1",
@@ -91,7 +101,7 @@ def _manifest_from_indices(scores: ScoreVector, idx, rule, param, mult=None):
         read_only(idx, None),
         read_only(scores.values[idx], None),
         rule,
-        float(param),
+        param,
         scores.config_fingerprint,
         prior_source_id=scores.prior_source_id,
         target_source_id=scores.target_source_id,
@@ -101,7 +111,8 @@ def _manifest_from_indices(scores: ScoreVector, idx, rule, param, mult=None):
 
 
 def check_fraction(fraction: float) -> float:
-    """``fraction``, refused unless it is in (0, 1]."""
+    """``fraction`` as a float, refused unless it is a number in (0, 1]."""
+    fraction = check_real(fraction, "fraction", "bad_fraction")
     if not 0.0 < fraction <= 1.0:
         raise ValidationError(
             f"fraction must be in (0, 1], got {fraction}", code="bad_fraction"
@@ -126,7 +137,6 @@ def select_by_fraction(scores: ScoreVector, fraction: float) -> RetrievalManifes
 
     Rounding is half-up; ties in score break by ascending prior index.
     """
-    fraction = float(fraction)
     n = len(scores)
     k = fraction_count(fraction, n)
     # The k-th largest score; every higher one is chosen, and of the rows
@@ -144,7 +154,7 @@ def select_by_fraction(scores: ScoreVector, fraction: float) -> RetrievalManifes
 
 def select_by_threshold(scores: ScoreVector, threshold: float) -> RetrievalManifest:
     """Select every prior row whose score is >= ``threshold`` (inclusive)."""
-    threshold = float(threshold)
+    threshold = check_real(threshold, "threshold")
     chosen = np.flatnonzero(scores.values >= threshold)
     if chosen.size == 0:
         raise ValidationError(
@@ -210,7 +220,7 @@ def cotrain_weights(
     """Weights ``alpha / |target|`` and ``(1 - alpha) / |retrieved|``."""
     target_count = check_count(target_count, "target_count")
     retrieved_count = check_count(retrieved_count, "retrieved_count")
-    alpha = float(alpha)
+    alpha = check_real(alpha, "alpha", "bad_alpha")
     if not 0.0 < alpha < 1.0:
         raise ValidationError(
             f"alpha must be in (0, 1), got {alpha}", code="bad_alpha"
@@ -256,68 +266,24 @@ def save_manifest(manifest: RetrievalManifest, path) -> None:
     write_json(path, payload)
 
 
-def _json_numbers(payload: dict, name: str, path, dtype) -> np.ndarray:
-    """``payload[name]``, a JSON list of integers that fit int64 (``dtype``
-    int64) or of finite numbers (float64), as a fresh read-only array; a
-    bool is neither. Anything else is refused with ``bad_manifest``."""
-    values, kinds = payload[name], (int,) if dtype is np.int64 else (int, float)
-    arr = None
-    if isinstance(values, list) and all(type(v) in kinds for v in values):
-        try:
-            arr = np.array(values, dtype)
-        except OverflowError:  # an integer beyond int64, or beyond float64
-            pass
-    if arr is None or not np.isfinite(arr).all():
-        kind = "integers that fit int64" if dtype is np.int64 else "finite numbers"
-        raise ValidationError(f"{path}: {name} must be a list of {kind}",
-                              code="bad_manifest")
-    return read_only(arr, None)
-
-
-def _known(value, enum) -> bool:
-    return isinstance(value, str) and value in {m.value for m in enum}
-
-
 def load_manifest(path) -> RetrievalManifest:
-    """Read a manifest back, or refuse it with ``bad_manifest``: indices and
-    multiplicities must be JSON integers, scores and the rule parameter
-    finite numbers, the rule known, the ids strings, and the whole a valid
-    :class:`RetrievalManifest`. One without a ``method`` key (older than
-    the key) is refused, while ``null`` reads as no method."""
+    """Read a manifest back as a :class:`RetrievalManifest`, or refuse it
+    with ``bad_manifest`` when the file holds no valid one. One without a
+    ``method`` key (older than the key) is refused, while ``null`` reads as
+    no method."""
     payload = read_json_object(path, "bad_manifest", (
         "selected_indices", "scores_at_selection", "rule", "rule_param",
         "config_fingerprint"))
-    method = payload.get("method", "")
-    if method is not None and not _known(method, ScoreMethod):
-        raise ValidationError(
-            f"{path} does not record a known scoring method; rerun `iwre retrieve`",
-            code="bad_manifest",
-        )
-    ids = [payload.get(key, "") for key in
-           ("config_fingerprint", "prior_source_id", "target_source_id")]
-    param = payload["rule_param"]
-    if (not _known(payload["rule"], SelectionRule)
-            or type(param) not in (int, float)
-            or not abs(param) <= np.finfo(np.float64).max  # NaN too
-            or not all(isinstance(i, str) for i in ids)):
-        raise ValidationError(
-            f"{path}: the rule must be one of {[r.value for r in SelectionRule]}, "
-            "rule_param a finite number, and the fingerprint and source ids strings",
-            code="bad_manifest",
-        )
-    indices = _json_numbers(payload, "selected_indices", path, np.int64)
-    scores = _json_numbers(payload, "scores_at_selection", path, np.float64)
-    mult = payload.get("multiplicities")
-    if mult is not None:
-        mult = _json_numbers(payload, "multiplicities", path, np.int64)
     try:
         return RetrievalManifest(
-            indices, scores, payload["rule"], float(param), ids[0],
-            prior_source_id=ids[1], target_source_id=ids[2],
-            multiplicities=mult, method=method,
+            payload["selected_indices"], payload["scores_at_selection"],
+            payload["rule"], payload["rule_param"], payload["config_fingerprint"],
+            payload.get("prior_source_id", ""), payload.get("target_source_id", ""),
+            payload.get("multiplicities"), payload.get("method", ""),
         )
-    except ValidationError as exc:  # an empty, unsorted or misaligned selection
-        raise ValidationError(f"{path}: {exc}", code="bad_manifest") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}; rerun `iwre retrieve`",
+                              code="bad_manifest") from exc
 
 
 def save_cotrain_weights(

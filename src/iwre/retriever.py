@@ -65,9 +65,7 @@ class EmbeddingRetriever(ParamsMixin):
         self.config_ = ScoringConfig(
             **{f.name: params[f.name] for f in fields(ScoringConfig)}
         )
-        self.target_ = X if isinstance(X, EmbeddingDataset) else EmbeddingDataset(
-            np.asarray(X)
-        )
+        self.target_ = X if isinstance(X, EmbeddingDataset) else EmbeddingDataset(X)
         return self
 
     def score_vector(self, X) -> ScoreVector:

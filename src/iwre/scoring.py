@@ -103,7 +103,8 @@ class ScoreVector:
     already a read-only float64 vector, such as a result of the scoring
     rules, which is then held as it is. ``params``, read-only, records how
     :meth:`ScoringConfig.score` made them (:meth:`~ScoringConfig.sidecar_params`);
-    it is empty for the ``score_*`` functions' results.
+    it is empty for the ``score_*`` functions' results, else its method and
+    ids must be the vector's.
     """
 
     values: np.ndarray
@@ -115,14 +116,24 @@ class ScoreVector:
 
     def __post_init__(self):
         values = read_only(check_vector(self.values, "scores"), self.values)
-        method = ScoreMethod(self.method)
-        if method is ScoreMethod.NN_L2 and values.size and values.max() > 0.0:
+        coerce_fields(self, "score field", ("method", "config_fingerprint",
+                                            "prior_source_id", "target_source_id"))
+        if self.method is ScoreMethod.NN_L2 and values.size and values.max() > 0.0:
             raise ValidationError(
                 "nn_l2 scores are negated squared distances and must be <= 0",
                 code="bad_scores",
             )
+        if not isinstance(self.params, Mapping):
+            raise ValidationError(f"params must be a mapping, got {self.params!r}",
+                                  code="malformed_value")
+        ids = {"method": self.method.value, "prior_source_id": self.prior_source_id,
+               "target_source_id": self.target_source_id}
+        for key, value in ids.items():
+            record = self.params.get(key) if self.params else value
+            if not isinstance(record, str) or record != value:
+                raise ValidationError(f"{key} {value!r} is not params' {record!r}",
+                                      code="malformed_value")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "method", method)
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
     @property
@@ -155,7 +166,7 @@ def config_fingerprint(**payload) -> str:
 
 
 def _as_dataset(x) -> EmbeddingDataset:
-    return x if isinstance(x, EmbeddingDataset) else EmbeddingDataset(np.asarray(x))
+    return x if isinstance(x, EmbeddingDataset) else EmbeddingDataset(x)
 
 
 def _check_dims(target_dim: int, prior: EmbeddingDataset) -> None:
@@ -535,27 +546,15 @@ def save_scores(scores: ScoreVector, path) -> None:
 
 
 def load_scores(path) -> ScoreVector:
-    """Read a score file back, with the record its sidecar holds. A sidecar
-    whose ``params`` is no object, or whose top-level method or source ids
-    disagree with that record, is refused."""
+    """Read a score file back as a :class:`ScoreVector` carrying the record
+    its sidecar holds, or refuse with ``bad_sidecar`` a sidecar that makes
+    no valid one with the file's values."""
     meta_path = Path(path).with_suffix(".json")
     if not meta_path.exists():
         raise ValidationError(f"missing score sidecar {meta_path}",
                               code="missing_sidecar")
     sidecar = read_json_object(meta_path, "bad_sidecar",
                                ("method", "config_fingerprint", "params"))
-    ids = ("method", "prior_source_id", "target_source_id")
-    top = {key: sidecar.get(key, "") for key in ("config_fingerprint", *ids)}
-    params = sidecar["params"]
-    if not isinstance(params, dict) or not all(isinstance(v, str) for v in top.values()):
-        problem = "params must be an object, the method, fingerprint and ids strings"
-    elif top["method"] not in {m.value for m in ScoreMethod}:
-        problem = "unknown method"
-    else:  # a record that is not empty must be of these scores
-        problem = next((f"{key} {top[key]!r} is not params' {params.get(key)!r}"
-                        for key in ids if params and params.get(key) != top[key]), None)
-    if problem:
-        raise ValidationError(f"{meta_path}: {problem}", code="bad_sidecar")
     values, _, _ = read_vector_file(path)
     if values.shape[1] != 1:
         raise ValidationError(
@@ -564,4 +563,9 @@ def load_scores(path) -> ScoreVector:
         )
     column = values[:, 0].copy()  # the scores, not the mapped file
     column.flags.writeable = False
-    return ScoreVector(column, **top, params=params)
+    ids = [sidecar.get(key, "") for key in ("prior_source_id", "target_source_id")]
+    try:
+        return ScoreVector(column, sidecar["method"], sidecar["config_fingerprint"],
+                           *ids, sidecar["params"])
+    except ValidationError as exc:
+        raise ValidationError(f"{meta_path}: {exc}", code="bad_sidecar") from exc

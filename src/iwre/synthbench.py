@@ -24,7 +24,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ._validation import check_count, check_matrix, read_json_object, write_json
+from ._validation import (
+    as_numbers,
+    check_count,
+    check_matrix,
+    read_json_object,
+    write_json,
+)
 from .dataset import EmbeddingDataset, MetadataTable
 from .errors import ValidationError
 from .kde import LOG_2PI, _logsumexp
@@ -45,11 +51,11 @@ class GaussianMixture:
     covariances: np.ndarray
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
+        weights = as_numbers(self.weights, "weights")
         means = check_matrix(self.means, "means")
-        covs = np.asarray(self.covariances, dtype=np.float64)
+        covs = as_numbers(self.covariances, "covariances")
         k, d = means.shape
-        if weights.shape != (k,) or (weights <= 0).any():
+        if weights.shape != (k,) or not (weights > 0).all():
             raise ValidationError(
                 "mixture weights must be positive, one per component",
                 code="bad_mixture",
@@ -59,9 +65,10 @@ class GaussianMixture:
                 f"mixture weights sum to {weights.sum()!r}, expected 1",
                 code="bad_mixture",
             )
-        if covs.shape != (k, d, d):
+        if covs.shape != (k, d, d) or not np.isfinite(covs).all():
             raise ValidationError(
-                f"covariances must have shape ({k}, {d}, {d}), got {covs.shape}",
+                f"covariances must be finite, of shape ({k}, {d}, {d}), "
+                f"got {covs.shape}",
                 code="bad_mixture",
             )
         try:
@@ -355,10 +362,10 @@ def load_oracle(path) -> OracleDensities:
         section = payload[name]
         try:
             arrays = [
-                np.asarray(section[key], dtype=np.float64)
+                as_numbers(section[key], key)
                 for key in ("weights", "means", "covariances")
             ]
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValidationError) as exc:
             raise ValidationError(
                 f"{path}: bad {name}: {exc!r}", code="bad_oracle"
             ) from exc

@@ -9,6 +9,7 @@ from scipy.stats import chisquare
 
 from helpers import metadata_table
 from iwre.analysis import (
+    MAX_BINS,
     UNLABELED_TASK,
     emit_report,
     load_report,
@@ -161,6 +162,14 @@ class TestTimestepHistogram:
         meta = metadata_table([(0, 0, 1, None)])
         with pytest.raises(ValidationError):
             timestep_histogram(manifest_of([0]), meta, 0)
+
+    def test_bin_count_is_capped(self):
+        meta = metadata_table([(0, 0, 1, "a")])
+        assert timestep_histogram(manifest_of([0]), meta, MAX_BINS).counts[0] == 1
+        for bins in (MAX_BINS + 1, 2**30, 10**14):
+            with pytest.raises(ValidationError) as exc:
+                timestep_histogram(manifest_of([0]), meta, bins)
+            assert exc.value.code == "bad_param"
 
 
 class TestTaskBinCounts:

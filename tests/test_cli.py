@@ -541,6 +541,11 @@ MALFORMED = [
         ("method_list", lambda d: d.update(method=["nn_l2"])),
     ]
 ] + [
+    # Beyond analysis.MAX_BINS: no bin table of that size is allocated.
+    (f"config_bins_{value}", "analyze", "config.json",
+     _write(json.dumps({"bins": value})), "bad_param")
+    for value in (10**9, 2**30, 10**14)
+] + [
     # The manifest was selected from nn scores.
     ("analyze_method_mismatch", "analyze", "config.json",
      _write(json.dumps({"method": "kde"})), "method_mismatch"),
@@ -616,6 +621,23 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"error[{code}]" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bins", [0, 10_001, 10**9, 2**30, 10**14])
+    def test_analyze_bins_refused_before_reading(self, tmp_path, capsys, monkeypatch,
+                                                 bins):
+        def unread(path):
+            raise AssertionError(f"{path} read before --bins was checked")
+
+        monkeypatch.setattr(cli, "load_manifest", unread)
+        monkeypatch.setattr(cli, "load_metadata", unread)
+        for name in ("manifest.json", "meta.csv"):
+            (tmp_path / name).write_text("")
+        assert run("analyze", "--manifest", tmp_path / "manifest.json",
+                   "--meta", tmp_path / "meta.csv", "--bins", bins,
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[bad_param]") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     # Refused before any input is read.
     @pytest.mark.parametrize("argv", [

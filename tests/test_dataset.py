@@ -79,6 +79,18 @@ class TestEmbeddingDataset:
         assert exc.value.code == "non_finite"
         assert "row 1" in str(exc.value)
 
+    @pytest.mark.parametrize("data, source_id, code", [
+        ([["a", "b"]], "", "malformed_value"),
+        ([[1.0], [2.0, 3.0]], "", "malformed_value"),
+        (np.array([[True, False]]), "", "malformed_value"),
+        (np.zeros((2, 2)), 7, "bad_param"),
+        (np.zeros((2, 2)), None, "bad_param"),
+    ], ids=["strings", "ragged", "bools", "source_id_int", "source_id_none"])
+    def test_rejects_non_numbers(self, data, source_id, code):
+        with pytest.raises(ValidationError) as exc:
+            EmbeddingDataset(data, source_id)
+        assert exc.value.code == code
+
     def test_default_source_id_tracks_content(self):
         a = EmbeddingDataset(np.ones((2, 2)))
         b = EmbeddingDataset(np.ones((2, 2)))
@@ -591,6 +603,9 @@ class TestMetadataTable:
         (([2**70], [0], [1], [-1]), "malformed_value"),
         ((np.array([2**63], np.uint64), [0], [1], [-1]), "malformed_value"),
         (([0], [0], [True], [-1]), "malformed_value"),
+        ((np.array([0.0]), [0], [1], [-1]), "malformed_value"),
+        (([0], [0], [1], [-1], None), "bad_task_label"),
+        (([0], [0], [1], [0], "ab"), "bad_task_label"),
     ])
     def test_rejects(self, columns, code):
         with pytest.raises(ValidationError) as exc:

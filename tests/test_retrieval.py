@@ -12,11 +12,12 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import JSON_VALUES, metadata_table, ranking
 from iwre import retrieval
 from iwre._validation import read_only
-from iwre.dataset import EmbeddingDataset
+from iwre.dataset import EmbeddingDataset, MetadataTable
 from iwre.errors import ValidationError
 from iwre.retrieval import (
     RetrievalManifest,
     SelectionRule,
+    check_fraction,
     cotrain_weights,
     load_manifest,
     materialize,
@@ -26,6 +27,7 @@ from iwre.retrieval import (
     select_by_fraction,
     select_by_threshold,
 )
+from iwre.retriever import EmbeddingRetriever
 from iwre.scoring import ScoreMethod, ScoreVector
 
 
@@ -215,6 +217,27 @@ class TestResample:
         assert abs(mean - 0.0) <= 3.0 * se
 
 
+class TestLibraryScalars:
+    # A value that float() would change (or a bool) is refused with the
+    # code of the value it stands for, never a bare ValueError.
+    @pytest.mark.parametrize("call, code", [
+        (lambda s: select_by_threshold(s, "x"), "bad_param"),
+        (lambda s: select_by_threshold(s, float("nan")), "bad_param"),
+        (lambda s: select_by_fraction(s, "0.5"), "bad_fraction"),
+        (lambda s: select_by_fraction(s, True), "bad_fraction"),
+        (lambda s: check_fraction(None), "bad_fraction"),
+        (lambda s: cotrain_weights(3, 4, "x"), "bad_alpha"),
+        (lambda s: cotrain_weights(3, 4, [0.5]), "bad_alpha"),
+        (lambda s: EmbeddingRetriever("nn_l2", fraction="x").fit(np.zeros((3, 2)))
+         .transform(-np.ones((5, 2))), "bad_fraction"),
+    ], ids=["threshold_string", "threshold_nan", "fraction_string", "fraction_bool",
+            "fraction_none", "alpha_string", "alpha_list", "retriever_fraction"])
+    def test_refused_with_its_code(self, call, code):
+        with pytest.raises(ValidationError) as exc:
+            call(make_scores(np.linspace(0, 1, 10)))
+        assert exc.value.code == code
+
+
 class TestCotrainWeights:
     def test_reference_values(self):
         w = cotrain_weights(10, 30, 0.5)
@@ -331,7 +354,7 @@ class TestManifest:
 
     @pytest.mark.parametrize("scores, mult", [
         (np.zeros(3), None),
-        (np.zeros(2), np.ones(3)),
+        (np.zeros(2), np.ones(3, int)),
         (np.zeros(2), np.array([1, 0])),
     ], ids=["misaligned_scores", "misaligned_multiplicities", "multiplicity_zero"])
     def test_rejects_bad_shape(self, scores, mult):
@@ -339,6 +362,50 @@ class TestManifest:
             RetrievalManifest(np.array([1, 4]), scores, SelectionRule.RESAMPLE, 2,
                               "fp", multiplicities=mult)
         assert exc.value.code == "bad_shape"
+
+    # Indices and multiplicities are integers: a float, even an integral
+    # one, or a bool is refused, not truncated.
+    @pytest.mark.parametrize("indices, mult", [
+        ([0.7, 2.2], None),
+        ([0.0, 2.0], None),
+        ([True, 2], None),
+        (np.array([0.7, 2.2]), None),
+        (np.array([True, False]), None),
+        ([0, 2], [1.9, 1.2]),
+        ([0, 2], np.ones(2)),
+        ([0, 2], [True, 2]),
+        ([0.7, 2.2], [1.9, 1.2]),
+    ], ids=["float_indices", "integral_float_indices", "bool_indices",
+            "float_index_array", "bool_index_array", "float_multiplicities",
+            "integral_float_multiplicity_array", "bool_multiplicities",
+            "floats_in_both"])
+    def test_refuses_non_integers(self, indices, mult):
+        with pytest.raises(ValidationError) as exc:
+            RetrievalManifest(indices, [1.0, 2.0], "fraction", 0.5, "fp",
+                              multiplicities=mult)
+        assert exc.value.code == "malformed_value"
+
+    @pytest.mark.parametrize("change", [
+        {"rule_param": float("nan")},
+        {"rule_param": "0.5"},
+        {"rule_param": True},
+        {"scores_at_selection": [1.0, float("nan")]},
+        {"scores_at_selection": ["1", "2"]},
+        {"config_fingerprint": 7},
+        {"prior_source_id": None},
+        {"target_source_id": b"t"},
+        {"rule": "bogus"},
+        {"method": "bogus"},
+        {"method": ["iwr"]},
+        {"selected_indices": [[1], [2, 3]]},
+        {"selected_indices": [2**70, 2**71]},
+    ], ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()))
+    def test_refuses_a_bad_value(self, change):
+        args = {"selected_indices": [0, 2], "scores_at_selection": [1.0, 2.0],
+                "rule": "fraction", "rule_param": 0.5, "config_fingerprint": "fp",
+                **change}
+        with pytest.raises(ValidationError):
+            RetrievalManifest(**args)
 
     def test_caller_arrays_stay_writeable_and_unshared(self):
         idx, scores, mult = np.array([1, 4, 7]), np.array([.5, .2, .1]), np.ones(3, int)
@@ -443,3 +510,80 @@ class TestManifest:
         save_manifest(manifest, a)
         save_manifest(manifest, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# A valid record of each type, as keyword arguments.
+VALID_RECORDS = {
+    RetrievalManifest: {
+        "selected_indices": [1, 4], "scores_at_selection": [0.5, 0.25],
+        "rule": "resample", "rule_param": 2.0, "config_fingerprint": "fp",
+        "prior_source_id": "p", "target_source_id": "t", "multiplicities": [1, 3],
+        "method": "iwr",
+    },
+    ScoreVector: {
+        "values": [-1.0, -2.0], "method": "nn_l2", "config_fingerprint": "fp",
+        "prior_source_id": "p", "target_source_id": "t",
+        "params": {"method": "nn_l2", "prior_source_id": "p", "target_source_id": "t"},
+    },
+    MetadataTable: {
+        "episode_id": [0, 0], "step_index": [0, 1], "episode_length": [2, 2],
+        "task_code": [0, -1], "task_labels": ("a",),
+    },
+}
+INTEGER_FIELDS = {"selected_indices", "multiplicities", "episode_id", "step_index",
+                  "episode_length", "task_code"}
+# Floats, bools and ragged arrays, which JSON_VALUES does not make.
+ODD_ARRAYS = [np.array([0.5, 4.0]), np.array([1.0, 4.0]), np.array([True, False]),
+              np.array([[1], [2, 3]], dtype=object), [[1], [2, 3]], [True, 4]]
+
+
+def assert_valid(record):
+    """``record``'s fields hold the types its class promises."""
+    if isinstance(record, RetrievalManifest):
+        assert record.selected_indices.dtype == np.int64
+        assert record.scores_at_selection.dtype == np.float64
+        assert np.isfinite(record.scores_at_selection).all()
+        assert isinstance(record.rule, SelectionRule)
+        assert type(record.rule_param) is float and np.isfinite(record.rule_param)
+        assert record.method is None or isinstance(record.method, ScoreMethod)
+        assert record.multiplicities is None or record.multiplicities.dtype == np.int64
+    elif isinstance(record, ScoreVector):
+        assert record.values.dtype == np.float64 and np.isfinite(record.values).all()
+        assert isinstance(record.method, ScoreMethod)
+        if record.params:
+            assert record.params["method"] == record.method.value
+            assert record.params["prior_source_id"] == record.prior_source_id
+            assert record.params["target_source_id"] == record.target_source_id
+    else:
+        columns = [getattr(record, name) for name in sorted(INTEGER_FIELDS)
+                   if hasattr(record, name)]
+        assert all(c.dtype.kind == "i" and c.shape == (len(record),) for c in columns)
+        assert all(isinstance(label, str) for label in record.task_labels)
+    for name in ("config_fingerprint", "prior_source_id", "target_source_id"):
+        assert isinstance(getattr(record, name, ""), str)
+
+
+class TestRecordsCheckTheirValues:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_argument_makes_a_valid_record_or_is_refused(self, data):
+        cls = data.draw(st.sampled_from(list(VALID_RECORDS)))
+        args = dict(VALID_RECORDS[cls])
+        name = data.draw(st.sampled_from(sorted(args)))
+        value = data.draw(JSON_VALUES | st.floats() | st.booleans()
+                          | st.sampled_from(ODD_ARRAYS))
+        args[name] = value
+        try:
+            record = cls(**args)
+        except ValidationError:
+            return
+        assert_valid(record)
+        if name in INTEGER_FIELDS and value is not None:
+            # Only integers are taken, as they are: none is truncated.
+            leaves = np.array(value, dtype=object).ravel()
+            assert all(type(v) is int for v in leaves)
+            assert getattr(record, name).tolist() == np.array(value).tolist()
+
+    @pytest.mark.parametrize("cls", list(VALID_RECORDS), ids=lambda c: c.__name__)
+    def test_valid_records_are_valid(self, cls):
+        assert_valid(cls(**VALID_RECORDS[cls]))

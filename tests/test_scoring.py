@@ -61,6 +61,25 @@ class TestScoreVector:
         with pytest.raises(ValidationError):
             ScoreVector(np.array([np.inf]), ScoreMethod.IWR, "fp")
 
+    @pytest.mark.parametrize("args, kwargs, code", [
+        (([-1.0, np.nan], "iwr", ""), {}, "non_finite"),
+        ((["1.0"], "iwr", ""), {}, "malformed_value"),
+        (([True, 0.5], "iwr", ""), {}, "malformed_value"),
+        (([-1.0], "bogus", ""), {}, "bad_param"),
+        (([-1.0], "iwr", 7), {}, "bad_param"),
+        (([-1.0], "iwr", ""), {"prior_source_id": None}, "bad_param"),
+        (([-1.0], "iwr", ""), {"params": [1]}, "malformed_value"),
+        (([-1.0], "iwr", ""), {"params": {"method": "lse"}}, "malformed_value"),
+        (([-1.0], "iwr", ""), {"params": {"method": "iwr", "prior_source_id": "p",
+                                          "target_source_id": ""}}, "malformed_value"),
+    ], ids=["nan_score", "string_score", "bool_score", "unknown_method",
+            "fingerprint_not_string", "id_not_string", "params_not_mapping",
+            "params_of_another_method", "params_of_another_prior"])
+    def test_refuses_a_bad_value(self, args, kwargs, code):
+        with pytest.raises(ValidationError) as exc:
+            ScoreVector(*args, **kwargs)
+        assert exc.value.code == code
+
     def test_log_space_flag(self):
         assert ScoreVector(np.zeros(2), ScoreMethod.IWR, "f").log_space
         assert ScoreVector(np.zeros(2), ScoreMethod.KDE_TARGET, "f").log_space
@@ -810,8 +829,10 @@ class TestScoreIO:
         assert exc.value.code == "missing_sidecar"
 
     def test_save_twice_is_byte_identical(self, tmp_path):
+        record = {"method": "kde_target", "prior_source_id": "",
+                  "target_source_id": "", "x": 1}
         sv = ScoreVector(np.array([1.5, -2.5]), ScoreMethod.KDE_TARGET, "fp",
-                         params={"x": 1})
+                         params=record)
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         save_scores(sv, a)
         save_scores(sv, b)

@@ -79,6 +79,19 @@ class TestGaussianMixture:
             dataclasses.replace(scenario, **{field: getattr(scenario, field)[:-1]})
         assert exc.value.code == "bad_mixture"
 
+    @pytest.mark.parametrize("weights, covariances, code", [
+        (["a"], [[[1.0]]], "malformed_value"),
+        ([1.0], [[["1"]]], "malformed_value"),
+        ([True], [[[1.0]]], "malformed_value"),
+        ([np.nan], [[[1.0]]], "bad_mixture"),
+        ([1.0], [[[np.nan]]], "bad_mixture"),
+    ], ids=["string_weight", "string_covariance", "bool_weight", "nan_weight",
+            "nan_covariance"])
+    def test_rejects_non_numbers(self, weights, covariances, code):
+        with pytest.raises(ValidationError) as exc:
+            GaussianMixture(weights, [[0.0]], covariances)
+        assert exc.value.code == code
+
     def test_covariance_must_be_pd(self):
         with pytest.raises(ValidationError):
             GaussianMixture(
@@ -198,8 +211,12 @@ class TestOracleFile:
          '"covariances": [[[1]]]}, "prior_mixture": {}}', "bad_oracle"),
         ('{"target_mixture": {"weights": [1], "means": [[0]], '
          '"covariances": [[[-1]]]}, "prior_mixture": {}}', "bad_mixture"),
+        # Numbers are JSON numbers: a string is not parsed.
+        ('{"target_mixture": {"weights": ["1"], "means": [[0]], '
+         '"covariances": [[["1"]]]}, "prior_mixture": {"weights": [1], '
+         '"means": [[0]], "covariances": [[[4]]]}}', "bad_oracle"),
     ], ids=["invalid_json", "not_object", "missing_section", "section_not_object",
-            "missing_key", "ragged_means", "covariance_not_pd"])
+            "missing_key", "ragged_means", "covariance_not_pd", "string_numbers"])
     def test_malformed_file(self, tmp_path, text, code):
         path = tmp_path / "oracle.json"
         path.write_text(text)
