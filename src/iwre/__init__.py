@@ -14,8 +14,7 @@ import importlib
 # Each public name by its defining submodule.
 _EXPORTS = {
     "_version": "__version__",
-    "analysis": "TaskBreakdown TimestepHistogram emit_report load_report "
-                "task_bin_counts task_breakdown timestep_histogram",
+    "analysis": "build_report emit_report load_report task_bin_counts",
     "dataset": "EmbeddingDataset MetadataTable load_embeddings "
                "load_metadata pair_metadata save_embeddings save_metadata",
     "errors": "EngineError NumericalError ValidationError",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import json
 import typing
 from dataclasses import fields
@@ -73,9 +74,16 @@ def as_numbers(values, name: str, dtype=np.float64) -> np.ndarray:
     ``malformed_value``: nothing is truncated, wrapped or parsed."""
     kinds = "iu" if np.dtype(dtype).kind == "i" else "iuf"
     try:
-        lists = isinstance(values, (list, tuple))
-        arr = np.array(values, dtype=object) if lists else np.asarray(values)
-        types = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
+        arr = np.asarray(values)
+        if isinstance(values, (list, tuple)):  # the elements' types, as given
+            elements = values
+            for _ in range(arr.ndim - 1):
+                elements = itertools.chain.from_iterable(elements)
+            types = set(map(type, elements))
+            if arr.dtype.kind not in kinds:  # int64 with uint64 values made float64
+                arr = np.array(values, dtype=object)
+        else:
+            types = set(map(type, arr.flat)) if arr.dtype == object else {arr.dtype.type}
         fits = kinds == "iuf" or arr.dtype != np.uint64 or arr.max(initial=0) >> 63 == 0
         if fits and all(np.dtype(t).kind in kinds for t in types):
             return arr.astype(dtype, copy=False)

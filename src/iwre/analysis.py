@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -20,6 +20,7 @@ from ._validation import check_count, read_json_object, write_json
 from .dataset import MetadataTable
 from .errors import ValidationError
 from .retrieval import RetrievalManifest
+from .synthbench import evaluate_retrieval, row_relevance
 from ._version import __version__
 
 logger = logging.getLogger(__name__)
@@ -47,77 +48,19 @@ def load_labels(path) -> dict:
     return labels
 
 
-@dataclass(frozen=True)
-class TaskBreakdown:
-    """Selected-row counts and fractions per task, with relevance labels."""
-
-    per_task_counts: dict
-    per_task_fractions: dict
-    relevance_labels: dict
-
-
-@dataclass(frozen=True, eq=False)
-class TimestepHistogram:
-    """Selected-row counts per proportional within-episode time bin."""
-
-    bin_count: int
-    counts: np.ndarray
-    normalized: np.ndarray
-
-
-def task_breakdown(
-    manifest: RetrievalManifest,
-    meta: MetadataTable,
-    labels: Optional[Mapping[str, str]] = None,
-) -> TaskBreakdown:
-    """Count selected rows per task and attach relevance labels.
-
-    Tasks selected but missing from ``labels`` default to ``harmful`` with
-    a logged warning; ``labels=None`` means none were given, and every task
-    is ``harmful`` without one. Rows without a task
-    label group under ``"(unlabeled)"``; a selection with no labeled rows at
-    all yields an empty breakdown.
-    """
-    if labels is not None:
-        _check_relevance(labels)
-    table = task_bin_counts(manifest, meta, 1)
-    counts = {task: row[0] for task, row in table.items()}
-    if (meta.task_code[manifest.selected_indices] < 0).all():
-        return TaskBreakdown({}, {}, {})
-    total = manifest.size
-    fractions = {task: c / total for task, c in counts.items()}
-    for task in counts if labels is not None else ():
-        if task not in labels:
-            logger.warning(
-                "task %r has no relevance label; defaulting to 'harmful'", task
-            )
-    relevance = {task: (labels or {}).get(task, "harmful") for task in counts}
-    return TaskBreakdown(counts, fractions, relevance)
-
-
-def timestep_histogram(
-    manifest: RetrievalManifest, meta: MetadataTable, bin_count: int = 10
-) -> TimestepHistogram:
-    """Histogram selected rows by proportional position within their episode.
-
-    Bin assignment is ``floor(step_index * bin_count / episode_length)``,
-    always in ``[0, bin_count)``.
-    """
-    table = task_bin_counts(manifest, meta, bin_count)
-    counts = np.sum(list(table.values()), axis=0, dtype=np.int64)
-    return TimestepHistogram(counts.size, counts, counts / manifest.size)
-
-
 def task_bin_counts(
     manifest: RetrievalManifest, meta: MetadataTable, bin_count: int = 10
 ) -> dict:
     """Crossed per-task, per-bin selected counts.
 
     Lets external tooling apply segment-level relevance rules (e.g. "only
-    the early portion of this task is useful") that neither marginal table
-    can express. :func:`task_breakdown` and :func:`timestep_histogram` are
-    its marginals. The counts are one ``bincount`` over task code x bin of
-    the selected rows.
+    the early portion of this task is useful") that neither marginal can
+    express; :func:`build_report`'s task and timestep counts are its row
+    and column sums. The counts are one ``bincount`` over the selected
+    rows' distinct task codes x bin, so the table is sized by the tasks
+    selected, not by every label of ``meta``. Bin assignment is
+    ``floor(step_index * bin_count / episode_length)``, always in
+    ``[0, bin_count)``.
     """
     bin_count = check_count(bin_count, "bin_count", maximum=MAX_BINS)
     idx = manifest.selected_indices
@@ -131,56 +74,76 @@ def task_bin_counts(
     if bin_count > np.iinfo(np.int64).max // int(lengths.max()):
         steps = steps.astype(object)  # step * bin_count would overflow int64
     bins = (steps * bin_count // lengths).astype(np.int64)
-    names = (UNLABELED_TASK,) + meta.task_labels
-    cells = (meta.task_code[idx].astype(np.int64) + 1) * bin_count + bins
-    counts = np.bincount(cells, minlength=len(names) * bin_count)
+    codes, task = np.unique(meta.task_code[idx], return_inverse=True)
+    counts = np.bincount(task * bin_count + bins, minlength=len(codes) * bin_count)
+    names = (UNLABELED_TASK,) + meta.task_labels  # code -1 is the first
     table: dict[str, list] = {}
-    for name, row in zip(names, counts.reshape(len(names), bin_count).tolist()):
-        if any(row):  # a task labelled "(unlabeled)" shares the unlabeled row
-            table[name] = [a + b for a, b in zip(table.get(name, [0] * bin_count), row)]
+    for code, row in zip(codes.tolist(), counts.reshape(-1, bin_count).tolist()):
+        name = names[code + 1]  # a task labelled "(unlabeled)" shares that row
+        table[name] = [a + b for a, b in zip(table[name], row)] if name in table else row
     return table
 
 
-def emit_report(
-    breakdown: TaskBreakdown,
-    histogram: TimestepHistogram,
-    path,
+def build_report(
+    manifest: RetrievalManifest,
+    meta: MetadataTable,
     *,
+    labels: Optional[Mapping[str, str]] = None,
+    bin_count: int = 10,
     fingerprint: str = "",
     method: str = "",
-    evaluation: Optional[dict] = None,
-    task_bins: Optional[dict] = None,
-) -> None:
-    """Write the diagnostics report as stable, sectioned JSON.
+) -> dict:
+    """The diagnostics report of a selection, as :func:`emit_report` writes it.
 
-    Schema: ``engine_version``, ``config_fingerprint``, ``method``, a
-    ``tasks`` section (null when no rows carry task labels) with
-    ``counts`` / ``fractions`` / ``relevance`` keyed by task, a
-    ``timesteps`` section with ``bin_count`` / ``counts`` / ``normalized``,
-    an optional crossed ``task_timesteps`` table, and an optional
-    ``evaluation`` section (e.g. precision/recall against ground truth).
+    Every count is a sum of one :func:`task_bin_counts` table. ``tasks``
+    holds its row sums (``counts``), those over the selection size
+    (``fractions``) and each task's ``relevance`` in ``labels``; it is null
+    when no selected row carries a task label. A selected task missing
+    from ``labels`` is ``harmful``, with a logged warning when labels were
+    given. ``timesteps`` holds the column sums (``counts``, ``normalized``).
+    ``task_timesteps`` is the table itself, null when no row of ``meta``
+    carries a task label. ``evaluation`` is the selection's precision and
+    recall against the rows whose task ``labels`` calls ``relevant``
+    (:func:`iwre.synthbench.evaluate_retrieval`), null without labels.
     """
-    tasks_section = None
-    if breakdown.per_task_counts:
-        tasks_section = {
-            "counts": breakdown.per_task_counts,
-            "fractions": breakdown.per_task_fractions,
-            "relevance": breakdown.relevance_labels,
+    if labels is not None:
+        _check_relevance(labels)
+    table = task_bin_counts(manifest, meta, bin_count)
+    counts = {task: sum(row) for task, row in table.items()}
+    tasks = None
+    if meta.task_code[manifest.selected_indices].max() >= 0:
+        for task in counts if labels is not None else ():
+            if task not in labels:
+                logger.warning(
+                    "task %r has no relevance label; defaulting to 'harmful'", task
+                )
+        tasks = {
+            "counts": counts,
+            "fractions": {task: c / manifest.size for task, c in counts.items()},
+            "relevance": {task: (labels or {}).get(task, "harmful") for task in counts},
         }
-    payload = {
+    per_bin = np.sum(list(table.values()), axis=0, dtype=np.int64)
+    evaluation = None
+    if labels:
+        evaluation = asdict(evaluate_retrieval(manifest, row_relevance(meta, labels)))
+    return {
         "engine_version": __version__,
         "config_fingerprint": fingerprint,
         "method": method,
-        "tasks": tasks_section,
+        "tasks": tasks,
         "timesteps": {
-            "bin_count": histogram.bin_count,
-            "counts": histogram.counts.tolist(),
-            "normalized": histogram.normalized.tolist(),
+            "bin_count": per_bin.size,
+            "counts": per_bin.tolist(),
+            "normalized": (per_bin / manifest.size).tolist(),
         },
-        "task_timesteps": task_bins,
+        "task_timesteps": table if meta.task_code.max(initial=-1) >= 0 else None,
         "evaluation": evaluation,
     }
-    write_json(path, payload)
+
+
+def emit_report(report: dict, path) -> None:
+    """Write a :func:`build_report` dict as JSON with sorted keys."""
+    write_json(path, report)
 
 
 def load_report(path) -> dict:

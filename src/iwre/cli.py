@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -40,14 +40,7 @@ from ._validation import (
     read_json_object,
     write_json,
 )
-from .analysis import (
-    MAX_BINS,
-    emit_report,
-    load_labels,
-    task_bin_counts,
-    task_breakdown,
-    timestep_histogram,
-)
+from .analysis import MAX_BINS, build_report, emit_report, load_labels
 from .dataset import (
     EmbeddingDataset,
     load_embeddings,
@@ -346,19 +339,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
         )
     meta = load_metadata(cfg.meta)
     labels = load_labels(cfg.labels) if cfg.labels else None
-    crossed = task_bin_counts(manifest, meta, cfg.bins)
-    evaluation = None
-    if labels:
-        evaluation = asdict(evaluate_retrieval(manifest, row_relevance(meta, labels)))
-    emit_report(
-        task_breakdown(manifest, meta, labels),
-        timestep_histogram(manifest, meta, cfg.bins),
-        cfg.output("report.json"),
-        fingerprint=manifest.config_fingerprint,
-        method=method,
-        evaluation=evaluation,
-        task_bins=crossed if (meta.task_code >= 0).any() else None,
+    report = build_report(
+        manifest, meta, labels=labels, bin_count=cfg.bins,
+        fingerprint=manifest.config_fingerprint, method=method,
     )
+    emit_report(report, cfg.output("report.json"))
     print(f"wrote {cfg.output('report.json')}")
     return 0
 

@@ -20,7 +20,7 @@ quantitatively without real robot data:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -389,7 +389,7 @@ def row_relevance(metadata: MetadataTable, labels: dict) -> np.ndarray:
 @dataclass(frozen=True)
 class RetrievalQuality:
     precision: float
-    recall: float
+    recall: Optional[float]  # None when no row is relevant
     selected_count: int
     relevant_count: int
 
@@ -409,7 +409,7 @@ def evaluate_retrieval(manifest: RetrievalManifest, relevant) -> RetrievalQualit
         )
     hits = int(relevant[manifest.selected_indices].sum())
     total_relevant = int(relevant.sum())
-    recall = hits / total_relevant if total_relevant else float("nan")
+    recall = hits / total_relevant if total_relevant else None
     return RetrievalQuality(hits / manifest.size, recall, manifest.size, total_relevant)
 
 

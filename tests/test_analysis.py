@@ -1,6 +1,8 @@
-"""Task breakdown, timestep histogram, and the diagnostics report."""
+"""The crossed task x time-bin table and the diagnostics report built from it."""
 
+import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,14 +13,15 @@ from helpers import metadata_table
 from iwre.analysis import (
     MAX_BINS,
     UNLABELED_TASK,
+    build_report,
     emit_report,
     load_report,
     task_bin_counts,
-    task_breakdown,
-    timestep_histogram,
 )
+from iwre.dataset import MetadataTable
 from iwre.errors import ValidationError
 from iwre.retrieval import RetrievalManifest, SelectionRule
+from iwre.synthbench import evaluate_retrieval, row_relevance
 
 
 def manifest_of(indices):
@@ -35,22 +38,32 @@ def meta_rows(tasks, episode_length=10):
     )
 
 
-class TestTaskBreakdown:
+def tasks_of(manifest, meta, labels=None):
+    """The ``tasks`` section of the report of ``manifest`` against ``meta``."""
+    return build_report(manifest, meta, labels=labels)["tasks"]
+
+
+def timesteps_of(manifest, meta, bin_count):
+    """The ``timesteps`` section of the report of ``manifest`` against ``meta``."""
+    return build_report(manifest, meta, bin_count=bin_count)["timesteps"]
+
+
+class TestReportTasks:
     def test_single_task_fraction_one(self):
         meta = meta_rows(["a"] * 5)
-        breakdown = task_breakdown(manifest_of(range(5)), meta, {"a": "relevant"})
-        assert breakdown.per_task_fractions == {"a": 1.0}
+        tasks = tasks_of(manifest_of(range(5)), meta, {"a": "relevant"})
+        assert tasks["fractions"] == {"a": 1.0}
 
     def test_mixed_tasks(self):
         meta = meta_rows(["A", "A", "B", "C"], episode_length=4)
-        breakdown = task_breakdown(
+        tasks = tasks_of(
             manifest_of(range(4)),
             meta,
             {"A": "relevant", "B": "mixed", "C": "harmful"},
         )
-        assert breakdown.per_task_fractions == {"A": 0.5, "B": 0.25, "C": 0.25}
-        assert breakdown.per_task_counts == {"A": 2, "B": 1, "C": 1}
-        assert breakdown.relevance_labels == {
+        assert tasks["fractions"] == {"A": 0.5, "B": 0.25, "C": 0.25}
+        assert tasks["counts"] == {"A": 2, "B": 1, "C": 1}
+        assert tasks["relevance"] == {
             "A": "relevant",
             "B": "mixed",
             "C": "harmful",
@@ -60,60 +73,57 @@ class TestTaskBreakdown:
         rng = np.random.default_rng(0)
         tasks = [f"t{int(i)}" for i in rng.integers(0, 7, 100)]
         meta = meta_rows(tasks)
-        breakdown = task_breakdown(
-            manifest_of(rng.choice(100, 40, replace=False)), meta, {}
-        )
-        assert abs(sum(breakdown.per_task_fractions.values()) - 1.0) <= 1e-12
+        tasks = tasks_of(manifest_of(rng.choice(100, 40, replace=False)), meta, {})
+        assert abs(sum(tasks["fractions"].values()) - 1.0) <= 1e-12
 
     def test_missing_label_defaults_harmful_with_warning(self, caplog):
         meta = meta_rows(["mystery"] * 3)
         with caplog.at_level(logging.WARNING, logger="iwre.analysis"):
-            breakdown = task_breakdown(manifest_of(range(3)), meta, {})
-        assert breakdown.relevance_labels == {"mystery": "harmful"}
+            tasks = tasks_of(manifest_of(range(3)), meta, {})
+        assert tasks["relevance"] == {"mystery": "harmful"}
         assert any("mystery" in rec.message for rec in caplog.records)
 
     def test_unlabeled_rows_bucketed(self):
         meta = meta_rows(["a", None, "a", None], episode_length=4)
-        breakdown = task_breakdown(manifest_of(range(4)), meta, {"a": "relevant"})
-        assert breakdown.per_task_counts == {"a": 2, UNLABELED_TASK: 2}
+        tasks = tasks_of(manifest_of(range(4)), meta, {"a": "relevant"})
+        assert tasks["counts"] == {"a": 2, UNLABELED_TASK: 2}
 
-    def test_fully_unlabeled_selection_is_empty_breakdown(self):
+    def test_fully_unlabeled_selection_has_no_tasks_section(self):
         meta = meta_rows([None] * 4, episode_length=4)
-        breakdown = task_breakdown(manifest_of(range(4)), meta, {})
-        assert breakdown.per_task_counts == {}
+        assert tasks_of(manifest_of(range(4)), meta, {}) is None
 
     def test_bad_relevance_level(self):
         meta = meta_rows(["a"])
         with pytest.raises(ValidationError) as exc:
-            task_breakdown(manifest_of([0]), meta, {"a": "great"})
+            build_report(manifest_of([0]), meta, labels={"a": "great"})
         assert exc.value.code == "bad_relevance"
 
     def test_metadata_mismatch(self):
         meta = meta_rows(["a"] * 3)
         with pytest.raises(ValidationError) as exc:
-            task_breakdown(manifest_of([5]), meta, {})
+            build_report(manifest_of([5]), meta, labels={})
         assert exc.value.code == "metadata_mismatch"
 
     def test_conservation(self):
         rng = np.random.default_rng(2)
         tasks = [f"t{int(i)}" for i in rng.integers(0, 4, 60)]
         manifest = manifest_of(rng.choice(60, 25, replace=False))
-        breakdown = task_breakdown(manifest, meta_rows(tasks), {})
-        assert sum(breakdown.per_task_counts.values()) == manifest.size
+        counts = tasks_of(manifest, meta_rows(tasks), {})["counts"]
+        assert sum(counts.values()) == manifest.size
 
 
-class TestTimestepHistogram:
+class TestReportTimesteps:
     def test_early_steps_in_bin_zero(self):
         meta = metadata_table((0, i, 100, None) for i in range(100))
-        hist = timestep_histogram(manifest_of(range(10)), meta, 10)
-        assert hist.counts[0] == 10 and hist.counts[1:].sum() == 0
+        counts = timesteps_of(manifest_of(range(10)), meta, 10)["counts"]
+        assert counts[0] == 10 and sum(counts[1:]) == 0
 
     def test_three_known_bins(self):
         meta = metadata_table((0, i, 100, None) for i in range(100))
-        hist = timestep_histogram(manifest_of([0, 50, 99]), meta, 10)
+        counts = timesteps_of(manifest_of([0, 50, 99]), meta, 10)["counts"]
         want = np.zeros(10, dtype=np.int64)
         want[[0, 5, 9]] = 1
-        np.testing.assert_array_equal(hist.counts, want)
+        np.testing.assert_array_equal(counts, want)
 
     def test_boundaries(self):
         # step 0 -> first bin; final step -> final bin (episodes >= bin count)
@@ -121,14 +131,13 @@ class TestTimestepHistogram:
             meta = metadata_table(
                 (0, s, length, None) for s in range(length)
             )
-            hist = timestep_histogram(manifest_of([0, length - 1]), meta, 10)
-            assert hist.counts[0] == 1
-            assert hist.counts[9] == 1
+            counts = timesteps_of(manifest_of([0, length - 1]), meta, 10)["counts"]
+            assert counts[0] == 1
+            assert counts[9] == 1
 
     def test_single_bin(self):
         meta = metadata_table((0, i, 5, None) for i in range(5))
-        hist = timestep_histogram(manifest_of(range(5)), meta, 1)
-        assert hist.counts.tolist() == [5]
+        assert timesteps_of(manifest_of(range(5)), meta, 1)["counts"] == [5]
 
     def test_bins_in_range_for_any_length(self):
         rng = np.random.default_rng(8)
@@ -137,14 +146,14 @@ class TestTimestepHistogram:
             length = int(rng.integers(1, 40))
             meta.extend((episode, s, length, None) for s in range(length))
         manifest = manifest_of(range(len(meta)))
-        hist = timestep_histogram(manifest, metadata_table(meta), 10)
-        assert hist.counts.sum() == manifest.size
-        assert len(hist.counts) == 10
+        counts = timesteps_of(manifest, metadata_table(meta), 10)["counts"]
+        assert sum(counts) == manifest.size
+        assert len(counts) == 10
 
     def test_normalized_sums_to_one(self):
         meta = metadata_table((0, i, 20, None) for i in range(20))
-        hist = timestep_histogram(manifest_of(range(20)), meta, 10)
-        assert abs(hist.normalized.sum() - 1.0) <= 1e-12
+        normalized = timesteps_of(manifest_of(range(20)), meta, 10)["normalized"]
+        assert abs(sum(normalized) - 1.0) <= 1e-12
 
     def test_uniform_selection_is_chi2_uniform(self):
         rng = np.random.default_rng(123)
@@ -154,36 +163,61 @@ class TestTimestepHistogram:
             (e, s, length, None) for e in range(episodes) for s in range(length)
         )
         selected = rng.choice(len(meta), 10_000, replace=False)
-        hist = timestep_histogram(manifest_of(selected), meta, 10)
-        _, pvalue = chisquare(hist.counts)
+        _, pvalue = chisquare(timesteps_of(manifest_of(selected), meta, 10)["counts"])
         assert pvalue >= 0.01
 
     def test_bin_count_validation(self):
         meta = metadata_table([(0, 0, 1, None)])
         with pytest.raises(ValidationError):
-            timestep_histogram(manifest_of([0]), meta, 0)
+            timesteps_of(manifest_of([0]), meta, 0)
 
     def test_bin_count_is_capped(self):
         meta = metadata_table([(0, 0, 1, "a")])
-        assert timestep_histogram(manifest_of([0]), meta, MAX_BINS).counts[0] == 1
+        assert timesteps_of(manifest_of([0]), meta, MAX_BINS)["counts"][0] == 1
         for bins in (MAX_BINS + 1, 2**30, 10**14):
             with pytest.raises(ValidationError) as exc:
-                timestep_histogram(manifest_of([0]), meta, bins)
+                timesteps_of(manifest_of([0]), meta, bins)
             assert exc.value.code == "bad_param"
 
 
 class TestTaskBinCounts:
-    def test_crossed_table_matches_marginals(self):
-        rng = np.random.default_rng(6)
-        tasks = [f"t{int(i)}" for i in rng.integers(0, 3, 80)]
-        meta = meta_rows(tasks, episode_length=20)
-        manifest = manifest_of(rng.choice(80, 30, replace=False))
-        crossed = task_bin_counts(manifest, meta, 10)
-        hist = timestep_histogram(manifest, meta, 10)
-        breakdown = task_breakdown(manifest, meta, {})
-        per_bin = np.sum([row for row in crossed.values()], axis=0)
-        np.testing.assert_array_equal(per_bin, hist.counts)
-        assert {t: sum(r) for t, r in crossed.items()} == breakdown.per_task_counts
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(1, 30), st.integers(0, 29),
+                      st.sampled_from([None, "a", "b", "c", UNLABELED_TASK])),
+            min_size=1, max_size=40),
+        bins=st.integers(1, 12),
+        data=st.data(),
+    )
+    def test_report_is_sums_of_the_table(self, rows, bins, data):
+        # The report's task counts are the table's row sums, its timestep
+        # counts the column sums, and the fractions sum to 1.
+        meta = metadata_table((0, step % length, length, task) for length, step, task in rows)
+        selected = data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))
+        report = build_report(manifest_of(selected), meta, bin_count=bins)
+        table = report["task_timesteps"] or task_bin_counts(manifest_of(selected), meta, bins)
+        assert report["timesteps"]["counts"] == np.sum(list(table.values()), axis=0).tolist()
+        assert abs(sum(report["timesteps"]["normalized"]) - 1.0) <= 1e-12
+        if report["tasks"] is not None:
+            assert report["tasks"]["counts"] == {t: sum(row) for t, row in table.items()}
+            assert abs(sum(report["tasks"]["fractions"].values()) - 1.0) <= 1e-12
+
+    def test_sized_by_the_selected_tasks(self):
+        # 2,000 labels, one selected row and the most bins: the table is one
+        # task's row, not every label's (over 300 MiB if sized by them).
+        n = 2_000
+        meta = MetadataTable(np.arange(n), np.zeros(n, np.int64), np.ones(n, np.int64),
+                             np.arange(n, dtype=np.int32), tuple(f"t{i:04d}" for i in range(n)))
+        manifest = manifest_of([7])
+        tracemalloc.start()
+        try:
+            table = task_bin_counts(manifest, meta, MAX_BINS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table == {"t0007": [1] + [0] * (MAX_BINS - 1)}
+        assert peak < 2 * 2**20, peak / 2**20
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -222,46 +256,73 @@ class TestTaskBinCounts:
 
 
 class TestReport:
-    def build(self):
+    def build(self, labels=None, **kwargs):
         meta = meta_rows(["a", "a", "b", None], episode_length=4)
-        manifest = manifest_of(range(4))
-        breakdown = task_breakdown(manifest, meta, {"a": "relevant", "b": "mixed"})
-        hist = timestep_histogram(manifest, meta, 4)
-        return breakdown, hist
+        return build_report(manifest_of(range(4)), meta, labels=labels, **kwargs)
 
     def test_round_trip_exact_numbers(self, tmp_path):
-        breakdown, hist = self.build()
+        labels = {"a": "relevant", "b": "mixed"}
+        report = self.build(labels, bin_count=4, fingerprint="abc123", method="iwr")
         path = tmp_path / "report.json"
-        emit_report(
-            breakdown,
-            hist,
-            path,
-            fingerprint="abc123",
-            method="iwr",
-            evaluation={"precision": 1 / 3, "recall": 0.2},
-        )
-        report = load_report(path)
-        assert report["config_fingerprint"] == "abc123"
-        assert report["method"] == "iwr"
-        assert report["tasks"]["fractions"]["a"] == breakdown.per_task_fractions["a"]
-        assert report["timesteps"]["counts"] == hist.counts.tolist()
-        assert report["timesteps"]["normalized"] == hist.normalized.tolist()
-        assert report["evaluation"]["precision"] == 1 / 3
+        emit_report(report, path)
+        loaded = load_report(path)
+        assert loaded == report
+        assert loaded["config_fingerprint"] == "abc123"
+        assert loaded["method"] == "iwr"
+        assert loaded["tasks"]["fractions"]["a"] == 0.5
+        assert loaded["timesteps"]["counts"] == [1, 1, 1, 1]
+        assert loaded["timesteps"]["normalized"] == [0.25] * 4
+        assert loaded["evaluation"]["precision"] == 0.5
+
+    def test_evaluation_grades_the_labels(self):
+        meta = meta_rows(["a", "a", "b", None, "b", "a"], episode_length=6)
+        manifest = manifest_of([0, 2, 3])
+        labels = {"a": "relevant", "b": "harmful"}
+        report = build_report(manifest, meta, labels=labels)
+        quality = evaluate_retrieval(manifest, row_relevance(meta, labels))
+        assert report["evaluation"] == {
+            "precision": quality.precision, "recall": quality.recall,
+            "selected_count": 3, "relevant_count": 3,
+        }
+        assert quality.precision == 1 / 3 and quality.recall == 1 / 3
+        assert build_report(manifest, meta)["evaluation"] is None
+        assert build_report(manifest, meta, labels={})["evaluation"] is None
+
+    def test_no_relevant_row_gives_null_recall(self, tmp_path):
+        # Strict JSON: the report of labels that call no task relevant holds
+        # null, not NaN.
+        report = self.build({"a": "harmful", "b": "mixed"})
+        assert report["evaluation"]["recall"] is None
+        path = tmp_path / "report.json"
+        emit_report(report, path)
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        strict = json.loads(path.read_text(), parse_constant=refuse)
+        assert strict["evaluation"] == {
+            "precision": 0.0, "recall": None, "selected_count": 4, "relevant_count": 0,
+        }
 
     def test_histogram_only_when_no_labels(self, tmp_path):
         meta = meta_rows([None] * 4, episode_length=4)
-        manifest = manifest_of(range(4))
-        breakdown = task_breakdown(manifest, meta, {})
-        hist = timestep_histogram(manifest, meta, 2)
         path = tmp_path / "report.json"
-        emit_report(breakdown, hist, path)
+        emit_report(build_report(manifest_of(range(4)), meta, bin_count=2), path)
         report = load_report(path)
         assert report["tasks"] is None
+        assert report["task_timesteps"] is None
         assert report["timesteps"]["counts"] == [2, 2]
 
+    def test_unlabeled_selection_keeps_the_table(self):
+        # No selected row has a task, but the metadata has: the tasks
+        # section is null and the crossed table holds the unlabeled row.
+        meta = meta_rows([None, None, "a", "a"], episode_length=4)
+        report = build_report(manifest_of([0, 1]), meta, bin_count=2)
+        assert report["tasks"] is None
+        assert report["task_timesteps"] == {UNLABELED_TASK: [2, 0]}
+
     def test_emit_is_deterministic(self, tmp_path):
-        breakdown, hist = self.build()
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        emit_report(breakdown, hist, a, fingerprint="f")
-        emit_report(breakdown, hist, b, fingerprint="f")
+        emit_report(self.build(fingerprint="f"), a)
+        emit_report(self.build(fingerprint="f"), b)
         assert a.read_bytes() == b.read_bytes()

@@ -877,6 +877,24 @@ class TestAnalyzeAndDeterminism:
         report = json.loads((out / "report.json").read_text())
         assert set(report["tasks"]["relevance"].values()) == {"harmful"}
 
+    def test_report_is_strict_json_when_no_row_is_relevant(self, fixtures, tmp_path):
+        out = tmp_path / "run"
+        self.pipeline(fixtures, out)
+        labels = tmp_path / "none_relevant.json"
+        labels.write_text(json.dumps(
+            {task: "harmful" for task in load_metadata(fixtures / "prior_meta.csv").task_labels}
+        ))
+        assert run("analyze", "--manifest", out / "manifest.json",
+                   "--meta", fixtures / "prior_meta.csv", "--labels", labels,
+                   "--out", out) == 0
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+        assert report["evaluation"]["recall"] is None
+        assert report["evaluation"]["relevant_count"] == 0
+
     def test_report_states_the_manifest_method(self, fixtures, tmp_path, capsys):
         out = tmp_path / "run"
         self.pipeline(fixtures, out)
@@ -1320,8 +1338,11 @@ def test_public_names_resolve_lazily():
         "                  'missing': missing}))\n"
     )
     result = json.loads(out)
-    assert len(result["names"]) == len(set(result["names"])) == 61
+    assert len(result["names"]) == len(set(result["names"])) == 58
     assert "RowMetadata" not in result["names"]  # metadata is its columns alone
+    # Report sections are sums of task_bin_counts, which build_report takes.
+    assert not {"TaskBreakdown", "TimestepHistogram", "task_breakdown",
+                "timestep_histogram"} & set(result["names"])
     assert result["version"] and result["homed"] and result["dir"]
     assert result["missing"] == "AttributeError"
 

@@ -602,6 +602,8 @@ class TestMetadataTable:
         (([0], [0], [1], [0.7], ("a",)), "malformed_value"),
         (([2**70], [0], [1], [-1]), "malformed_value"),
         ((np.array([2**63], np.uint64), [0], [1], [-1]), "malformed_value"),
+        # numpy forms a list of ints beyond int64 and negatives as float64.
+        (([2**63, -1], [0, 0], [1, 1], [-1, -1]), "malformed_value"),
         (([0], [0], [True], [-1]), "malformed_value"),
         ((np.array([0.0]), [0], [1], [-1]), "malformed_value"),
         (([0], [0], [1], [-1], None), "bad_task_label"),

@@ -298,6 +298,12 @@ class TestEvaluateRetrieval:
         assert quality.recall == 1.0
         assert quality.precision == pytest.approx(0.3)
 
+    def test_no_relevant_row_gives_no_recall(self):
+        # None, not NaN, which strict JSON cannot hold.
+        quality = evaluate_retrieval(self.manifest([0, 1]), np.zeros(10, bool))
+        assert quality.precision == 0.0 and quality.recall is None
+        assert quality.relevant_count == 0
+
     def test_label_mismatch(self):
         with pytest.raises(ValidationError) as exc:
             evaluate_retrieval(self.manifest([8, 9]), np.ones(5, bool))
@@ -342,7 +348,7 @@ class TestClusterBias:
 
     def test_majority_relevant_for_strong_retriever(self):
         """A good scorer pulls most of its selection from relevant tasks."""
-        from iwre.analysis import task_breakdown
+        from iwre.analysis import build_report
 
         data = generate(make_scenario("cluster_bias", rng_seed=1))
         tk = fit_kde(data.target, BandwidthSpec(1.0))
@@ -352,11 +358,13 @@ class TestClusterBias:
         manifest = select_by_fraction(
             score_importance_weight(tk, pk, data.prior), 0.1
         )
-        breakdown = task_breakdown(manifest, data.prior_metadata, data.task_relevance)
+        tasks = build_report(
+            manifest, data.prior_metadata, labels=data.task_relevance
+        )["tasks"]
         relevant_fraction = sum(
             frac
-            for task, frac in breakdown.per_task_fractions.items()
-            if breakdown.relevance_labels[task] in ("relevant", "mixed")
+            for task, frac in tasks["fractions"].items()
+            if tasks["relevance"][task] in ("relevant", "mixed")
         )
         assert relevant_fraction > 0.5
 
