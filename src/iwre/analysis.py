@@ -58,9 +58,10 @@ def task_bin_counts(
     express; :func:`build_report`'s task and timestep counts are its row
     and column sums. The counts are one ``bincount`` over the selected
     rows' distinct task codes x bin, so the table is sized by the tasks
-    selected, not by every label of ``meta``. Bin assignment is
-    ``floor(step_index * bin_count / episode_length)``, always in
-    ``[0, bin_count)``.
+    selected, not by every label of ``meta``; finding those tasks takes one
+    pass over the selected rows and one over the labels, with no sort. Bin
+    assignment is ``floor(step_index * bin_count / episode_length)``,
+    always in ``[0, bin_count)``.
     """
     bin_count = check_count(bin_count, "bin_count", maximum=MAX_BINS)
     idx = manifest.selected_indices
@@ -73,9 +74,15 @@ def task_bin_counts(
     steps, lengths = meta.step_index[idx], meta.episode_length[idx]
     if bin_count > np.iinfo(np.int64).max // int(lengths.max()):
         steps = steps.astype(object)  # step * bin_count would overflow int64
-    bins = (steps * bin_count // lengths).astype(np.int64)
-    codes, task = np.unique(meta.task_code[idx], return_inverse=True)
-    counts = np.bincount(task * bin_count + bins, minlength=len(codes) * bin_count)
+    bins = (steps * bin_count // lengths).astype(np.int64, copy=False)
+    cells = meta.task_code[idx].astype(np.intp)
+    cells += 1  # code -1 (no task) is 0
+    present = np.bincount(cells, minlength=len(meta.task_labels) + 1) > 0
+    cells = (np.cumsum(present) - 1)[cells]  # rank among the selected codes
+    cells *= bin_count
+    cells += bins
+    codes = np.flatnonzero(present) - 1
+    counts = np.bincount(cells, minlength=len(codes) * bin_count)
     names = (UNLABELED_TASK,) + meta.task_labels  # code -1 is the first
     table: dict[str, list] = {}
     for code, row in zip(codes.tolist(), counts.reshape(-1, bin_count).tolist()):
@@ -90,8 +97,6 @@ def build_report(
     *,
     labels: Optional[Mapping[str, str]] = None,
     bin_count: int = 10,
-    fingerprint: str = "",
-    method: str = "",
 ) -> dict:
     """The diagnostics report of a selection, as :func:`emit_report` writes it.
 
@@ -105,6 +110,8 @@ def build_report(
     carries a task label. ``evaluation`` is the selection's precision and
     recall against the rows whose task ``labels`` calls ``relevant``
     (:func:`iwre.synthbench.evaluate_retrieval`), null without labels.
+    ``config_fingerprint`` and ``method`` are the manifest's (``method`` is
+    empty when the manifest records none).
     """
     if labels is not None:
         _check_relevance(labels)
@@ -128,8 +135,8 @@ def build_report(
         evaluation = asdict(evaluate_retrieval(manifest, row_relevance(meta, labels)))
     return {
         "engine_version": __version__,
-        "config_fingerprint": fingerprint,
-        "method": method,
+        "config_fingerprint": manifest.config_fingerprint,
+        "method": manifest.method.value if manifest.method is not None else "",
         "tasks": tasks,
         "timesteps": {
             "bin_count": per_bin.size,

@@ -339,10 +339,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         )
     meta = load_metadata(cfg.meta)
     labels = load_labels(cfg.labels) if cfg.labels else None
-    report = build_report(
-        manifest, meta, labels=labels, bin_count=cfg.bins,
-        fingerprint=manifest.config_fingerprint, method=method,
-    )
+    report = build_report(manifest, meta, labels=labels, bin_count=cfg.bins)
     emit_report(report, cfg.output("report.json"))
     print(f"wrote {cfg.output('report.json')}")
     return 0

@@ -21,13 +21,15 @@ from iwre.analysis import (
 from iwre.dataset import MetadataTable
 from iwre.errors import ValidationError
 from iwre.retrieval import RetrievalManifest, SelectionRule
+from iwre.scoring import ScoreMethod
 from iwre.synthbench import evaluate_retrieval, row_relevance
 
 
-def manifest_of(indices):
+def manifest_of(indices, fingerprint="fp", method=None):
     idx = np.asarray(sorted(indices), dtype=np.int64)
     return RetrievalManifest(
-        idx, np.zeros(len(idx)), SelectionRule.THRESHOLD, 0.0, "fp"
+        idx, np.zeros(len(idx)), SelectionRule.THRESHOLD, 0.0, fingerprint,
+        method=method,
     )
 
 
@@ -256,13 +258,16 @@ class TestTaskBinCounts:
 
 
 class TestReport:
-    def build(self, labels=None, **kwargs):
+    def build(self, labels=None, bin_count=10, **manifest_fields):
         meta = meta_rows(["a", "a", "b", None], episode_length=4)
-        return build_report(manifest_of(range(4)), meta, labels=labels, **kwargs)
+        manifest = manifest_of(range(4), **manifest_fields)
+        return build_report(manifest, meta, labels=labels, bin_count=bin_count)
 
     def test_round_trip_exact_numbers(self, tmp_path):
         labels = {"a": "relevant", "b": "mixed"}
-        report = self.build(labels, bin_count=4, fingerprint="abc123", method="iwr")
+        report = self.build(
+            labels, bin_count=4, fingerprint="abc123", method=ScoreMethod.IWR
+        )
         path = tmp_path / "report.json"
         emit_report(report, path)
         loaded = load_report(path)
@@ -273,6 +278,11 @@ class TestReport:
         assert loaded["timesteps"]["counts"] == [1, 1, 1, 1]
         assert loaded["timesteps"]["normalized"] == [0.25] * 4
         assert loaded["evaluation"]["precision"] == 0.5
+
+    def test_manifest_without_method_reports_empty_method(self):
+        report = self.build(fingerprint="f")
+        assert report["config_fingerprint"] == "f"
+        assert report["method"] == ""
 
     def test_evaluation_grades_the_labels(self):
         meta = meta_rows(["a", "a", "b", None, "b", "a"], episode_length=6)
