@@ -26,8 +26,7 @@ _EXPORTS = {
                  "select_by_threshold",
     "retriever": "EmbeddingRetriever",
     "scoring": "PriorBatchSpec ScoreMethod ScoreVector ScoringConfig "
-               "config_fingerprint fit_prior_batched load_scores save_scores "
-               "score_importance_weight score_kde_target score_lse score_nn_l2",
+               "fit_prior_batched load_scores save_scores",
     "synthbench": "GaussianMixture OracleDensities RetrievalQuality SyntheticData "
                   "SyntheticScenario WeightCheckResult evaluate_retrieval "
                   "generate load_oracle make_scenario oracle_weight_check "

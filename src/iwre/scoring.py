@@ -24,11 +24,12 @@ retrievable.
 lse, kde_target and both iwr terms are one row job: per prior row, the log
 of the mean density of a list of fitted KDEs.
 
-:class:`ScoringConfig` (a rule plus its parameters) is the one entry point:
-it fits what the rule needs, scores, and gives the result its record (the
-resolved configuration and source ids, which a score file's sidecar holds)
-and the fingerprint of that record. The ``score_*`` functions take fitted
-models instead, so their results carry an empty record and fingerprint.
+:class:`ScoringConfig` (a rule plus its parameters) is the one way to
+score: it fits what the rule needs, scores, and gives the result its record
+(the resolved configuration and source ids, which a score file's sidecar
+holds) and the fingerprint of that record. Explicit models are built with
+:func:`~iwre.kde.fit_kde` and :func:`fit_prior_batched` and evaluated with
+:meth:`~iwre.kde.GaussianKde.score_samples` and :func:`~iwre.kde.log_mean_exp`.
 
 Scoring is embarrassingly parallel across prior rows; worker threads only
 split the fixed row chunks, so results are identical for any thread count.
@@ -42,11 +43,11 @@ import hashlib
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -101,10 +102,10 @@ class ScoreVector:
 
     ``values`` is read-only. An array passed in is copied unless it is
     already a read-only float64 vector, such as a result of the scoring
-    rules, which is then held as it is. ``params``, read-only, records how
-    :meth:`ScoringConfig.score` made them (:meth:`~ScoringConfig.sidecar_params`);
-    it is empty for the ``score_*`` functions' results, else its method and
-    ids must be the vector's.
+    rules, which is then held as it is. ``params``, read-only, is the
+    record of how :meth:`ScoringConfig.score` made them
+    (:meth:`~ScoringConfig.sidecar_params`); its method and ids must be the
+    vector's, and scores with no record are refused.
     """
 
     values: np.ndarray
@@ -126,10 +127,14 @@ class ScoreVector:
         if not isinstance(self.params, Mapping):
             raise ValidationError(f"params must be a mapping, got {self.params!r}",
                                   code="malformed_value")
+        if not self.params:
+            raise ValidationError(
+                "params records no scoring configuration; rescore with "
+                "`iwre score` or ScoringConfig.score", code="malformed_value")
         ids = {"method": self.method.value, "prior_source_id": self.prior_source_id,
                "target_source_id": self.target_source_id}
         for key, value in ids.items():
-            record = self.params.get(key) if self.params else value
+            record = self.params.get(key)
             if not isinstance(record, str) or record != value:
                 raise ValidationError(f"{key} {value!r} is not params' {record!r}",
                                       code="malformed_value")
@@ -159,22 +164,8 @@ class PriorBatchSpec:
         check_count(self.rng_seed, "rng_seed", minimum=0)
 
 
-def config_fingerprint(**payload) -> str:
-    """Deterministic 16-hex-digit hash of a configuration payload."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 def _as_dataset(x) -> EmbeddingDataset:
     return x if isinstance(x, EmbeddingDataset) else EmbeddingDataset(x)
-
-
-def _check_dims(target_dim: int, prior: EmbeddingDataset) -> None:
-    if target_dim != prior.dim:
-        raise ValidationError(
-            f"target dim {target_dim} does not match prior dim {prior.dim}",
-            code="dim_mismatch",
-        )
 
 
 def _map_row_chunks(prior: EmbeddingDataset, job, threads: Optional[int]) -> np.ndarray:
@@ -217,18 +208,9 @@ def _map_row_chunks(prior: EmbeddingDataset, job, threads: Optional[int]) -> np.
 def _log_mean_density(kdes, prior, *, leave_self_out=False, threads=1) -> np.ndarray:
     """Log of the mean density of ``kdes`` at each row of ``prior`` (a
     log-mean-exp over their log-densities; one KDE's log-density exactly).
-    With ``leave_self_out`` a row in a KDE's support (``support_row_ids_``)
-    does not count its own kernel toward that KDE's density."""
-    if not kdes:
-        raise ValidationError("prior_kdes must be non-empty", code="empty_batch_list")
-    for kde in kdes:
-        _check_dims(kde.dim_, prior)
-        if leave_self_out and getattr(kde, "support_row_ids_", None) is None:
-            raise ValidationError(
-                "leave_self_out requires batch KDEs fitted by fit_prior_batched "
-                "(missing support row ids)",
-                code="missing_row_ids",
-            )
+    With ``leave_self_out`` a row in a KDE's support (``support_row_ids_``,
+    which :func:`fit_prior_batched` sets) does not count its own kernel
+    toward that KDE's density."""
 
     def job(sl):
         q = prior.data[sl]
@@ -250,73 +232,6 @@ def _log_mean_density(kdes, prior, *, leave_self_out=False, threads=1) -> np.nda
     return _map_row_chunks(prior, job, threads)
 
 
-def _scores(values, method, prior, target_source_id="") -> ScoreVector:
-    values.flags.writeable = False  # so the ScoreVector holds it, uncopied
-    return ScoreVector(values, method, "", prior.source_id, target_source_id)
-
-
-# -- scoring rules ----------------------------------------------------------
-
-
-def score_nn_l2(target, prior, *, threads: int | None = 1) -> ScoreVector:
-    """Negated squared distance from each prior row to its nearest target row."""
-    target = _as_dataset(target)
-    prior = _as_dataset(prior)
-    _check_dims(target.dim, prior)
-    support = np.asarray(target.data, dtype=np.float64)
-    values = _map_row_chunks(
-        prior, lambda sl: -nearest_sq_dists(prior.data[sl], support), threads
-    )
-    return _scores(values, ScoreMethod.NN_L2, prior, target.source_id)
-
-
-def _lse_temperature(scale_c: float, target: EmbeddingDataset) -> float:
-    """lse's temperature: the target's Scott bandwidth at ``scale_c``, so a
-    temperature ``T`` is the one at ``scale_c = T * M ** (1 / (d + 4))``."""
-    return scott_bandwidth(scale_c, target.rows, target.dim)
-
-
-def score_lse(
-    target,
-    prior,
-    temperature_h: float | None = None,
-    *,
-    threads: int | None = 1,
-) -> ScoreVector:
-    """Soft-maximum score ``(1/h^2) * log(sum_j exp(-||p - t_j||^2 / h^2))``.
-
-    As ``h -> 0`` the ranking converges to :func:`score_nn_l2`'s, but the
-    value grows like ``-d^2 / h^4`` (``d^2`` the nearest squared distance),
-    so a threshold on it means something different at each temperature.
-
-    When ``temperature_h`` is omitted it is the one lse scoring at the
-    default ``scale_c`` uses: the target's Scott bandwidth.
-    """
-    target = _as_dataset(target)
-    prior = _as_dataset(prior)
-    if temperature_h is None:
-        temperature_h = _lse_temperature(BandwidthSpec.scale_c, target)
-    temperature_h = check_positive(temperature_h, "temperature_h")
-    # The log-density of the isotropic KDE with kernel covariance (h^2/2) I
-    # is log_norm - log M + log sum_j exp(-||p - t_j||^2 / h^2).
-    kde = GaussianKde.from_parameters(
-        target.data, temperature_h / np.sqrt(2.0), np.eye(target.dim)
-    )
-    values = _log_mean_density([kde], prior, threads=threads)
-    values += np.log(kde.count_) - kde.log_norm_
-    values *= 1.0 / (temperature_h * temperature_h)
-    return _scores(values, ScoreMethod.LSE, prior, target.source_id)
-
-
-def score_kde_target(
-    target_kde: GaussianKde, prior, *, threads: int | None = 1
-) -> ScoreVector:
-    """Log-density of each prior row under the fitted target KDE."""
-    prior = _as_dataset(prior)
-    values = _log_mean_density([target_kde], prior, threads=threads)
-    return _scores(values, ScoreMethod.KDE_TARGET, prior)
-
-
 def fit_prior_batched(
     prior, spec: PriorBatchSpec, bandwidth: BandwidthSpec | None = None
 ) -> list[GaussianKde]:
@@ -327,7 +242,8 @@ def fit_prior_batched(
     exactly. Each fitted model carries its global row indices in
     ``support_row_ids_`` for optional leave-self-out scoring. A batch drawn
     again right after itself, as every batch is when it spans the prior, is
-    the same fitted object, which scoring then scores once.
+    the same fitted object, which :meth:`ScoringConfig.score` then scores
+    once.
     """
     prior = _as_dataset(prior)
     bandwidth = bandwidth or BandwidthSpec()
@@ -350,33 +266,6 @@ def fit_prior_batched(
     return kdes
 
 
-def score_importance_weight(
-    target_kde: GaussianKde,
-    prior_kdes: Sequence[GaussianKde],
-    prior,
-    *,
-    leave_self_out: bool = False,
-    threads: int | None = 1,
-) -> ScoreVector:
-    """Log importance weight of each prior row.
-
-    ``log p_target(z) - log p_prior(z)``: the target term, the log-density
-    under ``target_kde``, minus the prior term, the log of the mean density
-    of the batch KDEs. A monotone transform of the density ratio, so
-    thresholding on it is equivalent to thresholding the ratio. The prior
-    term never reads the target: it depends only on the prior, ``scale_c``,
-    the batch size, ``num_batches``, the seed and ``leave_self_out``, with
-    which a prior row in a batch's support does not count its own kernel
-    toward that batch's density.
-    """
-    prior = _as_dataset(prior)
-    values = _log_mean_density([target_kde], prior, threads=threads)
-    values -= _log_mean_density(
-        prior_kdes, prior, leave_self_out=leave_self_out, threads=threads
-    )
-    return _scores(values, ScoreMethod.IWR, prior)
-
-
 # -- scoring configuration ----------------------------------------------------
 
 # Version of the fingerprint payload. Score files written under another
@@ -396,11 +285,13 @@ def _record_fingerprint(params) -> str:
     """The fingerprint of a record (:meth:`ScoringConfig.sidecar_params`):
     a hash of the values its method reads and both source ids."""
     method = ScoreMethod(params["method"])
-    return config_fingerprint(
+    payload = dict(
         fingerprint_scheme=FINGERPRINT_SCHEME, method=method.value,
         **{name: params[name] for name in _METHOD_FIELDS[method]},
         target=params["target_source_id"], prior=params["prior_source_id"],
     )
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -412,8 +303,10 @@ class ScoringConfig:
     ``num_batches`` at least 1 and ``seed`` at least 0. The bandwidth and
     batching defaults are :class:`BandwidthSpec`'s and
     :class:`PriorBatchSpec`'s. ``scale_c`` is every method's one bandwidth
-    knob: lse's temperature is the target's Scott bandwidth at it. The iwr
-    ``batch_size`` may stay ``None``; it is then filled in from the prior.
+    knob: lse's temperature is the target's Scott bandwidth at it, so a
+    temperature ``T`` is the one at ``scale_c = T * M ** (1 / (d + 4))``
+    for ``M`` target rows of dim ``d``. The iwr ``batch_size`` may stay
+    ``None``; it is then filled in from the prior.
     Fields a method does not read are kept but ignored. :meth:`score`
     gives its result the resolved configuration and lse's temperature as
     its record (:meth:`sidecar_params`), which :meth:`from_sidecar` reads.
@@ -438,21 +331,31 @@ class ScoringConfig:
     def sidecar_params(self, target, prior) -> dict:
         """The resolved configuration a score sidecar records as ``params``:
         the fields, with the iwr batch size filled in (the prior's row
-        count, capped; iwr needs a seed) and ``temperature`` (lse's, else
-        None), the fingerprint scheme and both source ids."""
+        count, capped at 4096) and ``temperature`` (lse's, else None), the
+        fingerprint scheme and both source ids. iwr needs a seed, a prior
+        of at least 2 rows and a batch size no larger than the prior."""
         target, prior = _as_dataset(target), _as_dataset(prior)
         params = {**asdict(self), "method": self.method.value, "temperature": None,
                   "fingerprint_scheme": FINGERPRINT_SCHEME,
                   "target_source_id": target.source_id,
                   "prior_source_id": prior.source_id}
         if self.method is ScoreMethod.LSE:
-            params["temperature"] = _lse_temperature(self.scale_c, target)
+            params["temperature"] = scott_bandwidth(self.scale_c, target.rows,
+                                                    target.dim)
         if self.method is ScoreMethod.IWR:
             if self.seed is None:
                 raise ValidationError(
                     "a seed is required for method iwr (prior batching)",
                     code="seed_required",
                 )
+            if prior.rows < 2:
+                raise ValidationError(
+                    f"iwr batches the prior, which needs at least 2 rows, "
+                    f"got {prior.rows}", code="bad_batch_spec")
+            if self.batch_size is not None and self.batch_size > prior.rows:
+                raise ValidationError(
+                    f"batch_size {self.batch_size} exceeds prior rows {prior.rows}",
+                    code="bad_batch_spec")
             params["batch_size"] = self.batch_size or min(4096, prior.rows)
         return params
 
@@ -466,29 +369,42 @@ class ScoringConfig:
         and the record's fingerprint. Fits run with BLAS pinned to one thread."""
         target, prior = _as_dataset(target), _as_dataset(prior)
         params = self.sidecar_params(target, prior)
+        if target.dim != prior.dim:
+            raise ValidationError(
+                f"target dim {target.dim} does not match prior dim {prior.dim}",
+                code="dim_mismatch",
+            )
         bandwidth = BandwidthSpec(self.scale_c)
         with single_threaded_blas():
             if self.method is ScoreMethod.NN_L2:
-                scores = score_nn_l2(target, prior, threads=threads)
+                support = np.asarray(target.data, dtype=np.float64)
+                values = _map_row_chunks(
+                    prior, lambda sl: -nearest_sq_dists(prior.data[sl], support), threads
+                )
             elif self.method is ScoreMethod.LSE:
+                # The log-density of the isotropic KDE with kernel covariance
+                # (h^2/2) I is log_norm - log M + log sum_j exp(-||p - t_j||^2 / h^2).
                 h = params["temperature"]
-                scores = score_lse(target, prior, h, threads=threads)
-            elif self.method is ScoreMethod.KDE_TARGET:
-                target_kde = fit_kde(target, bandwidth)
-                scores = score_kde_target(target_kde, prior, threads=threads)
+                kde = GaussianKde.from_parameters(
+                    target.data, h / np.sqrt(2.0), np.eye(target.dim)
+                )
+                values = _log_mean_density([kde], prior, threads=threads)
+                values += np.log(kde.count_) - kde.log_norm_
+                values *= 1.0 / (h * h)
             else:
-                spec = PriorBatchSpec(
-                    params["batch_size"], self.num_batches, rng_seed=self.seed
-                )
-                scores = score_importance_weight(
-                    fit_kde(target, bandwidth),
-                    fit_prior_batched(prior, spec, bandwidth),
-                    prior,
-                    leave_self_out=self.leave_self_out,
-                    threads=threads,
-                )
-        return replace(scores, config_fingerprint=_record_fingerprint(params),
-                       target_source_id=target.source_id, params=params)
+                target_kde = fit_kde(target, bandwidth)
+                values = _log_mean_density([target_kde], prior, threads=threads)
+                if self.method is ScoreMethod.IWR:
+                    spec = PriorBatchSpec(
+                        params["batch_size"], self.num_batches, rng_seed=self.seed
+                    )
+                    values -= _log_mean_density(
+                        fit_prior_batched(prior, spec, bandwidth), prior,
+                        leave_self_out=self.leave_self_out, threads=threads,
+                    )
+        values.flags.writeable = False  # so the ScoreVector holds it, uncopied
+        return ScoreVector(values, self.method, _record_fingerprint(params),
+                           prior.source_id, target.source_id, params)
 
     def check_fresh(self, scores: ScoreVector, target, prior) -> None:
         """Refuse ``scores`` (``fingerprint_mismatch``) unless this config on
@@ -512,12 +428,11 @@ class ScoringConfig:
     @classmethod
     def from_sidecar(cls, scores: ScoreVector, path) -> "ScoringConfig":
         """The configuration recorded with ``scores``, read from the file
-        ``path``; scores with no record, or another scheme's, are refused."""
+        ``path``; scores recorded under another scheme are refused."""
         params = scores.params
         if params.get("fingerprint_scheme") != FINGERPRINT_SCHEME:
-            problem = ("was written under another fingerprint scheme" if params
-                       else "records no scoring configuration")
-            raise ValidationError(f"{path} {problem}; rescore it with `iwre score`",
+            raise ValidationError(f"{path} was written under another fingerprint "
+                                  "scheme; rescore it with `iwre score`",
                                   code="bad_sidecar")
         names = [f.name for f in fields(cls)]
         missing = [name for name in names if name not in params]

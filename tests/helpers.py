@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from iwre.dataset import METADATA_FIELDS, MetadataTable
 from iwre.errors import ValidationError
+from iwre.scoring import ScoreMethod, ScoreVector, ScoringConfig
 
 
 def naive_log_density(kde, support: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -32,6 +33,22 @@ def naive_log_density(kde, support: np.ndarray, queries: np.ndarray) -> np.ndarr
     return np.log(dens).astype(np.float64)
 
 
+def naive_lse(target: np.ndarray, prior: np.ndarray, h: float) -> np.ndarray:
+    """lse's ``(1/h^2) log sum_j exp(-||p - t_j||^2 / h^2)`` per prior row,
+    by a plain sum of exponentials in extended precision."""
+    delta = (np.asarray(prior, dtype=np.longdouble)[:, None, :]
+             - np.asarray(target, dtype=np.longdouble)[None, :, :])
+    sq = (delta**2).sum(axis=2)
+    return (np.log(np.exp(-sq / h**2).sum(axis=1)) / h**2).astype(np.float64)
+
+
+def lse_config(temperature: float, target) -> ScoringConfig:
+    """The lse configuration whose temperature on ``target`` is
+    ``temperature``, up to rounding: ``scale_c = T * M ** (1 / (d + 4))``."""
+    rows, dim = np.shape(getattr(target, "data", target))
+    return ScoringConfig(ScoreMethod.LSE, scale_c=temperature * rows ** (1 / (dim + 4)))
+
+
 def brute_force_min_sq_dists(prior: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Minimum squared distance per prior row, by explicit double loop."""
     out = np.empty(prior.shape[0])
@@ -42,6 +59,14 @@ def brute_force_min_sq_dists(prior: np.ndarray, target: np.ndarray) -> np.ndarra
             best = min(best, float(np.sum(diff**2)))
         out[i] = best
     return out
+
+
+def score_vector(values, method="iwr", fingerprint="fp") -> ScoreVector:
+    """A :class:`ScoreVector` of ``values`` with the least record it takes:
+    its method and its (empty) source ids. ``values`` is passed on as it is."""
+    record = {"method": ScoreMethod(method).value, "prior_source_id": "",
+              "target_source_id": ""}
+    return ScoreVector(values, method, fingerprint, params=record)
 
 
 def ranking(values: np.ndarray) -> np.ndarray:

@@ -11,25 +11,16 @@ from decimal import Decimal, getcontext
 import numpy as np
 from scipy.stats import qmc
 
-from helpers import naive_log_density, ranking
+from helpers import lse_config, naive_log_density, ranking, score_vector
 from iwre.cli import main
 from iwre.dataset import EmbeddingDataset
-from iwre.kde import BandwidthSpec, fit_kde, scott_bandwidth
+from iwre.kde import BandwidthSpec, fit_kde, log_mean_exp, scott_bandwidth
 from iwre.retrieval import (
     cotrain_weights,
     resample_by_weight,
     select_by_fraction,
 )
-from iwre.scoring import (
-    PriorBatchSpec,
-    ScoreMethod,
-    ScoreVector,
-    fit_prior_batched,
-    score_importance_weight,
-    score_kde_target,
-    score_lse,
-    score_nn_l2,
-)
+from iwre.scoring import PriorBatchSpec, ScoreMethod, ScoringConfig, fit_prior_batched
 from iwre.synthbench import (
     evaluate_retrieval,
     fig2_probe_indices,
@@ -101,14 +92,16 @@ def test_criterion_03_soft_max_limit_law():
     d2 = np.sort(((pool[:, None, :] - target[None, :, :]) ** 2).sum(axis=2), axis=1)
     prior = pool[d2[:, 1] - d2[:, 0] >= 1e-2][:500]
     assert prior.shape[0] == 500
-    nn_rank = ranking(score_nn_l2(target, prior).values)
-    lse_rank = ranking(score_lse(target, prior, 1e-4).values)
+    nn_config = ScoringConfig(ScoreMethod.NN_L2)
+    nn_rank = ranking(nn_config.score(target, prior).values)
+    lse_rank = ranking(lse_config(1e-4, target).score(target, prior).values)
     limit_ok = np.array_equal(nn_rank, lse_rank)
 
     fig2 = generate(make_scenario("fig2_toy"))
     cluster, isolated = fig2_probe_indices()
-    nn = score_nn_l2(fig2.target, fig2.prior).values
-    smooth = score_lse(fig2.target, fig2.prior).values  # Scott-bandwidth temperature
+    nn = nn_config.score(fig2.target, fig2.prior).values
+    # At the Scott-bandwidth temperature.
+    smooth = ScoringConfig(ScoreMethod.LSE).score(fig2.target, fig2.prior).values
     differs = (nn[isolated] > nn[cluster]) and (smooth[cluster] > smooth[isolated])
     elapsed = time.monotonic() - start
     report(
@@ -124,13 +117,11 @@ def test_criterion_04_toy_rank_reversal():
     start = time.monotonic()
     data = generate(make_scenario("fig2_toy"))
     cluster, isolated = fig2_probe_indices()
-    nn = score_nn_l2(data.target, data.prior).values
-    kde = fit_kde(data.target, BandwidthSpec(4.0))
-    dens = score_kde_target(kde, data.prior).values
-    prior_kdes = fit_prior_batched(
-        data.prior, PriorBatchSpec(2, 1, rng_seed=0), BandwidthSpec(4.0)
+    nn, dens, iwr = (
+        ScoringConfig(method, scale_c=4.0, batch_size=2, num_batches=1, seed=0)
+        .score(data.target, data.prior).values
+        for method in (ScoreMethod.NN_L2, ScoreMethod.KDE_TARGET, ScoreMethod.IWR)
     )
-    iwr = score_importance_weight(kde, prior_kdes, data.prior).values
     ok = (
         dens[cluster] > dens[isolated]
         and iwr[cluster] > iwr[isolated]
@@ -153,11 +144,12 @@ def test_criterion_05_analytic_weight_recovery():
     pk = fit_prior_batched(
         data.prior, PriorBatchSpec(4096, 8, rng_seed=1), BandwidthSpec(1.0)
     )
-    at_origin = score_importance_weight(
-        tk, pk, EmbeddingDataset(np.array([[0.0]]), source_id="origin")
-    ).values[0]
-    ratio = float(np.exp(at_origin))
-    scores = score_importance_weight(tk, pk, data.prior)
+    origin = np.array([[0.0]])
+    at_origin = tk.score_samples(origin) - log_mean_exp(
+        [kde.score_samples(origin) for kde in pk])
+    ratio = float(np.exp(at_origin[0]))
+    config = ScoringConfig(scale_c=1.0, batch_size=4096, num_batches=8, seed=1)
+    scores = config.score(data.target, data.prior)
     check = oracle_weight_check(data.oracle, scores, data.prior)
     elapsed = time.monotonic() - start
     report(
@@ -173,9 +165,8 @@ def test_criterion_06_self_ratio_zero():
     start = time.monotonic()
     rng = np.random.default_rng(66)
     data = EmbeddingDataset(rng.standard_normal((4000, 8)))
-    kde = fit_kde(data, BandwidthSpec(4.0))
-    prior_kdes = fit_prior_batched(data, PriorBatchSpec(4000, 1, rng_seed=0))
-    deviation = float(np.abs(score_importance_weight(kde, prior_kdes, data).values).max())
+    config = ScoringConfig(scale_c=4.0, batch_size=4000, num_batches=1, seed=0)
+    deviation = float(np.abs(config.score(data, data).values).max())
     elapsed = time.monotonic() - start
     report(
         6,
@@ -220,8 +211,8 @@ def test_criterion_08_cotrain_weights():
 
 def test_criterion_09_selection_arithmetic():
     rng = np.random.default_rng(9)
-    sv400 = ScoreVector(rng.standard_normal(400), ScoreMethod.IWR, "a")
-    sv10k = ScoreVector(rng.standard_normal(10_000), ScoreMethod.IWR, "b")
+    sv400 = score_vector(rng.standard_normal(400), fingerprint="a")
+    sv10k = score_vector(rng.standard_normal(10_000), fingerprint="b")
     n_30pct = select_by_fraction(sv400, 0.3).size
     n_2p5pct = select_by_fraction(sv10k, 0.025).size
     nested = True
@@ -249,7 +240,7 @@ def test_criterion_10_resampling_consistency():
     se = float(np.sqrt(np.sum(wn**2 * (z - mean) ** 2)))
     snis_ok = abs(mean - 0.0) <= 3.0 * se
 
-    two_point = ScoreVector(np.array([np.log(3.0), 0.0]), ScoreMethod.IWR, "fp")
+    two_point = score_vector(np.array([np.log(3.0), 0.0]))
     manifest = resample_by_weight(two_point, 1_000_000, rng_seed=42)
     counts = dict(
         zip(manifest.selected_indices.tolist(), manifest.multiplicities.tolist())
@@ -273,12 +264,10 @@ def test_criterion_11_retrieval_quality_direction():
     for seed in range(10):
         data = generate(make_scenario("cluster_bias", rng_seed=seed))
         relevance = row_relevance(data.prior_metadata, data.task_relevance)
-        nn = select_by_fraction(score_nn_l2(data.target, data.prior), 0.1)
-        tk = fit_kde(data.target, BandwidthSpec(1.0))
-        pk = fit_prior_batched(
-            data.prior, PriorBatchSpec(1024, 4, rng_seed=seed), BandwidthSpec(1.0)
-        )
-        iw = select_by_fraction(score_importance_weight(tk, pk, data.prior), 0.1)
+        nn_scores = ScoringConfig(ScoreMethod.NN_L2).score(data.target, data.prior)
+        nn = select_by_fraction(nn_scores, 0.1)
+        config = ScoringConfig(scale_c=1.0, batch_size=1024, num_batches=4, seed=seed)
+        iw = select_by_fraction(config.score(data.target, data.prior), 0.1)
         p_nn = evaluate_retrieval(nn, relevance).precision
         p_iw = evaluate_retrieval(iw, relevance).precision
         wins += p_iw > p_nn
@@ -299,11 +288,8 @@ def test_criterion_12_throughput():
     rng = np.random.default_rng(128)
     prior = EmbeddingDataset(rng.standard_normal((130_000, 32)), source_id="prior")
     target = EmbeddingDataset(rng.standard_normal((500, 32)), source_id="target")
-    tk = fit_kde(target, BandwidthSpec(4.0))
-    pk = fit_prior_batched(
-        prior, PriorBatchSpec(4096, 8, rng_seed=1), BandwidthSpec(4.0)
-    )
-    scores = score_importance_weight(tk, pk, prior, threads=os.cpu_count())
+    config = ScoringConfig(scale_c=4.0, batch_size=4096, num_batches=8, seed=1)
+    scores = config.score(target, prior, threads=os.cpu_count())
     finite = bool(np.isfinite(scores.values).all())
     elapsed = time.monotonic() - start
     report(

@@ -84,11 +84,8 @@ class TestSynth:
         assert run("synth", "--scenario", "fig2_toy", "--out", out) == 0
         target = load_embeddings(out / "target.bin")
         prior = load_embeddings(out / "prior.bin")
-        from iwre.kde import BandwidthSpec, fit_kde
-        from iwre.scoring import score_kde_target, score_nn_l2
-
-        nn = score_nn_l2(target, prior).values
-        dens = score_kde_target(fit_kde(target, BandwidthSpec(4.0)), prior).values
+        nn, dens = (ScoringConfig(method, scale_c=4.0).score(target, prior).values
+                    for method in (ScoreMethod.NN_L2, ScoreMethod.KDE_TARGET))
         assert nn[1] > nn[0] and dens[0] > dens[1]
 
 
@@ -703,9 +700,27 @@ class TestMalformedInputs:
         assert "error[bad_param]" in err and "threads" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("rows,flags,named", [
+        (1, [], "needs at least 2 rows, got 1"),
+        (20, ["--batch-size", 50], "batch_size 50 exceeds prior rows 20"),
+    ], ids=["one_row_prior", "batch_above_prior"])
+    def test_iwr_prior_too_small_for_its_batches(self, fixtures, tmp_path, capsys,
+                                                 rows, flags, named):
+        dim = load_embeddings(fixtures / "target.bin").dim
+        prior = tmp_path / "prior.bin"
+        save_embeddings(EmbeddingDataset(np.random.default_rng(0).standard_normal(
+            (rows, dim))), prior)
+        out = tmp_path / "out"
+        assert run("score", "--method", "iwr", "--seed", 0, *flags,
+                   "--target", fixtures / "target.bin", "--prior", prior,
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[bad_batch_spec]: ") and named in err
+        assert not out.exists()
+
     def test_scores_without_a_record_are_not_another_scheme(self, fixtures,
                                                               tmp_path, capsys):
-        # What a score_* function's result, saved, holds as its record.
+        # A sidecar whose record was emptied by hand.
         out = tmp_path / "run"
         data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
         assert run("score", "--method", "nn", *data, "--out", out) == 0
@@ -714,7 +729,8 @@ class TestMalformedInputs:
         assert run("retrieve", "--scores", out / "scores.bin", *data,
                    "--fraction", 0.3, "--out", out / "r") == 2
         err = capsys.readouterr().err
-        assert "records no scoring configuration" in err
+        assert "error[bad_sidecar]" in err
+        assert "records no scoring configuration" in err and "iwre score" in err
         assert "fingerprint scheme" not in err
 
     def test_old_sidecar_asks_for_rescore(self, fixtures, tmp_path, capsys):
@@ -1338,7 +1354,7 @@ def test_public_names_resolve_lazily():
         "                  'missing': missing}))\n"
     )
     result = json.loads(out)
-    assert len(result["names"]) == len(set(result["names"])) == 58
+    assert len(result["names"]) == len(set(result["names"])) == 53
     assert "RowMetadata" not in result["names"]  # metadata is its columns alone
     # Report sections are sums of task_bin_counts, which build_report takes.
     assert not {"TaskBreakdown", "TimestepHistogram", "task_breakdown",

@@ -8,18 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_min_sq_dists, naive_log_density, ranking
+from helpers import brute_force_min_sq_dists, lse_config, naive_log_density, ranking
 from iwre import kde as kde_module
 from iwre.errors import ValidationError
 from iwre.kde import BandwidthSpec, GaussianKde, fit_kde
-from iwre.scoring import (
-    PriorBatchSpec,
-    fit_prior_batched,
-    score_importance_weight,
-    score_kde_target,
-    score_lse,
-    score_nn_l2,
-)
+from iwre.scoring import PriorBatchSpec, ScoreMethod, ScoringConfig, fit_prior_batched
+
+NN = ScoringConfig(ScoreMethod.NN_L2)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -80,14 +75,14 @@ class TestNearestNeighbor:
     @given(grid_problem())
     def test_equals_brute_force(self, problem):
         target, prior = problem
-        got = score_nn_l2(target, prior).values
+        got = NN.score(target, prior).values
         assert np.array_equal(got, -brute_force_min_sq_dists(prior, target))
 
     @PROPERTY
     @given(far_tie_problem())
     def test_equals_brute_force_at_far_near_ties(self, problem):
         target, prior = problem
-        got = score_nn_l2(target, prior).values
+        got = NN.score(target, prior).values
         assert np.array_equal(got, -brute_force_min_sq_dists(prior, target))
 
     @PROPERTY
@@ -95,11 +90,11 @@ class TestNearestNeighbor:
     def test_translation_and_permutation_invariance(self, problem, seed):
         target, prior = problem
         rng = np.random.default_rng(seed)
-        base = score_nn_l2(target, prior).values
+        base = NN.score(target, prior).values
         shift = rng.integers(-64, 65, target.shape[1]).astype(float)  # exact
-        assert np.array_equal(score_nn_l2(target + shift, prior + shift).values, base)
+        assert np.array_equal(NN.score(target + shift, prior + shift).values, base)
         rows = rng.permutation(len(prior))
-        shuffled = score_nn_l2(target[rng.permutation(len(target))], prior[rows])
+        shuffled = NN.score(target[rng.permutation(len(target))], prior[rows])
         assert np.array_equal(shuffled.values, base[rows])
 
 
@@ -499,17 +494,12 @@ class TestScoringThreads:
         rng = np.random.default_rng(seed)
         target = rng.standard_normal((int(rng.integers(2, 60)), d))
         prior = rng.standard_normal((int(rng.integers(8193, 9000)), d))
-        kdes = fit_prior_batched(prior, PriorBatchSpec(300, 2, rng_seed=seed))
-        tk = fit_kde(target)
-        for score in (
-            lambda t: score_nn_l2(target, prior, threads=t),
-            lambda t: score_lse(target, prior, threads=t),
-            lambda t: score_kde_target(tk, prior, threads=t),
-            lambda t: score_importance_weight(
-                tk, kdes, prior, leave_self_out=True, threads=t
-            ),
+        for config in (
+            NN, ScoringConfig(ScoreMethod.LSE), ScoringConfig(ScoreMethod.KDE_TARGET),
+            ScoringConfig(batch_size=300, num_batches=2, seed=seed, leave_self_out=True),
         ):
-            assert np.array_equal(score(1).values, score(4).values)
+            assert np.array_equal(config.score(target, prior, threads=1).values,
+                                  config.score(target, prior, threads=4).values)
 
     def test_threads_do_not_change_multi_tile_results(self):
         # Target and batches of three tiles each, two scoring jobs.
@@ -519,14 +509,12 @@ class TestScoringThreads:
         kdes = fit_prior_batched(prior, PriorBatchSpec(700, 2, rng_seed=36))
         tk = fit_kde(target)
         assert min(k._support.shape[1] for k in [tk, *kdes]) > 2 * kde_module._TILE_COLS
-        for score in (
-            lambda t: score_lse(target, prior, threads=t),
-            lambda t: score_kde_target(tk, prior, threads=t),
-            lambda t: score_importance_weight(
-                tk, kdes, prior, leave_self_out=True, threads=t
-            ),
+        for config in (
+            ScoringConfig(ScoreMethod.LSE), ScoringConfig(ScoreMethod.KDE_TARGET),
+            ScoringConfig(batch_size=700, num_batches=2, seed=36, leave_self_out=True),
         ):
-            assert np.array_equal(score(1).values, score(4).values)
+            assert np.array_equal(config.score(target, prior, threads=1).values,
+                                  config.score(target, prior, threads=4).values)
 
 
 class TestSoftMaxLimit:
@@ -538,8 +526,8 @@ class TestSoftMaxLimit:
         rng = np.random.default_rng(seed)
         target = rng.integers(-5, 6, (int(rng.integers(1, 20)), d)).astype(float)
         prior = rng.integers(-8, 9, (200, d)).astype(float)
-        nn = score_nn_l2(target, prior).values
+        nn = NN.score(target, prior).values
         _, first = np.unique(nn, return_index=True)
         prior, nn = prior[first], nn[first]  # rankings of ties are index order
-        lse = score_lse(target, prior, 0.1).values
+        lse = lse_config(0.1, target).score(target, prior).values
         assert np.array_equal(ranking(nn), ranking(lse))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import JSON_VALUES, metadata_table, ranking
+from helpers import JSON_VALUES, metadata_table, ranking, score_vector
 from iwre import retrieval
 from iwre._validation import read_only
 from iwre.dataset import EmbeddingDataset, MetadataTable
@@ -28,11 +28,11 @@ from iwre.retrieval import (
     select_by_threshold,
 )
 from iwre.retriever import EmbeddingRetriever
-from iwre.scoring import ScoreMethod, ScoreVector
+from iwre.scoring import ScoreMethod, ScoreVector, ScoringConfig
 
 
 def make_scores(values, method=ScoreMethod.IWR, fp="fp"):
-    return ScoreVector(np.asarray(values, dtype=float), method, fp)
+    return score_vector(np.asarray(values, dtype=float), method, fp)
 
 
 class TestSelectByFraction:
@@ -147,9 +147,7 @@ class TestSelectByThreshold:
         rng = np.random.default_rng(3)
         target = rng.standard_normal((30, 2))
         prior = rng.standard_normal((100, 2))
-        from iwre.scoring import score_nn_l2
-
-        scores = score_nn_l2(target, prior)
+        scores = ScoringConfig(ScoreMethod.NN_L2).score(target, prior)
         zeta = 0.25
         manifest = select_by_threshold(scores, -zeta)
         dmin = ((prior[:, None, :] - target[None, :, :]) ** 2).sum(axis=2).min(axis=1)

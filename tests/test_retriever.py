@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
+from helpers import brute_force_min_sq_dists, naive_lse
 from iwre.dataset import EmbeddingDataset
 from iwre.errors import ValidationError
-from iwre.kde import BandwidthSpec, fit_kde, scott_bandwidth
+from iwre.kde import BandwidthSpec, fit_kde, log_mean_exp, scott_bandwidth
 from iwre.retriever import EmbeddingRetriever
 from iwre.retrieval import select_by_fraction
 from iwre.scoring import (
     PriorBatchSpec,
+    ScoreMethod,
     ScoringConfig,
     fit_prior_batched,
-    score_importance_weight,
-    score_lse,
-    score_nn_l2,
 )
 
 
@@ -83,10 +82,12 @@ class TestEstimatorProtocol:
 
 
 class TestAgainstFunctionalApi:
+    """The retriever's scores against explicit models and oracles."""
+
     def test_nn_matches(self, data):
         target, prior = data
         got = EmbeddingRetriever(method="nn_l2").fit(target).score_samples(prior)
-        want = score_nn_l2(target, prior).values
+        want = -brute_force_min_sq_dists(prior, target)
         assert np.array_equal(got, want)
 
     def test_lse_matches(self, data):
@@ -97,8 +98,10 @@ class TestAgainstFunctionalApi:
             .fit(target)
             .score_samples(prior)
         )
-        want = score_lse(target, prior, scott_bandwidth(0.7, 40, 3)).values
+        want = ScoringConfig(ScoreMethod.LSE, scale_c=0.7).score(target, prior).values
         assert np.array_equal(got, want)
+        oracle = naive_lse(target, prior, scott_bandwidth(0.7, 40, 3))
+        np.testing.assert_allclose(got, oracle, rtol=1e-12)
 
     def test_kde_target_matches(self, data):
         target, prior = data
@@ -125,7 +128,8 @@ class TestAgainstFunctionalApi:
             PriorBatchSpec(100, 3, rng_seed=5),
             BandwidthSpec(2.0),
         )
-        want = score_importance_weight(tk, pk, prior).values
+        want = tk.score_samples(prior) - log_mean_exp(
+            [kde.score_samples(prior) for kde in pk])
         assert np.array_equal(got, want)
 
 
@@ -135,7 +139,8 @@ class TestTransform:
         r = EmbeddingRetriever(method="nn_l2", fraction=0.1).fit(target)
         out = r.transform(prior)
         assert out.shape == (20, 3)
-        want = select_by_fraction(score_nn_l2(target, prior), 0.1)
+        want = select_by_fraction(
+            ScoringConfig(ScoreMethod.NN_L2).score(target, prior), 0.1)
         assert np.array_equal(r.manifest_.selected_indices, want.selected_indices)
         np.testing.assert_array_equal(out, prior[want.selected_indices])
 

@@ -1,5 +1,6 @@
 """Scoring rules: nearest neighbor, soft max, target density, importance weight."""
 
+import hashlib
 import json
 import os
 import struct
@@ -18,7 +19,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_min_sq_dists, naive_log_density, ranking
+from helpers import (
+    brute_force_min_sq_dists,
+    lse_config,
+    naive_log_density,
+    naive_lse,
+    ranking,
+    score_vector,
+)
 from iwre import _blas, _validation
 from iwre import kde as kde_module
 from iwre import scoring as scoring_module
@@ -30,21 +38,19 @@ from iwre.dataset import (
     save_embeddings,
 )
 from iwre.errors import NumericalError, ValidationError
-from iwre.kde import BandwidthSpec, GaussianKde, fit_kde, scott_bandwidth
+from iwre.kde import BandwidthSpec, GaussianKde, fit_kde, log_mean_exp, scott_bandwidth
 from iwre.scoring import (
     PriorBatchSpec,
     ScoreMethod,
     ScoreVector,
     ScoringConfig,
-    config_fingerprint,
     fit_prior_batched,
     load_scores,
     save_scores,
-    score_importance_weight,
-    score_kde_target,
-    score_lse,
-    score_nn_l2,
 )
+
+NN = ScoringConfig(ScoreMethod.NN_L2)
+RECORD = {"method": "iwr", "prior_source_id": "", "target_source_id": ""}
 
 
 def well_spread(rng, n, d, scale=10.0):
@@ -54,12 +60,12 @@ def well_spread(rng, n, d, scale=10.0):
 class TestScoreVector:
     def test_rejects_positive_nn_scores(self):
         with pytest.raises(ValidationError) as exc:
-            ScoreVector(np.array([0.5, -1.0]), ScoreMethod.NN_L2, "fp")
+            score_vector(np.array([0.5, -1.0]), ScoreMethod.NN_L2)
         assert exc.value.code == "bad_scores"
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
-            ScoreVector(np.array([np.inf]), ScoreMethod.IWR, "fp")
+            score_vector(np.array([np.inf]))
 
     @pytest.mark.parametrize("args, kwargs, code", [
         (([-1.0, np.nan], "iwr", ""), {}, "non_finite"),
@@ -77,25 +83,32 @@ class TestScoreVector:
             "params_of_another_method", "params_of_another_prior"])
     def test_refuses_a_bad_value(self, args, kwargs, code):
         with pytest.raises(ValidationError) as exc:
-            ScoreVector(*args, **kwargs)
+            ScoreVector(*args, **{"params": RECORD, **kwargs})
         assert exc.value.code == code
 
+    def test_refuses_scores_without_a_record(self):
+        with pytest.raises(ValidationError) as exc:
+            ScoreVector(np.zeros(2), ScoreMethod.NN_L2, "fp")
+        assert exc.value.code == "malformed_value"
+        assert "records no scoring configuration" in str(exc.value)
+        assert "iwre score" in str(exc.value)
+
     def test_log_space_flag(self):
-        assert ScoreVector(np.zeros(2), ScoreMethod.IWR, "f").log_space
-        assert ScoreVector(np.zeros(2), ScoreMethod.KDE_TARGET, "f").log_space
-        assert not ScoreVector(np.zeros(2), ScoreMethod.NN_L2, "f").log_space
-        assert not ScoreVector(np.zeros(2), ScoreMethod.LSE, "f").log_space
+        assert score_vector(np.zeros(2), ScoreMethod.IWR).log_space
+        assert score_vector(np.zeros(2), ScoreMethod.KDE_TARGET).log_space
+        assert not score_vector(np.zeros(2), ScoreMethod.NN_L2).log_space
+        assert not score_vector(np.zeros(2), ScoreMethod.LSE).log_space
 
     def test_method_coercion(self):
-        sv = ScoreVector(np.zeros(1), "iwr", "f")
+        sv = score_vector(np.zeros(1), "iwr")
         assert sv.method is ScoreMethod.IWR
 
     def test_copies_only_a_writeable_array(self):
         values = np.zeros(3)
-        sv = ScoreVector(values, ScoreMethod.IWR, "f")
+        sv = score_vector(values)
         values[0] = 1.0
         assert sv.values[0] == 0.0 and not sv.values.flags.writeable
-        assert ScoreVector(sv.values, ScoreMethod.IWR, "g").values is sv.values
+        assert score_vector(sv.values, fingerprint="g").values is sv.values
 
     def test_config_score_holds_one_vector(self, tmp_path):
         # Bound fixed before measuring: ScoringConfig(NN_L2).score, at its
@@ -142,13 +155,13 @@ class TestNearestNeighbor:
     def test_hand_computed(self):
         target = np.array([[0.0, 0.0], [1.0, 0.0]])
         prior = np.array([[0.4, 0.0]])
-        got = score_nn_l2(target, prior).values
+        got = NN.score(target, prior).values
         np.testing.assert_allclose(got, [-0.16], atol=1e-15)
 
     def test_coincident_row_scores_zero(self):
         target = np.array([[1.0, 2.0], [3.0, 4.0]])
         prior = np.array([[3.0, 4.0], [0.0, 0.0]])
-        got = score_nn_l2(target, prior).values
+        got = NN.score(target, prior).values
         assert got[0] == 0.0
         assert got.max() == 0.0
 
@@ -156,7 +169,7 @@ class TestNearestNeighbor:
         rng = np.random.default_rng(17)
         target = rng.standard_normal((37, 5))
         prior = rng.standard_normal((200, 5))
-        got = score_nn_l2(target, prior).values
+        got = NN.score(target, prior).values
         want = -brute_force_min_sq_dists(prior, target)
         assert np.array_equal(got, want)
 
@@ -175,7 +188,7 @@ class TestNearestNeighbor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                got = score_nn_l2(target, prior).values
+                got = NN.score(target, prior).values
             except NumericalError as exc:
                 assert exc.code == "non_finite_scores"
                 assert not np.isfinite(want).all()
@@ -186,40 +199,42 @@ class TestNearestNeighbor:
         rng = np.random.default_rng(2)
         target = rng.standard_normal((20, 3))
         prior = rng.standard_normal((50, 3))
-        base = score_nn_l2(target, prior).values
-        scaled = score_nn_l2(2.0 * target, 2.0 * prior).values
+        base = NN.score(target, prior).values
+        scaled = NN.score(2.0 * target, 2.0 * prior).values
         assert np.array_equal(scaled, 4.0 * base)
 
     def test_general_scaling_preserves_ranking(self):
         rng = np.random.default_rng(3)
         target = rng.standard_normal((20, 3))
         prior = rng.standard_normal((50, 3))
-        base = score_nn_l2(target, prior).values
-        scaled = score_nn_l2(3.0 * target, 3.0 * prior).values
+        base = NN.score(target, prior).values
+        scaled = NN.score(3.0 * target, 3.0 * prior).values
         np.testing.assert_allclose(scaled, 9.0 * base, rtol=1e-12)
         assert np.array_equal(ranking(base), ranking(scaled))
 
     def test_dim_mismatch(self):
         with pytest.raises(ValidationError) as exc:
-            score_nn_l2(np.zeros((2, 2)) + 1, np.ones((2, 3)))
+            NN.score(np.zeros((2, 2)) + 1, np.ones((2, 3)))
         assert exc.value.code == "dim_mismatch"
 
     def test_threads_do_not_change_results(self):
         rng = np.random.default_rng(8)
         target = rng.standard_normal((30, 4))
         prior = rng.standard_normal((9000, 4))
-        a = score_nn_l2(target, prior, threads=1).values
-        b = score_nn_l2(target, prior, threads=4).values
+        a = NN.score(target, prior, threads=1).values
+        b = NN.score(target, prior, threads=4).values
         assert np.array_equal(a, b)
 
 
 class TestLogSumExp:
     def test_single_target_single_term(self):
-        got = score_lse(np.array([[0.0]]), np.array([[2.0]]), 1.0).values
+        target = np.array([[0.0]])
+        got = lse_config(1.0, target).score(target, np.array([[2.0]])).values
         np.testing.assert_allclose(got, [-4.0], atol=1e-12)
 
     def test_two_equidistant_targets(self):
-        got = score_lse(np.array([[-1.0], [1.0]]), np.array([[0.0]]), 1.0).values
+        target = np.array([[-1.0], [1.0]])
+        got = lse_config(1.0, target).score(target, np.array([[0.0]])).values
         np.testing.assert_allclose(got, [np.log(2.0) - 1.0], atol=1e-12)
 
     def test_small_temperature_recovers_nearest_neighbor(self):
@@ -231,8 +246,8 @@ class TestLogSumExp:
         )
         prior = pool[d2[:, 1] - d2[:, 0] >= 1e-2][:500]
         assert len(prior) == 500
-        nn = score_nn_l2(target, prior).values
-        lse = score_lse(target, prior, 1e-4).values
+        nn = NN.score(target, prior).values
+        lse = lse_config(1e-4, target).score(target, prior).values
         assert np.array_equal(ranking(nn), ranking(lse))
         # per-point nearest target also matches
         expo = -((prior[:, None, :] - target[None, :, :]) ** 2).sum(axis=2)
@@ -242,17 +257,18 @@ class TestLogSumExp:
         rng = np.random.default_rng(1)
         target = rng.standard_normal((50, 4))
         prior = rng.standard_normal((20, 4))
-        explicit = score_lse(target, prior, scott_bandwidth(4.0, 50, 4))
-        implicit = score_lse(target, prior)
-        assert np.array_equal(explicit.values, implicit.values)
         config = ScoringConfig(ScoreMethod.LSE)
-        assert np.array_equal(config.score(target, prior).values, explicit.values)
         params = config.sidecar_params(target, prior)
-        assert params["temperature"] == scott_bandwidth(4.0, 50, 4)
-        assert config.fingerprint(target, prior) == config_fingerprint(
-            fingerprint_scheme=2, method="lse", temperature=params["temperature"],
-            target=params["target_source_id"], prior=params["prior_source_id"],
-        )
+        h = scott_bandwidth(4.0, 50, 4)
+        assert params["temperature"] == h
+        np.testing.assert_allclose(config.score(target, prior).values,
+                                   naive_lse(target, prior, h), rtol=1e-12)
+        payload = {"fingerprint_scheme": 2, "method": "lse", "temperature": h,
+                   "target": params["target_source_id"],
+                   "prior": params["prior_source_id"]}
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert config.fingerprint(target, prior) == (
+            hashlib.sha256(blob.encode()).hexdigest()[:16])
 
     @pytest.mark.parametrize("temperature", [0.05, 0.5, 3.0])
     def test_scale_c_reaches_any_temperature(self, temperature):
@@ -263,21 +279,18 @@ class TestLogSumExp:
         config = ScoringConfig(ScoreMethod.LSE, scale_c=temperature * 50 ** (1 / 8))
         h = config.sidecar_params(target, prior)["temperature"]
         np.testing.assert_allclose(h, temperature, rtol=1e-15)
-        assert np.array_equal(config.score(target, prior).values,
-                              score_lse(target, prior, h).values)
+        assert config == lse_config(temperature, target)
         np.testing.assert_allclose(config.score(target, prior).values,
-                                   score_lse(target, prior, temperature).values,
-                                   rtol=1e-12)
+                                   naive_lse(target, prior, temperature), rtol=1e-12)
 
     def test_nonpositive_temperature(self):
         with pytest.raises(ValidationError):
-            score_lse(np.ones((1, 1)), np.ones((1, 1)), 0.0)
+            lse_config(0.0, np.ones((1, 1)))
 
     def test_values_finite_at_tiny_temperature(self):
         rng = np.random.default_rng(6)
-        got = score_lse(
-            rng.standard_normal((10, 2)), rng.standard_normal((10, 2)), 1e-4
-        ).values
+        target = rng.standard_normal((10, 2))
+        got = lse_config(1e-4, target).score(target, rng.standard_normal((10, 2))).values
         assert np.isfinite(got).all()
 
 
@@ -286,7 +299,7 @@ class TestTargetDensity:
         from iwre.kde import GaussianKde
 
         kde = GaussianKde.from_parameters([[0.0]], 1.0, [[1.0]])
-        got = score_kde_target(kde, np.array([[0.0]])).values
+        got = kde.score_samples(np.array([[0.0]]))
         np.testing.assert_allclose(got, [np.log(1.0 / np.sqrt(2 * np.pi))], atol=1e-12)
 
     def test_matches_density_oracle(self):
@@ -294,7 +307,7 @@ class TestTargetDensity:
         x = rng.standard_normal((150, 4))
         kde = fit_kde(x, BandwidthSpec(2.0))
         q = rng.standard_normal((40, 4))
-        got = score_kde_target(kde, q).values
+        got = ScoringConfig(ScoreMethod.KDE_TARGET, scale_c=2.0).score(x, q).values
         want = naive_log_density(kde, x, q)
         keep = np.abs(want) > 1e-3
         assert np.all(np.abs(got[keep] - want[keep]) <= 1e-10 * np.abs(want[keep]))
@@ -306,7 +319,8 @@ class TestTargetDensity:
         h_sigma = kde.bandwidth_ * np.sqrt(np.diag(kde.covariance_)).max()
         near = x[:10] + 0.5 * h_sigma
         far = x.mean(axis=0) + np.array([10.0, 0.0]) * h_sigma * 10
-        scores = score_kde_target(kde, np.vstack([near, far[None, :]])).values
+        config = ScoringConfig(ScoreMethod.KDE_TARGET, scale_c=1.0)
+        scores = config.score(x, np.vstack([near, far[None, :]])).values
         assert scores[-1] < scores[:-1].min()
 
 
@@ -391,29 +405,42 @@ class TestPriorBatches:
             assert params["batch_size"] == batch_size
             assert params["num_batches"] == 8
 
+    @pytest.mark.parametrize("rows, batch_size, named", [
+        (1, None, "needs at least 2 rows, got 1"),
+        (20, 50, "batch_size 50 exceeds prior rows 20"),
+    ], ids=["one_row_prior", "batch_above_prior"])
+    def test_iwr_prior_too_small_for_its_batches(self, rows, batch_size, named):
+        # sidecar_params refuses, so score, fingerprint and check_fresh agree.
+        rng = np.random.default_rng(0)
+        target = EmbeddingDataset(rng.standard_normal((10, 2)))
+        prior = EmbeddingDataset(rng.standard_normal((rows, 2)))
+        config = ScoringConfig(seed=0, batch_size=batch_size)
+        fresh = ScoringConfig(seed=0).score(target, rng.standard_normal((20, 2)))
+        for call in (config.sidecar_params, config.fingerprint, config.score,
+                     lambda t, p: config.check_fresh(fresh, t, p)):
+            with pytest.raises(ValidationError) as exc:
+                call(target, prior)
+            assert exc.value.code == "bad_batch_spec"
+            assert named in str(exc.value)
+
 
 class TestImportanceWeight:
     def test_self_ratio_is_zero(self):
         rng = np.random.default_rng(21)
         data = EmbeddingDataset(rng.standard_normal((400, 5)))
-        kde = fit_kde(data, BandwidthSpec(4.0))
-        prior_kdes = fit_prior_batched(data, PriorBatchSpec(400, 1, rng_seed=0))
-        got = score_importance_weight(kde, prior_kdes, data).values
+        config = ScoringConfig(scale_c=4.0, batch_size=400, num_batches=1, seed=0)
+        got = config.score(data, data).values
         assert np.abs(got).max() <= 1e-9
 
     def test_batched_consistency_single_full_batch(self):
         rng = np.random.default_rng(22)
         target = EmbeddingDataset(rng.standard_normal((100, 3)))
         prior = EmbeddingDataset(rng.standard_normal((250, 3)))
-        tk = fit_kde(target, BandwidthSpec(2.0))
-        prior_kdes = fit_prior_batched(
-            prior, PriorBatchSpec(250, 1, rng_seed=1), BandwidthSpec(2.0)
-        )
-        got = score_importance_weight(tk, prior_kdes, prior).values
-        want = (
-            score_kde_target(tk, prior).values
-            - score_kde_target(prior_kdes[0], prior).values
-        )
+        config = ScoringConfig(scale_c=2.0, batch_size=250, num_batches=1, seed=1)
+        got = config.score(target, prior).values
+        # One batch spanning the prior is the plain fit of the prior.
+        density = replace(config, method=ScoreMethod.KDE_TARGET)
+        want = density.score(target, prior).values - density.score(prior, prior).values
         assert np.array_equal(got, want)
 
     def test_analytic_gaussian_ratio(self):
@@ -424,9 +451,9 @@ class TestImportanceWeight:
         prior_kdes = fit_prior_batched(
             prior, PriorBatchSpec(4096, 8, rng_seed=4), BandwidthSpec(1.0)
         )
-        at_origin = score_importance_weight(
-            tk, prior_kdes, EmbeddingDataset(np.array([[0.0]]))
-        ).values[0]
+        origin = np.array([[0.0]])
+        at_origin = (tk.score_samples(origin) - log_mean_exp(
+            [kde.score_samples(origin) for kde in prior_kdes]))[0]
         assert abs(np.exp(at_origin) - 2.0) <= 0.3
 
     def test_permutation_equivariance(self):
@@ -434,32 +461,34 @@ class TestImportanceWeight:
         target = EmbeddingDataset(rng.standard_normal((60, 4)))
         prior_data = rng.standard_normal((300, 4))
         perm = rng.permutation(300)
+        for method in (ScoreMethod.NN_L2, ScoreMethod.LSE, ScoreMethod.KDE_TARGET):
+            config = ScoringConfig(method)
+            base = config.score(target, prior_data).values
+            permuted = config.score(target, prior_data[perm]).values
+            assert np.array_equal(base[perm], permuted), method
+        # iwr fits its batches on the prior it is given, so its fixed models
+        # are scored on both row orders.
         tk = fit_kde(target)
-        pk = fit_prior_batched(
-            EmbeddingDataset(prior_data), PriorBatchSpec(300, 1, rng_seed=0)
-        )
-        base = score_importance_weight(tk, pk, EmbeddingDataset(prior_data)).values
-        permuted = score_importance_weight(
-            tk, pk, EmbeddingDataset(prior_data[perm])
-        ).values
-        assert np.array_equal(base[perm], permuted)
-        nn_base = score_nn_l2(target, EmbeddingDataset(prior_data)).values
-        nn_perm = score_nn_l2(target, EmbeddingDataset(prior_data[perm])).values
-        assert np.array_equal(nn_base[perm], nn_perm)
+        pk = fit_prior_batched(prior_data, PriorBatchSpec(300, 1, rng_seed=0))
+
+        def iwr(rows):
+            return tk.score_samples(rows) - log_mean_exp([k.score_samples(rows) for k in pk])
+
+        assert np.array_equal(iwr(prior_data)[perm], iwr(prior_data[perm]))
 
     def test_empty_batch_list(self):
-        tk = fit_kde(np.zeros((2, 2)) + np.eye(2))
+        # No configuration reaches scoring with no prior batch.
         with pytest.raises(ValidationError) as exc:
-            score_importance_weight(tk, [], np.ones((3, 2)))
-        assert exc.value.code == "empty_batch_list"
+            ScoringConfig(seed=0, num_batches=0)
+        assert exc.value.code == "bad_param" and "num_batches" in str(exc.value)
 
     def test_leave_self_out(self):
         rng = np.random.default_rng(41)
         data = EmbeddingDataset(rng.standard_normal((120, 3)))
-        tk = fit_kde(data)
         pk = fit_prior_batched(data, PriorBatchSpec(60, 3, rng_seed=7))
-        base = score_importance_weight(tk, pk, data).values
-        loo = score_importance_weight(tk, pk, data, leave_self_out=True).values
+        config = ScoringConfig(batch_size=60, num_batches=3, seed=7)
+        base = config.score(data, data).values
+        loo = replace(config, leave_self_out=True).score(data, data).values
         assert np.isfinite(loo).all()
         # removing a row's own kernel can only lower its prior density
         member = np.zeros(120, dtype=bool)
@@ -488,29 +517,21 @@ class TestImportanceWeight:
 
         monkeypatch.setattr(kde_module, "_kernel_exponents", counted)
         once = 120 * sum(k._support.shape[1] for k in [tk, *pk])  # padded
-        plain = score_importance_weight(tk, pk, data).values
+        config = ScoringConfig(batch_size=60, num_batches=3, seed=7)
+        plain = config.score(data, data).values
         assert sum(evals) == once
         evals.clear()
-        loo = score_importance_weight(tk, pk, data, leave_self_out=True).values
+        loo = replace(config, leave_self_out=True).score(data, data).values
         assert sum(evals) == once
         assert not np.array_equal(plain, loo)
-
-    def test_leave_self_out_requires_row_ids(self):
-        rng = np.random.default_rng(0)
-        data = EmbeddingDataset(rng.standard_normal((10, 2)))
-        tk = fit_kde(data)
-        with pytest.raises(ValidationError) as exc:
-            score_importance_weight(tk, [tk], data, leave_self_out=True)
-        assert exc.value.code == "missing_row_ids"
 
     def test_threads_do_not_change_results(self):
         rng = np.random.default_rng(55)
         target = EmbeddingDataset(rng.standard_normal((50, 3)))
         prior = EmbeddingDataset(rng.standard_normal((9000, 3)))
-        tk = fit_kde(target)
-        pk = fit_prior_batched(prior, PriorBatchSpec(1000, 2, rng_seed=1))
-        a = score_importance_weight(tk, pk, prior, threads=1).values
-        b = score_importance_weight(tk, pk, prior, threads=4).values
+        config = ScoringConfig(batch_size=1000, num_batches=2, seed=1)
+        a = config.score(target, prior, threads=1).values
+        b = config.score(target, prior, threads=4).values
         assert np.array_equal(a, b)
 
 
@@ -553,15 +574,16 @@ class TestOneRowJob:
             pk = fit_prior_batched(
                 prior, PriorBatchSpec(batch_size, num_batches, rng_seed=seed)
             )
-            got = score_importance_weight(
-                tk, pk, prior, leave_self_out=leave_self_out, threads=threads
-            ).values
+            config = ScoringConfig(batch_size=batch_size, num_batches=num_batches,
+                                   seed=seed, leave_self_out=leave_self_out)
+            got = config.score(target, prior, threads=threads).values
             target_term = job([tk], prior, threads=threads)
             prior_term = job(
                 pk, prior, leave_self_out=leave_self_out, threads=threads
             )
             assert np.array_equal(got, target_term - prior_term)
-            kde = score_kde_target(tk, prior, threads=threads).values
+            density = ScoringConfig(ScoreMethod.KDE_TARGET)
+            kde = density.score(target, prior, threads=threads).values
             assert np.array_equal(kde, target_term)
             del prior  # the mapped file closes before its directory goes
 
@@ -601,8 +623,7 @@ class TestOneRowJob:
         # them for NaN and Inf at most once more, not once per KDE.
         rng = np.random.default_rng(22)
         prior = EmbeddingDataset(rng.standard_normal((200, 3)))
-        tk = fit_kde(rng.standard_normal((30, 3)))
-        pk = fit_prior_batched(prior, PriorBatchSpec(50, 4, rng_seed=1))
+        target = rng.standard_normal((30, 3))
         base, row_bytes = prior.data.ctypes.data, prior.data.strides[0]
         scans = []
         scan = _validation.first_non_finite_row
@@ -614,7 +635,7 @@ class TestOneRowJob:
 
         monkeypatch.setattr(_validation, "first_non_finite_row", scan_spy)
         monkeypatch.setattr(scoring_module, "_OUTER_CHUNK_ROWS", 64)  # 4 jobs
-        score_importance_weight(tk, pk, prior, threads=1)
+        ScoringConfig(batch_size=50, num_batches=4, seed=1).score(target, prior)
         assert all(scans.count(start) <= 1 for start in scans), scans
 
 
@@ -725,10 +746,11 @@ class TestFingerprints:
         back = ScoringConfig.from_sidecar(scores, "scores.bin")
         assert back == replace(config, batch_size=20)  # resolved from the prior
         back.check_fresh(scores, target, prior)
+        other_scheme = replace(scores, params={**scores.params, "fingerprint_scheme": 1})
         with pytest.raises(ValidationError) as exc:
-            ScoringConfig.from_sidecar(score_nn_l2(target, prior), "scores.bin")
+            ScoringConfig.from_sidecar(other_scheme, "scores.bin")
         assert exc.value.code == "bad_sidecar"
-        assert "records no scoring configuration" in str(exc.value)
+        assert "another fingerprint scheme" in str(exc.value)
 
     def test_stale_refusal_names_the_first_difference(self):
         rng = np.random.default_rng(0)
@@ -748,14 +770,6 @@ class TestFingerprints:
             assert exc.value.code == "fingerprint_mismatch"
             assert named in str(exc.value)
 
-    def test_score_functions_leave_fingerprint_empty(self):
-        rng = np.random.default_rng(0)
-        target = EmbeddingDataset(rng.standard_normal((10, 2)))
-        prior = EmbeddingDataset(rng.standard_normal((20, 2)))
-        for scores in (score_nn_l2(target, prior),
-                       score_kde_target(fit_kde(target), prior)):
-            assert scores.config_fingerprint == "" and scores.params == {}
-
     def test_scale_c_is_the_one_bandwidth_field(self):
         assert [f.name for f in fields(ScoringConfig)] == [
             "method", "scale_c", "batch_size", "num_batches", "seed", "leave_self_out"
@@ -773,7 +787,7 @@ class TestFingerprints:
         lambda: BandwidthSpec(None),
         lambda: BandwidthSpec("4"),
         lambda: GaussianKde(scale_c=None).fit(np.eye(3)),
-        lambda: score_lse(np.eye(3), np.eye(3), "x"),
+        lambda: ScoringConfig(ScoreMethod.LSE, scale_c="x"),
     ], ids=["spec-str", "spec-none", "spec-digits", "kde-none", "lse-str"])
     def test_non_number_is_bad_param(self, call):
         # As for a count: a value float() refuses, or would change, is no
@@ -818,9 +832,41 @@ class TestScoreIO:
         assert back.params == record
         assert json.loads((tmp_path / "scores.json").read_text())["log_space"] is True
 
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        method=st.sampled_from(list(ScoreMethod)),
+        d=st.integers(1, 4),
+        num_batches=st.integers(1, 3),
+        leave_self_out=st.booleans(),
+        default_batch=st.booleans(),
+    )
+    def test_scored_file_reads_back_fresh(self, seed, method, d, num_batches,
+                                          leave_self_out, default_batch):
+        # score -> save_scores -> load_scores -> from_sidecar -> check_fresh.
+        rng = np.random.default_rng(seed)
+        target = rng.standard_normal((int(rng.integers(d + 2, 20)), d))
+        rows = int(rng.integers(2, 40))
+        prior = EmbeddingDataset(rng.standard_normal((rows, d)), source_id="prior")
+        config = ScoringConfig(
+            method, scale_c=float(rng.choice([0.5, 1.0, 4.0])),
+            batch_size=None if default_batch else int(rng.integers(2, rows + 1)),
+            num_batches=num_batches, seed=seed, leave_self_out=leave_self_out,
+        )
+        scores = config.score(target, prior)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scores.bin"
+            save_scores(scores, path)
+            back = load_scores(path)
+        assert np.array_equal(back.values, scores.values)
+        assert back.params == scores.params
+        stored = ScoringConfig.from_sidecar(back, path)
+        stored.check_fresh(back, target, prior)
+        assert stored.fingerprint(target, prior) == scores.config_fingerprint
+
     def test_missing_sidecar(self, tmp_path):
         rng = np.random.default_rng(3)
-        sv = ScoreVector(rng.standard_normal(4), ScoreMethod.LSE, "fp")
+        sv = score_vector(rng.standard_normal(4), ScoreMethod.LSE)
         path = tmp_path / "scores.bin"
         save_scores(sv, path)
         (tmp_path / "scores.json").unlink()
@@ -873,7 +919,7 @@ class TestBlasPin:
             return nearest(*args)
 
         monkeypatch.setattr(scoring_module, "nearest_sq_dists", spy)
-        score_nn_l2(*self.data(), threads=2)  # three chunks on two workers
+        NN.score(*self.data(), threads=2)  # three chunks on two workers
         assert len(seen) == 3
         assert all(counts == [1] * len(two_blas_threads) for counts in seen)
 

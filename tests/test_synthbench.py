@@ -7,20 +7,11 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from helpers import metadata_table
+from helpers import metadata_table, score_vector
 from iwre.dataset import EmbeddingDataset
 from iwre.errors import ValidationError
-from iwre.kde import BandwidthSpec, fit_kde
 from iwre.retrieval import select_by_fraction
-from iwre.scoring import (
-    PriorBatchSpec,
-    ScoreMethod,
-    ScoreVector,
-    fit_prior_batched,
-    score_importance_weight,
-    score_kde_target,
-    score_nn_l2,
-)
+from iwre.scoring import ScoreMethod, ScoringConfig
 from iwre.synthbench import (
     SCENARIO_IDS,
     GaussianMixture,
@@ -229,13 +220,11 @@ class TestFig2Fixture:
     def test_rank_reversal(self):
         data = generate(make_scenario("fig2_toy"))
         cluster, isolated = fig2_probe_indices()
-        nn = score_nn_l2(data.target, data.prior).values
-        kde = fit_kde(data.target, BandwidthSpec(4.0))
-        dens = score_kde_target(kde, data.prior).values
-        prior_kdes = fit_prior_batched(
-            data.prior, PriorBatchSpec(2, 1, rng_seed=0), BandwidthSpec(4.0)
+        nn, dens, iwr = (
+            ScoringConfig(method, scale_c=4.0, batch_size=2, num_batches=1, seed=0)
+            .score(data.target, data.prior).values
+            for method in (ScoreMethod.NN_L2, ScoreMethod.KDE_TARGET, ScoreMethod.IWR)
         )
-        iwr = score_importance_weight(kde, prior_kdes, data.prior).values
         assert nn[isolated] > nn[cluster]
         assert dens[cluster] > dens[isolated]
         assert iwr[cluster] > iwr[isolated]
@@ -280,12 +269,9 @@ class TestFig2Fixture:
 
 class TestEvaluateRetrieval:
     def manifest(self, indices, n=10):
-        scores = ScoreVector(np.zeros(n), ScoreMethod.IWR, "fp")
         values = np.full(n, -1.0)
         values[list(indices)] = 1.0
-        return select_by_fraction(
-            ScoreVector(values, ScoreMethod.IWR, "fp"), len(indices) / n
-        )
+        return select_by_fraction(score_vector(values), len(indices) / n)
 
     def test_perfect_selection(self):
         relevance = np.arange(10) < 3
@@ -336,12 +322,10 @@ class TestClusterBias:
     def test_importance_weights_beat_nearest_neighbor(self):
         data = generate(make_scenario("cluster_bias", rng_seed=0))
         relevance = row_relevance(data.prior_metadata, data.task_relevance)
-        nn = select_by_fraction(score_nn_l2(data.target, data.prior), 0.1)
-        tk = fit_kde(data.target, BandwidthSpec(1.0))
-        pk = fit_prior_batched(
-            data.prior, PriorBatchSpec(1024, 4, rng_seed=0), BandwidthSpec(1.0)
-        )
-        iw = select_by_fraction(score_importance_weight(tk, pk, data.prior), 0.1)
+        nn_scores = ScoringConfig(ScoreMethod.NN_L2).score(data.target, data.prior)
+        nn = select_by_fraction(nn_scores, 0.1)
+        config = ScoringConfig(scale_c=1.0, batch_size=1024, num_batches=4, seed=0)
+        iw = select_by_fraction(config.score(data.target, data.prior), 0.1)
         p_nn = evaluate_retrieval(nn, relevance).precision
         p_iw = evaluate_retrieval(iw, relevance).precision
         assert p_iw > p_nn
@@ -351,13 +335,8 @@ class TestClusterBias:
         from iwre.analysis import build_report
 
         data = generate(make_scenario("cluster_bias", rng_seed=1))
-        tk = fit_kde(data.target, BandwidthSpec(1.0))
-        pk = fit_prior_batched(
-            data.prior, PriorBatchSpec(1024, 4, rng_seed=1), BandwidthSpec(1.0)
-        )
-        manifest = select_by_fraction(
-            score_importance_weight(tk, pk, data.prior), 0.1
-        )
+        config = ScoringConfig(scale_c=1.0, batch_size=1024, num_batches=4, seed=1)
+        manifest = select_by_fraction(config.score(data.target, data.prior), 0.1)
         tasks = build_report(
             manifest, data.prior_metadata, labels=data.task_relevance
         )["tasks"]
@@ -371,24 +350,20 @@ class TestClusterBias:
 
 class TestOracleWeightCheck:
     def run_iwr(self, data, scale, seed, batch=4096, k=8):
-        tk = fit_kde(data.target, BandwidthSpec(scale))
-        pk = fit_prior_batched(
-            data.prior,
-            PriorBatchSpec(min(batch, data.prior.rows), k, rng_seed=seed),
-            BandwidthSpec(scale),
-        )
-        return score_importance_weight(tk, pk, data.prior)
+        config = ScoringConfig(scale_c=scale, batch_size=min(batch, data.prior.rows),
+                               num_batches=k, seed=seed)
+        return config.score(data.target, data.prior)
 
     def test_method_mismatch(self):
         data = generate(make_scenario("gaussian_ratio"), 10, 10)
-        scores = score_nn_l2(data.target, data.prior)
+        scores = ScoringConfig(ScoreMethod.NN_L2).score(data.target, data.prior)
         with pytest.raises(ValidationError) as exc:
             oracle_weight_check(data.oracle, scores, data.prior)
         assert exc.value.code == "method_mismatch"
 
     def test_length_mismatch(self):
         data = generate(make_scenario("gaussian_ratio"), 10, 10)
-        scores = ScoreVector(np.zeros(9), ScoreMethod.IWR, "fp")
+        scores = score_vector(np.zeros(9))
         with pytest.raises(ValidationError) as exc:
             oracle_weight_check(data.oracle, scores, data.prior)
         assert exc.value.code == "label_mismatch"
@@ -399,11 +374,8 @@ class TestOracleWeightCheck:
         rng = np.random.default_rng(1)
         target = EmbeddingDataset(mix.sample(rng, 10_000)[0])
         prior = EmbeddingDataset(mix.sample(rng, 10_000)[0])
-        tk = fit_kde(target, BandwidthSpec(1.0))
-        pk = fit_prior_batched(
-            prior, PriorBatchSpec(4096, 8, rng_seed=1), BandwidthSpec(1.0)
-        )
-        scores = score_importance_weight(tk, pk, prior)
+        config = ScoringConfig(scale_c=1.0, batch_size=4096, num_batches=8, seed=1)
+        scores = config.score(target, prior)
         check = oracle_weight_check(oracle, scores, prior)
         assert check.mean_abs_error <= 0.1
 
