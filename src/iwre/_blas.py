@@ -1,4 +1,4 @@
-"""Pin every loaded OpenBLAS to one thread while scoring runs.
+"""Pin every loaded OpenBLAS to one thread while scoring or a fit runs.
 
 Scoring parallelises over fixed row chunks in a thread pool
 (:func:`iwre.scoring._map_row_chunks`); that pool is the only source of
@@ -14,7 +14,7 @@ nothing. BLAS thread counts are process-wide, so the pin is too: the first
 caller in saves each library's count and sets it to one, the last caller
 out restores it, and nested or concurrent scoring calls share one pin.
 
-The pin acts only while scoring runs, but OpenBLAS starts its worker
+The pin acts only while iwre computes, but OpenBLAS starts its worker
 threads when numpy is imported. So :mod:`iwre.cli` also sets
 ``OPENBLAS_NUM_THREADS=1`` before it imports numpy, unless the caller set
 it or numpy is already imported, and a CLI process starts no BLAS worker

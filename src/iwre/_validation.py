@@ -182,7 +182,7 @@ def coerce_fields(obj, what: str, names=None) -> None:
     types keep fingerprints and outputs independent of how a value was given.
     """
     for name, (kind, nullable) in field_types(type(obj)).items():
-        value = getattr(obj, name)
+        value = getattr(obj, name, None)  # a field not yet set is None
         if (value is None and nullable) or (names is not None and name not in names):
             continue
         try:

@@ -110,8 +110,7 @@ def build_report(
     carries a task label. ``evaluation`` is the selection's precision and
     recall against the rows whose task ``labels`` calls ``relevant``
     (:func:`iwre.synthbench.evaluate_retrieval`), null without labels.
-    ``config_fingerprint`` and ``method`` are the manifest's (``method`` is
-    empty when the manifest records none).
+    ``config_fingerprint`` and ``method`` are the manifest's.
     """
     if labels is not None:
         _check_relevance(labels)
@@ -136,7 +135,7 @@ def build_report(
     return {
         "engine_version": __version__,
         "config_fingerprint": manifest.config_fingerprint,
-        "method": manifest.method.value if manifest.method is not None else "",
+        "method": manifest.method.value,
         "tasks": tasks,
         "timesteps": {
             "bin_count": per_bin.size,

@@ -243,7 +243,7 @@ def cmd_retrieve(cfg: RunConfig) -> int:
             f"score file has {len(scores)} rows but prior has {prior.rows}",
             code="row_count_mismatch",
         )
-    scoring = cfg.scoring(ScoringConfig.from_sidecar(scores, cfg.scores))
+    scoring = cfg.scoring(ScoringConfig.from_sidecar(scores))
     scoring.check_fresh(scores, target, prior)
     manifest = select(scores)
     weights = cotrain_weights(target.rows, manifest.size, cfg.alpha)
@@ -330,11 +330,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
     if cfg.labels:
         cfg.require_paths("labels")
     manifest = load_manifest(cfg.manifest)
-    method = manifest.method.value if manifest.method is not None else ""
     if cfg.method is not None and _METHOD_ALIASES[cfg.method] is not manifest.method:
         raise ValidationError(
             f"--method {cfg.method} does not match the method of the scores "
-            f"behind {cfg.manifest} ({method or 'not recorded'})",
+            f"behind {cfg.manifest} ({manifest.method.value})",
             code="method_mismatch",
         )
     meta = load_metadata(cfg.meta)

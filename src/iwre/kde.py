@@ -53,9 +53,9 @@ temporaries, candidate mask and gathers included, fit it. A scoring
 worker's scratch is O(tile).
 
 Threading: the row-chunk pool in :mod:`iwre.scoring` is the only source of
-parallelism. Scoring pins every loaded OpenBLAS to one thread
-(:mod:`iwre._blas`), so each GEMM and GEMV here runs on the calling worker
-alone.
+parallelism. Scoring and every fit, also one called directly, pin every
+loaded OpenBLAS to one thread (:mod:`iwre._blas`), so each GEMM and GEMV
+here runs on the calling thread alone.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from functools import partial
 
 import numpy as np
 
+from ._blas import single_threaded_blas
 from ._validation import ParamsMixin, check_count, check_matrix, check_positive
 from .errors import NumericalError, ValidationError
 
@@ -148,6 +149,7 @@ class GaussianKde(ParamsMixin):
 
     # -- fitting -----------------------------------------------------------
 
+    @single_threaded_blas()
     def fit(self, X, y=None) -> "GaussianKde":
         """Fit bandwidth, covariance and Cholesky factor to the support X."""
         X = check_matrix(X, "X")
@@ -161,6 +163,7 @@ class GaussianKde(ParamsMixin):
         return self._finalize(X, h, cov)
 
     @classmethod
+    @single_threaded_blas()
     def from_parameters(cls, support, bandwidth_h, covariance) -> "GaussianKde":
         """Build a model directly from centers, bandwidth and covariance.
 

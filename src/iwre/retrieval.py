@@ -40,22 +40,23 @@ class RetrievalManifest:
 
     ``selected_indices`` is strictly increasing. ``multiplicities`` is only
     present for resampling with replacement and counts how often each unique
-    index was drawn. ``method`` is the scoring method of the scores selected
-    from; the ``select_*`` functions copy it from the score vector. The arrays
-    are read-only: a writeable array passed in is copied, a read-only one held.
-    Indices and multiplicities must be integers (no float or bool is
-    truncated), and the other fields are of their annotated types.
+    index was drawn. ``method``, ``config_fingerprint`` and the source ids
+    are those of the scores selected from; the ``select_*`` functions copy
+    them from the score vector. The arrays are read-only: a writeable array
+    passed in is copied, a read-only one held. Indices and multiplicities
+    must be integers (no float or bool is truncated), and the other fields
+    are of their annotated types.
     """
 
     selected_indices: np.ndarray
     scores_at_selection: np.ndarray
     rule: SelectionRule
     rule_param: float
+    method: ScoreMethod
     config_fingerprint: str
-    prior_source_id: str = ""
-    target_source_id: str = ""
+    prior_source_id: str
+    target_source_id: str
     multiplicities: Optional[np.ndarray] = None
-    method: Optional[ScoreMethod] = None
 
     def __post_init__(self):
         idx = check_vector(self.selected_indices, "selected_indices", np.int64)
@@ -98,16 +99,9 @@ def _manifest_from_indices(scores: ScoreVector, idx, rule, param, mult=None):
     """A manifest of the fresh int64 arrays ``idx`` and ``mult``, held as they
     are: ``read_only(arr, None)`` freezes an array that no caller holds."""
     return RetrievalManifest(
-        read_only(idx, None),
-        read_only(scores.values[idx], None),
-        rule,
-        param,
-        scores.config_fingerprint,
-        prior_source_id=scores.prior_source_id,
-        target_source_id=scores.target_source_id,
-        multiplicities=None if mult is None else read_only(mult, None),
-        method=scores.method,
-    )
+        read_only(idx, None), read_only(scores.values[idx], None), rule, param,
+        scores.method, scores.config_fingerprint, scores.prior_source_id,
+        scores.target_source_id, None if mult is None else read_only(mult, None))
 
 
 def check_fraction(fraction: float) -> float:
@@ -252,7 +246,7 @@ def save_manifest(manifest: RetrievalManifest, path) -> None:
     payload = {
         "engine_version": __version__,
         "rule": manifest.rule.value,
-        "method": None if manifest.method is None else manifest.method.value,
+        "method": manifest.method.value,
         "rule_param": manifest.rule_param,
         "config_fingerprint": manifest.config_fingerprint,
         "prior_source_id": manifest.prior_source_id,
@@ -268,19 +262,18 @@ def save_manifest(manifest: RetrievalManifest, path) -> None:
 
 def load_manifest(path) -> RetrievalManifest:
     """Read a manifest back as a :class:`RetrievalManifest`, or refuse it
-    with ``bad_manifest`` when the file holds no valid one. One without a
-    ``method`` key (older than the key) is refused, while ``null`` reads as
-    no method."""
-    payload = read_json_object(path, "bad_manifest", (
-        "selected_indices", "scores_at_selection", "rule", "rule_param",
-        "config_fingerprint"))
+    with ``bad_manifest``, asking for a rerun of ``iwre retrieve``, when the
+    file holds no valid one or lacks a key (``multiplicities`` may be
+    absent)."""
+    keys = ("selected_indices", "scores_at_selection", "rule", "rule_param",
+            "method", "config_fingerprint", "prior_source_id", "target_source_id")
+    payload = read_json_object(path, "bad_manifest")
     try:
-        return RetrievalManifest(
-            payload["selected_indices"], payload["scores_at_selection"],
-            payload["rule"], payload["rule_param"], payload["config_fingerprint"],
-            payload.get("prior_source_id", ""), payload.get("target_source_id", ""),
-            payload.get("multiplicities"), payload.get("method", ""),
-        )
+        missing = [key for key in keys if key not in payload]
+        if missing:
+            raise ValidationError(f"missing keys {missing}")
+        return RetrievalManifest(*(payload[key] for key in keys),
+                                 payload.get("multiplicities"))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}; rerun `iwre retrieve`",
                               code="bad_manifest") from exc

@@ -40,13 +40,13 @@ class EmbeddingRetriever(ParamsMixin):
 
     def __init__(
         self,
-        method: str = "iwr",
+        method: str = ScoringConfig.method.value,
         fraction: float = 0.3,
         scale_c: float = ScoringConfig.scale_c,
-        batch_size: int | None = None,
+        batch_size: int | None = ScoringConfig.batch_size,
         num_batches: int = ScoringConfig.num_batches,
         seed: int = 0,
-        leave_self_out: bool = False,
+        leave_self_out: bool = ScoringConfig.leave_self_out,
         threads: int | None = 1,
     ):
         self.method = method

@@ -98,48 +98,57 @@ _LOG_SPACE_METHODS = frozenset({ScoreMethod.KDE_TARGET, ScoreMethod.IWR})
 
 @dataclass(frozen=True, eq=False)
 class ScoreVector:
-    """Per-prior-row scores plus the provenance needed to reproduce them.
+    """Per-prior-row scores plus the record needed to reproduce them.
 
     ``values`` is read-only. An array passed in is copied unless it is
     already a read-only float64 vector, such as a result of the scoring
     rules, which is then held as it is. ``params``, read-only, is the
     record of how :meth:`ScoringConfig.score` made them
-    (:meth:`~ScoringConfig.sidecar_params`); its method and ids must be the
-    vector's, and scores with no record are refused.
+    (:meth:`~ScoringConfig.sidecar_params`), the one source of ``method``,
+    the source ids and ``config_fingerprint``. A record that is no mapping
+    of the current fingerprint scheme, or lacks a :class:`ScoringConfig`
+    field, ``temperature`` or an id, is refused (``malformed_value``).
     """
 
     values: np.ndarray
-    method: ScoreMethod
-    config_fingerprint: str
-    prior_source_id: str = ""
-    target_source_id: str = ""
-    params: Mapping = field(default_factory=dict)
+    params: Mapping
+    method: ScoreMethod = field(init=False)
+    prior_source_id: str = field(init=False)
+    target_source_id: str = field(init=False)
+    config_fingerprint: str = field(init=False)
 
     def __post_init__(self):
         values = read_only(check_vector(self.values, "scores"), self.values)
-        coerce_fields(self, "score field", ("method", "config_fingerprint",
-                                            "prior_source_id", "target_source_id"))
+        params = self.params
+        if not isinstance(params, Mapping):
+            raise ValidationError(f"params must be a mapping, got {params!r}",
+                                  code="malformed_value")
+        if params.get("fingerprint_scheme") != FINGERPRINT_SCHEME:
+            what = ("records no scoring configuration" if not params else
+                    "was recorded under another fingerprint scheme")
+            raise ValidationError(f"params {what}; rescore with `iwre score` or "
+                                  "ScoringConfig.score", code="malformed_value")
+        provenance = ("method", "prior_source_id", "target_source_id")
+        keys = (*(f.name for f in fields(ScoringConfig)), "temperature", *provenance)
+        missing = [key for key in keys if key not in params]
+        if missing:
+            raise ValidationError(f"params lack {missing}", code="malformed_value")
+        for key in provenance:
+            object.__setattr__(self, key, params[key])
+        coerce_fields(self, "score field", provenance)
         if self.method is ScoreMethod.NN_L2 and values.size and values.max() > 0.0:
             raise ValidationError(
                 "nn_l2 scores are negated squared distances and must be <= 0",
                 code="bad_scores",
             )
-        if not isinstance(self.params, Mapping):
-            raise ValidationError(f"params must be a mapping, got {self.params!r}",
-                                  code="malformed_value")
-        if not self.params:
-            raise ValidationError(
-                "params records no scoring configuration; rescore with "
-                "`iwre score` or ScoringConfig.score", code="malformed_value")
-        ids = {"method": self.method.value, "prior_source_id": self.prior_source_id,
-               "target_source_id": self.target_source_id}
-        for key, value in ids.items():
-            record = self.params.get(key)
-            if not isinstance(record, str) or record != value:
-                raise ValidationError(f"{key} {value!r} is not params' {record!r}",
-                                      code="malformed_value")
+        try:
+            fingerprint = _record_fingerprint(params)
+        except (TypeError, ValueError) as exc:  # a hashed value JSON cannot hold
+            raise ValidationError(f"params cannot be fingerprinted: {exc}",
+                                  code="malformed_value") from exc
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        object.__setattr__(self, "params", MappingProxyType(dict(params)))
+        object.__setattr__(self, "config_fingerprint", fingerprint)
 
     @property
     def log_space(self) -> bool:
@@ -232,10 +241,12 @@ def _log_mean_density(kdes, prior, *, leave_self_out=False, threads=1) -> np.nda
     return _map_row_chunks(prior, job, threads)
 
 
+@single_threaded_blas()  # one pin for every batch's fit
 def fit_prior_batched(
     prior, spec: PriorBatchSpec, bandwidth: BandwidthSpec | None = None
 ) -> list[GaussianKde]:
-    """Fit one KDE per random prior batch (uniform, without replacement).
+    """Fit one KDE per random prior batch (uniform, without replacement),
+    with BLAS pinned to one thread.
 
     Batch index sets are drawn with a seeded generator and sorted ascending,
     so a batch covering the whole prior reproduces the plain full-prior fit
@@ -290,7 +301,7 @@ def _record_fingerprint(params) -> str:
         **{name: params[name] for name in _METHOD_FIELDS[method]},
         target=params["target_source_id"], prior=params["prior_source_id"],
     )
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -403,8 +414,7 @@ class ScoringConfig:
                         leave_self_out=self.leave_self_out, threads=threads,
                     )
         values.flags.writeable = False  # so the ScoreVector holds it, uncopied
-        return ScoreVector(values, self.method, _record_fingerprint(params),
-                           prior.source_id, target.source_id, params)
+        return ScoreVector(values, params)
 
     def check_fresh(self, scores: ScoreVector, target, prior) -> None:
         """Refuse ``scores`` (``fingerprint_mismatch``) unless this config on
@@ -418,58 +428,46 @@ class ScoringConfig:
         theirs = {**scores.params, "config_fingerprint": scores.config_fingerprint}
         key = next(k for k in ("method", *_METHOD_FIELDS[self.method],
                                "target_source_id", "prior_source_id",
-                               "config_fingerprint") if theirs.get(k) != ours[k])
+                               "config_fingerprint") if theirs[k] != ours[k])
         raise ValidationError(
             f"stale scores: {key} is {ours[key]!r} here but "
-            f"{theirs.get(key)!r} in the score file",
+            f"{theirs[key]!r} in the score file",
             code="fingerprint_mismatch",
         )
 
     @classmethod
-    def from_sidecar(cls, scores: ScoreVector, path) -> "ScoringConfig":
-        """The configuration recorded with ``scores``, read from the file
-        ``path``; scores recorded under another scheme are refused."""
-        params = scores.params
-        if params.get("fingerprint_scheme") != FINGERPRINT_SCHEME:
-            raise ValidationError(f"{path} was written under another fingerprint "
-                                  "scheme; rescore it with `iwre score`",
-                                  code="bad_sidecar")
-        names = [f.name for f in fields(cls)]
-        missing = [name for name in names if name not in params]
-        if missing:
-            raise ValidationError(f"{path}: params lack {missing}", code="bad_sidecar")
-        return cls(**{name: params[name] for name in names})
+    def from_sidecar(cls, scores: ScoreVector) -> "ScoringConfig":
+        """The configuration recorded with ``scores``."""
+        return cls(**{f.name: scores.params[f.name] for f in fields(cls)})
 
 
 # -- persistence --------------------------------------------------------------
+
+# The values of a score vector's record that its sidecar repeats at the top.
+_SIDECAR_COPIES = ("method", "prior_source_id", "target_source_id",
+                   "config_fingerprint")
 
 
 def save_scores(scores: ScoreVector, path) -> None:
     """Write scores as a binary vector plus a JSON sidecar of provenance,
     which holds their record as ``params``."""
     write_vector_file(scores.values[:, None], path)
-    sidecar = {
-        "engine_version": __version__,
-        "method": scores.method.value,
-        "config_fingerprint": scores.config_fingerprint,
-        "log_space": scores.log_space,
-        "prior_source_id": scores.prior_source_id,
-        "target_source_id": scores.target_source_id,
-        "params": dict(scores.params),
-    }
+    sidecar = {key: getattr(scores, key) for key in _SIDECAR_COPIES}
+    sidecar.update(engine_version=__version__, log_space=scores.log_space,
+                   params=dict(scores.params))
     write_json(Path(path).with_suffix(".json"), sidecar)
 
 
 def load_scores(path) -> ScoreVector:
     """Read a score file back as a :class:`ScoreVector` carrying the record
     its sidecar holds, or refuse with ``bad_sidecar`` a sidecar that makes
-    no valid one with the file's values."""
+    no valid one with the file's values, or whose top-level method, source
+    ids or fingerprint are not the ones its record gives."""
     meta_path = Path(path).with_suffix(".json")
     if not meta_path.exists():
         raise ValidationError(f"missing score sidecar {meta_path}",
                               code="missing_sidecar")
-    sidecar = read_json_object(meta_path, "bad_sidecar",
-                               ("method", "config_fingerprint", "params"))
+    sidecar = read_json_object(meta_path, "bad_sidecar", (*_SIDECAR_COPIES, "params"))
     values, _, _ = read_vector_file(path)
     if values.shape[1] != 1:
         raise ValidationError(
@@ -478,9 +476,12 @@ def load_scores(path) -> ScoreVector:
         )
     column = values[:, 0].copy()  # the scores, not the mapped file
     column.flags.writeable = False
-    ids = [sidecar.get(key, "") for key in ("prior_source_id", "target_source_id")]
     try:
-        return ScoreVector(column, sidecar["method"], sidecar["config_fingerprint"],
-                           *ids, sidecar["params"])
+        scores = ScoreVector(column, sidecar["params"])
     except ValidationError as exc:
         raise ValidationError(f"{meta_path}: {exc}", code="bad_sidecar") from exc
+    for key in _SIDECAR_COPIES:
+        if sidecar[key] != getattr(scores, key):
+            raise ValidationError(f"{meta_path}: {key} {sidecar[key]!r} is not "
+                                  "the one its params record", code="bad_sidecar")
+    return scores

@@ -135,10 +135,10 @@ class OracleDensities:
 
 @dataclass(frozen=True, eq=False)
 class SyntheticScenario:
-    """A named target/prior mixture pair with per-component relevance."""
+    """A named target/prior mixture pair of one dim, with per-component
+    relevance; mixtures of different dims are refused (``bad_mixture``)."""
 
     scenario_id: str
-    dim: int
     target_mixture: GaussianMixture
     prior_mixture: GaussianMixture
     prior_component_names: tuple
@@ -153,6 +153,9 @@ class SyntheticScenario:
                 f"unknown scenario {self.scenario_id!r}", code="unknown_scenario"
             )
         check_count(self.rng_seed, "rng_seed", minimum=0)
+        if self.target_mixture.dim != self.prior_mixture.dim:
+            raise ValidationError("target and prior mixture dims differ",
+                                  code="bad_mixture")
         k = self.prior_mixture.n_components
         if len(self.prior_component_names) != k or len(
             self.prior_component_relevance
@@ -161,6 +164,10 @@ class SyntheticScenario:
                 "component names/relevance must match prior mixture size",
                 code="bad_mixture",
             )
+
+    @property
+    def dim(self) -> int:
+        return self.target_mixture.dim
 
 
 @dataclass(frozen=True)
@@ -212,7 +219,6 @@ def make_scenario(scenario_id: str, rng_seed: int = 0) -> SyntheticScenario:
     if scenario_id == "gaussian_ratio":
         return SyntheticScenario(
             scenario_id="gaussian_ratio",
-            dim=1,
             target_mixture=_single([0.0], [[1.0]]),
             prior_mixture=_single([0.0], [[4.0]]),
             prior_component_names=("broad_background",),
@@ -230,7 +236,6 @@ def make_scenario(scenario_id: str, rng_seed: int = 0) -> SyntheticScenario:
         )
         return SyntheticScenario(
             scenario_id="cluster_bias",
-            dim=2,
             target_mixture=_single([0.0, 0.0], eye),
             prior_mixture=prior,
             prior_component_names=("core_task", "fringe_distractor"),
@@ -255,7 +260,6 @@ def make_scenario(scenario_id: str, rng_seed: int = 0) -> SyntheticScenario:
         )
         return SyntheticScenario(
             scenario_id="fig2_toy",
-            dim=2,
             target_mixture=target_mix,
             prior_mixture=prior_mix,
             prior_component_names=("near_cluster", "near_outlier"),

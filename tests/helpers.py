@@ -11,7 +11,7 @@ import csv
 import numpy as np
 from hypothesis import strategies as st
 
-from iwre.dataset import METADATA_FIELDS, MetadataTable
+from iwre.dataset import METADATA_FIELDS, EmbeddingDataset, MetadataTable
 from iwre.errors import ValidationError
 from iwre.scoring import ScoreMethod, ScoreVector, ScoringConfig
 
@@ -61,12 +61,17 @@ def brute_force_min_sq_dists(prior: np.ndarray, target: np.ndarray) -> np.ndarra
     return out
 
 
-def score_vector(values, method="iwr", fingerprint="fp") -> ScoreVector:
-    """A :class:`ScoreVector` of ``values`` with the least record it takes:
-    its method and its (empty) source ids. ``values`` is passed on as it is."""
-    record = {"method": ScoreMethod(method).value, "prior_source_id": "",
-              "target_source_id": ""}
-    return ScoreVector(values, method, fingerprint, params=record)
+# Tiny datasets with fixed ids, on which score_vector's records are made.
+RECORD_DATA = (EmbeddingDataset(np.eye(2), source_id="target"),
+               EmbeddingDataset(np.eye(2), source_id="prior"))
+
+
+def score_vector(values, method="iwr") -> ScoreVector:
+    """A :class:`ScoreVector` of ``values`` with the full record
+    :meth:`ScoringConfig.sidecar_params` makes for ``method`` (seed 0) on
+    two tiny datasets with fixed ids. ``values`` is passed on as it is."""
+    config = ScoringConfig(ScoreMethod(method), seed=0)
+    return ScoreVector(values, config.sidecar_params(*RECORD_DATA))
 
 
 def ranking(values: np.ndarray) -> np.ndarray:

@@ -211,8 +211,8 @@ def test_criterion_08_cotrain_weights():
 
 def test_criterion_09_selection_arithmetic():
     rng = np.random.default_rng(9)
-    sv400 = score_vector(rng.standard_normal(400), fingerprint="a")
-    sv10k = score_vector(rng.standard_normal(10_000), fingerprint="b")
+    sv400 = score_vector(rng.standard_normal(400))
+    sv10k = score_vector(rng.standard_normal(10_000))
     n_30pct = select_by_fraction(sv400, 0.3).size
     n_2p5pct = select_by_fraction(sv10k, 0.025).size
     nested = True

@@ -25,11 +25,11 @@ from iwre.scoring import ScoreMethod
 from iwre.synthbench import evaluate_retrieval, row_relevance
 
 
-def manifest_of(indices, fingerprint="fp", method=None):
+def manifest_of(indices, fingerprint="fp", method=ScoreMethod.IWR):
     idx = np.asarray(sorted(indices), dtype=np.int64)
     return RetrievalManifest(
-        idx, np.zeros(len(idx)), SelectionRule.THRESHOLD, 0.0, fingerprint,
-        method=method,
+        idx, np.zeros(len(idx)), SelectionRule.THRESHOLD, 0.0, method, fingerprint,
+        "prior", "target",
     )
 
 
@@ -279,10 +279,11 @@ class TestReport:
         assert loaded["timesteps"]["normalized"] == [0.25] * 4
         assert loaded["evaluation"]["precision"] == 0.5
 
-    def test_manifest_without_method_reports_empty_method(self):
-        report = self.build(fingerprint="f")
+    @pytest.mark.parametrize("method", list(ScoreMethod))
+    def test_report_names_the_manifest_method(self, method):
+        report = self.build(fingerprint="f", method=method)
         assert report["config_fingerprint"] == "f"
-        assert report["method"] == ""
+        assert report["method"] == method.value
 
     def test_evaluation_grades_the_labels(self):
         meta = meta_rows(["a", "a", "b", None, "b", "a"], episode_length=6)

@@ -403,11 +403,35 @@ class TestLibraryScoreFiles:
             path.with_suffix(".json").write_text(json.dumps(edited))
             try:
                 scores = load_scores(path)
-                config = ScoringConfig.from_sidecar(scores, path)
+                config = ScoringConfig.from_sidecar(scores)
             except ValidationError:
                 return
         assert isinstance(config, ScoringConfig) and len(scores) == 60
         assert json.dumps(dict(scores.params)) == json.dumps(edited["params"])
+
+    # A hashed value, the stored fingerprint, and a value written otherwise
+    # (4 for 4.0, equal but hashed as another): each leaves a record that
+    # does not hash to the sidecar's fingerprint, refused when it is read.
+    @pytest.mark.parametrize("where, value", [
+        (("params", "seed"), 2), (("config_fingerprint",), "0" * 16),
+        (("params", "scale_c"), 4),
+    ], ids=["params_seed", "config_fingerprint", "params_scale_c_int"])
+    def test_edited_sidecar_is_refused_when_read(self, scored, tmp_path, capsys,
+                                                 where, value):
+        out, sidecar, _ = scored
+        edited = json.loads(json.dumps(sidecar))
+        (edited if len(where) == 1 else edited["params"])[where[-1]] = value
+        (tmp_path / "scores.bin").write_bytes((out / "scores.bin").read_bytes())
+        (tmp_path / "scores.json").write_text(json.dumps(edited))
+        capsys.readouterr()
+        assert run("retrieve", "--scores", tmp_path / "scores.bin",
+                   "--target", out / "t.bin", "--prior", out / "p.bin",
+                   "--fraction", 0.3, "--out", tmp_path / "r") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[bad_sidecar]: ") and err.count("\n") == 1
+        assert (f"config_fingerprint {edited['config_fingerprint']!r} is not the "
+                "one its params record") in err
+        assert not (tmp_path / "r").exists()
 
 
 def _edit_json(edit):
@@ -500,6 +524,10 @@ MALFORMED = [
      _edit_json(lambda d: d.update(target_source_id=5)), "bad_sidecar"),
     ("sidecar_method_not_its_record", "retrieve", "scores.json",
      _edit_json(lambda d: d.update(method="lse")), "bad_sidecar"),
+    ("sidecar_missing_prior_id", "retrieve", "scores.json",
+     _edit_json(lambda d: d.pop("prior_source_id")), "bad_sidecar"),
+    ("sidecar_params_prior_id_edited", "retrieve", "scores.json",
+     _edit_json(lambda d: d["params"].update(prior_source_id="x")), "bad_sidecar"),
     ("manifest_invalid_json", "analyze", "manifest.json", _write("{bad"),
      "bad_manifest"),
     ("manifest_missing_indices", "analyze", "manifest.json",
@@ -509,6 +537,12 @@ MALFORMED = [
      _edit_json(lambda d: d.pop("method")), "bad_manifest"),
     ("manifest_unknown_method", "analyze", "manifest.json",
      _edit_json(lambda d: d.update(method="bogus")), "bad_manifest"),
+    ("manifest_null_method", "analyze", "manifest.json",
+     _edit_json(lambda d: d.update(method=None)), "bad_manifest"),
+    ("manifest_missing_prior_id", "analyze", "manifest.json",
+     _edit_json(lambda d: d.pop("prior_source_id")), "bad_manifest"),
+    ("manifest_missing_target_id", "analyze", "manifest.json",
+     _edit_json(lambda d: d.pop("target_source_id")), "bad_manifest"),
 ] + [
     # Each read without truncation or traceback: indices and multiplicities
     # are integers within int64, scores and the parameter numbers.

@@ -31,8 +31,12 @@ from iwre.retriever import EmbeddingRetriever
 from iwre.scoring import ScoreMethod, ScoreVector, ScoringConfig
 
 
-def make_scores(values, method=ScoreMethod.IWR, fp="fp"):
-    return score_vector(np.asarray(values, dtype=float), method, fp)
+# A manifest's method, fingerprint, prior id and target id, in field order.
+PROVENANCE = ("iwr", "fp", "p", "t")
+
+
+def make_scores(values, method=ScoreMethod.IWR):
+    return score_vector(np.asarray(values, dtype=float), method)
 
 
 class TestSelectByFraction:
@@ -283,7 +287,7 @@ class TestMaterialize:
     def test_selected_rows_in_order(self):
         prior = EmbeddingDataset(np.arange(8.0).reshape(4, 2))
         manifest = RetrievalManifest(
-            np.array([1, 3]), np.zeros(2), SelectionRule.FRACTION, 0.5, "fp"
+            np.array([1, 3]), np.zeros(2), SelectionRule.FRACTION, 0.5, *PROVENANCE
         )
         out, meta = materialize(manifest, prior)
         assert meta is None
@@ -292,7 +296,7 @@ class TestMaterialize:
     def test_full_selection_is_identity(self):
         prior = EmbeddingDataset(np.arange(8.0).reshape(4, 2))
         manifest = RetrievalManifest(
-            np.arange(4), np.zeros(4), SelectionRule.FRACTION, 1.0, "fp"
+            np.arange(4), np.zeros(4), SelectionRule.FRACTION, 1.0, *PROVENANCE
         )
         out, _ = materialize(manifest, prior)
         np.testing.assert_array_equal(out.data, prior.data)
@@ -301,7 +305,7 @@ class TestMaterialize:
         prior = EmbeddingDataset(np.arange(8.0).reshape(4, 2))
         meta = metadata_table((0, i, 4, f"t{i}") for i in range(4))
         manifest = RetrievalManifest(
-            np.array([0, 2]), np.zeros(2), SelectionRule.THRESHOLD, 0.0, "fp"
+            np.array([0, 2]), np.zeros(2), SelectionRule.THRESHOLD, 0.0, *PROVENANCE
         )
         _, sub = materialize(manifest, prior, meta)
         assert [sub.task_labels[code] for code in sub.task_code] == ["t0", "t2"]
@@ -309,7 +313,7 @@ class TestMaterialize:
     def test_index_out_of_range(self):
         prior = EmbeddingDataset(np.zeros((2, 2)) + np.arange(2)[:, None])
         manifest = RetrievalManifest(
-            np.array([5]), np.zeros(1), SelectionRule.THRESHOLD, 0.0, "fp"
+            np.array([5]), np.zeros(1), SelectionRule.THRESHOLD, 0.0, *PROVENANCE
         )
         with pytest.raises(ValidationError) as exc:
             materialize(manifest, prior)
@@ -318,7 +322,7 @@ class TestMaterialize:
     def test_metadata_count_mismatch(self):
         prior = EmbeddingDataset(np.zeros((3, 1)) + np.arange(3)[:, None])
         manifest = RetrievalManifest(
-            np.array([0]), np.zeros(1), SelectionRule.THRESHOLD, 0.0, "fp"
+            np.array([0]), np.zeros(1), SelectionRule.THRESHOLD, 0.0, *PROVENANCE
         )
         with pytest.raises(ValidationError) as exc:
             materialize(manifest, prior, metadata_table([(0, 0, 1, None)]))
@@ -333,21 +337,21 @@ class TestManifest:
                 np.array([]),
                 SelectionRule.FRACTION,
                 0.1,
-                "fp",
+                *PROVENANCE,
             )
         assert exc.value.code == "empty_selection"
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValidationError) as exc:
             RetrievalManifest(
-                np.array([3, 1]), np.zeros(2), SelectionRule.FRACTION, 0.5, "fp"
+                np.array([3, 1]), np.zeros(2), SelectionRule.FRACTION, 0.5, *PROVENANCE
             )
         assert exc.value.code == "unsorted_indices"
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             RetrievalManifest(
-                np.array([-1, 2]), np.zeros(2), SelectionRule.FRACTION, 0.5, "fp"
+                np.array([-1, 2]), np.zeros(2), SelectionRule.FRACTION, 0.5, *PROVENANCE
             )
 
     @pytest.mark.parametrize("scores, mult", [
@@ -358,7 +362,7 @@ class TestManifest:
     def test_rejects_bad_shape(self, scores, mult):
         with pytest.raises(ValidationError) as exc:
             RetrievalManifest(np.array([1, 4]), scores, SelectionRule.RESAMPLE, 2,
-                              "fp", multiplicities=mult)
+                              *PROVENANCE, multiplicities=mult)
         assert exc.value.code == "bad_shape"
 
     # Indices and multiplicities are integers: a float, even an integral
@@ -379,7 +383,7 @@ class TestManifest:
             "floats_in_both"])
     def test_refuses_non_integers(self, indices, mult):
         with pytest.raises(ValidationError) as exc:
-            RetrievalManifest(indices, [1.0, 2.0], "fraction", 0.5, "fp",
+            RetrievalManifest(indices, [1.0, 2.0], "fraction", 0.5, *PROVENANCE,
                               multiplicities=mult)
         assert exc.value.code == "malformed_value"
 
@@ -395,19 +399,22 @@ class TestManifest:
         {"rule": "bogus"},
         {"method": "bogus"},
         {"method": ["iwr"]},
+        {"method": None},
         {"selected_indices": [[1], [2, 3]]},
         {"selected_indices": [2**70, 2**71]},
     ], ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()))
     def test_refuses_a_bad_value(self, change):
         args = {"selected_indices": [0, 2], "scores_at_selection": [1.0, 2.0],
-                "rule": "fraction", "rule_param": 0.5, "config_fingerprint": "fp",
-                **change}
+                "rule": "fraction", "rule_param": 0.5, "method": "iwr",
+                "config_fingerprint": "fp", "prior_source_id": "p",
+                "target_source_id": "t", **change}
         with pytest.raises(ValidationError):
             RetrievalManifest(**args)
 
     def test_caller_arrays_stay_writeable_and_unshared(self):
         idx, scores, mult = np.array([1, 4, 7]), np.array([.5, .2, .1]), np.ones(3, int)
-        m = RetrievalManifest(idx, scores, "fraction", .3, "fp", multiplicities=mult)
+        m = RetrievalManifest(idx, scores, "fraction", .3, *PROVENANCE,
+                              multiplicities=mult)
         assert m.selected_indices is not idx
         for given in (idx, scores, mult):
             assert given.flags.writeable
@@ -421,7 +428,7 @@ class TestManifest:
     def test_read_only_arrays_are_held(self):
         idx, scores = np.array([1, 4, 7]), np.array([.5, .2, .1])
         idx.flags.writeable = scores.flags.writeable = False
-        m = RetrievalManifest(idx, scores, "fraction", .3, "fp")
+        m = RetrievalManifest(idx, scores, "fraction", .3, *PROVENANCE)
         assert m.selected_indices is idx and m.scores_at_selection is scores
 
     def test_selections_and_loads_copy_no_array(self, tmp_path, monkeypatch):
@@ -461,11 +468,17 @@ class TestManifest:
         assert select_by_fraction(scores, 0.3).method is method
         assert select_by_threshold(scores, -1.0).method is method
 
-    def test_manifest_without_method_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("method"), lambda d: d.update(method=None),
+        lambda d: d.pop("prior_source_id"), lambda d: d.pop("target_source_id"),
+        lambda d: d.update(target_source_id=None),
+    ], ids=["missing_method", "null_method", "missing_prior_id",
+            "missing_target_id", "null_target_id"])
+    def test_manifest_without_provenance_is_refused(self, tmp_path, edit):
         path = tmp_path / "manifest.json"
         save_manifest(select_by_fraction(make_scores(np.arange(5.0)), 0.4), path)
         payload = json.loads(path.read_text())
-        del payload["method"]
+        edit(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError) as exc:
             load_manifest(path)
@@ -519,9 +532,8 @@ VALID_RECORDS = {
         "method": "iwr",
     },
     ScoreVector: {
-        "values": [-1.0, -2.0], "method": "nn_l2", "config_fingerprint": "fp",
-        "prior_source_id": "p", "target_source_id": "t",
-        "params": {"method": "nn_l2", "prior_source_id": "p", "target_source_id": "t"},
+        "values": [-1.0, -2.0],
+        "params": dict(score_vector([0.0], ScoreMethod.NN_L2).params),
     },
     MetadataTable: {
         "episode_id": [0, 0], "step_index": [0, 1], "episode_length": [2, 2],
@@ -543,15 +555,14 @@ def assert_valid(record):
         assert np.isfinite(record.scores_at_selection).all()
         assert isinstance(record.rule, SelectionRule)
         assert type(record.rule_param) is float and np.isfinite(record.rule_param)
-        assert record.method is None or isinstance(record.method, ScoreMethod)
+        assert isinstance(record.method, ScoreMethod)
         assert record.multiplicities is None or record.multiplicities.dtype == np.int64
     elif isinstance(record, ScoreVector):
         assert record.values.dtype == np.float64 and np.isfinite(record.values).all()
         assert isinstance(record.method, ScoreMethod)
-        if record.params:
-            assert record.params["method"] == record.method.value
-            assert record.params["prior_source_id"] == record.prior_source_id
-            assert record.params["target_source_id"] == record.target_source_id
+        assert record.params["method"] == record.method.value
+        assert record.params["prior_source_id"] == record.prior_source_id
+        assert record.params["target_source_id"] == record.target_source_id
     else:
         columns = [getattr(record, name) for name in sorted(INTEGER_FIELDS)
                    if hasattr(record, name)]

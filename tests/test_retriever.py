@@ -1,5 +1,8 @@
 """The sklearn-style retriever facade."""
 
+import inspect
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -72,13 +75,12 @@ class TestEstimatorProtocol:
             EmbeddingRetriever(method="nn_l2", **{param: value}).fit(target)
         assert exc.value.code == "bad_param"
 
-    def test_defaults_are_scoring_config_defaults(self):
-        params = EmbeddingRetriever().get_params()
-        defaults = ScoringConfig(seed=0)
-        for name in ("scale_c", "batch_size", "num_batches", "seed",
-                     "leave_self_out"):
-            assert params[name] == getattr(defaults, name), name
-        assert params["method"] == defaults.method
+    @pytest.mark.parametrize("name", [f.name for f in fields(ScoringConfig)])
+    def test_defaults_are_scoring_config_defaults(self, name):
+        # One source per default: ScoringConfig's, except seed, which is 0
+        # so that iwr runs without one.
+        default = inspect.signature(EmbeddingRetriever).parameters[name].default
+        assert default == (0 if name == "seed" else getattr(ScoringConfig(), name))
 
 
 class TestAgainstFunctionalApi:

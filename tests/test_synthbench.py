@@ -70,6 +70,14 @@ class TestGaussianMixture:
             dataclasses.replace(scenario, **{field: getattr(scenario, field)[:-1]})
         assert exc.value.code == "bad_mixture"
 
+    def test_scenario_dim_is_its_mixtures(self):
+        scenario = make_scenario("cluster_bias")
+        assert scenario.dim == scenario.prior_mixture.dim == 2
+        one_d = make_scenario("gaussian_ratio").target_mixture
+        with pytest.raises(ValidationError) as exc:
+            dataclasses.replace(scenario, target_mixture=one_d)
+        assert exc.value.code == "bad_mixture"
+
     @pytest.mark.parametrize("weights, covariances, code", [
         (["a"], [[[1.0]]], "malformed_value"),
         ([1.0], [[["1"]]], "malformed_value"),
