@@ -8,8 +8,10 @@ set any field, so one file serves a whole pipeline. Flags override file
 values, and a JSON ``null`` means "not given". Scoring defaults are
 :class:`~iwre.scoring.ScoringConfig`'s. File formats are written by the
 modules that own them. Exit codes: 0 success, 2 validation or usage error,
-3 numerical failure, 4 I/O failure. All outputs are deterministic
-functions of the inputs and configuration, so reruns are byte-identical.
+3 numerical failure, 4 a failure the OS reports: I/O (``error[io]``) or an
+allocation it refuses (``error[out_of_memory]``). All outputs are
+deterministic functions of the inputs and configuration, so reruns are
+byte-identical.
 Outputs go under ``--out``, which :meth:`RunConfig.output` makes at the
 first write: a refused command leaves no ``--out``, and a ``sweep`` that
 fails after its first scale keeps that scale's complete files.
@@ -428,6 +430,10 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"error[out_of_memory]: {exc or 'an allocation was refused'}",
+              file=sys.stderr)
         return 4
 
 

@@ -198,13 +198,8 @@ def _map_row_chunks(prior: EmbeddingDataset, job, threads: Optional[int]) -> np.
             out[sl] = job(sl)
         release_rows(prior.data, sl.start, sl.stop)
 
-    with single_threaded_blas():
-        if threads == 1 or len(slices) == 1:
-            for sl in slices:
-                run(sl)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                list(ex.map(run, slices))
+    with single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as ex:
+        list(ex.map(run, slices))
     row = first_non_finite_row(out[:, None])
     if row is not None:
         raise NumericalError(
@@ -443,31 +438,29 @@ class ScoringConfig:
 
 # -- persistence --------------------------------------------------------------
 
-# The values of a score vector's record that its sidecar repeats at the top.
-_SIDECAR_COPIES = ("method", "prior_source_id", "target_source_id",
-                   "config_fingerprint")
-
 
 def save_scores(scores: ScoreVector, path) -> None:
-    """Write scores as a binary vector plus a JSON sidecar of provenance,
-    which holds their record as ``params``."""
+    """Write scores as a binary vector plus a JSON sidecar holding exactly
+    their record (``params``), its ``config_fingerprint`` and the
+    ``engine_version``."""
     write_vector_file(scores.values[:, None], path)
-    sidecar = {key: getattr(scores, key) for key in _SIDECAR_COPIES}
-    sidecar.update(engine_version=__version__, log_space=scores.log_space,
-                   params=dict(scores.params))
-    write_json(Path(path).with_suffix(".json"), sidecar)
+    write_json(Path(path).with_suffix(".json"), {
+        "config_fingerprint": scores.config_fingerprint,
+        "engine_version": __version__, "params": dict(scores.params)})
 
 
 def load_scores(path) -> ScoreVector:
-    """Read a score file back as a :class:`ScoreVector` carrying the record
-    its sidecar holds, or refuse with ``bad_sidecar`` a sidecar that makes
-    no valid one with the file's values, or whose top-level method, source
-    ids or fingerprint are not the ones its record gives."""
+    """Read a score file back as a :class:`ScoreVector` built from the
+    record its sidecar holds as ``params``, or refuse with ``bad_sidecar`` a
+    sidecar that makes no valid one with the file's values, or whose stored
+    ``config_fingerprint`` is not its record's (an edited record). Any other
+    top-level key, such as the copies older sidecars hold, is ignored."""
     meta_path = Path(path).with_suffix(".json")
     if not meta_path.exists():
         raise ValidationError(f"missing score sidecar {meta_path}",
                               code="missing_sidecar")
-    sidecar = read_json_object(meta_path, "bad_sidecar", (*_SIDECAR_COPIES, "params"))
+    sidecar = read_json_object(meta_path, "bad_sidecar",
+                               ("config_fingerprint", "params"))
     values, _, _ = read_vector_file(path)
     if values.shape[1] != 1:
         raise ValidationError(
@@ -480,8 +473,8 @@ def load_scores(path) -> ScoreVector:
         scores = ScoreVector(column, sidecar["params"])
     except ValidationError as exc:
         raise ValidationError(f"{meta_path}: {exc}", code="bad_sidecar") from exc
-    for key in _SIDECAR_COPIES:
-        if sidecar[key] != getattr(scores, key):
-            raise ValidationError(f"{meta_path}: {key} {sidecar[key]!r} is not "
-                                  "the one its params record", code="bad_sidecar")
+    stored = sidecar["config_fingerprint"]
+    if stored != scores.config_fingerprint:
+        raise ValidationError(f"{meta_path}: config_fingerprint {stored!r} is not "
+                              "the one its params record", code="bad_sidecar")
     return scores

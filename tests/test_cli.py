@@ -433,6 +433,29 @@ class TestLibraryScoreFiles:
                 "one its params record") in err
         assert not (tmp_path / "r").exists()
 
+    # Older sidecars also repeat the method, both ids and log_space at the
+    # top level. Those copies are ignored, even one that disagrees.
+    @pytest.mark.parametrize("wrong", ["method", "prior_source_id",
+                                       "target_source_id", "log_space"])
+    def test_older_sidecar_is_read_by_its_record(self, scored, tmp_path, wrong):
+        out, sidecar, _ = scored
+        older = {**sidecar, "log_space": True,
+                 **{key: sidecar["params"][key] for key in
+                    ("method", "prior_source_id", "target_source_id")}}
+        older[wrong] = {"method": "lse", "log_space": "no"}.get(wrong, "sha256:0")
+        (tmp_path / "scores.bin").write_bytes((out / "scores.bin").read_bytes())
+        (tmp_path / "scores.json").write_text(json.dumps(older))
+        data = ["--target", out / "t.bin", "--prior", out / "p.bin", "--fraction", 0.3]
+        for scores, run_dir in ((out, tmp_path / "new"), (tmp_path, tmp_path / "old")):
+            assert run("retrieve", "--scores", scores / "scores.bin", *data,
+                       "--out", run_dir) == 0
+        assert ((tmp_path / "old" / "manifest.json").read_bytes()
+                == (tmp_path / "new" / "manifest.json").read_bytes())
+        # A load and a save writes the record once, as `iwre score` does.
+        save_scores(load_scores(tmp_path / "scores.bin"), tmp_path / "copy.bin")
+        assert ((tmp_path / "copy.json").read_bytes()
+                == (out / "scores.json").read_bytes())
+
 
 def _edit_json(edit):
     def write(path):
@@ -498,14 +521,14 @@ MALFORMED = [
     ("sidecar_invalid_json", "retrieve", "scores.json", _write("{bad"),
      "bad_sidecar"),
     ("sidecar_unknown_method", "retrieve", "scores.json",
-     _edit_json(lambda d: d.update(method="bogus")), "bad_sidecar"),
+     _edit_json(lambda d: d["params"].update(method="bogus")), "bad_sidecar"),
     # The fixture prior has 1200 rows.
     ("scores_row_count", "retrieve", "scores.bin", _write_scores((1199, 1)),
      "row_count_mismatch"),
     ("scores_dim_2", "retrieve", "scores.bin", _write_scores((1200, 2)),
      "dim_mismatch"),
     ("sidecar_missing_method", "retrieve", "scores.json",
-     _edit_json(lambda d: d.pop("method")), "bad_sidecar"),
+     _edit_json(lambda d: d["params"].pop("method")), "bad_sidecar"),
     ("sidecar_params_missing_field", "retrieve", "scores.json",
      _edit_json(lambda d: d["params"].pop("seed")), "bad_sidecar"),
     ("sidecar_old_scheme", "retrieve", "scores.json",
@@ -516,16 +539,17 @@ MALFORMED = [
      _edit_json(lambda d: d.update(params={})), "bad_sidecar"),
     ("sidecar_fingerprint_not_string", "retrieve", "scores.json",
      _edit_json(lambda d: d.update(config_fingerprint=7)), "bad_sidecar"),
-    # The top level must agree with the record the fingerprint checks.
-    ("sidecar_prior_id_not_its_record", "retrieve", "scores.json",
-     _edit_json(lambda d: d.update(prior_source_id="sha256:0000000000000000")),
-     "bad_sidecar"),
-    ("sidecar_target_id_not_its_record", "retrieve", "scores.json",
-     _edit_json(lambda d: d.update(target_source_id=5)), "bad_sidecar"),
-    ("sidecar_method_not_its_record", "retrieve", "scores.json",
-     _edit_json(lambda d: d.update(method="lse")), "bad_sidecar"),
+    ("sidecar_missing_fingerprint", "retrieve", "scores.json",
+     _edit_json(lambda d: d.pop("config_fingerprint")), "bad_sidecar"),
+    ("sidecar_missing_params", "retrieve", "scores.json",
+     _edit_json(lambda d: d.pop("params")), "bad_sidecar"),
+    # An edited record no longer hashes to the stored fingerprint.
+    ("sidecar_target_id_not_string", "retrieve", "scores.json",
+     _edit_json(lambda d: d["params"].update(target_source_id=5)), "bad_sidecar"),
+    ("sidecar_params_method_edited", "retrieve", "scores.json",
+     _edit_json(lambda d: d["params"].update(method="lse")), "bad_sidecar"),
     ("sidecar_missing_prior_id", "retrieve", "scores.json",
-     _edit_json(lambda d: d.pop("prior_source_id")), "bad_sidecar"),
+     _edit_json(lambda d: d["params"].pop("prior_source_id")), "bad_sidecar"),
     ("sidecar_params_prior_id_edited", "retrieve", "scores.json",
      _edit_json(lambda d: d["params"].update(prior_source_id="x")), "bad_sidecar"),
     ("manifest_invalid_json", "analyze", "manifest.json", _write("{bad"),
@@ -1197,6 +1221,42 @@ def test_refused_command_leaves_no_out(fixtures, refusal_inputs, tmp_path, capsy
     assert [str(w.message) for w in caught] == []
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error[{code}]: "), lines
+    assert not out.exists()
+
+
+# 512 MiB of address space: room for the interpreter and numpy, far less
+# than the arguments below ask for.
+_OOM_LIMIT = 1 << 29
+
+# Runs ``iwre`` with the address space of this process alone capped, after
+# the imports, so the OS refuses the allocations the arguments ask for.
+_OOM_PROBE = (
+    "import resource, sys\n"
+    "from iwre.cli import main\n"
+    f"resource.setrlimit(resource.RLIMIT_AS, ({_OOM_LIMIT}, {_OOM_LIMIT}))\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+@pytest.mark.parametrize("argv", [
+    ["synth", "--scenario", "cluster_bias", "--n-prior", 10**9],
+    ["score", "--method", "iwr", "--seed", 1, "--num-batches", 100000,
+     "--target", "{tmp}/t.bin", "--prior", "{tmp}/p.bin"],
+], ids=["synth_huge_prior", "score_many_batches"])
+def test_refused_allocation_exits_4(tmp_path, argv):
+    rng = np.random.default_rng(0)
+    for name, rows in (("t.bin", 50), ("p.bin", 5000)):
+        save_embeddings(EmbeddingDataset(rng.standard_normal((rows, 4))),
+                        tmp_path / name)
+    out = tmp_path / "out"
+    argv = [str(a).format(tmp=tmp_path) for a in argv] + ["--out", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(Path(iwre.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", _OOM_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 4, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[out_of_memory]: "), lines
     assert not out.exists()
 
 

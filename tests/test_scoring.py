@@ -844,7 +844,8 @@ class TestScoreIO:
         assert back.config_fingerprint == sv.config_fingerprint
         assert (back.prior_source_id, back.target_source_id) == ("prior", "target")
         assert back.params == sv.params
-        assert json.loads((tmp_path / "scores.json").read_text())["log_space"] is True
+        sidecar = json.loads((tmp_path / "scores.json").read_text())
+        assert sorted(sidecar) == ["config_fingerprint", "engine_version", "params"]
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(
@@ -880,8 +881,8 @@ class TestScoreIO:
 
     @pytest.mark.parametrize("method", list(ScoreMethod))
     def test_an_edited_value_is_refused(self, tmp_path, method):
-        # Each hashed params value and each top-level copy of the record,
-        # edited alone; scale_c as 4 for 4.0 is equal but hashed otherwise.
+        # Each hashed params value and the stored fingerprint, edited alone;
+        # scale_c as 4 for 4.0 is equal but hashed otherwise.
         rng = np.random.default_rng(1)
         target = EmbeddingDataset(rng.standard_normal((8, 2)), source_id="t")
         prior = EmbeddingDataset(rng.standard_normal((12, 2)), source_id="p")
@@ -895,8 +896,7 @@ class TestScoreIO:
         edits = [("params", key, value) for key, value in ids.items()]
         edits += [("params", key, hashed[key])
                   for key in scoring_module._METHOD_FIELDS[method]]
-        edits += [(None, key, value)
-                  for key, value in {**ids, "config_fingerprint": "0" * 16}.items()]
+        edits += [(None, "config_fingerprint", "0" * 16)]
         for section, key, value in edits:
             edited = json.loads(json.dumps(sidecar))
             (edited[section] if section else edited)[key] = value
