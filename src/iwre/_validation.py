@@ -120,33 +120,37 @@ def read_only(arr: np.ndarray, given) -> np.ndarray:
     return arr
 
 
+def _convert(value, kind):
+    """``value`` as ``kind``, or None: a bool is only a bool, ``kind(value)``
+    must equal ``value``, and a float must be finite. An array compares
+    elementwise and is refused, so the comparison stays in the ``try``."""
+    if kind is not bool and isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        converted = kind(value)
+        if converted == value and (kind is not float or np.isfinite(converted)):
+            return converted
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return None
+
+
 def check_real(value, name: str, code: str = "bad_param", positive=False) -> float:
     """``value`` as a finite float, positive if asked, refused with ``code``
-    when it is a bool or ``float()`` would change it or fail (``"0.5"``)."""
-    try:
-        number = float(value)
-        valid = (number == value and np.isfinite(number) and not isinstance(value, bool)
-                 and (number > 0.0 or not positive))
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
+    when :func:`_convert` refuses it (a bool, ``"0.5"``)."""
+    number = _convert(value, float)
+    if number is None or (positive and number <= 0.0):
         kind = "positive" if positive else "finite"
         raise ValidationError(f"{name} must be a {kind} number, got {value!r}",
                               code=code)
     return number
 
 
-def check_positive(value, name: str) -> float:
-    return check_real(value, name, positive=True)
-
-
 def check_count(value, name: str, minimum: int = 1, maximum: float = np.inf) -> int:
-    try:
-        count = int(value)
-        valid = count == value and minimum <= count <= maximum
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
+    """``value`` as an int in ``[minimum, maximum]``, else ``bad_param``: a
+    bool is never a count, ``4096.0`` is ``4096``, ``"4"`` and ``4.5`` fail."""
+    count = _convert(value, int)
+    if count is None or not minimum <= count <= maximum:
         bound = f">= {minimum}" if maximum == np.inf else f"in [{minimum}, {maximum}]"
         raise ValidationError(
             f"{name} must be an integer {bound}, got {value!r}", code="bad_param"
@@ -175,23 +179,18 @@ def coerce_fields(obj, what: str, names=None) -> None:
     """Convert each field of the dataclass ``obj``, or each of ``names``, to
     its annotated type.
 
-    A value is refused with ``bad_param`` when conversion fails or would
-    change it (``1.5`` or ``"4"`` for an int, ``7`` for a str, ``"x"`` for
-    an enum), when it is a bool given for a number, a float that is not
-    finite, or ``None`` for a field that does not admit ``None``. Fixed
-    types keep fingerprints and outputs independent of how a value was given.
+    A value is refused with ``bad_param`` when :func:`_convert` refuses it
+    (``1.5`` or ``"4"`` for an int, ``7`` for a str, ``"x"`` for an enum, a
+    bool for a number, a float that is not finite) or it is ``None`` for a
+    field that does not admit ``None``. Fixed types keep fingerprints and
+    outputs independent of how a value was given.
     """
     for name, (kind, nullable) in field_types(type(obj)).items():
         value = getattr(obj, name, None)  # a field not yet set is None
         if (value is None and nullable) or (names is not None and name not in names):
             continue
-        try:
-            converted = kind(value)
-            valid = converted == value and (kind is bool or not isinstance(value, bool))
-            valid = valid and (kind is not float or np.isfinite(converted))
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
+        converted = _convert(value, kind)
+        if converted is None:
             raise ValidationError(
                 f"bad {what} {name}={value!r}: expected {kind.__name__}",
                 code="bad_param",

@@ -37,6 +37,7 @@ if "numpy" not in sys.modules:
 
 from ._validation import (
     check_count,
+    check_threads,
     coerce_fields,
     field_types,
     read_json_object,
@@ -44,7 +45,6 @@ from ._validation import (
 )
 from .analysis import MAX_BINS, build_report, emit_report, load_labels
 from .dataset import (
-    EmbeddingDataset,
     load_embeddings,
     load_metadata,
     pair_metadata,
@@ -53,6 +53,7 @@ from .dataset import (
 )
 from .errors import NumericalError, ValidationError
 from .retrieval import (
+    check_alpha,
     check_fraction,
     cotrain_weights,
     fraction_count,
@@ -95,7 +96,8 @@ class RunConfig:
     ``None`` means "not given". The scoring fields (``method`` to
     ``leave_self_out``) then take :class:`ScoringConfig`'s defaults, or the
     values stored in a score sidecar; the given ones are range-checked here,
-    for every subcommand, as is ``bins``. ``leave_self_out`` is config-only.
+    before any input is read, as are ``bins``, ``threads`` and ``alpha``, for
+    every subcommand. ``leave_self_out`` is config-only.
     """
 
     method: Optional[str] = _flag(choices=sorted(_METHOD_ALIASES))
@@ -134,6 +136,8 @@ class RunConfig:
             )
         self.scoring()
         check_count(self.bins, "bins", maximum=MAX_BINS)
+        check_threads(self.threads)
+        check_alpha(self.alpha)
 
     @classmethod
     def resolve(cls, args: argparse.Namespace) -> "RunConfig":
@@ -193,11 +197,6 @@ class RunConfig:
         return out / name
 
 
-def _load_dataset(path: str) -> EmbeddingDataset:
-    fmt = "csv" if str(path).endswith(".csv") else "binary"
-    return load_embeddings(path, format=fmt)
-
-
 def _float_list(text: Optional[str], flag: str) -> list[float]:
     try:
         values = [float(p) for p in (text or "").split(",") if p.strip() != ""]
@@ -223,8 +222,8 @@ def _score_and_save(cfg, scoring, target, prior, name) -> ScoreVector:
 
 def cmd_score(cfg: RunConfig) -> int:
     cfg.require_paths("target", "prior")
-    target = _load_dataset(cfg.target)
-    prior = _load_dataset(cfg.prior)
+    target = load_embeddings(cfg.target)
+    prior = load_embeddings(cfg.prior)
     scores = _score_and_save(cfg, cfg.scoring(), target, prior, "scores.bin")
     print(f"fingerprint: {scores.config_fingerprint}")
     print(f"wrote {cfg.output('scores.bin')}")
@@ -238,8 +237,8 @@ def cmd_retrieve(cfg: RunConfig) -> int:
         cfg.require_paths("meta")
     select = cfg.selection_rule()
     scores = load_scores(cfg.scores)
-    target = _load_dataset(cfg.target)
-    prior = _load_dataset(cfg.prior)
+    target = load_embeddings(cfg.target)
+    prior = load_embeddings(cfg.prior)
     if len(scores) != prior.rows:
         raise ValidationError(
             f"score file has {len(scores)} rows but prior has {prior.rows}",
@@ -289,8 +288,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 f"{flag} lists {', '.join(twice)} more than once, as output "
                 "file names write them", code="bad_param",
             )
-    target = _load_dataset(cfg.target)
-    prior = _load_dataset(cfg.prior)
+    target = load_embeddings(cfg.target)
+    prior = load_embeddings(cfg.prior)
     for frac in fractions:
         fraction_count(frac, prior.rows)
     relevance = None

@@ -388,18 +388,16 @@ def _parse_csv(raw: bytes, path) -> tuple[np.ndarray, list[int]]:
     return np.asarray(rows, dtype=np.float64), lines
 
 
-def load_embeddings(path, format: str = "binary") -> EmbeddingDataset:
+def load_embeddings(path) -> EmbeddingDataset:
     """Load an embedding dataset, validating shape and finiteness.
 
-    ``format`` is ``"binary"`` or ``"csv"``. The file is read once and its
-    bytes hashed as they are read: the returned dataset's ``source_id`` is
-    :func:`content_id` of the file bytes. A binary file's payload is then
-    mapped read-only in its stored dtype (float32 or float64), not copied
+    A path ending in ``.csv`` is headerless CSV, any other the binary
+    container. The file is read once and hashed as it is read: ``source_id``
+    is :func:`content_id` of its bytes. A binary payload is then mapped
+    read-only in its stored dtype (float32 or float64), not copied
     (:func:`read_vector_file`); CSV loads into memory as float64.
     """
-    if format not in ("binary", "csv"):
-        raise ValidationError(f"unknown format {format!r}", code="bad_format")
-    if format == "binary":
+    if not str(path).endswith(".csv"):
         data, source_id, stamp = read_vector_file(path)
         return EmbeddingDataset._wrap(data, source_id, (os.fspath(path), stamp))
     raw = Path(path).read_bytes()

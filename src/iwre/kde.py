@@ -66,7 +66,7 @@ from functools import partial
 import numpy as np
 
 from ._blas import single_threaded_blas
-from ._validation import ParamsMixin, check_count, check_matrix, check_positive
+from ._validation import ParamsMixin, check_count, check_matrix, check_real
 from .errors import NumericalError, ValidationError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -88,17 +88,18 @@ _SHIFT_FREE_FLOOR = -600.0
 
 @dataclass(frozen=True)
 class BandwidthSpec:
-    """Scott-rule bandwidth with a multiplicative scale factor."""
+    """Scott-rule bandwidth with a multiplicative scale factor, a float."""
 
     scale_c: float = 4.0
 
     def __post_init__(self):
-        check_positive(self.scale_c, "scale_c")
+        scale_c = check_real(self.scale_c, "scale_c", positive=True)
+        object.__setattr__(self, "scale_c", scale_c)
 
 
 def scott_bandwidth(scale_c: float, count: int, dim: int) -> float:
     """Rule-of-thumb bandwidth ``scale_c * count ** (-1 / (dim + 4))``."""
-    scale_c = check_positive(scale_c, "scale_c")
+    scale_c = check_real(scale_c, "scale_c", positive=True)
     count = check_count(count, "count")
     dim = check_count(dim, "dim")
     return scale_c * float(count) ** (-1.0 / (dim + 4))
@@ -172,7 +173,7 @@ class GaussianKde(ParamsMixin):
         ``cholesky_exhausted``.
         """
         support = check_matrix(support, "support")
-        bandwidth_h = check_positive(bandwidth_h, "bandwidth_h")
+        bandwidth_h = check_real(bandwidth_h, "bandwidth_h", positive=True)
         covariance = np.asarray(covariance, dtype=np.float64)
         d = support.shape[1]
         if covariance.shape != (d, d):

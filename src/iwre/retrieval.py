@@ -177,7 +177,7 @@ def resample_by_weight(
             code="non_log_space",
         )
     sample_count = check_count(sample_count, "sample_count")
-    check_count(rng_seed, "rng_seed", minimum=0)
+    rng_seed = check_count(rng_seed, "rng_seed", minimum=0)
     n = len(scores)
     if not with_replacement and sample_count > n:
         raise ValidationError(
@@ -199,6 +199,14 @@ def resample_by_weight(
     )
 
 
+def check_alpha(alpha: float) -> float:
+    """``alpha`` as a float, refused unless it is a number in (0, 1)."""
+    alpha = check_real(alpha, "alpha", "bad_alpha")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must be in (0, 1), got {alpha}", code="bad_alpha")
+    return alpha
+
+
 @dataclass(frozen=True)
 class CotrainWeights:
     """Per-sample weights mixing target and retrieved data in co-training."""
@@ -214,11 +222,7 @@ def cotrain_weights(
     """Weights ``alpha / |target|`` and ``(1 - alpha) / |retrieved|``."""
     target_count = check_count(target_count, "target_count")
     retrieved_count = check_count(retrieved_count, "retrieved_count")
-    alpha = check_real(alpha, "alpha", "bad_alpha")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(
-            f"alpha must be in (0, 1), got {alpha}", code="bad_alpha"
-        )
+    alpha = check_alpha(alpha)
     return CotrainWeights(alpha / target_count, (1.0 - alpha) / retrieved_count, alpha)
 
 

@@ -54,7 +54,7 @@ import numpy as np
 from ._blas import single_threaded_blas
 from ._validation import (
     check_count,
-    check_positive,
+    check_real,
     check_threads,
     check_vector,
     coerce_fields,
@@ -161,13 +161,16 @@ class ScoreVector:
 
 @dataclass(frozen=True)
 class PriorBatchSpec:
-    """How to subsample the prior when one KDE cannot hold all of it."""
+    """How to subsample the prior when one KDE cannot hold all of it. Fields
+    convert as :class:`ScoringConfig`'s do (``4096.0`` is held as ``4096``;
+    a bool or ``"4"`` is refused), then ``batch_size`` must be at least 2."""
 
     batch_size: int
     num_batches: int = 8
     rng_seed: int = field(kw_only=True)
 
     def __post_init__(self):
+        coerce_fields(self, "batch parameter")
         check_count(self.batch_size, "batch_size", minimum=2)
         check_count(self.num_batches, "num_batches", minimum=1)
         check_count(self.rng_seed, "rng_seed", minimum=0)
@@ -177,12 +180,18 @@ def _as_dataset(x) -> EmbeddingDataset:
     return x if isinstance(x, EmbeddingDataset) else EmbeddingDataset(x)
 
 
+def _check_batch_fits(batch_size: int, prior_rows: int) -> None:
+    if batch_size > prior_rows:  # a batch is drawn without replacement
+        raise ValidationError(
+            f"batch_size {batch_size} exceeds prior rows {prior_rows}",
+            code="bad_batch_spec")
+
+
 def _map_row_chunks(prior: EmbeddingDataset, job, threads: Optional[int]) -> np.ndarray:
     """Run ``job`` on each fixed row chunk of ``prior``, ``threads`` at a
     time, BLAS pinned; a mapped prior's chunk rows are released after it.
     Each chunk's result is written into one output vector, which the caller
     owns. Overflow is not warned about; a non-finite result is refused."""
-    threads = check_threads(threads)
     if threads is None:  # the CPUs this process may run on, else all of them
         affinity = getattr(os, "sched_getaffinity", None)
         threads = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -253,11 +262,7 @@ def fit_prior_batched(
     """
     prior = _as_dataset(prior)
     bandwidth = bandwidth or BandwidthSpec()
-    if spec.batch_size > prior.rows:
-        raise ValidationError(
-            f"batch_size {spec.batch_size} exceeds prior rows {prior.rows}",
-            code="bad_batch_spec",
-        )
+    _check_batch_fits(spec.batch_size, prior.rows)
     rng = np.random.default_rng(spec.rng_seed)
     kdes = []
     for _ in range(spec.num_batches):
@@ -327,7 +332,7 @@ class ScoringConfig:
 
     def __post_init__(self):
         coerce_fields(self, "scoring parameter")
-        check_positive(self.scale_c, "scale_c")
+        check_real(self.scale_c, "scale_c", positive=True)
         if self.batch_size is not None:
             check_count(self.batch_size, "batch_size", minimum=2)
         check_count(self.num_batches, "num_batches", minimum=1)
@@ -358,11 +363,8 @@ class ScoringConfig:
                 raise ValidationError(
                     f"iwr batches the prior, which needs at least 2 rows, "
                     f"got {prior.rows}", code="bad_batch_spec")
-            if self.batch_size is not None and self.batch_size > prior.rows:
-                raise ValidationError(
-                    f"batch_size {self.batch_size} exceeds prior rows {prior.rows}",
-                    code="bad_batch_spec")
             params["batch_size"] = self.batch_size or min(4096, prior.rows)
+            _check_batch_fits(params["batch_size"], prior.rows)
         return params
 
     def fingerprint(self, target, prior) -> str:
@@ -374,6 +376,7 @@ class ScoringConfig:
         """Fit what the method needs and score; the result carries its record
         and the record's fingerprint. Fits run with BLAS pinned to one thread."""
         target, prior = _as_dataset(target), _as_dataset(prior)
+        threads = check_threads(threads)
         params = self.sidecar_params(target, prior)
         if target.dim != prior.dim:
             raise ValidationError(

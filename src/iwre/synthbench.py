@@ -152,7 +152,8 @@ class SyntheticScenario:
             raise ValidationError(
                 f"unknown scenario {self.scenario_id!r}", code="unknown_scenario"
             )
-        check_count(self.rng_seed, "rng_seed", minimum=0)
+        rng_seed = check_count(self.rng_seed, "rng_seed", minimum=0)
+        object.__setattr__(self, "rng_seed", rng_seed)
         if self.target_mixture.dim != self.prior_mixture.dim:
             raise ValidationError("target and prior mixture dims differ",
                                   code="bad_mixture")
@@ -290,28 +291,18 @@ def generate(
     ``fig2_toy`` is a fixed geometry, not a sampled one: its counts are
     pinned to the frozen fixture and passing different ones is an error.
     """
+    defaults = (scenario.default_n_target, scenario.default_n_prior)
+    n_target = check_count(defaults[0] if n_target is None else n_target, "n_target")
+    n_prior = check_count(defaults[1] if n_prior is None else n_prior, "n_prior")
     if scenario.scenario_id == "fig2_toy":
-        if n_target not in (None, scenario.default_n_target) or n_prior not in (
-            None,
-            scenario.default_n_prior,
-        ):
+        if (n_target, n_prior) != defaults:
             raise ValidationError(
-                "fig2_toy is a frozen fixture with "
-                f"{scenario.default_n_target} target and "
-                f"{scenario.default_n_prior} prior rows; counts cannot change",
-                code="bad_counts",
-            )
+                f"fig2_toy is a frozen fixture with {defaults[0]} target and "
+                f"{defaults[1]} prior rows; counts cannot change", code="bad_counts")
         target_pts = scenario.target_mixture.means
         prior_pts = scenario.prior_mixture.means
         comps = np.arange(2)
     else:
-        n_target = check_count(
-            n_target if n_target is not None else scenario.default_n_target,
-            "n_target",
-        )
-        n_prior = check_count(
-            n_prior if n_prior is not None else scenario.default_n_prior, "n_prior"
-        )
         rng = np.random.default_rng(scenario.rng_seed)
         target_pts, _ = scenario.target_mixture.sample(rng, n_target)
         prior_pts, comps = scenario.prior_mixture.sample(rng, n_prior)

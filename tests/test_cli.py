@@ -375,6 +375,27 @@ class TestLibraryScoreFiles:
             copy = (tmp_path / "copy.bin").with_suffix(Path(name).suffix)
             assert copy.read_bytes() == (cli_dir / name).read_bytes(), name
 
+    def test_csv_target_is_read_as_the_cli_reads_it(self, fixtures, tmp_path):
+        # %.17g keeps every bit, so the CSV scores are the binary input's.
+        target = tmp_path / "target.csv"
+        np.savetxt(target, load_embeddings(fixtures / "target.bin").data,
+                   delimiter=",", fmt="%.17g")
+        prior = fixtures / "prior.bin"
+        runs = {}
+        for name, path in (("bin", fixtures / "target.bin"), ("csv", target)):
+            runs[name] = tmp_path / name
+            assert run("score", "--method", "iwr", "--seed", 0, "--target", path,
+                       "--prior", prior, "--out", runs[name]) == 0
+        lib = tmp_path / "lib"
+        lib.mkdir()
+        scores = ScoringConfig(seed=0).score(load_embeddings(target),
+                                             load_embeddings(prior))
+        save_scores(scores, lib / "scores.bin")
+        for name in ("scores.bin", "scores.json"):
+            assert (lib / name).read_bytes() == (runs["csv"] / name).read_bytes()
+        binary = (runs["bin"] / "scores.bin").read_bytes()
+        assert (lib / "scores.bin").read_bytes() == binary
+
     @pytest.fixture(scope="class")
     def scored(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("scored")
@@ -740,7 +761,7 @@ class TestMalformedInputs:
         def unread(path):
             raise AssertionError(f"{path} read before the flags were checked")
 
-        monkeypatch.setattr(cli, "_load_dataset", unread)
+        monkeypatch.setattr(cli, "load_embeddings", unread)
         out = tmp_path / "sweep"
         assert run("sweep", "--method", "nn", *values,
                    "--target", fixtures / "target.bin",
@@ -750,13 +771,43 @@ class TestMalformedInputs:
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", [0, -3])
-    def test_bad_threads_flag(self, fixtures, tmp_path, capsys, threads):
+    def test_bad_threads_flag(self, fixtures, tmp_path, capsys, monkeypatch,
+                              threads):
+        def unread(path):
+            raise AssertionError(f"{path} read before the flags were checked")
+
+        monkeypatch.setattr(cli, "load_embeddings", unread)
         assert run("score", "--method", "nn", "--threads", threads,
                    "--target", fixtures / "target.bin",
                    "--prior", fixtures / "prior.bin", "--out", tmp_path) == 2
         err = capsys.readouterr().err
         assert "error[bad_param]" in err and "threads" in err
         assert "Traceback" not in err
+
+    # README: a command checks its flags before it reads or hashes an input.
+    @pytest.mark.parametrize("command,flags,code", [
+        ("sweep", ["--method", "nn", "--fractions", 0.3, "--threads", 0],
+         "bad_param"),
+        ("retrieve", ["--scores", "{tmp}/run/scores.bin", "--fraction", 0.3,
+                      "--alpha", 1.5], "bad_alpha"),
+    ], ids=["sweep_threads", "retrieve_alpha"])
+    def test_flag_refused_before_reading(self, fixtures, tmp_path, capsys,
+                                         monkeypatch, command, flags, code):
+        run_dir = tmp_path / "run"
+        data = ["--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin"]
+        assert run("score", "--method", "nn", *data, "--out", run_dir) == 0
+
+        def unread(path):
+            raise AssertionError(f"{path} read before the flags were checked")
+
+        monkeypatch.setattr(cli, "load_embeddings", unread)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        flags = [str(f).format(tmp=tmp_path) for f in flags]
+        assert run(command, *flags, *data, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{code}]: ") and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("rows,flags,named", [
         (1, [], "needs at least 2 rows, got 1"),

@@ -209,7 +209,7 @@ class TestBinaryFormat:
         else:
             path.write_text("0,1\n\n2,nan\n4,5\n")  # the blank line is no row
         with pytest.raises(ValidationError) as exc:
-            load_embeddings(path, format=fmt)
+            load_embeddings(path)
         assert exc.value.code == "non_finite"
         assert str(path) in str(exc.value) and "row 1" in str(exc.value)
 
@@ -225,10 +225,22 @@ class TestBinaryFormat:
 
 
 class TestCsvFormat:
+    def test_path_names_the_format(self, tmp_path):
+        # A .csv path is CSV; any other is the binary container, as in the CLI.
+        values = np.random.default_rng(5).standard_normal((4, 3))
+        binary, text = tmp_path / "e.bin", tmp_path / "e.csv"
+        save_embeddings(EmbeddingDataset(values), binary)
+        np.savetxt(text, values, delimiter=",", fmt="%.17g")
+        np.testing.assert_array_equal(load_embeddings(text).data, values)
+        np.testing.assert_array_equal(load_embeddings(binary).data, values)
+        with pytest.raises(ValidationError) as exc:
+            load_embeddings(text.rename(tmp_path / "e.txt"))
+        assert exc.value.code == "malformed_header"
+
     def test_direct_parse(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("0.0,1.0\n2.0,3.0\n")
-        ds = load_embeddings(path, format="csv")
+        ds = load_embeddings(path)
         assert ds.rows == 2 and ds.dim == 2
         np.testing.assert_array_equal(ds.data, [[0.0, 1.0], [2.0, 3.0]])
 
@@ -236,28 +248,28 @@ class TestCsvFormat:
         path = tmp_path / "r.csv"
         path.write_text("0,1\n2,3,4\n")
         with pytest.raises(ValidationError) as exc:
-            load_embeddings(path, format="csv")
+            load_embeddings(path)
         assert exc.value.code == "dim_mismatch"
 
     def test_bad_token(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_text("0,abc\n")
         with pytest.raises(ValidationError) as exc:
-            load_embeddings(path, format="csv")
+            load_embeddings(path)
         assert exc.value.code == "malformed_value"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("")
         with pytest.raises(ValidationError) as exc:
-            load_embeddings(path, format="csv")
+            load_embeddings(path)
         assert exc.value.code == "empty_dataset"
 
     def test_not_utf8(self, tmp_path):
         path = tmp_path / "l.csv"
         path.write_bytes(b"0,1\n2,\xe93\n")
         with pytest.raises(ValidationError) as exc:
-            load_embeddings(path, format="csv")
+            load_embeddings(path)
         assert exc.value.code == "malformed_value" and str(path) in str(exc.value)
 
     @pytest.mark.parametrize("bad, code", [
@@ -269,7 +281,7 @@ class TestCsvFormat:
         path = tmp_path / "bad.csv"
         path.write_text(f"0,1\n\n{bad}\n")
         with pytest.raises(ValidationError) as exc:
-            load_embeddings(path, format="csv")
+            load_embeddings(path)
         assert exc.value.code == code
         assert str(path) in str(exc.value) and "line 3 (row 1)" in str(exc.value)
 
@@ -277,15 +289,8 @@ class TestCsvFormat:
         path = tmp_path / "n.csv"
         path.write_text("0,nan\n")
         with pytest.raises(ValidationError) as exc:
-            load_embeddings(path, format="csv")
+            load_embeddings(path)
         assert exc.value.code == "non_finite"
-
-    def test_unknown_format(self, tmp_path):
-        path = tmp_path / "x"
-        path.write_text("0\n")
-        with pytest.raises(ValidationError) as exc:
-            load_embeddings(path, format="parquet")
-        assert exc.value.code == "bad_format"
 
 
 class TestRowMetadata:
@@ -629,12 +634,12 @@ class TestLoadReadsOnce:
     def test_csv_source_id_is_hash_of_file_bytes(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("0.5,1\r\n\n-2,3e4\n")
-        ds = load_embeddings(path, format="csv")
+        ds = load_embeddings(path)
         assert ds.source_id == content_id(path.read_bytes())
         np.testing.assert_array_equal(ds.data, [[0.5, 1.0], [-2.0, 3e4]])
 
     @staticmethod
-    def _opens(path, monkeypatch, **kwargs):
+    def _opens(path, monkeypatch):
         opened = []
         real_open = io.open
 
@@ -645,7 +650,7 @@ class TestLoadReadsOnce:
 
         monkeypatch.setattr(io, "open", counting_open)
         monkeypatch.setattr(builtins, "open", counting_open)
-        load_embeddings(path, **kwargs)
+        load_embeddings(path)
         return len(opened)
 
     def test_binary_file_opened_once(self, tmp_path, monkeypatch):
@@ -656,7 +661,7 @@ class TestLoadReadsOnce:
     def test_csv_file_opened_once(self, tmp_path, monkeypatch):
         path = tmp_path / "e.csv"
         path.write_text("1,1\n1,1\n")
-        assert self._opens(path, monkeypatch, format="csv") == 1
+        assert self._opens(path, monkeypatch) == 1
 
 
 class TestCopyFreeBytes:
