@@ -108,8 +108,8 @@ class RunConfig:
     leave_self_out: Optional[bool] = None
     threads: Optional[int] = None
     out: Optional[str] = None
-    target: Optional[str] = _flag(help="target embeddings (.bin or .csv)")
-    prior: Optional[str] = _flag(help="prior embeddings (.bin or .csv)")
+    target: Optional[str] = _flag(help="target embeddings (.csv, any case; else binary)")
+    prior: Optional[str] = _flag(help="prior embeddings (.csv, any case; else binary)")
     scores: Optional[str] = _flag(help="score file written by the score command")
     meta: Optional[str] = _flag(help="prior metadata sidecar CSV")
     labels: Optional[str] = _flag(help="JSON task->relevance map")

@@ -391,13 +391,13 @@ def _parse_csv(raw: bytes, path) -> tuple[np.ndarray, list[int]]:
 def load_embeddings(path) -> EmbeddingDataset:
     """Load an embedding dataset, validating shape and finiteness.
 
-    A path ending in ``.csv`` is headerless CSV, any other the binary
-    container. The file is read once and hashed as it is read: ``source_id``
-    is :func:`content_id` of its bytes. A binary payload is then mapped
-    read-only in its stored dtype (float32 or float64), not copied
-    (:func:`read_vector_file`); CSV loads into memory as float64.
+    A path ending in ``.csv``, in any case, is headerless CSV, any other the
+    binary container. The file is read once and hashed as it is read:
+    ``source_id`` is :func:`content_id` of its bytes. A binary payload is
+    then mapped read-only in its stored dtype (float32 or float64), not
+    copied (:func:`read_vector_file`); CSV loads into memory as float64.
     """
-    if not str(path).endswith(".csv"):
+    if not str(path).lower().endswith(".csv"):
         data, source_id, stamp = read_vector_file(path)
         return EmbeddingDataset._wrap(data, source_id, (os.fspath(path), stamp))
     raw = Path(path).read_bytes()

@@ -66,7 +66,7 @@ from functools import partial
 import numpy as np
 
 from ._blas import single_threaded_blas
-from ._validation import ParamsMixin, check_count, check_matrix, check_real
+from ._validation import ParamsMixin, as_numbers, check_count, check_matrix, check_real
 from .errors import NumericalError, ValidationError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -168,13 +168,13 @@ class GaussianKde(ParamsMixin):
     def from_parameters(cls, support, bandwidth_h, covariance) -> "GaussianKde":
         """Build a model directly from centers, bandwidth and covariance.
 
-        The covariance is used as given, with no ridge: one that is not
-        positive definite raises :class:`~iwre.errors.NumericalError`
+        The covariance, numbers only, is used as given, with no ridge: one
+        that is not positive definite raises :class:`~iwre.errors.NumericalError`
         ``cholesky_exhausted``.
         """
         support = check_matrix(support, "support")
         bandwidth_h = check_real(bandwidth_h, "bandwidth_h", positive=True)
-        covariance = np.asarray(covariance, dtype=np.float64)
+        covariance = as_numbers(covariance, "covariance")
         d = support.shape[1]
         if covariance.shape != (d, d):
             raise ValidationError(
@@ -230,6 +230,8 @@ class GaussianKde(ParamsMixin):
         summed again, shifted by a running maximum over its tiles, so its
         largest exponent always survives.
         """
+        if not hasattr(self, "dim_"):
+            raise ValidationError("GaussianKde is not fitted", code="not_fitted")
         X = check_matrix(X, "queries", keep_float32=True)
         if X.shape[1] != self.dim_:
             raise ValidationError(
@@ -295,10 +297,13 @@ def log_mean_exp(values: np.ndarray, axis: int = 0) -> np.ndarray:
     """Stable ``log(mean(exp(values)))`` along ``axis``.
 
     Exact identity when the axis has length one, which keeps single-batch
-    density averages bit-identical to the underlying log-density.
+    density averages bit-identical to the underlying log-density. ``values``
+    must be numbers (:func:`~iwre._validation.as_numbers`), ``axis`` not empty.
     """
-    values = np.array(values, dtype=np.float64)
+    values = as_numbers(values, "values").copy()  # _logsumexp overwrites it
     k = values.shape[axis]
+    if k == 0:
+        raise ValidationError(f"values has an empty axis {axis}", code="bad_shape")
     if k == 1:
         return values.max(axis=axis)
     return _logsumexp(values, axis) - np.log(k)

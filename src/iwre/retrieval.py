@@ -7,7 +7,7 @@ reruns with identical inputs are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -179,14 +179,14 @@ def resample_by_weight(
     sample_count = check_count(sample_count, "sample_count")
     rng_seed = check_count(rng_seed, "rng_seed", minimum=0)
     n = len(scores)
-    if not with_replacement and sample_count > n:
-        raise ValidationError(
-            f"sample_count {sample_count} exceeds {n} rows without replacement",
-            code="bad_sample_count",
-        )
     shifted = scores.values - scores.values.max()
     weights = np.exp(shifted)
     probs = weights / weights.sum()
+    drawable = np.count_nonzero(probs)  # exp underflows to 0 far below the max
+    if not with_replacement and sample_count > drawable:
+        raise ValidationError(
+            f"sample_count {sample_count} exceeds the {drawable} of {n} rows with "
+            "a non-zero weight, drawn without replacement", code="bad_sample_count")
     rng = np.random.default_rng(rng_seed)
     draws = rng.choice(n, size=sample_count, replace=with_replacement, p=probs)
     unique, counts = np.unique(draws, return_counts=True)
@@ -247,37 +247,30 @@ def materialize(manifest: RetrievalManifest, prior: EmbeddingDataset, prior_meta
 
 
 def save_manifest(manifest: RetrievalManifest, path) -> None:
-    payload = {
-        "engine_version": __version__,
-        "rule": manifest.rule.value,
-        "method": manifest.method.value,
-        "rule_param": manifest.rule_param,
-        "config_fingerprint": manifest.config_fingerprint,
-        "prior_source_id": manifest.prior_source_id,
-        "target_source_id": manifest.target_source_id,
-        "selected_indices": manifest.selected_indices.tolist(),
-        "scores_at_selection": manifest.scores_at_selection.tolist(),
-        "multiplicities": (
-            None if manifest.multiplicities is None else manifest.multiplicities.tolist()
-        ),
-    }
+    """Write ``engine_version`` and every field of ``manifest``: enums as
+    their value, arrays as lists, absent multiplicities as null."""
+    payload = {"engine_version": __version__}
+    for f in fields(manifest):
+        value = getattr(manifest, f.name)
+        if isinstance(value, Enum):
+            value = value.value
+        payload[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
     write_json(path, payload)
 
 
 def load_manifest(path) -> RetrievalManifest:
     """Read a manifest back as a :class:`RetrievalManifest`, or refuse it
     with ``bad_manifest``, asking for a rerun of ``iwre retrieve``, when the
-    file holds no valid one or lacks a key (``multiplicities`` may be
+    file holds no valid one or lacks a field (``multiplicities`` may be
     absent)."""
-    keys = ("selected_indices", "scores_at_selection", "rule", "rule_param",
-            "method", "config_fingerprint", "prior_source_id", "target_source_id")
     payload = read_json_object(path, "bad_manifest")
     try:
-        missing = [key for key in keys if key not in payload]
+        missing = [f.name for f in fields(RetrievalManifest)
+                   if f.default is MISSING and f.name not in payload]
         if missing:
             raise ValidationError(f"missing keys {missing}")
-        return RetrievalManifest(*(payload[key] for key in keys),
-                                 payload.get("multiplicities"))
+        names = {f.name for f in fields(RetrievalManifest)}
+        return RetrievalManifest(**{k: v for k, v in payload.items() if k in names})
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}; rerun `iwre retrieve`",
                               code="bad_manifest") from exc

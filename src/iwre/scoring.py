@@ -163,7 +163,7 @@ class ScoreVector:
 class PriorBatchSpec:
     """How to subsample the prior when one KDE cannot hold all of it. Fields
     convert as :class:`ScoringConfig`'s do (``4096.0`` is held as ``4096``;
-    a bool or ``"4"`` is refused), then ``batch_size`` must be at least 2."""
+    a bool or ``"4"`` is refused), then take its ranges, ``rng_seed`` as ``seed``."""
 
     batch_size: int
     num_batches: int = 8
@@ -171,9 +171,8 @@ class PriorBatchSpec:
 
     def __post_init__(self):
         coerce_fields(self, "batch parameter")
-        check_count(self.batch_size, "batch_size", minimum=2)
-        check_count(self.num_batches, "num_batches", minimum=1)
-        check_count(self.rng_seed, "rng_seed", minimum=0)
+        ScoringConfig(batch_size=self.batch_size, num_batches=self.num_batches,
+                      seed=self.rng_seed)
 
 
 def _as_dataset(x) -> EmbeddingDataset:

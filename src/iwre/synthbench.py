@@ -19,7 +19,7 @@ quantitatively without real robot data:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -98,15 +98,19 @@ class GaussianMixture:
         return pts, comps
 
     def log_pdf(self, x) -> np.ndarray:
-        """Exact mixture log-density; a 1-D ``x`` is one point.
+        """Exact mixture log-density; a 1-D ``x`` is one point. ``x`` is
+        checked as :func:`~iwre._validation.check_matrix` checks a matrix and
+        must have the mixture's dim (``dim_mismatch``).
 
         Each component's Gaussian log-density comes from its stored Cholesky
         factor ``L``: ``-|inv(L) (x - mean)|^2 / 2 - sum(log(diag(L)))
         - (d/2) log(2 pi)``; the components are combined by log-sum-exp.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
+        x = as_numbers(x, "x")
+        x = check_matrix(x[None, :] if x.ndim == 1 else x, "x")
+        if x.shape[1] != self.dim:
+            raise ValidationError(f"x has dim {x.shape[1]}, the mixture {self.dim}",
+                                  code="dim_mismatch")
         parts = np.empty((self.n_components, x.shape[0]))
         for k, (w, m, chol) in enumerate(zip(self.weights, self.means, self._chols)):
             z = np.linalg.solve(chol, (x - m).T)
@@ -323,11 +327,7 @@ def save_oracle(scenario: SyntheticScenario, data: SyntheticData, path) -> None:
     """Write the scenario's exact mixtures and counts for :func:`load_oracle`."""
 
     def mixture(m: GaussianMixture) -> dict:
-        return {
-            "weights": m.weights.tolist(),
-            "means": m.means.tolist(),
-            "covariances": m.covariances.tolist(),
-        }
+        return {f.name: getattr(m, f.name).tolist() for f in fields(m)}
 
     payload = {
         "scenario_id": scenario.scenario_id,
@@ -356,15 +356,13 @@ def load_oracle(path) -> OracleDensities:
     def mixture(name: str) -> GaussianMixture:
         section = payload[name]
         try:
-            arrays = [
-                as_numbers(section[key], key)
-                for key in ("weights", "means", "covariances")
-            ]
+            arrays = {f.name: as_numbers(section[f.name], f.name)
+                      for f in fields(GaussianMixture)}
         except (TypeError, KeyError, ValidationError) as exc:
             raise ValidationError(
                 f"{path}: bad {name}: {exc!r}", code="bad_oracle"
             ) from exc
-        return GaussianMixture(*arrays)
+        return GaussianMixture(**arrays)
 
     return OracleDensities(*map(mixture, sections))
 

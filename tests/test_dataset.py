@@ -233,8 +233,11 @@ class TestCsvFormat:
         np.savetxt(text, values, delimiter=",", fmt="%.17g")
         np.testing.assert_array_equal(load_embeddings(text).data, values)
         np.testing.assert_array_equal(load_embeddings(binary).data, values)
+        # The suffix is matched in any case.
+        upper = text.rename(tmp_path / "T.CSV")
+        np.testing.assert_array_equal(load_embeddings(upper).data, values)
         with pytest.raises(ValidationError) as exc:
-            load_embeddings(text.rename(tmp_path / "e.txt"))
+            load_embeddings(upper.rename(tmp_path / "e.txt"))
         assert exc.value.code == "malformed_header"
 
     def test_direct_parse(self, tmp_path):

@@ -150,6 +150,11 @@ class TestFit:
 
 
 class TestLogDensity:
+    def test_unfitted_model_refused(self):
+        with pytest.raises(ValidationError) as exc:
+            GaussianKde().score_samples(np.zeros((2, 2)))
+        assert exc.value.code == "not_fitted"
+
     def test_single_kernel_at_center(self):
         kde = GaussianKde.from_parameters([[0.0]], 1.0, [[1.0]])
         got = kde.score_samples([[0.0]])[0]

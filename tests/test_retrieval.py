@@ -3,6 +3,7 @@
 import json
 import tempfile
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,24 @@ PROVENANCE = ("iwr", "fp", "p", "t")
 
 def make_scores(values, method=ScoreMethod.IWR):
     return score_vector(np.asarray(values, dtype=float), method)
+
+
+def assert_round_trip(manifest, tmp_path) -> RetrievalManifest:
+    """Save ``manifest`` and load it back: every field must come back equal
+    and of its type, and saving what was loaded must give the same bytes."""
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_manifest(manifest, first)
+    back = load_manifest(first)
+    for f in fields(RetrievalManifest):
+        ours, theirs = getattr(manifest, f.name), getattr(back, f.name)
+        assert type(theirs) is type(ours), f.name
+        if isinstance(ours, np.ndarray):
+            assert theirs.dtype == ours.dtype and np.array_equal(theirs, ours), f.name
+        else:
+            assert theirs == ours, f.name
+    save_manifest(back, second)
+    assert second.read_bytes() == first.read_bytes()
+    return back
 
 
 class TestSelectByFraction:
@@ -175,6 +194,20 @@ class TestResample:
         with pytest.raises(ValidationError) as exc:
             resample_by_weight(make_scores(np.zeros(3)), 4, 0, with_replacement=False)
         assert exc.value.code == "bad_sample_count"
+
+    def test_sample_count_bound_counts_non_zero_weights(self):
+        # Half the prior lies 40 units off the target: exp underflows their
+        # weights to 0, so only 200 rows can be drawn without replacement.
+        rng = np.random.default_rng(0)
+        target = rng.standard_normal((50, 2))
+        prior = np.vstack([rng.standard_normal((200, 2)),
+                           rng.standard_normal((200, 2)) + 40.0])
+        scores = ScoringConfig(ScoreMethod.KDE_TARGET, scale_c=0.5).score(target, prior)
+        with pytest.raises(ValidationError, match="the 200 of 400 rows") as exc:
+            resample_by_weight(scores, 300, 0, with_replacement=False)
+        assert exc.value.code == "bad_sample_count"
+        manifest = resample_by_weight(scores, 200, 0, with_replacement=False)
+        assert manifest.selected_indices.tolist() == list(range(200))
 
     def test_negative_seed(self):
         with pytest.raises(ValidationError) as exc:
@@ -452,15 +485,12 @@ class TestManifest:
     def test_round_trip(self, tmp_path):
         scores = make_scores(np.linspace(-2, 2, 25))
         manifest = select_by_fraction(scores, 0.2)
-        path = tmp_path / "manifest.json"
-        save_manifest(manifest, path)
-        back = load_manifest(path)
-        assert np.array_equal(back.selected_indices, manifest.selected_indices)
-        assert np.array_equal(back.scores_at_selection, manifest.scores_at_selection)
-        assert back.rule is manifest.rule
-        assert back.rule_param == manifest.rule_param
-        assert back.config_fingerprint == manifest.config_fingerprint
+        assert manifest.multiplicities is None
+        back = assert_round_trip(manifest, tmp_path)
+        assert back.rule is SelectionRule.FRACTION and back.rule_param == 0.2
         assert back.method is manifest.method is ScoreMethod.IWR
+        assert (back.prior_source_id, back.target_source_id) == (
+            scores.prior_source_id, scores.target_source_id)
 
     @pytest.mark.parametrize("method", list(ScoreMethod))
     def test_selection_records_method(self, method):
@@ -509,11 +539,12 @@ class TestManifest:
         assert back.multiplicities is None or back.multiplicities.dtype == np.int64
 
     def test_round_trip_with_multiplicities(self, tmp_path):
-        manifest = resample_by_weight(make_scores(np.linspace(0, 1, 10)), 40, 3)
-        path = tmp_path / "manifest.json"
-        save_manifest(manifest, path)
-        back = load_manifest(path)
-        assert np.array_equal(back.multiplicities, manifest.multiplicities)
+        scores = make_scores(np.linspace(0, 1, 10))
+        manifest = resample_by_weight(scores, 40, 3)
+        back = assert_round_trip(manifest, tmp_path)
+        assert back.rule is SelectionRule.RESAMPLE and back.multiplicities.sum() == 40
+        assert (back.prior_source_id, back.target_source_id) == (
+            scores.prior_source_id, scores.target_source_id)
 
     def test_save_is_deterministic(self, tmp_path):
         manifest = select_by_fraction(make_scores(np.linspace(0, 1, 10)), 0.5)

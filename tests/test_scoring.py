@@ -428,6 +428,21 @@ class TestPriorBatches:
             assert params["batch_size"] == batch_size
             assert params["num_batches"] == 8
 
+    @pytest.mark.parametrize("batch_size, num_batches, seed", [
+        (1, 1, 0), (4, 0, 0), (4, 1, -1),
+    ], ids=["batch_size", "num_batches", "seed"])
+    def test_spec_ranges_are_the_configs(self, batch_size, num_batches, seed):
+        # The iwr batch ranges are stated once: a spec is refused as the
+        # config is, with its rng_seed reported as seed.
+        with pytest.raises(ValidationError) as spec:
+            PriorBatchSpec(batch_size, num_batches, rng_seed=seed)
+        with pytest.raises(ValidationError) as config:
+            ScoringConfig(batch_size=batch_size, num_batches=num_batches, seed=seed)
+        assert spec.value.code == config.value.code == "bad_param"
+        assert str(spec.value) == str(config.value)
+        if seed < 0:
+            assert str(spec.value) == "seed must be an integer >= 0, got -1"
+
     @pytest.mark.parametrize("rows, batch_size, named", [
         (1, None, "needs at least 2 rows, got 1"),
         (20, 50, "batch_size 50 exceeds prior rows 20"),

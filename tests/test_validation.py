@@ -1,8 +1,10 @@
-"""One rule for every count, seed and bin count a library entry point takes.
+"""One rule for every count, seed and bin count a library entry point takes,
+and one for every array it takes.
 
 A bool is never a count and a string is never parsed: both are refused
 with ``bad_param``. An integral float is the integer it equals, so it gives
-the same result bits, and the value held or used is the converted one.
+the same result bits, and the value held or used is the converted one. An
+array holding anything but numbers is refused with ``malformed_value``.
 """
 
 import pickle
@@ -13,6 +15,8 @@ import pytest
 from iwre import (
     EmbeddingDataset,
     EmbeddingRetriever,
+    GaussianKde,
+    GaussianMixture,
     MetadataTable,
     PriorBatchSpec,
     ScoreMethod,
@@ -21,6 +25,7 @@ from iwre import (
     cotrain_weights,
     fit_prior_batched,
     generate,
+    log_mean_exp,
     make_scenario,
     resample_by_weight,
     scott_bandwidth,
@@ -94,3 +99,45 @@ def test_bool_and_string_are_refused(entry, bad):
 def test_integral_float_gives_the_integers_bits(entry):
     call, integer = ENTRIES[entry]
     assert pickle.dumps(call(float(integer))) == pickle.dumps(call(integer))
+
+
+MIXTURE = GaussianMixture([0.25, 0.75], [[0.0, 0.0], [1.0, 1.0]], [np.eye(2)] * 2)
+
+
+def _from_parameters(covariance):
+    return GaussianKde.from_parameters([[0.0]], 1.0, covariance)
+
+
+# Each array input, a value it refuses and the code; no value is parsed.
+ARRAY_INPUTS = {
+    "covariance_bool": (_from_parameters, [[True]], "malformed_value"),
+    "covariance_string": (_from_parameters, [["a"]], "malformed_value"),
+    "log_mean_exp_strings": (log_mean_exp, ["1.5", "2"], "malformed_value"),
+    "log_mean_exp_bools": (log_mean_exp, [True, False], "malformed_value"),
+    "log_mean_exp_empty": (log_mean_exp, [], "bad_shape"),
+    "log_pdf_strings": (MIXTURE.log_pdf, ["0", "0"], "malformed_value"),
+    "log_pdf_bools": (MIXTURE.log_pdf, [True, False], "malformed_value"),
+    "log_pdf_nan": (MIXTURE.log_pdf, [np.nan, 0.0], "non_finite"),
+    "log_pdf_wrong_dim": (MIXTURE.log_pdf, [0.0, 0.0, 0.0], "dim_mismatch"),
+}
+
+
+@pytest.mark.parametrize("entry", list(ARRAY_INPUTS))
+def test_array_inputs_take_numbers_only(entry):
+    call, bad, code = ARRAY_INPUTS[entry]
+    with pytest.raises(ValidationError) as exc:
+        call(bad)
+    assert exc.value.code == code
+
+
+def test_array_inputs_keep_their_values():
+    # What the rule admits is used as before: integers are numbers, a 1-D
+    # point is one row, and log_mean_exp leaves its input as it was.
+    values = np.array([[-1.0, 0.5], [2.0, -3.0]])
+    kept = values.copy()
+    np.testing.assert_allclose(log_mean_exp(values, axis=0),
+                               np.log(np.exp(kept).mean(axis=0)), rtol=1e-12)
+    np.testing.assert_array_equal(values, kept)
+    assert log_mean_exp([1, 1]) == 1.0
+    assert MIXTURE.log_pdf([1, 0]).tolist() == MIXTURE.log_pdf([[1.0, 0.0]]).tolist()
+    assert _from_parameters([[2]]).covariance_.tolist() == [[2.0]]
