@@ -75,11 +75,15 @@ def as_numbers(values, name: str, dtype=np.float64) -> np.ndarray:
     kinds = "iu" if np.dtype(dtype).kind == "i" else "iuf"
     try:
         arr = np.asarray(values)
-        if isinstance(values, (list, tuple)):  # the elements' types, as given
-            elements = values
+        if isinstance(values, (list, tuple)):  # element types; a held array's dtype
+            level, types = values, set()
             for _ in range(arr.ndim - 1):
-                elements = itertools.chain.from_iterable(elements)
-            types = set(map(type, elements))
+                level = list(level)
+                if any(issubclass(t, np.ndarray) for t in set(map(type, level))):
+                    types |= {e.dtype.type for e in level if isinstance(e, np.ndarray)}
+                    level = [e for e in level if not isinstance(e, np.ndarray)]
+                level = itertools.chain.from_iterable(level)
+            types.update(map(type, level))
             if arr.dtype.kind not in kinds:  # int64 with uint64 values made float64
                 arr = np.array(values, dtype=object)
         else:

@@ -294,19 +294,17 @@ def fit_kde(dataset, spec: BandwidthSpec | None = None) -> GaussianKde:
 
 
 def log_mean_exp(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Stable ``log(mean(exp(values)))`` along ``axis``.
-
-    Exact identity when the axis has length one, which keeps single-batch
-    density averages bit-identical to the underlying log-density. ``values``
-    must be numbers (:func:`~iwre._validation.as_numbers`), ``axis`` not empty.
-    """
-    values = as_numbers(values, "values").copy()  # _logsumexp overwrites it
-    k = values.shape[axis]
-    if k == 0:
-        raise ValidationError(f"values has an empty axis {axis}", code="bad_shape")
-    if k == 1:
-        return values.max(axis=axis)
-    return _logsumexp(values, axis) - np.log(k)
+    """Stable ``log(mean(exp(values)))`` along ``axis``: ``np.logaddexp``
+    folded over its ``k`` entries in order, less ``log k``. One entry is
+    returned exactly, and :meth:`~iwre.scoring.ScoringConfig.score` makes
+    the same fold over its prior batches, so the explicit recipe gives its
+    bits. ``values`` must be numbers (:func:`~iwre._validation.as_numbers`),
+    ``axis`` one of their axes, not empty."""
+    values = as_numbers(values, "values")
+    if not -values.ndim <= axis < values.ndim or values.shape[axis] == 0:
+        raise ValidationError(f"values of shape {values.shape} have no axis {axis}, "
+                              "or it is empty", code="bad_shape")
+    return np.logaddexp.reduce(values, axis=axis) - np.log(values.shape[axis])
 
 
 def nearest_sq_dists(queries: np.ndarray, support: np.ndarray) -> np.ndarray:

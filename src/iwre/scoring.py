@@ -21,8 +21,9 @@ retrievable.
     ``scale_c``, the batch size, ``num_batches``, the seed and
     ``leave_self_out``.
 
-lse, kde_target and both iwr terms are one row job: per prior row, the log
-of the mean density of a list of fitted KDEs.
+lse, kde_target and both iwr terms are one row job: per prior row, the
+log-density of one fitted KDE. iwr's prior term folds each batch KDE's job
+into one accumulator by ``np.logaddexp`` as it is fitted, then drops it.
 
 :class:`ScoringConfig` (a rule plus its parameters) is the one way to
 score: it fits what the rule needs, scores, and gives the result its record
@@ -75,7 +76,6 @@ from .kde import (
     BandwidthSpec,
     GaussianKde,
     fit_kde,
-    log_mean_exp,
     nearest_sq_dists,
     scott_bandwidth,
 )
@@ -186,11 +186,12 @@ def _check_batch_fits(batch_size: int, prior_rows: int) -> None:
             code="bad_batch_spec")
 
 
-def _map_row_chunks(prior: EmbeddingDataset, job, threads: Optional[int]) -> np.ndarray:
+def _map_row_chunks(prior: EmbeddingDataset, job, threads: Optional[int],
+                    out=None) -> np.ndarray:
     """Run ``job`` on each fixed row chunk of ``prior``, ``threads`` at a
     time, BLAS pinned; a mapped prior's chunk rows are released after it.
-    Each chunk's result is written into one output vector, which the caller
-    owns. Overflow is not warned about; a non-finite result is refused."""
+    Each chunk's result is written into ``out``, or a new vector, which the
+    caller owns. Overflow is not warned about; a non-finite result is refused."""
     if threads is None:  # the CPUs this process may run on, else all of them
         affinity = getattr(os, "sched_getaffinity", None)
         threads = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -199,7 +200,7 @@ def _map_row_chunks(prior: EmbeddingDataset, job, threads: Optional[int]) -> np.
         for s in range(0, prior.rows, _OUTER_CHUNK_ROWS)
     ]
 
-    out = np.empty(prior.rows)
+    out = np.empty(prior.rows) if out is None else out
 
     def run(sl):
         with np.errstate(over="ignore", invalid="ignore"):  # per thread
@@ -217,31 +218,39 @@ def _map_row_chunks(prior: EmbeddingDataset, job, threads: Optional[int]) -> np.
     return out
 
 
-def _log_mean_density(kdes, prior, *, leave_self_out=False, threads=1) -> np.ndarray:
-    """Log of the mean density of ``kdes`` at each row of ``prior`` (a
-    log-mean-exp over their log-densities; one KDE's log-density exactly).
-    With ``leave_self_out`` a row in a KDE's support (``support_row_ids_``,
-    which :func:`fit_prior_batched` sets) does not count its own kernel
-    toward that KDE's density."""
+def _log_density_rows(kde, prior, *, leave_self_out=False, threads=1, acc=None):
+    """Log-density of ``kde`` at each row of ``prior``, or, given ``acc``,
+    ``np.logaddexp`` of ``acc`` and it, folded into ``acc`` a row chunk at a
+    time. With ``leave_self_out`` a row in the KDE's support
+    (``support_row_ids_``, which :func:`fit_prior_batched` sets) does not
+    count its own kernel toward its density."""
 
     def job(sl):
         q = prior.data[sl]
-        log_p = np.empty((len(kdes), q.shape[0]))
-        for k, kde in enumerate(kdes):
-            if k and kde is kdes[k - 1]:  # a repeated batch: scored once
-                log_p[k] = log_p[k - 1]
-                continue
-            exclude = None
-            if leave_self_out:
-                # Each support member leaves out its own kernel, in the same pass.
-                ids = kde.support_row_ids_
-                lo, hi = np.searchsorted(ids, [sl.start, sl.stop])
-                exclude = np.full(q.shape[0], -1)
-                exclude[ids[lo:hi] - sl.start] = np.arange(lo, hi)
-            log_p[k] = kde._log_density(q, exclude)  # the dataset checked q
-        return log_mean_exp(log_p, axis=0)
+        exclude = None
+        if leave_self_out:
+            # Each support member leaves out its own kernel, in the same pass.
+            ids = kde.support_row_ids_
+            lo, hi = np.searchsorted(ids, [sl.start, sl.stop])
+            exclude = np.full(q.shape[0], -1)
+            exclude[ids[lo:hi] - sl.start] = np.arange(lo, hi)
+        log_p = kde._log_density(q, exclude)  # the dataset checked q
+        return log_p if acc is None else np.logaddexp(acc[sl], log_p, out=log_p)
 
-    return _map_row_chunks(prior, job, threads)
+    return _map_row_chunks(prior, job, threads, out=acc)
+
+
+def _prior_batches(prior: EmbeddingDataset, spec: PriorBatchSpec, bandwidth):
+    """Fit, one at a time, the KDE of each random prior batch, its sorted
+    global row ids in ``support_row_ids_``. A batch of the whole prior is
+    fitted once, as the mean of equal densities is that density."""
+    _check_batch_fits(spec.batch_size, prior.rows)
+    rng = np.random.default_rng(spec.rng_seed)
+    for _ in range(1 if spec.batch_size == prior.rows else spec.num_batches):
+        idx = np.sort(rng.choice(prior.rows, size=spec.batch_size, replace=False))
+        kde = GaussianKde(scale_c=bandwidth.scale_c).fit(gather_rows(prior.data, idx))
+        kde.support_row_ids_ = idx
+        yield kde
 
 
 @single_threaded_blas()  # one pin for every batch's fit
@@ -254,26 +263,11 @@ def fit_prior_batched(
     Batch index sets are drawn with a seeded generator and sorted ascending,
     so a batch covering the whole prior reproduces the plain full-prior fit
     exactly. Each fitted model carries its global row indices in
-    ``support_row_ids_`` for optional leave-self-out scoring. A batch drawn
-    again right after itself, as every batch is when it spans the prior, is
-    the same fitted object, which :meth:`ScoringConfig.score` then scores
-    once.
+    ``support_row_ids_`` for optional leave-self-out scoring. When a batch
+    is the whole prior, every batch is, so one KDE is returned: the mean of
+    equal densities is that density.
     """
-    prior = _as_dataset(prior)
-    bandwidth = bandwidth or BandwidthSpec()
-    _check_batch_fits(spec.batch_size, prior.rows)
-    rng = np.random.default_rng(spec.rng_seed)
-    kdes = []
-    for _ in range(spec.num_batches):
-        idx = np.sort(rng.choice(prior.rows, size=spec.batch_size, replace=False))
-        if kdes and np.array_equal(idx, kdes[-1].support_row_ids_):
-            kdes.append(kdes[-1])  # the same batch (every one, when it is the prior)
-            continue
-        batch = gather_rows(prior.data, idx)
-        kde = GaussianKde(scale_c=bandwidth.scale_c).fit(batch)
-        kde.support_row_ids_ = idx
-        kdes.append(kde)
-    return kdes
+    return list(_prior_batches(_as_dataset(prior), spec, bandwidth or BandwidthSpec()))
 
 
 # -- scoring configuration ----------------------------------------------------
@@ -396,20 +390,22 @@ class ScoringConfig:
                 kde = GaussianKde.from_parameters(
                     target.data, h / np.sqrt(2.0), np.eye(target.dim)
                 )
-                values = _log_mean_density([kde], prior, threads=threads)
+                values = _log_density_rows(kde, prior, threads=threads)
                 values += np.log(kde.count_) - kde.log_norm_
                 values *= 1.0 / (h * h)
             else:
-                target_kde = fit_kde(target, bandwidth)
-                values = _log_mean_density([target_kde], prior, threads=threads)
+                values = _log_density_rows(fit_kde(target, bandwidth), prior,
+                                           threads=threads)
                 if self.method is ScoreMethod.IWR:
                     spec = PriorBatchSpec(
                         params["batch_size"], self.num_batches, rng_seed=self.seed
                     )
-                    values -= _log_mean_density(
-                        fit_prior_batched(prior, spec, bandwidth), prior,
-                        leave_self_out=self.leave_self_out, threads=threads,
-                    )
+                    acc = None  # log_mean_exp's fold, made as each batch is fitted
+                    for k, kde in enumerate(_prior_batches(prior, spec, bandwidth), 1):
+                        acc = _log_density_rows(kde, prior, threads=threads, acc=acc,
+                                                leave_self_out=self.leave_self_out)
+                    acc -= np.log(k)
+                    values -= acc
         values.flags.writeable = False  # so the ScoreVector holds it, uncopied
         return ScoreVector(values, params)
 

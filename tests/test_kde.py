@@ -353,6 +353,26 @@ class TestLogMeanExp:
         got = log_mean_exp(values, axis=0)
         assert np.isfinite(got).all()
 
+    @pytest.mark.parametrize("values, axis", [
+        (1.0, 0),
+        (np.zeros((2, 3)), 2),
+        (np.zeros((2, 3)), -3),
+        (np.zeros((0, 3)), 0),
+    ], ids=["scalar", "axis_beyond", "negative_axis_beyond", "empty_axis"])
+    def test_refuses_a_missing_or_empty_axis(self, values, axis):
+        with pytest.raises(ValidationError) as exc:
+            log_mean_exp(values, axis=axis)
+        assert exc.value.code == "bad_shape"
+
+    def test_is_a_logaddexp_fold(self):
+        # The fold ScoringConfig.score makes over its batches, in order.
+        values = np.random.default_rng(3).standard_normal((4, 9)) * 50.0
+        fold = values[0].copy()
+        for row in values[1:]:
+            np.logaddexp(fold, row, out=fold)
+        assert np.array_equal(log_mean_exp(values, axis=0), fold - np.log(4))
+        assert np.array_equal(log_mean_exp(values.T, axis=-1), fold - np.log(4))
+
 
 class TestParamsProtocol:
     def test_get_set_params(self):

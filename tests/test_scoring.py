@@ -173,6 +173,24 @@ class TestScoreVector:
             tracemalloc.stop()
         assert peak < 2.3 * scores.values.nbytes, peak / scores.values.nbytes
 
+    def test_prior_term_holds_one_batch(self):
+        # Each batch KDE is folded into the prior term and dropped, one batch
+        # at a time, so the peak does not grow with num_batches (1.63 and
+        # 4.12 MiB at 2 and 16 batches when every batch KDE was held).
+        rng = np.random.default_rng(6)
+        prior = EmbeddingDataset(rng.standard_normal((3000, 16)))
+        target = rng.standard_normal((50, 16))
+        peaks = {}
+        for num_batches in (2, 16):
+            config = ScoringConfig(batch_size=1024, num_batches=num_batches, seed=0)
+            tracemalloc.start()
+            try:
+                config.score(target, prior)
+                peaks[num_batches] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[16] <= peaks[2] + 2**19, peaks
+
 
 class TestNearestNeighbor:
     def test_hand_computed(self):
@@ -590,12 +608,13 @@ class TestOneRowJob:
     def test_iwr_is_target_term_minus_prior_term(
         self, seed, d, num_batches, mapped_float32, leave_self_out, threads
     ):
+        # config.score gives the bits of the explicit recipe: the target
+        # KDE's log-density less log_mean_exp of the batch KDEs'.
         rng = np.random.default_rng(seed)
         target = rng.standard_normal((int(rng.integers(d + 1, 40)), d))
         rows = int(rng.integers(4, 200))
         data = rng.standard_normal((rows, d)) + 0.5
         batch_size = int(rng.integers(2, rows + 1))
-        job = scoring_module._log_mean_density
         # Small row chunks, so both threads run and supports cross chunk edges.
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
             scoring_module, "_OUTER_CHUNK_ROWS", 32
@@ -608,18 +627,19 @@ class TestOneRowJob:
                 assert prior.data.dtype == np.float32
             else:
                 prior = EmbeddingDataset(data)
-            tk = fit_kde(target)
-            pk = fit_prior_batched(
+            target_term = fit_kde(target).score_samples(prior.data)
+            prior_terms = []
+            for kde in fit_prior_batched(
                 prior, PriorBatchSpec(batch_size, num_batches, rng_seed=seed)
-            )
+            ):
+                exclude = np.full(rows, -1)
+                if leave_self_out:
+                    exclude[kde.support_row_ids_] = np.arange(kde.count_)
+                prior_terms.append(kde.score_samples(prior.data, exclude=exclude))
             config = ScoringConfig(batch_size=batch_size, num_batches=num_batches,
                                    seed=seed, leave_self_out=leave_self_out)
             got = config.score(target, prior, threads=threads).values
-            target_term = job([tk], prior, threads=threads)
-            prior_term = job(
-                pk, prior, leave_self_out=leave_self_out, threads=threads
-            )
-            assert np.array_equal(got, target_term - prior_term)
+            assert np.array_equal(got, target_term - log_mean_exp(prior_terms))
             density = ScoringConfig(ScoreMethod.KDE_TARGET)
             kde = density.score(target, prior, threads=threads).values
             assert np.array_equal(kde, target_term)
@@ -627,13 +647,16 @@ class TestOneRowJob:
 
     @pytest.mark.parametrize("leave_self_out", [False, True])
     def test_whole_prior_batches_fit_and_score_once(self, monkeypatch, leave_self_out):
-        # With N <= batch_size every batch is the whole prior: it is fitted
-        # once and scored once per job, and the prior term keeps the bits of
-        # eight separately fitted, separately scored copies.
+        # With N <= batch_size every batch is the whole prior, and the mean
+        # of equal densities is that density: it is fitted once, and the
+        # prior term is its log-density, one _log_density call per job.
         rng = np.random.default_rng(21)
         prior = EmbeddingDataset(rng.standard_normal((100, 3)))
-        copies = [fit_prior_batched(prior, PriorBatchSpec(100, 1, rng_seed=s))[0]
-                  for s in range(8)]
+        target = rng.standard_normal((30, 3))
+        exclude = np.arange(100) if leave_self_out else np.full(100, -1)
+        (whole,) = fit_prior_batched(prior, PriorBatchSpec(100, 8, rng_seed=4))
+        want = (fit_kde(target).score_samples(prior.data)
+                - whole.score_samples(prior.data, exclude=exclude))
         fits, scored = [], []
         fit, log_density = GaussianKde.fit, GaussianKde._log_density
 
@@ -648,13 +671,12 @@ class TestOneRowJob:
         monkeypatch.setattr(GaussianKde, "fit", fit_spy)
         monkeypatch.setattr(GaussianKde, "_log_density", log_density_spy)
         monkeypatch.setattr(scoring_module, "_OUTER_CHUNK_ROWS", 32)  # 4 jobs
-        kdes = fit_prior_batched(prior, PriorBatchSpec(100, 8, rng_seed=4))
-        assert len(kdes) == 8 and fits == kdes[:1]
-        assert all(kde is kdes[0] for kde in kdes)
-        job = scoring_module._log_mean_density
-        got = job(kdes, prior, leave_self_out=leave_self_out)
-        assert scored == kdes[:1] * 4
-        assert np.array_equal(got, job(copies, prior, leave_self_out=leave_self_out))
+        config = ScoringConfig(batch_size=100, num_batches=8, seed=4,
+                               leave_self_out=leave_self_out)
+        got = config.score(target, prior).values
+        assert len(fits) == 2  # the target and the one batch
+        assert scored == [fits[0]] * 4 + [fits[1]] * 4
+        assert np.array_equal(got, want)
 
     def test_job_scans_its_rows_at_most_once(self, monkeypatch):
         # A dataset's rows were checked when it was made; an iwr job scans

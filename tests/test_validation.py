@@ -115,6 +115,14 @@ ARRAY_INPUTS = {
     "log_mean_exp_strings": (log_mean_exp, ["1.5", "2"], "malformed_value"),
     "log_mean_exp_bools": (log_mean_exp, [True, False], "malformed_value"),
     "log_mean_exp_empty": (log_mean_exp, [], "bad_shape"),
+    "log_mean_exp_bool_array": (log_mean_exp, [np.zeros(2), np.ones(2, bool)],
+                                "malformed_value"),
+    "log_mean_exp_string_array": (log_mean_exp, [[0.0], np.array(["1"])],
+                                  "malformed_value"),
+    "log_mean_exp_object_array": (log_mean_exp, [np.array([1.0, "a"], object)],
+                                  "malformed_value"),
+    "log_mean_exp_ragged_arrays": (log_mean_exp, [np.zeros(2), np.zeros(3)],
+                                   "malformed_value"),
     "log_pdf_strings": (MIXTURE.log_pdf, ["0", "0"], "malformed_value"),
     "log_pdf_bools": (MIXTURE.log_pdf, [True, False], "malformed_value"),
     "log_pdf_nan": (MIXTURE.log_pdf, [np.nan, 0.0], "non_finite"),
@@ -139,5 +147,12 @@ def test_array_inputs_keep_their_values():
                                np.log(np.exp(kept).mean(axis=0)), rtol=1e-12)
     np.testing.assert_array_equal(values, kept)
     assert log_mean_exp([1, 1]) == 1.0
+
+    class Unwalked(np.ndarray):  # a held array's dtype is read, not its elements
+        def __iter__(self):
+            raise AssertionError("iterated")
+
+    held = [np.zeros(3).view(Unwalked), np.array([[0.0, 0.0, 0.0]])[0]]
+    assert log_mean_exp(held).tolist() == [0.0] * 3
     assert MIXTURE.log_pdf([1, 0]).tolist() == MIXTURE.log_pdf([[1.0, 0.0]]).tolist()
     assert _from_parameters([[2]]).covariance_.tolist() == [[2.0]]
