@@ -462,25 +462,49 @@ def _records(buf: np.ndarray, eof: bool) -> tuple:
     return start, stop, line, used, ends.size
 
 
+# Digits are read eight at a time, as the bytes of a little-endian word, the
+# first digit in the lowest byte. _KEEP[n] keeps a word's last n bytes. Each
+# step of _EIGHT joins neighbouring groups of digits (times the lower group's
+# place value, plus the higher group shifted down, masked): bytes into pairs,
+# pairs into fours, fours into the word's value.
+_KEEP = np.array([0] + [((1 << 8 * n) - 1) << 8 * (8 - n) for n in range(1, 9)],
+                 np.uint64)
+_EIGHT = [(np.uint64(times), np.uint64(shift), np.uint64(mask)) for times, shift, mask in
+          ((10, 8, 0x00FF00FF00FF00FF), (100, 16, 0x0000FFFF0000FFFF),
+           (10000, 32, 0xFFFFFFFF))]
+_ALL_DIGITS = np.uint64(0x0101010101010101)  # a word of eight True bytes
+
+
 def _int_fields(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> tuple:
-    """Parse the integer field ``buf[start:stop]`` of each row: an optional
-    sign and 1 to ``_INT_DIGITS`` ASCII digits, the whole optionally in
-    double quotes. Returns the int64 values and a mask of the rows that
-    parsed; a digit position is one vector step over all rows."""
+    """Parse the integer field ``buf[start:stop]`` of each entry of the
+    index arrays ``start`` and ``stop``: an optional sign and 1 to
+    ``_INT_DIGITS`` ASCII digits, the whole optionally in double quotes.
+    Returns the int64 values and a mask of the entries that parsed, both of
+    ``start``'s shape; each eight digits are one vector step over them all."""
+    shape = start.shape
+    start, stop = start.ravel(), stop.ravel()
     quoted = (stop - start >= 2) & (buf[start] == _QUOTE) & (buf[stop - 1] == _QUOTE)
     start, stop = start + quoted, stop - quoted
-    sign = (stop > start) & ((buf[start] == ord("-")) | (buf[start] == ord("+")))
-    negative = sign & (buf[start] == ord("-"))
-    start = start + sign
-    digits = stop - start
+    first = buf[start]
+    sign = (stop > start) & ((first == ord("-")) | (first == ord("+")))
+    negative = sign & (first == ord("-"))
+    digits = stop - start - sign
     ok = (digits >= 1) & (digits <= _INT_DIGITS)
-    value = np.zeros(start.size, np.int64)
-    for j in range(min(int(digits.max(initial=0)), _INT_DIGITS)):
-        more = digits > j
-        digit = buf[np.where(more, start + j, 0)].astype(np.int64) - ord("0")
-        ok &= ~more | ((digit >= 0) & (digit <= 9))
-        value = np.where(more, value * 10 + digit, value)
-    return np.where(negative, -value, value), ok
+    words = -(-min(int(digits.max(initial=0)), _INT_DIGITS) // 8)
+    # The digit values of the bytes, after a word of padding per word read,
+    # as a word at every byte; a byte below "0" wraps past 9.
+    pad = 8 * max(words, 1)
+    text = np.concatenate((np.zeros(pad, np.uint8), buf)) - np.uint8(ord("0"))
+    at = np.ndarray(text.size - 7, "<u8", text, strides=(1,))
+    value = np.zeros(start.shape, np.uint64)
+    for k in range(words):  # word k holds digits 8k+1 to 8k+8 from the end
+        word = at[stop + pad - 8 * (k + 1)] & _KEEP[np.clip(digits - 8 * k, 0, 8)]
+        ok &= (word.view(np.uint8) <= 9).view("<u8") == _ALL_DIGITS
+        for times, shift, mask in _EIGHT:
+            word = word * times + (word >> shift) & mask
+        value += word * np.uint64(10 ** (8 * k))
+    value = value.astype(np.int64)
+    return np.where(negative, -value, value).reshape(shape), ok.reshape(shape)
 
 
 def _label_codes(buf, start, stop, labels: dict) -> tuple:
@@ -538,10 +562,11 @@ def _parse_rows(buf, start, stop, line, row0, columns, labels, path) -> int:
     n = int(wrong[0]) if wrong.size else start.size  # rows before the first
     # Field k of those rows spans bounds[:, k] (+1 past a comma) to bounds[:, k + 1].
     bounds = np.column_stack((start[:n], commas[row_of < n].reshape(n, 3), stop[:n]))
-    ints = [_int_fields(buf, bounds[:, k] + (k > 0), bounds[:, k + 1]) for k in range(3)]
-    (episode_id, id_ok), (step, step_ok), (length, length_ok) = ints
+    # The three integer fields, stacked, are parsed in one digit loop.
+    ints, ints_ok = _int_fields(buf, bounds[:, :3].T + [[0], [1], [1]], bounds[:, 1:4].T)
+    episode_id, step, length = ints
     codes, undecodable = _label_codes(buf, bounds[:, 3] + 1, bounds[:, 4], labels)
-    problems = [~id_ok, ~step_ok, ~length_ok, _bad_episode_rows(step, length), undecodable]
+    problems = [*~ints_ok, _bad_episode_rows(step, length), undecodable]
     row = min((int(np.argmax(p)) for p in problems if p.any()), default=n)
     if row < start.size:
         at = f"{path}: line {line[row]} (row {row0 + row})"

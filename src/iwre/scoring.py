@@ -23,7 +23,7 @@ retrievable.
 
 lse, kde_target and both iwr terms are one row job: per prior row, the
 log-density of one fitted KDE. iwr's prior term folds each batch KDE's job
-into one accumulator by ``np.logaddexp`` as it is fitted, then drops it.
+into one accumulator by ``np.logaddexp``, batch by batch.
 
 :class:`ScoringConfig` (a rule plus its parameters) is the one way to
 score: it fits what the rule needs, scores, and gives the result its record
@@ -34,8 +34,14 @@ holds) and the fingerprint of that record. Explicit models are built with
 
 Scoring is embarrassingly parallel across prior rows; worker threads only
 split the fixed row chunks, so results are identical for any thread count.
-That row-chunk pool is the only source of parallelism: while scoring runs,
-every loaded OpenBLAS is pinned to one thread (:mod:`iwre._blas`).
+One :meth:`~ScoringConfig.score` is one run of one thread pool: it fits
+each model as a task and runs each model's job on every row chunk, the
+target term first, then iwr's batches, at most two in flight. A batch's
+task for a chunk folds after the batch before has folded that chunk, so
+each row's fold order is fixed, and a worker that finishes early starts the
+next fit or chunk rather than wait for a batch to end. That pool is the
+only source of parallelism: while scoring runs, every loaded OpenBLAS is
+pinned to one thread (:mod:`iwre._blas`).
 """
 
 from __future__ import annotations
@@ -43,9 +49,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
+from functools import partial
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -186,12 +196,21 @@ def _check_batch_fits(batch_size: int, prior_rows: int) -> None:
             code="bad_batch_spec")
 
 
-def _map_row_chunks(prior: EmbeddingDataset, job, threads: Optional[int],
-                    out=None) -> np.ndarray:
-    """Run ``job`` on each fixed row chunk of ``prior``, ``threads`` at a
-    time, BLAS pinned; a mapped prior's chunk rows are released after it.
-    Each chunk's result is written into ``out``, or a new vector, which the
-    caller owns. Overflow is not warned about; a non-finite result is refused."""
+def _map_row_chunks(prior: EmbeddingDataset, stages, threads: Optional[int]) -> None:
+    """Run ``stages`` over the fixed row chunks of ``prior`` in one thread
+    pool of ``threads`` workers, BLAS pinned.
+
+    A stage is ``(fit, job, out)``: one task runs ``fit()``, then one task
+    per chunk ``sl`` writes ``job(model, sl)`` into ``out[sl]`` once the
+    stage before has had its turn at that chunk, so every row is written in
+    stage order whatever the thread count. Stage ``s + 1`` is submitted only
+    once stage ``s - 1`` has finished, so at most two stages' models and
+    tasks are alive; a task waits only on tasks submitted before it, so the
+    pool cannot deadlock. A mapped prior's chunk rows are released after
+    each task. Overflow is not warned about. The first failure in stage
+    order is raised, a non-finite result as ``non_finite_scores``; a chunk
+    task of a failed fit writes nothing, and once a failure is raised
+    neither do the tasks left, so none is left waiting."""
     if threads is None:  # the CPUs this process may run on, else all of them
         affinity = getattr(os, "sched_getaffinity", None)
         threads = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -199,33 +218,61 @@ def _map_row_chunks(prior: EmbeddingDataset, job, threads: Optional[int],
         slice(s, min(s + _OUTER_CHUNK_ROWS, prior.rows))
         for s in range(0, prior.rows, _OUTER_CHUNK_ROWS)
     ]
+    turns = [0] * len(slices)  # per chunk, the stages that have had their turn
+    turn, stop = threading.Condition(), threading.Event()
 
-    out = np.empty(prior.rows) if out is None else out
+    def run(fitted, stage, c, job, out):
+        sl = slices[c]
+        with turn:
+            turn.wait_for(lambda: turns[c] == stage or stop.is_set())
+        try:
+            if stop.is_set() or fitted.exception() is not None:
+                return  # the failed fit is raised from its own task
+            with np.errstate(over="ignore", invalid="ignore"):  # per thread
+                out[sl] = job(fitted.result(), sl)
+            release_rows(prior.data, sl.start, sl.stop)
+            row = first_non_finite_row(out[sl, None])
+            if row is not None:
+                raise NumericalError(
+                    f"scores overflowed: non-finite value at prior row {sl.start + row}",
+                    code="non_finite_scores",
+                )
+        finally:
+            with turn:
+                turns[c] = stage + 1
+                turn.notify_all()
 
-    def run(sl):
-        with np.errstate(over="ignore", invalid="ignore"):  # per thread
-            out[sl] = job(sl)
-        release_rows(prior.data, sl.start, sl.stop)
+    def finish(futures):
+        for future in futures:
+            future.result()
 
+    window = deque()  # the futures of the stages in flight, each fit first
     with single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as ex:
-        list(ex.map(run, slices))
-    row = first_non_finite_row(out[:, None])
-    if row is not None:
-        raise NumericalError(
-            f"scores overflowed: non-finite value at prior row {row}",
-            code="non_finite_scores",
-        )
-    return out
+        try:
+            for stage, (fit, job, out) in enumerate(stages):
+                if len(window) == 2:
+                    finish(window.popleft())
+                fitted = ex.submit(fit)
+                window.append([fitted, *(ex.submit(run, fitted, stage, c, job, out)
+                                         for c in range(len(slices)))])
+            while window:
+                finish(window.popleft())
+        except BaseException:
+            with turn:
+                stop.set()
+                turn.notify_all()
+            ex.shutdown(cancel_futures=True)
+            raise
 
 
-def _log_density_rows(kde, prior, *, leave_self_out=False, threads=1, acc=None):
-    """Log-density of ``kde`` at each row of ``prior``, or, given ``acc``,
-    ``np.logaddexp`` of ``acc`` and it, folded into ``acc`` a row chunk at a
-    time. With ``leave_self_out`` a row in the KDE's support
-    (``support_row_ids_``, which :func:`fit_prior_batched` sets) does not
-    count its own kernel toward its density."""
+def _log_density_job(prior, leave_self_out=False, acc=None):
+    """The row job: the log-density of a KDE at rows ``sl`` of ``prior``,
+    or, given ``acc``, ``np.logaddexp`` of ``acc[sl]`` and it. With
+    ``leave_self_out`` a row in the KDE's support (``support_row_ids_``,
+    which :func:`fit_prior_batched` sets) does not count its own kernel
+    toward its density."""
 
-    def job(sl):
+    def job(kde, sl):
         q = prior.data[sl]
         exclude = None
         if leave_self_out:
@@ -237,20 +284,26 @@ def _log_density_rows(kde, prior, *, leave_self_out=False, threads=1, acc=None):
         log_p = kde._log_density(q, exclude)  # the dataset checked q
         return log_p if acc is None else np.logaddexp(acc[sl], log_p, out=log_p)
 
-    return _map_row_chunks(prior, job, threads, out=acc)
+    return job
 
 
-def _prior_batches(prior: EmbeddingDataset, spec: PriorBatchSpec, bandwidth):
-    """Fit, one at a time, the KDE of each random prior batch, its sorted
-    global row ids in ``support_row_ids_``. A batch of the whole prior is
-    fitted once, as the mean of equal densities is that density."""
-    _check_batch_fits(spec.batch_size, prior.rows)
+def _batch_draws(rows: int, spec: PriorBatchSpec):
+    """The sorted row ids of each random prior batch, drawn in order from
+    the seeded generator, with its count. A batch of the whole prior is
+    drawn once, as the mean of equal densities is that density."""
+    _check_batch_fits(spec.batch_size, rows)
+    count = 1 if spec.batch_size == rows else spec.num_batches
     rng = np.random.default_rng(spec.rng_seed)
-    for _ in range(1 if spec.batch_size == prior.rows else spec.num_batches):
-        idx = np.sort(rng.choice(prior.rows, size=spec.batch_size, replace=False))
-        kde = GaussianKde(scale_c=bandwidth.scale_c).fit(gather_rows(prior.data, idx))
-        kde.support_row_ids_ = idx
-        yield kde
+    draws = (np.sort(rng.choice(rows, size=spec.batch_size, replace=False))
+             for _ in range(count))
+    return count, draws
+
+
+def _fit_batch(prior: EmbeddingDataset, idx, bandwidth) -> GaussianKde:
+    """The KDE of prior rows ``idx``, which it holds as ``support_row_ids_``."""
+    kde = GaussianKde(scale_c=bandwidth.scale_c).fit(gather_rows(prior.data, idx))
+    kde.support_row_ids_ = idx
+    return kde
 
 
 @single_threaded_blas()  # one pin for every batch's fit
@@ -267,7 +320,9 @@ def fit_prior_batched(
     is the whole prior, every batch is, so one KDE is returned: the mean of
     equal densities is that density.
     """
-    return list(_prior_batches(_as_dataset(prior), spec, bandwidth or BandwidthSpec()))
+    prior, bandwidth = _as_dataset(prior), bandwidth or BandwidthSpec()
+    _, draws = _batch_draws(prior.rows, spec)
+    return [_fit_batch(prior, idx, bandwidth) for idx in draws]
 
 
 # -- scoring configuration ----------------------------------------------------
@@ -377,35 +432,42 @@ class ScoringConfig:
                 code="dim_mismatch",
             )
         bandwidth = BandwidthSpec(self.scale_c)
-        with single_threaded_blas():
-            if self.method is ScoreMethod.NN_L2:
-                support = np.asarray(target.data, dtype=np.float64)
-                values = _map_row_chunks(
-                    prior, lambda sl: -nearest_sq_dists(prior.data[sl], support), threads
-                )
-            elif self.method is ScoreMethod.LSE:
-                # The log-density of the isotropic KDE with kernel covariance
-                # (h^2/2) I is log_norm - log M + log sum_j exp(-||p - t_j||^2 / h^2).
-                h = params["temperature"]
-                kde = GaussianKde.from_parameters(
-                    target.data, h / np.sqrt(2.0), np.eye(target.dim)
-                )
-                values = _log_density_rows(kde, prior, threads=threads)
-                values += np.log(kde.count_) - kde.log_norm_
-                values *= 1.0 / (h * h)
-            else:
-                values = _log_density_rows(fit_kde(target, bandwidth), prior,
-                                           threads=threads)
-                if self.method is ScoreMethod.IWR:
-                    spec = PriorBatchSpec(
-                        params["batch_size"], self.num_batches, rng_seed=self.seed
-                    )
-                    acc = None  # log_mean_exp's fold, made as each batch is fitted
-                    for k, kde in enumerate(_prior_batches(prior, spec, bandwidth), 1):
-                        acc = _log_density_rows(kde, prior, threads=threads, acc=acc,
-                                                leave_self_out=self.leave_self_out)
-                    acc -= np.log(k)
-                    values -= acc
+        values = np.empty(prior.rows)
+        if self.method is ScoreMethod.NN_L2:
+            _map_row_chunks(prior, [(
+                lambda: np.asarray(target.data, dtype=np.float64),
+                lambda support, sl: -nearest_sq_dists(prior.data[sl], support),
+                values)], threads)
+        elif self.method is ScoreMethod.LSE:
+            # The log-density of the isotropic KDE with kernel covariance
+            # (h^2/2) I is log_norm - log M + log sum_j exp(-||p - t_j||^2 / h^2).
+            h = params["temperature"]
+            kde = GaussianKde.from_parameters(
+                target.data, h / np.sqrt(2.0), np.eye(target.dim)
+            )
+            _map_row_chunks(prior, [(lambda: kde, _log_density_job(prior), values)],
+                            threads)
+            values += np.log(kde.count_) - kde.log_norm_
+            values *= 1.0 / (h * h)
+        else:
+            stages = [(partial(fit_kde, target, bandwidth), _log_density_job(prior),
+                       values)]
+            if self.method is ScoreMethod.IWR:
+                # The prior term: each batch KDE's job folds it into acc, the
+                # first one writes it, so acc is log_mean_exp's fold.
+                acc = np.empty(prior.rows)
+                spec = PriorBatchSpec(params["batch_size"], self.num_batches,
+                                      rng_seed=self.seed)
+                count, draws = _batch_draws(prior.rows, spec)
+                stages = chain(stages, (
+                    (partial(_fit_batch, prior, idx, bandwidth),
+                     _log_density_job(prior, self.leave_self_out, acc if k else None),
+                     acc)
+                    for k, idx in enumerate(draws)))
+            _map_row_chunks(prior, stages, threads)
+            if self.method is ScoreMethod.IWR:
+                acc -= np.log(count)
+                values -= acc
         values.flags.writeable = False  # so the ScoreVector holds it, uncopied
         return ScoreVector(values, params)
 

@@ -500,6 +500,27 @@ class TestColumnarMetadata:
         assert exc.value.code == "malformed_value"
         assert "line 3 (row 1)" in str(exc.value)
 
+    @settings(max_examples=300, deadline=None)
+    @given(fields=st.lists(st.one_of(
+        st.integers(-(10**18) + 1, 10**18 - 1).map(str),
+        st.text(alphabet=st.sampled_from(list('0123456789+-"/: _a')), max_size=21),
+    ), min_size=1, max_size=24).map(lambda f: f + [""] * (-len(f) % 3)))
+    def test_integer_fields_match_the_rule(self, fields):
+        # _int_fields reads a window's three integer columns in one pass:
+        # per field, an optional sign and 1 to 18 ASCII digits, optionally
+        # quoted. The first field starts at byte 0 of the window, and a
+        # label field follows the last, as in a record.
+        raw = ",".join([*fields, "label"]).encode()
+        bounds = np.cumsum([0] + [len(f) + 1 for f in fields])
+        start, stop = bounds[:-1], bounds[1:] - 1
+        values, ok = dataset._int_fields(np.frombuffer(raw, np.uint8),
+                                         start.reshape(3, -1), stop.reshape(3, -1))
+        for field, value, parsed in zip(fields, values.ravel(), ok.ravel()):
+            text = field[1:-1] if len(field) >= 2 and field[0] == field[-1] == '"' else field
+            want = re.fullmatch(r"[+-]?[0-9]{1,18}", text) is not None
+            assert parsed == want, field
+            assert not want or value == int(text), field
+
     def test_non_utf8_label_names_row(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_bytes(f"{HEADER_LINE}\n0,0,2,ok\n0,1,2,\xff\n".encode("latin-1"))

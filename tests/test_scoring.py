@@ -28,7 +28,7 @@ from helpers import (
     ranking,
     score_vector,
 )
-from iwre import _blas, _validation
+from iwre import _blas, _validation, cli
 from iwre import kde as kde_module
 from iwre import scoring as scoring_module
 from iwre.dataset import (
@@ -56,6 +56,22 @@ RECORD = score_vector([0.0]).params
 
 def well_spread(rng, n, d, scale=10.0):
     return rng.uniform(0.0, scale, (n, d))
+
+
+def mapped_float32_prior(path, data):
+    """``data`` written as a float32 binary container at ``path``, mapped."""
+    header = struct.pack("<4sHBQI", MAGIC, FORMAT_VERSION, 0, *data.shape)
+    path.write_bytes(header + data.astype("<f4").tobytes())
+    prior = load_embeddings(path)
+    assert prior.data.dtype == np.float32
+    return prior
+
+
+def assert_threads_do_not_change(config, target, prior):
+    one = config.score(target, prior, threads=1).values
+    for threads in (2, 3, 4, 5):
+        assert np.array_equal(config.score(target, prior, threads=threads).values,
+                              one), threads
 
 
 class TestScoreVector:
@@ -174,22 +190,25 @@ class TestScoreVector:
         assert peak < 2.3 * scores.values.nbytes, peak / scores.values.nbytes
 
     def test_prior_term_holds_one_batch(self):
-        # Each batch KDE is folded into the prior term and dropped, one batch
-        # at a time, so the peak does not grow with num_batches (1.63 and
-        # 4.12 MiB at 2 and 16 batches when every batch KDE was held).
+        # At most two batches are in flight, so neither the batch KDEs nor
+        # the pool's tasks grow with num_batches (1.63 and 4.12 MiB at 2 and
+        # 16 batches when every batch KDE was held; 4.00 MiB at 16 when every
+        # batch's fit was kept). At 64-row chunks a batch is 47 tasks.
         rng = np.random.default_rng(6)
         prior = EmbeddingDataset(rng.standard_normal((3000, 16)))
         target = rng.standard_normal((50, 16))
-        peaks = {}
-        for num_batches in (2, 16):
-            config = ScoringConfig(batch_size=1024, num_batches=num_batches, seed=0)
-            tracemalloc.start()
-            try:
-                config.score(target, prior)
-                peaks[num_batches] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[16] <= peaks[2] + 2**19, peaks
+        for chunk_rows in (scoring_module._OUTER_CHUNK_ROWS, 64):
+            peaks = {}
+            for num_batches in (2, 16):
+                config = ScoringConfig(batch_size=1024, num_batches=num_batches, seed=0)
+                with mock.patch.object(scoring_module, "_OUTER_CHUNK_ROWS", chunk_rows):
+                    tracemalloc.start()
+                    try:
+                        config.score(target, prior)
+                        peaks[num_batches] = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+            assert peaks[16] <= peaks[2] + 2**19, (chunk_rows, peaks)
 
 
 class TestNearestNeighbor:
@@ -262,9 +281,16 @@ class TestNearestNeighbor:
         rng = np.random.default_rng(8)
         target = rng.standard_normal((30, 4))
         prior = rng.standard_normal((9000, 4))
-        a = NN.score(target, prior, threads=1).values
-        b = NN.score(target, prior, threads=4).values
-        assert np.array_equal(a, b)
+        assert_threads_do_not_change(NN, target, prior)
+
+    def test_threads_do_not_change_results_on_a_mapped_float32_prior(
+        self, tmp_path, monkeypatch
+    ):
+        rng = np.random.default_rng(9)
+        target = rng.standard_normal((30, 4))
+        prior = mapped_float32_prior(tmp_path / "prior.bin", rng.standard_normal((500, 4)))
+        monkeypatch.setattr(scoring_module, "_OUTER_CHUNK_ROWS", 32)  # 16 chunks
+        assert_threads_do_not_change(NN, target, prior)
 
 
 class TestLogSumExp:
@@ -585,10 +611,35 @@ class TestImportanceWeight:
         rng = np.random.default_rng(55)
         target = EmbeddingDataset(rng.standard_normal((50, 3)))
         prior = EmbeddingDataset(rng.standard_normal((9000, 3)))
-        config = ScoringConfig(batch_size=1000, num_batches=2, seed=1)
-        a = config.score(target, prior, threads=1).values
-        b = config.score(target, prior, threads=4).values
-        assert np.array_equal(a, b)
+        for leave_self_out in (False, True):
+            config = ScoringConfig(batch_size=1000, num_batches=2, seed=1,
+                                   leave_self_out=leave_self_out)
+            assert_threads_do_not_change(config, target, prior)
+
+    @pytest.mark.parametrize("leave_self_out", [False, True])
+    def test_threads_do_not_change_whole_prior_batch_results(self, monkeypatch,
+                                                             leave_self_out):
+        # The one batch of the whole prior, fitted once, over 10 chunks.
+        rng = np.random.default_rng(56)
+        target = rng.standard_normal((40, 3))
+        prior = EmbeddingDataset(rng.standard_normal((300, 3)))
+        monkeypatch.setattr(scoring_module, "_OUTER_CHUNK_ROWS", 32)
+        config = ScoringConfig(batch_size=300, num_batches=4, seed=2,
+                               leave_self_out=leave_self_out)
+        assert_threads_do_not_change(config, target, prior)
+
+    @pytest.mark.parametrize("leave_self_out", [False, True])
+    def test_threads_do_not_change_results_on_a_mapped_float32_prior(
+        self, tmp_path, monkeypatch, leave_self_out
+    ):
+        # Five batches over 19 chunks, so batches overlap in the pool.
+        rng = np.random.default_rng(57)
+        target = rng.standard_normal((40, 3))
+        prior = mapped_float32_prior(tmp_path / "prior.bin", rng.standard_normal((600, 3)))
+        monkeypatch.setattr(scoring_module, "_OUTER_CHUNK_ROWS", 32)
+        config = ScoringConfig(batch_size=200, num_batches=5, seed=3,
+                               leave_self_out=leave_self_out)
+        assert_threads_do_not_change(config, target, prior)
 
 
 
@@ -697,6 +748,74 @@ class TestOneRowJob:
         monkeypatch.setattr(scoring_module, "_OUTER_CHUNK_ROWS", 64)  # 4 jobs
         ScoringConfig(batch_size=50, num_batches=4, seed=1).score(target, prior)
         assert all(scans.count(start) <= 1 for start in scans), scans
+
+    def test_one_score_is_one_pool_run(self, monkeypatch):
+        # The target term and all 8 batches run in one thread pool (there
+        # was one pool per batch and one for the target term).
+        made = []
+
+        class Counted(scoring_module.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scoring_module, "ThreadPoolExecutor", Counted)
+        rng = np.random.default_rng(23)
+        prior = EmbeddingDataset(rng.standard_normal((400, 3)))
+        ScoringConfig(batch_size=100, num_batches=8, seed=0).score(
+            rng.standard_normal((30, 3)), prior, threads=2)
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("error,status,code", [
+        (NumericalError("synthetic failure", code="cholesky_exhausted"), 3,
+         "cholesky_exhausted"),
+        (MemoryError("synthetic failure"), 4, "out_of_memory"),
+    ], ids=["cholesky_exhausted", "memory_error"])
+    def test_a_failed_batch_fit_is_raised(self, tmp_path, monkeypatch, capsys,
+                                          threads, error, status, code):
+        # The second batch's fit raises while other batches' chunk tasks are
+        # in the pool: score raises that error, and the CLI reports it, with
+        # no task left waiting on a fold that will never come.
+        rng = np.random.default_rng(24)
+        prior = EmbeddingDataset(rng.standard_normal((300, 3)))
+        target = EmbeddingDataset(rng.standard_normal((30, 3)))
+        spec = PriorBatchSpec(100, 4, rng_seed=0)
+        second = prior.data[fit_prior_batched(prior, spec)[1].support_row_ids_]
+        fit = GaussianKde.fit
+
+        def fit_spy(self, X, *args):
+            if np.array_equal(X, second):
+                raise error
+            return fit(self, X, *args)
+
+        monkeypatch.setattr(GaussianKde, "fit", fit_spy)
+        monkeypatch.setattr(scoring_module, "_OUTER_CHUNK_ROWS", 32)  # 10 chunks
+        save_embeddings(target, tmp_path / "t.bin")
+        save_embeddings(prior, tmp_path / "p.bin")
+        config = ScoringConfig(batch_size=100, num_batches=4, seed=0)
+        argv = ["score", "--method", "iwr", "--batch-size", "100", "--num-batches", "4",
+                "--seed", "0", "--threads", str(threads), "--target", str(tmp_path / "t.bin"),
+                "--prior", str(tmp_path / "p.bin"), "--out", str(tmp_path / "out")]
+        raised, status_of = [], []
+
+        def calls():
+            try:
+                config.score(target, prior, threads=threads)
+            except BaseException as exc:  # read below, on the test's thread
+                raised.append(exc)
+            status_of.append(cli.main(argv))
+
+        alive = threading.active_count()
+        caller = threading.Thread(target=calls)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "score hung after a failed fit"
+        assert raised == [error] and raised[0] is error
+        assert status_of == [status]
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error[{code}]: synthetic failure"], lines
+        assert threading.active_count() == alive  # every worker has exited
 
 
 class TestFingerprints:
