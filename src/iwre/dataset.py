@@ -632,8 +632,8 @@ def load_metadata(path) -> MetadataTable:
                 header = next(csv.reader([text]), [])
                 if tuple(header) != METADATA_FIELDS:
                     raise ValidationError(
-                        f"{path}: expected header {','.join(METADATA_FIELDS)}, "
-                        f"got {','.join(header)}",
+                        f"{path}: expected header {','.join(METADATA_FIELDS)!r}, "
+                        f"got {','.join(header)!r}",  # a repr, so a BOM shows
                         code="malformed_header",
                     )
                 start, stop, line = start[1:], stop[1:], line[1:]

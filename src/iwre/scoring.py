@@ -22,8 +22,10 @@ retrievable.
     ``leave_self_out``.
 
 lse, kde_target and both iwr terms are one row job: per prior row, the
-log-density of one fitted KDE. iwr's prior term folds each batch KDE's job
-into one accumulator by ``np.logaddexp``, batch by batch.
+log-density of one fitted KDE. lse's job then applies its affine map; iwr's
+prior term folds each batch KDE's job into one accumulator by
+``np.logaddexp``, batch by batch, and a last stage subtracts it from the
+target term.
 
 :class:`ScoringConfig` (a rule plus its parameters) is the one way to
 score: it fits what the rule needs, scores, and gives the result its record
@@ -34,14 +36,16 @@ holds) and the fingerprint of that record. Explicit models are built with
 
 Scoring is embarrassingly parallel across prior rows; worker threads only
 split the fixed row chunks, so results are identical for any thread count.
-One :meth:`~ScoringConfig.score` is one run of one thread pool: it fits
-each model as a task and runs each model's job on every row chunk, the
-target term first, then iwr's batches, at most two in flight. A batch's
-task for a chunk folds after the batch before has folded that chunk, so
-each row's fold order is fixed, and a worker that finishes early starts the
-next fit or chunk rather than wait for a batch to end. That pool is the
-only source of parallelism: while scoring runs, every loaded OpenBLAS is
-pinned to one thread (:mod:`iwre._blas`).
+Every rule is a list of stages, and one :meth:`~ScoringConfig.score` is one
+run of one thread pool over them: a stage's model is fitted as a task, then
+its job runs as one task per row chunk, the target term first, then iwr's
+batches, at most two in flight. A stage's task for a chunk waits on the
+future of the stage before's task for that chunk, so each row's fold order
+is fixed, and a worker that finishes early starts the next fit or chunk
+rather than wait for a batch to end. Every value is written in the pool,
+which refuses a non-finite one. That pool is the only source of
+parallelism: while scoring runs, every loaded OpenBLAS is pinned to one
+thread (:mod:`iwre._blas`).
 """
 
 from __future__ import annotations
@@ -201,16 +205,17 @@ def _map_row_chunks(prior: EmbeddingDataset, stages, threads: Optional[int]) -> 
     pool of ``threads`` workers, BLAS pinned.
 
     A stage is ``(fit, job, out)``: one task runs ``fit()``, then one task
-    per chunk ``sl`` writes ``job(model, sl)`` into ``out[sl]`` once the
-    stage before has had its turn at that chunk, so every row is written in
-    stage order whatever the thread count. Stage ``s + 1`` is submitted only
-    once stage ``s - 1`` has finished, so at most two stages' models and
-    tasks are alive; a task waits only on tasks submitted before it, so the
-    pool cannot deadlock. A mapped prior's chunk rows are released after
-    each task. Overflow is not warned about. The first failure in stage
-    order is raised, a non-finite result as ``non_finite_scores``; a chunk
-    task of a failed fit writes nothing, and once a failure is raised
-    neither do the tasks left, so none is left waiting."""
+    per chunk ``sl`` waits on the same chunk's task of the stage before and
+    on the fit, and writes ``job(model, sl)`` into ``out[sl]``, so every row
+    is written in stage order whatever the thread count. Stage ``s + 1`` is
+    submitted only once stage ``s - 1`` has finished, so at most two stages'
+    models and tasks are alive; tasks are run in the order submitted and a
+    task waits only on tasks submitted before it, so the pool cannot
+    deadlock. A mapped prior's chunk rows are released after each task.
+    Overflow is not warned about. The first failure in stage order is
+    raised, a non-finite result as ``non_finite_scores``; a task whose fit
+    or chunk before it failed raises that failure and writes nothing, and
+    once a failure is raised no task left runs its job."""
     if threads is None:  # the CPUs this process may run on, else all of them
         affinity = getattr(os, "sched_getaffinity", None)
         threads = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -218,49 +223,40 @@ def _map_row_chunks(prior: EmbeddingDataset, stages, threads: Optional[int]) -> 
         slice(s, min(s + _OUTER_CHUNK_ROWS, prior.rows))
         for s in range(0, prior.rows, _OUTER_CHUNK_ROWS)
     ]
-    turns = [0] * len(slices)  # per chunk, the stages that have had their turn
-    turn, stop = threading.Condition(), threading.Event()
+    stop = threading.Event()
 
-    def run(fitted, stage, c, job, out):
-        sl = slices[c]
-        with turn:
-            turn.wait_for(lambda: turns[c] == stage or stop.is_set())
-        try:
-            if stop.is_set() or fitted.exception() is not None:
-                return  # the failed fit is raised from its own task
-            with np.errstate(over="ignore", invalid="ignore"):  # per thread
-                out[sl] = job(fitted.result(), sl)
-            release_rows(prior.data, sl.start, sl.stop)
-            row = first_non_finite_row(out[sl, None])
-            if row is not None:
-                raise NumericalError(
-                    f"scores overflowed: non-finite value at prior row {sl.start + row}",
-                    code="non_finite_scores",
-                )
-        finally:
-            with turn:
-                turns[c] = stage + 1
-                turn.notify_all()
-
-    def finish(futures):
-        for future in futures:
-            future.result()
+    def run(fitted, before, job, out, sl):
+        if before is not None:
+            before.result()  # the stage before has written these rows
+        model = fitted.result()
+        if stop.is_set():
+            return
+        with np.errstate(over="ignore", invalid="ignore"):  # per thread
+            out[sl] = job(model, sl)
+        release_rows(prior.data, sl.start, sl.stop)
+        row = first_non_finite_row(out[sl, None])
+        if row is not None:
+            raise NumericalError(
+                f"scores overflowed: non-finite value at prior row {sl.start + row}",
+                code="non_finite_scores",
+            )
 
     window = deque()  # the futures of the stages in flight, each fit first
+    chunks = [None] * len(slices)  # the chunk tasks of the stage submitted last
     with single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as ex:
         try:
-            for stage, (fit, job, out) in enumerate(stages):
+            for fit, job, out in stages:
                 if len(window) == 2:
-                    finish(window.popleft())
+                    for future in window.popleft():
+                        future.result()
                 fitted = ex.submit(fit)
-                window.append([fitted, *(ex.submit(run, fitted, stage, c, job, out)
-                                         for c in range(len(slices)))])
-            while window:
-                finish(window.popleft())
+                chunks = [ex.submit(run, fitted, before, job, out, sl)
+                          for before, sl in zip(chunks, slices)]
+                window.append([fitted, *chunks])
+            for future in chain.from_iterable(window):
+                future.result()
         except BaseException:
-            with turn:
-                stop.set()
-                turn.notify_all()
+            stop.set()
             ex.shutdown(cancel_futures=True)
             raise
 
@@ -287,14 +283,14 @@ def _log_density_job(prior, leave_self_out=False, acc=None):
     return job
 
 
-def _batch_draws(rows: int, spec: PriorBatchSpec):
+def _batch_draws(rows: int, batch_size: int, num_batches: int, seed: int):
     """The sorted row ids of each random prior batch, drawn in order from
     the seeded generator, with its count. A batch of the whole prior is
     drawn once, as the mean of equal densities is that density."""
-    _check_batch_fits(spec.batch_size, rows)
-    count = 1 if spec.batch_size == rows else spec.num_batches
-    rng = np.random.default_rng(spec.rng_seed)
-    draws = (np.sort(rng.choice(rows, size=spec.batch_size, replace=False))
+    _check_batch_fits(batch_size, rows)
+    count = 1 if batch_size == rows else num_batches
+    rng = np.random.default_rng(seed)
+    draws = (np.sort(rng.choice(rows, size=batch_size, replace=False))
              for _ in range(count))
     return count, draws
 
@@ -321,7 +317,8 @@ def fit_prior_batched(
     equal densities is that density.
     """
     prior, bandwidth = _as_dataset(prior), bandwidth or BandwidthSpec()
-    _, draws = _batch_draws(prior.rows, spec)
+    _, draws = _batch_draws(prior.rows, spec.batch_size, spec.num_batches,
+                            spec.rng_seed)
     return [_fit_batch(prior, idx, bandwidth) for idx in draws]
 
 
@@ -434,40 +431,39 @@ class ScoringConfig:
         bandwidth = BandwidthSpec(self.scale_c)
         values = np.empty(prior.rows)
         if self.method is ScoreMethod.NN_L2:
-            _map_row_chunks(prior, [(
-                lambda: np.asarray(target.data, dtype=np.float64),
-                lambda support, sl: -nearest_sq_dists(prior.data[sl], support),
-                values)], threads)
+            stages = [(lambda: np.asarray(target.data, dtype=np.float64),
+                       lambda support, sl: -nearest_sq_dists(prior.data[sl], support),
+                       values)]
         elif self.method is ScoreMethod.LSE:
             # The log-density of the isotropic KDE with kernel covariance
             # (h^2/2) I is log_norm - log M + log sum_j exp(-||p - t_j||^2 / h^2).
-            h = params["temperature"]
-            kde = GaussianKde.from_parameters(
-                target.data, h / np.sqrt(2.0), np.eye(target.dim)
-            )
-            _map_row_chunks(prior, [(lambda: kde, _log_density_job(prior), values)],
-                            threads)
-            values += np.log(kde.count_) - kde.log_norm_
-            values *= 1.0 / (h * h)
+            h, density = params["temperature"], _log_density_job(prior)
+
+            def lse(kde, sl):
+                log_p = density(kde, sl)
+                return (log_p + (np.log(kde.count_) - kde.log_norm_)) * (1.0 / (h * h))
+
+            stages = [(partial(GaussianKde.from_parameters, target.data,
+                               h / np.sqrt(2.0), np.eye(target.dim)), lse, values)]
         else:
             stages = [(partial(fit_kde, target, bandwidth), _log_density_job(prior),
                        values)]
             if self.method is ScoreMethod.IWR:
                 # The prior term: each batch KDE's job folds it into acc, the
-                # first one writes it, so acc is log_mean_exp's fold.
+                # first one writes it, so acc is log_mean_exp's fold; the last
+                # stage subtracts acc, less log count, from the target term.
                 acc = np.empty(prior.rows)
-                spec = PriorBatchSpec(params["batch_size"], self.num_batches,
-                                      rng_seed=self.seed)
-                count, draws = _batch_draws(prior.rows, spec)
+                count, draws = _batch_draws(prior.rows, params["batch_size"],
+                                            self.num_batches, self.seed)
                 stages = chain(stages, (
                     (partial(_fit_batch, prior, idx, bandwidth),
                      _log_density_job(prior, self.leave_self_out, acc if k else None),
                      acc)
-                    for k, idx in enumerate(draws)))
-            _map_row_chunks(prior, stages, threads)
-            if self.method is ScoreMethod.IWR:
-                acc -= np.log(count)
-                values -= acc
+                    for k, idx in enumerate(draws)), [(
+                    partial(np.log, count),
+                    lambda log_count, sl: values[sl] - (acc[sl] - log_count),
+                    values)])
+        _map_row_chunks(prior, stages, threads)
         values.flags.writeable = False  # so the ScoreVector holds it, uncopied
         return ScoreVector(values, params)
 

@@ -1201,7 +1201,8 @@ _DATA = ["--target", "{fx}/target.bin", "--prior", "{fx}/prior.bin"]
 
 # Refused after --out is given, often after inputs are read: each exits
 # with one error line and leaves no --out. {run} holds nn scores and their
-# manifest, a 7-byte binary file, invalid JSON and rows of about 1e155.
+# manifest, a 7-byte binary file, invalid JSON, rows of about 1e155 and
+# standard normal rows.
 # (case, argv, exit code, error code, ScoringConfig.score replacement)
 REFUSED = [
     ("score_short_target", ["score", "--method", "nn", "--target", "{run}/short.bin",
@@ -1236,6 +1237,10 @@ REFUSED = [
       "--prior", "{run}/huge_p.bin"], 3, "non_finite_scores", None)
     for method in ("nn", "lse")
 ] + [
+    ("score_lse_temperature_overflows",
+     ["score", "--method", "lse", "--bandwidth-scale", 1e-100,
+      "--target", "{run}/normal_t.bin", "--prior", "{run}/normal_p.bin"],
+     3, "non_finite_scores", None),
     ("score_numerical_error", ["score", "--method", "nn", *_DATA], 3,
      "cholesky_exhausted", _score_fails),
 ]
@@ -1254,6 +1259,8 @@ def refusal_inputs(fixtures, tmp_path):
     for name, rows in (("huge_t.bin", 50), ("huge_p.bin", 400)):
         huge = EmbeddingDataset(rng.standard_normal((rows, 3)) * 1e155)
         save_embeddings(huge, run_dir / name)
+    for name, rows in (("normal_t.bin", 20), ("normal_p.bin", 50)):
+        save_embeddings(EmbeddingDataset(rng.standard_normal((rows, 2))), run_dir / name)
     return run_dir
 
 

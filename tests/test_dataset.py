@@ -361,6 +361,18 @@ class TestRowMetadata:
             load_metadata(path)
         assert exc.value.code == "malformed_header"
 
+    def test_header_refusal_shows_a_bom(self, tmp_path):
+        # A header behind a UTF-8 BOM prints like the one expected, so the
+        # refusal shows what it found as a repr.
+        path = tmp_path / "m.csv"
+        path.write_text("\ufeffepisode_id,step_index,episode_length,task_label\n"
+                        "0,0,1,\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as exc:
+            load_metadata(path)
+        assert exc.value.code == "malformed_header"
+        assert str(exc.value).endswith(
+            "got '\\ufeffepisode_id,step_index,episode_length,task_label'")
+
     def test_pairing_law(self):
         ds = EmbeddingDataset(np.zeros((2, 2)))
         good = metadata_table([(0, 0, 2, None), (0, 1, 2, None)])

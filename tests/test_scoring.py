@@ -360,6 +360,18 @@ class TestLogSumExp:
         got = lse_config(1e-4, target).score(target, rng.standard_normal((10, 2))).values
         assert np.isfinite(got).all()
 
+    def test_overflowed_map_is_refused(self):
+        # At scale 1e-100 the log-density is finite but 1/h^2 times it is not:
+        # the map runs in the pool, which names the row, with no warning.
+        rng = np.random.default_rng(6)
+        target, prior = rng.standard_normal((20, 2)), rng.standard_normal((50, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as exc:
+                ScoringConfig(ScoreMethod.LSE, scale_c=1e-100).score(target, prior)
+        assert exc.value.code == "non_finite_scores"
+        assert "prior row 0" in str(exc.value)
+
 
 class TestTargetDensity:
     def test_mode_of_single_kernel(self):
@@ -641,6 +653,24 @@ class TestImportanceWeight:
                                leave_self_out=leave_self_out)
         assert_threads_do_not_change(config, target, prior)
 
+    def test_fold_order_holds_under_fast_thread_switches(self, monkeypatch):
+        # Eight batches over 19 chunks on 6 workers, more than the cores,
+        # switching threads every microsecond: a chunk task that ran before
+        # the one it waits on would change the bits.
+        rng = np.random.default_rng(58)
+        target = rng.standard_normal((40, 3))
+        prior = EmbeddingDataset(rng.standard_normal((600, 3)))
+        monkeypatch.setattr(scoring_module, "_OUTER_CHUNK_ROWS", 32)
+        config = ScoringConfig(batch_size=200, num_batches=8, seed=4)
+        one = config.score(target, prior, threads=1).values
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert np.array_equal(config.score(target, prior, threads=6).values, one)
+        finally:
+            sys.setswitchinterval(interval)
+
 
 
 class TestOneRowJob:
@@ -815,6 +845,73 @@ class TestOneRowJob:
         assert status_of == [status]
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"error[{code}]: synthetic failure"], lines
+        assert threading.active_count() == alive  # every worker has exited
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("fails,status,line", [
+        ("raise", 4, "error[out_of_memory]: synthetic failure"),
+        ("inf", 3, "error[non_finite_scores]: scores overflowed: non-finite value "
+                   "at prior row 160"),
+    ], ids=["memory_error", "inf"])
+    def test_a_failed_batch_chunk_is_raised(self, tmp_path, monkeypatch, capsys,
+                                            threads, fails, status, line):
+        # The third of four batches fails on the chunk of rows 160-191 (by
+        # raising, or by writing inf) while the fourth batch's tasks are in
+        # the pool: score raises that failure, the CLI reports it, and no
+        # later batch's job runs on that chunk.
+        rng = np.random.default_rng(25)
+        prior = EmbeddingDataset(rng.standard_normal((300, 3)))
+        target = EmbeddingDataset(rng.standard_normal((30, 3)))
+        batches = [kde.support_row_ids_ for kde in
+                   fit_prior_batched(prior, PriorBatchSpec(100, 4, rng_seed=0))]
+        first_row = prior.data[160]
+        error = MemoryError("synthetic failure")
+        log_density, later = GaussianKde._log_density, []
+
+        def log_density_spy(self, X, *args):
+            ids = getattr(self, "support_row_ids_", None)
+            batch = next((k for k, b in enumerate(batches)
+                          if ids is not None and np.array_equal(ids, b)), None)
+            if batch is not None and np.array_equal(X[0], first_row):
+                if batch == 2 and fails == "raise":
+                    raise error
+                if batch == 2:
+                    return np.full(X.shape[0], np.inf)
+                if batch > 2:
+                    later.append(batch)
+            return log_density(self, X, *args)
+
+        monkeypatch.setattr(GaussianKde, "_log_density", log_density_spy)
+        monkeypatch.setattr(scoring_module, "_OUTER_CHUNK_ROWS", 32)  # 10 chunks
+        save_embeddings(target, tmp_path / "t.bin")
+        save_embeddings(prior, tmp_path / "p.bin")
+        config = ScoringConfig(batch_size=100, num_batches=4, seed=0)
+        argv = ["score", "--method", "iwr", "--batch-size", "100", "--num-batches", "4",
+                "--seed", "0", "--threads", str(threads), "--target", str(tmp_path / "t.bin"),
+                "--prior", str(tmp_path / "p.bin"), "--out", str(tmp_path / "out")]
+        raised, status_of = [], []
+
+        def calls():
+            try:
+                config.score(target, prior, threads=threads)
+            except BaseException as exc:  # read below, on the test's thread
+                raised.append(exc)
+            status_of.append(cli.main(argv))
+
+        alive = threading.active_count()
+        caller = threading.Thread(target=calls)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "score hung after a failed chunk"
+        if fails == "raise":
+            assert len(raised) == 1 and raised[0] is error
+        else:
+            assert [(type(e), e.code) for e in raised] == [
+                (NumericalError, "non_finite_scores")]
+        assert status_of == [status]
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert later == []
+        assert not (tmp_path / "out").exists()
         assert threading.active_count() == alive  # every worker has exited
 
 
