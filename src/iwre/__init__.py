@@ -14,7 +14,9 @@ import importlib
 # Each public name by its defining submodule.
 _EXPORTS = {
     "_version": "__version__",
-    "analysis": "build_report emit_report load_report task_bin_counts",
+    "analysis": "RetrievalQuality WeightCheckResult build_report emit_report "
+                "evaluate_retrieval load_report oracle_weight_check row_relevance "
+                "task_bin_counts",
     "dataset": "EmbeddingDataset MetadataTable load_embeddings "
                "load_metadata pair_metadata save_embeddings save_metadata",
     "errors": "EngineError NumericalError ValidationError",
@@ -27,10 +29,8 @@ _EXPORTS = {
     "retriever": "EmbeddingRetriever",
     "scoring": "PriorBatchSpec ScoreMethod ScoreVector ScoringConfig "
                "fit_prior_batched load_scores save_scores",
-    "synthbench": "GaussianMixture OracleDensities RetrievalQuality SyntheticData "
-                  "SyntheticScenario WeightCheckResult evaluate_retrieval "
-                  "generate load_oracle make_scenario oracle_weight_check "
-                  "row_relevance save_oracle",
+    "synthbench": "GaussianMixture OracleDensities SyntheticData SyntheticScenario "
+                  "generate load_oracle make_scenario save_oracle",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names.split()}

@@ -1,26 +1,27 @@
-"""Retrieval-distribution diagnostics.
+"""Retrieval-distribution diagnostics and the graders.
 
 Summarizes a retrieval manifest against row metadata: how the selection
 spreads over tasks (with user-supplied relevant/mixed/harmful labels) and
 over within-episode time, binned proportionally so episodes of different
-lengths are comparable.
+lengths are comparable. Grades a selection against task labels, and iwr
+scores against a density oracle (:func:`oracle_weight_check`).
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
 import numpy as np
 
 from ._validation import check_count, read_json_object, write_json
-from .dataset import MetadataTable
+from .dataset import EmbeddingDataset, MetadataTable
 from .errors import ValidationError
 from .retrieval import RetrievalManifest
-from .synthbench import evaluate_retrieval, row_relevance
+from .scoring import ScoreMethod, ScoreVector
 from ._version import __version__
 
 logger = logging.getLogger(__name__)
@@ -46,6 +47,74 @@ def load_labels(path) -> dict:
     labels = read_json_object(path, "bad_labels")
     _check_relevance(labels)
     return labels
+
+
+def row_relevance(metadata: MetadataTable, labels: dict) -> np.ndarray:
+    """Boolean mask of the prior rows whose task ``labels`` (a task ->
+    relevance map) calls ``relevant``: a per-label table indexed by
+    ``task_code``, one byte a row. Unlabeled rows and tasks missing from
+    ``labels`` are not relevant."""
+    relevant = [labels.get(task) == "relevant" for task in metadata.task_labels]
+    return np.array(relevant + [False])[metadata.task_code]  # code -1: the last
+
+
+@dataclass(frozen=True)
+class RetrievalQuality:
+    precision: float
+    recall: Optional[float]  # None when no row is relevant
+    selected_count: int
+    relevant_count: int
+
+
+def evaluate_retrieval(manifest: RetrievalManifest, relevant) -> RetrievalQuality:
+    """Precision/recall of a selection against ``relevant``, a boolean mask
+    of the relevant prior rows such as :func:`row_relevance` returns."""
+    relevant = np.asarray(relevant)
+    if relevant.dtype != bool or relevant.ndim != 1:
+        raise ValidationError("relevance must be a 1-D boolean mask", code="bad_labels")
+    n = len(relevant)
+    if manifest.selected_indices[-1] >= n:
+        raise ValidationError(
+            f"relevance labels cover {n} rows but manifest selects row "
+            f"{int(manifest.selected_indices[-1])}",
+            code="label_mismatch",
+        )
+    hits = int(relevant[manifest.selected_indices].sum())
+    total_relevant = int(relevant.sum())
+    recall = hits / total_relevant if total_relevant else None
+    return RetrievalQuality(hits / manifest.size, recall, manifest.size, total_relevant)
+
+
+@dataclass(frozen=True)
+class WeightCheckResult:
+    mean_abs_error: float
+    max_abs_error: float
+    count: int
+
+
+def oracle_weight_check(oracle, estimated: ScoreVector,
+                        queries: EmbeddingDataset) -> WeightCheckResult:
+    """Compare estimated log importance weights with the analytic log-ratio
+    of ``oracle``: its ``log_prior`` and ``log_ratio`` methods, as
+    :class:`iwre.synthbench.OracleDensities` has them.
+
+    Errors are measured on the high-density region: queries whose oracle
+    prior log-density is at or above its own 10th percentile.
+    """
+    if estimated.method is not ScoreMethod.IWR:
+        raise ValidationError(
+            f"oracle_weight_check needs iwr scores, got {estimated.method.value!r}",
+            code="method_mismatch",
+        )
+    q = queries.data
+    if len(estimated) != queries.rows:
+        raise ValidationError(
+            "score vector and query dataset length mismatch", code="label_mismatch"
+        )
+    log_prior = oracle.log_prior(q)
+    mask = log_prior >= np.quantile(log_prior, 0.10)
+    errors = np.abs(estimated.values[mask] - oracle.log_ratio(q[mask]))
+    return WeightCheckResult(float(errors.mean()), float(errors.max()), int(mask.sum()))
 
 
 def task_bin_counts(
@@ -109,7 +178,7 @@ def build_report(
     ``task_timesteps`` is the table itself, null when no row of ``meta``
     carries a task label. ``evaluation`` is the selection's precision and
     recall against the rows whose task ``labels`` calls ``relevant``
-    (:func:`iwre.synthbench.evaluate_retrieval`), null without labels.
+    (:func:`evaluate_retrieval`), null only when ``labels`` is None.
     ``config_fingerprint`` and ``method`` are the manifest's.
     """
     if labels is not None:
@@ -130,7 +199,7 @@ def build_report(
         }
     per_bin = np.sum(list(table.values()), axis=0, dtype=np.int64)
     evaluation = None
-    if labels:
+    if labels is not None:
         evaluation = asdict(evaluate_retrieval(manifest, row_relevance(meta, labels)))
     return {
         "engine_version": __version__,

@@ -43,7 +43,14 @@ from ._validation import (
     read_json_object,
     write_json,
 )
-from .analysis import MAX_BINS, build_report, emit_report, load_labels
+from .analysis import (
+    MAX_BINS,
+    build_report,
+    emit_report,
+    evaluate_retrieval,
+    load_labels,
+    row_relevance,
+)
 from .dataset import (
     load_embeddings,
     load_metadata,
@@ -65,14 +72,7 @@ from .retrieval import (
     select_by_threshold,
 )
 from .scoring import ScoreMethod, ScoreVector, ScoringConfig, load_scores, save_scores
-from .synthbench import (
-    SCENARIO_IDS,
-    evaluate_retrieval,
-    generate,
-    make_scenario,
-    row_relevance,
-    save_oracle,
-)
+from .synthbench import SCENARIO_IDS, generate, make_scenario, save_oracle
 
 _METHOD_ALIASES = {
     "nn": ScoreMethod.NN_L2,

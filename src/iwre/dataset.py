@@ -216,7 +216,10 @@ class MetadataTable:
 
     def take(self, idx) -> "MetadataTable":
         """The rows ``idx``, in that order."""
-        columns = (getattr(self, name)[idx] for name in _INT_COLUMNS)
+        columns = [getattr(self, name)[idx] for name in _INT_COLUMNS]
+        for column in columns:  # the new table adopts them; a scalar is refused there
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
         return MetadataTable(*columns, self.task_code[idx], self.task_labels)
 
     def __len__(self) -> int:

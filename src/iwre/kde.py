@@ -27,8 +27,8 @@ the rows whose plain sum falls outside ``[e^-600, inf)``
 overflowed or the sum is NaN, are summed again: their block's tiles are
 formed anew from its whitened rows, bit for bit, and reduced by a
 running-max log-sum-exp, which for a support of one tile is bit-identical
-to the max-shifted reduction of :func:`_logsumexp`. Plain sums differ from
-shifted ones only in the last bits.
+to a plain max-shifted ``max + log(sum(exp(x - max)))``. Plain sums differ
+from shifted ones only in the last bits.
 
 Determinism contract: row blocks and column tiles are fixed by the shapes
 of the queries and the support alone, and each query's kernel sum reduces
@@ -461,11 +461,3 @@ def _shifted_sums(tiles, again):
         np.subtract(expo, peak[:, None], out=expo)
         total += np.exp(expo, out=expo).sum(axis=1)
     return total[again], peak[again]
-
-
-def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
-    """Stable ``log(sum(exp(values)))`` along ``axis``; overwrites ``values``."""
-    peak = values.max(axis=axis)
-    shifted = np.subtract(values, np.expand_dims(peak, axis), out=values)
-    np.exp(shifted, out=shifted)
-    return peak + np.log(shifted.sum(axis=axis))

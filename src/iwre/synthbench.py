@@ -2,7 +2,8 @@
 
 Every scenario is a pair of Gaussian mixtures with known densities and
 per-component relevance labels, so each scoring rule can be validated
-quantitatively without real robot data:
+quantitatively without real robot data. This module makes the scenarios
+and their oracles only; :mod:`iwre.analysis` grades against them:
 
 ``gaussian_ratio``
     1-D narrow target inside a broad prior; the analytic density ratio is
@@ -20,7 +21,7 @@ quantitatively without real robot data:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,9 +34,7 @@ from ._validation import (
 )
 from .dataset import EmbeddingDataset, MetadataTable
 from .errors import ValidationError
-from .kde import LOG_2PI, _logsumexp
-from .retrieval import RetrievalManifest
-from .scoring import ScoreMethod, ScoreVector
+from .kde import LOG_2PI
 
 SCENARIO_IDS = ("fig2_toy", "gaussian_ratio", "cluster_bias")
 
@@ -104,7 +103,8 @@ class GaussianMixture:
 
         Each component's Gaussian log-density comes from its stored Cholesky
         factor ``L``: ``-|inv(L) (x - mean)|^2 / 2 - sum(log(diag(L)))
-        - (d/2) log(2 pi)``; the components are combined by log-sum-exp.
+        - (d/2) log(2 pi)``; the components are combined by ``np.logaddexp``,
+        the fold :func:`~iwre.kde.log_mean_exp` makes.
         """
         x = as_numbers(x, "x")
         x = check_matrix(x[None, :] if x.ndim == 1 else x, "x")
@@ -117,7 +117,7 @@ class GaussianMixture:
             log_norm = np.log(w) - np.log(np.diag(chol)).sum()
             parts[k] = log_norm - 0.5 * np.einsum("ij,ij->j", z, z)
         parts -= 0.5 * self.dim * LOG_2PI
-        return _logsumexp(parts, axis=0)
+        return np.logaddexp.reduce(parts, axis=0)
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ class SyntheticScenario:
 
 @dataclass(frozen=True)
 class SyntheticData:
-    """Generated datasets plus everything needed to grade a retrieval."""
+    """Generated datasets, task labels and oracle, as the graders take them."""
 
     target: EmbeddingDataset
     prior: EmbeddingDataset
@@ -365,75 +365,3 @@ def load_oracle(path) -> OracleDensities:
         return GaussianMixture(**arrays)
 
     return OracleDensities(*map(mixture, sections))
-
-
-def row_relevance(metadata: MetadataTable, labels: dict) -> np.ndarray:
-    """Boolean mask of the prior rows whose task ``labels`` (a task ->
-    relevance map) calls ``relevant``: a per-label table indexed by
-    ``task_code``, one byte a row. Unlabeled rows and tasks missing from
-    ``labels`` are not relevant."""
-    relevant = [labels.get(task) == "relevant" for task in metadata.task_labels]
-    return np.array(relevant + [False])[metadata.task_code]  # code -1: the last
-
-
-# -- grading -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetrievalQuality:
-    precision: float
-    recall: Optional[float]  # None when no row is relevant
-    selected_count: int
-    relevant_count: int
-
-
-def evaluate_retrieval(manifest: RetrievalManifest, relevant) -> RetrievalQuality:
-    """Precision/recall of a selection against ``relevant``, a boolean mask
-    of the relevant prior rows such as :func:`row_relevance` returns."""
-    relevant = np.asarray(relevant)
-    if relevant.dtype != bool or relevant.ndim != 1:
-        raise ValidationError("relevance must be a 1-D boolean mask", code="bad_labels")
-    n = len(relevant)
-    if manifest.selected_indices[-1] >= n:
-        raise ValidationError(
-            f"relevance labels cover {n} rows but manifest selects row "
-            f"{int(manifest.selected_indices[-1])}",
-            code="label_mismatch",
-        )
-    hits = int(relevant[manifest.selected_indices].sum())
-    total_relevant = int(relevant.sum())
-    recall = hits / total_relevant if total_relevant else None
-    return RetrievalQuality(hits / manifest.size, recall, manifest.size, total_relevant)
-
-
-@dataclass(frozen=True)
-class WeightCheckResult:
-    mean_abs_error: float
-    max_abs_error: float
-    count: int
-
-
-def oracle_weight_check(
-    oracle: OracleDensities, estimated: ScoreVector, queries: EmbeddingDataset
-) -> WeightCheckResult:
-    """Compare estimated log importance weights with the analytic log-ratio.
-
-    Errors are measured on the high-density region: queries whose oracle
-    prior log-density is at or above its own 10th percentile.
-    """
-    if estimated.method is not ScoreMethod.IWR:
-        raise ValidationError(
-            f"oracle_weight_check needs iwr scores, got {estimated.method.value!r}",
-            code="method_mismatch",
-        )
-    q = queries.data
-    if len(estimated) != queries.rows:
-        raise ValidationError(
-            "score vector and query dataset length mismatch", code="label_mismatch"
-        )
-    log_prior = oracle.log_prior(q)
-    mask = log_prior >= np.quantile(log_prior, 0.10)
-    errors = np.abs(estimated.values[mask] - oracle.log_ratio(q[mask]))
-    return WeightCheckResult(
-        float(errors.mean()), float(errors.max()), int(mask.sum())
-    )

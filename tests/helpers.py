@@ -49,6 +49,16 @@ def lse_config(temperature: float, target) -> ScoringConfig:
     return ScoringConfig(ScoreMethod.LSE, scale_c=temperature * rows ** (1 / (dim + 4)))
 
 
+def logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
+    """The max-shifted ``log(sum(exp(values)))`` along ``axis``; overwrites
+    ``values``. The engine's second sum must match it bit for bit on a
+    support of one tile."""
+    peak = values.max(axis=axis)
+    shifted = np.subtract(values, np.expand_dims(peak, axis), out=values)
+    np.exp(shifted, out=shifted)
+    return peak + np.log(shifted.sum(axis=axis))
+
+
 def brute_force_min_sq_dists(prior: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Minimum squared distance per prior row, by explicit double loop."""
     out = np.empty(prior.shape[0])

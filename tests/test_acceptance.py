@@ -12,6 +12,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from helpers import lse_config, naive_log_density, ranking, score_vector
+from iwre.analysis import evaluate_retrieval, oracle_weight_check, row_relevance
 from iwre.cli import main
 from iwre.dataset import EmbeddingDataset
 from iwre.kde import BandwidthSpec, fit_kde, log_mean_exp, scott_bandwidth
@@ -21,14 +22,7 @@ from iwre.retrieval import (
     select_by_fraction,
 )
 from iwre.scoring import PriorBatchSpec, ScoreMethod, ScoringConfig, fit_prior_batched
-from iwre.synthbench import (
-    evaluate_retrieval,
-    fig2_probe_indices,
-    generate,
-    make_scenario,
-    oracle_weight_check,
-    row_relevance,
-)
+from iwre.synthbench import fig2_probe_indices, generate, make_scenario
 
 
 def report(num, name, ok, detail=""):

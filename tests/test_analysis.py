@@ -15,14 +15,15 @@ from iwre.analysis import (
     UNLABELED_TASK,
     build_report,
     emit_report,
+    evaluate_retrieval,
     load_report,
+    row_relevance,
     task_bin_counts,
 )
 from iwre.dataset import MetadataTable
 from iwre.errors import ValidationError
 from iwre.retrieval import RetrievalManifest, SelectionRule
 from iwre.scoring import ScoreMethod
-from iwre.synthbench import evaluate_retrieval, row_relevance
 
 
 def manifest_of(indices, fingerprint="fp", method=ScoreMethod.IWR):
@@ -297,7 +298,14 @@ class TestReport:
         }
         assert quality.precision == 1 / 3 and quality.recall == 1 / 3
         assert build_report(manifest, meta)["evaluation"] is None
-        assert build_report(manifest, meta, labels={})["evaluation"] is None
+
+    def test_empty_labels_are_graded(self):
+        # Labels that name no task still grade the selection: no row is
+        # relevant, as with labels that call every task harmful.
+        graded = {"precision": 0.0, "recall": None, "selected_count": 4,
+                  "relevant_count": 0}
+        assert self.build({})["evaluation"] == graded
+        assert self.build({"nothing": "harmful"})["evaluation"] == graded
 
     def test_no_relevant_row_gives_null_recall(self, tmp_path):
         # Strict JSON: the report of labels that call no task relevant holds

@@ -309,7 +309,8 @@ class TestScoreRetrieve:
         np.testing.assert_allclose(scores.values, want, rtol=1e-15)
 
     def test_iwr_scores_pass_oracle_check(self, fixtures, tmp_path):
-        from iwre.synthbench import load_oracle, oracle_weight_check
+        from iwre.analysis import oracle_weight_check
+        from iwre.synthbench import load_oracle
 
         out = tmp_path / "run"
         assert run(
@@ -1020,6 +1021,25 @@ class TestAnalyzeAndDeterminism:
         assert report["evaluation"]["recall"] is None
         assert report["evaluation"]["relevant_count"] == 0
 
+    def test_empty_labels_are_graded(self, fixtures, tmp_path):
+        # analyze and sweep grade the same selection with `{}` the same way.
+        out = tmp_path / "run"
+        self.pipeline(fixtures, out)
+        labels = tmp_path / "empty.json"
+        labels.write_text("{}")
+        meta = fixtures / "prior_meta.csv"
+        assert run("analyze", "--manifest", out / "manifest.json", "--meta", meta,
+                   "--labels", labels, "--out", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["evaluation"] == {"precision": 0.0, "recall": None,
+                                        "selected_count": 300, "relevant_count": 0}
+        assert run("sweep", "--method", "iwr", "--seed", 5, "--bandwidth-scales", 1.0,
+                   "--target", fixtures / "target.bin", "--prior", fixtures / "prior.bin",
+                   "--meta", meta, "--labels", labels, "--fractions", 0.25,
+                   "--out", tmp_path / "sweep") == 0
+        summary = json.loads((tmp_path / "sweep" / "summary.json").read_text())
+        assert [e["precision"] for e in summary] == [0.0]
+
     def test_report_states_the_manifest_method(self, fixtures, tmp_path, capsys):
         out = tmp_path / "run"
         self.pipeline(fixtures, out)
@@ -1478,6 +1498,19 @@ class TestLeanStart:
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[0] in ('numpy', 'iwre')))\n"
         ) == "['iwre']"
+
+
+@pytest.mark.parametrize("module, unloaded", [
+    ("iwre.synthbench", ["iwre.analysis", "iwre.retrieval", "iwre.scoring"]),
+    ("iwre.analysis", ["iwre.synthbench"]),
+])
+def test_generation_and_grading_are_separate_layers(module, unloaded):
+    """Scenario generation loads no grader, scorer or selector; grading
+    loads no scenario generator."""
+    assert _fresh(
+        f"import sys, {module}\n"
+        f"print([m for m in {unloaded!r} if m in sys.modules])\n"
+    ) == "[]"
 
 
 def test_public_names_resolve_lazily():

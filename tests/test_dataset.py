@@ -9,6 +9,7 @@ import os
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -616,6 +617,27 @@ class TestMetadataTable:
         assert table == metadata_table(records)
         assert table != metadata_table(records[:2] + [(1, 0, 1, "r")])
         assert table.take([2, 0]) == metadata_table([records[2], records[0]])
+
+    def test_take_copies_each_column_once(self):
+        # The gathered columns are frozen and adopted, not copied again.
+        n = 200_000
+        table = MetadataTable(np.arange(n), np.zeros(n, np.int64), np.ones(n, np.int64),
+                              np.zeros(n, np.int32), ("a",))
+        idx = np.arange(0, n, 2)
+        tracemalloc.start()
+        try:
+            taken = table.take(idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = [taken.episode_id, taken.step_index, taken.episode_length,
+                   taken.task_code]
+        assert not any(c.flags.writeable for c in columns)
+        assert taken.episode_id.tolist() == idx.tolist()
+        assert peak < 1.6 * sum(c.nbytes for c in columns), peak / 2**20
+        with pytest.raises(ValidationError) as exc:
+            table.take(0)  # one row is no column
+        assert exc.value.code == "bad_shape"
 
     def test_integer_columns_of_any_width(self):
         table = MetadataTable(np.array([7], np.uint8), np.array([0], np.int16),

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_min_sq_dists, lse_config, naive_log_density, ranking
+from helpers import (
+    brute_force_min_sq_dists,
+    logsumexp,
+    lse_config,
+    naive_log_density,
+    ranking,
+)
 from iwre import kde as kde_module
 from iwre.errors import ValidationError
 from iwre.kde import BandwidthSpec, GaussianKde, fit_kde
@@ -152,7 +158,7 @@ def _log_count(kde, n, exclude):
 
 def shifted_reference(kde, queries, exclude=None):
     """``score_samples`` with every row reduced by the max-shifted
-    ``_logsumexp`` over its block's tiles from ``_kernel_exponents``, joined
+    ``logsumexp`` over its block's tiles from ``_kernel_exponents``, joined
     in column order."""
     queries = np.asarray(queries, dtype=np.float64)
     out = np.empty(len(queries))
@@ -160,12 +166,12 @@ def shifted_reference(kde, queries, exclude=None):
         queries, kde._center, kde._support, kde._whitener, exclude
     ):
         real = [expo[: rows.stop - rows.start].copy() for expo in tiles()]
-        out[rows] = kde_module._logsumexp(np.hstack(real), axis=1)
+        out[rows] = logsumexp(np.hstack(real), axis=1)
     return kde.log_norm_ + out - _log_count(kde, len(queries), exclude)
 
 
 def full_width_oracle(kde, queries, exclude=None):
-    """The max-shifted ``_logsumexp`` over one GEMM of the whole augmented
+    """The max-shifted ``logsumexp`` over one GEMM of the whole augmented
     support, with no blocks or tiles. A zero query row is appended and
     dropped, as the engine pads its blocks: numpy hands a lone row's product
     to GEMV, which rounds differently."""
@@ -177,7 +183,7 @@ def full_width_oracle(kde, queries, exclude=None):
     if exclude is not None:
         hit = np.flatnonzero(exclude >= 0)
         expo[hit, exclude[hit]] = -np.inf
-    out = kde_module._logsumexp(expo, axis=1)
+    out = logsumexp(expo, axis=1)
     return kde.log_norm_ + out - _log_count(kde, len(queries), exclude)
 
 

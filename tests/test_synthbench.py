@@ -8,6 +8,7 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from helpers import metadata_table, score_vector
+from iwre.analysis import evaluate_retrieval, oracle_weight_check, row_relevance
 from iwre.dataset import EmbeddingDataset
 from iwre.errors import ValidationError
 from iwre.retrieval import select_by_fraction
@@ -16,13 +17,10 @@ from iwre.synthbench import (
     SCENARIO_IDS,
     GaussianMixture,
     OracleDensities,
-    evaluate_retrieval,
     fig2_probe_indices,
     generate,
     load_oracle,
     make_scenario,
-    oracle_weight_check,
-    row_relevance,
     save_oracle,
 )
 
